@@ -282,21 +282,13 @@ let prepare ~parallel fg ~inputs =
     ~kernel_grain:config.Config.kernel_grain ~cache:config.Config.cache fg
     ~inputs
 
-(* The JIT arms always measure, whatever FUNCTS_JIT says (per-group
-   graceful fallback keeps them safe everywhere).  Each lane is pinned
-   to its own engine — [Ocaml] vs [C] — so jit_ms/cjit_ms attribute
-   cleanly instead of letting the 4-arm tuner blend the lanes. *)
+(* The JIT arm always measures, whatever FUNCTS_JIT says (per-group
+   graceful fallback keeps it safe everywhere). *)
 let prepare_jit fg ~inputs =
   Engine.prepare ~parallel:false ~domains:config.Config.domains
     ~loop_grain:config.Config.loop_grain
     ~kernel_grain:config.Config.kernel_grain ~cache:config.Config.cache
-    ~jit:Jit.Ocaml ~jit_dir:config.Config.jit_dir fg ~inputs
-
-let prepare_cjit fg ~inputs =
-  Engine.prepare ~parallel:false ~domains:config.Config.domains
-    ~loop_grain:config.Config.loop_grain
-    ~kernel_grain:config.Config.kernel_grain ~cache:config.Config.cache
-    ~jit:Jit.C ~jit_dir:config.Config.jit_dir fg ~inputs
+    ~jit:Jit.Auto ~jit_dir:config.Config.jit_dir fg ~inputs
 
 let prepare_times ~parallel fg ~inputs =
   Engine.clear_cache ();
@@ -316,14 +308,12 @@ type wrow = {
   r_interp : float;
   r_fused : float;
   r_jit : float;
-  r_cjit : float;
   r_par : float;
   r_sweep : (int * float) list; (* domains -> best wall-clock *)
   r_cold : float;
   r_warm : float;
   r_stats : Scheduler.stats;
   r_jit_stats : Scheduler.stats;
-  r_cjit_stats : Scheduler.stats;
 }
 
 let json_escape s =
@@ -374,15 +364,13 @@ let write_json path rows (pool_us, spawn_us) =
              r.r_sweep)
       in
       let sj = r.r_jit_stats in
-      let sc = r.r_cjit_stats in
       p
         "    { \"name\": \"%s\", \"batch\": %d, \"seq\": %d,\n\
         \      \"interp_ms\": %.4f, \"fused_ms\": %.4f, \"jit_ms\": %.4f, \
-         \"cjit_ms\": %.4f, \"fused_parallel_ms\": %.4f,\n\
+         \"fused_parallel_ms\": %.4f,\n\
         \      \"fused_speedup\": %.3f, \"jit_speedup\": %.3f, \
-         \"cjit_speedup\": %.3f, \"parallel_speedup\": %.3f,\n\
-        \      \"jit_groups\": %d, \"jit_runs\": %d, \"jit_fallbacks\": %d, \
-         \"cjit_groups\": %d, \"cjit_runs\": %d,\n\
+         \"parallel_speedup\": %.3f,\n\
+        \      \"jit_groups\": %d, \"jit_runs\": %d, \"jit_fallbacks\": %d,\n\
         \      \"sweep\": { %s },\n\
         \      \"prepare_cold_ms\": %.4f, \"prepare_warm_ms\": %.6f,\n\
         \      \"kernel_runs\": %d, \"parallel_loops\": %d, \
@@ -394,15 +382,12 @@ let write_json path rows (pool_us, spawn_us) =
         \      \"pool_fallbacks\": { \"grain\": %d, \"nested\": %d, \
          \"disabled\": %d } }%s\n"
         (json_escape r.r_name) r.r_batch r.r_seq (1e3 *. r.r_interp)
-        (1e3 *. r.r_fused) (1e3 *. r.r_jit) (1e3 *. r.r_cjit)
-        (1e3 *. r.r_par)
+        (1e3 *. r.r_fused) (1e3 *. r.r_jit) (1e3 *. r.r_par)
         (r.r_interp /. Float.max 1e-9 r.r_fused)
         (r.r_fused /. Float.max 1e-9 r.r_jit)
-        (r.r_jit /. Float.max 1e-9 r.r_cjit)
         (r.r_interp /. Float.max 1e-9 r.r_par)
-        sj.Scheduler.jit_groups sj.Scheduler.last_jit_runs
-        sj.Scheduler.jit_fallbacks sc.Scheduler.cjit_groups
-        sc.Scheduler.last_cjit_runs sweep (1e3 *. r.r_cold) (1e3 *. r.r_warm)
+        sj.Scheduler.cjit_groups sj.Scheduler.last_cjit_runs
+        sj.Scheduler.jit_fallbacks sweep (1e3 *. r.r_cold) (1e3 *. r.r_warm)
         s.Scheduler.last_kernel_runs s.Scheduler.last_parallel_loops
         s.Scheduler.last_reduction_loops s.Scheduler.batched_loops
         s.Scheduler.loops_pinned_seq s.Scheduler.pool_lanes
@@ -451,10 +436,9 @@ let run_exec () =
     print_endline
       "Execution engine: interpreter vs fused vs fused+parallel (best \
        wall-clock per run; d1/d2/d4 sweep the worker-domain count)";
-    Printf.printf
-      "  %-10s %11s %11s %11s %11s %11s %8s %8s %8s %8s %9s %9s %9s\n"
-      "workload" "interp(ms)" "fused(ms)" "jit(ms)" "cjit(ms)" "par(ms)"
-      "fused x" "jit x" "cjit x" "par x" "d1(ms)" "d2(ms)" "d4(ms)"
+    Printf.printf "  %-10s %11s %11s %11s %11s %8s %8s %8s %9s %9s %9s\n"
+      "workload" "interp(ms)" "fused(ms)" "jit(ms)" "par(ms)" "fused x"
+      "jit x" "par x" "d1(ms)" "d2(ms)" "d4(ms)"
   end;
   List.iter
     (fun (w : Workload.t) ->
@@ -467,12 +451,10 @@ let run_exec () =
       let inputs = Engine.input_shapes args in
       let eng = prepare ~parallel:false fg ~inputs in
       let engj = prepare_jit fg ~inputs in
-      let engc = prepare_cjit fg ~inputs in
       let _, _, engp = prepare_times ~parallel:true fg ~inputs in
       let equal got = List.for_all2 (Value.equal ~atol:1e-4) expected got in
       let seq_ref = Engine.run eng args in
       let jit_out = Engine.run engj args in
-      let cjit_out = Engine.run engc args in
       let par_out = Engine.run engp args in
       let sp = Engine.stats engp in
       let nbatched = sp.Scheduler.last_parallel_loops in
@@ -487,11 +469,6 @@ let run_exec () =
         ok := false;
         Printf.printf "  %-10s JIT ENGINE DIVERGED FROM INTERPRETER\n" w.name
       end
-      else if not (tensors_bitwise expected cjit_out || equal cjit_out)
-      then begin
-        ok := false;
-        Printf.printf "  %-10s CJIT ENGINE DIVERGED FROM INTERPRETER\n" w.name
-      end
       else if nbatched > 0 && not (tensors_bitwise seq_ref par_out) then begin
         ok := false;
         Printf.printf
@@ -501,12 +478,10 @@ let run_exec () =
       end
       else if smoke_mode then begin
         let sj = Engine.stats engj in
-        let sc = Engine.stats engc in
         Printf.printf
-          "  %-10s ok parallel_loops=%d reduction_loops=%d jit_groups=%d \
-           cjit_groups=%d\n"
+          "  %-10s ok parallel_loops=%d reduction_loops=%d jit_groups=%d\n"
           w.name nbatched sp.Scheduler.last_reduction_loops
-          sj.Scheduler.jit_groups sc.Scheduler.cjit_groups
+          sj.Scheduler.cjit_groups
       end
       else begin
         (* Worker-domain sweep: same engine configuration at 1/2/4 lanes.
@@ -554,7 +529,6 @@ let run_exec () =
                ([
                   (fun () -> ignore (Engine.run eng args));
                   (fun () -> ignore (Engine.run engj args));
-                  (fun () -> ignore (Engine.run engc args));
                   (fun () -> ignore (Engine.run engp args));
                 ]
                @ List.map
@@ -563,10 +537,9 @@ let run_exec () =
         in
         let t_fused = meds.(0) in
         let t_jit = meds.(1) in
-        let t_cjit = meds.(2) in
-        let t_par = meds.(3) in
+        let t_par = meds.(2) in
         let sweep =
-          List.mapi (fun i (d, _) -> (d, meds.(4 + i))) sweep_engines
+          List.mapi (fun i (d, _) -> (d, meds.(3 + i))) sweep_engines
         in
         (* Re-measure prepare now that timing runs warmed everything: the
            first prepare above also paid kernel auto-tuning samples. *)
@@ -587,12 +560,11 @@ let run_exec () =
             w.name (1e3 *. d4) (1e3 *. d2)
         end;
         Printf.printf
-          "  %-10s %11.3f %11.3f %11.3f %11.3f %11.3f %8.2f %8.2f %8.2f \
-           %8.2f %9.3f %9.3f %9.3f\n"
+          "  %-10s %11.3f %11.3f %11.3f %11.3f %8.2f %8.2f %8.2f %9.3f \
+           %9.3f %9.3f\n"
           w.name (1e3 *. t_interp) (1e3 *. t_fused) (1e3 *. t_jit)
-          (1e3 *. t_cjit) (1e3 *. t_par) (t_interp /. t_fused)
-          (t_interp /. t_jit) (t_interp /. t_cjit) (t_interp /. t_par)
-          (1e3 *. sw 1) (1e3 *. sw 2) (1e3 *. sw 4);
+          (1e3 *. t_par) (t_interp /. t_fused) (t_interp /. t_jit)
+          (t_interp /. t_par) (1e3 *. sw 1) (1e3 *. sw 2) (1e3 *. sw 4);
         rows :=
           {
             r_name = w.name;
@@ -601,14 +573,12 @@ let run_exec () =
             r_interp = t_interp;
             r_fused = t_fused;
             r_jit = t_jit;
-            r_cjit = t_cjit;
             r_par = t_par;
             r_sweep = sweep;
             r_cold = t_cold;
             r_warm = t_warm;
             r_stats = s;
             r_jit_stats = sj;
-            r_cjit_stats = Engine.stats engc;
           }
           :: !rows
       end)

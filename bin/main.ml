@@ -227,11 +227,9 @@ let run_exec (w : Workload.t) (profile : Compiler_profile.t) batch seq =
       s.Scheduler.parallel_loops_run s.Scheduler.reduction_loops_run
       s.Scheduler.batched_loops;
     Printf.printf
-      "jit        : %s — %d groups armed (%d with a C kernel), %d native \
-       runs (%d on the C lane), %d fallbacks\n"
+      "jit        : %s — %d groups armed, %d native runs, %d fallbacks\n"
       (Jit.mode_to_string config.Config.jit)
-      s.Scheduler.jit_groups s.Scheduler.cjit_groups s.Scheduler.jit_runs
-      s.Scheduler.cjit_runs s.Scheduler.jit_fallbacks;
+      s.Scheduler.cjit_groups s.Scheduler.cjit_runs s.Scheduler.jit_fallbacks;
     Printf.printf
       "domains    : %d lanes, %d dispatches, %d steals, %d inline, %d \
        sequential (grain=%d nested=%d disabled=%d)\n"

@@ -22,57 +22,25 @@ let reduction_loops_c = Metrics.counter "exec.reduction_loops"
 let kernels_compiled_c = Metrics.counter "exec.kernels_compiled"
 let kernels_rejected_c = Metrics.counter "exec.kernels_rejected"
 
-(* Shared with the jit driver (counter creation is idempotent per
-   name): runtime demotions of a jit-armed group land on the same
-   fallback counter as preparation-time failures. *)
-let jit_fallbacks_c = Metrics.counter "jit.cache.fallback"
+(* Runtime demotions of a native group back to its closure kernel:
+   launch-validation failures and tuner verdicts. *)
+let jit_demoted_c = Metrics.counter "jit.demoted"
 
-(* Native JIT launches, compiled closure kernels and fast per-node
-   execution trade differently per group (native code wins on big dense
-   statements but pays launch validation; a closure kernel saves
-   intermediate materialization but interprets an expression tree per
-   element), so each group is auto-tuned: its first executions time
-   every available arm and the fastest one sticks.  A jit-armed group
-   samples the native launch against the closure kernel and the jit
-   entry is demoted per group when it loses — dispatch-bound workloads
-   (many tiny statements, e.g. yolact's box decode) used to be pinned
-   to a slower native path because jit was tried unconditionally.  Each
-   arm keeps the MINIMUM over [sample_runs] samples, not the sum: a GC
-   pause landing in one arm's single sample used to flip whole processes
-   into the slower mode for good. *)
-type gmode =
-  | Sampling of {
-      mutable c_time : float;  (* fastest C-lane native sample *)
-      mutable c_runs : int;
-      mutable j_time : float;  (* fastest OCaml-lane native sample *)
-      mutable j_runs : int;
-      mutable k_time : float;  (* fastest closure-kernel sample *)
-      mutable k_runs : int;
-      mutable p_time : float;  (* fastest per-node sample *)
-      mutable p_runs : int;
-      mutable p_start : float;
-    }
-  | Use_kernel
-  | Use_plain
+(* Native launches, compiled closure kernels and fast per-node execution
+   trade differently per group (native code wins on big dense statements
+   but pays launch validation; a closure kernel saves intermediate
+   materialization but interprets an expression tree per element), so
+   each group is auto-tuned ({!Tuner}) over the arms it has: [Cjit] when
+   a native kernel is armed, then [Closure] and [Per_node].
+   Dispatch-bound workloads (many tiny statements, e.g. yolact's box
+   decode) used to be pinned to a slower native path because the JIT
+   was tried unconditionally. *)
+type garm = Cjit | Closure | Per_node
 
-let sample_runs = 3
-
-(* Tuner pins EXPIRE.  A decision made from [sample_runs] launches on a
-   noisy shared host can be wrong — a CPU-steal burst landing on the
-   fast arm's samples pins the slow arm permanently, and engines
-   prepared seconds apart then disagree by integer factors on the same
-   workload.  Every pin therefore carries a launch budget; when it runs
-   out the tuner re-enters sampling.  The budget doubles each time a
-   pin is re-confirmed (16, 32, … 4096), so a mis-pin heals within a
-   few launches while a stable pin costs asymptotically nothing. *)
-let pin_period_init = 16
-let pin_period_max = 4096
-
-let fresh_sampling () =
-  Sampling
-    { c_time = infinity; c_runs = 0; j_time = infinity; j_runs = 0;
-      k_time = infinity; k_runs = 0; p_time = infinity; p_runs = 0;
-      p_start = 0. }
+let garm_name = function
+  | Cjit -> "c-jit"
+  | Closure -> "closure"
+  | Per_node -> "per_node"
 
 (* Every value of the graph gets a dense frame slot at preparation time and
    each block becomes an instruction array with pre-resolved slots, so the
@@ -103,101 +71,19 @@ type group = {
   g_members : inst list;  (* in plan order *)
   g_compiled : Kernel_compile.compiled;
   mutable g_jit : Jit.entry option;
-      (* native launcher; tried before the closure kernel and cleared
-         (demoted) on the first launch-time validation failure *)
+      (* native launcher; cleared (and its tuner arm dropped) on the
+         first launch-time validation failure *)
   mutable g_jit_off : bool;
-      (* tuner-demoted: the closure arm measured faster, so launches
-         skip the native entry.  Soft — kept separate from [g_jit] so a
-         later re-sampling window can promote the entry back if the
-         demotion was made during a noise burst. *)
-  mutable g_lane : [ `C | `Ml ];
-      (* which native lane a [Use_kernel] pin launches; set by the
-         tuner from the fastest sampled lane, [`Ml] until then *)
-  mutable g_mode : gmode;  (* auto-tuning state *)
-  mutable g_pin_left : int;  (* launches before the pin expires *)
-  mutable g_pin_period : int;  (* current pin budget (doubles on re-pin) *)
-  mutable g_pin_best : float;  (* fastest launch in the current pin window *)
-  mutable g_pin_t0 : float;  (* i_first timestamp while pinned Use_plain *)
-  mutable g_fallback : bool;  (* demoted to per-node at runtime *)
-  mutable g_last_pin : string;  (* arm of the previous pin ("" before any) *)
-  (* wall-time attribution: every timed launch (the tuner already reads
-     the clock at each group boundary) also accumulates here, so
-     per-group cost is free to collect and [attribution] can rank
-     groups without re-instrumenting *)
-  mutable g_time : float;  (* accumulated launch seconds *)
-  mutable g_launches : int;
+      (* the last tuner verdict had the closure arm beat [Cjit]; only
+         edges of this flag are journaled, so a re-sampling window that
+         flips back reads as a promotion *)
+  g_tuner : garm Tuner.t;
+      (* dispatch arm, sampling state and wall-time attribution: every
+         timed launch accumulates there, so per-group cost is free to
+         collect and [attribution] can rank groups without
+         re-instrumenting *)
+  mutable g_t0 : float;  (* i_first timestamp of a per-node launch *)
 }
-
-(* Which native lane a jit launch of this group should use: the tuner's
-   pick, downgraded to whatever the entry actually compiled (a
-   launch-validation demotion clears the whole entry, but a C-only or
-   OCaml-only entry must never be asked for its missing lane). *)
-let lane_of_group g =
-  match g.g_jit with
-  | None -> `Ml
-  | Some e -> (
-      match g.g_lane with
-      | `C when Jit.has_c e -> `C
-      | _ when Jit.has_ml e -> `Ml
-      | _ -> if Jit.has_c e then `C else `Ml)
-
-let lane_arm = function `C -> "c-jit" | `Ml -> "ocaml-jit"
-
-let arm_of_group g =
-  match g.g_mode with
-  | Use_kernel ->
-      if g.g_jit <> None && not g.g_jit_off then lane_arm (lane_of_group g)
-      else "closure"
-  | Use_plain -> "per_node"
-  | Sampling _ -> "sampling"
-
-(* One pinned launch retired; on budget exhaustion re-enter sampling.
-   The incumbent's arm is SEEDED with the window-best just observed and
-   marked fully sampled, so only the challenger arms re-run.  Noise on
-   this host is strictly additive, so a truly-slower challenger can
-   never sample below the incumbent's long-window minimum — a correct
-   pin never flips — while a wrong pin heals the first time a quiet
-   window lets the faster challenger undercut it.  Fallback groups are
-   excluded: their kernels failed at launch time, so re-sampling the
-   kernel arms would re-run a known-broken path. *)
-let retire_group_pin gid g =
-  g.g_pin_left <- g.g_pin_left - 1;
-  if g.g_pin_left <= 0 && not g.g_fallback then begin
-    Journal.record Tuner_expire "scheduler.group" ~id:gid ~arm:(arm_of_group g)
-      ~value:g.g_pin_best;
-    let ct, cr, jt, jr, kt, kr, pt, pr =
-      match g.g_mode with
-      | Use_kernel when g.g_jit <> None && not g.g_jit_off -> (
-          match lane_of_group g with
-          | `C ->
-              (g.g_pin_best, sample_runs, infinity, 0, infinity, 0, infinity, 0)
-          | `Ml ->
-              (infinity, 0, g.g_pin_best, sample_runs, infinity, 0, infinity, 0)
-          )
-      | Use_kernel ->
-          (infinity, 0, infinity, 0, g.g_pin_best, sample_runs, infinity, 0)
-      | Use_plain ->
-          (infinity, 0, infinity, 0, infinity, 0, g.g_pin_best, sample_runs)
-      | Sampling _ -> (infinity, 0, infinity, 0, infinity, 0, infinity, 0)
-    in
-    g.g_mode <-
-      Sampling
-        { c_time = ct; c_runs = cr; j_time = jt; j_runs = jr; k_time = kt;
-          k_runs = kr; p_time = pt; p_runs = pr; p_start = 0. }
-  end
-
-let pin_group gid g mode =
-  g.g_pin_period <- min (max pin_period_init (g.g_pin_period * 2)) pin_period_max;
-  g.g_pin_left <- g.g_pin_period;
-  g.g_pin_best <- infinity;
-  g.g_mode <- mode;
-  let arm = arm_of_group g in
-  let kind : Journal.kind =
-    if g.g_last_pin <> "" && g.g_last_pin <> arm then Tuner_flip else Tuner_pin
-  in
-  Journal.record kind "scheduler.group" ~id:gid ~arm
-    ~detail:(Printf.sprintf "budget=%d" g.g_pin_period);
-  g.g_last_pin <- arm
 
 type binst = {
   bi_insts : inst array;
@@ -240,83 +126,19 @@ type laction =
    and on kernel-heavy bodies (ssd) the batched per-node replay can
    lose to the sequential fused path outright — the third arm pins the
    sequential body when it measures fastest. *)
-type lmode =
-  | L_sampling of {
-      (* fastest sample per arm (min, not sum — see {!gmode}) *)
-      mutable si_time : float;
-      mutable si_runs : int;
-      mutable sd_time : float;
-      mutable sd_runs : int;
-      mutable ss_time : float;
-      mutable ss_runs : int;
-    }
-  | L_inline
-  | L_dispatch
-  | L_seq
+type larm = Inline | Dispatch | Seq
 
-let loop_sample_runs = 3
+let larm_name = function
+  | Inline -> "inline"
+  | Dispatch -> "dispatch"
+  | Seq -> "seq"
 
 type lplan = {
   lp_roles : Loop_par.role array;  (* per carried slot *)
   lp_actions : laction array;  (* aligned with the body's bi_insts *)
   lp_reduction : bool;  (* any Reduced slot: fixed chunking + merge *)
-  mutable lp_mode : lmode;
-  mutable lp_pin_left : int;  (* launches before the pin expires *)
-  mutable lp_pin_period : int;  (* current pin budget (doubles on re-pin) *)
-  mutable lp_pin_best : float;  (* fastest launch in the current pin window *)
-  mutable lp_last_pin : string;  (* arm of the previous pin ("" before any) *)
-  mutable lp_time : float;  (* accumulated launch seconds (attribution) *)
-  mutable lp_launches : int;
+  lp_tuner : larm Tuner.t;
 }
-
-let arm_of_loop lp =
-  match lp.lp_mode with
-  | L_inline -> "inline"
-  | L_dispatch -> "dispatch"
-  | L_seq -> "seq"
-  | L_sampling _ -> "sampling"
-
-let fresh_lsampling () =
-  L_sampling
-    { si_time = infinity; si_runs = 0; sd_time = infinity; sd_runs = 0;
-      ss_time = infinity; ss_runs = 0 }
-
-(* Same expiring-pin protocol as {!retire_group_pin}, for loop modes:
-   the incumbent arm is seeded with its window-best so only challengers
-   re-sample. *)
-let retire_loop_pin lid lp =
-  lp.lp_pin_left <- lp.lp_pin_left - 1;
-  if lp.lp_pin_left <= 0 then begin
-    Journal.record Tuner_expire "scheduler.loop" ~id:lid ~arm:(arm_of_loop lp)
-      ~value:lp.lp_pin_best;
-    let it, ir, dt, dr, st, sr =
-      match lp.lp_mode with
-      | L_inline -> (lp.lp_pin_best, loop_sample_runs, infinity, 0, infinity, 0)
-      | L_dispatch ->
-          (infinity, 0, lp.lp_pin_best, loop_sample_runs, infinity, 0)
-      | L_seq -> (infinity, 0, infinity, 0, lp.lp_pin_best, loop_sample_runs)
-      | L_sampling _ -> (infinity, 0, infinity, 0, infinity, 0)
-    in
-    lp.lp_mode <-
-      L_sampling
-        { si_time = it; si_runs = ir; sd_time = dt; sd_runs = dr;
-          ss_time = st; ss_runs = sr }
-  end
-
-let pin_loop lid lp mode =
-  lp.lp_pin_period <-
-    min (max pin_period_init (lp.lp_pin_period * 2)) pin_period_max;
-  lp.lp_pin_left <- lp.lp_pin_period;
-  lp.lp_pin_best <- infinity;
-  lp.lp_mode <- mode;
-  let arm = arm_of_loop lp in
-  let kind : Journal.kind =
-    if lp.lp_last_pin <> "" && lp.lp_last_pin <> arm then Tuner_flip
-    else Tuner_pin
-  in
-  Journal.record kind "scheduler.loop" ~id:lid ~arm
-    ~detail:(Printf.sprintf "budget=%d" lp.lp_pin_period);
-  lp.lp_last_pin <- arm
 
 (* Reduction chunking is fixed (independent of pool lanes and of whether
    the dispatch ran inline), so domains=1/2/4 runs of the same prepared
@@ -354,12 +176,8 @@ type prepared = {
   p_exec_pool : Pool.t;  (* persistent domain pool shared by all dispatches *)
   p_loop_grain : int;  (* minimum trip count before a loop dispatches *)
   p_kernel_grain : int;  (* elements per chunk for intra-kernel splits *)
-  p_jit_mode : Jit.mode;
-      (* [C] drops the OCaml-lane arm from sampling wherever a C kernel
-         compiled, so the preference is observable end-to-end *)
   mutable s_kernel_runs : int;
-  mutable s_jit_runs : int;
-  mutable s_cjit_runs : int;  (* the subset of s_jit_runs on the C lane *)
+  mutable s_cjit_runs : int;  (* native launches *)
   mutable s_jit_fallbacks : int;
   mutable s_donations : int;
   mutable s_parallel_loops : int;
@@ -367,7 +185,6 @@ type prepared = {
   (* deltas of the most recent [run], so the bench can report per-run
      launch counts instead of cumulative ones *)
   mutable s_last_kernel_runs : int;
-  mutable s_last_jit_runs : int;
   mutable s_last_cjit_runs : int;
   mutable s_last_parallel_loops : int;
   mutable s_last_reduction_loops : int;
@@ -616,21 +433,14 @@ let bind_group_results rs scope gid members results =
   (* Sweep every member's input edges so external values retire. *)
   List.iter (fun (m : inst) -> consume_all rs m.i_in) members
 
-(* The kernel arm of a group is jit-or-closure: a jit-armed group
-   launches native code first, and a launch-time validation failure
-   (rank/extent mismatch, out-of-range dynamic index) demotes just the
-   jit entry — the closure kernel below retries the same launch, so a
-   jit fallback is never user-visible. *)
-let run_group_jit ?lane rs gid g =
+(* A native launch that fails launch-time validation (rank/extent
+   mismatch, out-of-range dynamic index) demotes just the native entry —
+   the closure kernel below retries the same launch, so a JIT fallback is
+   never user-visible. *)
+let run_group_jit rs gid g =
   match g.g_jit with
   | None -> None
   | Some entry -> (
-      let lane =
-        match lane with Some l -> l | None -> lane_of_group g
-      in
-      let use_c =
-        match lane with `C -> Jit.has_c entry | `Ml -> not (Jit.has_ml entry)
-      in
       let allocated = ref [] in
       let alloc shape =
         let t = Buffer_plan.alloc rs.p.p_pool shape in
@@ -640,10 +450,7 @@ let run_group_jit ?lane rs gid g =
       match
         Tracer.span_args "kernel.launch"
           ~args:(fun () ->
-            [
-              ("group", string_of_int gid);
-              ("backend", (if use_c then "c-jit" else "jit"));
-            ])
+            [ ("group", string_of_int gid); ("backend", "c-jit") ])
           (fun () ->
             let par =
               if rs.p.p_parallel then
@@ -654,18 +461,18 @@ let run_group_jit ?lane rs gid g =
                          ~grain ~n body))
               else None
             in
-            Jit.run ~lane ?par ~grain:rs.p.p_kernel_grain entry ~alloc
+            Jit.run ?par ~grain:rs.p.p_kernel_grain entry ~alloc
               ~lookup:(tensor_lookup rs) ~scalar:(scalar_lookup rs))
       with
       | results ->
-          rs.p.s_jit_runs <- rs.p.s_jit_runs + 1;
-          if use_c then rs.p.s_cjit_runs <- rs.p.s_cjit_runs + 1;
+          rs.p.s_cjit_runs <- rs.p.s_cjit_runs + 1;
           Some results
       | exception Jit.Fallback reason ->
           List.iter (Buffer_plan.release rs.p.p_pool) !allocated;
           g.g_jit <- None;
+          Tuner.drop g.g_tuner Cjit;
           rs.p.s_jit_fallbacks <- rs.p.s_jit_fallbacks + 1;
-          Metrics.incr jit_fallbacks_c;
+          Metrics.incr jit_demoted_c;
           Tracer.instant "jit.fallback"
             ~args:[ ("group", string_of_int gid); ("reason", reason) ];
           Journal.record Jit_demote "scheduler.group" ~id:gid ~arm:"closure"
@@ -675,8 +482,8 @@ let run_group_jit ?lane rs gid g =
           List.iter (Buffer_plan.release rs.p.p_pool) !allocated;
           raise e)
 
-let run_group ?(jit = true) ?lane rs scope gid g =
-  match (if jit then run_group_jit ?lane rs gid g else None) with
+let run_group ~jit rs scope gid g =
+  match (if jit then run_group_jit rs gid g else None) with
   | Some results -> bind_group_results rs scope gid g.g_members results
   | None -> (
       let allocated = ref [] in
@@ -697,19 +504,44 @@ let run_group ?(jit = true) ?lane rs scope gid g =
       | exception e ->
           (* Return the partial allocations and demote the group for good. *)
           List.iter (Buffer_plan.release rs.p.p_pool) !allocated;
-          g.g_fallback <- true;
-          g.g_mode <- Use_plain;
-          g.g_last_pin <- "per_node";
+          Tuner.freeze g.g_tuner Per_node
+            ~detail:"kernel launch raised; permanent per-node fallback";
           Metrics.incr kernel_fallbacks_c;
           Tracer.instant "kernel.fallback"
             ~args:[ ("group", string_of_int gid) ];
-          Journal.record Tuner_pin "scheduler.group" ~id:gid ~arm:"per_node"
-            ~detail:"kernel launch raised; permanent per-node fallback";
           (match e with
           | Kernel_compile.Fallback _ | Invalid_argument _ ->
               List.iter (exec_plain_inst rs scope) g.g_members
           | e -> raise e)
       | results -> bind_group_results rs scope gid g.g_members results)
+
+(* Feed one timed launch to the group's tuner; when that closes a
+   sampling window, journal whether the closure arm beat the native
+   kernel or lost to it. *)
+let record_group rs gid g arm dt =
+  if Tuner.record g.g_tuner arm dt && g.g_jit <> None then begin
+    let c = Tuner.best g.g_tuner Cjit and k = Tuner.best g.g_tuner Closure in
+    if c < infinity then begin
+      let off = k < c in
+      if off && not g.g_jit_off then begin
+        rs.p.s_jit_fallbacks <- rs.p.s_jit_fallbacks + 1;
+        Metrics.incr jit_demoted_c;
+        Tracer.instant "jit.demoted" ~args:[ ("group", string_of_int gid) ];
+        Journal.record Jit_demote "scheduler.group" ~id:gid ~arm:"closure"
+          ~detail:
+            (Printf.sprintf "closure %.1fus beat c-jit %.1fus" (1e6 *. k)
+               (1e6 *. c))
+      end
+      else if (not off) && g.g_jit_off then begin
+        Tracer.instant "jit.promoted" ~args:[ ("group", string_of_int gid) ];
+        Journal.record Jit_promote "scheduler.group" ~id:gid ~arm:"c-jit"
+          ~detail:
+            (Printf.sprintf "c-jit %.1fus beat closure %.1fus" (1e6 *. c)
+               (1e6 *. k))
+      end;
+      g.g_jit_off <- off
+    end
+  end
 
 (* --- blocks, control flow, loops --- *)
 
@@ -771,184 +603,22 @@ and exec_inst rs ~scope (inst : inst) =
              also ends the group. *)
           match rs.p.p_groups.(gid) with
           | None -> exec_plain_inst rs scope inst
-          | Some g -> begin
-              match g.g_mode with
-              | Use_plain ->
-                  if inst.i_first then g.g_pin_t0 <- Unix.gettimeofday ();
+          | Some g -> (
+              (* The arm is stable across one launch's members: the tuner
+                 only moves at [i_last]. *)
+              match g.g_tuner.Tuner.arm with
+              | Per_node ->
+                  if inst.i_first then g.g_t0 <- Unix.gettimeofday ();
                   exec_plain_inst rs scope inst;
-                  if inst.i_last then begin
-                    let dt = Unix.gettimeofday () -. g.g_pin_t0 in
-                    g.g_time <- g.g_time +. dt;
-                    g.g_launches <- g.g_launches + 1;
-                    g.g_pin_best <- Float.min g.g_pin_best dt;
-                    retire_group_pin gid g
-                  end
-              | Use_kernel ->
+                  if inst.i_last then
+                    record_group rs gid g Per_node
+                      (Unix.gettimeofday () -. g.g_t0)
+              | (Cjit | Closure) as arm ->
                   if inst.i_last then begin
                     let t0 = Unix.gettimeofday () in
-                    run_group ~jit:(not g.g_jit_off) rs scope gid g;
-                    let dt = Unix.gettimeofday () -. t0 in
-                    g.g_time <- g.g_time +. dt;
-                    g.g_launches <- g.g_launches + 1;
-                    g.g_pin_best <- Float.min g.g_pin_best dt;
-                    retire_group_pin gid g
-                  end
-              | Sampling s -> begin
-                  (* Arms are sampled INTERLEAVED (c-jit, ocaml-jit,
-                     closure, per-node, c-jit, …), not in consecutive
-                     blocks: a transient slowdown spanning several
-                     launches then taxes every arm instead of condemning
-                     whichever one was being sampled.  Counters only
-                     move at [i_last], so the choice is stable across
-                     one launch's members.  The decision fires from
-                     whichever arm completes last — a seeded incumbent
-                     (see {!retire_group_pin}) may pre-satisfy any
-                     arm. *)
-                  let c_avail () =
-                    match g.g_jit with
-                    | Some e -> Jit.has_c e
-                    | None -> false
-                  in
-                  let ml_avail () =
-                    (* Under [FUNCTS_JIT=c] the OCaml lane is only the
-                       arming fallback, never a sampled challenger. *)
-                    match g.g_jit with
-                    | Some e ->
-                        Jit.has_ml e
-                        && not (rs.p.p_jit_mode = Jit.C && Jit.has_c e)
-                    | None -> false
-                  in
-                  let decide () =
-                    if
-                      ((not (c_avail ())) || s.c_runs >= sample_runs)
-                      && ((not (ml_avail ())) || s.j_runs >= sample_runs)
-                      && s.k_runs >= sample_runs && s.p_runs >= sample_runs
-                      && not g.g_fallback
-                    then begin
-                      (* Pick the faster native lane first, then let the
-                         closure arm challenge it.  Soft demotions, so
-                         the next re-sampling window can flip back. *)
-                      let c_t =
-                        if c_avail () && s.c_runs > 0 then s.c_time
-                        else infinity
-                      and j_t =
-                        if ml_avail () && s.j_runs > 0 then s.j_time
-                        else infinity
-                      in
-                      let jit_t = Float.min c_t j_t in
-                      if g.g_jit <> None && jit_t < infinity then begin
-                        let lane = if c_t <= j_t then `C else `Ml in
-                        if
-                          lane <> g.g_lane && c_t < infinity
-                          && j_t < infinity
-                        then
-                          Journal.record
-                            (if lane = `C then Jit_promote else Jit_demote)
-                            "scheduler.group" ~id:gid ~arm:(lane_arm lane)
-                            ~detail:
-                              (Printf.sprintf "c %.1fus vs ocaml %.1fus"
-                                 (1e6 *. c_t) (1e6 *. j_t));
-                        g.g_lane <- lane;
-                        let off = s.k_time < jit_t in
-                        if off && not g.g_jit_off then begin
-                          rs.p.s_jit_fallbacks <- rs.p.s_jit_fallbacks + 1;
-                          Metrics.incr jit_fallbacks_c;
-                          Tracer.instant "jit.demoted"
-                            ~args:[ ("group", string_of_int gid) ];
-                          Journal.record Jit_demote "scheduler.group" ~id:gid
-                            ~arm:"closure"
-                            ~detail:
-                              (Printf.sprintf "closure %.1fus beat %s %.1fus"
-                                 (1e6 *. s.k_time) (lane_arm lane)
-                                 (1e6 *. jit_t))
-                        end
-                        else if (not off) && g.g_jit_off then begin
-                          Tracer.instant "jit.promoted"
-                            ~args:[ ("group", string_of_int gid) ];
-                          Journal.record Jit_promote "scheduler.group" ~id:gid
-                            ~arm:(lane_arm lane)
-                            ~detail:
-                              (Printf.sprintf "%s %.1fus beat closure %.1fus"
-                                 (lane_arm lane) (1e6 *. jit_t)
-                                 (1e6 *. s.k_time))
-                        end;
-                        g.g_jit_off <- off
-                      end;
-                      let kern =
-                        if jit_t < infinity then Float.min jit_t s.k_time
-                        else s.k_time
-                      in
-                      pin_group gid g
-                        (if kern <= s.p_time then Use_kernel else Use_plain)
-                    end
-                  in
-                  let sample arm dt =
-                    g.g_time <- g.g_time +. dt;
-                    g.g_launches <- g.g_launches + 1;
-                    Journal.record Tuner_sample "scheduler.group" ~id:gid ~arm
-                      ~value:(1e6 *. dt)
-                  in
-                  let c_arm =
-                    c_avail () && s.c_runs < sample_runs
-                    && ((not (ml_avail ())) || s.c_runs <= s.j_runs)
-                    && s.c_runs <= s.k_runs && s.c_runs <= s.p_runs
-                  in
-                  let jit_arm =
-                    (not c_arm)
-                    && ml_avail ()
-                    && s.j_runs < sample_runs && s.j_runs <= s.k_runs
-                    && s.j_runs <= s.p_runs
-                  in
-                  if c_arm then begin
-                    (* A launch-time validation failure demotes [g_jit]
-                       mid-sampling; the remaining native samples then
-                       simply never happen. *)
-                    if inst.i_last then begin
-                      let t0 = Unix.gettimeofday () in
-                      run_group ~lane:`C rs scope gid g;
-                      let dt = Unix.gettimeofday () -. t0 in
-                      sample "c-jit" dt;
-                      s.c_time <- Float.min s.c_time dt;
-                      s.c_runs <- s.c_runs + 1;
-                      decide ()
-                    end
-                  end
-                  else if jit_arm then begin
-                    if inst.i_last then begin
-                      let t0 = Unix.gettimeofday () in
-                      run_group ~lane:`Ml rs scope gid g;
-                      let dt = Unix.gettimeofday () -. t0 in
-                      sample "ocaml-jit" dt;
-                      s.j_time <- Float.min s.j_time dt;
-                      s.j_runs <- s.j_runs + 1;
-                      decide ()
-                    end
-                  end
-                  else if s.k_runs < sample_runs && s.k_runs <= s.p_runs
-                  then begin
-                    if inst.i_last then begin
-                      let t0 = Unix.gettimeofday () in
-                      run_group ~jit:false rs scope gid g;
-                      let dt = Unix.gettimeofday () -. t0 in
-                      sample "closure" dt;
-                      s.k_time <- Float.min s.k_time dt;
-                      s.k_runs <- s.k_runs + 1;
-                      decide ()
-                    end
-                  end
-                  else begin
-                    if inst.i_first then s.p_start <- Unix.gettimeofday ();
-                    exec_plain_inst rs scope inst;
-                    if inst.i_last then begin
-                      let dt = Unix.gettimeofday () -. s.p_start in
-                      sample "per_node" dt;
-                      s.p_time <- Float.min s.p_time dt;
-                      s.p_runs <- s.p_runs + 1;
-                      decide ()
-                    end
-                  end
-                end
-            end
+                    run_group ~jit:(arm = Cjit) rs scope gid g;
+                    record_group rs gid g arm (Unix.gettimeofday () -. t0)
+                  end)
         end
       | _ -> exec_plain_inst rs scope inst
     end
@@ -981,100 +651,23 @@ and exec_loop rs ~scope (inst : inst) =
         else None
       in
       match lplan with
-      | Some lp -> begin
-          let lid = inst.i_node.n_id in
-          let timed f =
-            let t0 = Unix.gettimeofday () in
-            f ();
-            let dt = Unix.gettimeofday () -. t0 in
-            lp.lp_time <- lp.lp_time +. dt;
-            lp.lp_launches <- lp.lp_launches + 1;
-            dt
-          in
-          match lp.lp_mode with
-          | L_inline ->
-              lp.lp_pin_best <-
-                Float.min lp.lp_pin_best
-                  (timed (fun () ->
-                       exec_batched_loop rs ~scope inst bi lp trip inits
-                         ~dispatch:false));
-              retire_loop_pin lid lp
-          | L_dispatch ->
-              lp.lp_pin_best <-
-                Float.min lp.lp_pin_best
-                  (timed (fun () ->
-                       exec_batched_loop rs ~scope inst bi lp trip inits
-                         ~dispatch:true));
-              retire_loop_pin lid lp
-          | L_seq ->
-              lp.lp_pin_best <-
-                Float.min lp.lp_pin_best
-                  (timed (fun () -> exec_seq_loop rs ~scope inst bi trip inits));
-              retire_loop_pin lid lp
-          | L_sampling s ->
-              (* Interleave the three arms (inline, dispatch, sequential,
-                 inline, …) for the same burst-fairness reason as the
-                 group tuner above; the decision fires from whichever arm
-                 completes last, since a seeded incumbent may pre-satisfy
-                 any of them. *)
-              let ldecide () =
-                if
-                  s.si_runs >= loop_sample_runs
-                  && s.sd_runs >= loop_sample_runs
-                  && s.ss_runs >= loop_sample_runs
-                then
-                  pin_loop lid lp
-                    (if s.si_time <= s.sd_time && s.si_time <= s.ss_time then
-                       L_inline
-                     else if s.sd_time <= s.ss_time then L_dispatch
-                     else L_seq)
-              in
-              let lsample arm dt =
-                Journal.record Tuner_sample "scheduler.loop" ~id:lid ~arm
-                  ~value:(1e6 *. dt);
-                dt
-              in
-              if
-                s.si_runs < loop_sample_runs
-                && s.si_runs <= s.sd_runs && s.si_runs <= s.ss_runs
-              then begin
-                s.si_time <-
-                  Float.min s.si_time
-                    (lsample "inline"
-                       (timed (fun () ->
-                            exec_batched_loop rs ~scope inst bi lp trip inits
-                              ~dispatch:false)));
-                s.si_runs <- s.si_runs + 1;
-                ldecide ()
-              end
-              else if s.sd_runs < loop_sample_runs && s.sd_runs <= s.ss_runs
-              then begin
-                s.sd_time <-
-                  Float.min s.sd_time
-                    (lsample "dispatch"
-                       (timed (fun () ->
-                            exec_batched_loop rs ~scope inst bi lp trip inits
-                              ~dispatch:true)));
-                s.sd_runs <- s.sd_runs + 1;
-                ldecide ()
-              end
-              else begin
-                s.ss_time <-
-                  Float.min s.ss_time
-                    (lsample "seq"
-                       (timed (fun () ->
-                            exec_seq_loop rs ~scope inst bi trip inits)));
-                s.ss_runs <- s.ss_runs + 1;
-                ldecide ()
-              end
-        end
+      | Some lp ->
+          let arm = lp.lp_tuner.Tuner.arm in
+          let t0 = Unix.gettimeofday () in
+          (match arm with
+          | Inline ->
+              exec_batched_loop rs ~scope inst bi lp trip inits ~dispatch:false
+          | Dispatch ->
+              exec_batched_loop rs ~scope inst bi lp trip inits ~dispatch:true
+          | Seq -> exec_seq_loop rs ~scope inst bi trip inits);
+          ignore (Tuner.record lp.lp_tuner arm (Unix.gettimeofday () -. t0))
       | None -> exec_seq_loop rs ~scope inst bi trip inits
     end
   | _ -> error "malformed prim::Loop"
 
 (* The classic sequential loop body: per-iteration scopes, kernel
    fusion and assign donation all active.  Also the third auto-tuner
-   arm of batched loops ([L_seq]): a workload whose batched arms lose
+   arm of batched loops ([Seq]): a workload whose batched arms lose
    to the fused sequential path pins this one. *)
 and exec_seq_loop rs ~scope (inst : inst) (bi : binst) trip inits = begin
         (* Consume the loop's input edges up front: if the loop is the
@@ -1481,7 +1074,7 @@ let prepare ~profile ~parallel ~domains ~pool:exec_pool ~loop_grain
      iteration.  A loop whose plan cannot be built (a missing slot, a
      malformed chain) simply stays sequential. *)
   let lplans : (int, lplan) Hashtbl.t = Hashtbl.create 4 in
-  let build_lplan (info : Loop_par.info) (body : Graph.block) =
+  let build_lplan lid (info : Loop_par.info) (body : Graph.block) =
     match Hashtbl.find_opt blocks body.Graph.b_id with
     | None -> None
     | Some bi
@@ -1558,13 +1151,9 @@ let prepare ~profile ~parallel ~domains ~pool:exec_pool ~loop_grain
               lp_roles = info.Loop_par.roles;
               lp_actions = actions;
               lp_reduction = reduction;
-              lp_mode = fresh_lsampling ();
-              lp_pin_left = 0;
-              lp_pin_period = 0;
-              lp_pin_best = infinity;
-              lp_last_pin = "";
-              lp_time = 0.;
-              lp_launches = 0;
+              lp_tuner =
+                Tuner.create ~scope:"scheduler.loop" ~id:lid ~name:larm_name
+                  [ Inline; Dispatch; Seq ];
             }
         with Bail -> None)
   in
@@ -1573,7 +1162,7 @@ let prepare ~profile ~parallel ~domains ~pool:exec_pool ~loop_grain
         match (Fusion.loop_verdict plan node, node.n_blocks) with
         | (Loop_par.Parallel info | Loop_par.Reduction (_, info)), [ body ]
           -> (
-            match build_lplan info body with
+            match build_lplan node.n_id info body with
             | Some lp -> Hashtbl.replace lplans node.n_id lp
             | None -> ())
         | _ -> ());
@@ -1607,11 +1196,10 @@ let prepare ~profile ~parallel ~domains ~pool:exec_pool ~loop_grain
           Hashtbl.replace compiled k.k_group c
       | Error _ -> Metrics.incr kernels_rejected_c)
     kernels;
-  (* Third dispatch arm: native code for the groups that also
-     closure-compiled (so a runtime demotion always has a closure to
-     retry with).  [prepare_groups] never raises — a missing toolchain,
-     emitter rejection or compile failure just leaves the table short
-     and ticks [jit.cache.fallback]. *)
+  (* Native code for the groups that also closure-compiled (so a runtime
+     demotion always has a closure to retry with).  [prepare_groups]
+     never raises — a missing compiler, emitter rejection or compile
+     failure just leaves the table short and ticks [jit.c.fallback]. *)
   let jit_tbl : (int, Jit.entry) Hashtbl.t = Hashtbl.create 16 in
   (if jit <> Jit.Off then
      let cands =
@@ -1635,26 +1223,20 @@ let prepare ~profile ~parallel ~domains ~pool:exec_pool ~loop_grain
       | first :: _, Some c ->
           first.i_first <- true;
           (List.nth ms (List.length ms - 1)).i_last <- true;
+          let jit = Hashtbl.find_opt jit_tbl gid in
           groups.(gid) <-
             Some
               {
                 g_members = ms;
                 g_compiled = c;
-                g_jit = Hashtbl.find_opt jit_tbl gid;
+                g_jit = jit;
                 g_jit_off = false;
-                g_lane =
-                  (match Hashtbl.find_opt jit_tbl gid with
-                  | Some e when Jit.has_c e && not (Jit.has_ml e) -> `C
-                  | _ -> `Ml);
-                g_mode = fresh_sampling ();
-                g_pin_left = 0;
-                g_pin_period = 0;
-                g_pin_best = infinity;
-                g_pin_t0 = 0.;
-                g_fallback = false;
-                g_last_pin = "";
-                g_time = 0.;
-                g_launches = 0;
+                g_tuner =
+                  Tuner.create ~scope:"scheduler.group" ~id:gid
+                    ~name:garm_name
+                    (if jit = None then [ Closure; Per_node ]
+                     else [ Cjit; Closure; Per_node ]);
+                g_t0 = 0.;
               })
     members;
   let scalar_slots = Hashtbl.create 64 in
@@ -1694,16 +1276,13 @@ let prepare ~profile ~parallel ~domains ~pool:exec_pool ~loop_grain
     p_exec_pool = exec_pool;
     p_loop_grain = max 1 loop_grain;
     p_kernel_grain = max 1 kernel_grain;
-    p_jit_mode = jit;
     s_kernel_runs = 0;
-    s_jit_runs = 0;
     s_cjit_runs = 0;
     s_jit_fallbacks = 0;
     s_donations = 0;
     s_parallel_loops = 0;
     s_reduction_loops = 0;
     s_last_kernel_runs = 0;
-    s_last_jit_runs = 0;
     s_last_cjit_runs = 0;
     s_last_parallel_loops = 0;
     s_last_reduction_loops = 0;
@@ -1732,7 +1311,6 @@ let run p args =
   and st0 = Pool.steals p.p_exec_pool
   and il0 = Pool.inline_runs p.p_exec_pool in
   let kr0 = p.s_kernel_runs
-  and jr0 = p.s_jit_runs
   and cr0 = p.s_cjit_runs
   and pl0 = p.s_parallel_loops
   and rl0 = p.s_reduction_loops in
@@ -1751,7 +1329,6 @@ let run p args =
       p.s_pool_inline_runs <-
         p.s_pool_inline_runs + Pool.inline_runs p.p_exec_pool - il0;
       p.s_last_kernel_runs <- p.s_kernel_runs - kr0;
-      p.s_last_jit_runs <- p.s_jit_runs - jr0;
       p.s_last_cjit_runs <- p.s_cjit_runs - cr0;
       p.s_last_parallel_loops <- p.s_parallel_loops - pl0;
       p.s_last_reduction_loops <- p.s_reduction_loops - rl0)
@@ -1810,16 +1387,13 @@ type stats = {
   parallel_loops_run : int;
   reduction_loops_run : int;
   batched_loops : int;  (* loops with an iteration-batching plan *)
-  jit_groups : int;  (* groups armed with a native launch fn *)
-  jit_runs : int;
+  cjit_groups : int;  (* groups armed with a native kernel *)
+  cjit_runs : int;  (* native launches *)
   jit_fallbacks : int;  (* runtime demotions back to the closure arm *)
-  cjit_groups : int;  (* armed groups that also compiled a C-lane kernel *)
-  cjit_runs : int;  (* the subset of jit_runs launched on the C lane *)
   loops_pinned_inline : int;
   loops_pinned_dispatch : int;
   loops_pinned_seq : int;  (* batched loops pinned back to sequential *)
   last_kernel_runs : int;
-  last_jit_runs : int;
   last_cjit_runs : int;
   last_parallel_loops : int;
   last_reduction_loops : int;
@@ -1837,11 +1411,11 @@ let stats p =
   let pin_i = ref 0 and pin_d = ref 0 and pin_s = ref 0 in
   Hashtbl.iter
     (fun _ (lp : lplan) ->
-      match lp.lp_mode with
-      | L_inline -> incr pin_i
-      | L_dispatch -> incr pin_d
-      | L_seq -> incr pin_s
-      | L_sampling _ -> ())
+      match Tuner.pinned lp.lp_tuner with
+      | Some Inline -> incr pin_i
+      | Some Dispatch -> incr pin_d
+      | Some Seq -> incr pin_s
+      | None -> ())
     p.p_lplans;
   let count f =
     Array.fold_left
@@ -1852,25 +1426,20 @@ let stats p =
     groups = List.length (Fusion.group_sizes p.p_plan);
     compiled = p.p_ncompiled;
     kernel_runs = p.s_kernel_runs;
-    fallback_groups = count (fun g -> g.g_fallback);
+    fallback_groups = count (fun g -> Tuner.frozen g.g_tuner);
     pool_fresh = Buffer_plan.fresh_allocs p.p_pool;
     pool_reused = Buffer_plan.reuses p.p_pool;
     donations = p.s_donations;
     parallel_loops_run = p.s_parallel_loops;
     reduction_loops_run = p.s_reduction_loops;
     batched_loops = Hashtbl.length p.p_lplans;
-    jit_groups = count (fun g -> g.g_jit <> None && not g.g_jit_off);
-    jit_runs = p.s_jit_runs;
-    jit_fallbacks = p.s_jit_fallbacks;
-    cjit_groups =
-      count (fun g ->
-          match g.g_jit with Some e -> Jit.has_c e | None -> false);
+    cjit_groups = count (fun g -> g.g_jit <> None);
     cjit_runs = p.s_cjit_runs;
+    jit_fallbacks = p.s_jit_fallbacks;
     loops_pinned_inline = !pin_i;
     loops_pinned_dispatch = !pin_d;
     loops_pinned_seq = !pin_s;
     last_kernel_runs = p.s_last_kernel_runs;
-    last_jit_runs = p.s_last_jit_runs;
     last_cjit_runs = p.s_last_cjit_runs;
     last_parallel_loops = p.s_last_parallel_loops;
     last_reduction_loops = p.s_last_reduction_loops;
@@ -1893,7 +1462,7 @@ let stats p =
 type attribution_row = {
   at_id : int;  (* gid, or the loop node's id *)
   at_kind : [ `Group | `Loop ];
-  at_arm : string;  (* current arm: jit/closure/per_node/sampling/… *)
+  at_arm : string;  (* current arm, or "sampling" *)
   at_members : int;  (* member instructions (groups) or trip sites (loops) *)
   at_time_s : float;  (* accumulated launch wall time *)
   at_launches : int;
@@ -1903,30 +1472,30 @@ let attribution p =
   let rows = ref [] in
   Array.iteri
     (fun gid -> function
-      | Some g when g.g_launches > 0 ->
+      | Some g when Tuner.launches g.g_tuner > 0 ->
           rows :=
             {
               at_id = gid;
               at_kind = `Group;
-              at_arm = arm_of_group g;
+              at_arm = Tuner.label g.g_tuner;
               at_members = List.length g.g_members;
-              at_time_s = g.g_time;
-              at_launches = g.g_launches;
+              at_time_s = Tuner.total g.g_tuner;
+              at_launches = Tuner.launches g.g_tuner;
             }
             :: !rows
       | _ -> ())
     p.p_groups;
   Hashtbl.iter
     (fun lid (lp : lplan) ->
-      if lp.lp_launches > 0 then
+      if Tuner.launches lp.lp_tuner > 0 then
         rows :=
           {
             at_id = lid;
             at_kind = `Loop;
-            at_arm = arm_of_loop lp;
+            at_arm = Tuner.label lp.lp_tuner;
             at_members = Array.length lp.lp_actions;
-            at_time_s = lp.lp_time;
-            at_launches = lp.lp_launches;
+            at_time_s = Tuner.total lp.lp_tuner;
+            at_launches = Tuner.launches lp.lp_tuner;
           }
           :: !rows)
     p.p_lplans;

@@ -56,7 +56,8 @@ val prepare :
     element count for intra-kernel splits.  [jit] arms fused groups with
     native code compiled through {!Functs_jit.Jit} (artifacts cached
     under [jit_dir], [""] = temp-dir default); arming failures fall back
-    to closure kernels and never raise. *)
+    to closure kernels and never raise.  Each group and each batched
+    loop picks its arm with a {!Tuner}. *)
 
 val output_shapes : prepared -> Shape_infer.shape option list
 (** Statically inferred shapes of the graph's return values (in return
@@ -80,17 +81,18 @@ type stats = {
   parallel_loops_run : int;  (** batched loop executions (incl. reductions) *)
   reduction_loops_run : int;  (** batched executions of Reduction loops *)
   batched_loops : int;  (** loops with an iteration-batching plan *)
-  jit_groups : int;  (** groups currently armed with a native launch fn *)
-  jit_runs : int;  (** native kernel launches so far *)
-  jit_fallbacks : int;  (** runtime demotions back to the closure arm *)
-  cjit_groups : int;  (** armed groups that also compiled a C-lane kernel *)
-  cjit_runs : int;  (** the subset of [jit_runs] launched on the C lane *)
+  cjit_groups : int;
+      (** groups currently armed with a native (C) kernel — a tuner
+          demotion to the closure arm keeps the group armed *)
+  cjit_runs : int;  (** native kernel launches so far *)
+  jit_fallbacks : int;
+      (** runtime demotions back to the closure arm (launch-validation
+          failures and tuner verdicts) *)
   loops_pinned_inline : int;  (** batched loops the tuner pinned inline *)
   loops_pinned_dispatch : int;  (** … pinned to pool dispatch *)
   loops_pinned_seq : int;  (** … pinned back to the sequential fused path *)
   last_kernel_runs : int;  (** kernel launches in the most recent run *)
-  last_jit_runs : int;  (** native launches in the most recent run *)
-  last_cjit_runs : int;  (** C-lane launches in the most recent run *)
+  last_cjit_runs : int;  (** native launches in the most recent run *)
   last_parallel_loops : int;  (** batched loops in the most recent run *)
   last_reduction_loops : int;  (** reduction loops in the most recent run *)
   pool_lanes : int;  (** worker lanes in the shared domain pool *)
@@ -121,9 +123,9 @@ type attribution_row = {
   at_id : int;  (** fusion-group gid, or the loop node's id *)
   at_kind : [ `Group | `Loop ];
   at_arm : string;
-      (** current dispatch arm:
-          [c-jit]/[ocaml-jit]/[closure]/[per_node]/[sampling] for
-          groups, [inline]/[dispatch]/[seq]/[sampling] for loops *)
+      (** the arm {!Tuner} currently pins — [c-jit]/[closure]/[per_node]
+          for groups, [inline]/[dispatch]/[seq] for loops — or
+          [sampling] while it samples *)
   at_members : int;  (** member instructions (groups) / body size (loops) *)
   at_time_s : float;  (** accumulated launch wall time *)
   at_launches : int;

@@ -88,22 +88,30 @@ let prune_control_outputs g =
             changed := true)
     | Op.Loop, [ body ] ->
         (* Backward closure (within the body) of the values feeding the
-           returns at the given slots: a carried slot can be dropped when
-           its output is unused outside and its param only feeds its own
-           return chain. *)
+           returns at the given slots and the body's side effects: a
+           carried slot can be dropped when its output is unused outside
+           and its param only feeds its own return chain. *)
         let closure_of_returns keep_slots =
           let seen : (int, unit) Hashtbl.t = Hashtbl.create 16 in
           let rec visit (v : Graph.value) =
             if not (Hashtbl.mem seen v.v_id) then begin
               Hashtbl.add seen v.v_id ();
               match v.v_origin with
-              | Graph.Def (n, _) -> List.iter visit n.n_inputs
+              | Graph.Def (n, _) -> visit_node n
               | Graph.Param _ | Graph.Detached -> ()
             end
+          and visit_node (n : Graph.node) =
+            List.iter visit n.n_inputs;
+            (* a nested If/Loop's outputs depend on its blocks' returns *)
+            List.iter
+              (fun (b : Graph.block) -> List.iter visit b.b_returns)
+              n.n_blocks
           in
           List.iteri
             (fun k ret -> if List.mem k keep_slots then visit ret)
             body.b_returns;
+          Graph.iter_block_nodes body (fun n ->
+              if keep_always n.n_op then visit_node n);
           seen
         in
         let rec find_dead i = function

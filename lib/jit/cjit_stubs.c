@@ -1,23 +1,22 @@
-/* Host-side stubs for the C-emitting JIT lane.
+/* Host-side stubs for the JIT's native kernels.
  *
  * A generated artifact is a plain shared object compiled from standalone
  * C (it includes only <math.h>, never the OCaml runtime headers, so the
- * same artifact format works on boxes with a C compiler but no OCaml
- * toolchain).  It exports three symbols:
+ * JIT needs a C compiler but no OCaml toolchain at run time).  It
+ * exports three symbols:
  *
  *   const char functs_cjit_header[];   version/digest handshake string
  *   const long functs_cjit_nfns;       number of kernel entry points
  *   functs_cjit_fn const functs_cjit_table[];
  *
- * where each entry point follows the JIT v2 ABI translated to C:
+ * where each entry point follows the JIT launch ABI:
  *
  *   long kernel(double **bufs, const long *ints, long stmt, long lo, long hi);
  *
  * The return value is a guard status: 0 on success, nonzero when a
  * dynamically-indexed read (a free scalar in the index) would have gone
  * out of bounds — the kernel refuses the whole launch range and the
- * driver maps the status to the same Fallback the OCaml lane raises
- * from a checked access.
+ * driver maps the status to Jit.Fallback.
  *
  * functs_cjit_load dlopens an artifact, validates the handshake, and hands
  * the table back as a nativeint (0 on any failure; the message is kept for
@@ -29,7 +28,7 @@
  * on the OCaml side and needs no CAMLparam bookkeeping.
  *
  * Handles are never dlclosed: loaded code stays valid for the process
- * lifetime, mirroring the Dynlink lane.
+ * lifetime.
  */
 
 #include <caml/mlvalues.h>

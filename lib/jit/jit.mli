@@ -1,40 +1,36 @@
-(** Native JIT backend driver: renders an engine preparation's fused
-    kernels to OCaml source ({!Jit_emit}) plus, for the C-eligible
-    subset, a C unit ({!Jit_emit_c}); compiles/loads both through the
-    on-disk artifact cache ({!Jit_cache}); and launches them with
-    per-run validation.  Both lanes share one launch layout, so a group
-    entry carries up to two function pointers and the scheduler flips
-    lanes per launch.
+(** Native JIT backend driver: lowers an engine preparation's fused
+    kernels to C ({!Jit_emit}), compiles and loads them through the
+    on-disk artifact cache ({!Jit_cache}), and launches them with
+    per-run validation.
 
     Failure never crosses the engine API: {!prepare_groups} records
-    every failure (missing toolchain, emitter rejection, compile error)
-    as a [jit.cache.fallback] / [jit.c.fallback] tick and returns the
-    groups that did arm; {!run} raises only {!Fallback}, which the
-    scheduler converts into a closure-kernel launch for that group. *)
+    every failure (missing or hung compiler, emitter rejection, compile
+    error) as a [jit.c.fallback] tick per group and returns the groups
+    that did arm; {!run} raises only {!Fallback}, which the scheduler
+    converts into a closure-kernel launch for that group.  Without a C
+    compiler every group stays on its closure kernel. *)
 
 open Functs_ir
 open Functs_tensor
 open Functs_core
 
-type mode = Off | On | Auto | C | Ocaml
-(** [Auto]/[On] arm both lanes and let the tuner pick per group ([On]
-    attempts JIT unconditionally; failures still only fall back). [C]
-    prefers the C lane wherever a group compiled one (OCaml stays the
-    demotion target); [Ocaml] disables the C lane; [Off] disables the
-    JIT. *)
+type mode = Off | Auto
+(** [Auto] arms every group whose kernel compiles natively and lets the
+    scheduler's tuner pick native, closure or per-node execution per
+    group; [Off] disables the JIT. *)
 
 val mode_of_string : string -> mode option
+(** ["off"], ["auto"], and ["on"] as an alias of ["auto"]. *)
+
 val mode_to_string : mode -> string
 
-val version : int
-(** Codegen version stamp (see {!Jit_cache.version}). *)
-
-val set_compiler : string -> unit
-val toolchain_available : unit -> bool
-
 val set_c_compiler : string -> unit
-(** Override the C-lane compiler (default ["cc"]; [FUNCTS_JIT_CC]
-    overrides through [Config.of_env]). *)
+(** Override the C compiler (default ["cc"]; [FUNCTS_JIT_CC] overrides
+    through [Config.of_env]). *)
+
+val set_c_compile_bound : float -> unit
+(** Test hook: wall-clock seconds after which a compile is killed (see
+    {!Jit_cache.set_compile_bound}). *)
 
 val c_toolchain_available : unit -> bool
 val clear_loaded : unit -> unit
@@ -47,14 +43,12 @@ val resolve_dir : string -> string
 (** [""] resolves to {!default_dir}. *)
 
 type entry
-(** One JIT-armed group: its launch function(s) plus per-engine
+(** One JIT-armed group: its native launch function plus per-engine
     scratch. *)
 
 val has_c : entry -> bool
-(** Whether this group compiled a C-lane kernel. *)
-
-val has_ml : entry -> bool
-(** Whether this group loaded an OCaml-lane launch function. *)
+(** Always [true]: a group is armed only once its C kernel compiled.
+    Kept so callers can count C-lane groups. *)
 
 val prepare_groups :
   mode:mode ->
@@ -64,12 +58,11 @@ val prepare_groups :
   (int * entry) list
 (** Emit, compile (or load from cache) and arm the given kernels;
     returns [(group id, entry)] for each kernel that made it to native
-    code on at least one lane.  Never raises. *)
+    code.  Never raises. *)
 
 exception Fallback of string
 
 val run :
-  ?lane:[ `C | `Ml ] ->
   ?par:
     (grain:int ->
     bytes_per_iter:int ->
@@ -84,13 +77,12 @@ val run :
   (Graph.value * Tensor.t * bool) list
 (** Launch one group natively; same contract as
     [Kernel_compile.run] (statement results in order, stored flag per
-    statement).  [lane] (default [`Ml]) picks which compiled lane to
-    launch; a group armed with only one lane always launches that one.
-    [par] — typically [Pool.parallel_for] partially applied
+    statement).  [par] — typically [Pool.parallel_for] partially applied
     by the scheduler — must cover [0, n) with disjoint [body lo hi]
     calls; each statement whose output holds at least [2 * grain]
     elements ([grain] defaults to 8192) then splits its outermost baked
     loop across it, joining before the next statement so cross-statement
     reads stay ordered and results stay bitwise-identical.  Raises
-    {!Fallback} when a binding fails validation — the caller releases
-    this launch's allocations and demotes the group. *)
+    {!Fallback} when a binding fails validation or a guarded index
+    leaves its buffer — the caller releases this launch's allocations
+    and demotes the group. *)

@@ -1,91 +1,54 @@
 (** On-disk artifact store for JIT-compiled kernel groups.
 
-    Artifacts are [.cmxs] plugins named
-    [functs_jit_v<version>_<digest>.cmxs]: the codegen [version] stamp
-    plus the MD5 digest of the generated source.  [get_or_build]
-    resolves a digest through three levels — in-process launch-table
-    memo, on-disk artifact ([Dynlink.loadfile_private]), and finally a
-    fresh [ocamlfind ocamlopt -shared] compile guarded by a lockfile
-    and installed with an atomic rename.  Artifacts stamped with a
-    different version are evicted the first time a directory is used.
+    Artifacts are [.so] files named
+    [functs_cjit_v<version>_<digest>.so]: the codegen [version] stamp
+    plus the MD5 digest of the generated C source, compiled by [cc] and
+    loaded with dlopen through the [cjit_stubs.c] host stubs.
+    [get_or_build] resolves a digest through three levels — in-process
+    launch-table memo, on-disk artifact, and finally a fresh compile
+    guarded by a lockfile, bounded in wall-clock time and installed with
+    an atomic rename.  Artifacts stamped with a different version, and
+    any [functs_jit_v*] file of the retired OCaml lane, are evicted the
+    first time a directory is used.
 
-    Counters: [jit.cache.hit] (memo or disk), [jit.cache.miss] (compile
-    needed), [jit.compiles] (actual compiler invocations),
-    [jit.cache.evicted].  Spans: [jit.compile], [jit.load].
-
-    The C lane stores [.so] artifacts named
-    [functs_cjit_v<c_version>_<digest>.so] in the same directory,
-    compiled by [cc] from {!Jit_emit_c} output and loaded with dlopen
-    through the [cjit_stubs.c] host stubs; it shares the lockfile and
-    eviction machinery and mirrors the counters as [jit.c.hit],
-    [jit.c.miss], [jit.c.compiles], [jit.c.evicted] with spans
-    [jit.c.compile], [jit.c.load].  It never touches Dynlink, so it
-    works in bytecode hosts and on boxes without ocamlfind. *)
+    Counters: [jit.c.hit] (memo or disk), [jit.c.miss] (compile needed),
+    [jit.c.compiles] (successful compiler runs), [jit.c.evicted].  Spans:
+    [jit.c.compile], [jit.c.load]. *)
 
 val version : int
 (** Codegen version stamp baked into artifact names and headers. *)
 
-val c_version : int
-(** Same, for the C lane's [.so] artifact stream. *)
-
-type fn = float array array -> int array -> int -> int -> int -> unit
-(** A compiled kernel launcher (see {!Jit_emit} for the layout):
-    [fn bufs ints stmt lo hi] runs statement [stmt] for rows [lo, hi)
-    of its outermost baked loop (the full extent when launched
-    sequentially). *)
-
-type cfn = { c_tbl : nativeint; c_idx : int }
-(** A C-lane kernel: index [c_idx] of a dlopen'd artifact's launch
+type fn = { tbl : nativeint; idx : int }
+(** A compiled kernel: index [idx] of a dlopen'd artifact's launch
     table.  The table pointer lives for the process lifetime. *)
 
-val call_c : cfn -> float array array -> int array -> int -> int -> int -> int
-(** [call_c c bufs ints stmt lo hi] — the {!fn} contract over a C-lane
-    kernel (raw [double*] views of the float arrays, untagged ints).
-    Returns the kernel's guard status: [0] on success, nonzero when a
-    dynamically-indexed read would have left its buffer — the caller
-    must discard the launch (the driver raises [Jit.Fallback]). *)
+val call : fn -> float array array -> int array -> int -> int -> int -> int
+(** [call f bufs ints stmt lo hi] runs statement [stmt] for rows
+    [lo, hi) of its outermost baked loop ([stmt = -1]: every statement
+    at full extent), over raw [double*] views of the float arrays and
+    untagged ints (see {!Jit_emit} for the layout).  Returns the kernel's
+    guard status: [0] on success, nonzero when a dynamically-indexed
+    read would have left its buffer — the caller must discard the launch
+    (the driver raises [Jit.Fallback]). *)
 
-val set_compiler : string -> unit
-(** Override the compiler command (default ["ocamlfind ocamlopt"]);
-    resets the toolchain probe.  Test hook for simulating a missing
-    toolchain. *)
-
-val toolchain_available : unit -> bool
-(** Whether the compiler command answers [-version] (memoized). *)
-
-val set_c_compiler : string -> unit
-(** Same, for the C lane (default ["cc"]; [FUNCTS_JIT_CC] overrides
-    through [Config.of_env]). *)
-
-val c_toolchain_available : unit -> bool
-(** Whether the C compiler answers [--version] (memoized). *)
-
-val artifact_path : dir:string -> digest:string -> string
-val c_artifact_path : dir:string -> digest:string -> string
 val header : string -> string
-(** The handshake header an artifact of this digest must present. *)
+(** The header ([functs_cjit_header]) an artifact of this digest must
+    present. *)
 
-val c_header : string -> string
-(** Same, for C-lane artifacts ([functs_cjit_header] contents). *)
+val set_compile_bound : float -> unit
+(** Test hook: the wall-clock bound, in seconds, after which a compile
+    is killed and reported as an [Error _] (default 45, below the 60 s
+    stale-lock age). *)
 
 val get_or_build :
   dir:string ->
   digest:string ->
   source:string ->
   nfns:int ->
-  (fn array, string) result
-(** Resolve a launch table for [digest], compiling [source] at most
-    once per digest across processes.  Never raises. *)
-
-val get_or_build_c :
-  dir:string ->
-  digest:string ->
-  source:string ->
-  nfns:int ->
   (nativeint, string) result
-(** Resolve a C-lane launch table (the raw table pointer; wrap each
-    index in a {!cfn}).  Same memo/disk/lockfile discipline as
-    {!get_or_build}.  Never raises. *)
+(** Resolve the raw launch-table pointer for [digest] (wrap each index
+    in a {!fn}), compiling [source] at most once per digest across
+    processes.  Never raises. *)
 
 val clear_loaded : unit -> unit
 (** Test hook: drop the in-process memo (and per-directory eviction

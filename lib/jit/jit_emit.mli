@@ -1,13 +1,16 @@
-(** Renders a fused kernel ({!Functs_core.Codegen.kernel}) into
-    straight-line OCaml source: one flat loop nest per statement, shapes
-    baked in as integer literals, element access over plain
-    [float array]s — the unit the JIT driver compiles with
-    [ocamlfind ocamlopt -shared] and loads with [Dynlink].
+(** Lowers a fused kernel ({!Functs_core.Codegen.kernel}) to one C
+    function — a flat loop nest per statement, shapes baked in as
+    integer literals, element access over caller-bound [double]
+    buffers — and computes the launch layout the driver binds against.
+    The JIT driver compiles the functions with [cc] and loads them with
+    dlopen.
 
     The emitter accepts exactly the kernels the closure compiler
     ({!Functs_exec.Kernel_compile}) accepts (same index-identifier
     discipline, root-only reductions, no [Copaque], concrete shapes), so
-    a JIT group always has a closure kernel to fall back to. *)
+    a native group always has a closure kernel to fall back to, and
+    every scalar operation keeps the interpreter's exact IEEE and NaN
+    semantics. *)
 
 open Functs_ir
 open Functs_core
@@ -19,9 +22,10 @@ type esite = {
   e_stmt : int;  (** owning statement index *)
   e_ints_pos : int;  (** ints position of [offset; strides.(0..rank-1)] *)
   e_bounds : (int * int) array option;
-      (** per-dimension inclusive index ranges when statically known
-          (unsafe access); [None] means the generated code uses checked
-          [Array.get] because a free scalar appears in the index *)
+      (** per-dimension inclusive index ranges when statically known (the
+          driver checks them against the bound tensor); [None] means the
+          generated code guards the site itself because a free scalar
+          appears in an index or the read sits under a condition *)
 }
 
 type estmt = {
@@ -35,23 +39,23 @@ type emitted = {
   e_group : int;  (** fusion group id *)
   e_name : string;  (** kernel name, for artifact comments *)
   e_fn : string;
-      (** ["fun (bufs : float array array) (ints : int array) -> …"] *)
+      (** body of the launch function
+          [long k(double **bufs, const long *ints, long stmt, long lo,
+          long hi)]: statement [stmt] over rows [lo, hi) of its outermost
+          baked loop, or every statement at full extent when
+          [stmt = -1]; returns 0, or nonzero when a guarded read would
+          leave its buffer *)
   e_sites : esite array;
   e_stmts : estmt array;
   e_free : string array;  (** free scalar symbols, in ints-tail order *)
   e_scalar_pos : int;  (** ints position of the first free scalar *)
-  e_nints : int;  (** required length of the ints array *)
+  e_nints : int;
+      (** ints length up to the scalars; site [s]'s buffer length rides
+          at [e_nints + s] *)
 }
 
 val nbufs : emitted -> int
 (** Required length of the bufs array: statement outputs then sites. *)
-
-val ident_ok : string -> bool
-(** The index-identifier discipline shared with [Kernel_compile] (and
-    mirrored by {!Jit_emit_c}). *)
-
-val index_dim : rank:int -> string -> int option
-(** [i<d>] names the output loop variable of dimension [d] (< rank). *)
 
 val emit : Codegen.kernel -> shapes:Shape_infer.result -> (emitted, string) result
 (** Render one kernel, or explain why it cannot be JIT-compiled. *)

@@ -1,25 +1,28 @@
-(* Shared compiler probes for the two JIT lanes.
+(* The C compiler probe for the JIT.
 
-   [Jit_cache] used to memoize its own ocamlfind probe; the C emission
-   lane needs the same treatment for [cc], so both live here behind one
-   memo table keyed by the full probe command.  Probing shells out once
-   per distinct command and caches the verdict for the process lifetime;
-   [set_ocaml_compiler]/[set_c_compiler] drop the stale memo entry for
-   the new command so a replaced toolchain is re-probed (tests swap in a
-   deliberately missing compiler and back).
+   Probing shells out once per distinct command and caches the verdict
+   for the process lifetime; [set_c_compiler] drops the stale memo entry
+   for the new command so a replaced toolchain is re-probed (tests swap
+   in a deliberately missing compiler and back).
 
-   The C compiler default is plain [cc]; [FUNCTS_JIT_CC] overrides it
-   through [Config.of_env] (the only sanctioned environment reader),
-   which pushes the value here via {!set_c_compiler}.  A box with a C
-   compiler but no ocamlfind still arms the C lane: the two probes are
-   independent. *)
+   The default is plain [cc]; [FUNCTS_JIT_CC] overrides it through
+   [Config.of_env] (the only sanctioned environment reader), which
+   pushes the value here via {!set_c_compiler}. *)
 
 let lock = Mutex.create ()
 let probes : (string, bool) Hashtbl.t = Hashtbl.create 4
-let ocaml_cmd = ref "ocamlfind ocamlopt"
 let c_cmd = ref "cc"
+let probe_cmd cmd = cmd ^ " --version >/dev/null 2>&1"
 
-let probe cmd =
+let set_c_compiler cmd =
+  Mutex.protect lock (fun () ->
+      c_cmd := cmd;
+      Hashtbl.remove probes (probe_cmd cmd))
+
+let c_compiler () = !c_cmd
+
+let c_available () =
+  let cmd = probe_cmd !c_cmd in
   Mutex.protect lock (fun () ->
       match Hashtbl.find_opt probes cmd with
       | Some ok -> ok
@@ -27,21 +30,3 @@ let probe cmd =
           let ok = Sys.command cmd = 0 in
           Hashtbl.replace probes cmd ok;
           ok)
-
-let ocaml_probe_cmd cmd = cmd ^ " -version >/dev/null 2>&1"
-let c_probe_cmd cmd = cmd ^ " --version >/dev/null 2>&1"
-
-let set_ocaml_compiler cmd =
-  Mutex.protect lock (fun () ->
-      ocaml_cmd := cmd;
-      Hashtbl.remove probes (ocaml_probe_cmd cmd))
-
-let set_c_compiler cmd =
-  Mutex.protect lock (fun () ->
-      c_cmd := cmd;
-      Hashtbl.remove probes (c_probe_cmd cmd))
-
-let ocaml_compiler () = !ocaml_cmd
-let c_compiler () = !c_cmd
-let ocaml_available () = probe (ocaml_probe_cmd !ocaml_cmd)
-let c_available () = probe (c_probe_cmd !c_cmd)

@@ -62,23 +62,22 @@ let locked f =
   Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
 
 let record ?(id = -1) ?(arm = "") ?(detail = "") ?(value = 0.) kind site =
-  if !on then begin
-    let e =
-      {
-        j_ts = now_us ();
-        j_kind = kind;
-        j_site = site;
-        j_id = id;
-        j_arm = arm;
-        j_detail = detail;
-        j_value = value;
-      }
-    in
+  if !on then
     locked (fun () ->
         let b = !buf in
-        b.(!count mod Array.length b) <- e;
+        (* stamped under the lock, so ring order is timestamp order even
+           when several domains record at once *)
+        b.(!count mod Array.length b) <-
+          {
+            j_ts = now_us ();
+            j_kind = kind;
+            j_site = site;
+            j_id = id;
+            j_arm = arm;
+            j_detail = detail;
+            j_value = value;
+          };
         incr count)
-  end
 
 let capacity () = Array.length !buf
 

@@ -17,7 +17,7 @@ type t = {
   cache_size : int;
   jit : Jit.mode;
   jit_dir : string;
-  jit_cc : string;  (* C-lane compiler command; "" keeps the default *)
+  jit_cc : string;  (* JIT C compiler command; "" keeps the default *)
   trace : trace_sink;
   trace_buf : int;
   metrics : metrics_sink;
@@ -101,7 +101,7 @@ let metrics_sink cfg _key v =
 let jit_mode cfg key v =
   match Jit.mode_of_string (String.lowercase_ascii v) with
   | Some m -> Ok { cfg with jit = m }
-  | None -> invalid key v "expected off, on, auto, c or ocaml"
+  | None -> invalid key v "expected off, auto or on"
 
 (* The artifact directory honours the usual cache conventions when the
    variable is unset: $XDG_CACHE_HOME/functs/jit, else

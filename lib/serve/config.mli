@@ -46,11 +46,11 @@ type t = {
   cache : bool;  (** compile cache on/off *)
   cache_size : int;  (** resident compile-cache entries (LRU) *)
   jit : Functs_jit.Jit.mode;
-      (** native JIT backend: off / on / auto / c / ocaml *)
+      (** native JIT backend: off / auto *)
   jit_dir : string;
       (** on-disk JIT artifact cache; [""] = engine temp-dir fallback *)
   jit_cc : string;
-      (** C-lane compiler command ([FUNCTS_JIT_CC]); [""] keeps the
+      (** JIT C compiler command ([FUNCTS_JIT_CC]); [""] keeps the
           default ([cc]) *)
   trace : trace_sink;
   trace_buf : int;  (** span-tracer ring capacity (≥ 16) *)
@@ -97,8 +97,9 @@ val of_env :
     - [FUNCTS_TRACE] — [off] forms, [on]/[1]/[true], or an output path;
     - [FUNCTS_METRICS] — [off] forms, [stderr]/[on]/[1], or a path;
     - [FUNCTS_POLICY] — [interp]/[interp_fallback] or [shed];
-    - [FUNCTS_JIT] — [off] (default), [on], or [auto] (arm native
-      kernels, falling back per group on any failure);
+    - [FUNCTS_JIT] — [off] (default), or [auto] (arm native C kernels,
+      falling back per group to closure kernels on any failure; [on] is
+      an alias);
     - [FUNCTS_JIT_DIR] — JIT artifact-cache directory.  When unset the
       directory follows cache conventions: [$XDG_CACHE_HOME/functs/jit],
       else [$HOME/.cache/functs/jit], else a temp-dir fallback.
@@ -113,7 +114,7 @@ val apply : t -> unit
 (** Push the process-wide settings where they live: compile-cache
     default and capacity ([Engine.set_cache_default] /
     [set_cache_capacity]), JIT default mode and artifact dir
-    ([Engine.set_jit_default] / [set_jit_dir_default]), the C-lane
+    ([Engine.set_jit_default] / [set_jit_dir_default]), the JIT C
     compiler override ([Jit.set_c_compiler], when set), tracer ring
     capacity, tracer enablement, journal ring capacity and enablement,
     and the trace / metrics exit dumps.  Idempotent per process — the

@@ -245,6 +245,40 @@ let test_dce_prunes_dead_loop_carried () =
   check_int "dead carried value pruned" 1 (List.length loop.n_outputs);
   check_int "body params pruned" 2 (List.length (List.hd loop.n_blocks).b_params)
 
+(* A carried value whose output is unused but which feeds another slot
+   through a nested If's block must stay: the If's output depends on
+   what its blocks return, not only on its condition. *)
+let test_dce_keeps_carried_read_through_if () =
+  let b =
+    Builder.create "carrythroughif"
+      ~params:
+        [ ("x", Dtype.Tensor); ("n", Dtype.Scalar Dtype.Int);
+          ("c", Dtype.Scalar Dtype.Bool) ]
+  in
+  let x = Builder.param b 0 and n = Builder.param b 1 in
+  let c = Builder.param b 2 in
+  let outs =
+    Builder.loop b ~trip:n
+      ~init:[ x; x ]
+      ~body:(fun ~i ~carried ->
+        ignore i;
+        match carried with
+        | [ a; bb ] ->
+            let a' =
+              Builder.if_ b ~cond:c ~out_types:[ Dtype.Tensor ]
+                ~then_:(fun () -> [ Builder.add b a bb ])
+                ~else_:(fun () -> [ a ])
+            in
+            [ List.hd a'; Builder.mul b bb bb ]
+        | _ -> assert false)
+  in
+  Builder.return b [ List.nth outs 0 ];
+  let g = Builder.graph b in
+  Dce.run g;
+  Verifier.check_exn g;
+  let loop = List.find (fun (n : Graph.node) -> n.n_op = Op.Loop) (Graph.all_nodes g) in
+  check_int "the slot read inside the If is kept" 2 (List.length loop.n_outputs)
+
 let test_dce_prunes_dead_if_output () =
   let b = Builder.create "deadif" ~params:[ ("c", Dtype.Scalar Dtype.Bool) ] in
   let c = Builder.param b 0 in
@@ -332,6 +366,8 @@ let () =
           Alcotest.test_case "keeps mutations" `Quick test_dce_keeps_mutations;
           Alcotest.test_case "prunes dead loop carried" `Quick
             test_dce_prunes_dead_loop_carried;
+          Alcotest.test_case "keeps carried value read through an if" `Quick
+            test_dce_keeps_carried_read_through_if;
           Alcotest.test_case "prunes dead if output" `Quick
             test_dce_prunes_dead_if_output;
         ] );

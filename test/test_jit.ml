@@ -1,12 +1,14 @@
 (* The native JIT backend: differential equivalence of every registered
-   workload under FUNCTS_JIT=on against the reference interpreter,
-   graceful per-group fallback when the toolchain or the artifact
+   workload under FUNCTS_JIT=auto against the reference interpreter
+   (every closure-compilable kernel must compile to C), bitwise IEEE
+   special-value semantics of the emitted C, graceful per-group
+   fallback when the compiler is missing, broken or hung or the artifact
    directory is unusable, and the on-disk artifact cache (warm loads
-   compile nothing; stale-version artifacts are evicted).
+   compile nothing; stale and retired artifacts are evicted).
 
-   Every test degrades to a meaningful assertion when the host has no
-   native toolchain: the differential legs then prove the fallback
-   ladder (identical outputs, zero armed groups, fallback ticks). *)
+   Every test degrades to a meaningful assertion when the host has no C
+   compiler: the differential legs then prove the fallback ladder
+   (identical outputs, zero armed groups, fallback ticks). *)
 
 open Functs
 
@@ -35,11 +37,6 @@ let counter name =
   let c = Metrics.counter name in
   fun () -> Metrics.value c
 
-let hits = counter "jit.cache.hit"
-let misses = counter "jit.cache.miss"
-let compiles = counter "jit.compiles"
-let evicted = counter "jit.cache.evicted"
-let fallbacks = counter "jit.cache.fallback"
 let c_hits = counter "jit.c.hit"
 let c_misses = counter "jit.c.miss"
 let c_compiles = counter "jit.c.compiles"
@@ -56,11 +53,11 @@ let flat (v : Value.t) =
   | _ -> None
 
 (* Bitwise when both sides are tensors (the emitter reproduces the
-   closure kernels' operation order exactly) — except that the C lane's
-   vectorised transcendentals go through glibc's libmvec, whose kernels
-   are specified to <= 4 ulp of scalar libm, so a bitwise miss falls
-   back to a tolerance still nine orders tighter than the engine's 1e-4
-   epsilon gate.  Non-tensor values compare under that gate. *)
+   closure kernels' operation order exactly) — except that vectorised
+   transcendentals go through glibc's libmvec, whose kernels are
+   specified to <= 4 ulp of scalar libm, so a bitwise miss falls back to
+   a tolerance still nine orders tighter than the engine's 1e-4 epsilon
+   gate.  Non-tensor values compare under that gate. *)
 let bitwise_or_epsilon expected got =
   List.length expected = List.length got
   && List.for_all2
@@ -88,13 +85,39 @@ let functionalized (w : Workload.t) =
   ignore (Passes.tensorssa_pipeline fg);
   (g, fg, fun () -> w.Workload.inputs ~batch ~seq)
 
-let jit_engine ?(mode = Jit.On) ?(dir = jit_dir) fg args =
-  Engine.prepare ~parallel:false ~cache:false ~jit:mode ~jit_dir:dir fg
+let jit_engine ?(dir = jit_dir) fg args =
+  Engine.prepare ~parallel:false ~cache:false ~jit:Jit.Auto ~jit_dir:dir fg
     ~inputs:(Engine.input_shapes args)
 
-(* --- differential: every workload, FUNCTS_JIT=on vs interpreter --- *)
+(* The kernels the engine hands the JIT: the ones that closure-compile
+   under the engine's fusion plan. *)
+let closure_kernels fg args =
+  let plan =
+    Fusion.plan ~fence_loop_assigns:true Compiler_profile.tensorssa fg
+  in
+  let shapes = Shape_infer.infer fg ~inputs:(Engine.input_shapes args) in
+  ( List.filter
+      (fun k -> Result.is_ok (Kernel_compile.compile k ~shapes))
+      (Codegen.emit fg plan ~shapes),
+    shapes )
+
+(* A compiler stand-in: answers the [--version] probe, then runs
+   [body] for the compile itself. *)
+let fake_compiler body =
+  let path = Filename.temp_file "functs-fake-cc" ".sh" in
+  let oc = open_out path in
+  output_string oc
+    (Printf.sprintf "#!/bin/sh\ncase \"$1\" in --version) exit 0;; esac\n%s\n"
+       body);
+  close_out oc;
+  Unix.chmod path 0o755;
+  path
+
+(* --- differential: every workload, FUNCTS_JIT=auto vs interpreter --- *)
 
 let test_differential () =
+  let cc = Jit.c_toolchain_available () in
+  let cfb0 = c_fallbacks () in
   let armed = ref 0 and native_runs = ref 0 in
   List.iter
     (fun (w : Workload.t) ->
@@ -108,123 +131,303 @@ let test_differential () =
         true
         (bitwise_or_epsilon expected got);
       let s = Engine.stats eng in
-      armed := !armed + s.Scheduler.jit_groups;
-      native_runs := !native_runs + s.Scheduler.jit_runs)
+      armed := !armed + s.Scheduler.cjit_groups;
+      native_runs := !native_runs + s.Scheduler.cjit_runs)
     (Registry.all @ Registry.extensions);
-  if Jit.toolchain_available () then begin
+  check_int "all ten registry workloads ran" 10
+    (List.length (Registry.all @ Registry.extensions));
+  if cc then begin
     check "some groups were armed natively" true (!armed > 0);
     check "native kernels actually ran" true (!native_runs > 0)
   end
-  else check_int "no toolchain: nothing armed" 0 !armed
+  else begin
+    check_int "no C compiler: nothing armed" 0 !armed;
+    check "no C compiler: fallbacks were recorded" true
+      (c_fallbacks () > cfb0)
+  end
 
-(* --- forced fallback: missing toolchain --- *)
+(* --- C lane coverage: every closure kernel of every workload arms a
+   C kernel, with no C-lane fallback --- *)
+
+let test_c_differential () =
+  let cc = Jit.c_toolchain_available () in
+  let cfb0 = c_fallbacks () in
+  List.iter
+    (fun (w : Workload.t) ->
+      let _, fg, args_fn = functionalized w in
+      let kernels, shapes = closure_kernels fg (args_fn ()) in
+      let entries =
+        Jit.prepare_groups ~mode:Jit.Auto ~dir:jit_dir ~kernels ~shapes
+      in
+      if cc then begin
+        check_int
+          (Printf.sprintf "%s: every closure kernel armed" w.Workload.name)
+          (List.length kernels) (List.length entries);
+        check
+          (Printf.sprintf "%s: every armed group has a C kernel"
+             w.Workload.name)
+          true
+          (List.for_all (fun (_, e) -> Jit.has_c e) entries)
+      end
+      else
+        check_int
+          (Printf.sprintf "%s: no C compiler, nothing armed" w.Workload.name)
+          0 (List.length entries))
+    (Registry.all @ Registry.extensions);
+  if cc then
+    check_int "no C-lane fallback on any workload" 0 (c_fallbacks () - cfb0)
+  else
+    check "no C compiler: C fallbacks were recorded" true
+      (c_fallbacks () > cfb0)
+
+(* --- IEEE special values: Float.max/min/equal and Max reductions --- *)
+
+let specials =
+  [|
+    Float.nan;
+    Int64.float_of_bits 0xFFF8_0000_0000_0123L (* negative NaN, payload *);
+    -0.;
+    0.;
+    Float.infinity;
+    Float.neg_infinity;
+    Int64.float_of_bits 1L (* smallest subnormal *);
+    -.Int64.float_of_bits 0x000F_FFFF_FFFF_FFFFL (* largest subnormal *);
+    1.;
+    -1.;
+  |]
+
+let nan_literal = Int64.float_of_bits 0x7FF8_0000_0000_0042L
+
+let test_special_values () =
+  if not (Jit.c_toolchain_available ()) then ()
+  else begin
+    let n = Array.length specials in
+    let b =
+      Builder.create "specials"
+        ~params:
+          [ ("x", Dtype.Tensor); ("y", Dtype.Tensor); ("z", Dtype.Tensor) ]
+    in
+    let x = Builder.param b 0 and y = Builder.param b 1 in
+    let z = Builder.param b 2 in
+    let lit = Builder.full b [| n; n |] (Builder.float b nan_literal) in
+    Builder.return b
+      [
+        Builder.binary b Scalar.Max x y;
+        Builder.binary b Scalar.Min x y;
+        Builder.binary b Scalar.Eq x y;
+        Builder.binary b Scalar.Max lit x;
+        Builder.max_dim b z ~dim:1 ~keepdim:false;
+      ];
+    let g = Builder.graph b in
+    (* every ordered pair: x walks the rows, y the columns; z holds each
+       pair as a row for the from--inf Max reduction *)
+    let args () =
+      [
+        Value.Tensor
+          (Tensor.of_array [| n; n |]
+             (Array.init (n * n) (fun k -> specials.(k / n))));
+        Value.Tensor
+          (Tensor.of_array [| n; n |]
+             (Array.init (n * n) (fun k -> specials.(k mod n))));
+        Value.Tensor
+          (Tensor.of_array [| n * n; 2 |]
+             (Array.init (2 * n * n) (fun k ->
+                  let p = k / 2 in
+                  specials.(if k mod 2 = 0 then p / n else p mod n))));
+      ]
+    in
+    let expected = Eval.run g (args ()) in
+    let fg = Graph.clone g in
+    ignore (Passes.tensorssa_pipeline fg);
+    let eng = jit_engine fg (args ()) in
+    let got = Engine.run eng (args ()) in
+    let s = Engine.stats eng in
+    check "the special-value groups armed natively" true
+      (s.Scheduler.cjit_groups > 0);
+    check_int "the first run launched every group on the C lane"
+      s.Scheduler.cjit_groups s.Scheduler.cjit_runs;
+    List.iteri
+      (fun i (e, o) ->
+        check
+          (Printf.sprintf "output %d is bitwise the interpreter's" i)
+          true
+          (flat e = flat o))
+      (List.combine expected got)
+  end
+
+(* --- forced fallback: missing compiler --- *)
 
 let test_fallback_missing_toolchain () =
   let w = Result.get_ok (Functs.find_workload "attention") in
   let g, fg, args_fn = functionalized w in
   let expected = Eval.run g (clone_args (args_fn ())) in
-  let fb0 = fallbacks () and co0 = compiles () and cco0 = c_compiles () in
+  let fb0 = c_fallbacks () and cco0 = c_compiles () in
   Jit.clear_loaded ();
-  (* Both lanes must be down: a box with cc but no ocamlfind still arms
-     groups through the C lane, so "nothing armed" needs both gone. *)
-  Jit.set_compiler "functs-definitely-missing-compiler";
   Jit.set_c_compiler "functs-definitely-missing-cc";
   let got, stats =
     Fun.protect
       ~finally:(fun () ->
-        Jit.set_compiler "ocamlfind ocamlopt";
         Jit.set_c_compiler "cc";
         Jit.clear_loaded ())
       (fun () ->
-        let eng = jit_engine ~mode:Jit.Auto fg (args_fn ()) in
-        (Engine.run eng (args_fn ()), Engine.stats eng))
+        let eng = jit_engine fg (args_fn ()) in
+        let got = Engine.run eng (args_fn ()) in
+        (got, Engine.stats eng))
   in
   check "outputs still equal the interpreter" true
     (bitwise_or_epsilon expected got);
-  check_int "no group armed without a toolchain" 0 stats.Scheduler.jit_groups;
+  check_int "no group armed without a compiler" 0 stats.Scheduler.cjit_groups;
   check "every rejected group was recorded as a fallback" true
-    (fallbacks () > fb0);
-  check_int "the missing compiler was never invoked" 0 (compiles () - co0);
-  check_int "the missing C compiler was never invoked" 0
-    (c_compiles () - cco0)
+    (c_fallbacks () > fb0);
+  check_int "the missing compiler was never invoked" 0 (c_compiles () - cco0)
 
-(* --- C lane differential: every workload, FUNCTS_JIT=c vs interpreter --- *)
-
-let test_c_differential () =
-  let c_armed = ref 0 and c_runs = ref 0 and cfb0 = c_fallbacks () in
-  List.iter
-    (fun (w : Workload.t) ->
-      let g, fg, args_fn = functionalized w in
-      let expected = Eval.run g (clone_args (args_fn ())) in
-      let eng = jit_engine ~mode:Jit.C fg (args_fn ()) in
-      let got = Engine.run eng (args_fn ()) in
-      check
-        (Printf.sprintf "%s: C-lane outputs equal the interpreter"
-           w.Workload.name)
-        true
-        (bitwise_or_epsilon expected got);
-      let s = Engine.stats eng in
-      c_armed := !c_armed + s.Scheduler.cjit_groups;
-      c_runs := !c_runs + s.Scheduler.cjit_runs)
-    (Registry.all @ Registry.extensions);
-  if Jit.c_toolchain_available () then begin
-    check "some groups compiled a C kernel" true (!c_armed > 0);
-    check "C kernels actually ran" true (!c_runs > 0)
-  end
-  else begin
-    check_int "no C compiler: no C kernels" 0 !c_armed;
-    check "no C compiler: C fallbacks were recorded" true
-      (c_fallbacks () > cfb0)
-  end
-
-(* --- forced C-compile failure: the group demotes to the OCaml lane --- *)
+(* --- forced C-compile failure: the groups stay on closure kernels --- *)
 
 let test_c_compile_failure_demotion () =
   let w = Result.get_ok (Functs.find_workload "attention") in
   let g, fg, args_fn = functionalized w in
   let expected = Eval.run g (clone_args (args_fn ())) in
   let cfb0 = c_fallbacks () and cco0 = c_compiles () in
+  let broken = fake_compiler "echo 'fake compiler: refusing' >&2\nexit 1" in
   Jit.clear_loaded ();
-  Jit.set_c_compiler "functs-definitely-missing-cc";
+  Jit.set_c_compiler broken;
   let got, stats =
     Fun.protect
       ~finally:(fun () ->
         Jit.set_c_compiler "cc";
-        Jit.clear_loaded ())
+        Jit.clear_loaded ();
+        Sys.remove broken)
       (fun () ->
-        let eng = jit_engine ~mode:Jit.C fg (args_fn ()) in
-        (Engine.run eng (args_fn ()), Engine.stats eng))
+        let eng = jit_engine fg (args_fn ()) in
+        let got = Engine.run eng (args_fn ()) in
+        (got, Engine.stats eng))
   in
   check "outputs still equal the interpreter" true
     (bitwise_or_epsilon expected got);
-  check_int "no C kernel without a C compiler" 0 stats.Scheduler.cjit_groups;
-  check "the C-lane failures were recorded" true (c_fallbacks () > cfb0);
-  check_int "the missing C compiler was never invoked" 0
-    (c_compiles () - cco0);
-  if Jit.toolchain_available () then
-    check "the OCaml lane still armed the groups" true
-      (stats.Scheduler.jit_groups > 0)
+  check_int "no native kernel from a failing compiler" 0
+    stats.Scheduler.cjit_groups;
+  check "the compile failures were recorded" true (c_fallbacks () > cfb0);
+  check_int "no compile succeeded" 0 (c_compiles () - cco0);
+  check "the groups ran their closure kernels" true
+    (stats.Scheduler.kernel_runs > 0)
 
-(* --- C artifact cache: the second "process" is a disk hit --- *)
+(* --- bounded compile: a hung compiler is killed --- *)
+
+let test_hung_compiler_killed () =
+  let w = Result.get_ok (Functs.find_workload "attention") in
+  let g, fg, args_fn = functionalized w in
+  let expected = Eval.run g (clone_args (args_fn ())) in
+  let cfb0 = c_fallbacks () in
+  let hung = fake_compiler "exec sleep 30" in
+  Journal.clear ();
+  Jit.clear_loaded ();
+  Jit.set_c_compiler hung;
+  Jit.set_c_compile_bound 0.5;
+  let t0 = Unix.gettimeofday () in
+  let got, stats =
+    Fun.protect
+      ~finally:(fun () ->
+        Jit.set_c_compile_bound 45.0;
+        Jit.set_c_compiler "cc";
+        Jit.clear_loaded ();
+        Sys.remove hung)
+      (fun () ->
+        let eng = jit_engine fg (args_fn ()) in
+        let got = Engine.run eng (args_fn ()) in
+        (got, Engine.stats eng))
+  in
+  check "prepare returned well before the compiler would have" true
+    (Unix.gettimeofday () -. t0 < 10.);
+  check "outputs still equal the interpreter" true
+    (bitwise_or_epsilon expected got);
+  check_int "nothing armed" 0 stats.Scheduler.cjit_groups;
+  check "the kill ticked jit.c.fallback" true (c_fallbacks () > cfb0);
+  check "the kill was journaled" true
+    (List.exists
+       (fun (e : Journal.entry) ->
+         e.j_kind = Journal.Jit_demote && e.j_site = "jit.c.compile")
+       (Journal.entries ()));
+  check "no lockfile was left behind" true
+    (Array.for_all
+       (fun f -> not (Filename.check_suffix f ".lock"))
+       (try Sys.readdir jit_dir with _ -> [||]))
+
+(* --- artifact cache: the second "process" is a disk hit --- *)
+
+let test_artifact_disk_hit () =
+  if not (Jit.c_toolchain_available ()) then () (* covered by fallback tests *)
+  else begin
+    let w = Result.get_ok (Functs.find_workload "nasrnn") in
+    let _, fg, args_fn = functionalized w in
+    let eng = jit_engine fg (args_fn ()) in
+    ignore (Engine.run eng (args_fn ()));
+    check "cold prepare armed the groups" true
+      ((Engine.stats eng).Scheduler.cjit_groups > 0);
+    (* Forget every in-process table: the next prepare behaves like a
+       fresh process against the same artifact directory. *)
+    Jit.clear_loaded ();
+    let h0 = c_hits () and m0 = c_misses () and co0 = c_compiles () in
+    let eng2 = jit_engine fg (args_fn ()) in
+    ignore (Engine.run eng2 (args_fn ()));
+    check "warm prepare armed the groups too" true
+      ((Engine.stats eng2).Scheduler.cjit_groups > 0);
+    check "the artifact was found on disk" true (c_hits () > h0);
+    check_int "no recompile on the warm path" 0 (c_compiles () - co0);
+    check_int "no cache miss on the warm path" 0 (c_misses () - m0)
+  end
+
+(* --- C artifact cache: one .so per graph, loaded as-is when warm --- *)
 
 let test_c_artifact_disk_hit () =
   if not (Jit.c_toolchain_available ()) then ()
   else begin
-    let w = Result.get_ok (Functs.find_workload "nasrnn") in
-    let _, fg, args_fn = functionalized w in
-    let eng = jit_engine ~mode:Jit.C fg (args_fn ()) in
-    ignore (Engine.run eng (args_fn ()));
-    check "cold prepare compiled C kernels" true
-      ((Engine.stats eng).Scheduler.cjit_groups > 0);
-    Jit.clear_loaded ();
-    let h0 = c_hits () and m0 = c_misses () and co0 = c_compiles () in
-    let eng2 = jit_engine ~mode:Jit.C fg (args_fn ()) in
-    ignore (Engine.run eng2 (args_fn ()));
-    check "warm prepare armed the C kernels too" true
-      ((Engine.stats eng2).Scheduler.cjit_groups > 0);
-    check "the C artifact was found on disk" true (c_hits () > h0);
-    check_int "no C recompile on the warm path" 0 (c_compiles () - co0);
-    check_int "no C cache miss on the warm path" 0 (c_misses () - m0)
+    let dir =
+      Filename.concat
+        (Filename.get_temp_dir_name ())
+        (Printf.sprintf "functs-jit-so-%d" (Unix.getpid ()))
+    in
+    let sos () =
+      List.filter
+        (fun f -> Filename.check_suffix f ".so")
+        (Array.to_list (try Sys.readdir dir with _ -> [||]))
+    in
+    Fun.protect
+      ~finally:(fun () ->
+        Jit.clear_loaded ();
+        (try
+           Array.iter
+             (fun f -> try Sys.remove (Filename.concat dir f) with _ -> ())
+             (Sys.readdir dir)
+         with _ -> ());
+        try Unix.rmdir dir with _ -> ())
+      (fun () ->
+        let w = Result.get_ok (Functs.find_workload "nasrnn") in
+        let _, fg, args_fn = functionalized w in
+        let kernels, shapes = closure_kernels fg (args_fn ()) in
+        Jit.clear_loaded ();
+        let cold = Jit.prepare_groups ~mode:Jit.Auto ~dir ~kernels ~shapes in
+        check "cold prepare armed C kernels" true (cold <> []);
+        let so =
+          match sos () with
+          | [ f ] -> Filename.concat dir f
+          | fs ->
+              Alcotest.failf "expected one .so artifact, found %d"
+                (List.length fs)
+        in
+        let mtime0 = (Unix.stat so).Unix.st_mtime in
+        Jit.clear_loaded ();
+        let h0 = c_hits () and m0 = c_misses () and co0 = c_compiles () in
+        let warm = Jit.prepare_groups ~mode:Jit.Auto ~dir ~kernels ~shapes in
+        check_int "warm prepare armed the same groups" (List.length cold)
+          (List.length warm);
+        check "every warm group has a C kernel" true
+          (List.for_all (fun (_, e) -> Jit.has_c e) warm);
+        check_int "one disk hit for the graph's .so" 1 (c_hits () - h0);
+        check_int "no C recompile on the warm path" 0 (c_compiles () - co0);
+        check_int "no C cache miss on the warm path" 0 (c_misses () - m0);
+        check_int "still one .so artifact" 1 (List.length (sos ()));
+        check "the .so was loaded, not rewritten" true
+          ((Unix.stat so).Unix.st_mtime = mtime0))
   end
 
 (* --- forced fallback: unusable artifact directory --- *)
@@ -238,84 +441,58 @@ let test_fallback_bogus_dir () =
   Fun.protect
     ~finally:(fun () -> try Sys.remove blocker with _ -> ())
     (fun () ->
-      let fb0 = fallbacks () in
+      let fb0 = c_fallbacks () in
       Jit.clear_loaded ();
       let eng =
-        jit_engine ~mode:Jit.Auto ~dir:(Filename.concat blocker "jit") fg
-          (args_fn ())
+        jit_engine ~dir:(Filename.concat blocker "jit") fg (args_fn ())
       in
       let got = Engine.run eng (args_fn ()) in
       Jit.clear_loaded ();
       check "outputs still equal the interpreter" true
         (bitwise_or_epsilon expected got);
       check_int "no group armed in an unusable dir" 0
-        (Engine.stats eng).Scheduler.jit_groups;
-      if Jit.toolchain_available () then
-        check "fallbacks were recorded" true (fallbacks () > fb0))
+        (Engine.stats eng).Scheduler.cjit_groups;
+      check "fallbacks were recorded" true (c_fallbacks () > fb0))
 
-(* --- artifact cache: the second "process" is a disk hit --- *)
-
-let test_artifact_disk_hit () =
-  if not (Jit.toolchain_available ()) then () (* covered by fallback tests *)
-  else begin
-    let w = Result.get_ok (Functs.find_workload "nasrnn") in
-    let _, fg, args_fn = functionalized w in
-    let eng = jit_engine fg (args_fn ()) in
-    ignore (Engine.run eng (args_fn ()));
-    check "cold prepare armed the groups" true
-      ((Engine.stats eng).Scheduler.jit_groups > 0);
-    (* Forget every in-process table: the next prepare behaves like a
-       fresh process against the same artifact directory. *)
-    Jit.clear_loaded ();
-    let h0 = hits () and m0 = misses () and co0 = compiles () in
-    let eng2 = jit_engine fg (args_fn ()) in
-    ignore (Engine.run eng2 (args_fn ()));
-    check "warm prepare armed the groups too" true
-      ((Engine.stats eng2).Scheduler.jit_groups > 0);
-    check "the artifact was found on disk" true (hits () > h0);
-    check_int "no recompile on the warm path" 0 (compiles () - co0);
-    check_int "no cache miss on the warm path" 0 (misses () - m0)
-  end
-
-(* --- hygiene: stale-version artifacts are evicted on first use --- *)
+(* --- hygiene: stale and retired artifacts are evicted on first use --- *)
 
 let test_stale_version_eviction () =
-  if not (Jit.toolchain_available ()) then ()
-  else begin
-    let dir =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "functs-jit-stale-%d" (Unix.getpid ()))
-    in
-    Unix.mkdir dir 0o755;
-    Fun.protect
-      ~finally:(fun () ->
-        (try
-           Array.iter
-             (fun f -> try Sys.remove (Filename.concat dir f) with _ -> ())
-             (Sys.readdir dir)
-         with _ -> ());
-        try Unix.rmdir dir with _ -> ())
-      (fun () ->
-        let stale = Filename.concat dir "functs_jit_v0_deadbeef.cmxs" in
-        let oc = open_out stale in
-        output_string oc "not a plugin";
+  let dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "functs-jit-stale-%d" (Unix.getpid ()))
+  in
+  Unix.mkdir dir 0o755;
+  Fun.protect
+    ~finally:(fun () ->
+      (try
+         Array.iter
+           (fun f -> try Sys.remove (Filename.concat dir f) with _ -> ())
+           (Sys.readdir dir)
+       with _ -> ());
+      try Unix.rmdir dir with _ -> ())
+    (fun () ->
+      let plant name contents =
+        let path = Filename.concat dir name in
+        let oc = open_out path in
+        output_string oc contents;
         close_out oc;
-        let stale_c = Filename.concat dir "functs_cjit_v0_deadbeef.so" in
-        let oc = open_out stale_c in
-        output_string oc "not a shared object";
-        close_out oc;
-        let ev0 = evicted () and cev0 = c_evicted () in
-        Jit.clear_loaded ();
-        let w = Result.get_ok (Functs.find_workload "nasrnn") in
-        let _, fg, args_fn = functionalized w in
-        ignore (jit_engine ~dir fg (args_fn ()));
-        Jit.clear_loaded ();
-        check "the stale artifact is gone" false (Sys.file_exists stale);
-        check "the eviction was counted" true (evicted () > ev0);
-        check "the stale C artifact is gone" false (Sys.file_exists stale_c);
-        check "the C eviction was counted" true (c_evicted () > cev0))
-  end
+        path
+      in
+      let stale_c = plant "functs_cjit_v0_deadbeef.so" "not a shared object" in
+      (* what the retired OCaml lane left behind *)
+      let legacy = plant "functs_jit_v2_deadbeef.cmxs" "not a plugin" in
+      let legacy_lock = plant "functs_jit_v2_deadbeef.cmxs.lock" "" in
+      let ev0 = c_evicted () in
+      Jit.clear_loaded ();
+      let w = Result.get_ok (Functs.find_workload "nasrnn") in
+      let _, fg, args_fn = functionalized w in
+      ignore (jit_engine ~dir fg (args_fn ()));
+      Jit.clear_loaded ();
+      check "the stale C artifact is gone" false (Sys.file_exists stale_c);
+      check "the legacy artifact is gone" false (Sys.file_exists legacy);
+      check "the legacy lockfile is gone" false (Sys.file_exists legacy_lock);
+      check_int "every eviction was counted" 3 (c_evicted () - ev0))
 
 let () =
   Alcotest.run "jit"
@@ -326,16 +503,20 @@ let () =
             test_differential;
           Alcotest.test_case "C lane differential vs interpreter" `Slow
             test_c_differential;
+          Alcotest.test_case "special values bitwise vs interpreter" `Quick
+            test_special_values;
           Alcotest.test_case "fallback: missing toolchain" `Quick
             test_fallback_missing_toolchain;
-          Alcotest.test_case "C compile failure demotes to the OCaml lane"
-            `Quick test_c_compile_failure_demotion;
-          Alcotest.test_case "C artifact cache: warm disk hit" `Quick
-            test_c_artifact_disk_hit;
+          Alcotest.test_case "C compile failure demotes to closure" `Quick
+            test_c_compile_failure_demotion;
+          Alcotest.test_case "hung compiler is killed" `Quick
+            test_hung_compiler_killed;
           Alcotest.test_case "fallback: unusable artifact dir" `Quick
             test_fallback_bogus_dir;
           Alcotest.test_case "artifact cache: warm disk hit" `Quick
             test_artifact_disk_hit;
+          Alcotest.test_case "C artifact cache: warm disk hit" `Quick
+            test_c_artifact_disk_hit;
           Alcotest.test_case "stale-version eviction" `Quick
             test_stale_version_eviction;
         ] );
