@@ -342,12 +342,35 @@ let existing_serve path =
     | Ok (Json.Obj fields) -> List.assoc_opt "serve" fields
     | Ok _ | Error _ -> None
 
+(* The host a result was measured on, so a 2-core sweep is never read as
+   a multicore one (scripts/check.sh skips its scaling gate below 4
+   recommended domains). *)
+let host_json () =
+  let first_line cmd =
+    match Unix.open_process_in (cmd ^ " 2>/dev/null") with
+    | ic ->
+        let line = try String.trim (input_line ic) with End_of_file -> "" in
+        ignore (Unix.close_process_in ic);
+        json_escape line
+    | exception Unix.Unix_error _ -> ""
+  in
+  Printf.sprintf
+    "{ \"nproc\": %d, \"recommended_domain_count\": %d, \"cpu_model\": \
+     \"%s\", \"cc\": \"%s\" }"
+    (Option.value ~default:0 (int_of_string_opt (first_line "nproc")))
+    (Domain.recommended_domain_count ())
+    (first_line "sed -n 's/^model name[[:space:]]*: //p' /proc/cpuinfo")
+    (first_line
+       ((if config.Config.jit_cc = "" then "cc" else config.Config.jit_cc)
+       ^ " --version"))
+
 let write_json path rows (pool_us, spawn_us) =
   let serve = existing_serve path in
   let oc = open_out path in
   let p fmt = Printf.fprintf oc fmt in
   let c = Compiler_profile.cache_snapshot () in
   p "{\n";
+  p "  \"host\": %s,\n" (host_json ());
   p "  \"domains\": %d,\n" config.Config.domains;
   p "  \"loop_grain\": %d,\n" config.Config.loop_grain;
   p "  \"kernel_grain\": %d,\n" config.Config.kernel_grain;
@@ -377,7 +400,7 @@ let write_json path rows (pool_us, spawn_us) =
          \"reduction_loops\": %d, \"batched_loops\": %d, \
          \"loops_pinned_seq\": %d,\n\
         \      \"pool_lanes\": %d, \"pool_dispatches\": %d, \
-         \"pool_steals\": %d, \"pool_inline_runs\": %d, \
+         \"pool_worker_tasks\": %d, \"pool_caller_tasks\": %d, \
          \"pool_seq_fallbacks\": %d,\n\
         \      \"pool_fallbacks\": { \"grain\": %d, \"nested\": %d, \
          \"disabled\": %d } }%s\n"
@@ -391,8 +414,8 @@ let write_json path rows (pool_us, spawn_us) =
         s.Scheduler.last_kernel_runs s.Scheduler.last_parallel_loops
         s.Scheduler.last_reduction_loops s.Scheduler.batched_loops
         s.Scheduler.loops_pinned_seq s.Scheduler.pool_lanes
-        s.Scheduler.pool_dispatches s.Scheduler.pool_steals
-        s.Scheduler.pool_inline_runs s.Scheduler.pool_seq_fallbacks
+        s.Scheduler.pool_dispatches s.Scheduler.pool_worker_tasks
+        s.Scheduler.pool_caller_tasks s.Scheduler.pool_seq_fallbacks
         s.Scheduler.pool_fb_grain s.Scheduler.pool_fb_nested
         s.Scheduler.pool_fb_disabled
         (if i = List.length rows - 1 then "" else ",")
@@ -549,8 +572,8 @@ let run_exec () =
         let sw d = try List.assoc d sweep with Not_found -> nan in
         (* Scaling monotonicity gate: adding lanes must never cost more
            than 10% over the 2-lane time — a d4 regression means the
-           runtime is burning the extra lanes on dispatch or steal
-           overhead instead of work. *)
+           runtime is burning the extra lanes on dispatch overhead
+           instead of work. *)
         let d2 = sw 2 and d4 = sw 4 in
         if Float.is_finite d2 && Float.is_finite d4 && d4 > 1.1 *. d2
         then begin

@@ -231,10 +231,10 @@ let run_exec (w : Workload.t) (profile : Compiler_profile.t) batch seq =
       (Jit.mode_to_string config.Config.jit)
       s.Scheduler.cjit_groups s.Scheduler.cjit_runs s.Scheduler.jit_fallbacks;
     Printf.printf
-      "domains    : %d lanes, %d dispatches, %d steals, %d inline, %d \
-       sequential (grain=%d nested=%d disabled=%d)\n"
+      "domains    : %d lanes, %d dispatches, %d worker tasks, %d caller \
+       tasks, %d sequential (grain=%d nested=%d disabled=%d)\n"
       s.Scheduler.pool_lanes s.Scheduler.pool_dispatches
-      s.Scheduler.pool_steals s.Scheduler.pool_inline_runs
+      s.Scheduler.pool_worker_tasks s.Scheduler.pool_caller_tasks
       s.Scheduler.pool_seq_fallbacks s.Scheduler.pool_fb_grain
       s.Scheduler.pool_fb_nested s.Scheduler.pool_fb_disabled;
     let c = Compiler_profile.cache_snapshot () in

@@ -20,9 +20,10 @@ let data (t : Tensor.t) = Storage.data t.Tensor.storage
    engine's persistent domain pool.  Every parallelized operator writes
    each output element from exactly one chunk and accumulates per element
    in the reference order, so results stay bitwise identical to
-   sequential execution.  [set_parallel] is (re)bound by [Scheduler.run];
-   nested dispatch from a pool worker degrades to sequential inside
-   {!Pool.parallel_for}. *)
+   sequential execution.  [set_parallel] is (re)bound by every
+   [Scheduler.run]; a session shard running another engine may rebind it
+   mid-run, which changes only which pool chunks a kernel, never the
+   result.  A dispatch that finds the pool busy runs sequentially. *)
 
 let par_pool : Pool.t option ref = ref None
 let par_grain = ref 8192

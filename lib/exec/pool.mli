@@ -1,37 +1,37 @@
-(** Persistent work-stealing pool of OCaml [Domain]s for the execution
-    engine.
+(** Persistent pool of OCaml [Domain]s for the execution engine, running
+    one job at a time.
 
     [Domain.spawn] costs tens of microseconds per domain — paying it on
     every parallel-loop dispatch swamps the work for all but the largest
     loops.  A pool spawns its worker domains once and parks them on a
-    condition variable.  A dispatch splits the range into cache-sized
-    tasks pushed onto the dispatcher's own Chase–Lev deque: the
-    dispatcher pops them LIFO (the hot, cache-warm end) while idle
-    workers steal FIFO from the far end, so skewed iteration costs
-    rebalance dynamically instead of leaving lanes idle behind a static
+    condition variable.  A dispatch publishes one job: the range cut into
+    cache-sized tasks, and a single shared counter.  The dispatcher and
+    every woken worker claim task indices from that counter with
+    [Atomic.fetch_and_add] until none are left, so a lane that finishes
+    early simply claims the next task and skewed iteration costs
+    rebalance instead of leaving lanes idle behind a static
     one-chunk-per-lane split.
 
     Task granularity is cache-aware: with a [bytes_per_iter] hint, each
     task covers roughly {!chunk_bytes} of memory traffic (probed once
     from cpu0's L2 in sysfs, overridable via {!set_chunk_bytes} —
     [Config.of_env] wires [FUNCTS_CHUNK_BYTES] to it), floored by the
-    caller's [grain] and capped so every lane still sees several
-    stealable tasks.
+    caller's [grain] and capped so every lane still sees several tasks
+    to claim.
 
     Invariants:
 
     - {!parallel_for} always executes the whole range, parallel or not,
       and partitions are disjoint — callers relying on disjoint writes
       for determinism get bitwise-identical results either way;
-    - completion never depends on the workers: the dispatcher drains its
-      own deque, steals what it can, and blocks only when every
-      remaining task is claimed by a running domain, so dispatch cannot
-      deadlock even with zero workers awake;
-    - nested dispatch is depth-limited: a [parallel_for] issued from
-      inside a task body dispatches only when the enclosing dispatch
-      under-subscribed the lanes (fewer tasks than lanes) and the
-      nesting depth is below two; otherwise it runs sequentially
-      (counted in {!fallback_nested});
+    - completion never depends on the workers: the dispatcher claims
+      tasks like any lane and blocks only once every task is claimed and
+      some still run on a worker, so dispatch cannot deadlock even with
+      zero workers awake;
+    - one job at a time: a [parallel_for] issued while the pool is
+      running a job — from inside a task body, or from another domain
+      dispatching concurrently — runs its whole range sequentially on
+      its caller (counted in {!fallback_nested});
     - an exception in any task is captured, every other task still
       completes (workers are never left wedged), and the first exception
       re-raises on the dispatcher after the join. *)
@@ -53,20 +53,16 @@ val shared : lanes:int -> t
 val lanes : t -> int
 (** Total lanes including the caller (after any degraded spawn). *)
 
-val on_worker : unit -> bool
-(** Is the current domain one of {e any} pool's workers? *)
-
 val parallel_for :
   ?bytes_per_iter:int -> t -> grain:int -> n:int -> (int -> int -> unit) -> bool
 (** [parallel_for t ~grain ~n body] covers [\[0, n)] with disjoint
     [body lo hi] tasks.  [bytes_per_iter] (approximate memory traffic of
     one iteration, 0 = unknown) drives the cache-aware task size; [grain]
     is a hard floor on iterations per task.  The range is dispatched as
-    stealable tasks only when at least two tasks exist, the pool is live
-    with two or more lanes, and the nested-dispatch rule admits it;
-    otherwise the whole range runs as [body 0 n] on the caller.  Empty
-    tasks are never created.  Returns [true] iff the range was split
-    into stealable tasks.
+    a job only when at least two tasks exist, the pool is live with two
+    or more lanes, and no other job is running; otherwise the whole range
+    runs as [body 0 n] on the caller.  Empty tasks are never created.
+    Returns [true] iff the range was split into tasks.
     @raise exn the first exception raised by any task, after all tasks
     have finished. *)
 
@@ -85,27 +81,27 @@ val chunk_bytes : unit -> int
     back to a quarter of L3, then 256 KiB). *)
 
 val dispatches : t -> int
-(** Dispatches that split the range into stealable tasks. *)
+(** Dispatches that split the range into tasks. *)
 
 val seq_fallbacks : t -> int
-(** [parallel_for] calls that ran sequentially (below grain, nested
-    without under-subscription, single lane, or after shutdown).  Always
+(** [parallel_for] calls that ran sequentially (below grain, issued
+    while a job was running, single lane, or after shutdown).  Always
     equals [fallback_grain + fallback_nested + fallback_disabled]. *)
 
 val fallback_grain : t -> int
 (** Sequential because fewer than two tasks existed. *)
 
 val fallback_nested : t -> int
-(** Sequential because the caller was already inside a task body (and
-    the enclosing dispatch did not under-subscribe the lanes, or the
-    depth limit was hit), or because another external domain was
-    concurrently dispatching. *)
+(** Sequential because the pool was already running a job: the caller
+    was inside a task body, or another domain was dispatching
+    concurrently. *)
 
 val fallback_disabled : t -> int
 (** Sequential because the pool has a single lane or was shut down. *)
 
-val steals : t -> int
-(** Tasks executed by a domain other than their dispatcher. *)
+val worker_tasks : t -> int
+(** Tasks executed by a worker domain. *)
 
-val inline_runs : t -> int
-(** Tasks executed by their own dispatcher (LIFO pops of its deque). *)
+val caller_tasks : t -> int
+(** Tasks executed by their own dispatcher.  Every dispatch adds its task
+    count to [worker_tasks + caller_tasks]. *)

@@ -198,8 +198,8 @@ type prepared = {
   mutable s_pool_fb_grain : int;
   mutable s_pool_fb_nested : int;
   mutable s_pool_fb_disabled : int;
-  mutable s_pool_steals : int;
-  mutable s_pool_inline_runs : int;
+  mutable s_pool_worker_tasks : int;
+  mutable s_pool_caller_tasks : int;
 }
 
 (* --- per-run state --- *)
@@ -940,9 +940,8 @@ and exec_batched_loop rs ~scope (inst : inst) (bi : binst) (lp : lplan) trip
 
 (* --- preparation --- *)
 
-let prepare ~profile ~parallel ~domains ~pool:exec_pool ~loop_grain
-    ~kernel_grain ~jit ~jit_dir ~graph ~shapes ~plan =
-  ignore profile;
+let prepare ~parallel ~domains ~pool:exec_pool ~loop_grain ~kernel_grain ~jit
+    ~jit_dir ~graph ~shapes ~plan =
   Metrics.incr prepares_c;
   Tracer.span_args "scheduler.prepare"
     ~args:(fun () -> [ ("graph", graph.Graph.g_name) ])
@@ -1291,8 +1290,8 @@ let prepare ~profile ~parallel ~domains ~pool:exec_pool ~loop_grain
     s_pool_fb_grain = 0;
     s_pool_fb_nested = 0;
     s_pool_fb_disabled = 0;
-    s_pool_steals = 0;
-    s_pool_inline_runs = 0;
+    s_pool_worker_tasks = 0;
+    s_pool_caller_tasks = 0;
   }
 
 let output_shapes p = p.p_out_shapes
@@ -1301,15 +1300,15 @@ let run p args =
   Metrics.incr runs_c;
   incr run_epoch;
   (* Snapshot the shared pool's cumulative counters so this run's traffic
-     can be attributed to this engine alone (engines never run
-     concurrently within a process, so the delta is exact). *)
+     can be attributed to this engine.  While session shards run other
+     engines on other domains, the delta may include their traffic. *)
   let disp0 = Pool.dispatches p.p_exec_pool
   and seq0 = Pool.seq_fallbacks p.p_exec_pool
   and fbg0 = Pool.fallback_grain p.p_exec_pool
   and fbn0 = Pool.fallback_nested p.p_exec_pool
   and fbd0 = Pool.fallback_disabled p.p_exec_pool
-  and st0 = Pool.steals p.p_exec_pool
-  and il0 = Pool.inline_runs p.p_exec_pool in
+  and wt0 = Pool.worker_tasks p.p_exec_pool
+  and ct0 = Pool.caller_tasks p.p_exec_pool in
   let kr0 = p.s_kernel_runs
   and cr0 = p.s_cjit_runs
   and pl0 = p.s_parallel_loops
@@ -1325,9 +1324,10 @@ let run p args =
         p.s_pool_fb_nested + Pool.fallback_nested p.p_exec_pool - fbn0;
       p.s_pool_fb_disabled <-
         p.s_pool_fb_disabled + Pool.fallback_disabled p.p_exec_pool - fbd0;
-      p.s_pool_steals <- p.s_pool_steals + Pool.steals p.p_exec_pool - st0;
-      p.s_pool_inline_runs <-
-        p.s_pool_inline_runs + Pool.inline_runs p.p_exec_pool - il0;
+      p.s_pool_worker_tasks <-
+        p.s_pool_worker_tasks + Pool.worker_tasks p.p_exec_pool - wt0;
+      p.s_pool_caller_tasks <-
+        p.s_pool_caller_tasks + Pool.caller_tasks p.p_exec_pool - ct0;
       p.s_last_kernel_runs <- p.s_kernel_runs - kr0;
       p.s_last_cjit_runs <- p.s_cjit_runs - cr0;
       p.s_last_parallel_loops <- p.s_parallel_loops - pl0;
@@ -1337,8 +1337,8 @@ let run p args =
     ~args:(fun () -> [ ("graph", p.p_graph.Graph.g_name) ])
   @@ fun () ->
   (* Rebind the kernel-library chunker to this engine's pool for the whole
-     invocation; engines never run concurrently within a process, so a
-     plain ref is enough. *)
+     invocation (a process-wide ref: a session shard on another domain
+     may rebind it mid-run, which never changes a result; see Fastops). *)
   Fastops.set_parallel
     (if p.p_parallel then Some p.p_exec_pool else None)
     ~grain:p.p_kernel_grain;
@@ -1403,8 +1403,8 @@ type stats = {
   pool_fb_grain : int;
   pool_fb_nested : int;
   pool_fb_disabled : int;
-  pool_steals : int;
-  pool_inline_runs : int;
+  pool_worker_tasks : int;
+  pool_caller_tasks : int;
 }
 
 let stats p =
@@ -1449,8 +1449,8 @@ let stats p =
     pool_fb_grain = p.s_pool_fb_grain;
     pool_fb_nested = p.s_pool_fb_nested;
     pool_fb_disabled = p.s_pool_fb_disabled;
-    pool_steals = p.s_pool_steals;
-    pool_inline_runs = p.s_pool_inline_runs;
+    pool_worker_tasks = p.s_pool_worker_tasks;
+    pool_caller_tasks = p.s_pool_caller_tasks;
   }
 
 (* --- kernel-group wall-time attribution ---

@@ -36,7 +36,6 @@ open Functs_interp
 type prepared
 
 val prepare :
-  profile:Compiler_profile.t ->
   parallel:bool ->
   domains:int ->
   pool:Pool.t ->
@@ -100,21 +99,22 @@ type stats = {
       (** parallel_for calls that went to workers, {e during this
           engine's runs} — the shared pool's cumulative counters are
           snapshotted at each run's boundaries and only the deltas are
-          accumulated, so engines sharing the pool don't contaminate
-          each other's numbers *)
+          accumulated, so engines that take turns on the pool don't
+          contaminate each other's numbers (engines running at the same
+          time on session shards still may) *)
   pool_seq_fallbacks : int;
       (** parallel_for calls run sequentially during this engine's runs
           (same per-engine delta accounting); always the sum of the three
           reason splits below *)
   pool_fb_grain : int;  (** sequential: fewer than two grain-sized chunks *)
-  pool_fb_nested : int;  (** sequential: caller was itself a pool worker *)
+  pool_fb_nested : int;
+      (** sequential: the pool was already running a job (a task body
+          or another domain's dispatch) *)
   pool_fb_disabled : int;  (** sequential: single lane or shut down *)
-  pool_steals : int;
-      (** tasks executed by a domain other than the one that pushed
-          them (same per-engine delta accounting) *)
-  pool_inline_runs : int;
-      (** tasks the dispatching domain ran itself — its own deque plus
-          stolen-back work while waiting *)
+  pool_worker_tasks : int;
+      (** tasks executed by a pool worker domain (same per-engine delta
+          accounting) *)
+  pool_caller_tasks : int;  (** tasks the dispatching domain ran itself *)
 }
 
 val stats : prepared -> stats

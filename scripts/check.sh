@@ -75,7 +75,7 @@ fi
 # The committed benchmark results must carry the JIT column and keep the
 # serve-bench member a full exec rewrite is required to preserve.
 echo "== BENCH_exec.json members =="
-for member in '"jit_ms"' '"serve"' '"pool_steals"' '"pool_inline_runs"'; do
+for member in '"jit_ms"' '"serve"' '"pool_worker_tasks"' '"pool_caller_tasks"'; do
   grep -q "$member" BENCH_exec.json || {
     echo "error: BENCH_exec.json is missing the $member member" >&2
     exit 1
@@ -84,27 +84,40 @@ done
 
 # Scaling monotonicity: going from 2 to 4 lanes must never cost a
 # workload more than 10% — a d4 regression means the pool burns the
-# extra lanes on dispatch/steal overhead instead of work.
+# extra lanes on dispatch overhead instead of work.  The gate only means
+# something when the results were recorded on a host with at least 4
+# cores: it skips, saying why, when BENCH_exec.json's "host" member
+# records fewer, and still runs when the file has no "host" member.
 echo "== BENCH_exec.json scaling gate (d4 <= 1.1 x d2) =="
 if command -v python3 >/dev/null 2>&1; then
   python3 - <<'EOF' || { echo "error: BENCH_exec.json fails the d4-vs-d2 scaling gate" >&2; exit 1; }
 import json
 d = json.load(open("BENCH_exec.json"))
-bad = [
-    (w["name"], w["sweep"]["d2_ms"], w["sweep"]["d4_ms"])
-    for w in d["workloads"]
-    if w["sweep"]["d4_ms"] > 1.1 * w["sweep"]["d2_ms"]
-]
-for name, d2, d4 in bad:
-    print(f"  {name}: d4 {d4:.3f} ms > 1.1 x d2 {d2:.3f} ms")
-assert not bad
+cores = d.get("host", {}).get("recommended_domain_count", 4)
+if cores < 4:
+    print(f"  skipped: recorded on a host with recommended_domain_count = {cores} < 4;"
+          " d4 vs d2 measures the host there, not the pool")
+else:
+    bad = [
+        (w["name"], w["sweep"]["d2_ms"], w["sweep"]["d4_ms"])
+        for w in d["workloads"]
+        if w["sweep"]["d4_ms"] > 1.1 * w["sweep"]["d2_ms"]
+    ]
+    for name, d2, d4 in bad:
+        print(f"  {name}: d4 {d4:.3f} ms > 1.1 x d2 {d2:.3f} ms")
+    assert not bad
 EOF
 elif command -v jq >/dev/null 2>&1; then
-  jq -e '[.workloads[] | select(.sweep.d4_ms > 1.1 * .sweep.d2_ms)] == []' \
-    BENCH_exec.json >/dev/null || {
-    echo "error: BENCH_exec.json fails the d4-vs-d2 scaling gate (jq)" >&2
-    exit 1
-  }
+  cores=$(jq '.host.recommended_domain_count // 4' BENCH_exec.json)
+  if [ "$cores" -lt 4 ]; then
+    echo "  skipped: recorded on a host with recommended_domain_count = $cores < 4"
+  else
+    jq -e '[.workloads[] | select(.sweep.d4_ms > 1.1 * .sweep.d2_ms)] == []' \
+      BENCH_exec.json >/dev/null || {
+      echo "error: BENCH_exec.json fails the d4-vs-d2 scaling gate (jq)" >&2
+      exit 1
+    }
+  fi
 else
   echo "warning: neither python3 nor jq available; skipping scaling gate" >&2
 fi

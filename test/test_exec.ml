@@ -105,9 +105,9 @@ let test_pool_nested () =
   ignore
     (Pool.parallel_for pool ~grain:1 ~n:4 (fun lo hi ->
          for i = lo to hi - 1 do
-           (* a dispatch from a worker must degrade to sequential; one from
-              the caller while the worker is busy must run inline — either
-              way no deadlock and every element exactly once *)
+           (* a dispatch from inside a task finds the pool busy and runs
+              sequentially on that task's lane — no deadlock, and every
+              element exactly once *)
            ignore
              (Pool.parallel_for pool ~grain:1 ~n:4 (fun l h ->
                   for j = l to h - 1 do
@@ -171,11 +171,12 @@ let test_pool_shutdown_joins () =
   check "post-shutdown dispatch degrades to sequential" false went_parallel;
   check_int "and still executes the whole range" 8 !covered
 
-(* Multi-producer steal contention: an under-subscribed outer dispatch
-   lets every task nested-dispatch, so up to four deques carry tasks at
-   once and idle lanes steal across all of them.  Every (outer, inner)
-   pair must run exactly once, and the steal/inline counters must
-   account for the traffic. *)
+(* Task-claim contention: a 3-task outer dispatch whose task bodies
+   nest a 1365-iteration inner range (run sequentially: the pool is
+   busy), then
+   a flat 171-task dispatch on which every lane races for the shared
+   claim counter.  Every index must run exactly once, and each dispatch
+   must add exactly its task count to worker_tasks + caller_tasks. *)
 let test_pool_steal_stress () =
   let pool = Pool.create ~lanes:4 in
   Pool.set_chunk_bytes 64;
@@ -184,9 +185,10 @@ let test_pool_steal_stress () =
       Pool.set_chunk_bytes 0;
       Pool.shutdown pool)
     (fun () ->
+      let tasks () = Pool.worker_tasks pool + Pool.caller_tasks pool in
       let outer = 3 and inner = 1365 in
       let hits = Array.init outer (fun _ -> Array.make inner 0) in
-      let steals0 = Pool.steals pool and inline0 = Pool.inline_runs pool in
+      let tasks0 = tasks () and nested0 = Pool.fallback_nested pool in
       for _ = 1 to 5 do
         Array.iter (fun row -> Array.fill row 0 inner 0) hits;
         ignore
@@ -202,8 +204,78 @@ let test_pool_steal_stress () =
         check "steal stress: every index exactly once" true
           (Array.for_all (Array.for_all (fun v -> v = 1)) hits)
       done;
-      check "steal stress: tasks were executed and counted" true
-        (Pool.steals pool - steals0 + (Pool.inline_runs pool - inline0) > 0))
+      check_int "steal stress: one task per outer index" (5 * outer)
+        (tasks () - tasks0);
+      check_int "steal stress: every inner range ran nested" (5 * outer)
+        (Pool.fallback_nested pool - nested0);
+      let flat = Array.make inner 0 in
+      let tasks1 = tasks () and disp1 = Pool.dispatches pool in
+      check "steal stress: flat range dispatches" true
+        (Pool.parallel_for pool ~bytes_per_iter:8 ~grain:1 ~n:inner
+           (fun l h ->
+             for j = l to h - 1 do
+               flat.(j) <- flat.(j) + 1
+             done));
+      check "steal stress: flat range covered exactly once" true
+        (Array.for_all (fun v -> v = 1) flat);
+      check_int "steal stress: one dispatch" 1 (Pool.dispatches pool - disp1);
+      (* 64-byte budget / 8 bytes per iteration = 8-iteration tasks *)
+      check_int "steal stress: every task counted once"
+        ((inner + 7) / 8) (tasks () - tasks1))
+
+(* One job at a time across domains: three non-worker domains dispatch
+   on the same 2-lane pool at once.  Whoever finds the pool busy runs its
+   range sequentially (counted as nested); every index of every call
+   still runs exactly once, nothing deadlocks, and the task bodies of two
+   dispatched calls never interleave (their stamp windows on one global
+   counter are disjoint). *)
+let test_pool_concurrent_dispatchers () =
+  let pool = Pool.create ~lanes:2 in
+  Fun.protect
+    ~finally:(fun () -> Pool.shutdown pool)
+    (fun () ->
+      let callers = 3 and calls = 200 and n = 64 in
+      let stamp = Atomic.make 0 in
+      let disp0 = Pool.dispatches pool
+      and nested0 = Pool.fallback_nested pool
+      and grain0 = Pool.fallback_grain pool in
+      (* (covered exactly once, stamp windows of the dispatched calls) *)
+      let caller () =
+        let ok = ref true and windows = ref [] in
+        for _ = 1 to calls do
+          let hits = Array.make n 0 in
+          let first = Array.make n max_int and last = Array.make n 0 in
+          let went =
+            Pool.parallel_for pool ~grain:1 ~n (fun lo hi ->
+                first.(lo) <- Atomic.fetch_and_add stamp 1;
+                for i = lo to hi - 1 do
+                  hits.(i) <- hits.(i) + 1
+                done;
+                last.(lo) <- Atomic.fetch_and_add stamp 1)
+          in
+          if not (Array.for_all (fun v -> v = 1) hits) then ok := false;
+          if went then
+            windows :=
+              (Array.fold_left min max_int first, Array.fold_left max 0 last)
+              :: !windows
+        done;
+        (!ok, !windows)
+      in
+      let doms = List.init callers (fun _ -> Domain.spawn caller) in
+      let results = List.map Domain.join doms in
+      check "every index of every call ran exactly once" true
+        (List.for_all fst results);
+      let windows = List.sort compare (List.concat_map snd results) in
+      let rec disjoint = function
+        | (_, e1) :: ((s2, _) :: _ as rest) -> e1 < s2 && disjoint rest
+        | _ -> true
+      in
+      check "dispatched calls never overlap" true (disjoint windows);
+      check_int "no call fell below the grain" 0
+        (Pool.fallback_grain pool - grain0);
+      check_int "dispatches + nested fallbacks = calls that split"
+        (callers * calls)
+        (Pool.dispatches pool - disp0 + (Pool.fallback_nested pool - nested0)))
 
 (* Range-coverage property at the grain edges, under a chunk budget
    small enough that the cost model, not the lane count, decides the
@@ -240,18 +312,19 @@ let test_pool_grain_edges () =
             (Array.for_all (fun v -> v = 1) (Array.sub hits 0 n)))
         cases)
 
-(* Depth-limited nesting: tasks of an under-subscribed dispatch may
-   dispatch again (the pool has idle lanes to offer), but depth 2 always
-   degrades to sequential. *)
+(* One job at a time: tasks of an under-subscribed dispatch (fewer tasks
+   than lanes) find the pool busy, so their inner dispatches run
+   sequentially on the task's lane — and so does anything nested deeper. *)
 let test_pool_nested_undersubscribed () =
   let pool = Pool.create ~lanes:4 in
   Fun.protect
     ~finally:(fun () -> Pool.shutdown pool)
     (fun () ->
-      let inner_went = Array.make 2 false in
+      let inner_went = Array.make 2 true in
       let deep_went = ref false in
       let hits = Array.make 128 0 in
-      ignore
+      let nested0 = Pool.fallback_nested pool in
+      check "outer range dispatches" true
         (Pool.parallel_for pool ~grain:1 ~n:2 (fun lo hi ->
              for i = lo to hi - 1 do
                inner_went.(i) <-
@@ -263,9 +336,11 @@ let test_pool_nested_undersubscribed () =
                        then deep_went := true
                      done)
              done));
-      check "under-subscribed outer lets both tasks dispatch" true
-        (Array.for_all (fun b -> b) inner_went);
-      check "depth-2 dispatch degrades to sequential" false !deep_went;
+      check "inner dispatches run sequentially" false
+        (Array.exists (fun b -> b) inner_went);
+      check "deeper dispatches run sequentially" false !deep_went;
+      check_int "every nested call counted as nested" (2 + 128)
+        (Pool.fallback_nested pool - nested0);
       check "nested ranges covered exactly once" true
         (Array.for_all (fun v -> v = 1) hits))
 
@@ -577,9 +652,9 @@ let test_batched_bitwise () =
   let state = Random.State.make [| 99 |] in
   let x = T.rand state [| 12; 16 |] in
   let args trip () = [ Value.Tensor (T.clone x) ; Value.Int trip ] in
-  (* A tiny per-task cache budget forces many stealable tasks, so these
-     gates exercise the work-stealing path, not just the two-chunk
-     split. *)
+  (* A tiny per-task cache budget forces many tasks, so these gates
+     exercise lanes racing for the shared claim counter, not just the
+     two-chunk split. *)
   Pool.set_chunk_bytes 256;
   Fun.protect ~finally:(fun () -> Pool.set_chunk_bytes 0)
   @@ fun () ->
@@ -679,6 +754,8 @@ let () =
             test_pool_grain_edges;
           Alcotest.test_case "nested under-subscribed dispatch" `Quick
             test_pool_nested_undersubscribed;
+          Alcotest.test_case "concurrent external dispatchers" `Quick
+            test_pool_concurrent_dispatchers;
         ] );
       ( "cache",
         [
