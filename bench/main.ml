@@ -3,8 +3,9 @@
    stages behind each figure with Bechamel (one Test.make per figure).
 
    The [exec] target instead measures wall-clock execution: every workload
-   through the reference interpreter, the fused engine, and the fused
-   engine with horizontal loop parallelization, reporting the ratios.
+   through the reference interpreter, the sequential fused engine, its
+   native-JIT arm, and the iteration-batched engine at 1, 2 and 4 lanes,
+   reporting the ratios.
 
    Usage:
      dune exec bench/main.exe [-- fig5|fig6|fig7|fig8|headline|ablation|micro|exec]
@@ -308,7 +309,6 @@ type wrow = {
   r_interp : float;
   r_fused : float;
   r_jit : float;
-  r_par : float;
   r_sweep : (int * float) list; (* domains -> best wall-clock *)
   r_cold : float;
   r_warm : float;
@@ -389,10 +389,8 @@ let write_json path rows (pool_us, spawn_us) =
       let sj = r.r_jit_stats in
       p
         "    { \"name\": \"%s\", \"batch\": %d, \"seq\": %d,\n\
-        \      \"interp_ms\": %.4f, \"fused_ms\": %.4f, \"jit_ms\": %.4f, \
-         \"fused_parallel_ms\": %.4f,\n\
-        \      \"fused_speedup\": %.3f, \"jit_speedup\": %.3f, \
-         \"parallel_speedup\": %.3f,\n\
+        \      \"interp_ms\": %.4f, \"fused_ms\": %.4f, \"jit_ms\": %.4f,\n\
+        \      \"fused_speedup\": %.3f, \"jit_speedup\": %.3f,\n\
         \      \"jit_groups\": %d, \"jit_runs\": %d, \"jit_fallbacks\": %d,\n\
         \      \"sweep\": { %s },\n\
         \      \"prepare_cold_ms\": %.4f, \"prepare_warm_ms\": %.6f,\n\
@@ -405,10 +403,9 @@ let write_json path rows (pool_us, spawn_us) =
         \      \"pool_fallbacks\": { \"grain\": %d, \"nested\": %d, \
          \"disabled\": %d } }%s\n"
         (json_escape r.r_name) r.r_batch r.r_seq (1e3 *. r.r_interp)
-        (1e3 *. r.r_fused) (1e3 *. r.r_jit) (1e3 *. r.r_par)
+        (1e3 *. r.r_fused) (1e3 *. r.r_jit)
         (r.r_interp /. Float.max 1e-9 r.r_fused)
         (r.r_fused /. Float.max 1e-9 r.r_jit)
-        (r.r_interp /. Float.max 1e-9 r.r_par)
         sj.Scheduler.cjit_groups sj.Scheduler.last_cjit_runs
         sj.Scheduler.jit_fallbacks sweep (1e3 *. r.r_cold) (1e3 *. r.r_warm)
         s.Scheduler.last_kernel_runs s.Scheduler.last_parallel_loops
@@ -457,11 +454,11 @@ let run_exec () =
     print_endline "Execution engine smoke check (no timing):"
   else begin
     print_endline
-      "Execution engine: interpreter vs fused vs fused+parallel (best \
-       wall-clock per run; d1/d2/d4 sweep the worker-domain count)";
-    Printf.printf "  %-10s %11s %11s %11s %11s %8s %8s %8s %9s %9s %9s\n"
-      "workload" "interp(ms)" "fused(ms)" "jit(ms)" "par(ms)" "fused x"
-      "jit x" "par x" "d1(ms)" "d2(ms)" "d4(ms)"
+      "Execution engine: interpreter vs sequential fused vs batched (best \
+       wall-clock per run; d1/d2/d4 batch at 1/2/4 worker lanes)";
+    Printf.printf "  %-10s %11s %11s %11s %8s %8s %9s %9s %9s\n"
+      "workload" "interp(ms)" "seq(ms)" "jit(ms)" "seq x" "jit x" "d1(ms)"
+      "d2(ms)" "d4(ms)"
   end;
   List.iter
     (fun (w : Workload.t) ->
@@ -507,10 +504,10 @@ let run_exec () =
           sj.Scheduler.cjit_groups
       end
       else begin
-        (* Worker-domain sweep: same engine configuration at 1/2/4 lanes.
-           domains=1 takes the sequential per-iteration path (the batch
-           gate requires at least two lanes), so d1 vs d2/d4 isolates the
-           iteration-batching win. *)
+        (* Worker-lane sweep: the batched engine at 1/2/4 lanes.  Every
+           lane count runs the same loop plan, so the sequential column
+           vs d1 isolates the iteration-batching win and d1 vs d2/d4 the
+           dispatch across lanes. *)
         let sweep_engines =
           List.map
             (fun d ->
@@ -552,7 +549,6 @@ let run_exec () =
                ([
                   (fun () -> ignore (Engine.run eng args));
                   (fun () -> ignore (Engine.run engj args));
-                  (fun () -> ignore (Engine.run engp args));
                 ]
                @ List.map
                    (fun (_, e) () -> ignore (Engine.run e args))
@@ -560,9 +556,8 @@ let run_exec () =
         in
         let t_fused = meds.(0) in
         let t_jit = meds.(1) in
-        let t_par = meds.(2) in
         let sweep =
-          List.mapi (fun i (d, _) -> (d, meds.(3 + i))) sweep_engines
+          List.mapi (fun i (d, _) -> (d, meds.(2 + i))) sweep_engines
         in
         (* Re-measure prepare now that timing runs warmed everything: the
            first prepare above also paid kernel auto-tuning samples. *)
@@ -583,11 +578,10 @@ let run_exec () =
             w.name (1e3 *. d4) (1e3 *. d2)
         end;
         Printf.printf
-          "  %-10s %11.3f %11.3f %11.3f %11.3f %8.2f %8.2f %8.2f %9.3f \
-           %9.3f %9.3f\n"
+          "  %-10s %11.3f %11.3f %11.3f %8.2f %8.2f %9.3f %9.3f %9.3f\n"
           w.name (1e3 *. t_interp) (1e3 *. t_fused) (1e3 *. t_jit)
-          (1e3 *. t_par) (t_interp /. t_fused) (t_interp /. t_jit)
-          (t_interp /. t_par) (1e3 *. sw 1) (1e3 *. sw 2) (1e3 *. sw 4);
+          (t_interp /. t_fused) (t_interp /. t_jit) (1e3 *. sw 1)
+          (1e3 *. sw 2) (1e3 *. sw 4);
         rows :=
           {
             r_name = w.name;
@@ -596,7 +590,6 @@ let run_exec () =
             r_interp = t_interp;
             r_fused = t_fused;
             r_jit = t_jit;
-            r_par = t_par;
             r_sweep = sweep;
             r_cold = t_cold;
             r_warm = t_warm;

@@ -59,7 +59,7 @@ let build ~profile ~parallel ~domains ~loop_grain ~kernel_grain ~jit ~jit_dir
       in
       let pool = Pool.shared ~lanes:domains in
       let prepared =
-        Scheduler.prepare ~parallel ~domains ~pool ~loop_grain ~kernel_grain
+        Scheduler.prepare ~parallel ~pool ~loop_grain ~kernel_grain
           ~jit ~jit_dir ~graph:g ~shapes ~plan
       in
       { e_graph = g; e_prepared = prepared; e_lock = Mutex.create () })

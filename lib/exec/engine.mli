@@ -29,12 +29,13 @@ val prepare :
   inputs:Shape_infer.shape option list ->
   t
 (** [profile] defaults to {!Compiler_profile.tensorssa}; [parallel]
-    (default [true]) enables horizontal loop dispatch; [domains] defaults
-    to [Domain.recommended_domain_count ()].  Worker domains come from a
-    process-wide {!Pool.shared} pool, created once per lane count and
-    reused by every engine.  [loop_grain] (default 2) is the minimum trip
-    count before a horizontal loop dispatches in parallel; [kernel_grain]
-    (default 8192) the element threshold for intra-kernel chunking.
+    (default [true]) batches the loops {!Loop_par} clears and dispatches
+    work across the pool, [false] gives the sequential reference engine;
+    [domains] defaults to [Domain.recommended_domain_count ()], the lanes
+    of a process-wide {!Pool.shared} pool reused by every engine.
+    [loop_grain] (default 2) is the minimum trip count before a loop
+    runs batched; [kernel_grain] (default 8192) the element threshold
+    for intra-kernel chunking.
     [inputs] are shape hints for the graph parameters ([None] for
     scalars), as for {!Shape_infer.infer}.
 

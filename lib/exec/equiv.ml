@@ -18,6 +18,7 @@ let check_graph ~name (g : Graph.t) ~args_fn =
   let legs =
     [
       ("exec", Engine.prepare ~parallel:false fg ~inputs);
+      ("exec-d1", Engine.prepare ~parallel:true ~domains:1 fg ~inputs);
       (* two domains even on small hosts, so Domain dispatch is exercised *)
       ("exec-par", Engine.prepare ~parallel:true ~domains:2 fg ~inputs);
     ]

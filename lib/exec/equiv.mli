@@ -1,6 +1,6 @@
 (** Differential equivalence harness: every registered workload runs
-    through the reference interpreter and through the engine (sequential
-    and parallel), and the outputs must be tensor-equal.
+    through the reference interpreter and the engine (sequential, and
+    batched at one and two lanes), and the outputs must be tensor-equal.
 
     This is the executor's ground truth — the same role the
     interpreter-vs-interpreter check plays for the functionalization pass. *)
@@ -15,7 +15,7 @@ type outcome = {
 
 val check_workload : ?batch:int -> ?seq:int -> Workload.t -> outcome
 (** Lower, functionalize, and compare [Eval.run] on the original graph
-    against the engine on the functionalized one (both legs), within
+    against the engine on the functionalized one (every leg), within
     [Value.equal ~atol:1e-4]. *)
 
 val check_all : unit -> outcome list

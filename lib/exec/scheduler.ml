@@ -120,11 +120,11 @@ type laction =
   | L_reduce of { rd_slot : int; rd_acc_pos : int }
 
 (* Batched loops are auto-tuned between running all iterations inline on
-   the caller, dispatching chunks across the domain pool, and the
-   classic sequential body (which keeps kernel fusion and donation): on
+   the caller, dispatching chunks across a pool of two or more lanes, and
+   the sequential body (which keeps kernel fusion and donation): on
    small trip counts the pool handoff (~5us) can exceed the whole loop,
    and on kernel-heavy bodies (ssd) the batched per-node replay can
-   lose to the sequential fused path outright — the third arm pins the
+   lose to the sequential fused path outright — the [Seq] arm pins the
    sequential body when it measures fastest. *)
 type larm = Inline | Dispatch | Seq
 
@@ -171,10 +171,9 @@ type prepared = {
   p_scalar_slots : (string, int) Hashtbl.t;  (* kernel symbol -> slot *)
   p_live : bool;  (* mutation-free: pool / donation / kernels active *)
   p_parallel : bool;
-  p_domains : int;
   p_pool : Buffer_plan.pool;
   p_exec_pool : Pool.t;  (* persistent domain pool shared by all dispatches *)
-  p_loop_grain : int;  (* minimum trip count before a loop dispatches *)
+  p_loop_grain : int;  (* minimum trip count before a loop runs batched *)
   p_kernel_grain : int;  (* elements per chunk for intra-kernel splits *)
   mutable s_kernel_runs : int;
   mutable s_cjit_runs : int;  (* native launches *)
@@ -212,9 +211,9 @@ type rstate = {
   alloc : Shape.t -> Tensor.t;
       (* output buffers for the per-node path: the engine's storage pool
          in live mode, so intermediates recycle instead of hitting the
-         major heap on every node.  Main-thread only — worker-domain
-         bodies (batched loops) allocate fresh, the pool's free lists are
-         not thread-safe. *)
+         major heap on every node.  Caller-domain only — the pool's free
+         lists are not thread-safe, so batched-loop chunks dispatched to
+         worker domains allocate fresh. *)
   p : prepared;
 }
 
@@ -638,8 +637,7 @@ and exec_loop rs ~scope (inst : inst) =
       Array.iter (exec_plain_inst rs scope) bi.bi_pre;
       let lplan =
         if
-          rs.live && rs.p.p_parallel && rs.p.p_domains > 1 && trip > 1
-          && trip >= rs.p.p_loop_grain
+          rs.live && rs.p.p_parallel && trip > 1 && trip >= rs.p.p_loop_grain
         then
           match Hashtbl.find_opt rs.p.p_lplans inst.i_node.n_id with
           | Some lp
@@ -666,8 +664,8 @@ and exec_loop rs ~scope (inst : inst) =
   | _ -> error "malformed prim::Loop"
 
 (* The classic sequential loop body: per-iteration scopes, kernel
-   fusion and assign donation all active.  Also the third auto-tuner
-   arm of batched loops ([Seq]): a workload whose batched arms lose
+   fusion and assign donation all active.  Also the [Seq] auto-tuner
+   arm of batched loops: a workload whose batched arms lose
    to the fused sequential path pins this one. *)
 and exec_seq_loop rs ~scope (inst : inst) (bi : binst) trip inits = begin
         (* Consume the loop's input edges up front: if the loop is the
@@ -777,6 +775,18 @@ and exec_batched_loop rs ~scope (inst : inst) (bi : binst) (lp : lplan) trip
     else [||]
   in
   let no_cell = Array.make (max nc 1) None in
+  (* Inline runs draw iteration scratch from the storage pool and hand it
+     back when the iteration ends: nothing an iteration allocates outlives
+     it ([L_write] copies into the shared buffer, reduction partials are
+     fresh allocations).  Dispatched chunks allocate fresh — the pool's
+     free lists are single-domain. *)
+  let scratch = ref [] in
+  let pooled shape =
+    let t = Buffer_plan.alloc rs.p.p_pool shape in
+    scratch := t :: !scratch;
+    t
+  in
+  let alloc = if dispatch then None else Some pooled in
   let run_iters (vals : Value.t option array) (cell : Value.t option array) lo
       hi =
     let getv slot =
@@ -812,7 +822,7 @@ and exec_batched_loop rs ~scope (inst : inst) (bi : binst) (lp : lplan) trip
                 List.init (Array.length b.i_in - 2) (fun o ->
                     getv b.i_in.(o + 2))
               in
-              let fresh = Fastops.clone bt in
+              let fresh = Fastops.clone ?alloc bt in
               write_region (Eval.apply_view_kind kind fresh operands) src;
               vals.(b.i_out.(0)) <- Some (Value.Tensor fresh)
           | L_write w ->
@@ -860,9 +870,13 @@ and exec_batched_loop rs ~scope (inst : inst) (bi : binst) (lp : lplan) trip
               let inputs =
                 List.init (Array.length b.i_in) (fun o -> getv b.i_in.(o))
               in
-              let outs = Fastops.apply_op b.i_node inputs in
+              let outs = Fastops.apply_op ?alloc b.i_node inputs in
               List.iteri (fun o out -> vals.(b.i_out.(o)) <- Some out) outs)
-        bi.bi_insts
+        bi.bi_insts;
+      if not dispatch then begin
+        List.iter (Buffer_plan.release rs.p.p_pool) !scratch;
+        scratch := []
+      end
     done
   in
   let body lo hi =
@@ -940,7 +954,7 @@ and exec_batched_loop rs ~scope (inst : inst) (bi : binst) (lp : lplan) trip
 
 (* --- preparation --- *)
 
-let prepare ~parallel ~domains ~pool:exec_pool ~loop_grain ~kernel_grain ~jit
+let prepare ~parallel ~pool:exec_pool ~loop_grain ~kernel_grain ~jit
     ~jit_dir ~graph ~shapes ~plan =
   Metrics.incr prepares_c;
   Tracer.span_args "scheduler.prepare"
@@ -1152,7 +1166,8 @@ let prepare ~parallel ~domains ~pool:exec_pool ~loop_grain ~kernel_grain ~jit
               lp_reduction = reduction;
               lp_tuner =
                 Tuner.create ~scope:"scheduler.loop" ~id:lid ~name:larm_name
-                  [ Inline; Dispatch; Seq ];
+                  (if Pool.lanes exec_pool > 1 then [ Inline; Dispatch; Seq ]
+                   else [ Inline; Seq ]);
             }
         with Bail -> None)
   in
@@ -1270,7 +1285,6 @@ let prepare ~parallel ~domains ~pool:exec_pool ~loop_grain ~kernel_grain ~jit
     p_scalar_slots = scalar_slots;
     p_live = not !has_mutation;
     p_parallel = parallel;
-    p_domains = domains;
     p_pool = Buffer_plan.create_pool ();
     p_exec_pool = exec_pool;
     p_loop_grain = max 1 loop_grain;

@@ -20,8 +20,8 @@
       place through one leaf write per recognized rebuild chain,
       [Reduced] carried tensors fold into fixed-size per-chunk partial
       accumulators merged in chunk order (bitwise-identical across
-      domain counts), and iteration chunks go to the persistent domain
-      pool or run inline, whichever an auto-tuner times faster
+      domain counts); a tuner pins inline batching, the sequential body
+      or — on two or more lanes — pool dispatch, whichever runs fastest
       (Algorithm 2's parallelization, executed for real);
     - [prim::If]/[prim::Loop] fall back to block-level dispatch, and
       graphs still containing [aten::…_] mutations run in a plain
@@ -37,7 +37,6 @@ type prepared
 
 val prepare :
   parallel:bool ->
-  domains:int ->
   pool:Pool.t ->
   loop_grain:int ->
   kernel_grain:int ->
@@ -50,9 +49,9 @@ val prepare :
 (** Compile the plan's kernels and the liveness table.  [graph] must stay
     unmodified for the lifetime of the result.  [pool] is the persistent
     worker pool every dispatch goes through (the scheduler never spawns
-    domains itself); [loop_grain] is the minimum trip count before a
-    horizontal loop dispatches in parallel, [kernel_grain] the per-chunk
-    element count for intra-kernel splits.  [jit] arms fused groups with
+    domains; its lane count alone decides whether loops may dispatch);
+    [loop_grain] is the minimum trip count before a loop runs batched,
+    [kernel_grain] the per-chunk element count for intra-kernel splits.  [jit] arms fused groups with
     native code compiled through {!Functs_jit.Jit} (artifacts cached
     under [jit_dir], [""] = temp-dir default); arming failures fall back
     to closure kernels and never raise.  Each group and each batched

@@ -38,7 +38,7 @@ type policy = [ `Interp_fallback | `Shed ]
 
 type t = {
   domains : int;  (** worker lanes in the shared domain pool (≥ 1) *)
-  loop_grain : int;  (** min trip count before horizontal dispatch *)
+  loop_grain : int;  (** min trip count before a loop runs batched *)
   kernel_grain : int;  (** elements per intra-kernel chunk *)
   chunk_bytes : int;
       (** per-task cache budget for the pool's cost-model chunking;

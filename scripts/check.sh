@@ -72,6 +72,22 @@ if grep -Eq 'DIVERGED|DIVERGENCE' /tmp/functs_bench_smoke.txt; then
   exit 1
 fi
 
+# Batching is a loop-plan decision, not a lane-count one: the same loops
+# must batch on a single lane, with the same bitwise gate.
+echo "== bench exec --smoke (FUNCTS_DOMAINS=1) =="
+FUNCTS_DOMAINS=1 dune exec bench/main.exe -- exec --smoke \
+  | tee /tmp/functs_bench_smoke_d1.txt
+for w in yolact fcos; do
+  grep -Eq "^ *$w +ok parallel_loops=[1-9]" /tmp/functs_bench_smoke_d1.txt || {
+    echo "error: $w did not batch any parallel loop at FUNCTS_DOMAINS=1" >&2
+    exit 1
+  }
+done
+if grep -Eq 'DIVERGED|DIVERGENCE' /tmp/functs_bench_smoke_d1.txt; then
+  echo "error: an engine output diverged at FUNCTS_DOMAINS=1 (see above)" >&2
+  exit 1
+fi
+
 # The committed benchmark results must carry the JIT column and keep the
 # serve-bench member a full exec rewrite is required to preserve.
 echo "== BENCH_exec.json members =="

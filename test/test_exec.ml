@@ -631,14 +631,14 @@ let test_adversarial_sequential () =
     (agrees (reduction_graph Functs_tensor.Scalar.Sub) rargs)
 
 (* Batched execution must be bitwise-identical: a Parallel loop and a
-   reduction at domains=1 (sequential path) vs domains=4 (batched), and
-   an Add reduction across two batched domain counts (same fixed chunk
+   Max reduction on the sequential engine vs batched at domains=1 and
+   domains=4, and an Add reduction across d1/d2/d4 (same fixed chunk
    grid, same merge order). *)
-let bitwise_outputs g ~domains args =
+let bitwise_outputs ?(parallel = true) g ~domains args =
   let fg = Graph.clone g in
   ignore (Passes.tensorssa_pipeline fg);
   let eng =
-    Engine.prepare ~parallel:true ~domains ~cache:false fg
+    Engine.prepare ~parallel ~domains ~cache:false fg
       ~inputs:(Engine.input_shapes args)
   in
   let out = Engine.run eng args in
@@ -658,24 +658,42 @@ let test_batched_bitwise () =
   Pool.set_chunk_bytes 256;
   Fun.protect ~finally:(fun () -> Pool.set_chunk_bytes 0)
   @@ fun () ->
-  let bitwise name g trip d1 d2 =
-    let o1, s1 = bitwise_outputs g ~domains:d1 (args trip ()) in
-    let o2, s2 = bitwise_outputs g ~domains:d2 (args trip ()) in
-    check
-      (Printf.sprintf "%s bitwise at domains=%d vs %d" name d1 d2)
-      true
-      (List.for_all2 (fun a b -> flat a = flat b) o1 o2);
-    (name, s1, s2)
+  (* [reference] against batched runs at each of [domains]: the stats of
+     each batched run, in order *)
+  let bitwise name g trip reference domains =
+    let o0, _ = reference g trip in
+    List.map
+      (fun d ->
+        let o, s = bitwise_outputs g ~domains:d (args trip ()) in
+        check
+          (Printf.sprintf "%s bitwise at domains=%d" name d)
+          true
+          (List.for_all2 (fun a b -> flat a = flat b) o0 o);
+        s)
+      domains
   in
-  let _, _, sp = bitwise "parallel loop" (carried_store_graph ()) 12 1 4 in
-  check "domains=4 run batched the loop" true
-    (sp.Scheduler.last_parallel_loops >= 1);
-  let _, _, sm = bitwise "max reduction" (reduction_graph Functs_tensor.Scalar.Max) 12 1 4 in
+  let sequential g trip =
+    bitwise_outputs ~parallel:false g ~domains:1 (args trip ())
+  in
+  (match bitwise "parallel loop" (carried_store_graph ()) 12 sequential [ 1; 4 ] with
+  | [ s1; s4 ] ->
+      check "domains=1 run batched the loop" true
+        (s1.Scheduler.last_parallel_loops >= 1);
+      check "domains=4 run batched the loop" true
+        (s4.Scheduler.last_parallel_loops >= 1)
+  | _ -> assert false);
+  let sm =
+    bitwise "max reduction" (reduction_graph Functs_tensor.Scalar.Max) 12
+      sequential [ 1; 4 ]
+  in
   check "max reduction ran as a batched reduction" true
-    (sm.Scheduler.last_reduction_loops >= 1);
-  (* Add is only associative up to rounding, so compare the two batched
+    (List.for_all (fun s -> s.Scheduler.last_reduction_loops >= 1) sm);
+  (* Add is only associative up to rounding, so compare the batched
      engines (identical chunk grid) rather than batched vs sequential. *)
-  ignore (bitwise "add reduction" (reduction_graph Functs_tensor.Scalar.Add) 12 2 4);
+  ignore
+    (bitwise "add reduction" (reduction_graph Functs_tensor.Scalar.Add) 12
+       (fun g trip -> bitwise_outputs g ~domains:1 (args trip ()))
+       [ 2; 4 ]);
   (* batched max still equals the interpreter exactly: elementwise Max is
      exactly associative *)
   let g = reduction_graph Functs_tensor.Scalar.Max in
@@ -683,6 +701,45 @@ let test_batched_bitwise () =
   let got, _ = bitwise_outputs g ~domains:4 (args 12 ()) in
   check "max reduction bitwise vs interpreter" true
     (List.for_all2 (fun a b -> flat a = flat b) expected got)
+
+(* A one-lane loop tuner samples [inline] and [seq] only, alternating
+   from [inline]: runs 1, 3 and 5 batch inline, and the sixth run closes
+   the window.  Inline iterations draw their scratch from the engine's
+   storage pool and return it, so once the pool is warm a batched run
+   reuses a buffer per iteration and allocates nothing new.  ([seq] runs
+   may: the returned buffer leaves the pool with the caller.) *)
+let test_inline_scratch_recycled () =
+  let trip = 12 in
+  let x = T.rand (Random.State.make [| 5 |]) [| trip; 16 |] in
+  let args () = [ Value.Tensor (T.clone x); Value.Int trip ] in
+  let fg = Graph.clone (carried_store_graph ()) in
+  ignore (Passes.tensorssa_pipeline fg);
+  let eng =
+    Engine.prepare ~parallel:true ~domains:1 ~cache:false fg
+      ~inputs:(Engine.input_shapes (args ()))
+  in
+  let run () =
+    ignore (Engine.run eng (args ()));
+    Engine.stats eng
+  in
+  ignore (run ());
+  let prev = ref (run ()) and batched = ref 0 in
+  for _ = 3 to 6 do
+    let s = run () in
+    if s.Scheduler.last_parallel_loops >= 1 then begin
+      incr batched;
+      check_int "a batched run allocates nothing fresh"
+        !prev.Scheduler.pool_fresh s.Scheduler.pool_fresh;
+      check "every iteration reused a pooled buffer" true
+        (s.Scheduler.pool_reused - !prev.Scheduler.pool_reused >= trip)
+    end;
+    prev := s
+  done;
+  check_int "domains=1 runs 3 and 5 batched the loop" 2 !batched;
+  check_int "two arms sampled: the loop is pinned" 1
+    (!prev.Scheduler.loops_pinned_inline + !prev.Scheduler.loops_pinned_seq);
+  check_int "no dispatch arm at one lane" 0
+    !prev.Scheduler.loops_pinned_dispatch
 
 let test_workloads_equivalent () =
   List.iter
@@ -783,6 +840,8 @@ let () =
             test_adversarial_sequential;
           Alcotest.test_case "batched loops bitwise" `Quick
             test_batched_bitwise;
+          Alcotest.test_case "inline batched loop recycles scratch" `Quick
+            test_inline_scratch_recycled;
         ] );
       ( "property",
         List.map QCheck_alcotest.to_alcotest
