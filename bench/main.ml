@@ -327,21 +327,6 @@ let json_escape s =
     s;
   Buffer.contents b
 
-(* serve-bench read-modify-writes the "serve" member of the same file;
-   regenerating the exec members must carry it over, not drop it. *)
-let existing_serve path =
-  if not (Sys.file_exists path) then None
-  else
-    let ic = open_in_bin path in
-    let text =
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
-    match Json.parse text with
-    | Ok (Json.Obj fields) -> List.assoc_opt "serve" fields
-    | Ok _ | Error _ -> None
-
 (* The host a result was measured on, so a 2-core sweep is never read as
    a multicore one (scripts/check.sh skips its scaling gate below 4
    recommended domains). *)
@@ -365,7 +350,6 @@ let host_json () =
        ^ " --version"))
 
 let write_json path rows (pool_us, spawn_us) =
-  let serve = existing_serve path in
   let oc = open_out path in
   let p fmt = Printf.fprintf oc fmt in
   let c = Compiler_profile.cache_snapshot () in
@@ -424,12 +408,7 @@ let write_json path rows (pool_us, spawn_us) =
      \"resident\": %d },\n"
     c.Compiler_profile.cache_hits c.Compiler_profile.cache_misses
     c.Compiler_profile.cache_evictions (Engine.cache_size ());
-  p "  \"metrics\": %s%s\n"
-    (Metrics.to_json (Metrics.snapshot ()))
-    (match serve with Some _ -> "," | None -> "");
-  (match serve with
-  | Some j -> p "  \"serve\": %s\n" (Json.to_string j)
-  | None -> ());
+  p "  \"metrics\": %s\n" (Metrics.to_json (Metrics.snapshot ()));
   p "}\n";
   close_out oc
 

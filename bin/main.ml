@@ -10,7 +10,6 @@
      show    <workload>           imperative source + graph IR
      compile <workload>           TensorSSA conversion with statistics
      run     <workload>           trace execution under a pipeline
-     serve-bench                  N producer domains through one session
      config                       print the resolved configuration
      report  [figure...]          regenerate the paper's tables *)
 
@@ -171,7 +170,7 @@ let time_best f =
 let run_trace (w : Workload.t) (profile : Compiler_profile.t) batch seq =
   let reference = Workload.graph w ~batch ~seq in
   let g = Graph.clone reference in
-  if profile.functionalize then ignore (Convert.functionalize g);
+  Passes.for_profile profile g;
   let plan = Fusion.plan profile g in
   let args = w.inputs ~batch ~seq in
   let outputs, summary = Trace.run ~profile ~plan g (clone_args args) in
@@ -203,7 +202,7 @@ let prepare_engine ?(profile = Compiler_profile.tensorssa) g args =
 let run_exec (w : Workload.t) (profile : Compiler_profile.t) batch seq =
   let reference = Workload.graph w ~batch ~seq in
   let g = Graph.clone reference in
-  ignore (Passes.tensorssa_pipeline g);
+  Passes.for_profile profile g;
   let args = w.inputs ~batch ~seq in
   let eng = prepare_engine ~profile g args in
   let expected = Eval.run reference (clone_args args) in
@@ -447,90 +446,6 @@ let config_cmd =
           environment overlay.")
     Term.(const run $ const ())
 
-(* --- serve-bench: N producer domains through one session --- *)
-
-let serve_bench_cmd =
-  let producers_arg =
-    Arg.(
-      value & opt int 4
-      & info [ "producers" ] ~docv:"N" ~doc:"Producer domains.")
-  in
-  let submits_arg =
-    Arg.(
-      value & opt int 64
-      & info [ "submits" ] ~docv:"M" ~doc:"Requests per producer.")
-  in
-  let window_arg =
-    Arg.(
-      value & opt int 32
-      & info [ "window" ] ~docv:"W"
-          ~doc:
-            "Tickets in flight per producer (deep windows fill the larger \
-             batch buckets).")
-  in
-  let deadline_arg =
-    Arg.(
-      value & opt (some float) None
-      & info [ "deadline-us" ] ~docv:"US"
-          ~doc:"Per-request deadline in microseconds.")
-  in
-  let open_rps_arg =
-    Arg.(
-      value & opt (list float) []
-      & info [ "open-rps" ] ~docv:"RPS,..."
-          ~doc:
-            "Open-loop sweep: target arrival rates (Poisson arrivals, \
-             submits never wait on completions).")
-  in
-  let open_duration_arg =
-    Arg.(
-      value & opt float 2.0
-      & info [ "open-duration" ] ~docv:"S"
-          ~doc:"Seconds of arrivals per open-loop target.")
-  in
-  let json_arg =
-    Arg.(
-      value & opt string "BENCH_exec.json"
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:"Merge results into the \"serve\" member of $(docv).")
-  in
-  let smoke_flag =
-    Arg.(
-      value & flag
-      & info [ "smoke" ]
-          ~doc:"Quick CI shape: 2 producers x 32 submits each, window 16.")
-  in
-  let run wname producers submits window deadline_us open_rps open_duration_s
-      json_path smoke =
-    let producers, submits, window =
-      if smoke then (2, 32, 16) else (producers, submits, window)
-    in
-    match
-      Serve_bench.run ~config ~workload:wname ~producers ~submits ~window
-        ?deadline_us ~open_rps ~open_duration_s ~json_path ()
-    with
-    | Error e -> fail e
-    | Ok r ->
-        print_endline (Serve_bench.to_text r);
-        Printf.printf "results    : \"serve\" member of %s updated\n" json_path;
-        `Ok ()
-  in
-  let workload_opt =
-    Arg.(
-      value & pos 0 string "lstm"
-      & info [] ~docv:"WORKLOAD" ~doc:"Workload to serve (default lstm).")
-  in
-  Cmd.v
-    (Cmd.info "serve-bench"
-       ~doc:
-         "Drive N producer domains through one serving session and report \
-          throughput and latency percentiles (results land in \
-          BENCH_exec.json).")
-    Term.(
-      ret (const run $ workload_opt $ producers_arg $ submits_arg $ window_arg
-           $ deadline_arg $ open_rps_arg $ open_duration_arg $ json_arg
-           $ smoke_flag))
-
 (* --- profile / why: latency attribution and the decision journal ---
 
    Both drive N requests through a serving session (so the full
@@ -759,5 +674,5 @@ let () =
   let info = Cmd.info "functs" ~version:"1.0.0" ~doc in
   exit (Cmd.eval (Cmd.group info
        [ list_cmd; show_cmd; compile_cmd; run_cmd; build_cmd; kernels_cmd;
-         stats_cmd; config_cmd; serve_bench_cmd; profile_cmd; why_cmd;
+         stats_cmd; config_cmd; profile_cmd; why_cmd;
          report_cmd ]))

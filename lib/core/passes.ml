@@ -44,3 +44,6 @@ let tensorssa_pipeline ?(verify = true) (g : Graph.t) =
   let report = optimize g in
   if verify then Tracer.span "passes.verify" (fun () -> Verifier.check_exn g);
   (stats, report)
+
+let for_profile (profile : Compiler_profile.t) g =
+  if profile.functionalize then ignore (tensorssa_pipeline g)

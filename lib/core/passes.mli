@@ -20,3 +20,9 @@ type report = {
 val optimize : Graph.t -> report
 
 val tensorssa_pipeline : ?verify:bool -> Graph.t -> Convert.stats * report
+
+val for_profile : Compiler_profile.t -> Graph.t -> unit
+(** Lower [g] in place the way [profile] compiles it: the full
+    [tensorssa_pipeline] when [profile.functionalize], nothing otherwise
+    (the baselines fuse the imperative graph, mutations and all).  Every
+    consumer that takes a profile lowers through this. *)

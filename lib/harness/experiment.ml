@@ -26,7 +26,7 @@ let run ?(check = true) (w : Workload.t) (profile : Compiler_profile.t) ~batch
   | None ->
       let reference = Workload.graph w ~batch ~seq in
       let g = Graph.clone reference in
-      if profile.functionalize then ignore (Passes.tensorssa_pipeline g);
+      Passes.for_profile profile g;
       let plan = Fusion.plan profile g in
       let args = w.inputs ~batch ~seq in
       let outputs, summary = Trace.run ~profile ~plan g (clone_args args) in

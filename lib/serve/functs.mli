@@ -3,9 +3,9 @@
     Downstream code — the CLI, the bench harness, the experiment
     harness, external users — opens (or dot-qualifies) [Functs] and
     nothing else.  The facade re-exports the serving layer defined in
-    this library ({!Config}, {!Error}, {!Session}, {!Serve_bench},
-    {!Report}) and aliases every lower layer so no [functs_*] library
-    needs to appear in a consumer's dune stanza:
+    this library ({!Config}, {!Error}, {!Session}, {!Report}) and
+    aliases every lower layer so no [functs_*] library needs to appear
+    in a consumer's dune stanza:
 
     {v
     let cfg   = Result.get_ok (Functs.init ())
@@ -21,7 +21,6 @@
 module Config = Config
 module Error = Error
 module Session = Session
-module Serve_bench = Serve_bench
 module Report = Report
 
 (* --- tensors --- *)

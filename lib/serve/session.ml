@@ -111,12 +111,12 @@ type input = { in_args : Value.t list; in_deadline_us : float option }
 let input ?deadline_us args = { in_args = args; in_deadline_us = deadline_us }
 
 (* One compile variant: the workload's program instantiated at
-   [bk_size × native batch], functionalized once at session create.  The
+   [bk_size × native batch], lowered once at session create.  The
    graph/shape pair is the compile-cache key, so re-probing [prepare]
    per dispatch is a warm hit, never a rebuild. *)
 type bucket = {
   bk_size : int;  (* requests per batched run *)
-  bk_graph : Graph.t;  (* TensorSSA form, contractually frozen *)
+  bk_graph : Graph.t;  (* lowered per the profile, contractually frozen *)
   bk_inputs : Shape_infer.shape option list;
 }
 
@@ -135,7 +135,7 @@ type t = {
   s_config : Config.t;
   s_profile : Compiler_profile.t;
   s_reference : Graph.t;  (* eager semantics, for the interpreter fallback *)
-  s_graph : Graph.t;  (* functionalized TensorSSA form, contractually frozen *)
+  s_graph : Graph.t;  (* lowered per the profile, contractually frozen *)
   s_native_sig : string;  (* shape signature the buckets were compiled for *)
   s_batching : Workload.batching option;  (* None: serve at bucket 1 only *)
   s_buckets : bucket list;  (* descending size; always ends with size 1 *)
@@ -160,6 +160,7 @@ let locked t f =
   Mutex.lock t.s_lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.s_lock) f
 
+(* The batching key: tensor shapes (scalars as "_") joined with ";". *)
 let shape_signature args =
   String.concat ";"
     (List.map
@@ -638,7 +639,7 @@ let build_buckets t (w : Workload.t) bx ~batch ~seq ~base_engine =
             let g =
               Graph.clone (Workload.graph w ~batch:(k * batch) ~seq)
             in
-            ignore (Passes.tensorssa_pipeline g);
+            Passes.for_profile t.s_profile g;
             let bucket_args = w.Workload.inputs ~batch:(k * batch) ~seq in
             let inputs = Engine.input_shapes bucket_args in
             let bk = { bk_size = k; bk_graph = g; bk_inputs = inputs } in
@@ -670,7 +671,7 @@ let create ?(config = Config.default) ?(profile = Compiler_profile.tensorssa)
     let seq = Option.value seq ~default:w.Workload.default_seq in
     let reference = Workload.graph w ~batch ~seq in
     let g = Graph.clone reference in
-    ignore (Passes.tensorssa_pipeline g);
+    Passes.for_profile profile g;
     let native_args = w.Workload.inputs ~batch ~seq in
     let base =
       {
@@ -849,7 +850,6 @@ let run t ?deadline_us args =
   | Error _ as e -> e
   | Ok tk -> await tk
 
-let latency_us tk = if tk.t_done = 0. then 0. else 1e6 *. (tk.t_done -. tk.t_enq)
 let ticket_id tk = tk.t_id
 
 let ticket_stages tk =

@@ -15,9 +15,9 @@
     batch [n] is [n] independent copies of the batch-1 program), [create]
     compiles one engine {e per configured bucket size}
     ([config.batch_buckets], default [1;4;16]): the workload's program is
-    re-instantiated at [bucket × native batch], functionalized, and
-    warmed through the same shape-keyed compile cache.  The dispatcher
-    then decomposes each run of same-shape requests greedily into the
+    re-instantiated at [bucket × native batch], lowered, and warmed
+    through the same shape-keyed compile cache.  The dispatcher then
+    decomposes each run of same-shape requests greedily into the
     largest buckets that fit, {e scatters} the per-request tensors into
     one batch-major buffer per declared input axis ({!Tensor.concat_axis}
     — one blit per prefix block), runs the bucket engine {e once}, and
@@ -107,7 +107,9 @@ val create :
     that fail to compile, or whose inferred output shapes do not scale by
     the bucket factor along the declared axes, are dropped (falling back
     as far as bucket-1-only serving).  [profile] defaults to
-    {!Compiler_profile.tensorssa}.  Frontend and compiler failures come
+    {!Compiler_profile.tensorssa}; every variant is lowered through
+    {!Functs_core.Passes.for_profile}, so a baseline profile serves its
+    imperative graph.  Frontend and compiler failures come
     back as [Error.Lowering_error] / [Error.Engine_failure] — nothing
     raises. *)
 
@@ -134,10 +136,6 @@ val cancel : ticket -> bool
 val run : t -> ?deadline_us:float -> Value.t list -> (Value.t list, Error.t) result
 (** [submit] + [await] in one call (still goes through the queue, so it
     can return [Error Overloaded]). *)
-
-val latency_us : ticket -> float
-(** Enqueue-to-completion wall time of a completed request (0 before
-    completion). *)
 
 val ticket_id : ticket -> int
 (** Process-unique request id; keys the [serve.req] trace flow arrow. *)
@@ -191,7 +189,3 @@ val attribution : t -> Functs_exec.Scheduler.attribution_row list
 
 val engine_stats : t -> Functs_exec.Scheduler.stats option
 (** Scheduler stats of the most recently acquired engine. *)
-
-val shape_signature : Value.t list -> string
-(** The batching key: tensor shapes (scalars as ["_"]) joined with
-    [";"].  Exposed for tests and the bench. *)

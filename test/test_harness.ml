@@ -7,6 +7,9 @@ open Functs_core
 open Functs_cost
 open Functs_workloads
 open Functs_harness
+open Functs_ir
+open Functs_interp
+open Functs_exec
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -120,6 +123,33 @@ let test_fig_rows_well_formed () =
         r.Figures.f6_kernels)
     rows
 
+(* Every consumer that takes a profile lowers through [Passes.for_profile]:
+   baselines keep the imperative graph (its [Mutate] nodes included), the
+   TensorSSA profiles functionalize it, and the engine runs either form
+   with the interpreter's results. *)
+let test_profile_lowering () =
+  let w = Option.get (Registry.find "yolov3") in
+  let reference = Workload.graph w ~batch:1 ~seq:small_seq in
+  let args () = w.inputs ~batch:1 ~seq:small_seq in
+  let expected = Eval.run reference (args ()) in
+  List.iter
+    (fun (p : Compiler_profile.t) ->
+      let g = Graph.clone reference in
+      Passes.for_profile p g;
+      let mutates =
+        List.exists (fun n -> Op.is_mutation n.Graph.n_op) (Graph.all_nodes g)
+      in
+      check (p.short_name ^ ": Mutate nodes kept iff not functionalized")
+        (not p.functionalize) mutates;
+      let eng =
+        Engine.prepare ~profile:p ~domains:1 g
+          ~inputs:(Engine.input_shapes (args ()))
+      in
+      check (p.short_name ^ ": engine matches the interpreter") true
+        (List.for_all2 (Value.equal ~atol:1e-4) expected
+           (Engine.run eng (args ()))))
+    Compiler_profile.all
+
 let () =
   Alcotest.run "harness"
     [
@@ -142,4 +172,9 @@ let () =
         ] );
       ( "figures",
         [ Alcotest.test_case "fig6 rows" `Slow test_fig_rows_well_formed ] );
+      ( "lowering",
+        [
+          Alcotest.test_case "profile-driven lowering" `Quick
+            test_profile_lowering;
+        ] );
     ]

@@ -284,6 +284,13 @@ let test_percentile_vs_exact () =
            got want)
         true (rel <= 0.13))
     [ 0.01; 0.10; 0.25; 0.50; 0.75; 0.90; 0.99; 1.0 ];
+  let rec nondecreasing = function
+    | a :: (b :: _ as rest) -> a <= b && nondecreasing rest
+    | [ _ ] | [] -> true
+  in
+  check "percentiles are nondecreasing in p (p99 >= p50)" true
+    (nondecreasing
+       (List.init 101 (fun i -> Metrics.percentile hs (float_of_int i /. 100.))));
   check "p0 clamps to the observed min" true
     (Metrics.percentile hs 0. >= hs.Metrics.h_min);
   check "p100 clamps to the observed max" true

@@ -177,11 +177,18 @@ let test_bucket_equivalence () =
       check "the session compiled the configured buckets" true
         (Session.bucket_sizes s = [ 1; 4; 16 ]);
       let shared = base_args () in
+      let c0 = Compiler_profile.cache_snapshot () in
       (* arrival mixes around every bucket boundary: singles, an exact
          bucket, partial final buckets, and a mix that uses 16+4+singles *)
       List.iteri
         (fun round n -> bucket_round s shared ~salt0:(round * 31) n)
         [ 1; 3; 4; 7; 16; 23 ];
+      (* every bucket engine was compiled at create: filling them is warm *)
+      let c1 = Compiler_profile.cache_snapshot () in
+      check_int "warm bucketed traffic never recompiles" 0
+        (c1.Compiler_profile.cache_misses - c0.Compiler_profile.cache_misses);
+      check "warm bucketed traffic hits the compile cache" true
+        (c1.Compiler_profile.cache_hits > c0.Compiler_profile.cache_hits);
       let st = Session.stats s in
       check "batched engine runs happened" true (st.Session.batched_runs >= 4);
       check "the 4-bucket was used" true
