@@ -277,11 +277,10 @@ let dispatch_overhead () =
 (* Cold vs warm [Engine.prepare]: the cold call lowers from scratch (the
    cache was just cleared), the warm one must come back from the compile
    cache.  Measured per call — warm is a digest + hashtable probe. *)
-let prepare ~parallel fg ~inputs =
-  Engine.prepare ~parallel ~domains:config.Config.domains
-    ~loop_grain:config.Config.loop_grain
-    ~kernel_grain:config.Config.kernel_grain ~cache:config.Config.cache fg
-    ~inputs
+let prepare ?(domains = config.Config.domains) ~parallel fg ~inputs =
+  Engine.prepare ~parallel ~domains ~loop_grain:config.Config.loop_grain
+    ~kernel_grain:config.Config.kernel_grain ~cache:config.Config.cache
+    ~jit:config.Config.jit ~jit_dir:config.Config.jit_dir fg ~inputs
 
 (* The JIT arm always measures, whatever FUNCTS_JIT says (per-group
    graceful fallback keeps it safe everywhere). *)
@@ -302,6 +301,36 @@ let prepare_times ~parallel fg ~inputs =
   let warm, eng = stamp (fun () -> prepare ~parallel fg ~inputs) in
   (cold, warm, eng)
 
+(* One run with its counters.  Engine stats and the shared pool's
+   counters are cumulative (and the pool counts every engine on it), so a
+   per-run figure is the difference of snapshots taken around the run. *)
+type counted = {
+  before : Scheduler.stats;
+  after : Scheduler.stats;
+  pool : int array;  (* pool counter deltas, in [pool_counters] order *)
+}
+
+let pool_counters () =
+  let p = Pool.shared ~lanes:config.Config.domains in
+  Pool.
+    [|
+      dispatches p;
+      worker_tasks p;
+      caller_tasks p;
+      seq_fallbacks p;
+      fallback_grain p;
+      fallback_nested p;
+      fallback_disabled p;
+    |]
+
+let counted_run eng args =
+  let before = Engine.stats eng and p0 = pool_counters () in
+  let out = Engine.run eng args in
+  let pool = Array.map2 ( - ) (pool_counters ()) p0 in
+  (out, { before; after = Engine.stats eng; pool })
+
+let ran c f = f c.after - f c.before
+
 type wrow = {
   r_name : string;
   r_batch : int;
@@ -312,8 +341,8 @@ type wrow = {
   r_sweep : (int * float) list; (* domains -> best wall-clock *)
   r_cold : float;
   r_warm : float;
-  r_stats : Scheduler.stats;
-  r_jit_stats : Scheduler.stats;
+  r_run : counted;  (* one untimed run of the batched engine *)
+  r_jit_run : counted;  (* one untimed run of the jit engine *)
 }
 
 let json_escape s =
@@ -363,14 +392,14 @@ let write_json path rows (pool_us, spawn_us) =
   p "  \"workloads\": [\n";
   List.iteri
     (fun i r ->
-      let s = r.r_stats in
+      let c = r.r_run and cj = r.r_jit_run in
+      let s = c.after and sj = cj.after in
       let sweep =
         String.concat ", "
           (List.map
              (fun (d, t) -> Printf.sprintf "\"d%d_ms\": %.4f" d (1e3 *. t))
              r.r_sweep)
       in
-      let sj = r.r_jit_stats in
       p
         "    { \"name\": \"%s\", \"batch\": %d, \"seq\": %d,\n\
         \      \"interp_ms\": %.4f, \"fused_ms\": %.4f, \"jit_ms\": %.4f,\n\
@@ -390,15 +419,15 @@ let write_json path rows (pool_us, spawn_us) =
         (1e3 *. r.r_fused) (1e3 *. r.r_jit)
         (r.r_interp /. Float.max 1e-9 r.r_fused)
         (r.r_fused /. Float.max 1e-9 r.r_jit)
-        sj.Scheduler.cjit_groups sj.Scheduler.last_cjit_runs
+        sj.Scheduler.cjit_groups
+        (ran cj (fun s -> s.Scheduler.cjit_runs))
         sj.Scheduler.jit_fallbacks sweep (1e3 *. r.r_cold) (1e3 *. r.r_warm)
-        s.Scheduler.last_kernel_runs s.Scheduler.last_parallel_loops
-        s.Scheduler.last_reduction_loops s.Scheduler.batched_loops
-        s.Scheduler.loops_pinned_seq s.Scheduler.pool_lanes
-        s.Scheduler.pool_dispatches s.Scheduler.pool_worker_tasks
-        s.Scheduler.pool_caller_tasks s.Scheduler.pool_seq_fallbacks
-        s.Scheduler.pool_fb_grain s.Scheduler.pool_fb_nested
-        s.Scheduler.pool_fb_disabled
+        (ran c (fun s -> s.Scheduler.kernel_runs))
+        (ran c (fun s -> s.Scheduler.parallel_loops_run))
+        (ran c (fun s -> s.Scheduler.reduction_loops_run))
+        s.Scheduler.batched_loops s.Scheduler.loops_pinned_seq
+        s.Scheduler.pool_lanes c.pool.(0) c.pool.(1) c.pool.(2) c.pool.(3)
+        c.pool.(4) c.pool.(5) c.pool.(6)
         (if i = List.length rows - 1 then "" else ",")
     )
     rows;
@@ -454,9 +483,8 @@ let run_exec () =
       let equal got = List.for_all2 (Value.equal ~atol:1e-4) expected got in
       let seq_ref = Engine.run eng args in
       let jit_out = Engine.run engj args in
-      let par_out = Engine.run engp args in
-      let sp = Engine.stats engp in
-      let nbatched = sp.Scheduler.last_parallel_loops in
+      let par_out, cp = counted_run engp args in
+      let nbatched = ran cp (fun s -> s.Scheduler.parallel_loops_run) in
       if not (equal seq_ref && equal par_out) then begin
         ok := false;
         Printf.printf "  %-10s ENGINE OUTPUT DIVERGED FROM INTERPRETER\n"
@@ -476,11 +504,11 @@ let run_exec () =
           w.name
       end
       else if smoke_mode then begin
-        let sj = Engine.stats engj in
         Printf.printf
           "  %-10s ok parallel_loops=%d reduction_loops=%d jit_groups=%d\n"
-          w.name nbatched sp.Scheduler.last_reduction_loops
-          sj.Scheduler.cjit_groups
+          w.name nbatched
+          (ran cp (fun s -> s.Scheduler.reduction_loops_run))
+          (Engine.stats engj).Scheduler.cjit_groups
       end
       else begin
         (* Worker-lane sweep: the batched engine at 1/2/4 lanes.  Every
@@ -490,21 +518,15 @@ let run_exec () =
         let sweep_engines =
           List.map
             (fun d ->
-              let e =
-                Engine.prepare ~parallel:true ~domains:d
-                  ~loop_grain:config.Config.loop_grain
-                  ~kernel_grain:config.Config.kernel_grain
-                  ~cache:config.Config.cache fg ~inputs
-              in
-              let out = Engine.run e args in
-              let s = Engine.stats e in
+              let e = prepare ~domains:d ~parallel:true fg ~inputs in
+              let out, ce = counted_run e args in
               if not (equal out) then begin
                 ok := false;
                 Printf.printf
                   "  %-10s DIVERGED FROM INTERPRETER AT domains=%d\n" w.name d
               end
               else if
-                s.Scheduler.last_parallel_loops > 0
+                ran ce (fun s -> s.Scheduler.parallel_loops_run) > 0
                 && not (tensors_bitwise seq_ref out)
               then begin
                 ok := false;
@@ -541,8 +563,8 @@ let run_exec () =
         (* Re-measure prepare now that timing runs warmed everything: the
            first prepare above also paid kernel auto-tuning samples. *)
         let t_cold, t_warm, _ = prepare_times ~parallel:true fg ~inputs in
-        let s = Engine.stats engp in
-        let sj = Engine.stats engj in
+        let _, run = counted_run engp args in
+        let _, jit_run = counted_run engj args in
         let sw d = try List.assoc d sweep with Not_found -> nan in
         (* Scaling monotonicity gate: adding lanes must never cost more
            than 10% over the 2-lane time — a d4 regression means the
@@ -572,8 +594,8 @@ let run_exec () =
             r_sweep = sweep;
             r_cold = t_cold;
             r_warm = t_warm;
-            r_stats = s;
-            r_jit_stats = sj;
+            r_run = run;
+            r_jit_run = jit_run;
           }
           :: !rows
       end)

@@ -111,7 +111,8 @@ let () =
   let eng =
     Engine.prepare ~parallel:false ~domains:config.Config.domains
       ~loop_grain:config.Config.loop_grain
-      ~kernel_grain:config.Config.kernel_grain ~cache:false fg
+      ~kernel_grain:config.Config.kernel_grain ~cache:false
+      ~jit:config.Config.jit ~jit_dir:config.Config.jit_dir fg
       ~inputs:(Engine.input_shapes args)
   in
   let runs = 40 in

@@ -206,6 +206,22 @@ let run_exec (w : Workload.t) (profile : Compiler_profile.t) batch seq =
   let args = w.inputs ~batch ~seq in
   let eng = prepare_engine ~profile g args in
   let expected = Eval.run reference (clone_args args) in
+  (* the shared pool's counters are cumulative: the domains line reports
+     their difference over this engine's runs *)
+  let pool = Pool.shared ~lanes:config.Config.domains in
+  let pool_counters () =
+    Pool.
+      [|
+        dispatches pool;
+        worker_tasks pool;
+        caller_tasks pool;
+        seq_fallbacks pool;
+        fallback_grain pool;
+        fallback_nested pool;
+        fallback_disabled pool;
+      |]
+  in
+  let p0 = pool_counters () in
   let outputs = Engine.run eng args in
   let ok = List.for_all2 (Value.equal ~atol:1e-4) expected outputs in
   Printf.printf "workload   : %s (batch=%d, seq=%d)\n" w.display batch seq;
@@ -214,6 +230,7 @@ let run_exec (w : Workload.t) (profile : Compiler_profile.t) batch seq =
     let t_interp = time_best (fun () -> Eval.run reference args) in
     let t_exec = time_best (fun () -> Engine.run eng args) in
     let s = Engine.stats eng in
+    let pc = Array.map2 ( - ) (pool_counters ()) p0 in
     Printf.printf "interpreter: %8.1f us per run\n" (1e6 *. t_interp);
     Printf.printf "engine     : %8.1f us per run (%.2fx)\n" (1e6 *. t_exec)
       (t_interp /. t_exec);
@@ -232,10 +249,7 @@ let run_exec (w : Workload.t) (profile : Compiler_profile.t) batch seq =
     Printf.printf
       "domains    : %d lanes, %d dispatches, %d worker tasks, %d caller \
        tasks, %d sequential (grain=%d nested=%d disabled=%d)\n"
-      s.Scheduler.pool_lanes s.Scheduler.pool_dispatches
-      s.Scheduler.pool_worker_tasks s.Scheduler.pool_caller_tasks
-      s.Scheduler.pool_seq_fallbacks s.Scheduler.pool_fb_grain
-      s.Scheduler.pool_fb_nested s.Scheduler.pool_fb_disabled;
+      s.Scheduler.pool_lanes pc.(0) pc.(1) pc.(2) pc.(3) pc.(4) pc.(5) pc.(6);
     let c = Compiler_profile.cache_snapshot () in
     Printf.printf "cache      : %d hits, %d misses, %d evictions (%d resident)\n"
       c.Compiler_profile.cache_hits c.Compiler_profile.cache_misses

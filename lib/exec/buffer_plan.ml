@@ -101,9 +101,5 @@ let clear pool =
   Hashtbl.iter (fun _ l -> List.iter (fun s -> Storage.set_owner s 0) !l) pool.free;
   Hashtbl.reset pool.free
 
-let is_pool_owned pool (t : Tensor.t) =
-  let o = Storage.owner t.Tensor.storage in
-  o = pool.pool_id || o = -pool.pool_id
-
 let fresh_allocs pool = pool.n_fresh
 let reuses pool = pool.n_reused

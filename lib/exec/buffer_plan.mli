@@ -41,8 +41,6 @@ val clear : pool -> unit
     an evicted engine's pool stops holding memory.  Live checked-out
     tensors are untouched. *)
 
-val is_pool_owned : pool -> Tensor.t -> bool
-
 val fresh_allocs : pool -> int
 val reuses : pool -> int
 (** Counters for the engine's statistics. *)

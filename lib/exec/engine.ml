@@ -18,25 +18,18 @@ type t = {
    Pure constants (plus the runtime's recommended domain count): the
    engine never reads the environment.  The FUNCTS_* knobs are parsed and
    validated once by the serving layer's [Config.of_env]; callers pass
-   the resulting values explicitly (or [Config.apply] pushes the two
-   process-wide cache settings through the setters below). *)
+   the resulting values explicitly.  The cache capacity is the one
+   process-wide setting, because the cache itself is process-wide. *)
 
 let default_domains () = max 1 (Domain.recommended_domain_count ())
 let default_loop_grain () = 2
 let default_kernel_grain () = 8192
 
-let cache_default = ref true
 let cache_capacity_ref = ref 32
-let set_cache_default on = cache_default := on
 let set_cache_capacity n = cache_capacity_ref := max 1 n
 let cache_capacity () = !cache_capacity_ref
 
 module Jit = Functs_jit.Jit
-
-let jit_default = ref Jit.Off
-let jit_dir_default = ref ""
-let set_jit_default m = jit_default := m
-let set_jit_dir_default d = jit_dir_default := d
 
 let input_shapes args =
   List.map
@@ -169,12 +162,11 @@ let clear_cache () =
 let cache_size () = cache_locked (fun () -> Hashtbl.length cache_tbl)
 
 let prepare ?(profile = Compiler_profile.tensorssa) ?(parallel = true) ?domains
-    ?loop_grain ?kernel_grain ?cache ?jit ?jit_dir (g : Graph.t) ~inputs =
+    ?loop_grain ?kernel_grain ?(cache = true) ?(jit = Jit.Off) ?(jit_dir = "")
+    (g : Graph.t) ~inputs =
   let domains =
     match domains with Some d -> max 1 d | None -> default_domains ()
   in
-  let jit = match jit with Some m -> m | None -> !jit_default in
-  let jit_dir = match jit_dir with Some d -> d | None -> !jit_dir_default in
   let loop_grain =
     match loop_grain with Some g -> max 1 g | None -> default_loop_grain ()
   in
@@ -183,7 +175,6 @@ let prepare ?(profile = Compiler_profile.tensorssa) ?(parallel = true) ?domains
     | Some g -> max 1 g
     | None -> default_kernel_grain ()
   in
-  let cache = match cache with Some c -> c | None -> !cache_default in
   if cache then
     cache_locked (fun () ->
         let key =

@@ -48,13 +48,11 @@ val prepare :
     signature, and the graph's printed form: a second [prepare] of the
     same program with the same shapes returns the already-lowered engine
     (slot frames, fused-kernel closures, buffer pool) without recompiling.
-    [cache] defaults to the process-wide setting ({!set_cache_default},
-    [true] initially); pass [~cache:false] to bypass for one call.
-    [jit] (default: the process-wide {!set_jit_default} setting,
-    initially [Off]) arms fused groups with native code via
-    {!Functs_jit.Jit}; [jit_dir] is the artifact-cache directory
-    ([""] resolves to a temp-dir default).  Both participate in the
-    compile-cache key.
+    [cache] defaults to [true]; pass [~cache:false] to bypass for one
+    call.  [jit] (default [Off]) arms fused groups with native code via
+    {!Functs_jit.Jit}; [jit_dir] (default [""], a temp-dir fallback) is
+    the artifact-cache directory.  Both participate in the compile-cache
+    key.  No process-wide setting changes these defaults.
     Capacity is {!set_cache_capacity} (default 32) entries, evicted LRU;
     hit/miss/evict counters are the [engine.cache.*] metrics, read via
     {!Compiler_profile.cache_snapshot}.  The cache is safe to use from
@@ -99,24 +97,9 @@ val clear_cache : unit -> unit
 val cache_size : unit -> int
 (** Entries currently resident. *)
 
-val set_cache_default : bool -> unit
-(** Process-wide default for [prepare]'s [?cache] argument (initially
-    [true]).  [Config.apply] pushes the validated [FUNCTS_CACHE] setting
-    through this. *)
-
 val set_cache_capacity : int -> unit
 (** Resident-entry capacity before LRU eviction (clamped to ≥ 1;
     initially 32).  [Config.apply] pushes [FUNCTS_CACHE_SIZE] through
     this. *)
 
 val cache_capacity : unit -> int
-
-val set_jit_default : Functs_jit.Jit.mode -> unit
-(** Process-wide default for [prepare]'s [?jit] argument (initially
-    [Off]).  [Config.apply] pushes the validated [FUNCTS_JIT] setting
-    through this. *)
-
-val set_jit_dir_default : string -> unit
-(** Process-wide default for [prepare]'s [?jit_dir] argument (initially
-    [""], i.e. the temp-dir fallback).  [Config.apply] pushes
-    [FUNCTS_JIT_DIR] through this. *)

@@ -22,8 +22,8 @@ let reduction_loops_c = Metrics.counter "exec.reduction_loops"
 let kernels_compiled_c = Metrics.counter "exec.kernels_compiled"
 let kernels_rejected_c = Metrics.counter "exec.kernels_rejected"
 
-(* Runtime demotions of a native group back to its closure kernel:
-   launch-validation failures and tuner verdicts. *)
+(* Runtime demotions of a native group back to its closure kernel on a
+   launch-validation failure. *)
 let jit_demoted_c = Metrics.counter "jit.demoted"
 
 (* Native launches, compiled closure kernels and fast per-node execution
@@ -73,10 +73,6 @@ type group = {
   mutable g_jit : Jit.entry option;
       (* native launcher; cleared (and its tuner arm dropped) on the
          first launch-time validation failure *)
-  mutable g_jit_off : bool;
-      (* the last tuner verdict had the closure arm beat [Cjit]; only
-         edges of this flag are journaled, so a re-sampling window that
-         flips back reads as a promotion *)
   g_tuner : garm Tuner.t;
       (* dispatch arm, sampling state and wall-time attribution: every
          timed launch accumulates there, so per-group cost is free to
@@ -181,24 +177,6 @@ type prepared = {
   mutable s_donations : int;
   mutable s_parallel_loops : int;
   mutable s_reduction_loops : int;
-  (* deltas of the most recent [run], so the bench can report per-run
-     launch counts instead of cumulative ones *)
-  mutable s_last_kernel_runs : int;
-  mutable s_last_cjit_runs : int;
-  mutable s_last_parallel_loops : int;
-  mutable s_last_reduction_loops : int;
-  (* The domain pool is shared process-wide, so its cumulative dispatch
-     counters mix every engine's traffic.  Each run snapshots them at its
-     boundaries and accumulates the delta here, so per-engine stats stay
-     attributable (the bench's per-workload rows were all reporting the
-     same cross-workload totals before this). *)
-  mutable s_pool_dispatches : int;
-  mutable s_pool_seq_fallbacks : int;
-  mutable s_pool_fb_grain : int;
-  mutable s_pool_fb_nested : int;
-  mutable s_pool_fb_disabled : int;
-  mutable s_pool_worker_tasks : int;
-  mutable s_pool_caller_tasks : int;
 }
 
 (* --- per-run state --- *)
@@ -514,34 +492,6 @@ let run_group ~jit rs scope gid g =
           | e -> raise e)
       | results -> bind_group_results rs scope gid g.g_members results)
 
-(* Feed one timed launch to the group's tuner; when that closes a
-   sampling window, journal whether the closure arm beat the native
-   kernel or lost to it. *)
-let record_group rs gid g arm dt =
-  if Tuner.record g.g_tuner arm dt && g.g_jit <> None then begin
-    let c = Tuner.best g.g_tuner Cjit and k = Tuner.best g.g_tuner Closure in
-    if c < infinity then begin
-      let off = k < c in
-      if off && not g.g_jit_off then begin
-        rs.p.s_jit_fallbacks <- rs.p.s_jit_fallbacks + 1;
-        Metrics.incr jit_demoted_c;
-        Tracer.instant "jit.demoted" ~args:[ ("group", string_of_int gid) ];
-        Journal.record Jit_demote "scheduler.group" ~id:gid ~arm:"closure"
-          ~detail:
-            (Printf.sprintf "closure %.1fus beat c-jit %.1fus" (1e6 *. k)
-               (1e6 *. c))
-      end
-      else if (not off) && g.g_jit_off then begin
-        Tracer.instant "jit.promoted" ~args:[ ("group", string_of_int gid) ];
-        Journal.record Jit_promote "scheduler.group" ~id:gid ~arm:"c-jit"
-          ~detail:
-            (Printf.sprintf "c-jit %.1fus beat closure %.1fus" (1e6 *. c)
-               (1e6 *. k))
-      end;
-      g.g_jit_off <- off
-    end
-  end
-
 (* --- blocks, control flow, loops --- *)
 
 let block_insts rs (b : Graph.block) =
@@ -610,13 +560,13 @@ and exec_inst rs ~scope (inst : inst) =
                   if inst.i_first then g.g_t0 <- Unix.gettimeofday ();
                   exec_plain_inst rs scope inst;
                   if inst.i_last then
-                    record_group rs gid g Per_node
+                    Tuner.record g.g_tuner Per_node
                       (Unix.gettimeofday () -. g.g_t0)
               | (Cjit | Closure) as arm ->
                   if inst.i_last then begin
                     let t0 = Unix.gettimeofday () in
                     run_group ~jit:(arm = Cjit) rs scope gid g;
-                    record_group rs gid g arm (Unix.gettimeofday () -. t0)
+                    Tuner.record g.g_tuner arm (Unix.gettimeofday () -. t0)
                   end)
         end
       | _ -> exec_plain_inst rs scope inst
@@ -658,7 +608,7 @@ and exec_loop rs ~scope (inst : inst) =
           | Dispatch ->
               exec_batched_loop rs ~scope inst bi lp trip inits ~dispatch:true
           | Seq -> exec_seq_loop rs ~scope inst bi trip inits);
-          ignore (Tuner.record lp.lp_tuner arm (Unix.gettimeofday () -. t0))
+          Tuner.record lp.lp_tuner arm (Unix.gettimeofday () -. t0)
       | None -> exec_seq_loop rs ~scope inst bi trip inits
     end
   | _ -> error "malformed prim::Loop"
@@ -1244,7 +1194,6 @@ let prepare ~parallel ~pool:exec_pool ~loop_grain ~kernel_grain ~jit
                 g_members = ms;
                 g_compiled = c;
                 g_jit = jit;
-                g_jit_off = false;
                 g_tuner =
                   Tuner.create ~scope:"scheduler.group" ~id:gid
                     ~name:garm_name
@@ -1295,17 +1244,6 @@ let prepare ~parallel ~pool:exec_pool ~loop_grain ~kernel_grain ~jit
     s_donations = 0;
     s_parallel_loops = 0;
     s_reduction_loops = 0;
-    s_last_kernel_runs = 0;
-    s_last_cjit_runs = 0;
-    s_last_parallel_loops = 0;
-    s_last_reduction_loops = 0;
-    s_pool_dispatches = 0;
-    s_pool_seq_fallbacks = 0;
-    s_pool_fb_grain = 0;
-    s_pool_fb_nested = 0;
-    s_pool_fb_disabled = 0;
-    s_pool_worker_tasks = 0;
-    s_pool_caller_tasks = 0;
   }
 
 let output_shapes p = p.p_out_shapes
@@ -1313,40 +1251,6 @@ let output_shapes p = p.p_out_shapes
 let run p args =
   Metrics.incr runs_c;
   incr run_epoch;
-  (* Snapshot the shared pool's cumulative counters so this run's traffic
-     can be attributed to this engine.  While session shards run other
-     engines on other domains, the delta may include their traffic. *)
-  let disp0 = Pool.dispatches p.p_exec_pool
-  and seq0 = Pool.seq_fallbacks p.p_exec_pool
-  and fbg0 = Pool.fallback_grain p.p_exec_pool
-  and fbn0 = Pool.fallback_nested p.p_exec_pool
-  and fbd0 = Pool.fallback_disabled p.p_exec_pool
-  and wt0 = Pool.worker_tasks p.p_exec_pool
-  and ct0 = Pool.caller_tasks p.p_exec_pool in
-  let kr0 = p.s_kernel_runs
-  and cr0 = p.s_cjit_runs
-  and pl0 = p.s_parallel_loops
-  and rl0 = p.s_reduction_loops in
-  Fun.protect ~finally:(fun () ->
-      p.s_pool_dispatches <-
-        p.s_pool_dispatches + Pool.dispatches p.p_exec_pool - disp0;
-      p.s_pool_seq_fallbacks <-
-        p.s_pool_seq_fallbacks + Pool.seq_fallbacks p.p_exec_pool - seq0;
-      p.s_pool_fb_grain <-
-        p.s_pool_fb_grain + Pool.fallback_grain p.p_exec_pool - fbg0;
-      p.s_pool_fb_nested <-
-        p.s_pool_fb_nested + Pool.fallback_nested p.p_exec_pool - fbn0;
-      p.s_pool_fb_disabled <-
-        p.s_pool_fb_disabled + Pool.fallback_disabled p.p_exec_pool - fbd0;
-      p.s_pool_worker_tasks <-
-        p.s_pool_worker_tasks + Pool.worker_tasks p.p_exec_pool - wt0;
-      p.s_pool_caller_tasks <-
-        p.s_pool_caller_tasks + Pool.caller_tasks p.p_exec_pool - ct0;
-      p.s_last_kernel_runs <- p.s_kernel_runs - kr0;
-      p.s_last_cjit_runs <- p.s_cjit_runs - cr0;
-      p.s_last_parallel_loops <- p.s_parallel_loops - pl0;
-      p.s_last_reduction_loops <- p.s_reduction_loops - rl0)
-  @@ fun () ->
   Tracer.span_args "scheduler.run"
     ~args:(fun () -> [ ("graph", p.p_graph.Graph.g_name) ])
   @@ fun () ->
@@ -1403,22 +1307,11 @@ type stats = {
   batched_loops : int;  (* loops with an iteration-batching plan *)
   cjit_groups : int;  (* groups armed with a native kernel *)
   cjit_runs : int;  (* native launches *)
-  jit_fallbacks : int;  (* runtime demotions back to the closure arm *)
+  jit_fallbacks : int;  (* launch-validation demotions to the closure arm *)
   loops_pinned_inline : int;
   loops_pinned_dispatch : int;
   loops_pinned_seq : int;  (* batched loops pinned back to sequential *)
-  last_kernel_runs : int;
-  last_cjit_runs : int;
-  last_parallel_loops : int;
-  last_reduction_loops : int;
   pool_lanes : int;
-  pool_dispatches : int;
-  pool_seq_fallbacks : int;
-  pool_fb_grain : int;
-  pool_fb_nested : int;
-  pool_fb_disabled : int;
-  pool_worker_tasks : int;
-  pool_caller_tasks : int;
 }
 
 let stats p =
@@ -1453,18 +1346,7 @@ let stats p =
     loops_pinned_inline = !pin_i;
     loops_pinned_dispatch = !pin_d;
     loops_pinned_seq = !pin_s;
-    last_kernel_runs = p.s_last_kernel_runs;
-    last_cjit_runs = p.s_last_cjit_runs;
-    last_parallel_loops = p.s_last_parallel_loops;
-    last_reduction_loops = p.s_last_reduction_loops;
     pool_lanes = Pool.lanes p.p_exec_pool;
-    pool_dispatches = p.s_pool_dispatches;
-    pool_seq_fallbacks = p.s_pool_seq_fallbacks;
-    pool_fb_grain = p.s_pool_fb_grain;
-    pool_fb_nested = p.s_pool_fb_nested;
-    pool_fb_disabled = p.s_pool_fb_disabled;
-    pool_worker_tasks = p.s_pool_worker_tasks;
-    pool_caller_tasks = p.s_pool_caller_tasks;
   }
 
 (* --- kernel-group wall-time attribution ---

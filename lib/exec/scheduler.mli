@@ -81,40 +81,21 @@ type stats = {
   batched_loops : int;  (** loops with an iteration-batching plan *)
   cjit_groups : int;
       (** groups currently armed with a native (C) kernel — a tuner
-          demotion to the closure arm keeps the group armed *)
+          pin on the closure arm keeps the group armed *)
   cjit_runs : int;  (** native kernel launches so far *)
   jit_fallbacks : int;
-      (** runtime demotions back to the closure arm (launch-validation
-          failures and tuner verdicts) *)
+      (** launch-validation failures that demoted a group back to its
+          closure kernel for good; the tuner's closure-vs-[c-jit] choice
+          is journaled as its pins and flips, not counted here *)
   loops_pinned_inline : int;  (** batched loops the tuner pinned inline *)
   loops_pinned_dispatch : int;  (** … pinned to pool dispatch *)
   loops_pinned_seq : int;  (** … pinned back to the sequential fused path *)
-  last_kernel_runs : int;  (** kernel launches in the most recent run *)
-  last_cjit_runs : int;  (** native launches in the most recent run *)
-  last_parallel_loops : int;  (** batched loops in the most recent run *)
-  last_reduction_loops : int;  (** reduction loops in the most recent run *)
   pool_lanes : int;  (** worker lanes in the shared domain pool *)
-  pool_dispatches : int;
-      (** parallel_for calls that went to workers, {e during this
-          engine's runs} — the shared pool's cumulative counters are
-          snapshotted at each run's boundaries and only the deltas are
-          accumulated, so engines that take turns on the pool don't
-          contaminate each other's numbers (engines running at the same
-          time on session shards still may) *)
-  pool_seq_fallbacks : int;
-      (** parallel_for calls run sequentially during this engine's runs
-          (same per-engine delta accounting); always the sum of the three
-          reason splits below *)
-  pool_fb_grain : int;  (** sequential: fewer than two grain-sized chunks *)
-  pool_fb_nested : int;
-      (** sequential: the pool was already running a job (a task body
-          or another domain's dispatch) *)
-  pool_fb_disabled : int;  (** sequential: single lane or shut down *)
-  pool_worker_tasks : int;
-      (** tasks executed by a pool worker domain (same per-engine delta
-          accounting) *)
-  pool_caller_tasks : int;  (** tasks the dispatching domain ran itself *)
 }
+(** Counters are cumulative over the engine's lifetime; a caller that
+    reports one run diffs two snapshots taken around it.  Dispatch
+    counters live on the shared pool the engine runs on ({!Pool.dispatches}
+    and its siblings); they count every engine using that pool. *)
 
 val stats : prepared -> stats
 

@@ -125,15 +125,9 @@ let pin t i =
   s.last_pin <- i
 
 (* Move on to the next sample, or pin the winner once every live arm
-   has its samples; [true] when it pinned. *)
+   has its samples. *)
 let advance t =
-  match pick t.st with
-  | -1 ->
-      pin t (fastest t.st);
-      true
-  | j ->
-      set t j;
-      false
+  match pick t.st with -1 -> pin t (fastest t.st) | j -> set t j
 
 let expire t =
   let s = t.st in
@@ -144,7 +138,7 @@ let expire t =
   s.runs.(s.cur) <- sample_runs;
   s.best.(s.cur) <- s.pin_best;
   s.sampling <- true;
-  ignore (advance t)
+  advance t
 
 let record t a dt =
   let s = t.st in
@@ -161,8 +155,7 @@ let record t a dt =
   else begin
     s.pin_best <- Float.min s.pin_best dt;
     s.pin_left <- s.pin_left - 1;
-    if s.pin_left <= 0 && not s.frozen then expire t;
-    false
+    if s.pin_left <= 0 && not s.frozen then expire t
   end
 
 let drop t a =

@@ -34,10 +34,9 @@ type 'a t = private {
 val create : scope:string -> id:int -> name:('a -> string) -> 'a list -> 'a t
 (** A tuner sampling [arms] (non-empty) from scratch. *)
 
-val record : 'a t -> 'a -> float -> bool
-(** [record t arm dt]: a launch of [arm] took [dt] seconds.  Returns
-    [true] when this sample completed a sampling window and pinned a
-    winner (so the caller can inspect {!best} before the next window). *)
+val record : 'a t -> 'a -> float -> unit
+(** [record t arm dt]: a launch of [arm] took [dt] seconds.  A sample
+    that completes a sampling window pins the winner. *)
 
 val drop : 'a t -> 'a -> unit
 (** Retire an arm for good (e.g. a native kernel that failed launch

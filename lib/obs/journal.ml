@@ -4,7 +4,6 @@ type kind =
   | Tuner_flip
   | Tuner_expire
   | Jit_demote
-  | Jit_promote
   | Cache_evict
   | Deadline_degrade
 
@@ -14,7 +13,6 @@ let kind_name = function
   | Tuner_flip -> "tuner.flip"
   | Tuner_expire -> "tuner.expire"
   | Jit_demote -> "jit.demote"
-  | Jit_promote -> "jit.promote"
   | Cache_evict -> "cache.evict"
   | Deadline_degrade -> "deadline.degrade"
 

@@ -218,10 +218,7 @@ let dump_trace () =
 
 let apply cfg =
   applied := cfg;
-  Engine.set_cache_default cfg.cache;
   Engine.set_cache_capacity cfg.cache_size;
-  Engine.set_jit_default cfg.jit;
-  Engine.set_jit_dir_default cfg.jit_dir;
   if cfg.jit_cc <> "" then Jit.set_c_compiler cfg.jit_cc;
   Functs_exec.Pool.set_chunk_bytes cfg.chunk_bytes;
   if Tracer.capacity () <> cfg.trace_buf then Tracer.set_capacity cfg.trace_buf;

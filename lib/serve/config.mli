@@ -12,9 +12,9 @@
 
     A config does nothing until used: pass it to [Session.create] /
     [Functs.compile] for per-session knobs, and call {!apply} once at
-    startup to push the process-wide pieces (compile-cache capacity and
-    default, tracer ring size, trace/metrics exit sinks) into the layers
-    that own them. *)
+    startup to push the process-wide pieces (compile-cache capacity,
+    tracer ring size, trace/metrics exit sinks) into the layers that own
+    them. *)
 
 type trace_sink =
   | Trace_off
@@ -112,14 +112,15 @@ val of_env :
 
 val apply : t -> unit
 (** Push the process-wide settings where they live: compile-cache
-    default and capacity ([Engine.set_cache_default] /
-    [set_cache_capacity]), JIT default mode and artifact dir
-    ([Engine.set_jit_default] / [set_jit_dir_default]), the JIT C
-    compiler override ([Jit.set_c_compiler], when set), tracer ring
-    capacity, tracer enablement, journal ring capacity and enablement,
-    and the trace / metrics exit dumps.  Idempotent per process — the
-    exit hooks are registered once and follow the most recently applied
-    config. *)
+    capacity ([Engine.set_cache_capacity]), the JIT C compiler override
+    ([Jit.set_c_compiler], when set), the pool's per-task cache budget
+    ([Pool.set_chunk_bytes]), tracer ring capacity, tracer enablement,
+    journal ring capacity and enablement, and the trace / metrics exit
+    dumps.  The per-engine settings ([cache], [jit], [jit_dir],
+    [domains], the grains) are not process-wide: callers pass them to
+    [Engine.prepare] ([Session.create] does so from its config).
+    Idempotent per process — the exit hooks are registered once and
+    follow the most recently applied config. *)
 
 val to_string : t -> string
 (** One-per-line [key = value] rendering (for [functs config]). *)

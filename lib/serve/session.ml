@@ -111,25 +111,22 @@ type input = { in_args : Value.t list; in_deadline_us : float option }
 let input ?deadline_us args = { in_args = args; in_deadline_us = deadline_us }
 
 (* One compile variant: the workload's program instantiated at
-   [bk_size × native batch], lowered once at session create.  The
-   graph/shape pair is the compile-cache key, so re-probing [prepare]
-   per dispatch is a warm hit, never a rebuild. *)
+   [bk_size × native batch], lowered once at session create. *)
 type bucket = {
   bk_size : int;  (* requests per batched run *)
   bk_graph : Graph.t;  (* lowered per the profile, contractually frozen *)
   bk_inputs : Shape_infer.shape option list;
 }
 
-(* A dispatcher shard.  Shard 0 serves from the process-wide compile
-   cache (every probe is a warm hit — the [engine.cache.*] counters keep
-   proving the session never recompiles).  Extra shards own private
-   uncached engines: two shards sharing one cached engine would only
-   serialize on its run mutex, and [~cache:false] builds leave the LRU
-   cache and its hit/miss counters untouched. *)
-type shard = {
-  sh_cached : bool;
-  sh_local : (int, Engine.t) Hashtbl.t;  (* bucket size → private engine *)
-}
+(* A dispatcher shard's engines, by bucket size.  Shard 0's table holds
+   the engines [create] compiled and warmed, so native-shape requests
+   never probe the process-wide compile cache: an LRU eviction or
+   [Engine.clear_cache] cannot put a rebuild on the request path.  Extra
+   shards fill their own tables lazily with uncached engines: two shards
+   sharing one engine would only serialize on its run mutex, and
+   [~cache:false] builds leave the LRU cache and its hit/miss counters
+   untouched. *)
+type shard = (int, Engine.t) Hashtbl.t
 
 type t = {
   s_config : Config.t;
@@ -147,7 +144,7 @@ type t = {
   mutable s_closing : bool;
   mutable s_paused : bool;
   mutable s_batch_broken : bool;  (* runtime demotion: batch runs misbehaved *)
-  mutable s_last_bucket : int;  (* last journaled bucket choice; 0 = none *)
+  mutable s_noted_bucket : int;  (* last journaled bucket choice; 0 = none *)
   mutable s_stats : stats;
   mutable s_dispatchers : unit Domain.t list;
   mutable s_engine : Engine.t option;
@@ -281,17 +278,18 @@ let prepare_engine t ?cache graph ~inputs =
 let engine_for t args =
   prepare_engine t t.s_graph ~inputs:(Engine.input_shapes args)
 
-let bucket_engine t sh bk =
-  if sh.sh_cached then prepare_engine t bk.bk_graph ~inputs:bk.bk_inputs
-  else
-    match Hashtbl.find_opt sh.sh_local bk.bk_size with
-    | Some eng ->
-        t.s_engine <- Some eng;
-        eng
-    | None ->
-        let eng = prepare_engine t ~cache:false bk.bk_graph ~inputs:bk.bk_inputs in
-        Hashtbl.add sh.sh_local bk.bk_size eng;
-        eng
+let bucket_engine t (sh : shard) bk =
+  match Hashtbl.find_opt sh bk.bk_size with
+  | Some eng ->
+      t.s_engine <- Some eng;
+      eng
+  | None ->
+      let eng = prepare_engine t ~cache:false bk.bk_graph ~inputs:bk.bk_inputs in
+      Hashtbl.add sh bk.bk_size eng;
+      eng
+
+(* [s_buckets] is sorted descending and always ends with size 1. *)
+let base_bucket t = List.nth t.s_buckets (List.length t.s_buckets - 1)
 
 (* --- batched scatter / gather --- *)
 
@@ -369,11 +367,11 @@ let gather (bx : Workload.batching) k outputs =
 (* Journal the bucket chooser's decision when it changes, so
    [functs why] explains which bucket requests land in. *)
 let note_bucket t k ~live =
-  if t.s_last_bucket <> k then begin
+  if t.s_noted_bucket <> k then begin
     let kind =
-      if t.s_last_bucket = 0 then Journal.Tuner_pin else Journal.Tuner_flip
+      if t.s_noted_bucket = 0 then Journal.Tuner_pin else Journal.Tuner_flip
     in
-    t.s_last_bucket <- k;
+    t.s_noted_bucket <- k;
     Journal.record kind "serve.bucket" ~arm:(string_of_int k)
       ~detail:(Printf.sprintf "live=%d" live)
       ~value:(float_of_int k)
@@ -436,12 +434,12 @@ let run_bucket t sh bx bk group =
           in
           List.iter (fun tk -> degrade t tk (Error.Engine_failure m)) group)
 
-let run_singles t sh bk group =
+let run_singles t acquire group =
   match group with
   | [] -> ()
   | _ -> (
       count_run t (List.length group) ~batched:false;
-      match bucket_engine t sh bk with
+      match acquire () with
       | eng ->
           let acquired = Unix.gettimeofday () in
           List.iter (fun tk -> tk.t_engine <- acquired) group;
@@ -496,12 +494,12 @@ let rec serve_buckets t sh bx group =
       let bk =
         match List.find_opt (fun b -> b.bk_size <= n) t.s_buckets with
         | Some b -> b
-        | None -> List.nth t.s_buckets (List.length t.s_buckets - 1)
+        | None -> base_bucket t
       in
       note_bucket t bk.bk_size ~live:n;
       let chunk, rest = split_at bk.bk_size live in
       if bk.bk_size > 1 then run_bucket t sh bx bk chunk
-      else run_singles t sh bk chunk;
+      else run_singles t (fun () -> bucket_engine t sh bk) chunk;
       serve_buckets t sh bx rest
 
 let process_batch t sh = function
@@ -532,22 +530,15 @@ let process_batch t sh = function
                     by_compat others
               in
               by_compat batch
-          | Some _ | None -> (
-              match drop_cancelled t (split_expired t batch) with
-              | [] -> ()
-              | live ->
-                  count_run t (List.length live) ~batched:false;
-                  (* ad-hoc shape: shared cache probe, serve at bucket 1 *)
-                  (match engine_for t first.t_args with
-                  | eng ->
-                      let acquired = Unix.gettimeofday () in
-                      List.iter (fun tk -> tk.t_engine <- acquired) live;
-                      List.iter (fun tk -> run_engine t eng tk) live
-                  | exception exn ->
-                      let m = Printexc.to_string exn in
-                      List.iter
-                        (fun tk -> degrade t tk (Error.Engine_failure m))
-                        live)))
+          | Some _ | None ->
+              (* one at a time at bucket 1: the native shape from the
+                 shard's table, an ad-hoc shape through the shared cache *)
+              let acquire () =
+                if first.t_shape = t.s_native_sig then
+                  bucket_engine t sh (base_bucket t)
+                else engine_for t first.t_args
+              in
+              run_singles t acquire (drop_cancelled t (split_expired t batch)))
 
 let rec dispatch_loop t sh =
   let action =
@@ -585,8 +576,6 @@ let rec dispatch_loop t sh =
       process_batch t sh batch;
       dispatch_loop t sh
 
-let make_shard ~cached = { sh_cached = cached; sh_local = Hashtbl.create 4 }
-
 (* --- bucket compilation (at create) --- *)
 
 (* Static cross-check of a bucket engine against the base engine through
@@ -623,7 +612,7 @@ let outputs_scale_ok (bx : Workload.batching) ~factor ~base ~bucket =
    arms' probe runs. *)
 let warmup_runs = 3
 
-let build_buckets t (w : Workload.t) bx ~batch ~seq ~base_engine =
+let build_buckets t (w : Workload.t) bx ~batch ~seq ~base_engine ~shard =
   let base_out = Engine.output_shapes base_engine in
   let native_args = w.Workload.inputs ~batch ~seq in
   if
@@ -644,7 +633,7 @@ let build_buckets t (w : Workload.t) bx ~batch ~seq ~base_engine =
             let inputs = Engine.input_shapes bucket_args in
             let bk = { bk_size = k; bk_graph = g; bk_inputs = inputs } in
             (* warm compile now, so steady-state dispatches never build *)
-            let eng = bucket_engine t (make_shard ~cached:true) bk in
+            let eng = prepare_engine t g ~inputs in
             if
               outputs_scale_ok bx ~factor:k ~base:base_out
                 ~bucket:(Engine.output_shapes eng)
@@ -656,6 +645,7 @@ let build_buckets t (w : Workload.t) bx ~batch ~seq ~base_engine =
                    ignore (Engine.run eng bucket_args)
                  done
                with _ -> ());
+              Hashtbl.replace shard k eng;
               Some bk
             end
             else None
@@ -697,15 +687,17 @@ let create ?(config = Config.default) ?(profile = Compiler_profile.tensorssa)
         s_closing = false;
         s_paused = false;
         s_batch_broken = false;
-        s_last_bucket = 0;
+        s_noted_bucket = 0;
         s_stats = zero_stats;
         s_dispatchers = [];
         s_engine = None;
       }
     in
-    (* compile once, now: the session's native shapes go warm before the
-       first submit, so steady-state submits are pure cache hits *)
-    let base_engine = bucket_engine t (make_shard ~cached:true) base in
+    (* compile once, now: shard 0 holds every engine it serves from
+       before the first submit *)
+    let shard0 : shard = Hashtbl.create 4 in
+    let base_engine = prepare_engine t g ~inputs:base.bk_inputs in
+    Hashtbl.replace shard0 1 base_engine;
     (try
        for _ = 1 to warmup_runs do
          ignore (Engine.run base_engine native_args)
@@ -715,7 +707,7 @@ let create ?(config = Config.default) ?(profile = Compiler_profile.tensorssa)
       match w.Workload.batching with
       | None -> t
       | Some bx -> (
-          match build_buckets t w bx ~batch ~seq ~base_engine with
+          match build_buckets t w bx ~batch ~seq ~base_engine ~shard:shard0 with
           | [] -> { t with s_batching = None }
           | bks ->
               let buckets =
@@ -736,7 +728,7 @@ let create ?(config = Config.default) ?(profile = Compiler_profile.tensorssa)
               })
     in
     t.s_dispatchers <-
-      [ Domain.spawn (fun () -> dispatch_loop t (make_shard ~cached:true)) ];
+      [ Domain.spawn (fun () -> dispatch_loop t shard0) ];
     t
   with
   | t -> Ok t
@@ -807,7 +799,7 @@ let submit t { in_args = args; in_deadline_us = deadline_us } =
                 ~value:(float_of_int depth);
               t.s_dispatchers <-
                 Domain.spawn (fun () ->
-                    dispatch_loop t (make_shard ~cached:false))
+                    dispatch_loop t (Hashtbl.create 4))
                 :: t.s_dispatchers
             end;
             (* arrow tail lives inside this submit span; the head is in

@@ -7,7 +7,11 @@
     dispatcher domain, and then serves [submit]ted requests until
     [close].  The LazyTensor lesson: the win of an eager-plus-compiler
     system lives or dies on reusing compilation across calls — a warm
-    session never recompiles (the [engine.cache.*] counters prove it).
+    session never recompiles: its dispatcher serves native-shape
+    requests from the engines [create] compiled, without probing the
+    compile cache, so not even [Engine.clear_cache] or an LRU eviction
+    puts a rebuild on the request path (the [engine.cache.*] counters
+    prove it).
 
     {2 Batched dispatch}
 
@@ -30,14 +34,17 @@
 
     {2 Sharding}
 
-    When the queue holds more than two full dispatch rounds and
-    [config.shards] allows, the session spawns additional dispatcher
-    domains.  Each extra shard owns {e private, uncached} engines
-    ([Engine.prepare ~cache:false]) — sharing one cached engine would
-    only serialize on its run mutex, and private builds leave the
-    compile-cache hit/miss counters untouched, so the warm-miss-0
-    invariant stays meaningful.  Scale-out decisions are journaled at
-    site [serve.shards].
+    Each dispatcher shard serves native-shape requests from its own
+    bucket-size → engine table.  Shard 0's table holds the engines
+    [create] compiled and warmed; only ad-hoc shapes probe the
+    process-wide compile cache.  When the queue holds more than two
+    full dispatch rounds and [config.shards] allows, the session spawns
+    additional dispatcher domains, each filling its table lazily with
+    {e private, uncached} engines ([Engine.prepare ~cache:false]) —
+    sharing one engine would only serialize on its run mutex, and
+    private builds leave the compile-cache hit/miss counters untouched,
+    so the warm-miss-0 invariant stays meaningful.  Scale-out decisions
+    are journaled at site [serve.shards].
 
     Concurrency model:
 
@@ -101,9 +108,10 @@ val create :
   Workload.t ->
   (t, Error.t) result
 (** Lower and compile [workload] at the given scale (defaults to the
-    workload's own), warm the compile cache for its native input shapes
-    {e and for every configured batch bucket} (when the workload declares
-    {!Workload.batching}), and start the dispatcher.  Bucket variants
+    workload's own), compile and warm an engine for its native input
+    shapes {e and for every configured batch bucket} (when the workload
+    declares {!Workload.batching}), and start the dispatcher with those
+    engines.  Bucket variants
     that fail to compile, or whose inferred output shapes do not scale by
     the bucket factor along the declared axes, are dropped (falling back
     as far as bucket-1-only serving).  [profile] defaults to

@@ -633,7 +633,8 @@ let test_adversarial_sequential () =
 (* Batched execution must be bitwise-identical: a Parallel loop and a
    Max reduction on the sequential engine vs batched at domains=1 and
    domains=4, and an Add reduction across d1/d2/d4 (same fixed chunk
-   grid, same merge order). *)
+   grid, same merge order).  Each engine is fresh and runs once, so its
+   cumulative stats are that run's. *)
 let bitwise_outputs ?(parallel = true) g ~domains args =
   let fg = Graph.clone g in
   ignore (Passes.tensorssa_pipeline fg);
@@ -678,16 +679,16 @@ let test_batched_bitwise () =
   (match bitwise "parallel loop" (carried_store_graph ()) 12 sequential [ 1; 4 ] with
   | [ s1; s4 ] ->
       check "domains=1 run batched the loop" true
-        (s1.Scheduler.last_parallel_loops >= 1);
+        (s1.Scheduler.parallel_loops_run >= 1);
       check "domains=4 run batched the loop" true
-        (s4.Scheduler.last_parallel_loops >= 1)
+        (s4.Scheduler.parallel_loops_run >= 1)
   | _ -> assert false);
   let sm =
     bitwise "max reduction" (reduction_graph Functs_tensor.Scalar.Max) 12
       sequential [ 1; 4 ]
   in
   check "max reduction ran as a batched reduction" true
-    (List.for_all (fun s -> s.Scheduler.last_reduction_loops >= 1) sm);
+    (List.for_all (fun s -> s.Scheduler.reduction_loops_run >= 1) sm);
   (* Add is only associative up to rounding, so compare the batched
      engines (identical chunk grid) rather than batched vs sequential. *)
   ignore
@@ -726,7 +727,8 @@ let test_inline_scratch_recycled () =
   let prev = ref (run ()) and batched = ref 0 in
   for _ = 3 to 6 do
     let s = run () in
-    if s.Scheduler.last_parallel_loops >= 1 then begin
+    if s.Scheduler.parallel_loops_run > !prev.Scheduler.parallel_loops_run
+    then begin
       incr batched;
       check_int "a batched run allocates nothing fresh"
         !prev.Scheduler.pool_fresh s.Scheduler.pool_fresh;

@@ -154,23 +154,28 @@ let batched_variant shared salt =
 
 (* Submit [n] distinct same-shape requests while the dispatcher is
    paused (so the whole mix is queued and decomposes greedily on
-   resume), then check every response is bitwise-equal to its own
-   batch-1 interpreter run. *)
-let bucket_round s shared ~salt0 n =
+   resume); returns each request's arguments with its outputs. *)
+let serve_round s shared ~salt0 n =
   Session.pause s;
   let reqs = List.init n (fun i -> batched_variant shared (salt0 + i)) in
   let tickets =
     List.map (fun args -> (args, submit_ok s (Session.input args))) reqs
   in
   Session.resume s;
-  List.iter
+  List.map
     (fun (args, tk) ->
       match Session.await tk with
-      | Ok got ->
-          check "bucketed response is bitwise-equal to its solo run" true
-            (bitwise (expected_for args) got)
+      | Ok got -> (args, got)
       | Error e -> Alcotest.fail (Error.to_string e))
     tickets
+
+(* Every response is bitwise-equal to its own batch-1 interpreter run. *)
+let bucket_round s shared ~salt0 n =
+  List.iter
+    (fun (args, got) ->
+      check "bucketed response is bitwise-equal to its solo run" true
+        (bitwise (expected_for args) got))
+    (serve_round s shared ~salt0 n)
 
 let test_bucket_equivalence () =
   with_session (fun s ->
@@ -183,12 +188,13 @@ let test_bucket_equivalence () =
       List.iteri
         (fun round n -> bucket_round s shared ~salt0:(round * 31) n)
         [ 1; 3; 4; 7; 16; 23 ];
-      (* every bucket engine was compiled at create: filling them is warm *)
+      (* every bucket engine was compiled at create and is held by the
+         dispatcher: native-shape traffic never probes the compile cache *)
       let c1 = Compiler_profile.cache_snapshot () in
       check_int "warm bucketed traffic never recompiles" 0
         (c1.Compiler_profile.cache_misses - c0.Compiler_profile.cache_misses);
-      check "warm bucketed traffic hits the compile cache" true
-        (c1.Compiler_profile.cache_hits > c0.Compiler_profile.cache_hits);
+      check_int "warm bucketed traffic never probes the compile cache" 0
+        (c1.Compiler_profile.cache_hits - c0.Compiler_profile.cache_hits);
       let st = Session.stats s in
       check "batched engine runs happened" true (st.Session.batched_runs >= 4);
       check "the 4-bucket was used" true
@@ -384,8 +390,33 @@ let test_warm_no_recompile () =
       let c1 = Compiler_profile.cache_snapshot () in
       check_int "warm submits never recompile" 0
         (c1.Compiler_profile.cache_misses - c0.Compiler_profile.cache_misses);
-      check "warm submits hit the compile cache" true
-        (c1.Compiler_profile.cache_hits > c0.Compiler_profile.cache_hits))
+      check_int "warm submits never probe the compile cache" 0
+        (c1.Compiler_profile.cache_hits - c0.Compiler_profile.cache_hits))
+
+(* --- the dispatcher holds its engines: a cleared compile cache costs
+   serving nothing --- *)
+
+let test_clear_cache_no_rebuild () =
+  (* batched buckets, and bucket-1-only serving (the workload's batching
+     dropped because no bucket above 1 is configured) *)
+  List.iter
+    (fun config ->
+      with_session ~config (fun s ->
+          (* 23 requests: 16 + 4 + singles when batching is on *)
+          let round () =
+            List.map snd (serve_round s (base_args ()) ~salt0:0 23)
+          in
+          let first = round () in
+          Engine.clear_cache ();
+          let c0 = Compiler_profile.cache_snapshot () in
+          let second = round () in
+          let c1 = Compiler_profile.cache_snapshot () in
+          check_int "no engine is rebuilt after clear_cache" 0
+            (c1.Compiler_profile.cache_misses
+           - c0.Compiler_profile.cache_misses);
+          check "outputs are bitwise-equal to the first round's" true
+            (List.for_all2 bitwise first second)))
+    [ Config.default; { Config.default with Config.batch_buckets = [ 1 ] } ]
 
 (* --- the facade's one-shot entry point --- *)
 
@@ -474,6 +505,27 @@ let test_of_env_empty_means_unset () =
         Config.default.Config.domains cfg.Config.domains
   | Error e -> Alcotest.fail (Error.to_string e)
 
+(* [Config.apply] sets process-wide pieces only: an engine prepared
+   without [?jit] stays on closure kernels whatever the applied config
+   says. *)
+let test_apply_leaves_prepare_defaults () =
+  let dir = Filename.temp_dir "functs-apply-jit" "" in
+  Fun.protect
+    ~finally:(fun () ->
+      Config.apply Config.default;
+      Array.iter
+        (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
+        (Sys.readdir dir);
+      try Unix.rmdir dir with Unix.Unix_error _ -> ())
+  @@ fun () ->
+  Config.apply { Config.default with Config.jit = Jit.Auto; jit_dir = dir };
+  let g = Graph.clone (Workload.graph (lstm ()) ~batch ~seq) in
+  ignore (Passes.tensorssa_pipeline g);
+  let eng =
+    Engine.prepare ~cache:false g ~inputs:(Engine.input_shapes (base_args ()))
+  in
+  check_int "no C group armed" 0 (Engine.stats eng).Scheduler.cjit_groups
+
 let test_error_strings () =
   List.iter
     (fun e -> check "error renders non-empty" true (Error.to_string e <> ""))
@@ -504,6 +556,8 @@ let () =
           Alcotest.test_case "empty means unset" `Quick
             test_of_env_empty_means_unset;
           Alcotest.test_case "error strings" `Quick test_error_strings;
+          Alcotest.test_case "apply leaves prepare defaults" `Quick
+            test_apply_leaves_prepare_defaults;
         ] );
       ( "session",
         [
@@ -523,6 +577,8 @@ let () =
             test_submit_after_close;
           Alcotest.test_case "warm submits never recompile" `Quick
             test_warm_no_recompile;
+          Alcotest.test_case "clear_cache never rebuilds a served engine"
+            `Quick test_clear_cache_no_rebuild;
           Alcotest.test_case "run_once" `Quick test_run_once;
         ] );
     ]

@@ -36,7 +36,7 @@ let loop () =
 let drive t ~name ~cost n =
   List.init n (fun _ ->
       let arm = t.Tuner.arm in
-      ignore (Tuner.record t arm (cost arm));
+      Tuner.record t arm (cost arm);
       name arm)
 
 let journal () =
