@@ -12,8 +12,9 @@
    With no argument everything runs.  Unknown targets exit non-zero.
 
    [exec] writes machine-readable results to BENCH_exec.json (per-workload
-   best-of-N wall-clock, pool dispatch overhead vs Domain.spawn/join, and
-   cold/warm compile-cache timings).  [exec --smoke] only checks that every
+   best-of-N wall-clock, pool dispatch overhead vs Domain.spawn/join,
+   cold/warm compile-cache timings, and the cold JIT compile into an
+   empty artifact directory).  [exec --smoke] only checks that every
    workload's engine outputs match the interpreter — no timing, no JSON. *)
 
 open Bechamel
@@ -284,11 +285,34 @@ let prepare ?(domains = config.Config.domains) ~parallel fg ~inputs =
 
 (* The JIT arm always measures, whatever FUNCTS_JIT says (per-group
    graceful fallback keeps it safe everywhere). *)
-let prepare_jit fg ~inputs =
+let prepare_jit ?(cache = config.Config.cache)
+    ?(jit_dir = config.Config.jit_dir) fg ~inputs =
   Engine.prepare ~parallel:false ~domains:config.Config.domains
     ~loop_grain:config.Config.loop_grain
-    ~kernel_grain:config.Config.kernel_grain ~cache:config.Config.cache
-    ~jit:Jit.Auto ~jit_dir:config.Config.jit_dir fg ~inputs
+    ~kernel_grain:config.Config.kernel_grain ~cache ~jit:Jit.Auto ~jit_dir fg
+    ~inputs
+
+(* The cold JIT compile a fresh replica pays on a fresh machine: the
+   JIT arm's prepare with the compile cache off, after dropping the
+   in-process artifact memo, into an empty artifact directory (deleted
+   afterwards), so every kernel goes through [cc].  Returns wall seconds
+   and the [jit.c.compiles] delta. *)
+let jit_compiles = Metrics.counter "jit.c.compiles"
+
+let cold_jit fg ~inputs =
+  let dir = Filename.temp_dir "functs-bench-jit" "" in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter
+        (fun f -> try Sys.remove (Filename.concat dir f) with _ -> ())
+        (try Sys.readdir dir with _ -> [||]);
+      try Unix.rmdir dir with _ -> ())
+    (fun () ->
+      Jit.clear_loaded ();
+      let c0 = Metrics.value jit_compiles in
+      let t0 = Unix.gettimeofday () in
+      ignore (prepare_jit ~cache:false ~jit_dir:dir fg ~inputs);
+      (Unix.gettimeofday () -. t0, Metrics.value jit_compiles - c0))
 
 let prepare_times ~parallel fg ~inputs =
   Engine.clear_cache ();
@@ -341,6 +365,8 @@ type wrow = {
   r_sweep : (int * float) list; (* domains -> best wall-clock *)
   r_cold : float;
   r_warm : float;
+  r_cold_jit : float;
+  r_cold_jit_compiles : int;
   r_run : counted;  (* one untimed run of the batched engine *)
   r_jit_run : counted;  (* one untimed run of the jit engine *)
 }
@@ -370,13 +396,14 @@ let host_json () =
   in
   Printf.sprintf
     "{ \"nproc\": %d, \"recommended_domain_count\": %d, \"cpu_model\": \
-     \"%s\", \"cc\": \"%s\" }"
+     \"%s\", \"cc\": \"%s\", \"jit_isa\": \"%s\" }"
     (Option.value ~default:0 (int_of_string_opt (first_line "nproc")))
     (Domain.recommended_domain_count ())
     (first_line "sed -n 's/^model name[[:space:]]*: //p' /proc/cpuinfo")
     (first_line
        ((if config.Config.jit_cc = "" then "cc" else config.Config.jit_cc)
        ^ " --version"))
+    (Jit.isa ())
 
 let write_json path rows (pool_us, spawn_us) =
   let oc = open_out path in
@@ -407,6 +434,7 @@ let write_json path rows (pool_us, spawn_us) =
         \      \"jit_groups\": %d, \"jit_runs\": %d, \"jit_fallbacks\": %d,\n\
         \      \"sweep\": { %s },\n\
         \      \"prepare_cold_ms\": %.4f, \"prepare_warm_ms\": %.6f,\n\
+        \      \"cold_jit_ms\": %.1f, \"cold_jit_compiles\": %d,\n\
         \      \"kernel_runs\": %d, \"parallel_loops\": %d, \
          \"reduction_loops\": %d, \"batched_loops\": %d, \
          \"loops_pinned_seq\": %d,\n\
@@ -422,6 +450,7 @@ let write_json path rows (pool_us, spawn_us) =
         sj.Scheduler.cjit_groups
         (ran cj (fun s -> s.Scheduler.cjit_runs))
         sj.Scheduler.jit_fallbacks sweep (1e3 *. r.r_cold) (1e3 *. r.r_warm)
+        (1e3 *. r.r_cold_jit) r.r_cold_jit_compiles
         (ran c (fun s -> s.Scheduler.kernel_runs))
         (ran c (fun s -> s.Scheduler.parallel_loops_run))
         (ran c (fun s -> s.Scheduler.reduction_loops_run))
@@ -563,6 +592,7 @@ let run_exec () =
         (* Re-measure prepare now that timing runs warmed everything: the
            first prepare above also paid kernel auto-tuning samples. *)
         let t_cold, t_warm, _ = prepare_times ~parallel:true fg ~inputs in
+        let t_cold_jit, cold_jit_compiles = cold_jit fg ~inputs in
         let _, run = counted_run engp args in
         let _, jit_run = counted_run engj args in
         let sw d = try List.assoc d sweep with Not_found -> nan in
@@ -594,6 +624,8 @@ let run_exec () =
             r_sweep = sweep;
             r_cold = t_cold;
             r_warm = t_warm;
+            r_cold_jit = t_cold_jit;
+            r_cold_jit_compiles = cold_jit_compiles;
             r_run = run;
             r_jit_run = jit_run;
           }

@@ -243,9 +243,11 @@ let run_exec (w : Workload.t) (profile : Compiler_profile.t) batch seq =
       s.Scheduler.parallel_loops_run s.Scheduler.reduction_loops_run
       s.Scheduler.batched_loops;
     Printf.printf
-      "jit        : %s — %d groups armed, %d native runs, %d fallbacks\n"
+      "jit        : %s — %d groups armed, %d native runs, %d fallbacks, \
+       isa %s\n"
       (Jit.mode_to_string config.Config.jit)
-      s.Scheduler.cjit_groups s.Scheduler.cjit_runs s.Scheduler.jit_fallbacks;
+      s.Scheduler.cjit_groups s.Scheduler.cjit_runs s.Scheduler.jit_fallbacks
+      (Jit.isa ());
     Printf.printf
       "domains    : %d lanes, %d dispatches, %d worker tasks, %d caller \
        tasks, %d sequential (grain=%d nested=%d disabled=%d)\n"

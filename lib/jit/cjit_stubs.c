@@ -103,3 +103,18 @@ CAMLprim value functs_cjit_call_bytecode(value *argv, int argn)
   return functs_cjit_call(argv[0], argv[1], argv[2], argv[3], argv[4],
                           argv[5], argv[6]);
 }
+
+/* The ISA every generated kernel targets: AVX2 when the running CPU has
+ * it, else the compiler's baseline.  This is the test an ifunc resolver
+ * over an ("avx2", "default") clone pair makes, so every host gets the
+ * instruction set its resolver would have picked. */
+CAMLprim value functs_cjit_host_avx2(value unit)
+{
+  (void)unit;
+#if defined(__x86_64__) && defined(__GNUC__)
+  __builtin_cpu_init();
+  return Val_bool(__builtin_cpu_supports("avx2"));
+#else
+  return Val_false;
+#endif
+}

@@ -33,6 +33,12 @@ val set_c_compile_bound : float -> unit
     {!Jit_cache.set_compile_bound}). *)
 
 val c_toolchain_available : unit -> bool
+
+val isa : unit -> string
+(** The ISA every kernel is compiled for: ["avx2"] when the running CPU
+    supports AVX2, else ["default"] (the compiler's baseline).  Read
+    from the host once per process; nothing sets it. *)
+
 val clear_loaded : unit -> unit
 
 val default_dir : unit -> string
@@ -49,6 +55,12 @@ type entry
 val has_c : entry -> bool
 (** Always [true]: a group is armed only once its C kernel compiled.
     Kept so callers can count C-lane groups. *)
+
+val render_source : isa:string -> Jit_emit.emitted list -> string * string
+(** [(digest, source)] of the C unit holding [emitted]: one function per
+    kernel, compiled for [isa] alone ([target("avx2")] per kernel for
+    ["avx2"], no attribute for ["default"]).  The digest covers the
+    codegen version, [isa] and every kernel body. *)
 
 val prepare_groups :
   mode:mode ->

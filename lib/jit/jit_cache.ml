@@ -8,10 +8,10 @@ module Journal = Functs_obs.Journal
    carries the codegen [version] stamp and the MD5 digest of the
    generated C source, so a warm process (or a second process) loads the
    artifact instead of recompiling — the digest covers baked shapes,
-   statement structure and the emitter version, which is exactly the
-   compile-cache key material.  Artifacts are compiled by [cc] from
-   {!Jit_emit} output and loaded with dlopen through the [cjit_stubs.c]
-   host stubs.
+   statement structure, the emitter version and the target ISA, which is
+   exactly the compile-cache key material.  Artifacts are compiled by
+   [cc] from {!Jit_emit} output and loaded with dlopen through the
+   [cjit_stubs.c] host stubs.
 
    Hygiene: artifacts of other codegen versions are evicted the first
    time a directory is used; concurrent same-digest compiles are
@@ -29,8 +29,11 @@ module Journal = Functs_obs.Journal
    capped at AVX2 — the launches here are too short for 512-bit lanes to
    pay for themselves (measured call times were flat), and skipping the
    avx512f clone sidesteps its downclocking risk on server parts.  v5:
-   one emitter owns the layout; exact Float.max/min/equal helpers. *)
-let version = 5
+   one emitter owns the layout; exact Float.max/min/equal helpers.  v6:
+   one function per kernel for the host's ISA instead of an
+   ("avx2", "default") clone pair — a host only ever ran the clone its
+   resolver picked, and the pair doubled every compile. *)
+let version = 6
 
 (* A compiled kernel: index [idx] of one artifact's launch table.  The
    table pointer is a raw [dlsym] result (never freed), so the handle is
@@ -167,7 +170,9 @@ let compile_flags =
   "-O3 -shared -fPIC -ffp-contract=off -fno-math-errno -fno-trapping-math"
 
 let compile_artifact ~dir ~digest ~source =
-  Tracer.span "jit.c.compile" @@ fun () ->
+  Tracer.span_args "jit.c.compile"
+    ~args:(fun () -> [ ("isa", Toolchain.isa ()) ])
+  @@ fun () ->
   let base = artifact_base digest in
   let final = artifact_path ~dir ~digest in
   let build =

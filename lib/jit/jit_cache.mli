@@ -3,7 +3,11 @@
     Artifacts are [.so] files named
     [functs_cjit_v<version>_<digest>.so]: the codegen [version] stamp
     plus the MD5 digest of the generated C source, compiled by [cc] and
-    loaded with dlopen through the [cjit_stubs.c] host stubs.
+    loaded with dlopen through the [cjit_stubs.c] host stubs.  The unit
+    holds one function per kernel, compiled for the host's ISA only
+    ([Jit.isa]); the digest covers that ISA, so a directory shared by
+    hosts with different ISAs holds one [.so] per ISA and never hands a
+    host another's.
     [get_or_build] resolves a digest through three levels — in-process
     launch-table memo, on-disk artifact, and finally a fresh compile
     guarded by a lockfile, bounded in wall-clock time and installed with
@@ -13,7 +17,7 @@
 
     Counters: [jit.c.hit] (memo or disk), [jit.c.miss] (compile needed),
     [jit.c.compiles] (successful compiler runs), [jit.c.evicted].  Spans:
-    [jit.c.compile], [jit.c.load]. *)
+    [jit.c.compile] (with an [isa] argument), [jit.c.load]. *)
 
 val version : int
 (** Codegen version stamp baked into artifact names and headers. *)

@@ -1,4 +1,4 @@
-(* The C compiler probe for the JIT.
+(* Host probes for the JIT: the C compiler and the target ISA.
 
    Probing shells out once per distinct command and caches the verdict
    for the process lifetime; [set_c_compiler] drops the stale memo entry
@@ -7,7 +7,10 @@
 
    The default is plain [cc]; [FUNCTS_JIT_CC] overrides it through
    [Config.of_env] (the only sanctioned environment reader), which
-   pushes the value here via {!set_c_compiler}. *)
+   pushes the value here via {!set_c_compiler}.
+
+   The ISA is read from the CPU once per process and is not a setting:
+   every kernel is compiled for it alone. *)
 
 let lock = Mutex.create ()
 let probes : (string, bool) Hashtbl.t = Hashtbl.create 4
@@ -30,3 +33,8 @@ let c_available () =
           let ok = Sys.command cmd = 0 in
           Hashtbl.replace probes cmd ok;
           ok)
+
+external host_avx2 : unit -> bool = "functs_cjit_host_avx2"
+
+let host_isa = if host_avx2 () then "avx2" else "default"
+let isa () = host_isa

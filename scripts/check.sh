@@ -91,7 +91,7 @@ fi
 # The committed benchmark results must carry the JIT column and the pool
 # counters.
 echo "== BENCH_exec.json members =="
-for member in '"jit_ms"' '"pool_worker_tasks"' '"pool_caller_tasks"'; do
+for member in '"jit_ms"' '"pool_worker_tasks"' '"pool_caller_tasks"' '"cold_jit_ms"' '"jit_isa"'; do
   grep -q "$member" BENCH_exec.json || {
     echo "error: BENCH_exec.json is missing the $member member" >&2
     exit 1

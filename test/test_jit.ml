@@ -3,7 +3,8 @@
    (every closure-compilable kernel must compile to C), bitwise IEEE
    special-value semantics of the emitted C, graceful per-group
    fallback when the compiler is missing, broken or hung or the artifact
-   directory is unusable, and the on-disk artifact cache (warm loads
+   directory is unusable, the emitted unit's shape (one function per
+   kernel, for one ISA), and the on-disk artifact cache (warm loads
    compile nothing; stale and retired artifacts are evicted).
 
    Every test degrades to a meaningful assertion when the host has no C
@@ -101,6 +102,11 @@ let closure_kernels fg args =
       (Codegen.emit fg plan ~shapes),
     shapes )
 
+let armed_groups entries = List.sort compare (List.map fst entries)
+
+let kernel_groups kernels =
+  List.sort compare (List.map (fun (k : Codegen.kernel) -> k.k_group) kernels)
+
 (* A compiler stand-in: answers the [--version] probe, then runs
    [body] for the compile itself. *)
 let fake_compiler body =
@@ -164,10 +170,10 @@ let test_c_differential () =
           (Printf.sprintf "%s: every closure kernel armed" w.Workload.name)
           (List.length kernels) (List.length entries);
         check
-          (Printf.sprintf "%s: every armed group has a C kernel"
+          (Printf.sprintf "%s: armed groups are the closure kernels' groups"
              w.Workload.name)
           true
-          (List.for_all (fun (_, e) -> Jit.has_c e) entries)
+          (armed_groups entries = kernel_groups kernels)
       end
       else
         check_int
@@ -179,6 +185,45 @@ let test_c_differential () =
   else
     check "no C compiler: C fallbacks were recorded" true
       (c_fallbacks () > cfb0)
+
+(* --- the emitted unit: one function per kernel, for one ISA --- *)
+
+let count_sub ~sub s =
+  let n = String.length sub in
+  let rec go i acc =
+    if i + n > String.length s then acc
+    else if String.sub s i n = sub then go (i + n) (acc + 1)
+    else go (i + 1) acc
+  in
+  go 0 0
+
+let test_render_per_isa () =
+  let w = Result.get_ok (Functs.find_workload "lstm") in
+  let _, fg, args_fn = functionalized w in
+  let kernels, shapes = closure_kernels fg (args_fn ()) in
+  let emitted =
+    List.filter_map
+      (fun k -> Result.to_option (Functs_jit.Jit_emit.emit k ~shapes))
+      kernels
+  in
+  let n = List.length emitted in
+  check "lstm emits C kernels" true (n > 0);
+  let d_avx2, avx2 = Jit.render_source ~isa:"avx2" emitted in
+  let d_default, default = Jit.render_source ~isa:"default" emitted in
+  check "the ISA changes the digest" true (d_avx2 <> d_default);
+  List.iter
+    (fun (isa, src) ->
+      check_int
+        (Printf.sprintf "%s unit declares no function clones" isa)
+        0
+        (count_sub ~sub:"target_clones" src))
+    [ ("avx2", avx2); ("default", default) ];
+  let target = {|target("avx2")|} in
+  check_int "one target(\"avx2\") per kernel" n (count_sub ~sub:target avx2);
+  check_int "no target attribute in the default unit" 0
+    (count_sub ~sub:target default);
+  check "the host ISA is avx2 or default" true
+    (List.mem (Jit.isa ()) [ "avx2"; "default" ])
 
 (* --- IEEE special values: Float.max/min/equal and Max reductions --- *)
 
@@ -420,8 +465,8 @@ let test_c_artifact_disk_hit () =
         let warm = Jit.prepare_groups ~mode:Jit.Auto ~dir ~kernels ~shapes in
         check_int "warm prepare armed the same groups" (List.length cold)
           (List.length warm);
-        check "every warm group has a C kernel" true
-          (List.for_all (fun (_, e) -> Jit.has_c e) warm);
+        check "warm armed groups are the closure kernels' groups" true
+          (armed_groups warm = kernel_groups kernels);
         check_int "one disk hit for the graph's .so" 1 (c_hits () - h0);
         check_int "no C recompile on the warm path" 0 (c_compiles () - co0);
         check_int "no C cache miss on the warm path" 0 (c_misses () - m0);
@@ -503,6 +548,8 @@ let () =
             test_differential;
           Alcotest.test_case "C lane differential vs interpreter" `Slow
             test_c_differential;
+          Alcotest.test_case "emitted unit: one function per kernel per ISA"
+            `Quick test_render_per_isa;
           Alcotest.test_case "special values bitwise vs interpreter" `Quick
             test_special_values;
           Alcotest.test_case "fallback: missing toolchain" `Quick
