@@ -436,7 +436,8 @@ let write_json path rows (pool_us, spawn_us) =
         \      \"prepare_cold_ms\": %.4f, \"prepare_warm_ms\": %.6f,\n\
         \      \"cold_jit_ms\": %.1f, \"cold_jit_compiles\": %d,\n\
         \      \"kernel_runs\": %d, \"parallel_loops\": %d, \
-         \"reduction_loops\": %d, \"batched_loops\": %d, \
+         \"reduction_loops\": %d, \"vector_loops\": %d, \
+         \"batched_loops\": %d, \"loops_pinned_vector\": %d, \
          \"loops_pinned_seq\": %d,\n\
         \      \"pool_lanes\": %d, \"pool_dispatches\": %d, \
          \"pool_worker_tasks\": %d, \"pool_caller_tasks\": %d, \
@@ -454,7 +455,9 @@ let write_json path rows (pool_us, spawn_us) =
         (ran c (fun s -> s.Scheduler.kernel_runs))
         (ran c (fun s -> s.Scheduler.parallel_loops_run))
         (ran c (fun s -> s.Scheduler.reduction_loops_run))
-        s.Scheduler.batched_loops s.Scheduler.loops_pinned_seq
+        (ran c (fun s -> s.Scheduler.vector_loops))
+        s.Scheduler.batched_loops s.Scheduler.loops_pinned_vector
+        s.Scheduler.loops_pinned_seq
         s.Scheduler.pool_lanes c.pool.(0) c.pool.(1) c.pool.(2) c.pool.(3)
         c.pool.(4) c.pool.(5) c.pool.(6)
         (if i = List.length rows - 1 then "" else ",")
@@ -534,9 +537,11 @@ let run_exec () =
       end
       else if smoke_mode then begin
         Printf.printf
-          "  %-10s ok parallel_loops=%d reduction_loops=%d jit_groups=%d\n"
+          "  %-10s ok parallel_loops=%d reduction_loops=%d vector_loops=%d \
+           jit_groups=%d\n"
           w.name nbatched
           (ran cp (fun s -> s.Scheduler.reduction_loops_run))
+          (ran cp (fun s -> s.Scheduler.vector_loops))
           (Engine.stats engj).Scheduler.cjit_groups
       end
       else begin

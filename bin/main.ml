@@ -236,12 +236,15 @@ let run_exec (w : Workload.t) (profile : Compiler_profile.t) batch seq =
       (t_interp /. t_exec);
     Printf.printf
       "stats      : kernels=%d/%d donations=%d pool=%d/%d par-loops=%d \
-       red-loops=%d batched=%d\n"
+       red-loops=%d vector-loops=%d batched=%d\n"
       s.Scheduler.compiled s.Scheduler.groups s.Scheduler.donations
       s.Scheduler.pool_reused
       (s.Scheduler.pool_fresh + s.Scheduler.pool_reused)
       s.Scheduler.parallel_loops_run s.Scheduler.reduction_loops_run
-      s.Scheduler.batched_loops;
+      s.Scheduler.vector_loops s.Scheduler.batched_loops;
+    Printf.printf "loop arms  : vector=%d inline=%d dispatch=%d seq=%d pinned\n"
+      s.Scheduler.loops_pinned_vector s.Scheduler.loops_pinned_inline
+      s.Scheduler.loops_pinned_dispatch s.Scheduler.loops_pinned_seq;
     Printf.printf
       "jit        : %s — %d groups armed, %d native runs, %d fallbacks, \
        isa %s\n"

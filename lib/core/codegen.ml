@@ -85,8 +85,9 @@ let scalar_operand (v : Graph.value) =
 
 let drop_nth l n = List.filteri (fun i _ -> i <> n) l
 
-(* total accessor: a too-short index means the value's rank was unknown *)
-let nth_ix index dim = List.nth_opt index dim
+(* total accessor: a too-short index means the value's rank was unknown;
+   a dim counted from the end stays opaque too *)
+let nth_ix index dim = if dim < 0 then None else List.nth_opt index dim
 
 let insert_nth l n x =
   let rec go i = function

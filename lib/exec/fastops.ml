@@ -46,51 +46,26 @@ let pchunk ?(bytes_per_iter = 0) ~total n body =
            ~n body)
   | _ -> body 0 n
 
-(* --- view-dimension collapsing ---
+(* --- the strided engine ---
 
-   A suffix of dimensions over which an operand steps row-major
-   contiguously (or not at all, for broadcast operands) is a single flat
-   run: collapsing it to one extent turns the whole elementwise loop
-   into a 1-d iteration the pool can chunk finely — a [3; 100000] view
-   splits into cache-sized tasks instead of three monolithic rows. *)
-
-(* Flat step of [strides] over the suffix [d .. nd-1] of [shape]:
-   [Some 1] when the suffix is contiguous, [Some 0] when it is fully
-   broadcast, [None] otherwise.  Size-1 dims are wildcards (their stride
-   is never used). *)
-let suffix_step strides (shape : int array) d =
-  let nd = Array.length shape in
-  let all0 = ref true and contig = ref true in
-  let expect = ref 1 in
-  for k = nd - 1 downto d do
-    if shape.(k) > 1 then begin
-      if strides.(k) <> 0 then all0 := false;
-      if strides.(k) <> !expect then contig := false
-    end;
-    expect := !expect * shape.(k)
-  done;
-  if !contig then Some 1 else if !all0 then Some 0 else None
-
-(* Smallest [d] such that the suffix [d .. nd-1] is flat for the output
-   (which must step, so broadcast does not qualify) and every input.
-   [nd] when not even the innermost dimension collapses. *)
-let collapse_cut so inputs shape =
-  let nd = Array.length shape in
-  let flat_at d =
-    (match suffix_step so shape d with Some 1 -> true | _ -> false)
-    && List.for_all (fun s -> suffix_step s shape d <> None) inputs
-  in
-  let d = ref 0 in
-  while !d < nd && not (flat_at !d) do
-    incr d
-  done;
-  !d
-
-let flat_step strides shape d =
-  match suffix_step strides shape d with Some s -> s | None -> assert false
+   Every elementwise op with C code — unary, binary, where, copy and
+   fill — runs through one planner and one set of native leaf loops
+   (gemm_stubs.c), whatever the operands' layouts.  The planner
+   - drops unit dims (their strides are never used);
+   - orders the rest by the destination's strides, largest outermost,
+     so the innermost loop walks the destination's memory in order;
+   - merges adjacent dims that every operand steps across uniformly.
+   What is left is [rows x n] with an (element step, row stride) pair
+   per operand, destination included; any dims beyond those two are
+   looped here around one native call each.  Each output element is
+   the same function of the same input elements in any iteration
+   order, so reordering is bitwise-exact.  Even a destination that
+   broadcasts (a zero stride) ends up as in the reference: every loop
+   counts upwards, so in any nesting the last write to a cell is the
+   one at the highest index of each zero-stride dim. *)
 
 (* Strides of [t] aligned to an [out_nd]-dim broadcast result: missing
-   leading dimensions and size-1 dimensions read index 0. *)
+   leading dimensions and size-1 dimensions step 0. *)
 let bstrides (t : Tensor.t) out_nd =
   let n = Tensor.ndim t in
   Array.init out_nd (fun i ->
@@ -99,285 +74,142 @@ let bstrides (t : Tensor.t) out_nd =
       else if t.Tensor.shape.(j) = 1 then 0
       else t.Tensor.strides.(j))
 
-(* --- elementwise engines: contiguous output, strided broadcast inputs --- *)
+type nest = {
+  outer : int array;  (* extents looped in OCaml, outermost first *)
+  ostr : int array array;  (* per outer dim: each operand's stride *)
+  rows : int;
+  n : int;
+  rstr : int array;  (* per operand: row stride *)
+  step : int array;  (* per operand: element step *)
+}
 
-let elementwise1 f (out : Tensor.t) (a : Tensor.t) =
-  let shape = out.Tensor.shape in
-  let nd = Array.length shape in
-  let od = data out and ad = data a in
-  if nd = 0 then od.(out.Tensor.offset) <- f ad.(a.Tensor.offset)
-  else begin
-    let sa = bstrides a nd in
-    let so = out.Tensor.strides in
-    let rec go d pa po =
-      if d = nd - 1 then begin
-        let n = shape.(d) and ka = sa.(d) and ko = so.(d) in
-        let pa = ref pa and po = ref po in
-        for _ = 0 to n - 1 do
-          od.(!po) <- f ad.(!pa);
-          pa := !pa + ka;
-          po := !po + ko
-        done
-      end
-      else
-        for i = 0 to shape.(d) - 1 do
-          go (d + 1) (pa + (i * sa.(d))) (po + (i * so.(d)))
-        done
-    in
-    let total = Shape.numel shape in
-    if total > 0 then begin
-      let dcut = collapse_cut so [ sa ] shape in
-      if dcut = 0 then
-        (* fully flat: chunk over elements, not rows *)
-        let ka = flat_step sa shape 0 in
-        pchunk ~bytes_per_iter:16 ~total total (fun lo hi ->
-            let pa = ref (a.Tensor.offset + (lo * ka)) in
-            let po = ref (out.Tensor.offset + lo) in
-            for _ = lo to hi - 1 do
-              od.(!po) <- f ad.(!pa);
-              pa := !pa + ka;
-              po := !po + 1
-            done)
-      else if dcut < nd then begin
-        (* strided outer dims over a flat suffix *)
-        let ext = Shape.numel (Array.sub shape dcut (nd - dcut)) in
-        let ka = flat_step sa shape dcut in
-        let rec goc d pa po =
-          if d = dcut then begin
-            let pa = ref pa and po = ref po in
-            for _ = 0 to ext - 1 do
-              od.(!po) <- f ad.(!pa);
-              pa := !pa + ka;
-              po := !po + 1
-            done
-          end
-          else
-            for i = 0 to shape.(d) - 1 do
-              goc (d + 1) (pa + (i * sa.(d))) (po + (i * so.(d)))
-            done
-        in
-        pchunk ~bytes_per_iter:(16 * (total / shape.(0))) ~total shape.(0)
-          (fun lo hi ->
-            for i = lo to hi - 1 do
-              goc 1 (a.Tensor.offset + (i * sa.(0))) (out.Tensor.offset + (i * so.(0)))
-            done)
-      end
-      else if nd = 1 then
-        let ka = sa.(0) and ko = so.(0) in
-        pchunk ~total shape.(0) (fun lo hi ->
-            let pa = ref (a.Tensor.offset + (lo * ka)) in
-            let po = ref (out.Tensor.offset + (lo * ko)) in
-            for _ = lo to hi - 1 do
-              od.(!po) <- f ad.(!pa);
-              pa := !pa + ka;
-              po := !po + ko
-            done)
-      else
-        pchunk ~total shape.(0) (fun lo hi ->
-            for i = lo to hi - 1 do
-              go 1 (a.Tensor.offset + (i * sa.(0))) (out.Tensor.offset + (i * so.(0)))
-            done)
-    end
-  end
+(* [strides.(0)] is the destination's.  Arrays, not lists: this runs on
+   every elementwise op, and small ops are common. *)
+let plan shape (strides : int array array) =
+  let nops = Array.length strides in
+  let dst = strides.(0) in
+  (* non-unit dims by descending destination stride (a stable insertion
+     sort: ranks are small) *)
+  let dims = Array.make (Array.length shape) 0 and m = ref 0 in
+  Array.iteri
+    (fun d extent ->
+      if extent > 1 then begin
+        let j = ref !m in
+        while !j > 0 && abs dst.(dims.(!j - 1)) < abs dst.(d) do
+          dims.(!j) <- dims.(!j - 1);
+          decr j
+        done;
+        dims.(!j) <- d;
+        incr m
+      end)
+    shape;
+  (* merged dims, outermost first: extent [ext.(c)], per-operand stride
+     [str.(k).(c)] *)
+  let ext = Array.make !m 1 in
+  let str = Array.init nops (fun _ -> Array.make !m 0) in
+  let q = ref 0 in
+  for i = 0 to !m - 1 do
+    let d = dims.(i) in
+    let merge = ref (!q > 0) in
+    for k = 0 to nops - 1 do
+      if !merge && str.(k).(!q - 1) <> strides.(k).(d) * shape.(d) then
+        merge := false
+    done;
+    if !merge then ext.(!q - 1) <- ext.(!q - 1) * shape.(d)
+    else begin
+      ext.(!q) <- shape.(d);
+      incr q
+    end;
+    for k = 0 to nops - 1 do
+      str.(k).(!q - 1) <- strides.(k).(d)
+    done
+  done;
+  let q = !q in
+  let col c = Array.init nops (fun k -> if c < 0 then 0 else str.(k).(c)) in
+  let no = max 0 (q - 2) in
+  {
+    outer = Array.sub ext 0 no;
+    ostr = Array.init no col;
+    rows = (if q >= 2 then ext.(q - 2) else 1);
+    n = (if q >= 1 then ext.(q - 1) else 1);
+    rstr = col (q - 2);
+    step = col (q - 1);
+  }
 
-let elementwise2 f (out : Tensor.t) (a : Tensor.t) (b : Tensor.t) =
-  let shape = out.Tensor.shape in
-  let nd = Array.length shape in
-  let od = data out and ad = data a and bd = data b in
-  if nd = 0 then od.(out.Tensor.offset) <- f ad.(a.Tensor.offset) bd.(b.Tensor.offset)
-  else begin
-    let sa = bstrides a nd and sb = bstrides b nd in
-    let so = out.Tensor.strides in
-    let rec go d pa pb po =
-      if d = nd - 1 then begin
-        let n = shape.(d) and ka = sa.(d) and kb = sb.(d) and ko = so.(d) in
-        let pa = ref pa and pb = ref pb and po = ref po in
-        for _ = 0 to n - 1 do
-          od.(!po) <- f ad.(!pa) bd.(!pb);
-          pa := !pa + ka;
-          pb := !pb + kb;
-          po := !po + ko
-        done
-      end
+let shifted o i str = Array.mapi (fun k ok -> ok + (i * str.(k))) o
+
+(* Run [leaf offsets rows n] over the nest from the operands' base
+   offsets, chunking the outermost loop across the pool when the op is
+   large.  [bytes] is the traffic per element, for the pool's sizing. *)
+let iterate ~bytes nest (offs : int array) leaf =
+  let no = Array.length nest.outer in
+  let total = Array.fold_left ( * ) (nest.rows * nest.n) nest.outer in
+  if no = 0 then
+    match !par_pool with
+    | Some _ when total >= 2 * !par_grain ->
+        if nest.rows = 1 then
+          pchunk ~bytes_per_iter:bytes ~total nest.n (fun lo hi ->
+              leaf (shifted offs lo nest.step) 1 (hi - lo))
+        else
+          pchunk ~bytes_per_iter:(bytes * nest.n) ~total nest.rows
+            (fun lo hi -> leaf (shifted offs lo nest.rstr) (hi - lo) nest.n)
+    | _ -> leaf offs nest.rows nest.n
+  else
+    let rec go d o =
+      if d = no then leaf o nest.rows nest.n
       else
-        for i = 0 to shape.(d) - 1 do
-          go (d + 1) (pa + (i * sa.(d))) (pb + (i * sb.(d))) (po + (i * so.(d)))
+        for i = 0 to nest.outer.(d) - 1 do
+          go (d + 1) (shifted o i nest.ostr.(d))
         done
     in
-    let total = Shape.numel shape in
-    if total > 0 then begin
-      let dcut = collapse_cut so [ sa; sb ] shape in
-      if dcut = 0 then
-        (* fully flat: chunk over elements, not rows *)
-        let ka = flat_step sa shape 0 and kb = flat_step sb shape 0 in
-        pchunk ~bytes_per_iter:24 ~total total (fun lo hi ->
-            let pa = ref (a.Tensor.offset + (lo * ka)) in
-            let pb = ref (b.Tensor.offset + (lo * kb)) in
-            let po = ref (out.Tensor.offset + lo) in
-            for _ = lo to hi - 1 do
-              od.(!po) <- f ad.(!pa) bd.(!pb);
-              pa := !pa + ka;
-              pb := !pb + kb;
-              po := !po + 1
-            done)
-      else if dcut < nd then begin
-        (* strided outer dims over a flat suffix *)
-        let ext = Shape.numel (Array.sub shape dcut (nd - dcut)) in
-        let ka = flat_step sa shape dcut and kb = flat_step sb shape dcut in
-        let rec goc d pa pb po =
-          if d = dcut then begin
-            let pa = ref pa and pb = ref pb and po = ref po in
-            for _ = 0 to ext - 1 do
-              od.(!po) <- f ad.(!pa) bd.(!pb);
-              pa := !pa + ka;
-              pb := !pb + kb;
-              po := !po + 1
-            done
-          end
-          else
-            for i = 0 to shape.(d) - 1 do
-              goc (d + 1) (pa + (i * sa.(d))) (pb + (i * sb.(d))) (po + (i * so.(d)))
-            done
-        in
-        pchunk ~bytes_per_iter:(24 * (total / shape.(0))) ~total shape.(0)
-          (fun lo hi ->
-            for i = lo to hi - 1 do
-              goc 1
-                (a.Tensor.offset + (i * sa.(0)))
-                (b.Tensor.offset + (i * sb.(0)))
-                (out.Tensor.offset + (i * so.(0)))
-            done)
-      end
-      else if nd = 1 then
-        let ka = sa.(0) and kb = sb.(0) and ko = so.(0) in
-        pchunk ~total shape.(0) (fun lo hi ->
-            let pa = ref (a.Tensor.offset + (lo * ka)) in
-            let pb = ref (b.Tensor.offset + (lo * kb)) in
-            let po = ref (out.Tensor.offset + (lo * ko)) in
-            for _ = lo to hi - 1 do
-              od.(!po) <- f ad.(!pa) bd.(!pb);
-              pa := !pa + ka;
-              pb := !pb + kb;
-              po := !po + ko
-            done)
-      else
-        pchunk ~total shape.(0) (fun lo hi ->
-            for i = lo to hi - 1 do
-              go 1
-                (a.Tensor.offset + (i * sa.(0)))
-                (b.Tensor.offset + (i * sb.(0)))
-                (out.Tensor.offset + (i * so.(0)))
-            done)
-    end
-  end
+    pchunk
+      ~bytes_per_iter:(bytes * (total / nest.outer.(0)))
+      ~total nest.outer.(0)
+      (fun lo hi ->
+        for i = lo to hi - 1 do
+          go 1 (shifted offs i nest.ostr.(0))
+        done)
 
-let elementwise3 f (out : Tensor.t) (a : Tensor.t) (b : Tensor.t) (c : Tensor.t) =
-  let shape = out.Tensor.shape in
-  let nd = Array.length shape in
-  let od = data out and ad = data a and bd = data b and cd = data c in
-  if nd = 0 then
-    od.(out.Tensor.offset) <-
-      f ad.(a.Tensor.offset) bd.(b.Tensor.offset) cd.(c.Tensor.offset)
-  else begin
-    let sa = bstrides a nd and sb = bstrides b nd and sc = bstrides c nd in
-    let so = out.Tensor.strides in
-    let rec go d pa pb pc po =
-      if d = nd - 1 then begin
-        let n = shape.(d) and ka = sa.(d) and kb = sb.(d) and kc = sc.(d) in
-        let ko = so.(d) in
-        let pa = ref pa and pb = ref pb and pc = ref pc and po = ref po in
-        for _ = 0 to n - 1 do
-          od.(!po) <- f ad.(!pa) bd.(!pb) cd.(!pc);
-          pa := !pa + ka;
-          pb := !pb + kb;
-          pc := !pc + kc;
-          po := !po + ko
-        done
-      end
-      else
-        for i = 0 to shape.(d) - 1 do
-          go (d + 1)
-            (pa + (i * sa.(d)))
-            (pb + (i * sb.(d)))
-            (pc + (i * sc.(d)))
-            (po + (i * so.(d)))
-        done
+(* The single step with which [t], broadcast to [shape], walks [shape]
+   in row-major order: 1 when contiguous, 0 when it repeats one element,
+   -1 otherwise. *)
+let flat_step (t : Tensor.t) shape =
+  let nd = Array.length shape and tn = Tensor.ndim t in
+  let contig = ref true and all0 = ref true and expect = ref 1 in
+  for i = nd - 1 downto 0 do
+    let j = i - (nd - tn) in
+    let s = if j < 0 || t.Tensor.shape.(j) = 1 then 0 else t.Tensor.strides.(j) in
+    if shape.(i) > 1 then begin
+      if s <> 0 then all0 := false;
+      if s <> !expect then contig := false
+    end;
+    expect := !expect * shape.(i)
+  done;
+  if !contig then 1 else if !all0 then 0 else -1
+
+(* Plan and run [make_leaf nest] writing [dst] from [srcs], which must
+   broadcast to [dst]'s shape.  The common all-flat case (contiguous
+   destination, contiguous or one-element sources) skips the planner. *)
+let strided (dst : Tensor.t) (srcs : Tensor.t array) make_leaf =
+  let shape = dst.Tensor.shape in
+  let total = Shape.numel shape in
+  if total > 0 then begin
+    let ops = Array.append [| dst |] srcs in
+    let nops = Array.length ops in
+    let steps = Array.map (fun t -> flat_step t shape) ops in
+    let nest =
+      if steps.(0) = 1 && Array.for_all (fun s -> s >= 0) steps then
+        let zeros = Array.make nops 0 in
+        { outer = [||]; ostr = [||]; rows = 1; n = total; rstr = zeros; step = steps }
+      else plan shape (Array.map (fun t -> bstrides t (Array.length shape)) ops)
     in
-    let total = Shape.numel shape in
-    if total > 0 then begin
-      let dcut = collapse_cut so [ sa; sb; sc ] shape in
-      if dcut = 0 then
-        (* fully flat: chunk over elements, not rows *)
-        let ka = flat_step sa shape 0
-        and kb = flat_step sb shape 0
-        and kc = flat_step sc shape 0 in
-        pchunk ~bytes_per_iter:32 ~total total (fun lo hi ->
-            let pa = ref (a.Tensor.offset + (lo * ka)) in
-            let pb = ref (b.Tensor.offset + (lo * kb)) in
-            let pc = ref (c.Tensor.offset + (lo * kc)) in
-            let po = ref (out.Tensor.offset + lo) in
-            for _ = lo to hi - 1 do
-              od.(!po) <- f ad.(!pa) bd.(!pb) cd.(!pc);
-              pa := !pa + ka;
-              pb := !pb + kb;
-              pc := !pc + kc;
-              po := !po + 1
-            done)
-      else if nd = 1 then
-        go 0 a.Tensor.offset b.Tensor.offset c.Tensor.offset out.Tensor.offset
-      else
-        pchunk ~total shape.(0) (fun lo hi ->
-            for i = lo to hi - 1 do
-              go 1
-                (a.Tensor.offset + (i * sa.(0)))
-                (b.Tensor.offset + (i * sb.(0)))
-                (c.Tensor.offset + (i * sc.(0)))
-                (out.Tensor.offset + (i * so.(0)))
-            done)
-    end
+    iterate ~bytes:(8 * nops) nest
+      (Array.map (fun (t : Tensor.t) -> t.Tensor.offset) ops)
+      (make_leaf nest)
   end
 
-(* --- the operators --- *)
-
-(* Output allocation: the scheduler's per-node path passes the engine's
-   storage pool via [?alloc] so intermediates recycle instead of hitting
-   the major heap on every node.  Every operator below overwrites the
-   whole output, so the pool's unspecified contents never leak into
-   results.  Without an allocator (worker-domain bodies, external
-   callers) outputs are plain zero-filled tensors, as before. *)
-let fresh alloc shape =
-  match alloc with Some a -> a shape | None -> Tensor.zeros shape
-
-let clone ?alloc t =
-  let out = fresh alloc (Tensor.shape t) in
-  elementwise1 (fun v -> v) out t;
-  out
-
-let contig t = if Tensor.is_contiguous t then t else clone t
-
-(* dst <- src for equal shapes and distinct storages; otherwise defer to
-   the snapshotting reference implementation. *)
-let copy_into (dst : Tensor.t) (src : Tensor.t) =
-  if
-    Shape.equal (Tensor.shape dst) (Tensor.shape src)
-    && not (Tensor.same_storage dst src)
-  then elementwise1 (fun v -> v) dst src
-  else ignore (Inplace.copy_ dst src)
-
-(* 0-d operands short-circuit the broadcast/stride machinery entirely:
-   overhead-bound workloads (nms) compute on scalar tensors almost
-   exclusively. *)
-let scalar0 (t : Tensor.t) = (data t).(t.Tensor.offset)
-
-(* Native inner loops (gemm_stubs.c) for the flat case: when the whole
-   iteration collapses to one run (contiguous output, constant-step
-   inputs), the per-element closure dispatch and bounds checks go away.
-   The stubs apply the exact operations of the OCaml reference (same
-   libm symbols, same IEEE primitives), so results stay bitwise
-   identical; operators whose OCaml semantics differ from C's
-   (Float.max/min/equal NaN and signed-zero rules) have no code and keep
-   the closure path. *)
-(* kind, src, offset, element step, row stride, dst, offset, rows, n *)
+(* Native leaf loops.  Arguments per operand: array, offset, element
+   step, row stride; the destination comes last, then rows and n. *)
 external unary_map :
   int ->
   float array ->
@@ -388,10 +220,11 @@ external unary_map :
   int ->
   int ->
   int ->
+  int ->
+  int ->
   unit = "functs_unary_map_bytecode" "functs_unary_map"
 [@@noalloc]
 
-(* kind, a, aoff, astep, arow, b, boff, bstep, brow, dst, doff, rows, n *)
 external binary_map :
   int ->
   float array ->
@@ -406,7 +239,31 @@ external binary_map :
   int ->
   int ->
   int ->
+  int ->
+  int ->
   unit = "functs_binary_map_bytecode" "functs_binary_map"
+[@@noalloc]
+
+external where_map :
+  float array ->
+  int ->
+  int ->
+  int ->
+  float array ->
+  int ->
+  int ->
+  int ->
+  float array ->
+  int ->
+  int ->
+  int ->
+  float array ->
+  int ->
+  int ->
+  int ->
+  int ->
+  int ->
+  unit = "functs_where_map_bytecode" "functs_where_map"
 [@@noalloc]
 
 let unary_code : Scalar.unary -> int = function
@@ -419,6 +276,8 @@ let unary_code : Scalar.unary -> int = function
   | Scalar.Tanh -> 6
   | Scalar.Relu -> 7
 
+let copy_code = 8
+
 let binary_code : Scalar.binary -> int option = function
   | Scalar.Add -> Some 0
   | Scalar.Sub -> Some 1
@@ -429,40 +288,94 @@ let binary_code : Scalar.binary -> int option = function
   | Scalar.Gt -> Some 6
   | Scalar.Max | Scalar.Min | Scalar.Eq -> None
 
+let unary_leaf code (dst : Tensor.t) (a : Tensor.t) nest o rows n =
+  unary_map code (data a) o.(1) nest.step.(1) nest.rstr.(1) (data dst) o.(0)
+    nest.step.(0) nest.rstr.(0) rows n
+
+(* Binary ops without C code keep an OCaml closure per element. *)
+let binary_leaf fn (dst : Tensor.t) (a : Tensor.t) (b : Tensor.t) nest =
+  let od = data dst and ad = data a and bd = data b in
+  let st = nest.step and rs = nest.rstr in
+  match binary_code fn with
+  | Some code ->
+      fun o rows n ->
+        binary_map code ad o.(1) st.(1) rs.(1) bd o.(2) st.(2) rs.(2) od o.(0)
+          st.(0) rs.(0) rows n
+  | None ->
+      (* Max and Min are spelled out: a direct call is much cheaper
+         than the closure's *)
+      let f = Scalar.apply_binary fn in
+      let so = st.(0) and sa = st.(1) and sb = st.(2) in
+      fun o rows n ->
+        for r = 0 to rows - 1 do
+          let po = ref (o.(0) + (r * rs.(0))) in
+          let pa = ref (o.(1) + (r * rs.(1))) in
+          let pb = ref (o.(2) + (r * rs.(2))) in
+          for _ = 1 to n do
+            let x = ad.(!pa) and y = bd.(!pb) in
+            od.(!po) <-
+              (match fn with
+              | Scalar.Max -> Float.max x y
+              | Scalar.Min -> Float.min x y
+              | _ -> f x y);
+            po := !po + so;
+            pa := !pa + sa;
+            pb := !pb + sb
+          done
+        done
+
+(* --- the operators --- *)
+
+(* Output allocation: the scheduler's per-node path passes the engine's
+   storage pool via [?alloc] so intermediates recycle instead of hitting
+   the major heap on every node.  Every operator below overwrites the
+   whole output, so the pool's unspecified contents never leak into
+   results.  Without an allocator (worker-domain bodies, external
+   callers) outputs are plain zero-filled tensors, as before. *)
+let fresh alloc shape =
+  match alloc with Some a -> a shape | None -> Tensor.zeros shape
+
+(* The [_into] forms write through a caller-supplied destination whose
+   shape is the op's broadcast result shape; it must not share storage
+   with an operand unless it is exactly that operand's view. *)
+let unary_into dst fn a = strided dst [| a |] (unary_leaf (unary_code fn) dst a)
+let binary_into dst fn a b = strided dst [| a; b |] (binary_leaf fn dst a b)
+
+let where_into dst c a b =
+  strided dst [| c; a; b |] (fun nest o rows n ->
+      let st = nest.step and rs = nest.rstr in
+      where_map (data c) o.(1) st.(1) rs.(1) (data a) o.(2) st.(2) rs.(2)
+        (data b) o.(3) st.(3) rs.(3) (data dst) o.(0) st.(0) rs.(0) rows n)
+
+let clone ?alloc t =
+  let out = fresh alloc (Tensor.shape t) in
+  strided out [| t |] (unary_leaf copy_code out t);
+  out
+
+let contig t = if Tensor.is_contiguous t then t else clone t
+
+(* dst <- src, broadcasting [src] (0-d sources are fills).  Overlapping
+   storages and shape errors defer to the snapshotting reference. *)
+let copy_into (dst : Tensor.t) (src : Tensor.t) =
+  if
+    Tensor.ndim src <= Tensor.ndim dst
+    && Shape.broadcastable (Tensor.shape src) (Tensor.shape dst)
+    && Shape.equal (Shape.broadcast (Tensor.shape src) (Tensor.shape dst))
+         (Tensor.shape dst)
+    && not (Tensor.same_storage dst src)
+  then strided dst [| src |] (unary_leaf copy_code dst src)
+  else ignore (Inplace.copy_ dst src)
+
+(* 0-d operands short-circuit the broadcast/stride machinery entirely:
+   overhead-bound workloads (nms) compute on scalar tensors almost
+   exclusively. *)
+let scalar0 (t : Tensor.t) = (data t).(t.Tensor.offset)
+
 let unary ?alloc fn a =
   if Tensor.ndim a = 0 then Tensor.scalar (Scalar.apply_unary fn (scalar0 a))
   else begin
     let out = fresh alloc (Tensor.shape a) in
-    let shape = out.Tensor.shape in
-    let total = Shape.numel shape in
-    let nd = Array.length shape in
-    let sa = bstrides a nd in
-    (* [out] is freshly allocated, hence contiguous: only the input's
-       layout decides between the one-run, rows-over-flat-suffix and
-       generic strided forms. *)
-    (if total = 0 then ()
-     else
-       let code = unary_code fn in
-       let ad = data a and od = data out in
-       match suffix_step sa shape 0 with
-       | Some ka ->
-           pchunk ~bytes_per_iter:16 ~total total (fun lo hi ->
-               unary_map code ad
-                 (a.Tensor.offset + (lo * ka))
-                 ka 0 od
-                 (out.Tensor.offset + lo)
-                 1 (hi - lo))
-       | None -> (
-           match (if nd >= 2 then suffix_step sa shape 1 else None) with
-           | Some ka ->
-               let n = total / shape.(0) in
-               pchunk ~bytes_per_iter:(16 * n) ~total shape.(0) (fun lo hi ->
-                   unary_map code ad
-                     (a.Tensor.offset + (lo * sa.(0)))
-                     ka sa.(0) od
-                     (out.Tensor.offset + (lo * n))
-                     (hi - lo) n)
-           | None -> elementwise1 (Scalar.apply_unary fn) out a));
+    unary_into out fn a;
     out
   end
 
@@ -471,43 +384,7 @@ let binary ?alloc fn a b =
     Tensor.scalar (Scalar.apply_binary fn (scalar0 a) (scalar0 b))
   else begin
     let out = fresh alloc (Shape.broadcast (Tensor.shape a) (Tensor.shape b)) in
-    let shape = out.Tensor.shape in
-    let total = Shape.numel shape in
-    let nd = Array.length shape in
-    let sa = bstrides a nd and sb = bstrides b nd in
-    (if total = 0 then ()
-     else
-       match binary_code fn with
-       | None -> elementwise2 (Scalar.apply_binary fn) out a b
-       | Some code -> (
-           let ad = data a and bd = data b and od = data out in
-           match (suffix_step sa shape 0, suffix_step sb shape 0) with
-           | Some ka, Some kb ->
-               pchunk ~bytes_per_iter:24 ~total total (fun lo hi ->
-                   binary_map code ad
-                     (a.Tensor.offset + (lo * ka))
-                     ka 0 bd
-                     (b.Tensor.offset + (lo * kb))
-                     kb 0 od
-                     (out.Tensor.offset + lo)
-                     1 (hi - lo))
-           | _ -> (
-               match
-                 ( (if nd >= 2 then suffix_step sa shape 1 else None),
-                   (if nd >= 2 then suffix_step sb shape 1 else None) )
-               with
-               | Some ka, Some kb ->
-                   let n = total / shape.(0) in
-                   pchunk ~bytes_per_iter:(24 * n) ~total shape.(0)
-                     (fun lo hi ->
-                       binary_map code ad
-                         (a.Tensor.offset + (lo * sa.(0)))
-                         ka sa.(0) bd
-                         (b.Tensor.offset + (lo * sb.(0)))
-                         kb sb.(0) od
-                         (out.Tensor.offset + (lo * n))
-                         (hi - lo) n)
-               | _ -> elementwise2 (Scalar.apply_binary fn) out a b)));
+    binary_into out fn a b;
     out
   end
 
@@ -521,7 +398,7 @@ let where ?alloc c a b =
         (Tensor.shape b)
     in
     let out = fresh alloc shape in
-    elementwise3 (fun cv av bv -> if cv <> 0.0 then av else bv) out c a b;
+    where_into out c a b;
     out
   end
 

@@ -20,11 +20,27 @@ val set_parallel : Pool.t option -> grain:int -> unit
 val clone : ?alloc:(Shape.t -> Tensor.t) -> Tensor.t -> Tensor.t
 
 val copy_into : Tensor.t -> Tensor.t -> unit
-(** [copy_into dst src] writes [src] through [dst] (equal shapes, distinct
-    storages, tight loops); other cases defer to {!Inplace.copy_}. *)
+(** [copy_into dst src] writes [src], broadcast to [dst]'s shape (a 0-d
+    source fills), through [dst] on the strided engine; sources sharing
+    [dst]'s storage, and shape errors, defer to {!Inplace.copy_}. *)
+
+val unary : ?alloc:(Shape.t -> Tensor.t) -> Scalar.unary -> Tensor.t -> Tensor.t
 
 val binary :
   ?alloc:(Shape.t -> Tensor.t) -> Scalar.binary -> Tensor.t -> Tensor.t -> Tensor.t
+
+val where :
+  ?alloc:(Shape.t -> Tensor.t) -> Tensor.t -> Tensor.t -> Tensor.t -> Tensor.t
+
+(** {2 Destination passing}
+
+    Write the op's result through [dst], whose shape must be the
+    operands' broadcast shape.  [dst] may share storage with an operand
+    only when it is exactly that operand's view. *)
+
+val unary_into : Tensor.t -> Scalar.unary -> Tensor.t -> unit
+val binary_into : Tensor.t -> Scalar.binary -> Tensor.t -> Tensor.t -> unit
+val where_into : Tensor.t -> Tensor.t -> Tensor.t -> Tensor.t -> unit
 
 val matmul : ?alloc:(Shape.t -> Tensor.t) -> Tensor.t -> Tensor.t -> Tensor.t
 val softmax : ?alloc:(Shape.t -> Tensor.t) -> Tensor.t -> dim:int -> Tensor.t

@@ -75,19 +75,26 @@ CAMLprim value functs_gemm_bytecode(value *argv, int argn)
                      argv[6], argv[7], argv[8]);
 }
 
-/* --- flat elementwise maps ---
+/* --- strided elementwise maps ---
  *
- * Inner loops for Fastops' contiguous (suffix-collapsed) unary and
- * binary maps.  Each case applies exactly the operation the OCaml
- * reference applies — the same libm calls (exp, log, tanh, pow compile
- * to the identical symbols Float.exp &c. call) and the same IEEE
- * primitives — so results are bitwise-identical; the win is dropping
- * the per-element closure dispatch and bounds checks.  Operators whose
- * OCaml semantics do not map one-to-one onto C (Float.max/min/equal
- * have their own NaN and signed-zero rules) are NOT given codes here
- * and stay on the OCaml path.
+ * Leaf loops of Fastops' strided engine.  The OCaml planner reduces an
+ * elementwise op over arbitrary views to [rows] x [n] iterations: every
+ * operand, destination included, advances by its own element step
+ * within a row and by its own row stride between rows (a step or row
+ * stride of 0 broadcasts).  Dims the planner could not merge into those
+ * two are looped in OCaml around one call each.
  *
- * Codes follow Scalar.unary / Scalar.binary constructor order. */
+ * Each case applies exactly the operation the OCaml reference applies —
+ * the same libm calls (exp, log, tanh, pow compile to the identical
+ * symbols Float.exp &c. call) and the same IEEE primitives — so results
+ * are bitwise-identical; the win is dropping the per-element closure
+ * dispatch, float boxing and bounds checks.  Operators whose OCaml
+ * semantics do not map one-to-one onto C (Float.max/min/equal have their
+ * own NaN and signed-zero rules) are NOT given codes here and stay on
+ * the OCaml path.
+ *
+ * Codes follow Scalar.unary / Scalar.binary constructor order; U_COPY
+ * (a copy, or a fill when the source step is 0) is the engine's own. */
 #include <math.h>
 
 #define U_NEG 0
@@ -98,54 +105,53 @@ CAMLprim value functs_gemm_bytecode(value *argv, int argn)
 #define U_SIGMOID 5
 #define U_TANH 6
 #define U_RELU 7
+#define U_COPY 8
 
-/* [rows] outer iterations over a flat suffix of [n] elements: the
- * input advances [aor] per row and [as] (0 or 1) per element, the
- * contiguous output advances [n] per row.  rows = 1 is the fully
- * collapsed case; rows > 1 covers strided slices like a [b,128] gate
- * view of a [b,512] matmul output. */
+/* The contiguous and broadcast-source cases get their own loops so the
+ * compiler can vectorize them; the general case covers any steps. */
+#define UN_LOOP(expr)                                                       \
+  do {                                                                      \
+    if (os == 1 && as == 1)                                                 \
+      for (long i = 0; i < n; i++) {                                        \
+        const double x = a[i];                                              \
+        o[i] = (expr);                                                      \
+      }                                                                     \
+    else if (os == 1 && as == 0) {                                          \
+      const double x = a[0];                                                \
+      const double v = (expr);                                              \
+      for (long i = 0; i < n; i++) o[i] = v;                                \
+    } else                                                                  \
+      for (long i = 0; i < n; i++) {                                        \
+        const double x = a[i * as];                                         \
+        o[i * os] = (expr);                                                 \
+      }                                                                     \
+  } while (0)
+
 CAMLprim value functs_unary_map(value vkind, value va, value vao, value vas,
-                                value vaor, value vo, value voo, value vrows,
-                                value vn)
+                                value var, value vo, value voo, value vos,
+                                value vor, value vrows, value vn)
 {
   const double *ab = (const double *)va + Long_val(vao);
   double *ob = (double *)vo + Long_val(voo);
-  const long as = Long_val(vas), aor = Long_val(vaor);
+  const long as = Long_val(vas), ar = Long_val(var);
+  const long os = Long_val(vos), orow = Long_val(vor);
   const long rows = Long_val(vrows), n = Long_val(vn);
   const long kind = Long_val(vkind);
   for (long r = 0; r < rows; r++) {
-    const double *a = ab + r * aor;
-    double *o = ob + r * n;
+    const double *a = ab + r * ar;
+    double *o = ob + r * orow;
     switch (kind) {
-    case U_NEG:
-      for (long i = 0; i < n; i++) o[i] = -a[i * as];
-      break;
-    case U_ABS:
-      for (long i = 0; i < n; i++) o[i] = fabs(a[i * as]);
-      break;
-    case U_EXP:
-      for (long i = 0; i < n; i++) o[i] = exp(a[i * as]);
-      break;
-    case U_LOG:
-      for (long i = 0; i < n; i++) o[i] = log(a[i * as]);
-      break;
-    case U_SQRT:
-      for (long i = 0; i < n; i++) o[i] = sqrt(a[i * as]);
-      break;
-    case U_SIGMOID:
-      for (long i = 0; i < n; i++) o[i] = 1.0 / (1.0 + exp(-a[i * as]));
-      break;
-    case U_TANH:
-      for (long i = 0; i < n; i++) o[i] = tanh(a[i * as]);
-      break;
-    case U_RELU:
-      /* Float.max 0.0 x: positives pass, zeros normalize to +0.0, NaN
-         propagates — fmax has different NaN rules, so spell it out. */
-      for (long i = 0; i < n; i++) {
-        const double x = a[i * as];
-        o[i] = (x > 0.0) ? x : (x != x ? x : 0.0);
-      }
-      break;
+    case U_NEG: UN_LOOP(-x); break;
+    case U_ABS: UN_LOOP(fabs(x)); break;
+    case U_EXP: UN_LOOP(exp(x)); break;
+    case U_LOG: UN_LOOP(log(x)); break;
+    case U_SQRT: UN_LOOP(sqrt(x)); break;
+    case U_SIGMOID: UN_LOOP(1.0 / (1.0 + exp(-x))); break;
+    case U_TANH: UN_LOOP(tanh(x)); break;
+    /* Float.max 0.0 x: positives pass, zeros normalize to +0.0, NaN
+       propagates — fmax has different NaN rules, so spell it out. */
+    case U_RELU: UN_LOOP((x > 0.0) ? x : (x != x ? x : 0.0)); break;
+    case U_COPY: UN_LOOP(x); break;
     }
   }
   return Val_unit;
@@ -155,7 +161,8 @@ CAMLprim value functs_unary_map_bytecode(value *argv, int argn)
 {
   (void)argn;
   return functs_unary_map(argv[0], argv[1], argv[2], argv[3], argv[4],
-                          argv[5], argv[6], argv[7], argv[8]);
+                          argv[5], argv[6], argv[7], argv[8], argv[9],
+                          argv[10]);
 }
 
 #define B_ADD 0
@@ -168,17 +175,17 @@ CAMLprim value functs_unary_map_bytecode(value *argv, int argn)
 
 #define BIN_LOOP(expr)                                                      \
   do {                                                                      \
-    if (as == 1 && bs == 1)                                                 \
+    if (os == 1 && as == 1 && bs == 1)                                      \
       for (long i = 0; i < n; i++) {                                        \
         const double x = a[i], y = b[i];                                    \
         o[i] = (expr);                                                      \
       }                                                                     \
-    else if (as == 1 && bs == 0)                                            \
+    else if (os == 1 && as == 1 && bs == 0)                                 \
       for (long i = 0; i < n; i++) {                                        \
         const double x = a[i], y = b[0];                                    \
         o[i] = (expr);                                                      \
       }                                                                     \
-    else if (as == 0 && bs == 1)                                            \
+    else if (os == 1 && as == 0 && bs == 1)                                 \
       for (long i = 0; i < n; i++) {                                        \
         const double x = a[0], y = b[i];                                    \
         o[i] = (expr);                                                      \
@@ -186,26 +193,26 @@ CAMLprim value functs_unary_map_bytecode(value *argv, int argn)
     else                                                                    \
       for (long i = 0; i < n; i++) {                                        \
         const double x = a[i * as], y = b[i * bs];                          \
-        o[i] = (expr);                                                      \
+        o[i * os] = (expr);                                                 \
       }                                                                     \
   } while (0)
 
 CAMLprim value functs_binary_map(value vkind, value va, value vao, value vas,
-                                 value vaor, value vb, value vbo, value vbs,
-                                 value vbor, value vo, value voo, value vrows,
-                                 value vn)
+                                 value var, value vb, value vbo, value vbs,
+                                 value vbr, value vo, value voo, value vos,
+                                 value vor, value vrows, value vn)
 {
   const double *ab = (const double *)va + Long_val(vao);
   const double *bb = (const double *)vb + Long_val(vbo);
   double *obase = (double *)vo + Long_val(voo);
-  const long as = Long_val(vas), bs = Long_val(vbs);
-  const long aor = Long_val(vaor), bor = Long_val(vbor);
+  const long as = Long_val(vas), bs = Long_val(vbs), os = Long_val(vos);
+  const long ar = Long_val(var), br = Long_val(vbr), orow = Long_val(vor);
   const long rows = Long_val(vrows), n = Long_val(vn);
   const long kind = Long_val(vkind);
   for (long r = 0; r < rows; r++) {
-    const double *a = ab + r * aor;
-    const double *b = bb + r * bor;
-    double *o = obase + r * n;
+    const double *a = ab + r * ar;
+    const double *b = bb + r * br;
+    double *o = obase + r * orow;
     switch (kind) {
     case B_ADD: BIN_LOOP(x + y); break;
     case B_SUB: BIN_LOOP(x - y); break;
@@ -224,5 +231,45 @@ CAMLprim value functs_binary_map_bytecode(value *argv, int argn)
   (void)argn;
   return functs_binary_map(argv[0], argv[1], argv[2], argv[3], argv[4],
                            argv[5], argv[6], argv[7], argv[8], argv[9],
-                           argv[10], argv[11], argv[12]);
+                           argv[10], argv[11], argv[12], argv[13], argv[14]);
+}
+
+/* where(c, a, b): [c <> 0.0] picks [a], as the OCaml reference does (a
+ * NaN condition is non-zero). */
+CAMLprim value functs_where_map(value vc, value vco, value vcs, value vcr,
+                                value va, value vao, value vas, value var,
+                                value vb, value vbo, value vbs, value vbr,
+                                value vo, value voo, value vos, value vor,
+                                value vrows, value vn)
+{
+  const double *cb = (const double *)vc + Long_val(vco);
+  const double *ab = (const double *)va + Long_val(vao);
+  const double *bb = (const double *)vb + Long_val(vbo);
+  double *obase = (double *)vo + Long_val(voo);
+  const long cs = Long_val(vcs), as = Long_val(vas), bs = Long_val(vbs);
+  const long os = Long_val(vos);
+  const long cr = Long_val(vcr), ar = Long_val(var), br = Long_val(vbr);
+  const long orow = Long_val(vor);
+  const long rows = Long_val(vrows), n = Long_val(vn);
+  for (long r = 0; r < rows; r++) {
+    const double *c = cb + r * cr;
+    const double *a = ab + r * ar;
+    const double *b = bb + r * br;
+    double *o = obase + r * orow;
+    if (os == 1 && cs == 1 && as == 1 && bs == 1)
+      for (long i = 0; i < n; i++) o[i] = (c[i] != 0.0) ? a[i] : b[i];
+    else
+      for (long i = 0; i < n; i++)
+        o[i * os] = (c[i * cs] != 0.0) ? a[i * as] : b[i * bs];
+  }
+  return Val_unit;
+}
+
+CAMLprim value functs_where_map_bytecode(value *argv, int argn)
+{
+  (void)argn;
+  return functs_where_map(argv[0], argv[1], argv[2], argv[3], argv[4],
+                          argv[5], argv[6], argv[7], argv[8], argv[9],
+                          argv[10], argv[11], argv[12], argv[13], argv[14],
+                          argv[15], argv[16], argv[17]);
 }

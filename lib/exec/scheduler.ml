@@ -100,38 +100,73 @@ type binst = {
    zero-copy views or plain fast-ops on a private frame.  Nothing is
    resolved per run or per iteration — the slice descriptors (operand
    slots, view kinds, buffer indices) are fixed here. *)
+type lwrite = {
+  wr_buf : int;  (* carried slot whose shared buffer is written *)
+  wr_steps : (Op.view_kind * int array) array;  (* view path to the leaf *)
+  wr_leaf_kind : Op.view_kind;
+  wr_leaf_ops : int array;
+  wr_src : int;  (* slot of the value stored at the leaf *)
+  wr_out : int;  (* output slot, rebound to the shared buffer *)
+}
+
 type laction =
   | L_plain  (* Fastops.apply_op on the private frame *)
   | L_skip  (* rebuild-chain assign subsumed by an outer L_write *)
   | L_view of Op.view_kind  (* zero-copy access *)
   | L_assign of Op.view_kind  (* copy-producing assign (free/alias base) *)
-  | L_write of {
-      wr_buf : int;  (* carried slot whose shared buffer is written *)
-      wr_steps : (Op.view_kind * int array) array;  (* view path to the leaf *)
-      wr_leaf_kind : Op.view_kind;
-      wr_leaf_ops : int array;
-      wr_src : int;  (* slot of the value stored at the leaf *)
-      wr_out : int;  (* output slot, rebound to the shared buffer *)
-    }
+  | L_write of lwrite
   | L_reduce of { rd_slot : int; rd_acc_pos : int }
 
-(* Batched loops are auto-tuned between running all iterations inline on
-   the caller, dispatching chunks across a pool of two or more lanes, and
-   the sequential body (which keeps kernel fusion and donation): on
-   small trip counts the pool handoff (~5us) can exceed the whole loop,
-   and on kernel-heavy bodies (ssd) the batched per-node replay can
-   lose to the sequential fused path outright — the [Seq] arm pins the
+(* Vectorised Parallel plans run each body statement once across every
+   iteration.  A value that depends on the induction variable carries
+   the iterations as a leading axis; everything else is computed once.
+   The plan is aligned with the body's instructions:
+   - [V_once]: iteration-invariant, the batched action run once;
+   - [V_axis dim]: [select(base, dim, i)] of an invariant base, which
+     becomes the base narrowed to [0, trip) along [dim], that dim
+     moved first;
+   - [V_view kind]: a select/slice/identity view of a vector value;
+   - [V_op w]: an engine op (unary, binary, where, clone) with a vector
+     operand; [w] is the write it computes straight into, or -1;
+   - [V_write]: a leaf write, of every iteration's region at once. *)
+type vact =
+  | V_once
+  | V_skip
+  | V_axis of int
+  | V_view of Op.view_kind
+  | V_op of int
+  | V_write
+
+type vplan = {
+  vp_acts : vact array;  (* aligned with the body's bi_insts *)
+  vp_vec : (int, unit) Hashtbl.t;  (* slots holding vector values *)
+}
+
+(* Batched loops are auto-tuned between the vectorised plan (when the
+   body has one), running all iterations inline on the caller,
+   dispatching chunks across a pool of two or more lanes, and the
+   sequential body (which keeps kernel fusion and donation): on small
+   trip counts the pool handoff (~5us) can exceed the whole loop, and
+   on kernel-heavy bodies (ssd) the batched per-node replay can lose to
+   the sequential fused path outright — the [Seq] arm pins the
    sequential body when it measures fastest. *)
-type larm = Inline | Dispatch | Seq
+type larm = Vector | Inline | Dispatch | Seq
 
 let larm_name = function
+  | Vector -> "vector"
   | Inline -> "inline"
   | Dispatch -> "dispatch"
   | Seq -> "seq"
 
 type lplan = {
   lp_roles : Loop_par.role array;  (* per carried slot *)
+  lp_donate : bool array;
+      (* per carried slot: the loop is the init's only use, in the same
+         block, and the init is no graph parameter — so a run may adopt
+         the init as the shared buffer when its storage has no other
+         live reference *)
   lp_actions : laction array;  (* aligned with the body's bi_insts *)
+  lp_vector : vplan option;
   lp_reduction : bool;  (* any Reduced slot: fixed chunking + merge *)
   lp_tuner : larm Tuner.t;
 }
@@ -177,6 +212,7 @@ type prepared = {
   mutable s_donations : int;
   mutable s_parallel_loops : int;
   mutable s_reduction_loops : int;
+  mutable s_vector_loops : int;
 }
 
 (* --- per-run state --- *)
@@ -290,6 +326,45 @@ let write_region (region : Tensor.t) (src : Tensor.t) =
     (Storage.data region.Tensor.storage).(region.Tensor.offset) <-
       (Storage.data src.Tensor.storage).(src.Tensor.offset)
   else Fastops.copy_into region src
+
+(* --- vector values ---
+
+   A vector value carries a loop's iterations as its leading axis; its
+   per-iteration dims follow. *)
+
+(* A select/slice/identity view of a vector value: per-iteration dims
+   shift by one. *)
+let vector_view kind (v : Tensor.t) ops =
+  let dim d = Shape.normalize_dim ~ndim:(Tensor.ndim v - 1) d + 1 in
+  match (kind, ops) with
+  | Op.Select { dim = d }, [ idx ] -> Tensor.select v ~dim:(dim d) (Value.to_int idx)
+  | Op.Slice { dim = d; step }, [ lo; hi ] ->
+      Tensor.slice v ~dim:(dim d) ~start:(Value.to_int lo)
+        ~stop:(Value.to_int hi) ~step
+  | _ -> Eval.apply_view_kind kind v ops
+
+(* Rank-align a vector value to [rank] per-iteration dims: unit dims go
+   right after the iteration axis, where per-iteration broadcasting
+   would put them. *)
+let align (t : Tensor.t) rank =
+  let k = rank + 1 - Tensor.ndim t in
+  if k <= 0 then t
+  else
+    let ins a v =
+      Array.init (Array.length a + k) (fun d ->
+          if d = 0 then a.(0) else if d <= k then v else a.(d - k))
+    in
+    { t with Tensor.shape = ins t.Tensor.shape 1; strides = ins t.Tensor.strides 0 }
+
+(* Same elements at the same addresses (unit dims' strides are never
+   used). *)
+let same_view (t : Tensor.t) (r : Tensor.t) =
+  t.Tensor.offset = r.Tensor.offset
+  && Shape.equal t.Tensor.shape r.Tensor.shape
+  && Array.for_all Fun.id
+       (Array.mapi
+          (fun d n -> n = 1 || t.Tensor.strides.(d) = r.Tensor.strides.(d))
+          t.Tensor.shape)
 
 (* In-place execution of [immut::assign] when the base dies here and its
    storage has no other live reference: write the region through the view
@@ -603,11 +678,21 @@ and exec_loop rs ~scope (inst : inst) =
           let arm = lp.lp_tuner.Tuner.arm in
           let t0 = Unix.gettimeofday () in
           (match arm with
-          | Inline ->
-              exec_batched_loop rs ~scope inst bi lp trip inits ~dispatch:false
-          | Dispatch ->
-              exec_batched_loop rs ~scope inst bi lp trip inits ~dispatch:true
-          | Seq -> exec_seq_loop rs ~scope inst bi trip inits);
+          | Seq -> exec_seq_loop rs ~scope inst bi trip inits
+          | Vector | Inline | Dispatch ->
+              let inits = Array.of_list inits in
+              let bufs = carried_buffers rs lp inits in
+              let merged =
+                match (arm, lp.lp_vector) with
+                | Vector, Some vp
+                  when exec_vector_loop rs bi lp vp trip inits bufs ->
+                    rs.p.s_vector_loops <- rs.p.s_vector_loops + 1;
+                    Array.make (Array.length inits) None
+                | _ ->
+                    exec_batched_loop rs bi lp trip inits bufs
+                      ~dispatch:(arm = Dispatch)
+              in
+              bind_loop_outputs rs ~scope inst lp inits bufs merged);
           Tuner.record lp.lp_tuner arm (Unix.gettimeofday () -. t0)
       | None -> exec_seq_loop rs ~scope inst bi trip inits
     end
@@ -665,6 +750,25 @@ and exec_seq_loop rs ~scope (inst : inst) (bi : binst) trip inits = begin
         List.iter (unretain rs) !carried
       end
 
+(* Shared carried buffers for Sliced slots.  When the loop is the
+   init's only use (decided at prepare time) and nothing else references
+   its storage, the init is adopted in place (same rule as assign
+   donation); otherwise one pooled clone covers the whole loop. *)
+and carried_buffers rs (lp : lplan) inits =
+  Array.mapi
+    (fun j role ->
+      match role with
+      | Loop_par.Sliced ->
+          let bt = Value.to_tensor inits.(j) in
+          if rs.live && lp.lp_donate.(j) && sref_count rs bt = 1 then begin
+            rs.p.s_donations <- rs.p.s_donations + 1;
+            Metrics.incr donations_c;
+            Some bt
+          end
+          else Some (Fastops.clone ~alloc:rs.alloc bt)
+      | Loop_par.Reduced _ | Loop_par.Passthrough -> None)
+    lp.lp_roles
+
 (* Horizontal parallelization (Algorithm 2), iteration-batched: the
    dependence analysis guarantees every carried tensor is either written
    through induction-disjoint slices (Sliced), folded by an associative
@@ -672,40 +776,11 @@ and exec_seq_loop rs ~scope (inst : inst) (bi : binst) trip inits = begin
    on shared buffers with one in-place leaf write per recognized rebuild
    chain — no per-iteration scopes, refcounts, or buffer rotation.
    Bodies run the action table compiled at prepare time on a private
-   frame per pool chunk. *)
-and exec_batched_loop rs ~scope (inst : inst) (bi : binst) (lp : lplan) trip
-    inits ~dispatch =
-  let inits = Array.of_list inits in
+   frame per pool chunk.  Returns the merged reduction results. *)
+and exec_batched_loop rs (bi : binst) (lp : lplan) trip inits bufs ~dispatch =
   let nc = Array.length lp.lp_roles in
   let i_slot = bi.bi_params.(0) in
   let carried_slots = Array.sub bi.bi_params 1 nc in
-  (* Shared carried buffers for Sliced slots.  When the loop is the
-     init's last consumer and nothing else references its storage, the
-     init is adopted in place (same rule as assign donation); otherwise
-     one clone covers the whole loop. *)
-  let bufs = Array.make nc None in
-  Array.iteri
-    (fun j role ->
-      match role with
-      | Loop_par.Sliced ->
-          let bslot = inst.i_in.(j + 1) in
-          let bt = Value.to_tensor inits.(j) in
-          let t =
-            if
-              rs.live
-              && (not rs.p.p_pinned.(bslot))
-              && rs.remaining.(bslot) = 1
-              && sref_count rs bt = 1
-            then begin
-              rs.p.s_donations <- rs.p.s_donations + 1;
-              Metrics.incr donations_c;
-              bt
-            end
-            else Fastops.clone bt
-          in
-          bufs.(j) <- Some t
-      | Loop_par.Reduced _ | Loop_par.Passthrough -> ())
-    lp.lp_roles;
   let buf j =
     match bufs.(j) with
     | Some t -> t
@@ -857,16 +932,9 @@ and exec_batched_loop rs ~scope (inst : inst) (bi : binst) (lp : lplan) trip
          ~grain:1 ~n:nchunks body)
   end
   else body 0 nchunks;
-  rs.p.s_parallel_loops <- rs.p.s_parallel_loops + 1;
-  Metrics.incr parallel_loops_c;
-  if lp.lp_reduction then begin
-    rs.p.s_reduction_loops <- rs.p.s_reduction_loops + 1;
-    Metrics.incr reduction_loops_c
-  end;
   (* Merge reduction partials in fixed chunk order, folding from the
      loop's init exactly once. *)
-  let merged = Array.make nc None in
-  Array.iteri
+  Array.mapi
     (fun j role ->
       match role with
       | Loop_par.Reduced { acc_pos; combine; _ } ->
@@ -884,25 +952,310 @@ and exec_batched_loop rs ~scope (inst : inst) (bi : binst) (lp : lplan) trip
                   | [ out ] -> acc := out
                   | _ -> error "malformed reduction combine"))
             partials;
-          merged.(j) <- Some !acc
-      | Loop_par.Sliced | Loop_par.Passthrough -> ())
-    lp.lp_roles;
+          Some !acc
+      | Loop_par.Sliced | Loop_par.Passthrough -> None)
+    lp.lp_roles
+
+and bind_loop_outputs rs ~scope (inst : inst) (lp : lplan) inits bufs merged =
+  rs.p.s_parallel_loops <- rs.p.s_parallel_loops + 1;
+  Metrics.incr parallel_loops_c;
+  if lp.lp_reduction then begin
+    rs.p.s_reduction_loops <- rs.p.s_reduction_loops + 1;
+    Metrics.incr reduction_loops_c
+  end;
   Array.iteri
     (fun j out_slot ->
       let v =
-        match lp.lp_roles.(j) with
-        | Loop_par.Sliced -> Value.Tensor (buf j)
-        | Loop_par.Passthrough -> inits.(j)
-        | Loop_par.Reduced _ -> (
-            match merged.(j) with
-            | Some v -> v
-            | None -> error "batched loop: reduction slot %d never merged" j)
+        match (lp.lp_roles.(j), bufs.(j), merged.(j)) with
+        | Loop_par.Sliced, Some t, _ -> Value.Tensor t
+        | Loop_par.Passthrough, _, _ -> inits.(j)
+        | Loop_par.Reduced _, _, Some v -> v
+        | _ -> error "batched loop: carried slot %d has no result" j
       in
       bind rs scope out_slot v)
     inst.i_out;
   consume_all rs inst.i_in
 
+(* The vectorised arm ({!vplan}).  Pass 1 runs the iteration-invariant
+   actions once; then every induction select and every write region is
+   built, which bounds-checks the trip before anything is written (a
+   trip past an extent returns [false]: the caller runs the inline arm,
+   which fails where the sequential loop would); pass 2 runs the
+   iteration-dependent actions in body order.  Reordering invariants
+   ahead of writes is sound: {!Loop_par} only lets a carried slot be
+   read through the iteration's own induction select, so no invariant
+   reads data a write changes.  Scratch comes from the storage pool and
+   goes back at the end — writes copy into the shared buffers. *)
+and exec_vector_loop rs (bi : binst) (lp : lplan) (vp : vplan) trip inits
+    bufs =
+  let exception Bail in
+  let vals = Array.copy rs.vals in
+  let getv slot =
+    match vals.(slot) with
+    | Some x -> x
+    | None -> error "unbound value (frame slot %d)" slot
+  in
+  let operands (b : inst) from =
+    List.init (Array.length b.i_in - from) (fun o -> getv b.i_in.(o + from))
+  in
+  let tensor slot = Value.to_tensor (getv slot) in
+  let is_vec slot = Hashtbl.mem vp.vp_vec slot in
+  let buf j = match bufs.(j) with Some t -> t | None -> raise Bail in
+  let scratch = ref [] in
+  let pooled shape =
+    let t = Buffer_plan.alloc rs.p.p_pool shape in
+    scratch := t :: !scratch;
+    t
+  in
+  let release () = List.iter (Buffer_plan.release rs.p.p_pool) !scratch in
+  let axis (base : Tensor.t) dim =
+    let nd = Tensor.ndim base in
+    let d = if dim < 0 then dim + nd else dim in
+    if d < 0 || d >= nd || trip > base.Tensor.shape.(d) then raise Bail;
+    Tensor.permute
+      (Tensor.narrow base ~dim:d ~start:0 ~len:trip)
+      (Array.init nd (fun k -> if k = 0 then d else if k <= d then k - 1 else k))
+  in
+  let region (w : lwrite) =
+    let r = ref (buf w.wr_buf) and is_vec = ref false in
+    let step (kind, ops) =
+      match kind with
+      | Op.Select { dim } when ops = [| bi.bi_params.(0) |] ->
+          r := axis !r dim;
+          is_vec := true
+      | _ ->
+          let ops = List.map getv (Array.to_list ops) in
+          r :=
+            if !is_vec then vector_view kind !r ops
+            else Eval.apply_view_kind kind !r ops
+    in
+    Array.iter step w.wr_steps;
+    step (w.wr_leaf_kind, w.wr_leaf_ops);
+    !r
+  in
+  let n = Array.length bi.bi_insts in
+  let regions = Array.make n None in
+  match
+    Array.iteri
+      (fun j slot ->
+        match lp.lp_roles.(j) with
+        | Loop_par.Sliced -> vals.(slot) <- Some (Value.Tensor (buf j))
+        | Loop_par.Passthrough -> vals.(slot) <- Some inits.(j)
+        | Loop_par.Reduced _ -> raise Bail)
+      (Array.sub bi.bi_params 1 (Array.length lp.lp_roles));
+    Array.iteri
+      (fun k (b : inst) ->
+        match (vp.vp_acts.(k), lp.lp_actions.(k)) with
+        | V_once, L_view kind ->
+            vals.(b.i_out.(0)) <-
+              Some
+                (Value.Tensor
+                   (Eval.apply_view_kind kind (tensor b.i_in.(0)) (operands b 1)))
+        | V_once, _ ->
+            List.iteri
+              (fun o out -> vals.(b.i_out.(o)) <- Some out)
+              (Fastops.apply_op ~alloc:pooled b.i_node (operands b 0))
+        | V_write, L_write w ->
+            vals.(w.wr_out) <- Some (Value.Tensor (buf w.wr_buf))
+        | _ -> ())
+      bi.bi_insts;
+    Array.iteri
+      (fun k (b : inst) ->
+        match (vp.vp_acts.(k), lp.lp_actions.(k)) with
+        | V_axis dim, _ -> ignore (axis (tensor b.i_in.(0)) dim)
+        | V_write, L_write w -> regions.(k) <- Some (region w)
+        | _ -> ())
+      bi.bi_insts
+  with
+  | exception (Bail | Invalid_argument _ | Eval.Runtime_error _) ->
+      release ();
+      false
+  | () ->
+      let region_at k =
+        match regions.(k) with
+        | Some r -> r
+        | None -> error "vector loop: write %d has no region" k
+      in
+      let written = Array.make n false in
+      let engine_op (b : inst) w =
+        (* operands rank-aligned to the op's per-iteration rank *)
+        let ins = Array.map (fun s -> (tensor s, is_vec s)) b.i_in in
+        let rank =
+          Array.fold_left
+            (fun acc (t, v) -> max acc (Tensor.ndim t - Bool.to_int v))
+            0 ins
+        in
+        let ts = Array.map (fun (t, v) -> if v then align t rank else t) ins in
+        let shape =
+          Array.fold_left (fun acc t -> Shape.broadcast acc (Tensor.shape t)) [||] ts
+        in
+        let into =
+          if w < 0 then None
+          else
+            let reg = region_at w in
+            if
+              Shape.equal (Tensor.shape reg) shape
+              && Array.for_all
+                   (fun t -> (not (Tensor.same_storage t reg)) || same_view t reg)
+                   ts
+            then begin
+              written.(w) <- true;
+              Some reg
+            end
+            else None
+        in
+        let dst = match into with Some reg -> reg | None -> pooled shape in
+        (match (b.i_node.n_op, ts) with
+        | Op.Unary fn, [| a |] -> Fastops.unary_into dst fn a
+        | Op.Binary fn, [| a; c |] -> Fastops.binary_into dst fn a c
+        | Op.Where, [| c; a; e |] -> Fastops.where_into dst c a e
+        | Op.Clone, [| a |] -> Fastops.copy_into dst a
+        | _ -> error "vector loop: %s is no engine op" (Op.name b.i_node.n_op));
+        dst
+      in
+      let write k (w : lwrite) =
+        let reg = region_at k in
+        let src = tensor w.wr_src and v = is_vec w.wr_src in
+        let rank = Tensor.ndim reg - 1 in
+        if Tensor.ndim src - Bool.to_int v <= rank then
+          Fastops.copy_into reg (if v then align src rank else src)
+        else
+          (* rank-dropping one-element writes: per iteration, as the
+             sequential loop does *)
+          for i = 0 to trip - 1 do
+            write_region
+              (Tensor.select reg ~dim:0 i)
+              (if v then Tensor.select src ~dim:0 i else src)
+          done
+      in
+      let set (b : inst) t = vals.(b.i_out.(0)) <- Some (Value.Tensor t) in
+      Array.iteri
+        (fun k (b : inst) ->
+          match (vp.vp_acts.(k), lp.lp_actions.(k)) with
+          | V_axis dim, _ -> set b (axis (tensor b.i_in.(0)) dim)
+          | V_view kind, _ ->
+              set b (vector_view kind (tensor b.i_in.(0)) (operands b 1))
+          | V_op w, _ -> set b (engine_op b w)
+          | V_write, L_write w when not written.(k) -> write k w
+          | _ -> ())
+        bi.bi_insts;
+      release ();
+      true
+
 (* --- preparation --- *)
+
+(* The vectorised plan of a Parallel loop body, or [None] when the body
+   does not qualify: the induction variable [i] appears only as the
+   index of a [select] (of an invariant base) or of one select on each
+   write path; every iteration-dependent value comes from
+   select/slice/identity views or engine ops; there is no copy-producing
+   assign, and no iteration-dependent value is returned.  An engine op
+   whose only consumer is the next write computes straight into that
+   write's region ([V_op w]) when nothing but views runs in between. *)
+let vector_plan (bi : binst) (actions : laction array) =
+  let exception Reject in
+  let i_slot = bi.bi_params.(0) in
+  let dep = Hashtbl.create 16 in
+  let is_dep s = Hashtbl.mem dep s in
+  let no_i s = if s = i_slot then raise Reject in
+  let mark (b : inst) = Array.iter (fun s -> Hashtbl.replace dep s ()) b.i_out in
+  try
+    let va =
+      Array.mapi
+        (fun k (b : inst) ->
+          match actions.(k) with
+          | L_skip -> V_skip
+          | L_assign _ | L_reduce _ -> raise Reject
+          | L_write w ->
+              let selects = ref 0 in
+              let check (kind, ops) =
+                Array.iter
+                  (fun s ->
+                    if s = i_slot then
+                      match kind with
+                      | Op.Select _ when Array.length ops = 1 -> incr selects
+                      | _ -> raise Reject
+                    else if is_dep s then raise Reject)
+                  ops
+              in
+              Array.iter check w.wr_steps;
+              check (w.wr_leaf_kind, w.wr_leaf_ops);
+              if !selects <> 1 then raise Reject;
+              no_i w.wr_src;
+              V_write
+          | L_view kind -> (
+              let base = b.i_in.(0) in
+              let ops = Array.sub b.i_in 1 (Array.length b.i_in - 1) in
+              no_i base;
+              if Array.mem i_slot ops then
+                match kind with
+                | Op.Select { dim } when not (is_dep base) ->
+                    mark b;
+                    V_axis dim
+                | _ -> raise Reject
+              else if Array.exists is_dep ops then raise Reject
+              else if not (is_dep base) then V_once
+              else
+                match kind with
+                | Op.Select _ | Op.Slice _ | Op.Identity ->
+                    mark b;
+                    V_view kind
+                | _ -> raise Reject)
+          | L_plain ->
+              Array.iter no_i b.i_in;
+              if not (Array.exists is_dep b.i_in) then V_once
+              else begin
+                match b.i_node.n_op with
+                | (Op.Unary _ | Op.Binary _ | Op.Where | Op.Clone)
+                  when Array.length b.i_out = 1 ->
+                    mark b;
+                    V_op (-1)
+                | _ -> raise Reject
+              end)
+        bi.bi_insts
+    in
+    Array.iter
+      (fun s ->
+        no_i s;
+        if is_dep s then raise Reject)
+      bi.bi_rets;
+    (* destination passing *)
+    let views_only lo hi =
+      let ok = ref true in
+      for k = lo to hi do
+        match va.(k) with
+        | V_op _ | V_write -> ok := false
+        | V_once | V_skip | V_axis _ | V_view _ -> ()
+      done;
+      !ok
+    in
+    Array.iteri
+      (fun k act ->
+        match act with
+        | V_op _ -> (
+            let o = bi.bi_insts.(k).i_out.(0) in
+            let writes = ref [] and others = ref false in
+            Array.iteri
+              (fun k' (b : inst) ->
+                (match actions.(k') with
+                | L_write w when w.wr_src = o -> writes := k' :: !writes
+                | _ -> ());
+                if Array.mem o b.i_in then
+                  match actions.(k') with
+                  | L_skip | L_write _ -> ()
+                  | _ -> others := true)
+              bi.bi_insts;
+            match !writes with
+            | [ w ]
+              when w > k && (not !others)
+                   && (not (Array.mem o bi.bi_rets))
+                   && views_only (k + 1) (w - 1) ->
+                va.(k) <- V_op w
+            | _ -> ())
+        | _ -> ())
+      va;
+    Some { vp_acts = va; vp_vec = dep }
+  with Reject -> None
 
 let prepare ~parallel ~pool:exec_pool ~loop_grain ~kernel_grain ~jit
     ~jit_dir ~graph ~shapes ~plan =
@@ -1037,7 +1390,7 @@ let prepare ~parallel ~pool:exec_pool ~loop_grain ~kernel_grain ~jit
      iteration.  A loop whose plan cannot be built (a missing slot, a
      malformed chain) simply stays sequential. *)
   let lplans : (int, lplan) Hashtbl.t = Hashtbl.create 4 in
-  let build_lplan lid (info : Loop_par.info) (body : Graph.block) =
+  let build_lplan (node : Graph.node) (info : Loop_par.info) (body : Graph.block) =
     match Hashtbl.find_opt blocks body.Graph.b_id with
     | None -> None
     | Some bi
@@ -1109,15 +1462,30 @@ let prepare ~parallel ~pool:exec_pool ~loop_grain ~kernel_grain ~jit
               (function Loop_par.Reduced _ -> true | _ -> false)
               info.Loop_par.roles
           in
+          let vector = if reduction then None else vector_plan bi actions in
+          let donate =
+            Array.mapi
+              (fun j _ ->
+                let init = List.nth node.n_inputs (j + 1) in
+                (match Graph.uses_in graph init with [ _ ] -> true | _ -> false)
+                && (not (List.memq init (Graph.params graph)))
+                && Graph.defining_block init == Graph.node_block node)
+              info.Loop_par.roles
+          in
           Some
             {
               lp_roles = info.Loop_par.roles;
+              lp_donate = donate;
               lp_actions = actions;
+              lp_vector = vector;
               lp_reduction = reduction;
               lp_tuner =
-                Tuner.create ~scope:"scheduler.loop" ~id:lid ~name:larm_name
-                  (if Pool.lanes exec_pool > 1 then [ Inline; Dispatch; Seq ]
-                   else [ Inline; Seq ]);
+                Tuner.create ~scope:"scheduler.loop" ~id:node.n_id
+                  ~name:larm_name
+                  ((if vector = None then [] else [ Vector ])
+                  @ [ Inline ]
+                  @ (if Pool.lanes exec_pool > 1 then [ Dispatch ] else [])
+                  @ [ Seq ]);
             }
         with Bail -> None)
   in
@@ -1126,7 +1494,7 @@ let prepare ~parallel ~pool:exec_pool ~loop_grain ~kernel_grain ~jit
         match (Fusion.loop_verdict plan node, node.n_blocks) with
         | (Loop_par.Parallel info | Loop_par.Reduction (_, info)), [ body ]
           -> (
-            match build_lplan node.n_id info body with
+            match build_lplan node info body with
             | Some lp -> Hashtbl.replace lplans node.n_id lp
             | None -> ())
         | _ -> ());
@@ -1244,6 +1612,7 @@ let prepare ~parallel ~pool:exec_pool ~loop_grain ~kernel_grain ~jit
     s_donations = 0;
     s_parallel_loops = 0;
     s_reduction_loops = 0;
+    s_vector_loops = 0;
   }
 
 let output_shapes p = p.p_out_shapes
@@ -1305,9 +1674,11 @@ type stats = {
   parallel_loops_run : int;
   reduction_loops_run : int;
   batched_loops : int;  (* loops with an iteration-batching plan *)
+  vector_loops : int;  (* batched loop executions on the vector arm *)
   cjit_groups : int;  (* groups armed with a native kernel *)
   cjit_runs : int;  (* native launches *)
   jit_fallbacks : int;  (* launch-validation demotions to the closure arm *)
+  loops_pinned_vector : int;
   loops_pinned_inline : int;
   loops_pinned_dispatch : int;
   loops_pinned_seq : int;  (* batched loops pinned back to sequential *)
@@ -1315,10 +1686,11 @@ type stats = {
 }
 
 let stats p =
-  let pin_i = ref 0 and pin_d = ref 0 and pin_s = ref 0 in
+  let pin_v = ref 0 and pin_i = ref 0 and pin_d = ref 0 and pin_s = ref 0 in
   Hashtbl.iter
     (fun _ (lp : lplan) ->
       match Tuner.pinned lp.lp_tuner with
+      | Some Vector -> incr pin_v
       | Some Inline -> incr pin_i
       | Some Dispatch -> incr pin_d
       | Some Seq -> incr pin_s
@@ -1340,9 +1712,11 @@ let stats p =
     parallel_loops_run = p.s_parallel_loops;
     reduction_loops_run = p.s_reduction_loops;
     batched_loops = Hashtbl.length p.p_lplans;
+    vector_loops = p.s_vector_loops;
     cjit_groups = count (fun g -> g.g_jit <> None);
     cjit_runs = p.s_cjit_runs;
     jit_fallbacks = p.s_jit_fallbacks;
+    loops_pinned_vector = !pin_v;
     loops_pinned_inline = !pin_i;
     loops_pinned_dispatch = !pin_d;
     loops_pinned_seq = !pin_s;

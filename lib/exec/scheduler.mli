@@ -20,9 +20,12 @@
       place through one leaf write per recognized rebuild chain,
       [Reduced] carried tensors fold into fixed-size per-chunk partial
       accumulators merged in chunk order (bitwise-identical across
-      domain counts); a tuner pins inline batching, the sequential body
-      or — on two or more lanes — pool dispatch, whichever runs fastest
-      (Algorithm 2's parallelization, executed for real);
+      domain counts); a body that passes a prepare-time check also gets
+      a vectorised plan, which runs each statement once across every
+      iteration; a tuner pins the vectorised plan, inline batching, the
+      sequential body or — on two or more lanes — pool dispatch,
+      whichever runs fastest (Algorithm 2's parallelization, executed
+      for real);
     - [prim::If]/[prim::Loop] fall back to block-level dispatch, and
       graphs still containing [aten::…_] mutations run in a plain
       per-node mode with interpreter semantics (no pool, no donation).
@@ -79,6 +82,10 @@ type stats = {
   parallel_loops_run : int;  (** batched loop executions (incl. reductions) *)
   reduction_loops_run : int;  (** batched executions of Reduction loops *)
   batched_loops : int;  (** loops with an iteration-batching plan *)
+  vector_loops : int;
+      (** batched loop executions on the vectorised arm, which runs each
+          body statement once across every iteration (included in
+          [parallel_loops_run]) *)
   cjit_groups : int;
       (** groups currently armed with a native (C) kernel — a tuner
           pin on the closure arm keeps the group armed *)
@@ -87,7 +94,8 @@ type stats = {
       (** launch-validation failures that demoted a group back to its
           closure kernel for good; the tuner's closure-vs-[c-jit] choice
           is journaled as its pins and flips, not counted here *)
-  loops_pinned_inline : int;  (** batched loops the tuner pinned inline *)
+  loops_pinned_vector : int;  (** batched loops the tuner pinned vectorised *)
+  loops_pinned_inline : int;  (** … pinned inline *)
   loops_pinned_dispatch : int;  (** … pinned to pool dispatch *)
   loops_pinned_seq : int;  (** … pinned back to the sequential fused path *)
   pool_lanes : int;  (** worker lanes in the shared domain pool *)
@@ -104,7 +112,7 @@ type attribution_row = {
   at_kind : [ `Group | `Loop ];
   at_arm : string;
       (** the arm {!Tuner} currently pins — [c-jit]/[closure]/[per_node]
-          for groups, [inline]/[dispatch]/[seq] for loops — or
+          for groups, [vector]/[inline]/[dispatch]/[seq] for loops — or
           [sampling] while it samples *)
   at_members : int;  (** member instructions (groups) / body size (loops) *)
   at_time_s : float;  (** accumulated launch wall time *)

@@ -58,12 +58,17 @@ grep -q "exec.kernel_runs" /tmp/functs_bench_smoke.txt || {
   exit 1
 }
 # Horizontal v2 gates: the per-detection / per-class CV loops must batch
-# at 2 domains, and no batched loop may diverge bitwise from the
-# sequential engine (the bench prints the workload with a DIVERG marker
-# instead of "ok" when the gate trips; tee hides its exit code).
+# at 2 domains, on the vectorised plan, and no batched loop may diverge
+# bitwise from the sequential engine (the bench prints the workload with
+# a DIVERG marker instead of "ok" when the gate trips; tee hides its
+# exit code).
 for w in yolact fcos; do
   grep -Eq "^ *$w +ok parallel_loops=[1-9]" /tmp/functs_bench_smoke.txt || {
     echo "error: $w did not batch any parallel loop at FUNCTS_DOMAINS=2" >&2
+    exit 1
+  }
+  grep -Eq "^ *$w +ok .* vector_loops=[1-9]" /tmp/functs_bench_smoke.txt || {
+    echo "error: $w ran no vectorised loop at FUNCTS_DOMAINS=2" >&2
     exit 1
   }
 done
@@ -82,16 +87,20 @@ for w in yolact fcos; do
     echo "error: $w did not batch any parallel loop at FUNCTS_DOMAINS=1" >&2
     exit 1
   }
+  grep -Eq "^ *$w +ok .* vector_loops=[1-9]" /tmp/functs_bench_smoke_d1.txt || {
+    echo "error: $w ran no vectorised loop at FUNCTS_DOMAINS=1" >&2
+    exit 1
+  }
 done
 if grep -Eq 'DIVERGED|DIVERGENCE' /tmp/functs_bench_smoke_d1.txt; then
   echo "error: an engine output diverged at FUNCTS_DOMAINS=1 (see above)" >&2
   exit 1
 fi
 
-# The committed benchmark results must carry the JIT column and the pool
-# counters.
+# The committed benchmark results must carry the JIT column, the pool
+# counters and the vectorised-loop count.
 echo "== BENCH_exec.json members =="
-for member in '"jit_ms"' '"pool_worker_tasks"' '"pool_caller_tasks"' '"cold_jit_ms"' '"jit_isa"'; do
+for member in '"jit_ms"' '"pool_worker_tasks"' '"pool_caller_tasks"' '"cold_jit_ms"' '"jit_isa"' '"vector_loops"'; do
   grep -q "$member" BENCH_exec.json || {
     echo "error: BENCH_exec.json is missing the $member member" >&2
     exit 1

@@ -703,17 +703,47 @@ let test_batched_bitwise () =
   check "max reduction bitwise vs interpreter" true
     (List.for_all2 (fun a b -> flat a = flat b) expected got)
 
-(* A one-lane loop tuner samples [inline] and [seq] only, alternating
-   from [inline]: runs 1, 3 and 5 batch inline, and the sixth run closes
-   the window.  Inline iterations draw their scratch from the engine's
-   storage pool and return it, so once the pool is warm a batched run
-   reuses a buffer per iteration and allocates nothing new.  ([seq] runs
-   may: the returned buffer leaves the pool with the caller.) *)
+(* [v[i + 0] = v[i + 0] + 1] on the caller's tensor: like
+   [carried_store_graph], but the induction variable goes through
+   arithmetic, which the vectorised plan refuses — so it batches on the
+   [inline] arm — and the init is a graph parameter, which a batched run
+   must clone. *)
+let carried_arith_graph () =
+  let b =
+    Builder.create "carried_arith"
+      ~params:[ ("x", Dtype.Tensor); ("n", Dtype.Scalar Dtype.Int) ]
+  in
+  let x = Builder.param b 0 and n = Builder.param b 1 in
+  let one = Builder.float b 1.0 in
+  let outs =
+    Builder.loop b ~trip:n ~init:[ x ]
+      ~body:(fun ~i ~carried ->
+        match carried with
+        | [ v ] ->
+            let idx =
+              Builder.scalar_binary b Functs_tensor.Scalar.Add i (Builder.int b 0)
+            in
+            let row = Builder.op1 b (Op.Access (Op.Select { dim = 0 })) [ v; idx ] in
+            let s = Builder.add b row one in
+            [ Builder.op1 b (Op.Assign (Op.Select { dim = 0 })) [ v; s; idx ] ]
+        | _ -> assert false)
+  in
+  Builder.return b outs;
+  Builder.graph b
+
+(* A one-lane loop tuner over a body without a vectorised plan samples
+   [inline] and [seq] only, alternating from [inline]: runs 1, 3 and 5
+   batch inline, and the sixth run closes the window.  Inline iterations
+   draw their scratch from the engine's storage pool and return it, so
+   once the pool is warm a batched run reuses a buffer per iteration.
+   Every buffer a batched run allocates is counted — the clone of the
+   carried init too — and the only fresh one is the clone, which leaves
+   with the output. *)
 let test_inline_scratch_recycled () =
   let trip = 12 in
   let x = T.rand (Random.State.make [| 5 |]) [| trip; 16 |] in
   let args () = [ Value.Tensor (T.clone x); Value.Int trip ] in
-  let fg = Graph.clone (carried_store_graph ()) in
+  let fg = Graph.clone (carried_arith_graph ()) in
   ignore (Passes.tensorssa_pipeline fg);
   let eng =
     Engine.prepare ~parallel:true ~domains:1 ~cache:false fg
@@ -723,15 +753,16 @@ let test_inline_scratch_recycled () =
     ignore (Engine.run eng (args ()));
     Engine.stats eng
   in
-  ignore (run ());
+  check_int "the body never runs vectorised" 0
+    (run ()).Scheduler.vector_loops;
   let prev = ref (run ()) and batched = ref 0 in
   for _ = 3 to 6 do
     let s = run () in
     if s.Scheduler.parallel_loops_run > !prev.Scheduler.parallel_loops_run
     then begin
       incr batched;
-      check_int "a batched run allocates nothing fresh"
-        !prev.Scheduler.pool_fresh s.Scheduler.pool_fresh;
+      check_int "a batched run's one fresh buffer is its output"
+        (!prev.Scheduler.pool_fresh + 1) s.Scheduler.pool_fresh;
       check "every iteration reused a pooled buffer" true
         (s.Scheduler.pool_reused - !prev.Scheduler.pool_reused >= trip)
     end;
@@ -742,6 +773,196 @@ let test_inline_scratch_recycled () =
     (!prev.Scheduler.loops_pinned_inline + !prev.Scheduler.loops_pinned_seq);
   check_int "no dispatch arm at one lane" 0
     !prev.Scheduler.loops_pinned_dispatch
+
+(* --- vectorised loop plans ---
+
+   Hand-built Parallel loops for each case the vectorised plan accepts
+   and each it must refuse.  Every loop runs a dozen times at domains 1
+   and 2 (so the tuner samples every arm) and must match the sequential
+   engine bitwise each time; accepted loops run on the [vector] arm,
+   refused ones never do but still batch. *)
+
+let vtrip = 6
+
+(* [loop_graph name params init body]: params are tensors then [n];
+   [body b ~i v ps] returns the next carried value. *)
+let loop_graph name tensors ~init body =
+  let b =
+    Builder.create name
+      ~params:(List.map (fun p -> (p, Dtype.Tensor)) tensors
+              @ [ ("n", Dtype.Scalar Dtype.Int) ])
+  in
+  let ps = List.mapi (fun k _ -> Builder.param b k) tensors in
+  let n = Builder.param b (List.length tensors) in
+  let outs =
+    Builder.loop b ~trip:n ~init:[ Builder.clone b (List.nth ps init) ]
+      ~body:(fun ~i ~carried ->
+        match carried with [ v ] -> [ body b ~i v ps ] | _ -> assert false)
+  in
+  Builder.return b outs;
+  Builder.graph b
+
+let access b kind ops = Builder.op1 b (Op.Access kind) ops
+let assign b kind ops = Builder.op1 b (Op.Assign kind) ops
+let sel dim = Op.Select { dim }
+let slc dim = Op.Slice { dim; step = 1 }
+
+let vector_cases =
+  [
+    (* v[i] = v[i] + 1: the source is the region itself *)
+    ( "same-view update", [ [| vtrip; 16 |] ], true,
+      loop_graph "vec_same" [ "x" ] ~init:0 (fun b ~i v _ ->
+          let row = access b (sel 0) [ v; i ] in
+          assign b (sel 0) [ v; Builder.add b row (Builder.float b 1.0); i ]) );
+    (* v[i] = x[i] + g, x[i] : [16], g : [1, 16]: the vector operand
+       gains a unit dim after the iteration axis *)
+    ( "rank alignment", [ [| vtrip; 1; 16 |]; [| vtrip; 16 |]; [| 1; 16 |] ],
+      true,
+      loop_graph "vec_align" [ "v"; "x"; "g" ] ~init:0 (fun b ~i v ps ->
+          let xi = access b (sel 0) [ List.nth ps 1; i ] in
+          assign b (sel 0) [ v; Builder.add b xi (List.nth ps 2); i ]) );
+    (* yolov3's grids[s]: an invariant input selected by i *)
+    ( "invariant input selected by i", [ [| vtrip; 16 |]; [| vtrip; 16 |] ],
+      true,
+      loop_graph "vec_grid" [ "x"; "g" ] ~init:0 (fun b ~i v ps ->
+          let row = Builder.sigmoid b (access b (sel 0) [ v; i ]) in
+          let gi = access b (sel 0) [ List.nth ps 1; i ] in
+          assign b (sel 0) [ v; Builder.add b row gi; i ]) );
+    (* v[i, 0:2] = 3.0: a scalar fill *)
+    ( "scalar fill", [ [| vtrip; 16 |] ], true,
+      loop_graph "vec_fill" [ "x" ] ~init:0 (fun b ~i v _ ->
+          let row = access b (sel 0) [ v; i ] in
+          let lo = Builder.int b 0 and hi = Builder.int b 2 in
+          let inner = assign b (slc 0) [ row; Builder.float b 3.0; lo; hi ] in
+          assign b (sel 0) [ v; inner; i ]) );
+    (* v[i, 0:3] = v[i, 3:6]: the source aliases its own iteration's
+       region of the shared buffer *)
+    ( "source aliasing its region", [ [| vtrip; 16 |] ], true,
+      loop_graph "vec_alias" [ "x" ] ~init:0 (fun b ~i v _ ->
+          let row = access b (sel 0) [ v; i ] in
+          let src = access b (slc 0) [ row; Builder.int b 3; Builder.int b 6 ] in
+          let inner =
+            assign b (slc 0) [ row; src; Builder.int b 0; Builder.int b 3 ]
+          in
+          assign b (sel 0) [ v; inner; i ]) );
+    (* v[i, 1:4] = v[i, 0:3] * 2: the op's operand overlaps the region
+       it would compute into, so it must not compute in place *)
+    ( "op on a shifted view of its region", [ [| vtrip; 16 |] ], true,
+      loop_graph "vec_shift" [ "x" ] ~init:0 (fun b ~i v _ ->
+          let row = access b (sel 0) [ v; i ] in
+          let src = access b (slc 0) [ row; Builder.int b 0; Builder.int b 3 ] in
+          let scaled = Builder.mul b src (Builder.float b 2.0) in
+          let inner =
+            assign b (slc 0) [ row; scaled; Builder.int b 1; Builder.int b 4 ]
+          in
+          assign b (sel 0) [ v; inner; i ]) );
+    (* v[:, i][1:3] *= 2 through dims counted from the end *)
+    ( "negative dims", [ [| 4; vtrip |] ], true,
+      loop_graph "vec_negdim" [ "x" ] ~init:0 (fun b ~i v _ ->
+          let col = access b (sel (-1)) [ v; i ] in
+          let lo = Builder.int b 1 and hi = Builder.int b 3 in
+          let part = access b (slc (-1)) [ col; lo; hi ] in
+          let scaled = Builder.mul b part (Builder.float b 2.0) in
+          let inner = assign b (slc (-1)) [ col; scaled; lo; hi ] in
+          assign b (sel (-1)) [ v; inner; i ]) );
+    (* refused: the induction variable in arithmetic *)
+    ("i in arithmetic", [ [| vtrip; 16 |] ], false, carried_arith_graph ());
+    (* refused: a matmul on an iteration-dependent value *)
+    ( "matmul on an i-dependent value", [ [| vtrip; 16 |]; [| 16; 16 |] ],
+      false,
+      loop_graph "vec_matmul" [ "x"; "w" ] ~init:0 (fun b ~i v ps ->
+          let row = access b (sel 0) [ v; i ] in
+          assign b (sel 0) [ v; Builder.matmul b row (List.nth ps 1); i ]) );
+  ]
+
+let test_vector_plans () =
+  let state = Random.State.make [| 31 |] in
+  List.iter
+    (fun (name, shapes, accepted, g) ->
+      let xs = List.map (fun sh -> T.rand state sh) shapes in
+      let args () =
+        List.map (fun t -> Value.Tensor (T.clone t)) xs @ [ Value.Int vtrip ]
+      in
+      let reference, _ = bitwise_outputs ~parallel:false g ~domains:1 (args ()) in
+      check (name ^ ": the sequential engine matches the interpreter") true
+        (List.for_all2 (fun a b -> flat a = flat b) (Eval.run g (args ())) reference);
+      List.iter
+        (fun domains ->
+          let fg = Graph.clone g in
+          ignore (Passes.tensorssa_pipeline fg);
+          let eng =
+            Engine.prepare ~parallel:true ~domains ~cache:false fg
+              ~inputs:(Engine.input_shapes (args ()))
+          in
+          let what fmt = Printf.sprintf ("%s at domains=%d: " ^^ fmt) name domains in
+          for run = 1 to 12 do
+            let got = Engine.run eng (args ()) in
+            check
+              (what "run %d bitwise vs the sequential engine" run)
+              true
+              (List.for_all2 (fun a b -> flat a = flat b) reference got);
+            if run = 1 then
+              check_int (what "the first run is vectorised")
+                (if accepted then 1 else 0)
+                (Engine.stats eng).Scheduler.vector_loops
+          done;
+          let s = Engine.stats eng in
+          check (what "the loop batched") true
+            (s.Scheduler.parallel_loops_run >= 1);
+          if not accepted then
+            check_int (what "never vectorised") 0 s.Scheduler.vector_loops)
+        [ 1; 2 ])
+    vector_cases;
+  (* A trip past the selected extent fails the bounds check before any
+     write: the run falls back to the inline arm, which raises what the
+     sequential engine raises. *)
+  let g = carried_store_graph () in
+  let args () = [ Value.Tensor (T.ones [| vtrip; 16 |]); Value.Int (vtrip + 1) ] in
+  let outcome ~parallel =
+    match bitwise_outputs ~parallel g ~domains:1 (args ()) with
+    | _ -> "no error"
+    | exception e -> Printexc.to_string e
+  in
+  let expected = outcome ~parallel:false in
+  check "a trip past the extent fails sequentially" true (expected <> "no error");
+  Alcotest.(check string)
+    "the vector arm fails the same way" expected (outcome ~parallel:true)
+
+(* yolact's loop carries [m = sigmoid(logits).clone()], whose only use is
+   the loop: a batched run adopts it as the shared buffer instead of
+   cloning it — one donation per run, on the vector and inline arms
+   alike (the tuner samples them first and second). *)
+let test_batched_loop_donates_init () =
+  let w =
+    match Functs_workloads.Registry.find "yolact" with
+    | Some w -> w
+    | None -> Alcotest.fail "yolact workload missing"
+  in
+  let batch = w.Functs_workloads.Workload.default_batch
+  and seq = w.Functs_workloads.Workload.default_seq in
+  let g = Functs_workloads.Workload.graph w ~batch ~seq in
+  let args = w.Functs_workloads.Workload.inputs ~batch ~seq in
+  let expected = Eval.run g args in
+  let fg = Graph.clone g in
+  ignore (Passes.tensorssa_pipeline fg);
+  let eng =
+    Engine.prepare ~parallel:true ~domains:1 ~cache:false fg
+      ~inputs:(Engine.input_shapes args)
+  in
+  List.iter
+    (fun run ->
+      let got = Engine.run eng args in
+      let s = Engine.stats eng in
+      check
+        (Printf.sprintf "run %d bitwise vs the interpreter" run)
+        true
+        (List.for_all2 (fun a b -> flat a = flat b) expected got);
+      check_int (Printf.sprintf "run %d batched" run) run
+        s.Scheduler.parallel_loops_run;
+      check_int (Printf.sprintf "run %d donated once per run" run) run
+        s.Scheduler.donations)
+    [ 1; 2 ];
+  check_int "the first run was vectorised" 1 (Engine.stats eng).Scheduler.vector_loops
 
 let test_workloads_equivalent () =
   List.iter
@@ -771,6 +992,148 @@ let test_kernels_actually_compile () =
   check "compiled kernels executed" true (s.Scheduler.kernel_runs > 0)
 
 (* --- properties --- *)
+
+(* The strided engine against the reference, bitwise: random views —
+   step-k slices, select, permute, expand and unsqueeze over bases with
+   size-1 dims and special values — through every unary and binary op,
+   where, clone and copy_into (strided destination, broadcast or 0-d
+   source).  Each case is drawn from its seed, which the counterexample
+   prints. *)
+module Strided_case = struct
+  module Sc = Functs_tensor.Scalar
+  module St = Functs_tensor.Storage
+
+  let value st =
+    match Random.State.int st 12 with
+    | 0 -> Float.nan
+    | 1 -> Float.infinity
+    | 2 -> Float.neg_infinity
+    | 3 -> -0.0
+    | 4 -> 0.0
+    | _ -> Random.State.float st 4.0 -. 2.0
+
+  let fresh st shape =
+    T.of_array shape (Array.init (Functs_tensor.Shape.numel shape) (fun _ -> value st))
+
+  let insert a d v =
+    Array.init (Array.length a + 1) (fun k ->
+        if k < d then a.(k) else if k = d then v else a.(k - 1))
+
+  let remove a d =
+    Array.init (Array.length a - 1) (fun k -> if k < d then a.(k) else a.(k + 1))
+
+  (* A tensor of logical [shape] reached through a random chain of views. *)
+  let rec view st ~expand depth shape =
+    let nd = Array.length shape in
+    let ones = List.filter (fun d -> shape.(d) = 1) (List.init nd Fun.id) in
+    let wide = List.filter (fun d -> shape.(d) > 1) (List.init nd Fun.id) in
+    let pick l = List.nth l (Random.State.int st (List.length l)) in
+    match if depth = 0 then 0 else Random.State.int st 6 with
+    | 1 when nd > 0 ->
+        (* step-k slices on every dim *)
+        let ks = Array.map (fun _ -> 1 + Random.State.int st 3) shape in
+        let los = Array.map (fun _ -> Random.State.int st 2) shape in
+        let base =
+          view st ~expand (depth - 1)
+            (Array.mapi (fun d n -> los.(d) + (n * ks.(d))) shape)
+        in
+        let t = ref base in
+        Array.iteri
+          (fun d n ->
+            t :=
+              T.slice !t ~dim:d ~start:los.(d)
+                ~stop:(los.(d) + (n * ks.(d)))
+                ~step:ks.(d))
+          shape;
+        !t
+    | 2 ->
+        let d = Random.State.int st (nd + 1) in
+        let m = 1 + Random.State.int st 3 in
+        T.select
+          (view st ~expand (depth - 1) (insert shape d m))
+          ~dim:(if Random.State.bool st then d else d - nd - 1)
+          (Random.State.int st m)
+    | 3 when nd > 1 ->
+        let perm = Array.init nd Fun.id in
+        for k = nd - 1 downto 1 do
+          let j = Random.State.int st (k + 1) in
+          let x = perm.(k) in
+          perm.(k) <- perm.(j);
+          perm.(j) <- x
+        done;
+        (* t.permute(perm) has [shape] when t's dim perm.(k) is shape.(k) *)
+        let inner = Array.make nd 0 in
+        Array.iteri (fun k p -> inner.(p) <- shape.(k)) perm;
+        T.permute (view st ~expand (depth - 1) inner) perm
+    | 4 when expand && wide <> [] ->
+        let d = pick wide in
+        let inner = Array.copy shape in
+        inner.(d) <- 1;
+        T.expand (view st ~expand (depth - 1) inner) shape
+    | 5 when ones <> [] ->
+        let d = pick ones in
+        T.unsqueeze (view st ~expand (depth - 1) (remove shape d)) ~dim:d
+    | _ -> fresh st shape
+
+  let shape st = Array.init (Random.State.int st 5) (fun _ -> 1 + Random.State.int st 4)
+
+  (* a shape that broadcasts to [s]: leading dims dropped, others set to 1 *)
+  let narrower st s =
+    let drop = Random.State.int st (Array.length s + 1) in
+    Array.map
+      (fun n -> if Random.State.int st 3 = 0 then 1 else n)
+      (Array.sub s drop (Array.length s - drop))
+
+  let bits (t : T.t) = Array.map Int64.bits_of_float (T.to_flat_array t)
+  let storage_bits (t : T.t) = Array.map Int64.bits_of_float (St.data t.T.storage)
+
+  let with_copied_storage (t : T.t) =
+    { t with T.storage = St.of_array (Array.copy (St.data t.T.storage)) }
+
+  (* (description, engine result bits = reference result bits) *)
+  let run seed =
+    let st = Random.State.make [| seed |] in
+    let s = shape st in
+    let v ?(expand = true) sh = view st ~expand 3 sh in
+    let operand () = if Random.State.bool st then v s else v (narrower st s) in
+    match Random.State.int st 5 with
+    | 0 ->
+        let fn = List.nth Sc.all_unary (Random.State.int st 8) in
+        let a = v s in
+        ( "unary " ^ Sc.unary_name fn,
+          bits (Fastops.unary fn a) = bits (Functs_tensor.Ops.unary fn a) )
+    | 1 ->
+        let fn = List.nth Sc.all_binary (Random.State.int st 10) in
+        let a = operand () and b = operand () in
+        ( "binary " ^ Sc.binary_name fn,
+          bits (Fastops.binary fn a b) = bits (Functs_tensor.Ops.binary fn a b) )
+    | 2 ->
+        let c = operand () and a = operand () and b = operand () in
+        ("where", bits (Fastops.where c a b) = bits (Functs_tensor.Ops.where c a b))
+    | 3 ->
+        let a = v s in
+        ("clone", bits (Fastops.clone a) = bits (T.clone a))
+    | _ ->
+        let dst = v s in
+        let src =
+          match Random.State.int st 3 with
+          | 0 -> T.scalar (value st)
+          | 1 -> v (narrower st s)
+          | _ -> v s
+        in
+        let ref_dst = with_copied_storage dst in
+        Fastops.copy_into dst src;
+        ignore (Functs_tensor.Inplace.copy_ ref_dst src);
+        ("copy_into", storage_bits dst = storage_bits ref_dst)
+end
+
+let prop_strided_engine_bitwise =
+  QCheck2.Test.make ~name:"strided engine bitwise vs the reference ops"
+    ~count:400
+    ~print:(fun seed ->
+      Printf.sprintf "seed %d (%s)" seed (fst (Strided_case.run seed)))
+    QCheck2.Gen.int
+    (fun seed -> snd (Strided_case.run seed))
 
 let prop_engine_matches_interp =
   QCheck2.Test.make
@@ -829,6 +1192,8 @@ let () =
           Alcotest.test_case "donation loop" `Quick test_donation_loop;
           Alcotest.test_case "args never mutated" `Quick
             test_engine_never_mutates_args;
+          Alcotest.test_case "batched loop adopts its init" `Quick
+            test_batched_loop_donates_init;
           Alcotest.test_case "parallel slot consistency" `Quick
             test_parallel_slot_consistency;
           Alcotest.test_case "kernel path exercised" `Quick
@@ -844,10 +1209,13 @@ let () =
             test_batched_bitwise;
           Alcotest.test_case "inline batched loop recycles scratch" `Quick
             test_inline_scratch_recycled;
+          Alcotest.test_case "vectorised plans bitwise" `Quick
+            test_vector_plans;
         ] );
       ( "property",
         List.map QCheck_alcotest.to_alcotest
           [
+            prop_strided_engine_bitwise;
             prop_engine_matches_interp_straightline;
             prop_engine_matches_interp;
           ] );
