@@ -235,9 +235,9 @@ let run_exec (w : Workload.t) (profile : Compiler_profile.t) batch seq =
     Printf.printf "engine     : %8.1f us per run (%.2fx)\n" (1e6 *. t_exec)
       (t_interp /. t_exec);
     Printf.printf
-      "stats      : kernels=%d/%d donations=%d pool=%d/%d par-loops=%d \
+      "stats      : groups=%d donations=%d pool=%d/%d par-loops=%d \
        red-loops=%d vector-loops=%d batched=%d\n"
-      s.Scheduler.compiled s.Scheduler.groups s.Scheduler.donations
+      s.Scheduler.groups s.Scheduler.donations
       s.Scheduler.pool_reused
       (s.Scheduler.pool_fresh + s.Scheduler.pool_reused)
       s.Scheduler.parallel_loops_run s.Scheduler.reduction_loops_run
@@ -473,13 +473,24 @@ let config_cmd =
    histograms and the scheduler's per-group wall-time attribution,
    [why] the decision journal (which arm won each group/loop and why). *)
 
+(* GC work over the served requests: collection counts are deltas, heap
+   sizes (in words) their values at the end. *)
+let gc_rows (before : Gc.stat) (after : Gc.stat) =
+  [
+    ("minor_collections", after.minor_collections - before.minor_collections);
+    ("major_collections", after.major_collections - before.major_collections);
+    ("heap_words", after.heap_words);
+    ("top_heap_words", after.top_heap_words);
+  ]
+
 let serve_requests (w : Workload.t) ~runs ~batch ~seq =
   match Session.create ~config w ~batch ~seq with
   | Error e -> Error e
   | Ok session ->
       let args = w.Workload.inputs ~batch ~seq in
+      let gc0 = Gc.quick_stat () in
       let rec go i =
-        if i >= runs then Ok session
+        if i >= runs then Ok (session, gc_rows gc0 (Gc.quick_stat ()))
         else
           match Session.run session args with
           | Ok _ -> go (i + 1)
@@ -520,7 +531,7 @@ let profile_cmd =
         let m0 = Metrics.snapshot () in
         match serve_requests w ~runs ~batch ~seq with
         | Error e -> fail e
-        | Ok session ->
+        | Ok (session, gc) ->
             let m1 = Metrics.snapshot () in
             let stages = stage_windows m0 m1 in
             let rows = Session.attribution session in
@@ -564,6 +575,11 @@ let profile_cmd =
                         ("workload", Json.Str name);
                         ("requests", Json.Num (float_of_int runs));
                         ("stages", Json.Obj (List.map stage_json stages));
+                        ( "gc",
+                          Json.Obj
+                            (List.map
+                               (fun (k, n) -> (k, Json.Num (float_of_int n)))
+                               gc) );
                         ("groups", Json.Arr (List.map row_json rows));
                       ]))
             end
@@ -577,6 +593,8 @@ let profile_cmd =
                     (Metrics.percentile h 0.50) (Metrics.percentile h 0.90)
                     (Metrics.percentile h 0.99) h.Metrics.h_count)
                 stages;
+              print_newline ();
+              List.iter (fun (k, n) -> Printf.printf "gc.%-18s %12d\n" k n) gc;
               print_newline ();
               Printf.printf "%-11s %-9s %8s %10s %9s %6s\n" "site" "arm"
                 "members" "time_ms" "launches" "share";
@@ -624,7 +642,7 @@ let why_cmd =
         let mark = Journal.recorded () in
         match serve_requests w ~runs:(max 1 runs) ~batch ~seq with
         | Error e -> fail e
-        | Ok session ->
+        | Ok (session, _) ->
             let entries =
               (* only this command's window; earlier entries (other
                  sessions in this process) are not about this workload *)

@@ -20,7 +20,7 @@ type plan = {
    the carried buffer, and one fused assign used to drag its whole
    surrounding compute chain (the GRU/LSTM cell body) off the kernel
    path with it.  Fencing the assign leaves the chain as an assign-free
-   group the closure/JIT backends can run, while the assign itself
+   group the JIT can run as one kernel, while the assign itself
    still donates.  The flag is the execution engine's: the cost model
    and the figures count kernel launches over the unfenced plan, where
    a launch means one fused group per the paper's accounting. *)

@@ -1,9 +1,10 @@
 (** The fused execution engine: plan → compile → run.
 
     [prepare] consumes a {e functionalized} graph, computes its fusion
-    plan and shapes, compiles the plan's kernels and the buffer-liveness
-    table, and returns a reusable executable.  [run] then executes it with
-    interpreter semantics but fused kernels, recycled buffers, in-place
+    plan and shapes, builds the slot frames and the buffer-liveness
+    table (and, with the JIT, one native kernel per fusion group), and
+    returns a reusable executable.  [run] then executes it with
+    interpreter semantics but group launches, recycled buffers, in-place
     assign donation and (optionally) horizontally parallelized loops.
 
     Graphs that still contain mutations degrade gracefully to plain
@@ -31,11 +32,11 @@ val prepare :
 (** [profile] defaults to {!Compiler_profile.tensorssa}; [parallel]
     (default [true]) batches the loops {!Loop_par} clears and dispatches
     work across the pool, [false] gives the sequential reference engine;
-    [domains] defaults to [Domain.recommended_domain_count ()], the lanes
-    of a process-wide {!Pool.shared} pool reused by every engine.
-    [loop_grain] (default 2) is the minimum trip count before a loop
-    runs batched; [kernel_grain] (default 8192) the element threshold
-    for intra-kernel chunking.
+    [domains] defaults to {!default_domains}, the lanes of a process-wide
+    {!Pool.shared} pool reused by every engine.  [loop_grain] (default
+    {!default_loop_grain}) is the minimum trip count before a loop runs
+    batched; [kernel_grain] (default {!default_kernel_grain}) the
+    element threshold for intra-kernel chunking.
     [inputs] are shape hints for the graph parameters ([None] for
     scalars), as for {!Shape_infer.infer}.
 
@@ -47,7 +48,7 @@ val prepare :
     profile, the parallel/domains/grain configuration, the input shape
     signature, and the graph's printed form: a second [prepare] of the
     same program with the same shapes returns the already-lowered engine
-    (slot frames, fused-kernel closures, buffer pool) without recompiling.
+    (slot frames, native kernels, buffer pool) without recompiling.
     [cache] defaults to [true]; pass [~cache:false] to bypass for one
     call.  [jit] (default [Off]) arms fused groups with native code via
     {!Functs_jit.Jit}; [jit_dir] (default [""], a temp-dir fallback) is
@@ -59,6 +60,15 @@ val prepare :
     multiple domains — lookups, cold builds and evictions are
     mutex-serialized. *)
 
+val default_domains : unit -> int
+(** [Domain.recommended_domain_count ()], at least 1. *)
+
+val default_loop_grain : unit -> int
+(** 2. *)
+
+val default_kernel_grain : unit -> int
+(** 8192. *)
+
 val input_shapes : Value.t list -> Shape_infer.shape option list
 (** Shape hints extracted from concrete argument values. *)
 
@@ -69,7 +79,9 @@ val run : t -> Value.t list -> Value.t list
     Runs on the same engine are mutex-serialized: a cached engine may be
     shared by several sessions' dispatcher domains, and the underlying
     scheduler executes one run at a time.
-    @raise Eval.Runtime_error as the interpreter does. *)
+    @raise Eval.Runtime_error as the interpreter does, and when a tensor
+    argument's shape differs from the [inputs] the engine was prepared
+    for. *)
 
 val run_tensors : t -> Tensor.t list -> Tensor.t list
 

@@ -39,8 +39,8 @@ let check_graph ~name (g : Graph.t) ~args_fn =
         o_ok = true;
         o_detail =
           Printf.sprintf
-            "groups=%d compiled=%d kernel_runs=%d donations=%d pool=%d/%d"
-            s.Scheduler.groups s.Scheduler.compiled s.Scheduler.kernel_runs
+            "groups=%d kernel_runs=%d donations=%d pool=%d/%d"
+            s.Scheduler.groups s.Scheduler.kernel_runs
             s.Scheduler.donations s.Scheduler.pool_reused
             (s.Scheduler.pool_fresh + s.Scheduler.pool_reused);
       }

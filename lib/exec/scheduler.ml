@@ -15,32 +15,24 @@ let error fmt = Format.kasprintf (fun m -> raise (Eval.Runtime_error m)) fmt
 let prepares_c = Metrics.counter "exec.prepares"
 let runs_c = Metrics.counter "exec.runs"
 let kernel_runs_c = Metrics.counter "exec.kernel_runs"
-let kernel_fallbacks_c = Metrics.counter "exec.kernel_fallbacks"
 let donations_c = Metrics.counter "exec.donations"
 let parallel_loops_c = Metrics.counter "exec.parallel_loops"
 let reduction_loops_c = Metrics.counter "exec.reduction_loops"
-let kernels_compiled_c = Metrics.counter "exec.kernels_compiled"
-let kernels_rejected_c = Metrics.counter "exec.kernels_rejected"
 
-(* Runtime demotions of a native group back to its closure kernel on a
+(* Runtime demotions of a native group to per-node execution on a
    launch-validation failure. *)
 let jit_demoted_c = Metrics.counter "jit.demoted"
 
-(* Native launches, compiled closure kernels and fast per-node execution
-   trade differently per group (native code wins on big dense statements
-   but pays launch validation; a closure kernel saves intermediate
-   materialization but interprets an expression tree per element), so
+(* A native launch and per-node execution trade differently per group
+   (native code wins on big dense statements but pays launch validation;
+   per-node execution runs each member through the strided engine), so
    each group is auto-tuned ({!Tuner}) over the arms it has: [Cjit] when
-   a native kernel is armed, then [Closure] and [Per_node].
-   Dispatch-bound workloads (many tiny statements, e.g. yolact's box
-   decode) used to be pinned to a slower native path because the JIT
-   was tried unconditionally. *)
-type garm = Cjit | Closure | Per_node
+   a native kernel is armed, then [Per_node].  Dispatch-bound workloads
+   (many tiny statements, e.g. yolact's box decode) used to be pinned to
+   a slower native path because the JIT was tried unconditionally. *)
+type garm = Cjit | Per_node
 
-let garm_name = function
-  | Cjit -> "c-jit"
-  | Closure -> "closure"
-  | Per_node -> "per_node"
+let garm_name = function Cjit -> "c-jit" | Per_node -> "per_node"
 
 (* Every value of the graph gets a dense frame slot at preparation time and
    each block becomes an instruction array with pre-resolved slots, so the
@@ -52,12 +44,11 @@ type inst = {
   i_in : int array;  (* frame slots of the node's inputs *)
   i_out : int array;  (* frame slots of the node's outputs *)
   i_gid : int;
-      (* kernel-eligible fusion group, or -1.  Groups under a loop keep
-         their gid too: their kernels are compiled once at prepare time
-         and relaunched every iteration, and the per-group auto-tuner
-         demotes them back to per-node execution (where assigns can
-         donate into carried buffers) whenever that is faster. *)
-  mutable i_first : bool;  (* first member of its group (sampling start) *)
+      (* fusion group this instruction launches with, or -1.  Groups
+         under a loop keep their gid too: their native kernels are
+         compiled once at prepare time and relaunched every iteration,
+         and the per-group auto-tuner demotes them to per-node execution
+         whenever that is faster. *)
   mutable i_last : bool;  (* last member of its group: the launch point *)
 }
 
@@ -69,7 +60,6 @@ type inst = {
    walks ~50 member instructions × 128 iterations per run). *)
 type group = {
   g_members : inst list;  (* in plan order *)
-  g_compiled : Kernel_compile.compiled;
   mutable g_jit : Jit.entry option;
       (* native launcher; cleared (and its tuner arm dropped) on the
          first launch-time validation failure *)
@@ -78,7 +68,6 @@ type group = {
          timed launch accumulates there, so per-group cost is free to
          collect and [attribution] can rank groups without
          re-instrumenting *)
-  mutable g_t0 : float;  (* i_first timestamp of a per-node launch *)
 }
 
 type binst = {
@@ -194,11 +183,12 @@ type prepared = {
       (* loop node id -> iteration-batching plan (Parallel/Reduction) *)
   p_slot : (int, int) Hashtbl.t;  (* value id -> slot (kernel-site lookup) *)
   p_groups : group option array;
-      (* gid -> dispatch record, [None] for gids without both a
-         compiled kernel and registered member instructions *)
-  p_ncompiled : int;
-      (* groups with a compiled closure kernel (includes groups that
-         never dispatch, e.g. assign-bearing groups under a loop) *)
+      (* gid -> dispatch record, [None] for gids without registered
+         member instructions *)
+  p_in_shapes : Shape_infer.shape option list;
+      (* per graph parameter: the shape the engine was prepared for.
+         Native kernels bake these shapes in, so [run] rejects tensors of
+         any other shape. *)
   p_scalar_slots : (string, int) Hashtbl.t;  (* kernel symbol -> slot *)
   p_live : bool;  (* mutation-free: pool / donation / kernels active *)
   p_parallel : bool;
@@ -206,7 +196,6 @@ type prepared = {
   p_exec_pool : Pool.t;  (* persistent domain pool shared by all dispatches *)
   p_loop_grain : int;  (* minimum trip count before a loop runs batched *)
   p_kernel_grain : int;  (* elements per chunk for intra-kernel splits *)
-  mutable s_kernel_runs : int;
   mutable s_cjit_runs : int;  (* native launches *)
   mutable s_jit_fallbacks : int;
   mutable s_donations : int;
@@ -461,7 +450,7 @@ let tensor_lookup rs (v : Graph.value) =
       match rs.vals.(slot) with Some (Value.Tensor t) -> Some t | _ -> None)
 
 let bind_group_results rs scope gid members results =
-  rs.p.s_kernel_runs <- rs.p.s_kernel_runs + 1;
+  rs.p.s_cjit_runs <- rs.p.s_cjit_runs + 1;
   Metrics.incr kernel_runs_c;
   if Tracer.enabled () then
     Tracer.instant "kernel.outputs"
@@ -485,87 +474,77 @@ let bind_group_results rs scope gid members results =
   (* Sweep every member's input edges so external values retire. *)
   List.iter (fun (m : inst) -> consume_all rs m.i_in) members
 
-(* A native launch that fails launch-time validation (rank/extent
-   mismatch, out-of-range dynamic index) demotes just the native entry —
-   the closure kernel below retries the same launch, so a JIT fallback is
-   never user-visible. *)
-let run_group_jit rs gid g =
-  match g.g_jit with
-  | None -> None
-  | Some entry -> (
-      let allocated = ref [] in
-      let alloc shape =
-        let t = Buffer_plan.alloc rs.p.p_pool shape in
-        allocated := t :: !allocated;
-        t
-      in
-      match
-        Tracer.span_args "kernel.launch"
-          ~args:(fun () ->
-            [ ("group", string_of_int gid); ("backend", "c-jit") ])
-          (fun () ->
-            let par =
-              if rs.p.p_parallel then
-                Some
-                  (fun ~grain ~bytes_per_iter ~n body ->
-                    ignore
-                      (Pool.parallel_for rs.p.p_exec_pool ~bytes_per_iter
-                         ~grain ~n body))
-              else None
-            in
-            Jit.run ?par ~grain:rs.p.p_kernel_grain entry ~alloc
-              ~lookup:(tensor_lookup rs) ~scalar:(scalar_lookup rs))
-      with
-      | results ->
-          rs.p.s_cjit_runs <- rs.p.s_cjit_runs + 1;
-          Some results
-      | exception Jit.Fallback reason ->
-          List.iter (Buffer_plan.release rs.p.p_pool) !allocated;
-          g.g_jit <- None;
-          Tuner.drop g.g_tuner Cjit;
-          rs.p.s_jit_fallbacks <- rs.p.s_jit_fallbacks + 1;
-          Metrics.incr jit_demoted_c;
-          Tracer.instant "jit.fallback"
-            ~args:[ ("group", string_of_int gid); ("reason", reason) ];
-          Journal.record Jit_demote "scheduler.group" ~id:gid ~arm:"closure"
-            ~detail:("launch validation failed: " ^ reason);
-          None
-      | exception e ->
-          List.iter (Buffer_plan.release rs.p.p_pool) !allocated;
-          raise e)
+(* One native launch; [false] when it failed launch-time validation
+   (rank/extent mismatch, out-of-range dynamic index).  That demotes the
+   group to per-node execution for good, and the caller reruns the same
+   launch per node, so a JIT fallback is never user-visible. *)
+let run_group_jit rs scope gid g entry =
+  let allocated = ref [] in
+  let alloc shape =
+    let t = Buffer_plan.alloc rs.p.p_pool shape in
+    allocated := t :: !allocated;
+    t
+  in
+  let par =
+    if rs.p.p_parallel then
+      Some
+        (fun ~grain ~bytes_per_iter ~n body ->
+          ignore
+            (Pool.parallel_for rs.p.p_exec_pool ~bytes_per_iter ~grain ~n
+               body))
+    else None
+  in
+  match
+    Jit.run ?par ~grain:rs.p.p_kernel_grain entry ~alloc
+      ~lookup:(tensor_lookup rs) ~scalar:(scalar_lookup rs)
+  with
+  | results ->
+      bind_group_results rs scope gid g.g_members results;
+      true
+  | exception Jit.Fallback reason ->
+      List.iter (Buffer_plan.release rs.p.p_pool) !allocated;
+      g.g_jit <- None;
+      Tuner.drop g.g_tuner Cjit;
+      rs.p.s_jit_fallbacks <- rs.p.s_jit_fallbacks + 1;
+      Metrics.incr jit_demoted_c;
+      Tracer.instant "jit.fallback"
+        ~args:[ ("group", string_of_int gid); ("reason", reason) ];
+      Journal.record Jit_demote "scheduler.group" ~id:gid ~arm:"per_node"
+        ~detail:("launch validation failed: " ^ reason);
+      false
+  | exception e ->
+      List.iter (Buffer_plan.release rs.p.p_pool) !allocated;
+      raise e
 
-let run_group ~jit rs scope gid g =
-  match (if jit then run_group_jit rs gid g else None) with
-  | Some results -> bind_group_results rs scope gid g.g_members results
-  | None -> (
-      let allocated = ref [] in
-      let alloc shape =
-        let t = Buffer_plan.alloc rs.p.p_pool shape in
-        allocated := t :: !allocated;
-        t
-      in
-      match
-        Tracer.span_args "kernel.launch"
-          ~args:(fun () -> [ ("group", string_of_int gid) ])
-          (fun () ->
-            Kernel_compile.run
-              ?pool:(if rs.p.p_parallel then Some rs.p.p_exec_pool else None)
-              ~grain:rs.p.p_kernel_grain g.g_compiled ~alloc
-              ~lookup:(tensor_lookup rs) ~scalar:(scalar_lookup rs))
-      with
-      | exception e ->
-          (* Return the partial allocations and demote the group for good. *)
-          List.iter (Buffer_plan.release rs.p.p_pool) !allocated;
-          Tuner.freeze g.g_tuner Per_node
-            ~detail:"kernel launch raised; permanent per-node fallback";
-          Metrics.incr kernel_fallbacks_c;
-          Tracer.instant "kernel.fallback"
-            ~args:[ ("group", string_of_int gid) ];
-          (match e with
-          | Kernel_compile.Fallback _ | Invalid_argument _ ->
-              List.iter (exec_plain_inst rs scope) g.g_members
-          | e -> raise e)
-      | results -> bind_group_results rs scope gid g.g_members results)
+(* A timed launch of [arm], recorded with the tuner unless [f] reports
+   that it did not run. *)
+let timed_launch gid g arm f =
+  let t0 = Unix.gettimeofday () in
+  let ran =
+    Tracer.span_args "kernel.launch"
+      ~args:(fun () ->
+        [ ("group", string_of_int gid); ("backend", garm_name arm) ])
+      f
+  in
+  if ran then Tuner.record g.g_tuner arm (Unix.gettimeofday () -. t0);
+  ran
+
+(* Every arm launches at the group's last member: by then every
+   out-of-group dependency (constants, scalar indices, access bases) is
+   bound, and no non-member can consume a member's output earlier, since
+   anything that breaks a run also ends the group. *)
+let launch_group rs scope gid g =
+  let native =
+    match (g.g_tuner.Tuner.arm, g.g_jit) with
+    | Cjit, Some entry ->
+        timed_launch gid g Cjit (fun () -> run_group_jit rs scope gid g entry)
+    | _ -> false
+  in
+  if not native then
+    ignore
+      (timed_launch gid g Per_node (fun () ->
+           List.iter (exec_plain_inst rs scope) g.g_members;
+           true))
 
 (* --- blocks, control flow, loops --- *)
 
@@ -619,31 +598,10 @@ and exec_inst rs ~scope (inst : inst) =
   | Op.Loop -> exec_loop rs ~scope inst
   | _ -> begin
       match inst.i_gid with
-      | gid when gid >= 0 && rs.live -> begin
-          (* When the kernel runs, the whole group runs at its last member:
-             by then every out-of-group dependency (constants, scalar
-             indices, access bases) is bound, and no non-member can consume
-             a member's output earlier, since anything that breaks a run
-             also ends the group. *)
+      | gid when gid >= 0 && rs.live -> (
           match rs.p.p_groups.(gid) with
-          | None -> exec_plain_inst rs scope inst
-          | Some g -> (
-              (* The arm is stable across one launch's members: the tuner
-                 only moves at [i_last]. *)
-              match g.g_tuner.Tuner.arm with
-              | Per_node ->
-                  if inst.i_first then g.g_t0 <- Unix.gettimeofday ();
-                  exec_plain_inst rs scope inst;
-                  if inst.i_last then
-                    Tuner.record g.g_tuner Per_node
-                      (Unix.gettimeofday () -. g.g_t0)
-              | (Cjit | Closure) as arm ->
-                  if inst.i_last then begin
-                    let t0 = Unix.gettimeofday () in
-                    run_group ~jit:(arm = Cjit) rs scope gid g;
-                    Tuner.record g.g_tuner arm (Unix.gettimeofday () -. t0)
-                  end)
-        end
+          | Some g -> if inst.i_last then launch_group rs scope gid g
+          | None -> exec_plain_inst rs scope inst)
       | _ -> exec_plain_inst rs scope inst
     end
 
@@ -1275,7 +1233,7 @@ let prepare ~parallel ~pool:exec_pool ~loop_grain ~kernel_grain ~jit
         s
   in
   let blocks = Hashtbl.create 16 in
-  (* Groups containing an [immut::assign] stay per-node inside loops: a
+  (* Groups containing an [immut::assign] run in place inside loops: a
      kernel must materialize a fresh output every iteration, while the
      per-node path donates the region write into the carried buffer —
      O(region) against O(whole tensor) per iteration. *)
@@ -1301,8 +1259,7 @@ let prepare ~parallel ~pool:exec_pool ~loop_grain ~kernel_grain ~jit
               (* Pure and input-free: bound once per run, not per
                  iteration of whatever block contains it. *)
               consts :=
-                { i_node = n; i_in; i_out; i_gid = -1;
-                  i_first = false; i_last = false }
+                { i_node = n; i_in; i_out; i_gid = -1; i_last = false }
                 :: !consts;
               Array.iter (fun s -> pinned_extra := s :: !pinned_extra) i_out;
               None
@@ -1313,13 +1270,12 @@ let prepare ~parallel ~pool:exec_pool ~loop_grain ~kernel_grain ~jit
               match Fusion.kernel_class_of plan n with
               | Fusion.Kernel gid
                 when not (under_loop && Hashtbl.mem assign_gids gid) ->
-                  (* Assign-free groups under a loop register too: their
-                     kernel is compiled once at prepare time and
+                  (* Assign-free groups under a loop register too: a
+                     native kernel is compiled once at prepare time and
                      relaunched every iteration; the auto-tuner demotes
                      it if per-node execution beats it. *)
                   let inst =
-                    { i_node = n; i_in; i_out; i_gid = gid;
-                      i_first = false; i_last = false }
+                    { i_node = n; i_in; i_out; i_gid = gid; i_last = false }
                   in
                   let existing =
                     Option.value (Hashtbl.find_opt members gid) ~default:[]
@@ -1328,8 +1284,7 @@ let prepare ~parallel ~pool:exec_pool ~loop_grain ~kernel_grain ~jit
                   Some inst
               | Fusion.Kernel _ | Fusion.No_cost ->
                   Some
-                    { i_node = n; i_in; i_out; i_gid = -1;
-                      i_first = false; i_last = false }))
+                    { i_node = n; i_in; i_out; i_gid = -1; i_last = false }))
         b.Graph.b_nodes
     in
     Hashtbl.replace blocks b.Graph.b_id
@@ -1512,63 +1467,37 @@ let prepare ~parallel ~pool:exec_pool ~loop_grain ~kernel_grain ~jit
       | None -> ())
     usage;
   List.iter (fun s -> pinned.(s) <- true) !pinned_extra;
-  let compiled = Hashtbl.create 16 in
-  let kernels =
-    Tracer.span "codegen.emit" (fun () -> Codegen.emit graph plan ~shapes)
-  in
-  List.iter
-    (fun (k : Codegen.kernel) ->
-      match
-        Tracer.span_args "kernel.compile"
-          ~args:(fun () -> [ ("group", string_of_int k.Codegen.k_group) ])
-          (fun () -> Kernel_compile.compile k ~shapes)
-      with
-      | Ok c ->
-          Metrics.incr kernels_compiled_c;
-          Hashtbl.replace compiled k.k_group c
-      | Error _ -> Metrics.incr kernels_rejected_c)
-    kernels;
-  (* Native code for the groups that also closure-compiled (so a runtime
-     demotion always has a closure to retry with).  [prepare_groups]
-     never raises — a missing compiler, emitter rejection or compile
-     failure just leaves the table short and ticks [jit.c.fallback]. *)
+  (* Native code for every group [Jit_emit] accepts.  [prepare_groups]
+     never raises — an emitter rejection just leaves the table short,
+     and a missing compiler or compile failure also ticks
+     [jit.c.fallback]. *)
   let jit_tbl : (int, Jit.entry) Hashtbl.t = Hashtbl.create 16 in
   (if jit <> Jit.Off then
-     let cands =
-       List.filter
-         (fun (k : Codegen.kernel) -> Hashtbl.mem compiled k.k_group)
-         kernels
+     let kernels =
+       Tracer.span "codegen.emit" (fun () -> Codegen.emit graph plan ~shapes)
      in
      List.iter
        (fun (gid, entry) -> Hashtbl.replace jit_tbl gid entry)
-       (Jit.prepare_groups ~mode:jit ~dir:jit_dir ~kernels:cands ~shapes));
+       (Jit.prepare_groups ~mode:jit ~dir:jit_dir ~kernels ~shapes));
   (* Fold the per-group tables into one dense dispatch array and stamp
-     each member instruction with its first/last flag, so the executor's
+     each group's last member as its launch point, so the executor's
      per-instruction dispatch is an array load instead of hashtable
      probes (see {!group}). *)
   let max_gid = Hashtbl.fold (fun gid _ acc -> max gid acc) members (-1) in
   let groups = Array.make (max_gid + 1) None in
   Hashtbl.iter
     (fun gid ms ->
-      match (ms, Hashtbl.find_opt compiled gid) with
-      | [], _ | _, None -> ()
-      | first :: _, Some c ->
-          first.i_first <- true;
-          (List.nth ms (List.length ms - 1)).i_last <- true;
-          let jit = Hashtbl.find_opt jit_tbl gid in
-          groups.(gid) <-
-            Some
-              {
-                g_members = ms;
-                g_compiled = c;
-                g_jit = jit;
-                g_tuner =
-                  Tuner.create ~scope:"scheduler.group" ~id:gid
-                    ~name:garm_name
-                    (if jit = None then [ Closure; Per_node ]
-                     else [ Cjit; Closure; Per_node ]);
-                g_t0 = 0.;
-              })
+      (List.nth ms (List.length ms - 1)).i_last <- true;
+      let jit = Hashtbl.find_opt jit_tbl gid in
+      groups.(gid) <-
+        Some
+          {
+            g_members = ms;
+            g_jit = jit;
+            g_tuner =
+              Tuner.create ~scope:"scheduler.group" ~id:gid ~name:garm_name
+                (if jit = None then [ Per_node ] else [ Cjit; Per_node ]);
+          })
     members;
   let scalar_slots = Hashtbl.create 64 in
   let note_value (v : Graph.value) =
@@ -1597,7 +1526,7 @@ let prepare ~parallel ~pool:exec_pool ~loop_grain ~kernel_grain ~jit
     p_lplans = lplans;
     p_slot = slot_tbl;
     p_groups = groups;
-    p_ncompiled = Hashtbl.length compiled;
+    p_in_shapes = List.map (Shape_infer.shape_of shapes) (Graph.params graph);
     p_consts = Array.of_list (List.rev !consts);
     p_scalar_slots = scalar_slots;
     p_live = not !has_mutation;
@@ -1606,7 +1535,6 @@ let prepare ~parallel ~pool:exec_pool ~loop_grain ~kernel_grain ~jit
     p_exec_pool = exec_pool;
     p_loop_grain = max 1 loop_grain;
     p_kernel_grain = max 1 kernel_grain;
-    s_kernel_runs = 0;
     s_cjit_runs = 0;
     s_jit_fallbacks = 0;
     s_donations = 0;
@@ -1644,6 +1572,16 @@ let run p args =
   if List.length params <> List.length args then
     error "graph %s expects %d arguments, got %d" p.p_graph.g_name
       (List.length params) (List.length args);
+  List.iteri
+    (fun k -> function
+      | Some s, Value.Tensor (t : Tensor.t)
+        when not (Shape_infer.matches s t.Tensor.shape) ->
+          error "graph %s argument %d has shape %s; the engine was prepared for %s"
+            p.p_graph.g_name k
+            (Shape_infer.to_string (Shape_infer.known t.Tensor.shape))
+            (Shape_infer.to_string s)
+      | _ -> ())
+    (List.combine p.p_in_shapes args);
   List.iter
     (fun v ->
       iter_value_tensors v (fun (t : Tensor.t) ->
@@ -1665,9 +1603,7 @@ let run p args =
 
 type stats = {
   groups : int;
-  compiled : int;
   kernel_runs : int;
-  fallback_groups : int;
   pool_fresh : int;
   pool_reused : int;
   donations : int;
@@ -1677,7 +1613,7 @@ type stats = {
   vector_loops : int;  (* batched loop executions on the vector arm *)
   cjit_groups : int;  (* groups armed with a native kernel *)
   cjit_runs : int;  (* native launches *)
-  jit_fallbacks : int;  (* launch-validation demotions to the closure arm *)
+  jit_fallbacks : int;  (* launch-validation demotions to per-node *)
   loops_pinned_vector : int;
   loops_pinned_inline : int;
   loops_pinned_dispatch : int;
@@ -1703,9 +1639,7 @@ let stats p =
   in
   {
     groups = List.length (Fusion.group_sizes p.p_plan);
-    compiled = p.p_ncompiled;
-    kernel_runs = p.s_kernel_runs;
-    fallback_groups = count (fun g -> Tuner.frozen g.g_tuner);
+    kernel_runs = p.s_cjit_runs;
     pool_fresh = Buffer_plan.fresh_allocs p.p_pool;
     pool_reused = Buffer_plan.reuses p.p_pool;
     donations = p.s_donations;

@@ -2,10 +2,11 @@
 
     The scheduler walks blocks like the reference interpreter, but:
 
-    - fusion groups with a compiled kernel ({!Kernel_compile}) execute as
-      one kernel at the group's last member, writing into pool buffers;
-      groups the compiler rejected — or that fail at runtime — fall back
-      to per-node execution, permanently for that group;
+    - each fusion group launches at its last member, either as one
+      native C kernel ({!Functs_jit.Jit}) writing into pool buffers or
+      node by node; a tuner picks the faster arm per group, and a group
+      the JIT rejected — or whose kernel fails launch validation — runs
+      node by node;
     - value liveness ({!Buffer_plan.analyze}) retires buffers to the
       storage pool at their last use, and an [immut::assign] whose base
       dies with it is {e donated}: the region is written in place instead
@@ -54,11 +55,12 @@ val prepare :
     worker pool every dispatch goes through (the scheduler never spawns
     domains; its lane count alone decides whether loops may dispatch);
     [loop_grain] is the minimum trip count before a loop runs batched,
-    [kernel_grain] the per-chunk element count for intra-kernel splits.  [jit] arms fused groups with
-    native code compiled through {!Functs_jit.Jit} (artifacts cached
-    under [jit_dir], [""] = temp-dir default); arming failures fall back
-    to closure kernels and never raise.  Each group and each batched
-    loop picks its arm with a {!Tuner}. *)
+    [kernel_grain] the per-chunk element count for intra-kernel splits.
+    [jit] arms fused groups with native code compiled through
+    {!Functs_jit.Jit} (artifacts cached under [jit_dir], [""] = temp-dir
+    default); with [Off] no kernel is generated at all, and arming
+    failures leave the group per-node and never raise.  Each group and
+    each batched loop picks its arm with a {!Tuner}. *)
 
 val output_shapes : prepared -> Shape_infer.shape option list
 (** Statically inferred shapes of the graph's return values (in return
@@ -69,13 +71,13 @@ val output_shapes : prepared -> Shape_infer.shape option list
 val run : prepared -> Value.t list -> Value.t list
 (** Execute once.  The storage pool persists across runs; returned tensors
     are never recycled.  Not thread-safe — one run at a time.
-    @raise Functs_interp.Eval.Runtime_error like the interpreter. *)
+    @raise Functs_interp.Eval.Runtime_error like the interpreter, and
+    when a tensor argument's shape differs from the one the engine was
+    prepared for. *)
 
 type stats = {
   groups : int;  (** fusion groups in the plan *)
-  compiled : int;  (** groups with a compiled kernel *)
-  kernel_runs : int;  (** compiled kernel invocations so far *)
-  fallback_groups : int;  (** groups demoted to per-node at runtime *)
+  kernel_runs : int;  (** kernel launches so far; equals [cjit_runs] *)
   pool_fresh : int;
   pool_reused : int;
   donations : int;  (** assigns executed in place *)
@@ -88,12 +90,12 @@ type stats = {
           [parallel_loops_run]) *)
   cjit_groups : int;
       (** groups currently armed with a native (C) kernel — a tuner
-          pin on the closure arm keeps the group armed *)
+          pin on the per-node arm keeps the group armed *)
   cjit_runs : int;  (** native kernel launches so far *)
   jit_fallbacks : int;
-      (** launch-validation failures that demoted a group back to its
-          closure kernel for good; the tuner's closure-vs-[c-jit] choice
-          is journaled as its pins and flips, not counted here *)
+      (** launch-validation failures that demoted a group to per-node
+          execution for good; the tuner's per-node-vs-[c-jit] choice is
+          journaled as its pins and flips, not counted here *)
   loops_pinned_vector : int;  (** batched loops the tuner pinned vectorised *)
   loops_pinned_inline : int;  (** … pinned inline *)
   loops_pinned_dispatch : int;  (** … pinned to pool dispatch *)
@@ -111,8 +113,8 @@ type attribution_row = {
   at_id : int;  (** fusion-group gid, or the loop node's id *)
   at_kind : [ `Group | `Loop ];
   at_arm : string;
-      (** the arm {!Tuner} currently pins — [c-jit]/[closure]/[per_node]
-          for groups, [vector]/[inline]/[dispatch]/[seq] for loops — or
+      (** the arm {!Tuner} currently pins — [c-jit]/[per_node] for
+          groups, [vector]/[inline]/[dispatch]/[seq] for loops — or
           [sampling] while it samples *)
   at_members : int;  (** member instructions (groups) / body size (loops) *)
   at_time_s : float;  (** accumulated launch wall time *)

@@ -4,11 +4,11 @@
     per-run validation.
 
     Failure never crosses the engine API: {!prepare_groups} records
-    every failure (missing or hung compiler, emitter rejection, compile
-    error) as a [jit.c.fallback] tick per group and returns the groups
-    that did arm; {!run} raises only {!Fallback}, which the scheduler
-    converts into a closure-kernel launch for that group.  Without a C
-    compiler every group stays on its closure kernel. *)
+    every failure (missing or hung compiler, compile error) as a
+    [jit.c.fallback] tick per emitted group, skips the kernels the
+    emitter rejects, and returns the groups that did arm; {!run} raises only {!Fallback}, which the scheduler
+    converts into a per-node launch for that group.  Without a C
+    compiler every group runs node by node. *)
 
 open Functs_ir
 open Functs_tensor
@@ -16,8 +16,8 @@ open Functs_core
 
 type mode = Off | Auto
 (** [Auto] arms every group whose kernel compiles natively and lets the
-    scheduler's tuner pick native, closure or per-node execution per
-    group; [Off] disables the JIT. *)
+    scheduler's tuner pick native or per-node execution per group;
+    [Off] disables the JIT. *)
 
 val mode_of_string : string -> mode option
 (** ["off"], ["auto"], and ["on"] as an alias of ["auto"]. *)
@@ -81,20 +81,22 @@ val run :
     n:int ->
     (int -> int -> unit) ->
     unit) ->
-  ?grain:int ->
+  grain:int ->
   entry ->
   alloc:(Shape.t -> Tensor.t) ->
   lookup:(Graph.value -> Tensor.t option) ->
   scalar:(string -> int option) ->
   (Graph.value * Tensor.t * bool) list
-(** Launch one group natively; same contract as
-    [Kernel_compile.run] (statement results in order, stored flag per
-    statement).  [par] — typically [Pool.parallel_for] partially applied
+(** Launch one group natively: [alloc] provides output buffers (each is
+    fully overwritten), [lookup] resolves external tensor reads and
+    [scalar] free index symbols.  Returns [(value, tensor, stored)] per
+    statement in order, where [stored] marks values that escape the
+    kernel.  [par] — typically [Pool.parallel_for] partially applied
     by the scheduler — must cover [0, n) with disjoint [body lo hi]
     calls; each statement whose output holds at least [2 * grain]
-    elements ([grain] defaults to 8192) then splits its outermost baked
-    loop across it, joining before the next statement so cross-statement
-    reads stay ordered and results stay bitwise-identical.  Raises
+    elements then splits its outermost baked loop across it, joining
+    before the next statement so cross-statement reads stay ordered and
+    results stay bitwise-identical.  Raises
     {!Fallback} when a binding fails validation or a guarded index
     leaves its buffer — the caller releases this launch's allocations
     and demotes the group. *)

@@ -214,7 +214,7 @@ let compile_artifact ~dir ~digest ~source =
           let msg =
             Printf.sprintf "%s killed after %.0f s" compiler !compile_bound
           in
-          Journal.record Jit_demote "jit.c.compile" ~arm:"closure" ~detail:msg;
+          Journal.record Jit_demote "jit.c.compile" ~arm:"per_node" ~detail:msg;
           Error msg
       | `Exited rc when rc <> 0 ->
           let excerpt = read_excerpt log in

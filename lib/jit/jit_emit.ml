@@ -24,10 +24,11 @@ open Codegen
    [gemm_stubs.c]).  The artifact depends only on the kernel's structure
    and baked shapes, never on runtime addresses.
 
-   The emitter accepts exactly the kernels the closure compiler
-   ([Kernel_compile]) accepts — same identifier discipline, same
-   root-only-reduction rule, same forward-read check — because the
-   closure kernel is the fallback a native group demotes to at runtime.
+   The emitter is the one acceptance check for native kernels: it
+   rejects a [Copaque] expression, an unknown shape or reduction extent,
+   an index variable outside the identifier discipline, a reduction
+   below a statement's root and a forward read, and the group then runs
+   node by node.
 
    The index grammar ([Codegen.ix]) is purely affine, so every site
    address decomposes into a hoisted base (offset plus constant and
@@ -58,8 +59,8 @@ open Codegen
    they get a per-access range check instead.  The driver maps a nonzero
    status to [Jit.Fallback].
 
-   Value semantics.  [Ccond] lowers to the C ternary, which
-   short-circuits like the closure engine's [if]; conditions compare
+   Value semantics.  [Ccond] lowers to the C ternary, which evaluates
+   only the taken branch; conditions compare
    integer index expressions and [%] truncates like OCaml's [mod].
    [Float.max]/[Float.min]/[Float.equal] and [Relu] are spelled out with
    their OCaml NaN and signed-zero rules ([signbit], [x != x]) — never
@@ -106,9 +107,8 @@ type emitted = {
 
 let nbufs em = Array.length em.e_stmts + Array.length em.e_sites
 
-(* Mirrors [Kernel_compile.ident_ok]/[index_dim]: the two compilers must
-   accept the same index language so a native group always has a closure
-   kernel to fall back to. *)
+(* Index variables are C identifiers; "i<d>" with d below the statement
+   rank is an output index variable. *)
 let ident_ok name =
   name <> ""
   && String.for_all
@@ -502,9 +502,9 @@ let rec emit_expr env (e : Codegen.cexpr) : render =
   | Creduce _ -> fail "non-root reduction"
 
 (* One switch case per statement.  The root [Creduce] becomes an
-   accumulator loop with the closure engine's combine order
-   ([acc + body] from 0, [Float.max acc body] from -inf), so partial
-   results agree bitwise. *)
+   accumulator loop with the interpreter's combine order
+   ([acc + body] from 0, [Float.max acc body] from -inf), so results
+   agree bitwise. *)
 let emit_stmt k ~buf ~shapes stmt_idx (s : Codegen.statement) =
   let shape = concrete_shape shapes s.s_out in
   let rank = Array.length shape in

@@ -5,12 +5,10 @@
     The JIT driver compiles the functions with [cc] and loads them with
     dlopen.
 
-    The emitter accepts exactly the kernels the closure compiler
-    ({!Functs_exec.Kernel_compile}) accepts (same index-identifier
-    discipline, root-only reductions, no [Copaque], concrete shapes), so
-    a native group always has a closure kernel to fall back to, and
-    every scalar operation keeps the interpreter's exact IEEE and NaN
-    semantics. *)
+    The emitter is the only acceptance check for native kernels (affine
+    index identifiers, root-only reductions, no [Copaque], concrete
+    shapes); a group it rejects runs node by node.  Every scalar
+    operation keeps the interpreter's exact IEEE and NaN semantics. *)
 
 open Functs_ir
 open Functs_core

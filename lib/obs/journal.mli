@@ -31,7 +31,7 @@ type entry = {
   j_kind : kind;
   j_site : string;  (** e.g. ["scheduler.group"], ["serve"] *)
   j_id : int;  (** group/loop/ticket id; -1 when not applicable *)
-  j_arm : string;  (** arm or mode name, e.g. ["jit"], ["closure"] *)
+  j_arm : string;  (** arm or mode name, e.g. ["c-jit"], ["per_node"] *)
   j_detail : string;
   j_value : float;  (** sample time, eviction count… 0 if unused *)
 }

@@ -32,9 +32,9 @@ type t = {
 
 let default =
   {
-    domains = max 1 (Domain.recommended_domain_count ());
-    loop_grain = 2;
-    kernel_grain = 8192;
+    domains = Engine.default_domains ();
+    loop_grain = Engine.default_loop_grain ();
+    kernel_grain = Engine.default_kernel_grain ();
     chunk_bytes = 0;
     cache = true;
     cache_size = 32;

@@ -71,9 +71,10 @@ type t = {
 }
 
 val default : t
-(** [domains = Domain.recommended_domain_count ()], [loop_grain = 2],
-    [kernel_grain = 8192], cache on with 32 entries, JIT off with an
-    empty artifact dir, tracing and metrics off with a 65536-event ring,
+(** [domains], [loop_grain] and [kernel_grain] from the engine's
+    defaults ({!Functs_exec.Engine.default_domains} and its siblings),
+    cache on with 32 entries, JIT off with an empty artifact dir,
+    tracing and metrics off with a 65536-event ring,
     [queue_capacity = 256], [max_batch = 8],
     [batch_buckets = [1; 4; 16]], [shards = 1],
     [policy = `Interp_fallback], journal on with a 4096-entry ring. *)
@@ -98,8 +99,8 @@ val of_env :
     - [FUNCTS_METRICS] — [off] forms, [stderr]/[on]/[1], or a path;
     - [FUNCTS_POLICY] — [interp]/[interp_fallback] or [shed];
     - [FUNCTS_JIT] — [off] (default), or [auto] (arm native C kernels,
-      falling back per group to closure kernels on any failure; [on] is
-      an alias);
+      falling back per group to per-node execution on any failure; [on]
+      is an alias);
     - [FUNCTS_JIT_DIR] — JIT artifact-cache directory.  When unset the
       directory follows cache conventions: [$XDG_CACHE_HOME/functs/jit],
       else [$HOME/.cache/functs/jit], else a temp-dir fallback.

@@ -44,7 +44,13 @@ module Engine = Functs_exec.Engine
 module Scheduler = Functs_exec.Scheduler
 module Pool = Functs_exec.Pool
 module Buffer_plan = Functs_exec.Buffer_plan
-module Kernel_compile = Functs_exec.Kernel_compile
+
+(* The serving benchmark filters its JIT kernels through this name; delete
+   it at the next change to the benchmark. *)
+module Kernel_compile = struct
+  let compile = Functs_jit.Jit_emit.emit
+end
+
 module Equiv = Functs_exec.Equiv
 module Fastops = Functs_exec.Fastops
 module Jit = Functs_jit.Jit

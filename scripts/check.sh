@@ -31,8 +31,8 @@ dune exec test/test_serve.exe
 # real kernels and compares them bitwise (or within epsilon for libmvec
 # transcendentals) against the interpreter, plus the compiler-failure,
 # hung-compiler and artifact-cache paths.  Without one, a FUNCTS_JIT=auto
-# run must still exit 0 — every group stays on its closure kernel — and
-# the metrics snapshot must say so via jit.c.fallback.
+# run must still exit 0 — every group stays per-node — and the metrics
+# snapshot must say so via jit.c.fallback.
 echo "== jit suite =="
 if cc --version >/dev/null 2>&1; then
   dune exec test/test_jit.exe
@@ -152,7 +152,7 @@ fi
 echo "== profile --json stage keys (FUNCTS_DOMAINS=2) =="
 FUNCTS_DOMAINS=2 dune exec bin/functs.exe -- profile lstm --runs 8 --json \
   > /tmp/functs_profile.json
-for key in '"queue_wait"' '"batch"' '"exec"' '"total"' '"groups"'; do
+for key in '"queue_wait"' '"batch"' '"exec"' '"total"' '"groups"' '"gc"'; do
   grep -q "$key" /tmp/functs_profile.json || {
     echo "error: profile --json is missing the $key stage" >&2
     exit 1
@@ -221,9 +221,11 @@ if [ -n "$violations" ]; then
   exit 1
 fi
 
-echo "== trace smoke (run lstm --engine=exec --trace) =="
+# With the JIT off every kernel.launch event is a per-node group launch;
+# each must still name its group's backend (on the span's opening event).
+echo "== trace smoke (run lstm --engine=exec --trace, JIT off) =="
 rm -f /tmp/functs_trace.json
-dune exec bin/functs.exe -- run lstm --engine=exec --trace /tmp/functs_trace.json
+FUNCTS_JIT=off dune exec bin/functs.exe -- run lstm --engine=exec --trace /tmp/functs_trace.json
 test -s /tmp/functs_trace.json || {
   echo "error: --trace wrote no trace file" >&2
   exit 1
@@ -246,6 +248,17 @@ grep -q '"kernel.launch"' /tmp/functs_trace.json || {
   echo "error: trace is missing kernel.launch events" >&2
   exit 1
 }
+if command -v python3 >/dev/null 2>&1; then
+  python3 - <<'EOF' || { echo "error: a kernel.launch event has no backend arg" >&2; exit 1; }
+import json
+d = json.load(open("/tmp/functs_trace.json"))
+begins = [e for e in d["traceEvents"]
+          if e.get("name") == "kernel.launch" and e.get("ph") == "B"]
+assert begins and all("backend" in e.get("args", {}) for e in begins)
+EOF
+else
+  echo "warning: python3 unavailable; skipping the kernel.launch backend check" >&2
+fi
 
 if command -v ocamlformat >/dev/null 2>&1; then
   echo "== dune build @fmt =="

@@ -973,8 +973,10 @@ let test_workloads_equivalent () =
     (Equiv.check_all ())
 
 let test_kernels_actually_compile () =
-  (* The harness only proves agreement; this pins that the compiled-kernel
-     path really runs on a fusion-rich workload. *)
+  (* The harness only proves agreement; this pins that the group-launch
+     path really runs on a fusion-rich workload: with the JIT off every
+     group launches node by node at its last member, and attribution has
+     one row per launched group, pinned once it has three samples. *)
   let w =
     match Functs_workloads.Registry.find "attention" with
     | Some w -> w
@@ -985,11 +987,23 @@ let test_kernels_actually_compile () =
   let g = Functs_workloads.Workload.graph w ~batch ~seq in
   ignore (Passes.tensorssa_pipeline g);
   let args = w.Functs_workloads.Workload.inputs ~batch ~seq in
-  let eng = Engine.prepare g ~inputs:(Engine.input_shapes args) in
-  ignore (Engine.run eng args);
-  let s = Engine.stats eng in
-  check "some groups compiled" true (s.Scheduler.compiled > 0);
-  check "compiled kernels executed" true (s.Scheduler.kernel_runs > 0)
+  let eng = Engine.prepare ~cache:false g ~inputs:(Engine.input_shapes args) in
+  for _ = 1 to 3 do
+    ignore (Engine.run eng args)
+  done;
+  let groups =
+    List.filter
+      (fun (r : Scheduler.attribution_row) -> r.Scheduler.at_kind = `Group)
+      (Engine.attribution eng)
+  in
+  check "groups launched" true (groups <> []);
+  check "every group launched per node" true
+    (List.for_all
+       (fun (r : Scheduler.attribution_row) ->
+         r.Scheduler.at_arm = "per_node" && r.Scheduler.at_launches > 0)
+       groups);
+  check_int "no kernel launch with the JIT off" 0
+    (Engine.stats eng).Scheduler.kernel_runs
 
 (* --- properties --- *)
 

@@ -1,6 +1,6 @@
 (* The native JIT backend: differential equivalence of every registered
    workload under FUNCTS_JIT=auto against the reference interpreter
-   (every closure-compilable kernel must compile to C), bitwise IEEE
+   (every kernel the emitter accepts must compile to C), bitwise IEEE
    special-value semantics of the emitted C, graceful per-group
    fallback when the compiler is missing, broken or hung or the artifact
    directory is unusable, the emitted unit's shape (one function per
@@ -54,7 +54,7 @@ let flat (v : Value.t) =
   | _ -> None
 
 (* Bitwise when both sides are tensors (the emitter reproduces the
-   closure kernels' operation order exactly) — except that vectorised
+   interpreter's operation order exactly) — except that vectorised
    transcendentals go through glibc's libmvec, whose kernels are
    specified to <= 4 ulp of scalar libm, so a bitwise miss falls back to
    a tolerance still nine orders tighter than the engine's 1e-4 epsilon
@@ -90,15 +90,15 @@ let jit_engine ?(dir = jit_dir) fg args =
   Engine.prepare ~parallel:false ~cache:false ~jit:Jit.Auto ~jit_dir:dir fg
     ~inputs:(Engine.input_shapes args)
 
-(* The kernels the engine hands the JIT: the ones that closure-compile
-   under the engine's fusion plan. *)
-let closure_kernels fg args =
+(* The kernels the emitter accepts under the engine's fusion plan: the
+   ones the engine arms natively. *)
+let emittable_kernels fg args =
   let plan =
     Fusion.plan ~fence_loop_assigns:true Compiler_profile.tensorssa fg
   in
   let shapes = Shape_infer.infer fg ~inputs:(Engine.input_shapes args) in
   ( List.filter
-      (fun k -> Result.is_ok (Kernel_compile.compile k ~shapes))
+      (fun k -> Result.is_ok (Functs_jit.Jit_emit.emit k ~shapes))
       (Codegen.emit fg plan ~shapes),
     shapes )
 
@@ -152,7 +152,7 @@ let test_differential () =
       (c_fallbacks () > cfb0)
   end
 
-(* --- C lane coverage: every closure kernel of every workload arms a
+(* --- C lane coverage: every emittable kernel of every workload arms a
    C kernel, with no C-lane fallback --- *)
 
 let test_c_differential () =
@@ -161,16 +161,16 @@ let test_c_differential () =
   List.iter
     (fun (w : Workload.t) ->
       let _, fg, args_fn = functionalized w in
-      let kernels, shapes = closure_kernels fg (args_fn ()) in
+      let kernels, shapes = emittable_kernels fg (args_fn ()) in
       let entries =
         Jit.prepare_groups ~mode:Jit.Auto ~dir:jit_dir ~kernels ~shapes
       in
       if cc then begin
         check_int
-          (Printf.sprintf "%s: every closure kernel armed" w.Workload.name)
+          (Printf.sprintf "%s: every emittable kernel armed" w.Workload.name)
           (List.length kernels) (List.length entries);
         check
-          (Printf.sprintf "%s: armed groups are the closure kernels' groups"
+          (Printf.sprintf "%s: armed groups are the emitted kernels' groups"
              w.Workload.name)
           true
           (armed_groups entries = kernel_groups kernels)
@@ -200,7 +200,7 @@ let count_sub ~sub s =
 let test_render_per_isa () =
   let w = Result.get_ok (Functs.find_workload "lstm") in
   let _, fg, args_fn = functionalized w in
-  let kernels, shapes = closure_kernels fg (args_fn ()) in
+  let kernels, shapes = emittable_kernels fg (args_fn ()) in
   let emitted =
     List.filter_map
       (fun k -> Result.to_option (Functs_jit.Jit_emit.emit k ~shapes))
@@ -300,6 +300,87 @@ let test_special_values () =
       (List.combine expected got)
   end
 
+(* --- inputs of another shape: native kernels bake the prepared
+   shapes in, so the engine must refuse a run it cannot get right --- *)
+
+let test_other_shape_rejected () =
+  let covered = ref 0 in
+  List.iter
+    (fun (w : Workload.t) ->
+      let g, fg, args_fn = functionalized w in
+      let doubled =
+        w.Workload.inputs ~batch:(2 * w.Workload.default_batch)
+          ~seq:w.Workload.default_seq
+      in
+      match Eval.run g (clone_args doubled) with
+      | exception _ -> () (* the graph bakes its batch in *)
+      | _ ->
+          incr covered;
+          List.iter
+            (fun jit ->
+              let eng =
+                Engine.prepare ~cache:false ~jit ~jit_dir fg
+                  ~inputs:(Engine.input_shapes (args_fn ()))
+              in
+              check
+                (Printf.sprintf "%s, JIT %s: a 2x-batch input raises"
+                   w.Workload.name (Jit.mode_to_string jit))
+                true
+                (match Engine.run eng doubled with
+                | _ -> false
+                | exception Eval.Runtime_error _ -> true))
+            [ Jit.Off; Jit.Auto ])
+    Registry.all;
+  check "some workload runs at 2x batch in the interpreter" true (!covered > 0)
+
+(* --- launch-validation failure: the launch reruns node by node --- *)
+
+let test_launch_fallback_per_node () =
+  if Jit.c_toolchain_available () then begin
+    (* A dynamic select index of -1: the interpreter wraps it, while the
+       native kernel's launch guard sees a read before its buffer. *)
+    let b =
+      Builder.create "negative_select"
+        ~params:[ ("x", Dtype.Tensor); ("i", Dtype.Scalar Dtype.Int) ]
+    in
+    let x = Builder.param b 0 and i = Builder.param b 1 in
+    let row = Builder.op1 b (Op.Access (Op.Select { dim = 0 })) [ x; i ] in
+    let e = Builder.exp b row in
+    Builder.return b [ Builder.mul b e e ];
+    let g = Builder.graph b in
+    let fg = Graph.clone g in
+    ignore (Passes.tensorssa_pipeline fg);
+    let args () =
+      [ Value.Tensor (Tensor.rand (Random.State.make [| 5 |]) [| 4; 3 |]);
+        Value.Int (-1) ]
+    in
+    let expected = Eval.run g (args ()) in
+    Journal.clear ();
+    let eng = jit_engine fg (args ()) in
+    check "the group was armed" true
+      ((Engine.stats eng).Scheduler.cjit_groups > 0);
+    for _ = 1 to 3 do
+      check "outputs equal the interpreter" true
+        (bitwise_or_epsilon expected (Engine.run eng (args ())))
+    done;
+    let s = Engine.stats eng in
+    check_int "one launch-validation demotion" 1 s.Scheduler.jit_fallbacks;
+    check_int "the native kernel was disarmed" 0 s.Scheduler.cjit_groups;
+    check_int "no native launch completed" 0 s.Scheduler.kernel_runs;
+    check "every launch was timed per node, and per_node pinned" true
+      (List.exists
+         (fun (r : Scheduler.attribution_row) ->
+           r.Scheduler.at_kind = `Group && r.Scheduler.at_arm = "per_node"
+           && r.Scheduler.at_launches = 3)
+         (Engine.attribution eng));
+    check "the demotion was journaled with arm per_node" true
+      (List.exists
+         (fun (e : Journal.entry) ->
+           e.j_kind = Journal.Jit_demote && e.j_site = "scheduler.group"
+           && e.j_arm = "per_node")
+         (Journal.entries ()))
+  end
+
 (* --- forced fallback: missing compiler --- *)
 
 let test_fallback_missing_toolchain () =
@@ -326,7 +407,7 @@ let test_fallback_missing_toolchain () =
     (c_fallbacks () > fb0);
   check_int "the missing compiler was never invoked" 0 (c_compiles () - cco0)
 
-(* --- forced C-compile failure: the groups stay on closure kernels --- *)
+(* --- forced C-compile failure: the groups run node by node --- *)
 
 let test_c_compile_failure_demotion () =
   let w = Result.get_ok (Functs.find_workload "attention") in
@@ -336,7 +417,7 @@ let test_c_compile_failure_demotion () =
   let broken = fake_compiler "echo 'fake compiler: refusing' >&2\nexit 1" in
   Jit.clear_loaded ();
   Jit.set_c_compiler broken;
-  let got, stats =
+  let got, stats, rows =
     Fun.protect
       ~finally:(fun () ->
         Jit.set_c_compiler "cc";
@@ -345,7 +426,7 @@ let test_c_compile_failure_demotion () =
       (fun () ->
         let eng = jit_engine fg (args_fn ()) in
         let got = Engine.run eng (args_fn ()) in
-        (got, Engine.stats eng))
+        (got, Engine.stats eng, Engine.attribution eng))
   in
   check "outputs still equal the interpreter" true
     (bitwise_or_epsilon expected got);
@@ -353,8 +434,16 @@ let test_c_compile_failure_demotion () =
     stats.Scheduler.cjit_groups;
   check "the compile failures were recorded" true (c_fallbacks () > cfb0);
   check_int "no compile succeeded" 0 (c_compiles () - cco0);
-  check "the groups ran their closure kernels" true
-    (stats.Scheduler.kernel_runs > 0)
+  check_int "no kernel launched" 0 stats.Scheduler.kernel_runs;
+  check "the groups launched node by node" true
+    (List.exists
+       (fun (r : Scheduler.attribution_row) -> r.Scheduler.at_kind = `Group)
+       rows
+    && List.for_all
+         (fun (r : Scheduler.attribution_row) ->
+           r.Scheduler.at_kind = `Loop
+           || (r.Scheduler.at_arm <> "c-jit" && r.Scheduler.at_launches > 0))
+         rows)
 
 (* --- bounded compile: a hung compiler is killed --- *)
 
@@ -387,10 +476,11 @@ let test_hung_compiler_killed () =
     (bitwise_or_epsilon expected got);
   check_int "nothing armed" 0 stats.Scheduler.cjit_groups;
   check "the kill ticked jit.c.fallback" true (c_fallbacks () > cfb0);
-  check "the kill was journaled" true
+  check "the kill was journaled as a demotion to per-node" true
     (List.exists
        (fun (e : Journal.entry) ->
-         e.j_kind = Journal.Jit_demote && e.j_site = "jit.c.compile")
+         e.j_kind = Journal.Jit_demote && e.j_site = "jit.c.compile"
+         && e.j_arm = "per_node")
        (Journal.entries ()));
   check "no lockfile was left behind" true
     (Array.for_all
@@ -448,7 +538,7 @@ let test_c_artifact_disk_hit () =
       (fun () ->
         let w = Result.get_ok (Functs.find_workload "nasrnn") in
         let _, fg, args_fn = functionalized w in
-        let kernels, shapes = closure_kernels fg (args_fn ()) in
+        let kernels, shapes = emittable_kernels fg (args_fn ()) in
         Jit.clear_loaded ();
         let cold = Jit.prepare_groups ~mode:Jit.Auto ~dir ~kernels ~shapes in
         check "cold prepare armed C kernels" true (cold <> []);
@@ -465,7 +555,7 @@ let test_c_artifact_disk_hit () =
         let warm = Jit.prepare_groups ~mode:Jit.Auto ~dir ~kernels ~shapes in
         check_int "warm prepare armed the same groups" (List.length cold)
           (List.length warm);
-        check "warm armed groups are the closure kernels' groups" true
+        check "warm armed groups are the emitted kernels' groups" true
           (armed_groups warm = kernel_groups kernels);
         check_int "one disk hit for the graph's .so" 1 (c_hits () - h0);
         check_int "no C recompile on the warm path" 0 (c_compiles () - co0);
@@ -552,9 +642,13 @@ let () =
             `Quick test_render_per_isa;
           Alcotest.test_case "special values bitwise vs interpreter" `Quick
             test_special_values;
+          Alcotest.test_case "inputs of another shape raise" `Quick
+            test_other_shape_rejected;
+          Alcotest.test_case "launch-validation failure reruns per-node"
+            `Quick test_launch_fallback_per_node;
           Alcotest.test_case "fallback: missing toolchain" `Quick
             test_fallback_missing_toolchain;
-          Alcotest.test_case "C compile failure demotes to closure" `Quick
+          Alcotest.test_case "C compile failure demotes to per-node" `Quick
             test_c_compile_failure_demotion;
           Alcotest.test_case "hung compiler is killed" `Quick
             test_hung_compiler_killed;

@@ -115,7 +115,7 @@ let test_chrome_export_lstm () =
               "fusion.plan";
               "engine.shape_infer";
               "scheduler.prepare";
-              "kernel.compile";
+              "engine.buffer_plan";
               "scheduler.run";
               "kernel.launch";
             ];

@@ -506,7 +506,7 @@ let test_of_env_empty_means_unset () =
   | Error e -> Alcotest.fail (Error.to_string e)
 
 (* [Config.apply] sets process-wide pieces only: an engine prepared
-   without [?jit] stays on closure kernels whatever the applied config
+   without [?jit] arms no native kernel whatever the applied config
    says. *)
 let test_apply_leaves_prepare_defaults () =
   let dir = Filename.temp_dir "functs-apply-jit" "" in
