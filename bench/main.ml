@@ -13,8 +13,9 @@
 
    [exec] writes machine-readable results to BENCH_exec.json (per-workload
    best-of-N wall-clock, pool dispatch overhead vs Domain.spawn/join,
-   cold/warm compile-cache timings, and the cold JIT compile into an
-   empty artifact directory).  [exec --smoke] only checks that every
+   cold/warm compile-cache timings, the cold JIT compile into an empty
+   artifact directory, and per-call GEMM time for every matmul shape the
+   workloads hit).  [exec --smoke] only checks that every
    workload's engine outputs match the interpreter — no timing, no JSON. *)
 
 open Bechamel
@@ -275,6 +276,57 @@ let dispatch_overhead () =
   in
   (pool_us, spawn_us)
 
+(* Every matmul shape the registry's workloads hit, timed on its own:
+   lstm's recurrent product at batch 1, 4 and 16, yolact's mask
+   product, attention's two matrix-vector products at t = 63, and a
+   square case.  Each call runs single-threaded into a preallocated
+   output, as a pooled engine run makes it; a row reports the best-of-N
+   time per call and the achieved GFLOP/s (2 m k n flops). *)
+type gemm_row = {
+  g_name : string;
+  g_mkn : int * int * int;
+  g_call_s : float;
+}
+
+let gemm_shapes =
+  [
+    ("lstm_b1", [| 1; 128 |], [| 128; 512 |]);
+    ("lstm_b4", [| 4; 128 |], [| 128; 512 |]);
+    ("lstm_b16", [| 16; 128 |], [| 128; 512 |]);
+    ("yolact", [| 1024; 32 |], [| 32; 16 |]);
+    ("attention_scores", [| 64; 64 |], [| 64 |]);
+    ("attention_mix", [| 64 |], [| 64; 64 |]);
+    ("square64", [| 64; 64 |], [| 64; 64 |]);
+  ]
+
+let bench_gemm () =
+  let module F = Functs_exec.Fastops in
+  F.set_parallel None ~grain:config.Config.kernel_grain;
+  let state = Random.State.make [| 5 |] in
+  List.map
+    (fun (name, sa, sb) ->
+      let a = Tensor.rand state sa and b = Tensor.rand state sb in
+      let out = ref None in
+      let alloc shape =
+        match !out with
+        | Some t -> t
+        | None ->
+            let t = Tensor.zeros shape in
+            out := Some t;
+            t
+      in
+      let t =
+        (time_best ~warmup:20 [| (fun () -> F.matmul ~alloc a b) |]).(0)
+      in
+      let m = if Array.length sa = 2 then sa.(0) else 1 in
+      let n = if Array.length sb = 2 then sb.(1) else 1 in
+      { g_name = name; g_mkn = (m, sa.(Array.length sa - 1), n); g_call_s = t })
+    gemm_shapes
+
+let gemm_gflops r =
+  let m, k, n = r.g_mkn in
+  2. *. float_of_int (m * k * n) /. r.g_call_s *. 1e-9
+
 (* Cold vs warm [Engine.prepare]: the cold call lowers from scratch (the
    cache was just cleared), the warm one must come back from the compile
    cache.  Measured per call — warm is a digest + hashtable probe. *)
@@ -405,7 +457,7 @@ let host_json () =
        ^ " --version"))
     (Jit.isa ())
 
-let write_json path rows (pool_us, spawn_us) =
+let write_json path rows gemm (pool_us, spawn_us) =
   let oc = open_out path in
   let p fmt = Printf.fprintf oc fmt in
   let c = Compiler_profile.cache_snapshot () in
@@ -463,6 +515,16 @@ let write_json path rows (pool_us, spawn_us) =
         (if i = List.length rows - 1 then "" else ",")
     )
     rows;
+  p "  ],\n";
+  p "  \"gemm\": [\n";
+  List.iteri
+    (fun i r ->
+      let m, k, n = r.g_mkn in
+      p
+        "    { \"name\": \"%s\", \"m\": %d, \"k\": %d, \"n\": %d,          \"call_us\": %.2f, \"gflops\": %.2f }%s\n"
+        r.g_name m k n (1e6 *. r.g_call_s) (gemm_gflops r)
+        (if i = List.length gemm - 1 then "" else ","))
+    gemm;
   p "  ],\n";
   p
     "  \"cache\": { \"hits\": %d, \"misses\": %d, \"evictions\": %d, \
@@ -643,7 +705,14 @@ let run_exec () =
       "  dispatch overhead: pool %.1f us vs spawn/join %.1f us per 2-way \
        split\n"
       pool_us spawn_us;
-    write_json "BENCH_exec.json" (List.rev !rows) (pool_us, spawn_us);
+    let gemm = bench_gemm () in
+    List.iter
+      (fun r ->
+        let m, k, n = r.g_mkn in
+        Printf.printf "  gemm %-16s %4dx%3dx%3d %9.2f us %7.2f GFLOP/s\n"
+          r.g_name m k n (1e6 *. r.g_call_s) (gemm_gflops r))
+      gemm;
+    write_json "BENCH_exec.json" (List.rev !rows) gemm (pool_us, spawn_us);
     print_endline "  wrote BENCH_exec.json"
   end
   else begin

@@ -473,6 +473,13 @@ let config_cmd =
    histograms and the scheduler's per-group wall-time attribution,
    [why] the decision journal (which arm won each group/loop and why). *)
 
+(* An attribution row's site and its op names: "group#3 [matmul]". *)
+let site_label (r : Scheduler.attribution_row) =
+  Printf.sprintf "%s#%d [%s]"
+    (match r.Scheduler.at_kind with `Group -> "group" | `Loop -> "loop")
+    r.Scheduler.at_id
+    (String.concat ", " r.Scheduler.at_ops)
+
 (* GC work over the served requests: collection counts are deltas, heap
    sizes (in words) their values at the end. *)
 let gc_rows (before : Gc.stat) (after : Gc.stat) =
@@ -564,6 +571,9 @@ let profile_cmd =
                         | `Loop -> "loop") );
                     ("arm", Json.Str r.Scheduler.at_arm);
                     ("members", Json.Num (float_of_int r.Scheduler.at_members));
+                    ( "ops",
+                      Json.Arr
+                        (List.map (fun o -> Json.Str o) r.Scheduler.at_ops) );
                     ("time_us", Json.Num (1e6 *. r.Scheduler.at_time_s));
                     ("launches", Json.Num (float_of_int r.Scheduler.at_launches));
                   ]
@@ -596,21 +606,17 @@ let profile_cmd =
               print_newline ();
               List.iter (fun (k, n) -> Printf.printf "gc.%-18s %12d\n" k n) gc;
               print_newline ();
-              Printf.printf "%-11s %-9s %8s %10s %9s %6s\n" "site" "arm"
-                "members" "time_ms" "launches" "share";
+              Printf.printf "%-9s %8s %10s %9s %6s  %s\n" "arm" "members"
+                "time_ms" "launches" "share" "site";
               List.iter
                 (fun (r : Scheduler.attribution_row) ->
-                  Printf.printf "%-11s %-9s %8d %10.2f %9d %5.1f%%\n"
-                    (Printf.sprintf "%s#%d"
-                       (match r.Scheduler.at_kind with
-                       | `Group -> "group"
-                       | `Loop -> "loop")
-                       r.Scheduler.at_id)
+                  Printf.printf "%-9s %8d %10.2f %9d %5.1f%%  %s\n"
                     r.Scheduler.at_arm r.Scheduler.at_members
                     (1e3 *. r.Scheduler.at_time_s)
                     r.Scheduler.at_launches
                     (100. *. r.Scheduler.at_time_s
-                    /. Float.max 1e-12 total_attr))
+                    /. Float.max 1e-12 total_attr)
+                    (site_label r))
                 rows
             end;
             `Ok ())
@@ -659,12 +665,8 @@ let why_cmd =
             Printf.printf "current winners (by accumulated wall time):\n";
             List.iter
               (fun (r : Scheduler.attribution_row) ->
-                Printf.printf
-                  "  %s#%d -> %s (%d launches, %.2f ms total)\n"
-                  (match r.Scheduler.at_kind with
-                  | `Group -> "group"
-                  | `Loop -> "loop")
-                  r.Scheduler.at_id r.Scheduler.at_arm r.Scheduler.at_launches
+                Printf.printf "  %s -> %s (%d launches, %.2f ms total)\n"
+                  (site_label r) r.Scheduler.at_arm r.Scheduler.at_launches
                   (1e3 *. r.Scheduler.at_time_s))
               (Session.attribution session);
             Session.close session;

@@ -402,10 +402,9 @@ let where ?alloc c a b =
     out
   end
 
-(* Native row-block GEMM (gemm_stubs.c): i-l-j loop order, so each
-   output element accumulates its k terms in reference order — bitwise
-   identical to the interpreter — while the unit-stride j loop
-   vectorizes. *)
+(* Native GEMM (gemm_stubs.c): a register-tiled kernel in which every
+   output element sums its k terms from +0.0 in ascending l, exactly like
+   the reference, so results are bitwise identical. *)
 external gemm_rows :
   float array ->
   int ->
@@ -419,9 +418,11 @@ external gemm_rows :
   unit = "functs_gemm_bytecode" "functs_gemm"
 [@@noalloc]
 
+(* Rows per tile of the kernel's largest register tile. *)
+let gemm_tile_rows = 8
+
 (* 2-d matmul into a contiguous destination view; [a] and [b] must be
-   contiguous.  The l-loop accumulates per output element in the same
-   order as the reference, so results are bitwise identical. *)
+   contiguous. *)
 let matmul2d_into (dst : Tensor.t) (a : Tensor.t) (b : Tensor.t) =
   let m = a.Tensor.shape.(0) and k = a.Tensor.shape.(1) in
   let k' = b.Tensor.shape.(0) and n = b.Tensor.shape.(1) in
@@ -430,11 +431,18 @@ let matmul2d_into (dst : Tensor.t) (a : Tensor.t) (b : Tensor.t) =
       (Printf.sprintf "Ops.matmul: inner dimensions %d and %d differ" k k');
   let ad = data a and bd = data b and od = data dst in
   let ao = a.Tensor.offset and bo = b.Tensor.offset and oo = dst.Tensor.offset in
-  (* Row blocks are independent and each output element accumulates over
-     l in reference order, so chunking rows is bitwise-exact. *)
-  (* per row: a row of [a], a row of the output, and [b] streamed once
-     (amortized across rows, so only the k + n unique floats count) *)
-  pchunk ~bytes_per_iter:(8 * (k + n)) ~total:(m * n * k) m (fun row_lo row_hi ->
+  (* Chunk whole row tiles across the pool, so every chunk but the last
+     runs the kernel's full tiles.  Rows are independent and each output
+     element accumulates in reference order, so chunking is bitwise-exact.
+     Per tile: its rows of [a] and of the output, with [b] streamed once
+     (amortized across rows, so only the k + n unique floats count). *)
+  let t = gemm_tile_rows in
+  pchunk
+    ~bytes_per_iter:(8 * t * (k + n))
+    ~total:(m * n * k)
+    ((m + t - 1) / t)
+    (fun tile_lo tile_hi ->
+      let row_lo = tile_lo * t and row_hi = min m (tile_hi * t) in
       gemm_rows ad
         (ao + (row_lo * k))
         bd bo od

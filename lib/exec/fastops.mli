@@ -11,7 +11,7 @@ open Functs_interp
 val set_parallel : Pool.t option -> grain:int -> unit
 (** Enable intra-kernel data parallelism: operators whose output exceeds
     two [grain]s of elements chunk their outer dimension across the pool
-    (elementwise maps, matmul row blocks, softmax / reduction lanes).
+    (elementwise maps, matmul row tiles, softmax / reduction lanes).
     Chunked execution is bitwise identical to sequential — every output
     element is written by exactly one chunk with reference accumulation
     order.  [None] (the initial state) forces sequential execution.

@@ -1,62 +1,54 @@
-/* Native inner kernel for Fastops.matmul2d_into.
+/* Native inner kernels for Fastops: the GEMM behind matmul2d_into and
+ * the strided elementwise maps below.
  *
- * Row-major GEMM over OCaml float arrays (unboxed double payloads).
- * Each output element o[i,j] accumulates its k terms in ascending-l
- * order, exactly like the reference interpreter's per-element sum, so
- * results are bitwise-identical; the l-loop is unrolled by four with
- * the partial sums added *sequentially* (never re-associated into
- * independent accumulators), which keeps the reference order while
- * giving the compiler a unit-stride j-vectorizable body.
- *
- * The l-dimension is processed in panels of 8 rows of [b] (32 KB at
- * n = 512): within a panel every row of the output is updated before
- * moving on, so the panel of [b] stays L1-resident and is streamed
- * from L2 once per call instead of once per output row.  Panels run in
- * ascending l and each o[i,j] is accumulated incrementally across
- * panels, so the per-element order is still exactly l-ascending.
+ * The GEMM is gemm_kernel.h's register-tiled kernel, built once per ISA
+ * and picked once at load time from what the CPU supports:
+ *   - AVX-512: 8 x 16 and 4 x 16 tiles of 512-bit vectors;
+ *   - AVX2:    4 x 8 tiles of 256-bit vectors;
+ *   - default: the row loop only (a 128-bit tile was slower).
+ * Each clone needs its own source-level tile: a 512-bit vector type
+ * built for AVX2 is split into scalar code, and a tile wider than the
+ * register file spills on every k-step.  Calls with fewer than 4 rows
+ * (lstm at batch 1) stay on the row loop, which is bandwidth-bound
+ * there anyway.  Every output element still sums its k terms from +0.0
+ * in ascending l, so results are bitwise-identical to the reference.
  *
  * Compiled with -ffp-contract=off (see lib/exec/dune) so mul+add pairs
- * are never contracted into FMAs, which would change rounding.  On
- * x86-64, target_clones lets the loader pick an AVX-512/AVX2 clone at
- * run time without baking -march into the build.
- */
+ * are never contracted into FMAs, which would change rounding.
+ * test/gemm_isa.c builds the same kernel at each x86-64 level and checks
+ * it against a naive triple loop. */
 #include <caml/mlvalues.h>
 
-#define PANEL 8
-
 #if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
-__attribute__((target_clones("avx512f", "avx2", "default")))
+#define GEMM_CLONES
+#pragma GCC push_options
+#pragma GCC target("avx512f")
+#define GEMM_NAME gemm_avx512
+#include "gemm_kernel.h"
+#pragma GCC pop_options
+#pragma GCC push_options
+#pragma GCC target("avx2")
+#define GEMM_NAME gemm_avx2
+#include "gemm_kernel.h"
+#pragma GCC pop_options
 #endif
-static void gemm(const double *restrict a, const double *restrict b,
-                 double *restrict o, long m, long k, long n)
+#define GEMM_NAME gemm_default
+#include "gemm_kernel.h"
+
+typedef void gemm_fn(const double *, const double *, double *, long, long,
+                     long);
+static gemm_fn *gemm = gemm_default;
+
+#ifdef GEMM_CLONES
+__attribute__((constructor)) static void gemm_pick(void)
 {
-  for (long i = 0; i < m; i++) {
-    double *oi = o + i * n;
-    for (long j = 0; j < n; j++) oi[j] = 0.0;
-  }
-  for (long l0 = 0; l0 < k; l0 += PANEL) {
-    const long lhi = (l0 + PANEL <= k) ? l0 + PANEL : k;
-    for (long i = 0; i < m; i++) {
-      const double *ai = a + i * k;
-      double *oi = o + i * n;
-      long l = l0;
-      for (; l + 4 <= lhi; l += 4) {
-        const double a0 = ai[l], a1 = ai[l + 1], a2 = ai[l + 2],
-                     a3 = ai[l + 3];
-        const double *b0 = b + l * n;
-        const double *b1 = b0 + n, *b2 = b1 + n, *b3 = b2 + n;
-        for (long j = 0; j < n; j++)
-          oi[j] = (((oi[j] + a0 * b0[j]) + a1 * b1[j]) + a2 * b2[j])
-                  + a3 * b3[j];
-      }
-      for (; l < lhi; l++) {
-        const double al = ai[l];
-        const double *bl = b + l * n;
-        for (long j = 0; j < n; j++) oi[j] += al * bl[j];
-      }
-    }
-  }
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("avx512f"))
+    gemm = gemm_avx512;
+  else if (__builtin_cpu_supports("avx2"))
+    gemm = gemm_avx2;
 }
+#endif
 
 CAMLprim value functs_gemm(value va, value vao, value vb, value vbo,
                            value vo, value voo, value vm, value vk,

@@ -158,7 +158,25 @@ type lplan = {
   lp_vector : vplan option;
   lp_reduction : bool;  (* any Reduced slot: fixed chunking + merge *)
   lp_tuner : larm Tuner.t;
+  lp_ops : string list;  (* the body's op names, for attribution *)
 }
+
+(* Distinct op names of [nodes] without their namespace, in order of
+   first appearance ("matmul", "sigmoid", ...); constants are left out. *)
+let op_names (nodes : Graph.node list) =
+  List.fold_left
+    (fun acc (n : Graph.node) ->
+      let s = Op.name n.Graph.n_op in
+      let s =
+        match String.rindex_opt s ':' with
+        | Some i -> String.sub s (i + 1) (String.length s - i - 1)
+        | None -> s
+      in
+      match n.Graph.n_op with
+      | Op.Constant _ -> acc
+      | _ -> if List.mem s acc then acc else s :: acc)
+    [] nodes
+  |> List.rev
 
 (* Reduction chunking is fixed (independent of pool lanes and of whether
    the dispatch ran inline), so domains=1/2/4 runs of the same prepared
@@ -1434,6 +1452,7 @@ let prepare ~parallel ~pool:exec_pool ~loop_grain ~kernel_grain ~jit
               lp_actions = actions;
               lp_vector = vector;
               lp_reduction = reduction;
+              lp_ops = op_names body.Graph.b_nodes;
               lp_tuner =
                 Tuner.create ~scope:"scheduler.loop" ~id:node.n_id
                   ~name:larm_name
@@ -1668,6 +1687,7 @@ type attribution_row = {
   at_kind : [ `Group | `Loop ];
   at_arm : string;  (* current arm, or "sampling" *)
   at_members : int;  (* member instructions (groups) or trip sites (loops) *)
+  at_ops : string list;  (* member (groups) or body (loops) op names *)
   at_time_s : float;  (* accumulated launch wall time *)
   at_launches : int;
 }
@@ -1683,6 +1703,7 @@ let attribution p =
               at_kind = `Group;
               at_arm = Tuner.label g.g_tuner;
               at_members = List.length g.g_members;
+              at_ops = op_names (List.map (fun i -> i.i_node) g.g_members);
               at_time_s = Tuner.total g.g_tuner;
               at_launches = Tuner.launches g.g_tuner;
             }
@@ -1698,6 +1719,7 @@ let attribution p =
             at_kind = `Loop;
             at_arm = Tuner.label lp.lp_tuner;
             at_members = Array.length lp.lp_actions;
+            at_ops = lp.lp_ops;
             at_time_s = Tuner.total lp.lp_tuner;
             at_launches = Tuner.launches lp.lp_tuner;
           }

@@ -117,6 +117,9 @@ type attribution_row = {
           groups, [vector]/[inline]/[dispatch]/[seq] for loops — or
           [sampling] while it samples *)
   at_members : int;  (** member instructions (groups) / body size (loops) *)
+  at_ops : string list;
+      (** distinct op names, namespace dropped, in order: the members of
+          a group ([["matmul"]]) or the body of a loop *)
   at_time_s : float;  (** accumulated launch wall time *)
   at_launches : int;
 }

@@ -125,6 +125,9 @@ let test_pool_bitwise_kernels () =
   let b = T.rand state [| 37; 65 |] in
   let m = T.rand state [| 19; 33 |] in
   let n = T.rand state [| 33; 21 |] in
+  (* 13 and 16 rows chunk into whole 8-row tiles (13 = 8 + 4 + 1) *)
+  let m13 = T.rand state [| 13; 40 |] and m16 = T.rand state [| 16; 40 |] in
+  let n40 = T.rand state [| 40; 37 |] in
   let seq f =
     Fastops.set_parallel None ~grain:8192;
     f ()
@@ -145,6 +148,8 @@ let test_pool_bitwise_kernels () =
   in
   same "binary add" (fun () -> Fastops.binary Scalar.Add a b);
   same "matmul" (fun () -> Fastops.matmul m n);
+  same "matmul m=13" (fun () -> Fastops.matmul m13 n40);
+  same "matmul m=16" (fun () -> Fastops.matmul m16 n40);
   same "softmax" (fun () -> Fastops.softmax a ~dim:1);
   same "sum_dim" (fun () -> Fastops.sum_dim a ~dim:1 ~keepdim:false)
 
@@ -1003,7 +1008,15 @@ let test_kernels_actually_compile () =
          r.Scheduler.at_arm = "per_node" && r.Scheduler.at_launches > 0)
        groups);
   check_int "no kernel launch with the JIT off" 0
-    (Engine.stats eng).Scheduler.kernel_runs
+    (Engine.stats eng).Scheduler.kernel_runs;
+  check "every group names its member ops" true
+    (List.for_all
+       (fun (r : Scheduler.attribution_row) -> r.Scheduler.at_ops <> [])
+       groups);
+  check "the matmul has a row of its own" true
+    (List.exists
+       (fun (r : Scheduler.attribution_row) -> r.Scheduler.at_ops = [ "matmul" ])
+       groups)
 
 (* --- properties --- *)
 
@@ -1149,6 +1162,133 @@ let prop_strided_engine_bitwise =
     QCheck2.Gen.int
     (fun seed -> snd (Strided_case.run seed))
 
+(* Fastops.matmul against Ops.matmul, bitwise, sequentially and chunked
+   over a 3-lane pool: every rank pair, operands behind views (permute,
+   select, expand) that need [contig], shapes at the tile edges (m = 1
+   and 2, k = 0 and 1, n below and off a multiple of the 16-column tile)
+   and special values (NaN, infinities, subnormals, signed zeros).  Some
+   cases zero a row of [a] to -0.0 against a positive [b]: every product
+   in that row is -0.0, and the reference sum, which starts at +0.0, is
+   +0.0.  Each case is drawn from its seed. *)
+module Matmul_case = struct
+  module St = Functs_tensor.Storage
+
+  let value st ~special =
+    if Random.State.int st 32 >= special then Random.State.float st 4.0 -. 2.0
+    else
+      match Random.State.int st 7 with
+      | 0 -> Float.nan
+      | 1 -> Float.infinity
+      | 2 -> Float.neg_infinity
+      | 3 -> -0.0
+      | 4 -> 0.0
+      | 5 -> Random.State.float st Float.min_float
+      | _ -> -.Random.State.float st Float.min_float
+
+  (* tiny sizes, whole 16-column tiles, or anything up to 40 *)
+  let dim st ~lo =
+    match Random.State.int st 4 with
+    | 0 -> lo + Random.State.int st 3
+    | 1 -> 16 * (1 + Random.State.int st 2)
+    | _ -> lo + Random.State.int st 40
+
+  (* a tensor of [shape] behind random views, with fresh values *)
+  let operand st ~special shape =
+    let t =
+      if Array.exists (fun d -> d = 0) shape then T.zeros shape
+      else Strided_case.view st ~expand:true 3 shape
+    in
+    let d = St.data t.T.storage in
+    Array.iteri (fun i _ -> d.(i) <- value st ~special) d;
+    t
+
+  (* Every NaN reads as one value: when both operands of an add are NaN,
+     IEEE 754 leaves which payload (and sign) survives unspecified, and
+     the C compiler may order a commutative add either way. *)
+  let bits (t : T.t) =
+    Array.map
+      (fun x -> if Float.is_nan x then 0L else Int64.bits_of_float x)
+      (T.to_flat_array t)
+
+  (* (description, engine result bits = reference result bits) *)
+  let run seed =
+    let st = Random.State.make [| seed |] in
+    let m = dim st ~lo:1 and k = dim st ~lo:0 and n = dim st ~lo:1 in
+    let batch () = 1 + Random.State.int st 3 in
+    let rank, sa, sb =
+      match Random.State.int st 5 with
+      | 0 -> ("2x2", [| m; k |], [| k; n |])
+      | 1 -> ("3x2", [| batch (); m; k |], [| k; n |])
+      | 2 ->
+          let ba = batch () in
+          let bb = if Random.State.bool st then 1 else ba in
+          if Random.State.bool st then ("3x3", [| ba; m; k |], [| bb; k; n |])
+          else ("3x3", [| bb; m; k |], [| ba; k; n |])
+      | 3 -> ("1x2", [| k |], [| k; n |])
+      | _ -> ("2x1", [| m; k |], [| k |])
+    in
+    let special = [| 0; 1; 8 |].(Random.State.int st 3) in
+    let a = operand st ~special sa and b = operand st ~special sb in
+    let zero_row = k > 0 && Random.State.int st 6 = 0 in
+    if zero_row then begin
+      let d = St.data b.T.storage in
+      Array.iteri (fun i _ -> d.(i) <- 0.5 +. Random.State.float st 1.5) d;
+      let row = Random.State.int st (if Array.length sa = 1 then 1 else m) in
+      for l = 0 to k - 1 do
+        T.set a
+          (match Array.length sa with
+          | 1 -> [| l |]
+          | 2 -> [| row; l |]
+          | _ -> [| 0; row; l |])
+          (-0.0)
+      done
+    end;
+    let expected = bits (Functs_tensor.Ops.matmul a b) in
+    let run_on pool =
+      Fastops.set_parallel pool ~grain:16;
+      Fun.protect
+        ~finally:(fun () -> Fastops.set_parallel None ~grain:8192)
+        (fun () -> bits (Fastops.matmul a b))
+    in
+    let shape s =
+      String.concat "x" (Array.to_list (Array.map string_of_int s))
+    in
+    ( Printf.sprintf "%s [%s] @ [%s]%s" rank (shape sa) (shape sb)
+        (if zero_row then " with a -0.0 row" else ""),
+      run_on None = expected
+      && run_on (Some (Pool.shared ~lanes:3)) = expected )
+end
+
+let prop_matmul_bitwise =
+  QCheck2.Test.make
+    ~name:"matmul bitwise vs the reference (sequential and 3 lanes)"
+    ~count:1000
+    ~print:(fun seed ->
+      Printf.sprintf "seed %d (%s)" seed (fst (Matmul_case.run seed)))
+    QCheck2.Gen.int
+    (fun seed -> snd (Matmul_case.run seed))
+
+(* Shrunk counterexamples of [prop_matmul_bitwise], and a row of -0.0
+   products on each kernel path: the row loop (m = 1, 2), the 4- and
+   8-row tiles, leftover rows (13) and the column remainder (n = 19). *)
+let test_matmul_regressions () =
+  List.iter
+    (fun seed ->
+      let desc, ok = Matmul_case.run seed in
+      check (Printf.sprintf "seed %d (%s)" seed desc) true ok)
+    [ -89022190605 (* NaN from inf - inf, then a NaN product *) ];
+  List.iter
+    (fun m ->
+      let a = T.of_array [| m; 3 |] (Array.make (m * 3) (-0.0)) in
+      let b = T.of_array [| 3; 19 |] (Array.make 57 1.5) in
+      check
+        (Printf.sprintf "m = %d: -0.0 products sum to +0.0" m)
+        true
+        (Array.for_all
+           (fun x -> Int64.bits_of_float x = 0L)
+           (T.to_flat_array (Fastops.matmul a b))))
+    [ 1; 2; 4; 8; 13; 16 ]
+
 let prop_engine_matches_interp =
   QCheck2.Test.make
     ~name:"engine matches the interpreter on random programs (if/loop)"
@@ -1227,9 +1367,12 @@ let () =
             test_vector_plans;
         ] );
       ( "property",
-        List.map QCheck_alcotest.to_alcotest
+        Alcotest.test_case "matmul regression cases" `Quick
+          test_matmul_regressions
+        :: List.map QCheck_alcotest.to_alcotest
           [
             prop_strided_engine_bitwise;
+            prop_matmul_bitwise;
             prop_engine_matches_interp_straightline;
             prop_engine_matches_interp;
           ] );
