@@ -490,14 +490,26 @@ let gc_rows (before : Gc.stat) (after : Gc.stat) =
     ("top_heap_words", after.top_heap_words);
   ]
 
+(* The cold path: [Session.create]'s wall-clock in ms, and how far it
+   moved the JIT artifact counters (a cold artifact directory compiles
+   once per distinct unit; the other engines hit). *)
+let setup_counters = [ "jit.c.compiles"; "jit.c.hit"; "jit.c.miss" ]
+
 let serve_requests (w : Workload.t) ~runs ~batch ~seq =
+  let count name = Metrics.value (Metrics.counter name) in
+  let c0 = List.map count setup_counters in
+  let t0 = Unix.gettimeofday () in
   match Session.create ~config w ~batch ~seq with
   | Error e -> Error e
   | Ok session ->
+      let setup =
+        ( 1e3 *. (Unix.gettimeofday () -. t0),
+          List.map2 (fun n c -> (n, count n - c)) setup_counters c0 )
+      in
       let args = w.Workload.inputs ~batch ~seq in
       let gc0 = Gc.quick_stat () in
       let rec go i =
-        if i >= runs then Ok (session, gc_rows gc0 (Gc.quick_stat ()))
+        if i >= runs then Ok (session, gc_rows gc0 (Gc.quick_stat ()), setup)
         else
           match Session.run session args with
           | Ok _ -> go (i + 1)
@@ -538,7 +550,7 @@ let profile_cmd =
         let m0 = Metrics.snapshot () in
         match serve_requests w ~runs ~batch ~seq with
         | Error e -> fail e
-        | Ok (session, gc) ->
+        | Ok (session, gc, (setup_ms, setup_deltas)) ->
             let m1 = Metrics.snapshot () in
             let stages = stage_windows m0 m1 in
             let rows = Session.attribution session in
@@ -584,6 +596,12 @@ let profile_cmd =
                       [
                         ("workload", Json.Str name);
                         ("requests", Json.Num (float_of_int runs));
+                        ( "setup",
+                          Json.Obj
+                            (("create_ms", Json.Num setup_ms)
+                            :: List.map
+                                 (fun (k, n) -> (k, Json.Num (float_of_int n)))
+                                 setup_deltas) );
                         ("stages", Json.Obj (List.map stage_json stages));
                         ( "gc",
                           Json.Obj
@@ -595,6 +613,11 @@ let profile_cmd =
             end
             else begin
               Printf.printf "profile    : %s, %d requests served\n" name runs;
+              Printf.printf "setup      : %.0f ms%s\n\n" setup_ms
+                (String.concat ""
+                   (List.map
+                      (fun (k, n) -> Printf.sprintf "  %s %+d" k n)
+                      setup_deltas));
               Printf.printf "%-11s %10s %10s %10s %8s\n" "stage" "p50_us"
                 "p90_us" "p99_us" "n";
               List.iter
@@ -648,7 +671,7 @@ let why_cmd =
         let mark = Journal.recorded () in
         match serve_requests w ~runs:(max 1 runs) ~batch ~seq with
         | Error e -> fail e
-        | Ok (session, _) ->
+        | Ok (session, _, _) ->
             let entries =
               (* only this command's window; earlier entries (other
                  sessions in this process) are not about this workload *)

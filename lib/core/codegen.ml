@@ -97,10 +97,34 @@ let insert_nth l n x =
   in
   go 0 l
 
+type ctx = {
+  shapes : Shape_infer.result;
+  plan : Fusion.plan;
+  gid : int;
+  counter : int ref;
+  unit_vars : (string, unit) Hashtbl.t;
+      (* index variables that only take the value 0: the current
+         statement's extent-1 output dims and extent-1 reductions *)
+}
+
+let fresh_red ctx extent =
+  let r = Printf.sprintf "r%d" !(ctx.counter) in
+  incr ctx.counter;
+  if extent = 1 then Hashtbl.replace ctx.unit_vars r ();
+  r
+
+let rec always_zero ctx = function
+  | Iconst c -> c = 0
+  | Ivar name -> Hashtbl.mem ctx.unit_vars name
+  | Iadd (a, b) | Isub (a, b) -> always_zero ctx a && always_zero ctx b
+
 (* Align an output-ranked index onto an input with the given shape:
-   truncate from the left, pin broadcast (size-1) dimensions to 0. *)
-let broadcast_index shapes (v : Graph.value) index =
-  match dims_of shapes v with
+   truncate from the left, and pin a size-1 dimension to 0 only on a real
+   broadcast — where the aligned index can take a value other than 0.  An
+   index that is always 0 (an extent-1 output dim) keeps its variable, so
+   the kernel reads the same as at any larger extent. *)
+let broadcast_index ctx (v : Graph.value) index =
+  match dims_of ctx.shapes v with
   | None -> None
   | Some dims ->
       let rank = Array.length dims in
@@ -113,20 +137,10 @@ let broadcast_index shapes (v : Graph.value) index =
       Some
         (List.mapi
            (fun i ixv ->
-             match dims.(i) with Shape_infer.Known 1 -> Iconst 0 | _ -> ixv)
+             match dims.(i) with
+             | Shape_infer.Known 1 when not (always_zero ctx ixv) -> Iconst 0
+             | _ -> ixv)
            tail)
-
-type ctx = {
-  shapes : Shape_infer.result;
-  plan : Fusion.plan;
-  gid : int;
-  counter : int ref;
-}
-
-let fresh_red ctx =
-  let r = Printf.sprintf "r%d" !(ctx.counter) in
-  incr ctx.counter;
-  r
 
 let in_group ctx (v : Graph.value) =
   match Graph.defining_node v with
@@ -174,7 +188,7 @@ let slice_conds ctx (base : Graph.value) dim ~start ~stop ~step ixv =
 
 let rec expr_of ctx (v : Graph.value) index =
   if not (inline_through ctx v) then
-    match broadcast_index ctx.shapes v index with
+    match broadcast_index ctx v index with
     | Some ix -> Cread (v, ix)
     | None -> Copaque (value_ref v ^ "[*]")
   else begin
@@ -187,7 +201,7 @@ and node_expr ctx (node : Graph.node) index =
   let input i = List.nth node.n_inputs i in
   let sub i idx =
     let v = input i in
-    match broadcast_index ctx.shapes v idx with
+    match broadcast_index ctx v idx with
     | Some ix -> expr_of ctx v ix
     | None -> expr_of ctx v idx
   in
@@ -209,8 +223,8 @@ and node_expr ctx (node : Graph.node) index =
   | Op.View kind | Op.Access kind -> access_expr ctx node kind index
   | Op.Assign kind -> assign_expr ctx node kind index
   | Op.Softmax { dim } ->
-      let r = fresh_red ctx in
       let extent = extent_of ctx (input 0) dim in
+      let r = fresh_red ctx extent in
       let red_index =
         List.mapi (fun i ixv -> if i = dim then Ivar r else ixv) index
       in
@@ -219,8 +233,8 @@ and node_expr ctx (node : Graph.node) index =
           Cunary (Scalar.Exp, sub 0 index),
           Creduce (`Sum, r, extent, Cunary (Scalar.Exp, sub 0 red_index)) )
   | Op.Sum_dim { dim; keepdim } ->
-      let r = fresh_red ctx in
       let extent = extent_of ctx (input 0) dim in
+      let r = fresh_red ctx extent in
       let inner =
         if keepdim then
           List.mapi (fun i ixv -> if i = dim then Ivar r else ixv) index
@@ -228,8 +242,8 @@ and node_expr ctx (node : Graph.node) index =
       in
       Creduce (`Sum, r, extent, sub 0 inner)
   | Op.Max_dim { dim; keepdim } ->
-      let r = fresh_red ctx in
       let extent = extent_of ctx (input 0) dim in
+      let r = fresh_red ctx extent in
       let inner =
         if keepdim then
           List.mapi (fun i ixv -> if i = dim then Ivar r else ixv) index
@@ -292,7 +306,7 @@ and assign_expr ctx (node : Graph.node) kind index =
   let src = List.nth node.n_inputs 1 in
   let operand i = scalar_operand (List.nth node.n_inputs (2 + i)) in
   let src_expr idx =
-    match broadcast_index ctx.shapes src idx with
+    match broadcast_index ctx src idx with
     | Some ix -> expr_of ctx src ix
     | None -> expr_of ctx src idx
   in
@@ -361,7 +375,9 @@ let group_members (g : Graph.t) plan =
   List.rev_map (fun gid -> (gid, List.rev (Hashtbl.find order gid))) !sequence
 
 let kernel_of plan shapes idx (gid, members) =
-  let ctx = { shapes; plan; gid; counter = ref 0 } in
+  let ctx =
+    { shapes; plan; gid; counter = ref 0; unit_vars = Hashtbl.create 8 }
+  in
   let emits_stmt (n : Graph.node) =
     match n.n_op with
     | Op.Access _ | Op.View _ | Op.Constant _ | Op.Scalar_binary _ ->
@@ -379,6 +395,16 @@ let kernel_of plan shapes idx (gid, members) =
               let index =
                 List.init rank (fun i -> Ivar (Printf.sprintf "i%d" i))
               in
+              Hashtbl.reset ctx.unit_vars;
+              (match dims_of shapes out with
+              | Some dims ->
+                  Array.iteri
+                    (fun i d ->
+                      if d = Shape_infer.Known 1 then
+                        Hashtbl.replace ctx.unit_vars
+                          (Printf.sprintf "i%d" i) ())
+                    dims
+              | None -> ());
               {
                 s_out = out;
                 s_rank = rank;

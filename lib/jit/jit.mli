@@ -3,6 +3,12 @@
     on-disk artifact cache ({!Jit_cache}), and launches them with
     per-run validation.
 
+    The C unit is shape-generic: innermost and reduction extents are
+    literal, outer extents are [ints] entries that each engine's entry
+    fills from its own shapes.  Engines of one workload at different
+    batch sizes therefore render the same source and digest, and all
+    but the first resolve it as a [jit.c.hit] instead of a compile.
+
     Failure never crosses the engine API: {!prepare_groups} records
     every failure (missing or hung compiler, compile error) as a
     [jit.c.fallback] tick per emitted group, skips the kernels the
@@ -60,7 +66,8 @@ val render_source : isa:string -> Jit_emit.emitted list -> string * string
 (** [(digest, source)] of the C unit holding [emitted]: one function per
     kernel, compiled for [isa] alone ([target("avx2")] per kernel for
     ["avx2"], no attribute for ["default"]).  The digest covers the
-    codegen version, [isa] and every kernel body. *)
+    codegen version, [isa] and every kernel body — which holds no outer
+    extent, so it is the same for every batch size of a graph. *)
 
 val prepare_groups :
   mode:mode ->
@@ -94,7 +101,7 @@ val run :
     kernel.  [par] — typically [Pool.parallel_for] partially applied
     by the scheduler — must cover [0, n) with disjoint [body lo hi]
     calls; each statement whose output holds at least [2 * grain]
-    elements then splits its outermost baked loop across it, joining
+    elements then splits its outermost loop across it, joining
     before the next statement so cross-statement reads stay ordered and
     results stay bitwise-identical.  Raises
     {!Fallback} when a binding fails validation or a guarded index

@@ -7,9 +7,11 @@ module Journal = Functs_obs.Journal
    One [.so] holds every kernel of one engine preparation; the file name
    carries the codegen [version] stamp and the MD5 digest of the
    generated C source, so a warm process (or a second process) loads the
-   artifact instead of recompiling — the digest covers baked shapes,
-   statement structure, the emitter version and the target ISA, which is
-   exactly the compile-cache key material.  Artifacts are compiled by
+   artifact instead of recompiling — the digest covers statement
+   structure, the literal innermost and reduction extents, the emitter
+   version and the target ISA.  Outer extents travel in [ints] at launch,
+   so engines of one workload at different batch sizes share a digest
+   and one artifact.  Artifacts are compiled by
    [cc] from {!Jit_emit} output and loaded with dlopen through the
    [cjit_stubs.c] host stubs.
 
@@ -32,8 +34,10 @@ module Journal = Functs_obs.Journal
    one emitter owns the layout; exact Float.max/min/equal helpers.  v6:
    one function per kernel for the host's ISA instead of an
    ("avx2", "default") clone pair — a host only ever ran the clone its
-   resolver picked, and the pair doubled every compile. *)
-let version = 6
+   resolver picked, and the pair doubled every compile.  v7:
+   shape-generic kernels — outer extents are read from [ints], and case
+   comments no longer name value ids or shapes. *)
+let version = 7
 
 (* A compiled kernel: index [idx] of one artifact's launch table.  The
    table pointer is a raw [dlsym] result (never freed), so the handle is

@@ -3,7 +3,10 @@
     Artifacts are [.so] files named
     [functs_cjit_v<version>_<digest>.so]: the codegen [version] stamp
     plus the MD5 digest of the generated C source, compiled by [cc] and
-    loaded with dlopen through the [cjit_stubs.c] host stubs.  The unit
+    loaded with dlopen through the [cjit_stubs.c] host stubs.  The
+    source is shape-generic ({!Jit_emit}): only innermost and reduction
+    extents are literal, so engines that differ in outer extents (the
+    serving buckets of one workload) share a digest and one artifact.  The unit
     holds one function per kernel, compiled for the host's ISA only
     ([Jit.isa]); the digest covers that ISA, so a directory shared by
     hosts with different ISAs holds one [.so] per ISA and never hands a
@@ -28,7 +31,7 @@ type fn = { tbl : nativeint; idx : int }
 
 val call : fn -> float array array -> int array -> int -> int -> int -> int
 (** [call f bufs ints stmt lo hi] runs statement [stmt] for rows
-    [lo, hi) of its outermost baked loop ([stmt = -1]: every statement
+    [lo, hi) of its outermost loop ([stmt = -1]: every statement
     at full extent), over raw [double*] views of the float arrays and
     untagged ints (see {!Jit_emit} for the layout).  Returns the kernel's
     guard status: [0] on success, nonzero when a dynamically-indexed

@@ -12,17 +12,28 @@ open Codegen
    against:
 
      bufs : statement outputs, then one buffer per read site
-     ints : per-site offset + strides and per-statement output offset
-            (in discovery order), then the free scalars, then one buffer
-            length per site
+     ints : per statement its outer extents, per site offset + strides
+            and per statement the output offset (in discovery order),
+            then the free scalars, then one buffer length per site
 
-   Per statement the function runs a flat nested loop over the baked
-   output shape, with [lo, hi) splitting the outermost dimension.  The
-   unit is standalone C over <math.h> and is compiled with
-   [-ffp-contract=off], so every emitted operation maps to exactly the
-   IEEE operation the interpreter performs (the same discipline as
-   [gemm_stubs.c]).  The artifact depends only on the kernel's structure
-   and baked shapes, never on runtime addresses.
+   Per statement the function runs a flat nested loop over the output
+   shape, with [lo, hi) splitting the outermost dimension.  The unit is
+   standalone C over <math.h> and is compiled with [-ffp-contract=off],
+   so every emitted operation maps to exactly the IEEE operation the
+   interpreter performs (the same discipline as [gemm_stubs.c]).
+
+   Shape-generic text.  Only two kinds of extent are literal: each
+   statement's innermost extent (its output stride is 1), so the fast
+   variant keeps a constant trip count and vectorises, and reduction
+   extents.  Every outer extent is an [ints] entry read once at
+   statement entry ([n0], [n1], ...); the outer loop bounds, [sh] for
+   the whole-kernel entry, the dense output strides ([os<d>]) and the
+   launch guard's extent terms are all computed from them.  Nothing else
+   shape-dependent reaches the text (case comments name the value
+   without id or shape), so the artifact digest keys on structure plus
+   those literals: a workload's serving buckets render the same unit and
+   compile once.  The launch layout ([e_shape], [e_bounds]) stays
+   concrete per emission, and the driver fills the extents from it.
 
    The emitter is the one acceptance check for native kernels: it
    rejects a [Copaque] expression, an unknown shape or reduction extent,
@@ -50,10 +61,10 @@ open Codegen
    ([e_bounds]); the driver checks it against the bound tensor's strides
    before every launch.  A site indexed by a free scalar (dynamic
    select/slice operands) gets an emitted {e launch guard} instead: the
-   min/max flat index over the full (baked) iteration space, computed
-   from the actual strides and scalar values, is compared against the
-   buffer length, and the kernel returns a nonzero status instead of
-   touching memory when the range does not fit.  An unguarded site is
+   min/max flat index over the full iteration space, computed from the
+   runtime extents, the actual strides and scalar values, is compared
+   against the buffer length, and the kernel returns a nonzero status
+   instead of touching memory when the range does not fit.  An unguarded site is
    evaluated at every iteration point, so the full-space range is exact.
    Reads under a [Ccond] branch may never execute at a given point, so
    they get a per-access range check instead.  The driver maps a nonzero
@@ -90,6 +101,7 @@ type estmt = {
   e_store : bool;
   e_shape : int array;
   e_out_pos : int;  (* ints position of the output offset *)
+  e_ext_pos : int;  (* ints position of the extents of dims 0..rank-2 *)
 }
 
 type emitted = {
@@ -170,7 +182,13 @@ type env = {
   k : kstate;
   stmt_idx : int;
   rank : int;
-  shape : int array;  (* the statement's baked output shape *)
+  shape : int array;
+      (* the statement's concrete output shape: it sets the per-engine
+         layout ([e_bounds]); only its innermost extent reaches the C
+         text *)
+  exts : string array;
+      (* C text of each output extent: the runtime [n<d>] for the outer
+         dims, a literal for the innermost *)
   red : (string * int) option;  (* reduction variable and extent *)
   guarded : bool;
       (* inside a [Ccond] branch: reads there may never execute at a
@@ -246,6 +264,10 @@ let static_range env (cst, loops, red, scals) =
     (match env.red with Some (_, extent) -> span red extent | None -> ());
     Some (!lo, !hi)
   end
+
+(* The innermost extent stays a literal so the fast variant vectorises;
+   a rank-0 statement has one point. *)
+let inner_extent env = if env.rank = 0 then 1 else env.shape.(env.rank - 1)
 
 let emit_read env (v : Graph.value) ixs : render =
   let k = env.k in
@@ -350,27 +372,34 @@ let emit_read env (v : Graph.value) ixs : render =
         true
   in
   (* dynamically-indexed site: the launch guard — min/max flat index
-     over the full baked iteration space against the buffer length.
-     Skipped when a baked extent is 0: the loops never run, so no access
-     happens.  Extent-1 dimensions contribute nothing to the range. *)
-  (if
-     bounds = None
-     && (not env.guarded)
-     && Array.for_all (fun e -> e > 0) env.shape
-   then begin
+     over the full iteration space against the buffer length.  Skipped
+     when an extent is 0 (the literal innermost one here, the runtime
+     outer ones in C): the loops never run, so no access happens.  An
+     extent-1 dimension contributes [c * 0] to the range. *)
+  (if bounds = None && (not env.guarded) && inner_extent env <> 0 then begin
      let b = env.site_binds in
+     let outer = List.init (max 0 (env.rank - 1)) (Printf.sprintf "n%d > 0") in
      Buffer.add_string b
-       (Printf.sprintf "    { long glo = b%d_b, ghi = b%d_b, gt;\n" slot slot);
+       (Printf.sprintf "    %s{ long glo = b%d_b, ghi = b%d_b, gt;\n"
+          (if outer = [] then ""
+           else Printf.sprintf "if (%s) " (String.concat " && " outer))
+          slot slot);
      Array.iteri
        (fun d c ->
          match c with
-         | Some _ when d < env.rank && env.shape.(d) > 1 ->
+         | Some _ when d < env.rank - 1 ->
+             Buffer.add_string b
+               (Printf.sprintf
+                  "      gt = b%d_c%d * (%s - 1); if (gt < 0) glo += gt; else \
+                   ghi += gt;\n"
+                  slot d env.exts.(d))
+         | Some _ when d = env.rank - 1 && inner_extent env > 1 ->
              Buffer.add_string b
                (Printf.sprintf
                   "      gt = b%d_c%d * %d; if (gt < 0) glo += gt; else ghi \
                    += gt;\n"
                   slot d
-                  (env.shape.(d) - 1))
+                  (inner_extent env - 1))
          | _ -> ())
        coeffs;
      (match (has_red, env.red) with
@@ -509,12 +538,21 @@ let emit_stmt k ~buf ~shapes stmt_idx (s : Codegen.statement) =
   let shape = concrete_shape shapes s.s_out in
   let rank = Array.length shape in
   if rank <> s.s_rank then fail "rank mismatch for %s" (value_ref s.s_out);
+  (* the outer extents ride in ints, read once at statement entry *)
+  let ext_pos = k.next_int in
+  k.next_int <- ext_pos + max 0 (rank - 1);
+  let exts =
+    Array.init rank (fun d ->
+        if d = rank - 1 then string_of_int shape.(d)
+        else Printf.sprintf "n%d" d)
+  in
   let env =
     {
       k;
       stmt_idx;
       rank;
       shape;
+      exts;
       red = None;
       guarded = false;
       site_binds = Buffer.create 256;
@@ -547,25 +585,34 @@ let emit_stmt k ~buf ~shapes stmt_idx (s : Codegen.statement) =
   (* [stmt = -1] is the whole-kernel entry: the driver makes one native
      call when no statement is split across pool tasks, and the cases
      run in order by switch fallthrough ([if (stmt >= 0) break;] at each
-     seam), each over its full baked extent ([sl, sh)). *)
+     seam), each over its full extent ([sl, sh)).  The case comment names
+     the value without its id or shape, which differ between graphs that
+     share the unit. *)
   if stmt_idx = 0 then add "  case -1: /* whole kernel */\n";
   add
-    (Printf.sprintf "  case %d: { /* %s : %s */\n" stmt_idx
-       (value_ref s.s_out) (Shape.to_string shape));
+    (Printf.sprintf "  case %d: { /* %s */\n" stmt_idx
+       (if s.s_out.Graph.v_name = "" then "tmp" else s.s_out.Graph.v_name));
+  for d = 0 to rank - 2 do
+    add (Printf.sprintf "    const long n%d = ints[%d];\n" d (ext_pos + d))
+  done;
   add
     (Printf.sprintf
-       "    const long sl = stmt < 0 ? 0 : lo, sh = stmt < 0 ? %d : hi;\n"
-       (if rank = 0 then 1 else shape.(0)));
+       "    const long sl = stmt < 0 ? 0 : lo, sh = stmt < 0 ? %s : hi;\n"
+       (if rank = 0 then "1" else exts.(0)));
   add (Buffer.contents env.site_binds);
   add (Printf.sprintf "    double * restrict o = bufs[%d];\n" stmt_idx);
   add (Printf.sprintf "    const long ob = ints[%d];\n" out_pos);
-  (* dense output strides are baked literals (innermost is 1) *)
-  let os = Array.make (max 1 rank) 1 in
+  (* dense output strides from the extents (innermost is 1) *)
   for d = rank - 2 downto 0 do
-    os.(d) <- os.(d + 1) * shape.(d + 1)
+    add
+      (if d = rank - 2 then
+         Printf.sprintf "    const long os%d = %s;\n" d exts.(d + 1)
+       else
+         Printf.sprintf "    const long os%d = os%d * %s;\n" d (d + 1)
+           exts.(d + 1))
   done;
   let lo_of d = if d = 0 then "sl" else "0" in
-  let hi_of d = if d = 0 then "sh" else string_of_int shape.(d) in
+  let hi_of d = if d = 0 then "sh" else exts.(d) in
   let pad d = String.make (4 + (2 * d)) ' ' in
   let opre = ref "ob" in
   for d = 0 to rank - 2 do
@@ -577,8 +624,8 @@ let emit_stmt k ~buf ~shapes stmt_idx (s : Codegen.statement) =
       (List.rev !(env.level_binds.(d)));
     let pv = Printf.sprintf "o_p%d" d in
     add
-      (Printf.sprintf "%sconst long %s = %s + i%d * %d;\n" (pad (d + 1)) pv
-         !opre d os.(d));
+      (Printf.sprintf "%sconst long %s = %s + i%d * os%d;\n" (pad (d + 1)) pv
+         !opre d d);
     opre := pv
   done;
   (* all innermost-dependent sites contiguous -> the fast variant's
@@ -675,7 +722,13 @@ let emit_stmt k ~buf ~shapes stmt_idx (s : Codegen.statement) =
     add (Printf.sprintf "%s}\n" (pad d))
   done;
   add "  } if (stmt >= 0) break;\n";
-  { e_out = s.s_out; e_store = s.s_store; e_shape = shape; e_out_pos = out_pos }
+  {
+    e_out = s.s_out;
+    e_store = s.s_store;
+    e_shape = shape;
+    e_out_pos = out_pos;
+    e_ext_pos = ext_pos;
+  }
 
 let emit (kern : Codegen.kernel) ~shapes : (emitted, string) result =
   try

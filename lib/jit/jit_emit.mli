@@ -1,9 +1,19 @@
 (** Lowers a fused kernel ({!Functs_core.Codegen.kernel}) to one C
-    function — a flat loop nest per statement, shapes baked in as
-    integer literals, element access over caller-bound [double]
-    buffers — and computes the launch layout the driver binds against.
-    The JIT driver compiles the functions with [cc] and loads them with
-    dlopen.
+    function — a flat loop nest per statement, element access over
+    caller-bound [double] buffers — and computes the launch layout the
+    driver binds against.  The JIT driver compiles the functions with
+    [cc] and loads them with dlopen.
+
+    The function is shape-generic.  Literal in the text: each
+    statement's innermost extent (with its unit output stride, so the
+    contiguous variant vectorises) and every reduction extent.  Read
+    from [ints] at statement entry: every outer extent; the dense
+    output strides and the launch guard's extent terms are computed
+    from them.  No other shape-dependent text reaches the source, so
+    graphs that differ only in outer extents (a workload's serving
+    buckets) emit identical [e_fn] and share one compiled artifact,
+    whose digest keys on that text.  The layout ([e_shape],
+    [e_bounds], ints positions) stays concrete per emission.
 
     The emitter is the only acceptance check for native kernels (affine
     index identifiers, root-only reductions, no [Copaque], concrete
@@ -30,7 +40,12 @@ type estmt = {
   e_out : Graph.value;
   e_store : bool;  (** escapes the kernel (vs. a local temporary) *)
   e_shape : int array;
+      (** this emission's concrete output shape (the C text only holds
+          its innermost extent) *)
   e_out_pos : int;  (** ints position of the output offset *)
+  e_ext_pos : int;
+      (** ints position of the extents of dims [0..rank-2], which the
+          driver fills from [e_shape] *)
 }
 
 type emitted = {
@@ -40,7 +55,7 @@ type emitted = {
       (** body of the launch function
           [long k(double **bufs, const long *ints, long stmt, long lo,
           long hi)]: statement [stmt] over rows [lo, hi) of its outermost
-          baked loop, or every statement at full extent when
+          loop, or every statement at full extent when
           [stmt = -1]; returns 0, or nonzero when a guarded read would
           leave its buffer *)
   e_sites : esite array;

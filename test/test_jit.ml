@@ -4,8 +4,10 @@
    special-value semantics of the emitted C, graceful per-group
    fallback when the compiler is missing, broken or hung or the artifact
    directory is unusable, the emitted unit's shape (one function per
-   kernel, for one ISA), and the on-disk artifact cache (warm loads
-   compile nothing; stale and retired artifacts are evicted).
+   kernel, for one ISA, shape-generic), one compiled unit serving every
+   serving bucket, launches at extents other than the compiling
+   engine's, and the on-disk artifact cache (warm loads compile nothing;
+   stale and retired artifacts are evicted).
 
    Every test degrades to a meaningful assertion when the host has no C
    compiler: the differential legs then prove the fallback ladder
@@ -33,6 +35,28 @@ let jit_dir =
           (try Unix.rmdir d with _ -> ())
       | exception _ -> ());
   d
+
+(* A fresh artifact directory for [f], removed afterwards.  Kernels are
+   shape-generic, so a unit an earlier test compiled into [jit_dir]
+   would serve a later one: tests that need a cold compile (or a failing
+   compiler to be asked at all) use their own directory. *)
+let with_scratch_dir tag f =
+  let dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "functs-jit-%s-%d" tag (Unix.getpid ()))
+  in
+  (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+  Fun.protect
+    ~finally:(fun () ->
+      Jit.clear_loaded ();
+      (try
+         Array.iter
+           (fun f -> try Sys.remove (Filename.concat dir f) with _ -> ())
+           (Sys.readdir dir)
+       with _ -> ());
+      try Unix.rmdir dir with _ -> ())
+    (fun () -> f dir)
 
 let counter name =
   let c = Metrics.counter name in
@@ -223,7 +247,305 @@ let test_render_per_isa () =
   check_int "no target attribute in the default unit" 0
     (count_sub ~sub:target default);
   check "the host ISA is avx2 or default" true
-    (List.mem (Jit.isa ()) [ "avx2"; "default" ])
+    (List.mem (Jit.isa ()) [ "avx2"; "default" ]);
+  (* shape-generic text: a case comment names its value without id or
+     shape, and a statement reads each outer extent from its ints slot
+     once at entry (the whole-kernel entry runs to the first one) *)
+  List.iter
+    (fun (em : Functs_jit.Jit_emit.emitted) ->
+      check (em.e_name ^ ": no shape in a case comment") true
+        (count_sub ~sub:" : [" em.e_fn = 0);
+      Array.iteri
+        (fun j (st : Functs_jit.Jit_emit.estmt) ->
+          let label = Printf.sprintf "%s stmt %d" em.e_name j in
+          let v = st.e_out in
+          let name = if v.Graph.v_name = "" then "tmp" else v.Graph.v_name in
+          check_int
+            (label ^ ": case comment names the value")
+            1
+            (count_sub ~sub:(Printf.sprintf "case %d: { /* %s */\n" j name)
+               em.e_fn);
+          if v.Graph.v_name <> "" then
+            check_int
+              (label ^ ": no value id in the unit")
+              0
+              (count_sub ~sub:(Codegen.value_ref v) em.e_fn);
+          let rank = Array.length st.e_shape in
+          for d = 0 to rank - 2 do
+            check_int
+              (Printf.sprintf "%s: extent %d read from ints" label d)
+              1
+              (count_sub
+                 ~sub:
+                   (Printf.sprintf "const long n%d = ints[%d];\n" d
+                      (st.e_ext_pos + d))
+                 em.e_fn)
+          done)
+        em.e_stmts;
+      let outer =
+        Array.fold_left
+          (fun n (st : Functs_jit.Jit_emit.estmt) ->
+            if Array.length st.e_shape >= 2 then n + 1 else n)
+          0 em.e_stmts
+      in
+      check_int
+        (em.e_name ^ ": every rank >= 2 statement runs to the runtime n0")
+        outer
+        (count_sub ~sub:"sh = stmt < 0 ? n0 : hi;" em.e_fn))
+    emitted
+
+(* --- one unit per workload: every serving bucket shares it --- *)
+
+let buckets = [ 1; 4; 16 ]
+
+let test_bucket_sharing () =
+  if Jit.c_toolchain_available () then
+    List.iter
+      (fun name ->
+        let w = Result.get_ok (Functs.find_workload name) in
+        let seq = w.Workload.default_seq in
+        let graphs =
+          List.map
+            (fun k ->
+              let batch = k * w.Workload.default_batch in
+              let g = Workload.graph w ~batch ~seq in
+              let fg = Graph.clone g in
+              ignore (Passes.tensorssa_pipeline fg);
+              let args () = w.Workload.inputs ~batch ~seq in
+              (k, fg, args, Eval.run g (clone_args (args ()))))
+            buckets
+        in
+        let fns =
+          List.map
+            (fun (_, fg, args, _) ->
+              let kernels, shapes = emittable_kernels fg (args ()) in
+              List.map
+                (fun k ->
+                  (Result.get_ok (Functs_jit.Jit_emit.emit k ~shapes)).e_fn)
+                kernels)
+            graphs
+        in
+        check (name ^ ": emits C kernels") true (List.hd fns <> []);
+        List.iteri
+          (fun i f ->
+            check
+              (Printf.sprintf "%s b%d: e_fn equals b1's" name
+                 (List.nth buckets i))
+              true
+              (f = List.hd fns))
+          fns;
+        List.iter
+          (fun domains ->
+            with_scratch_dir "share" @@ fun dir ->
+            Jit.clear_loaded ();
+            let co0 = c_compiles () and h0 = c_hits () and m0 = c_misses () in
+            List.iter
+              (fun (k, fg, args, expected) ->
+                let label = Printf.sprintf "%s b%d d%d" name k domains in
+                let eng =
+                  Engine.prepare ~domains ~cache:false ~jit:Jit.Auto
+                    ~jit_dir:dir fg
+                    ~inputs:(Engine.input_shapes (args ()))
+                in
+                let got = Engine.run eng (args ()) in
+                let s = Engine.stats eng in
+                check (label ^ ": groups armed natively") true
+                  (s.Scheduler.cjit_groups > 0);
+                check (label ^ ": native kernels ran") true
+                  (s.Scheduler.cjit_runs > 0);
+                check
+                  (label ^ ": outputs equal the interpreter")
+                  true
+                  (bitwise_or_epsilon expected got))
+              graphs;
+            let label = Printf.sprintf "%s d%d" name domains in
+            check_int (label ^ ": one cc for every bucket") 1
+              (c_compiles () - co0);
+            check_int (label ^ ": one artifact miss") 1 (c_misses () - m0);
+            check_int
+              (label ^ ": the other buckets hit")
+              (List.length buckets - 1)
+              (c_hits () - h0))
+          [ 1; 2 ])
+      [ "lstm"; "nasrnn"; "seq2seq" ]
+
+(* --- adversarial extents: a unit launched at extents other than the
+   compiling engine's --- *)
+
+let tensor_args seed shapes =
+  let st = Random.State.make [| seed |] in
+  List.map (fun s -> Value.Tensor (Tensor.rand st s)) shapes
+
+let graph_of name params body =
+  let b = Builder.create name ~params in
+  Builder.return b (body b);
+  let g = Builder.graph b in
+  let fg = Graph.clone g in
+  ignore (Passes.tensorssa_pipeline fg);
+  (g, fg)
+
+let bitwise expected got =
+  List.length expected = List.length got
+  && List.for_all2 (fun e o -> flat e = flat o) expected got
+
+(* Index lists of every read of the parameter named [name]. *)
+let reads_of name (kernels : Codegen.kernel list) =
+  let acc = ref [] in
+  let rec go = function
+    | Codegen.Cread (v, ixs) -> if v.Graph.v_name = name then acc := ixs :: !acc
+    | Codegen.Clit _ | Codegen.Copaque _ -> ()
+    | Codegen.Cunary (_, e) | Codegen.Creduce (_, _, _, e) -> go e
+    | Codegen.Cbinary (_, a, b) | Codegen.Ccond (_, a, b) ->
+        go a;
+        go b
+  in
+  List.iter
+    (fun (k : Codegen.kernel) ->
+      List.iter (fun (s : Codegen.statement) -> go s.s_expr) k.k_stmts)
+    kernels;
+  !acc
+
+let test_adversarial_extents () =
+  if Jit.c_toolchain_available () then begin
+    (* a real broadcast: [b] has extent 1 on the batch dim; only where
+       the output's batch extent exceeds 1 is its index pinned to 0 *)
+    let g, fg =
+      graph_of "broadcast"
+        [ ("x", Dtype.Tensor); ("b", Dtype.Tensor) ]
+        (fun b ->
+          let x = Builder.param b 0 in
+          [ Builder.add b (Builder.mul b x x) (Builder.param b 1) ])
+    in
+    List.iter
+      (fun batch ->
+        let args () = tensor_args batch [ [| batch; 3; 5 |]; [| 1; 3; 5 |] ] in
+        let kernels, _ = emittable_kernels fg (args ()) in
+        let first = List.map List.hd (reads_of "b" kernels) in
+        check
+          (Printf.sprintf "broadcast b%d: b is read" batch)
+          true (first <> []);
+        check
+          (Printf.sprintf "broadcast b%d: batch index of b is %s" batch
+             (if batch > 1 then "pinned to 0" else "the loop variable"))
+          true
+          (List.for_all
+             (fun ix ->
+               ix = if batch > 1 then Codegen.Iconst 0 else Codegen.Ivar "i0")
+             first);
+        with_scratch_dir "bcast" @@ fun dir ->
+        let eng = jit_engine ~dir fg (args ()) in
+        let got = Engine.run eng (args ()) in
+        check
+          (Printf.sprintf "broadcast b%d: armed natively" batch)
+          true
+          ((Engine.stats eng).Scheduler.cjit_runs > 0);
+        check
+          (Printf.sprintf "broadcast b%d: bitwise the interpreter's" batch)
+          true
+          (bitwise (Eval.run g (args ())) got))
+      [ 4; 1 ];
+    (* extent-0 and extent-1 outputs from a unit compiled at extent 4:
+       an elementwise statement and a reduction, both rank >= 2 *)
+    let g, fg =
+      graph_of "generic"
+        [ ("x", Dtype.Tensor); ("y", Dtype.Tensor) ]
+        (fun b ->
+          let x = Builder.param b 0 and y = Builder.param b 1 in
+          let p = Builder.mul b x y in
+          [ Builder.add b p x; Builder.sum_dim b p ~dim:2 ~keepdim:false ])
+    in
+    with_scratch_dir "extents" (fun dir ->
+        Jit.clear_loaded ();
+        List.iteri
+          (fun i batch ->
+            let args () =
+              tensor_args (10 + batch) [ [| batch; 3; 5 |]; [| batch; 3; 5 |] ]
+            in
+            let co0 = c_compiles () and h0 = c_hits () in
+            let eng = jit_engine ~dir fg (args ()) in
+            let got = Engine.run eng (args ()) in
+            let s = Engine.stats eng in
+            let label = Printf.sprintf "generic b%d" batch in
+            check_int (label ^ ": compiles only at the first extent")
+              (if i = 0 then 1 else 0)
+              (c_compiles () - co0);
+            if i > 0 then
+              check (label ^ ": the unit came from the cache") true
+                (c_hits () > h0);
+            check (label ^ ": armed natively") true
+              (s.Scheduler.cjit_groups > 0);
+            check_int (label ^ ": no launch fell back") 0
+              s.Scheduler.jit_fallbacks;
+            check
+              (label ^ ": bitwise the interpreter's")
+              true
+              (bitwise (Eval.run g (args ())) got))
+          [ 4; 1; 0 ]);
+    (* a dynamic select: the launch guard's extent terms come from the
+       launching engine, so in-range indices never trip at any batch and
+       -1 / one past the end always do *)
+    let g, fg =
+      graph_of "select_guard"
+        [ ("x", Dtype.Tensor); ("i", Dtype.Scalar Dtype.Int) ]
+        (fun b ->
+          let row =
+            Builder.op1 b
+              (Op.Access (Op.Select { dim = 1 }))
+              [ Builder.param b 0; Builder.param b 1 ]
+          in
+          [ Builder.add b (Builder.mul b row row) row ])
+    in
+    with_scratch_dir "guard" (fun dir ->
+        Jit.clear_loaded ();
+        let args batch i () =
+          tensor_args (20 + batch) [ [| batch; 3; 5 |] ] @ [ Value.Int i ]
+        in
+        let engine batch = jit_engine ~dir fg (args batch 1 ()) in
+        let agrees eng batch i =
+          bitwise
+            (Eval.run g (args batch i ()))
+            (Engine.run eng (args batch i ()))
+        in
+        ignore (engine 4);
+        List.iter
+          (fun batch ->
+            let co0 = c_compiles () in
+            let label = Printf.sprintf "select b%d" batch in
+            let eng = engine batch in
+            check_int (label ^ ": served by the b4 unit") 0
+              (c_compiles () - co0);
+            List.iter
+              (fun i ->
+                check
+                  (Printf.sprintf "%s, index %d: bitwise the interpreter's"
+                     label i)
+                  true (agrees eng batch i))
+              [ 0; 2 ];
+            check_int (label ^ ": in-range indices never trip the guard") 0
+              (Engine.stats eng).Scheduler.jit_fallbacks;
+            check (label ^ ": ran natively") true
+              ((Engine.stats eng).Scheduler.cjit_runs > 0);
+            (* -1: the guard trips, the launch reruns node by node, and the
+               node-by-node select wraps like the interpreter's *)
+            check
+              (label ^ ", index -1: bitwise the interpreter's")
+              true (agrees eng batch (-1));
+            check_int (label ^ ", index -1: one launch fell back") 1
+              (Engine.stats eng).Scheduler.jit_fallbacks;
+            check_int (label ^ ", index -1: the group was disarmed") 0
+              (Engine.stats eng).Scheduler.cjit_groups;
+            (* one past the end: the guard trips before any read, and the
+               node-by-node rerun raises like the interpreter *)
+            let eng = engine batch in
+            let raises f = match f () with _ -> false | exception _ -> true in
+            check (label ^ ", index 3: the interpreter raises") true
+              (raises (fun () -> Eval.run g (args batch 3 ())));
+            check (label ^ ", index 3: the engine raises") true
+              (raises (fun () -> Engine.run eng (args batch 3 ())));
+            check_int (label ^ ", index 3: one launch fell back") 1
+              (Engine.stats eng).Scheduler.jit_fallbacks)
+          [ 1; 2; 4 ])
+  end
 
 (* --- IEEE special values: Float.max/min/equal and Max reductions --- *)
 
@@ -388,15 +710,16 @@ let test_fallback_missing_toolchain () =
   let g, fg, args_fn = functionalized w in
   let expected = Eval.run g (clone_args (args_fn ())) in
   let fb0 = c_fallbacks () and cco0 = c_compiles () in
-  Jit.clear_loaded ();
-  Jit.set_c_compiler "functs-definitely-missing-cc";
   let got, stats =
+    with_scratch_dir "nocc" @@ fun dir ->
+    Jit.clear_loaded ();
+    Jit.set_c_compiler "functs-definitely-missing-cc";
     Fun.protect
       ~finally:(fun () ->
         Jit.set_c_compiler "cc";
         Jit.clear_loaded ())
       (fun () ->
-        let eng = jit_engine fg (args_fn ()) in
+        let eng = jit_engine ~dir fg (args_fn ()) in
         let got = Engine.run eng (args_fn ()) in
         (got, Engine.stats eng))
   in
@@ -415,16 +738,17 @@ let test_c_compile_failure_demotion () =
   let expected = Eval.run g (clone_args (args_fn ())) in
   let cfb0 = c_fallbacks () and cco0 = c_compiles () in
   let broken = fake_compiler "echo 'fake compiler: refusing' >&2\nexit 1" in
-  Jit.clear_loaded ();
-  Jit.set_c_compiler broken;
   let got, stats, rows =
+    with_scratch_dir "broken" @@ fun dir ->
+    Jit.clear_loaded ();
+    Jit.set_c_compiler broken;
     Fun.protect
       ~finally:(fun () ->
         Jit.set_c_compiler "cc";
         Jit.clear_loaded ();
         Sys.remove broken)
       (fun () ->
-        let eng = jit_engine fg (args_fn ()) in
+        let eng = jit_engine ~dir fg (args_fn ()) in
         let got = Engine.run eng (args_fn ()) in
         (got, Engine.stats eng, Engine.attribution eng))
   in
@@ -454,6 +778,7 @@ let test_hung_compiler_killed () =
   let cfb0 = c_fallbacks () in
   let hung = fake_compiler "exec sleep 30" in
   Journal.clear ();
+  with_scratch_dir "hung" @@ fun dir ->
   Jit.clear_loaded ();
   Jit.set_c_compiler hung;
   Jit.set_c_compile_bound 0.5;
@@ -466,7 +791,7 @@ let test_hung_compiler_killed () =
         Jit.clear_loaded ();
         Sys.remove hung)
       (fun () ->
-        let eng = jit_engine fg (args_fn ()) in
+        let eng = jit_engine ~dir fg (args_fn ()) in
         let got = Engine.run eng (args_fn ()) in
         (got, Engine.stats eng))
   in
@@ -485,7 +810,7 @@ let test_hung_compiler_killed () =
   check "no lockfile was left behind" true
     (Array.for_all
        (fun f -> not (Filename.check_suffix f ".lock"))
-       (try Sys.readdir jit_dir with _ -> [||]))
+       (try Sys.readdir dir with _ -> [||]))
 
 (* --- artifact cache: the second "process" is a disk hit --- *)
 
@@ -515,55 +840,40 @@ let test_artifact_disk_hit () =
 
 let test_c_artifact_disk_hit () =
   if not (Jit.c_toolchain_available ()) then ()
-  else begin
-    let dir =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "functs-jit-so-%d" (Unix.getpid ()))
-    in
+  else
+    with_scratch_dir "so" @@ fun dir ->
     let sos () =
       List.filter
         (fun f -> Filename.check_suffix f ".so")
         (Array.to_list (try Sys.readdir dir with _ -> [||]))
     in
-    Fun.protect
-      ~finally:(fun () ->
-        Jit.clear_loaded ();
-        (try
-           Array.iter
-             (fun f -> try Sys.remove (Filename.concat dir f) with _ -> ())
-             (Sys.readdir dir)
-         with _ -> ());
-        try Unix.rmdir dir with _ -> ())
-      (fun () ->
-        let w = Result.get_ok (Functs.find_workload "nasrnn") in
-        let _, fg, args_fn = functionalized w in
-        let kernels, shapes = emittable_kernels fg (args_fn ()) in
-        Jit.clear_loaded ();
-        let cold = Jit.prepare_groups ~mode:Jit.Auto ~dir ~kernels ~shapes in
-        check "cold prepare armed C kernels" true (cold <> []);
-        let so =
-          match sos () with
-          | [ f ] -> Filename.concat dir f
-          | fs ->
-              Alcotest.failf "expected one .so artifact, found %d"
-                (List.length fs)
-        in
-        let mtime0 = (Unix.stat so).Unix.st_mtime in
-        Jit.clear_loaded ();
-        let h0 = c_hits () and m0 = c_misses () and co0 = c_compiles () in
-        let warm = Jit.prepare_groups ~mode:Jit.Auto ~dir ~kernels ~shapes in
-        check_int "warm prepare armed the same groups" (List.length cold)
-          (List.length warm);
-        check "warm armed groups are the emitted kernels' groups" true
-          (armed_groups warm = kernel_groups kernels);
-        check_int "one disk hit for the graph's .so" 1 (c_hits () - h0);
-        check_int "no C recompile on the warm path" 0 (c_compiles () - co0);
-        check_int "no C cache miss on the warm path" 0 (c_misses () - m0);
-        check_int "still one .so artifact" 1 (List.length (sos ()));
-        check "the .so was loaded, not rewritten" true
-          ((Unix.stat so).Unix.st_mtime = mtime0))
-  end
+    let w = Result.get_ok (Functs.find_workload "nasrnn") in
+    let _, fg, args_fn = functionalized w in
+    let kernels, shapes = emittable_kernels fg (args_fn ()) in
+    Jit.clear_loaded ();
+    let cold = Jit.prepare_groups ~mode:Jit.Auto ~dir ~kernels ~shapes in
+    check "cold prepare armed C kernels" true (cold <> []);
+    let so =
+      match sos () with
+      | [ f ] -> Filename.concat dir f
+      | fs ->
+          Alcotest.failf "expected one .so artifact, found %d"
+            (List.length fs)
+    in
+    let mtime0 = (Unix.stat so).Unix.st_mtime in
+    Jit.clear_loaded ();
+    let h0 = c_hits () and m0 = c_misses () and co0 = c_compiles () in
+    let warm = Jit.prepare_groups ~mode:Jit.Auto ~dir ~kernels ~shapes in
+    check_int "warm prepare armed the same groups" (List.length cold)
+      (List.length warm);
+    check "warm armed groups are the emitted kernels' groups" true
+      (armed_groups warm = kernel_groups kernels);
+    check_int "one disk hit for the graph's .so" 1 (c_hits () - h0);
+    check_int "no C recompile on the warm path" 0 (c_compiles () - co0);
+    check_int "no C cache miss on the warm path" 0 (c_misses () - m0);
+    check_int "still one .so artifact" 1 (List.length (sos ()));
+    check "the .so was loaded, not rewritten" true
+      ((Unix.stat so).Unix.st_mtime = mtime0)
 
 (* --- forced fallback: unusable artifact directory --- *)
 
@@ -592,42 +902,28 @@ let test_fallback_bogus_dir () =
 (* --- hygiene: stale and retired artifacts are evicted on first use --- *)
 
 let test_stale_version_eviction () =
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "functs-jit-stale-%d" (Unix.getpid ()))
+  with_scratch_dir "stale" @@ fun dir ->
+  let plant name contents =
+    let path = Filename.concat dir name in
+    let oc = open_out path in
+    output_string oc contents;
+    close_out oc;
+    path
   in
-  Unix.mkdir dir 0o755;
-  Fun.protect
-    ~finally:(fun () ->
-      (try
-         Array.iter
-           (fun f -> try Sys.remove (Filename.concat dir f) with _ -> ())
-           (Sys.readdir dir)
-       with _ -> ());
-      try Unix.rmdir dir with _ -> ())
-    (fun () ->
-      let plant name contents =
-        let path = Filename.concat dir name in
-        let oc = open_out path in
-        output_string oc contents;
-        close_out oc;
-        path
-      in
-      let stale_c = plant "functs_cjit_v0_deadbeef.so" "not a shared object" in
-      (* what the retired OCaml lane left behind *)
-      let legacy = plant "functs_jit_v2_deadbeef.cmxs" "not a plugin" in
-      let legacy_lock = plant "functs_jit_v2_deadbeef.cmxs.lock" "" in
-      let ev0 = c_evicted () in
-      Jit.clear_loaded ();
-      let w = Result.get_ok (Functs.find_workload "nasrnn") in
-      let _, fg, args_fn = functionalized w in
-      ignore (jit_engine ~dir fg (args_fn ()));
-      Jit.clear_loaded ();
-      check "the stale C artifact is gone" false (Sys.file_exists stale_c);
-      check "the legacy artifact is gone" false (Sys.file_exists legacy);
-      check "the legacy lockfile is gone" false (Sys.file_exists legacy_lock);
-      check_int "every eviction was counted" 3 (c_evicted () - ev0))
+  let stale_c = plant "functs_cjit_v0_deadbeef.so" "not a shared object" in
+  (* what the retired OCaml lane left behind *)
+  let legacy = plant "functs_jit_v2_deadbeef.cmxs" "not a plugin" in
+  let legacy_lock = plant "functs_jit_v2_deadbeef.cmxs.lock" "" in
+  let ev0 = c_evicted () in
+  Jit.clear_loaded ();
+  let w = Result.get_ok (Functs.find_workload "nasrnn") in
+  let _, fg, args_fn = functionalized w in
+  ignore (jit_engine ~dir fg (args_fn ()));
+  Jit.clear_loaded ();
+  check "the stale C artifact is gone" false (Sys.file_exists stale_c);
+  check "the legacy artifact is gone" false (Sys.file_exists legacy);
+  check "the legacy lockfile is gone" false (Sys.file_exists legacy_lock);
+  check_int "every eviction was counted" 3 (c_evicted () - ev0)
 
 let () =
   Alcotest.run "jit"
@@ -640,6 +936,10 @@ let () =
             test_c_differential;
           Alcotest.test_case "emitted unit: one function per kernel per ISA"
             `Quick test_render_per_isa;
+          Alcotest.test_case "serving buckets share one C unit" `Slow
+            test_bucket_sharing;
+          Alcotest.test_case "adversarial extents from a shared unit" `Quick
+            test_adversarial_extents;
           Alcotest.test_case "special values bitwise vs interpreter" `Quick
             test_special_values;
           Alcotest.test_case "inputs of another shape raise" `Quick
