@@ -115,6 +115,8 @@ let () =
       ~jit:config.Config.jit ~jit_dir:config.Config.jit_dir fg
       ~inputs:(Engine.input_shapes args)
   in
+  (* time the armed engine, not a background JIT compile *)
+  Engine.await_jit eng;
   let runs = 40 in
   Journal.enable ();
   (* warm: fill caches and let the tuner pin before measuring *)

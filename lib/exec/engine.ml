@@ -4,6 +4,9 @@ open Functs_interp
 open Functs_tensor
 module Tracer = Functs_obs.Tracer
 
+module Jit = Functs_jit.Jit
+module Journal = Functs_obs.Journal
+
 type t = {
   e_graph : Graph.t;
   e_prepared : Scheduler.prepared;
@@ -11,6 +14,10 @@ type t = {
       (* serializes [run]: cached engines are shared across callers (and
          across session dispatchers on other domains), and the scheduler
          itself is single-run-at-a-time *)
+  mutable e_pending : (Jit.pending * float) option;
+      (* the JIT unit still compiling, and when this engine began to
+         wait for it; read and cleared under [e_lock] *)
+  mutable e_armed_at : float option;  (* when native groups last armed *)
 }
 
 (* --- defaults ---
@@ -29,8 +36,6 @@ let cache_capacity_ref = ref 32
 let set_cache_capacity n = cache_capacity_ref := max 1 n
 let cache_capacity () = !cache_capacity_ref
 
-module Jit = Functs_jit.Jit
-
 let input_shapes args =
   List.map
     (function
@@ -39,6 +44,23 @@ let input_shapes args =
     args
 
 (* --- build (the uncached path) --- *)
+
+(* Arm the groups a finished unit compiled.  A unit that had to wait is
+   journaled as [Jit_arm] with the digest prefix and the wait. *)
+let arm t ?pending entries =
+  if Scheduler.arm t.e_prepared entries > 0 then begin
+    let now = Unix.gettimeofday () in
+    t.e_armed_at <- Some now;
+    match pending with
+    | None -> ()
+    | Some (p, since) ->
+        let wait_ms = 1e3 *. (now -. since) in
+        Journal.record Jit_arm "engine" ~arm:"c-jit" ~value:wait_ms
+          ~detail:
+            (Printf.sprintf "digest=%s wait=%.0fms"
+               (String.sub (Jit.pending_digest p) 0 8)
+               wait_ms)
+  end
 
 let build ~profile ~parallel ~domains ~loop_grain ~kernel_grain ~jit ~jit_dir
     (g : Graph.t) ~inputs =
@@ -52,10 +74,40 @@ let build ~profile ~parallel ~domains ~loop_grain ~kernel_grain ~jit ~jit_dir
       in
       let pool = Pool.shared ~lanes:domains in
       let prepared =
-        Scheduler.prepare ~parallel ~pool ~loop_grain ~kernel_grain
-          ~jit ~jit_dir ~graph:g ~shapes ~plan
+        Scheduler.prepare ~parallel ~pool ~loop_grain ~kernel_grain ~graph:g
+          ~shapes ~plan
       in
-      { e_graph = g; e_prepared = prepared; e_lock = Mutex.create () })
+      let t =
+        {
+          e_graph = g;
+          e_prepared = prepared;
+          e_lock = Mutex.create ();
+          e_pending = None;
+          e_armed_at = None;
+        }
+      in
+      (* Native code for every group [Jit_emit] accepts: armed now on an
+         artifact hit, else once the background compile finishes. *)
+      (if jit <> Jit.Off then
+         let kernels =
+           Tracer.span "codegen.emit" (fun () -> Codegen.emit g plan ~shapes)
+         in
+         match Jit.start_groups ~mode:jit ~dir:jit_dir ~kernels ~shapes with
+         | Jit.Armed entries -> arm t entries
+         | Jit.Pending p -> t.e_pending <- Some (p, Unix.gettimeofday ()));
+      t)
+
+(* Under [e_lock]: arm the pending unit if it has finished ([block]:
+   wait for it). *)
+let settle_pending t ~block =
+  match t.e_pending with
+  | None -> ()
+  | Some ((p, _) as pending) -> (
+      match if block then Some (Jit.await p) else Jit.poll p with
+      | None -> ()
+      | Some entries ->
+          t.e_pending <- None;
+          arm t ~pending entries)
 
 (* --- compile cache ---
 
@@ -205,11 +257,21 @@ let prepare ?(profile = Compiler_profile.tensorssa) ?(parallel = true) ?domains
     build ~profile ~parallel ~domains ~loop_grain ~kernel_grain ~jit ~jit_dir g
       ~inputs
 
-let run t args =
+let locked t f =
   Mutex.lock t.e_lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.e_lock)
-    (fun () -> Scheduler.run t.e_prepared args)
+  Fun.protect ~finally:(fun () -> Mutex.unlock t.e_lock) f
+
+let run t args =
+  locked t (fun () ->
+      settle_pending t ~block:false;
+      Scheduler.run t.e_prepared args)
+
+let await_jit t = locked t (fun () -> settle_pending t ~block:true)
+let jit_pending t = Option.is_some t.e_pending
+let armed_at t = t.e_armed_at
+
+let cancel_jit t =
+  match t.e_pending with Some (p, _) -> Jit.cancel p | None -> ()
 
 let run_tensors t tensors =
   List.map Value.to_tensor (run t (List.map (fun x -> Value.Tensor x) tensors))

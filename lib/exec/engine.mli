@@ -53,7 +53,16 @@ val prepare :
     call.  [jit] (default [Off]) arms fused groups with native code via
     {!Functs_jit.Jit}; [jit_dir] (default [""], a temp-dir fallback) is
     the artifact-cache directory.  Both participate in the compile-cache
-    key.  No process-wide setting changes these defaults.
+    key.
+
+    The JIT is tiered.  On an artifact hit (in memory or on disk) the
+    groups are armed before [prepare] returns.  On a miss [prepare]
+    starts [cc] in the background and returns at once: every group runs
+    per-node until a later {!run}, which polls the compile first, finds
+    the unit loaded and arms it (a [Jit_arm] journal record), adding the
+    [c-jit] arm to each group's tuner.  Engines of one graph at other
+    batch sizes join the same compile.  No run ever waits for [cc]; use
+    {!await_jit} where a caller must time an armed engine.  No process-wide setting changes these defaults.
     Capacity is {!set_cache_capacity} (default 32) entries, evicted LRU;
     hit/miss/evict counters are the [engine.cache.*] metrics, read via
     {!Compiler_profile.cache_snapshot}.  The cache is safe to use from
@@ -84,6 +93,27 @@ val run : t -> Value.t list -> Value.t list
     for. *)
 
 val run_tensors : t -> Tensor.t list -> Tensor.t list
+
+(** {1 Tiered JIT} *)
+
+val await_jit : t -> unit
+(** Block until the engine has no JIT compile pending, arming what it
+    compiled.  For tests, benchmarks and the CLI, which time armed
+    engines; serving never calls it. *)
+
+val jit_pending : t -> bool
+(** A background compile has not armed this engine yet. *)
+
+val armed_at : t -> float option
+(** [Unix.gettimeofday] when native groups were last armed on this
+    engine; [None] when none ever were. *)
+
+val cancel_jit : t -> unit
+(** Kill and reap the engine's pending compile, removing its lockfile
+    and build directory ({!Functs_jit.Jit.cancel}).  Other engines
+    sharing the compile, and this one if it runs again, start it anew
+    at their next run.  Compiles still pending at exit are cancelled by
+    an [at_exit] hook. *)
 
 val stats : t -> Scheduler.stats
 

@@ -1233,8 +1233,8 @@ let vector_plan (bi : binst) (actions : laction array) =
     Some { vp_acts = va; vp_vec = dep }
   with Reject -> None
 
-let prepare ~parallel ~pool:exec_pool ~loop_grain ~kernel_grain ~jit
-    ~jit_dir ~graph ~shapes ~plan =
+let prepare ~parallel ~pool:exec_pool ~loop_grain ~kernel_grain ~graph
+    ~shapes ~plan =
   Metrics.incr prepares_c;
   Tracer.span_args "scheduler.prepare"
     ~args:(fun () -> [ ("graph", graph.Graph.g_name) ])
@@ -1486,18 +1486,6 @@ let prepare ~parallel ~pool:exec_pool ~loop_grain ~kernel_grain ~jit
       | None -> ())
     usage;
   List.iter (fun s -> pinned.(s) <- true) !pinned_extra;
-  (* Native code for every group [Jit_emit] accepts.  [prepare_groups]
-     never raises — an emitter rejection just leaves the table short,
-     and a missing compiler or compile failure also ticks
-     [jit.c.fallback]. *)
-  let jit_tbl : (int, Jit.entry) Hashtbl.t = Hashtbl.create 16 in
-  (if jit <> Jit.Off then
-     let kernels =
-       Tracer.span "codegen.emit" (fun () -> Codegen.emit graph plan ~shapes)
-     in
-     List.iter
-       (fun (gid, entry) -> Hashtbl.replace jit_tbl gid entry)
-       (Jit.prepare_groups ~mode:jit ~dir:jit_dir ~kernels ~shapes));
   (* Fold the per-group tables into one dense dispatch array and stamp
      each group's last member as its launch point, so the executor's
      per-instruction dispatch is an array load instead of hashtable
@@ -1507,16 +1495,14 @@ let prepare ~parallel ~pool:exec_pool ~loop_grain ~kernel_grain ~jit
   Hashtbl.iter
     (fun gid ms ->
       (List.nth ms (List.length ms - 1)).i_last <- true;
-      let jit = Hashtbl.find_opt jit_tbl gid in
-      groups.(gid) <-
-        Some
-          {
-            g_members = ms;
-            g_jit = jit;
-            g_tuner =
-              Tuner.create ~scope:"scheduler.group" ~id:gid ~name:garm_name
-                (if jit = None then [ Per_node ] else [ Cjit; Per_node ]);
-          })
+      (* [Cjit] starts dropped: {!arm} adds it once a native kernel
+         exists for the group *)
+      let tuner =
+        Tuner.create ~scope:"scheduler.group" ~id:gid ~name:garm_name
+          [ Cjit; Per_node ]
+      in
+      Tuner.drop tuner Cjit;
+      groups.(gid) <- Some { g_members = ms; g_jit = None; g_tuner = tuner })
     members;
   let scalar_slots = Hashtbl.create 64 in
   let note_value (v : Graph.value) =
@@ -1563,6 +1549,17 @@ let prepare ~parallel ~pool:exec_pool ~loop_grain ~kernel_grain ~jit
   }
 
 let output_shapes p = p.p_out_shapes
+
+let arm p entries =
+  List.fold_left
+    (fun n (gid, entry) ->
+      match if gid < Array.length p.p_groups then p.p_groups.(gid) else None with
+      | Some g when g.g_jit = None ->
+          g.g_jit <- Some entry;
+          Tuner.add g.g_tuner Cjit;
+          n + 1
+      | Some _ | None -> n)
+    0 entries
 
 let run p args =
   Metrics.incr runs_c;

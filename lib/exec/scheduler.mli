@@ -44,8 +44,6 @@ val prepare :
   pool:Pool.t ->
   loop_grain:int ->
   kernel_grain:int ->
-  jit:Functs_jit.Jit.mode ->
-  jit_dir:string ->
   graph:Graph.t ->
   shapes:Shape_infer.result ->
   plan:Fusion.plan ->
@@ -56,11 +54,15 @@ val prepare :
     domains; its lane count alone decides whether loops may dispatch);
     [loop_grain] is the minimum trip count before a loop runs batched,
     [kernel_grain] the per-chunk element count for intra-kernel splits.
-    [jit] arms fused groups with native code compiled through
-    {!Functs_jit.Jit} (artifacts cached under [jit_dir], [""] = temp-dir
-    default); with [Off] no kernel is generated at all, and arming
-    failures leave the group per-node and never raise.  Each group and
-    each batched loop picks its arm with a {!Tuner}. *)
+    Every group starts per-node; {!arm} adds native kernels.  Each
+    group and each batched loop picks its arm with a {!Tuner}. *)
+
+val arm : prepared -> (int * Functs_jit.Jit.entry) list -> int
+(** Arm each listed group ([(group id, entry)], as
+    {!Functs_jit.Jit.start_groups} returns them) with its native kernel
+    and add the [c-jit] arm to its tuner ({!Tuner.add}); returns how
+    many groups it armed.  Groups already armed, or unknown, are left
+    as they are.  Callers serialize it with {!run}. *)
 
 val output_shapes : prepared -> Shape_infer.shape option list
 (** Statically inferred shapes of the graph's return values (in return

@@ -172,6 +172,31 @@ let drop t a =
     next 1
   end
 
+(* The mirror of [drop]: make [a] live again.  While pinned, only [a]
+   re-samples — the incumbent is seeded with its best launch (of the
+   sampling window or the pin's, as [expire] seeds it) and every other
+   live arm keeps its last best — and the next pin weighs [a] against
+   them.  While sampling, [a] joins the window and the sampler picks
+   again, so a tuner that has launched nothing samples exactly as one
+   created with [a] live; a frozen pin stays. *)
+let add t a =
+  let s = t.st in
+  let i = index s a in
+  if not s.live.(i) then begin
+    s.live.(i) <- true;
+    s.runs.(i) <- 0;
+    s.best.(i) <- infinity;
+    if not (s.sampling || s.frozen) then begin
+      Array.iteri
+        (fun j live -> if live && j <> i then s.runs.(j) <- sample_runs)
+        s.live;
+      s.best.(s.cur) <- Float.min s.best.(s.cur) s.pin_best;
+      s.sampling <- true;
+      set t i
+    end
+    else if s.sampling then advance t
+  end
+
 let freeze t a ~detail =
   let s = t.st in
   let i = index s a in

@@ -35,8 +35,13 @@
 #include <caml/alloc.h>
 #include <caml/memory.h>
 #include <dlfcn.h>
+#include <fcntl.h>
+#include <signal.h>
+#include <spawn.h>
 #include <stdio.h>
 #include <string.h>
+
+extern char **environ;
 
 typedef long (*functs_cjit_fn)(double **, const long *, long, long, long);
 
@@ -117,4 +122,39 @@ CAMLprim value functs_cjit_host_avx2(value unit)
 #else
   return Val_false;
 #endif
+}
+
+/* Start [/bin/sh -c cmd] as the leader of a new process group, with
+ * stdin from /dev/null and stdout/stderr appended to [log]; returns its
+ * pid, or -1 when it could not be started.  The [cc] front end runs
+ * cc1, as and ld as children of its own, so a compile is cancelled by
+ * signalling the whole group: killing [cc] alone would leave cc1
+ * running until it finished. */
+CAMLprim value functs_cjit_spawn(value vcmd, value vlog)
+{
+  CAMLparam2(vcmd, vlog);
+  char *cmd = caml_stat_strdup(String_val(vcmd));
+  char *log = caml_stat_strdup(String_val(vlog));
+  char *argv[] = { "/bin/sh", "-c", cmd, NULL };
+  posix_spawn_file_actions_t fa;
+  posix_spawnattr_t at;
+  sigset_t none;
+  pid_t pid = -1;
+  int rc;
+  sigemptyset(&none);
+  posix_spawn_file_actions_init(&fa);
+  posix_spawn_file_actions_addopen(&fa, 0, "/dev/null", O_RDONLY, 0);
+  posix_spawn_file_actions_addopen(&fa, 1, log, O_WRONLY | O_CREAT | O_TRUNC,
+                                   0644);
+  posix_spawn_file_actions_adddup2(&fa, 1, 2);
+  posix_spawnattr_init(&at);
+  posix_spawnattr_setflags(&at, POSIX_SPAWN_SETPGROUP | POSIX_SPAWN_SETSIGMASK);
+  posix_spawnattr_setpgroup(&at, 0);
+  posix_spawnattr_setsigmask(&at, &none);
+  rc = posix_spawn(&pid, "/bin/sh", &fa, &at, argv, environ);
+  posix_spawnattr_destroy(&at);
+  posix_spawn_file_actions_destroy(&fa);
+  caml_stat_free(cmd);
+  caml_stat_free(log);
+  CAMLreturn(Val_long(rc == 0 ? (long)pid : -1L));
 }

@@ -13,7 +13,10 @@ module Metrics = Functs_obs.Metrics
    extents into its [ints] once, so engines at other batch sizes share
    the compiled unit.
 
-   Nothing here raises across the engine API: [prepare_groups] turns
+   A unit that must be compiled is [Pending]: [cc] runs in the
+   background ({!Jit_cache.start}) and the caller polls for the entries.
+
+   Nothing here raises across the engine API: [start_groups] turns
    every failure (no compiler, compile error or timeout, corrupt
    artifact) into an empty/partial result plus a [jit.c.fallback] tick
    per emitted group, leaves a kernel the emitter rejects out with a
@@ -195,9 +198,62 @@ let entry_of (em : Jit_emit.emitted) fn =
     en_scratch = Array.make (Array.length em.e_stmts) None;
   }
 
-let prepare_groups ~mode ~dir ~kernels ~shapes =
+(* A unit whose compile is still running.  [pd_job] is replaced when a
+   cancel (another owner closing) stops the compile under a pending
+   engine: its next poll starts the unit again. *)
+type pending = {
+  pd_emitted : Jit_emit.emitted list;
+  pd_dir : string;
+  pd_digest : string;
+  pd_source : string;
+  mutable pd_job : Jit_cache.job;
+}
+
+type started = Armed of (int * entry) list | Pending of pending
+
+let restart pd =
+  pd.pd_job <-
+    Jit_cache.start ~dir:pd.pd_dir ~digest:pd.pd_digest ~source:pd.pd_source
+      ~nfns:(List.length pd.pd_emitted)
+
+(* The entries of a finished unit; every emitted group ticks
+   [jit.c.groups] or, when the unit failed, [jit.c.fallback]. *)
+let settled pd = function
+  | Ok tbl ->
+      Metrics.incr ~by:(List.length pd.pd_emitted) groups_c;
+      List.mapi
+        (fun idx (em : Jit_emit.emitted) ->
+          (em.e_group, entry_of em { Jit_cache.tbl; idx }))
+        pd.pd_emitted
+  | Error _ ->
+      Metrics.incr ~by:(List.length pd.pd_emitted) fallback_c;
+      []
+
+let poll pd =
+  match Jit_cache.poll pd.pd_job with
+  | `Pending -> None
+  | `Cancelled ->
+      restart pd;
+      None
+  | `Ready tbl -> Some (settled pd (Ok tbl))
+  | `Failed e -> Some (settled pd (Error e))
+
+let await pd =
+  let rec go pause =
+    match poll pd with
+    | Some entries -> entries
+    | None ->
+        Unix.sleepf pause;
+        go (Float.min 0.01 (pause *. 2.))
+  in
+  go 0.001
+
+let cancel pd = Jit_cache.cancel pd.pd_job
+let pending_digest pd = pd.pd_digest
+
+let start_groups ~mode ~dir ~kernels ~shapes =
   match (mode, kernels) with
-  | Off, _ | _, [] -> []
+  | Off, _ | _, [] -> Armed []
   | Auto, _ -> (
       let emitted =
         Tracer.span "jit.emit" @@ fun () ->
@@ -212,23 +268,27 @@ let prepare_groups ~mode ~dir ~kernels ~shapes =
           kernels
       in
       match emitted with
-      | [] -> []
+      | [] -> Armed []
       | _ -> (
-          let n = List.length emitted in
           let digest, source = render_source ~isa:(isa ()) emitted in
-          match
-            Jit_cache.get_or_build ~dir:(resolve_dir dir) ~digest ~source
-              ~nfns:n
-          with
-          | Error _ ->
-              Metrics.incr ~by:n fallback_c;
-              []
-          | Ok tbl ->
-              Metrics.incr ~by:n groups_c;
-              List.mapi
-                (fun idx (em : Jit_emit.emitted) ->
-                  (em.e_group, entry_of em { Jit_cache.tbl; idx }))
-                emitted))
+          let dir = resolve_dir dir in
+          let pd =
+            {
+              pd_emitted = emitted;
+              pd_dir = dir;
+              pd_digest = digest;
+              pd_source = source;
+              pd_job =
+                Jit_cache.start ~dir ~digest ~source
+                  ~nfns:(List.length emitted);
+            }
+          in
+          match poll pd with Some entries -> Armed entries | None -> Pending pd))
+
+let prepare_groups ~mode ~dir ~kernels ~shapes =
+  match start_groups ~mode ~dir ~kernels ~shapes with
+  | Armed entries -> entries
+  | Pending pd -> await pd
 
 (* Launch-time validation: the generated code only reads statically
    bounded sites without checks, so each of them must pass the

@@ -9,12 +9,18 @@
     batch sizes therefore render the same source and digest, and all
     but the first resolve it as a [jit.c.hit] instead of a compile.
 
-    Failure never crosses the engine API: {!prepare_groups} records
-    every failure (missing or hung compiler, compile error) as a
-    [jit.c.fallback] tick per emitted group, skips the kernels the
-    emitter rejects, and returns the groups that did arm; {!run} raises only {!Fallback}, which the scheduler
-    converts into a per-node launch for that group.  Without a C
-    compiler every group runs node by node. *)
+    Compiles are tiered: {!start_groups} returns at once.  A memory or
+    disk hit comes back [Armed]; a miss comes back [Pending] while [cc]
+    runs in the background, and the caller {!poll}s for the entries
+    (the engine does so at the start of each run), {!await}s them, or
+    {!cancel}s the compile.  {!prepare_groups} is the synchronous form.
+
+    Failure never crosses the engine API: a finished unit that failed
+    (missing or hung compiler, compile error) ticks [jit.c.fallback]
+    once per emitted group and arms nothing, kernels the emitter
+    rejects are skipped, and {!run} raises only {!Fallback}, which the
+    scheduler converts into a per-node launch for that group.  Without
+    a C compiler every group runs node by node. *)
 
 open Functs_ir
 open Functs_tensor
@@ -69,15 +75,47 @@ val render_source : isa:string -> Jit_emit.emitted list -> string * string
     codegen version, [isa] and every kernel body — which holds no outer
     extent, so it is the same for every batch size of a graph. *)
 
+type pending
+(** A unit whose compile is still running. *)
+
+type started =
+  | Armed of (int * entry) list
+      (** [(group id, entry)] for each kernel that made it to native
+          code: a memory or disk hit, or a failure (then empty). *)
+  | Pending of pending  (** an artifact miss: [cc] runs in the background *)
+
+val start_groups :
+  mode:mode ->
+  dir:string ->
+  kernels:Codegen.kernel list ->
+  shapes:Shape_infer.result ->
+  started
+(** Emit the given kernels and resolve their unit through
+    {!Jit_cache.start}.  Never waits for a compiler and never raises. *)
+
+val poll : pending -> (int * entry) list option
+(** [None] while the compile runs; then, exactly once per pending
+    unit, its entries ([[]] when it failed).  A compile cancelled under
+    it (another owner of the shared job closed) is started again. *)
+
+val await : pending -> (int * entry) list
+(** Poll until the unit finishes. *)
+
+val cancel : pending -> unit
+(** Kill the unit's compile (see {!Jit_cache.cancel}); a later {!poll}
+    starts it again. *)
+
+val pending_digest : pending -> string
+
 val prepare_groups :
   mode:mode ->
   dir:string ->
   kernels:Codegen.kernel list ->
   shapes:Shape_infer.result ->
   (int * entry) list
-(** Emit, compile (or load from cache) and arm the given kernels;
-    returns [(group id, entry)] for each kernel that made it to native
-    code.  Never raises. *)
+(** {!start_groups}, then {!await} a pending unit: returns
+    [(group id, entry)] for each kernel that made it to native code.
+    Never raises. *)
 
 exception Fallback of string
 

@@ -20,8 +20,10 @@ module Journal = Functs_obs.Journal
    serialized by a [.lock] file (O_CREAT|O_EXCL) with stale-lock
    breaking, and the compile itself happens in a private build directory
    followed by an atomic rename, so readers never observe a half-written
-   artifact.  A compile that outlives [compile_bound] is killed, so a
-   hung compiler can neither wedge the caller nor outlive the lock. *)
+   artifact.  Compiles run in the background ([start] returns at once,
+   [poll] advances them); one that outlives [compile_bound] is killed
+   at the next poll, so a hung compiler can neither wedge the caller nor
+   outlive the lock. *)
 
 (* The artifact digest covers the kernel bodies; changes to the fixed
    source wrapper must bump this stamp.  v2: entry points return a guard
@@ -62,13 +64,6 @@ let evicted_c = Metrics.counter "jit.c.evicted"
 let lock = Mutex.create ()
 let loaded : (string, nativeint) Hashtbl.t = Hashtbl.create 8
 let prepared_dirs : (string, unit) Hashtbl.t = Hashtbl.create 4
-
-(* Test hook: forgetting the in-process tables simulates a fresh
-   process, so the disk-hit path can be exercised in one binary. *)
-let clear_loaded () =
-  Mutex.protect lock (fun () ->
-      Hashtbl.reset loaded;
-      Hashtbl.reset prepared_dirs)
 
 let prefix = "functs_cjit_v"
 
@@ -129,38 +124,6 @@ let lock_wait = 10.0
 let compile_bound = ref 45.0
 let set_compile_bound s = compile_bound := s
 
-(* Run [cmd] through the shell with its output in [log], killing it once
-   it has run for [compile_bound] seconds.  The shell [exec]s the
-   command, so the process killed is the compiler driver itself. *)
-let run_bounded cmd ~log =
-  let out = Unix.openfile log Unix.[ O_WRONLY; O_CREAT; O_TRUNC ] 0o644 in
-  let pid =
-    Fun.protect
-      ~finally:(fun () -> Unix.close out)
-      (fun () ->
-        Unix.create_process "/bin/sh"
-          [| "/bin/sh"; "-c"; "exec " ^ cmd |]
-          Unix.stdin out out)
-  in
-  let deadline = Unix.gettimeofday () +. !compile_bound in
-  let rec wait pause =
-    match Unix.waitpid [ Unix.WNOHANG ] pid with
-    | 0, _ ->
-        if Unix.gettimeofday () > deadline then begin
-          (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-          ignore (Unix.waitpid [] pid);
-          `Killed
-        end
-        else begin
-          Unix.sleepf pause;
-          wait (Float.min 0.01 (pause *. 2.))
-        end
-    | _, Unix.WEXITED rc -> `Exited rc
-    | _, (Unix.WSIGNALED s | Unix.WSTOPPED s) -> `Exited (128 + abs s)
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait pause
-  in
-  wait 0.001
-
 (* [-ffp-contract=off] keeps every multiply-add as two IEEE operations
    (bitwise parity with the interpreter, same discipline as
    gemm_stubs.c); [-fno-math-errno]/[-fno-trapping-math] change no bit
@@ -173,155 +136,312 @@ let run_bounded cmd ~log =
 let compile_flags =
   "-O3 -shared -fPIC -ffp-contract=off -fno-math-errno -fno-trapping-math"
 
-let compile_artifact ~dir ~digest ~source =
-  Tracer.span_args "jit.c.compile"
-    ~args:(fun () -> [ ("isa", Toolchain.isa ()) ])
-  @@ fun () ->
-  let base = artifact_base digest in
-  let final = artifact_path ~dir ~digest in
-  let build =
-    Filename.concat dir
-      (Printf.sprintf "build-%d-c-%s" (Unix.getpid ()) digest)
-  in
-  try
-    mkdir_p build;
-    if not (Sys.file_exists build && Sys.is_directory build) then
-      Error ("cannot create build directory " ^ build)
-    else begin
-      let src = Filename.concat build (base ^ ".c") in
-      let oc = open_out src in
-      output_string oc source;
-      close_out oc;
-      let out = Filename.concat build (base ^ ".so") in
-      let log = Filename.concat build "cc.log" in
-      let compiler = Toolchain.c_compiler () in
-      let attempt extra libs =
-        run_bounded ~log
-          (Printf.sprintf "%s %s %s -o %s %s %s" compiler compile_flags extra
-             (Filename.quote out) (Filename.quote src) libs)
-      in
-      let status =
-        match attempt "" "-lmvec -lm" with
-        | `Exited 0 -> `Exited 0
-        | `Killed -> `Killed
-        | `Exited _ -> attempt "-DFUNCTS_NO_VECLIBM" "-lm"
-      in
-      let cleanup () =
-        Array.iter
-          (fun f -> try Sys.remove (Filename.concat build f) with _ -> ())
-          (try Sys.readdir build with _ -> [||]);
-        try Unix.rmdir build with _ -> ()
-      in
-      match status with
-      | `Killed ->
-          cleanup ();
-          let msg =
-            Printf.sprintf "%s killed after %.0f s" compiler !compile_bound
-          in
-          Journal.record Jit_demote "jit.c.compile" ~arm:"per_node" ~detail:msg;
-          Error msg
-      | `Exited rc when rc <> 0 ->
-          let excerpt = read_excerpt log in
-          cleanup ();
-          Error (Printf.sprintf "%s failed (rc %d): %s" compiler rc excerpt)
-      | `Exited _ -> (
-          Metrics.incr compiles_c;
-          match Sys.rename out final with
-          | () ->
-              cleanup ();
-              Ok ()
-          | exception e ->
-              cleanup ();
-              Error ("artifact install: " ^ Printexc.to_string e))
-    end
-  with e -> Error ("artifact compile: " ^ Printexc.to_string e)
-
 let load_artifact path ~expect_header ~nfns =
   Tracer.span "jit.c.load" @@ fun () ->
   let tbl = cjit_load path expect_header nfns in
   if tbl = 0n then Error (Printf.sprintf "%s: %s" path (cjit_last_error ()))
   else Ok tbl
 
-let acquire_or_wait ~lockpath ~final =
-  let try_acquire () =
-    match Unix.openfile lockpath Unix.[ O_CREAT; O_EXCL; O_WRONLY ] 0o644 with
-    | fd ->
-        Unix.close fd;
-        `Acquired
-    | exception Unix.Unix_error (Unix.EEXIST, _, _) -> `Held
-    | exception _ -> `Acquired
-    (* an unwritable directory surfaces as the real compile error *)
-  in
-  match try_acquire () with
-  | `Acquired -> `Acquired
-  | `Held ->
-      let deadline = Unix.gettimeofday () +. lock_wait in
-      let rec wait () =
-        if Sys.file_exists final then `Appeared
-        else if Unix.gettimeofday () > deadline then `Timeout
-        else begin
-          (match Unix.stat lockpath with
-          | st when Unix.gettimeofday () -. st.Unix.st_mtime > stale_after -> (
-              try Sys.remove lockpath with _ -> ())
-          | _ -> ()
-          | exception _ -> ());
-          match try_acquire () with
-          | `Acquired -> `Acquired
-          | `Held ->
-              Unix.sleepf 0.05;
-              wait ()
-        end
-      in
-      wait ()
+external spawn : string -> string -> int = "functs_cjit_spawn"
 
-(* Memo table, disk hit, lockfile-serialized compile; every failure is
-   an [Error _]. *)
-let get_or_build ~dir ~digest ~source ~nfns =
-  Mutex.protect lock @@ fun () ->
-  match Hashtbl.find_opt loaded digest with
-  | Some tbl ->
-      Metrics.incr hit_c;
+(* --- background compiles ---
+
+   A miss starts the compiler as a child process and returns a [job] at
+   once: nothing on the caller's path waits for [cc].  [poll] advances a
+   job without blocking (a [WNOHANG] wait on the compiler, or the
+   lockfile probes of a compile another process holds); it enforces
+   [compile_bound], runs the scalar-libm retry and installs the
+   artifact, so a job moves only when someone polls it.  Jobs in flight
+   are keyed by digest: a second start of the same unit joins the first
+   instead of compiling again.  [lock] guards the tables and is only
+   ever held for non-blocking steps.
+
+   The compiler runs in a process group of its own (see
+   [functs_cjit_spawn]) with [TMPDIR] in its build directory, so a
+   cancel or a timeout kills cc1/as/ld with [cc] itself and leaves no
+   file behind.  It is not niced: on a host where the caller keeps the
+   only CPU busy, a niced compile would never finish. *)
+
+type compile = {
+  c_pid : int;  (* the [cc] process, leader of its process group *)
+  c_deadline : float;
+  c_scalar : bool;  (* the [-DFUNCTS_NO_VECLIBM] retry *)
+  c_build : string;  (* private build directory *)
+}
+
+type state =
+  | Lock_wait of float
+      (* another process compiles this digest; give up at this time *)
+  | Compiling of compile  (* our compiler runs; we hold the lockfile *)
+  | Done of (nativeint, string) result
+  | Cancelled
+
+type job = {
+  j_dir : string;
+  j_digest : string;
+  j_source : string;
+  j_nfns : int;
+  mutable j_state : state;
+}
+
+let jobs : (string, job) Hashtbl.t = Hashtbl.create 4
+let final_of j = artifact_path ~dir:j.j_dir ~digest:j.j_digest
+let lock_of j = final_of j ^ ".lock"
+let remove_quiet path = try Sys.remove path with _ -> ()
+
+let remove_build build =
+  Array.iter
+    (fun f -> remove_quiet (Filename.concat build f))
+    (try Sys.readdir build with _ -> [||]);
+  try Unix.rmdir build with _ -> ()
+
+(* SIGKILL the compiler's whole process group and reap [cc] (its own
+   children are reparented when it dies, and cannot run again). *)
+let kill_group pid =
+  (try Unix.kill (-pid) Sys.sigkill with Unix.Unix_error _ -> ());
+  let rec reap () =
+    match Unix.waitpid [] pid with
+    | _ -> ()
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> reap ()
+    | exception Unix.Unix_error _ -> ()
+  in
+  reap ()
+
+let unregister j =
+  match Hashtbl.find_opt jobs j.j_digest with
+  | Some j' when j' == j -> Hashtbl.remove jobs j.j_digest
+  | _ -> ()
+
+let settle j r =
+  j.j_state <- Done r;
+  unregister j
+
+(* Load an installed artifact and memoize it; a corrupt one is removed,
+   or it would wedge every later process. *)
+let load_final j =
+  let path = final_of j in
+  match load_artifact path ~expect_header:(header j.j_digest) ~nfns:j.j_nfns with
+  | Ok tbl ->
+      Hashtbl.replace loaded j.j_digest tbl;
       Ok tbl
-  | None ->
+  | Error e ->
+      remove_quiet path;
+      Error e
+
+let try_acquire lockpath =
+  match Unix.openfile lockpath Unix.[ O_CREAT; O_EXCL; O_WRONLY ] 0o644 with
+  | fd ->
+      Unix.close fd;
+      `Acquired
+  | exception Unix.Unix_error (Unix.EEXIST, _, _) -> `Held
+  | exception _ -> `Acquired
+(* an unwritable directory surfaces as the real compile error *)
+
+let artifact_files j ~build =
+  let base = Filename.concat build (artifact_base j.j_digest) in
+  (base ^ ".c", base ^ ".so", Filename.concat build "cc.log")
+
+(* One compiler run over the source already written to [build]. *)
+let attempt j ~build ~scalar =
+  let src, out, log = artifact_files j ~build in
+  let extra, libs =
+    if scalar then ("-DFUNCTS_NO_VECLIBM", "-lm") else ("", "-lmvec -lm")
+  in
+  let cmd =
+    Printf.sprintf "TMPDIR=%s exec %s %s %s -o %s %s %s" (Filename.quote build)
+      (Toolchain.c_compiler ()) compile_flags extra (Filename.quote out)
+      (Filename.quote src) libs
+  in
+  match spawn cmd log with
+  | pid when pid > 0 ->
+      j.j_state <-
+        Compiling
+          {
+            c_pid = pid;
+            c_deadline = Unix.gettimeofday () +. !compile_bound;
+            c_scalar = scalar;
+            c_build = build;
+          }
+  | _ -> failwith ("cannot start " ^ Toolchain.c_compiler ())
+
+(* Holding the lockfile: write the source and start the compiler. *)
+let begin_compile j =
+  Tracer.instant "jit.c.compile" ~args:[ ("isa", Toolchain.isa ()) ];
+  let build =
+    Filename.concat j.j_dir
+      (Printf.sprintf "build-%d-c-%s" (Unix.getpid ()) j.j_digest)
+  in
+  try
+    mkdir_p build;
+    if not (Sys.file_exists build && Sys.is_directory build) then
+      failwith ("cannot create build directory " ^ build);
+    let src, _, _ = artifact_files j ~build in
+    let oc = open_out src in
+    output_string oc j.j_source;
+    close_out oc;
+    attempt j ~build ~scalar:false
+  with e ->
+    remove_build build;
+    remove_quiet (lock_of j);
+    settle j
+      (Error
+         (match e with
+         | Failure m -> m
+         | e -> "artifact compile: " ^ Printexc.to_string e))
+
+let finish_compile j c r =
+  remove_build c.c_build;
+  remove_quiet (lock_of j);
+  settle j r
+
+let step_compile j c =
+  let compiler = Toolchain.c_compiler () in
+  match Unix.waitpid [ Unix.WNOHANG ] c.c_pid with
+  | 0, _ ->
+      if Unix.gettimeofday () > c.c_deadline then begin
+        kill_group c.c_pid;
+        let msg =
+          Printf.sprintf "%s killed after %.0f s" compiler !compile_bound
+        in
+        Journal.record Jit_demote "jit.c.compile" ~arm:"per_node" ~detail:msg;
+        finish_compile j c (Error msg)
+      end
+  | _, Unix.WEXITED 0 -> (
+      Metrics.incr compiles_c;
+      let _, out, _ = artifact_files j ~build:c.c_build in
+      match Sys.rename out (final_of j) with
+      | () -> finish_compile j c (load_final j)
+      | exception e ->
+          finish_compile j c (Error ("artifact install: " ^ Printexc.to_string e)))
+  | _, (Unix.WEXITED _ | Unix.WSIGNALED _ | Unix.WSTOPPED _)
+    when not c.c_scalar -> (
+      try attempt j ~build:c.c_build ~scalar:true
+      with Failure m -> finish_compile j c (Error m))
+  | _, (Unix.WEXITED rc | Unix.WSIGNALED rc | Unix.WSTOPPED rc) ->
+      let rc = if rc < 0 then 128 + abs rc else rc in
+      let _, _, log = artifact_files j ~build:c.c_build in
+      let excerpt = read_excerpt log in
+      finish_compile j c
+        (Error (Printf.sprintf "%s failed (rc %d): %s" compiler rc excerpt))
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+  | exception e ->
+      (* no longer our child: nothing left to kill *)
+      finish_compile j c (Error ("artifact compile: " ^ Printexc.to_string e))
+
+(* Another process holds the lockfile: its atomic rename ends the wait;
+   a lock older than [stale_after] belongs to a dead holder and is
+   broken. *)
+let step_lock_wait j deadline =
+  let final = final_of j and lockpath = lock_of j in
+  if Sys.file_exists final then settle j (load_final j)
+  else begin
+    (match Unix.stat lockpath with
+    | st when Unix.gettimeofday () -. st.Unix.st_mtime > stale_after ->
+        remove_quiet lockpath
+    | _ -> ()
+    | exception _ -> ());
+    match try_acquire lockpath with
+    | `Acquired ->
+        if Sys.file_exists final then begin
+          remove_quiet lockpath;
+          settle j (load_final j)
+        end
+        else begin_compile j
+    | `Held ->
+        if Unix.gettimeofday () > deadline then
+          settle j (Error "timed out waiting for concurrent compile")
+  end
+
+type status = [ `Pending | `Ready of nativeint | `Failed of string | `Cancelled ]
+
+let status j : status =
+  match j.j_state with
+  | Lock_wait _ | Compiling _ -> `Pending
+  | Done (Ok tbl) -> `Ready tbl
+  | Done (Error e) -> `Failed e
+  | Cancelled -> `Cancelled
+
+let poll j =
+  Mutex.protect lock @@ fun () ->
+  (match j.j_state with
+  | Lock_wait deadline -> step_lock_wait j deadline
+  | Compiling c -> step_compile j c
+  | Done _ | Cancelled -> ());
+  status j
+
+let cancel_locked j =
+  match j.j_state with
+  | Compiling c ->
+      kill_group c.c_pid;
+      remove_build c.c_build;
+      remove_quiet (lock_of j);
+      j.j_state <- Cancelled;
+      unregister j
+  | Lock_wait _ ->
+      j.j_state <- Cancelled;
+      unregister j
+  | Done _ | Cancelled -> ()
+
+let cancel j = Mutex.protect lock (fun () -> cancel_locked j)
+
+let cancel_all_locked () =
+  List.iter cancel_locked (Hashtbl.fold (fun _ j acc -> j :: acc) jobs [])
+
+(* Engines outside sessions may still wait on a compile at exit: nothing
+   outlives the process. *)
+let () = at_exit (fun () -> Mutex.protect lock cancel_all_locked)
+
+(* Test hook: forgetting the in-process tables (and cancelling what is in
+   flight) simulates a fresh process, so the disk-hit path can be
+   exercised in one binary. *)
+let clear_loaded () =
+  Mutex.protect lock (fun () ->
+      cancel_all_locked ();
+      Hashtbl.reset loaded;
+      Hashtbl.reset prepared_dirs)
+
+(* Memo hit, join of a compile in flight, disk hit, or a fresh compile;
+   only the last is a miss.  Never blocks on the compiler and never
+   raises: every failure settles the job with an [Error _]. *)
+let start ~dir ~digest ~source ~nfns =
+  Mutex.protect lock @@ fun () ->
+  let j =
+    { j_dir = dir; j_digest = digest; j_source = source; j_nfns = nfns;
+      j_state = Cancelled }
+  in
+  match (Hashtbl.find_opt loaded digest, Hashtbl.find_opt jobs digest) with
+  | Some tbl, _ ->
+      Metrics.incr hit_c;
+      settle j (Ok tbl);
+      j
+  | None, Some joined ->
+      Metrics.incr hit_c;
+      joined
+  | None, None ->
       (* An unusable directory (no permission, path under a file, …)
-         must degrade, not raise: the compile step below reports the
-         real error as an [Error _]. *)
+         must degrade, not raise: the compile step reports the real
+         error as an [Error _]. *)
       (try mkdir_p dir with _ -> ());
       if not (Hashtbl.mem prepared_dirs dir) then begin
         Hashtbl.replace prepared_dirs dir ();
         evict_stale dir
       end;
-      let expect_header = header digest in
-      let final = artifact_path ~dir ~digest in
-      let finish path =
-        match load_artifact path ~expect_header ~nfns with
-        | Ok tbl ->
-            Hashtbl.replace loaded digest tbl;
-            Ok tbl
-        | Error e ->
-            (* a corrupt artifact would otherwise wedge every process *)
-            (try Sys.remove path with _ -> ());
-            Error e
-      in
-      if Sys.file_exists final then begin
+      if Sys.file_exists (final_of j) then begin
         Metrics.incr hit_c;
-        finish final
+        settle j (load_final j)
       end
       else if not (Toolchain.c_available ()) then
-        Error "C toolchain unavailable"
+        settle j (Error "C toolchain unavailable")
       else begin
         Metrics.incr miss_c;
-        let lockpath = final ^ ".lock" in
-        match acquire_or_wait ~lockpath ~final with
-        | `Appeared -> finish final
-        | `Timeout -> Error "timed out waiting for concurrent compile"
+        Hashtbl.replace jobs digest j;
+        match try_acquire (lock_of j) with
         | `Acquired ->
-            Fun.protect
-              ~finally:(fun () -> try Sys.remove lockpath with _ -> ())
-              (fun () ->
-                if Sys.file_exists final then finish final
-                else
-                  match compile_artifact ~dir ~digest ~source with
-                  | Ok () -> finish final
-                  | Error e -> Error e)
-      end
+            if Sys.file_exists (final_of j) then begin
+              remove_quiet (lock_of j);
+              settle j (load_final j)
+            end
+            else begin_compile j
+        | `Held -> j.j_state <- Lock_wait (Unix.gettimeofday () +. lock_wait)
+      end;
+      j

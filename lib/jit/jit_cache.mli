@@ -11,16 +11,20 @@
     ([Jit.isa]); the digest covers that ISA, so a directory shared by
     hosts with different ISAs holds one [.so] per ISA and never hands a
     host another's.
-    [get_or_build] resolves a digest through three levels — in-process
-    launch-table memo, on-disk artifact, and finally a fresh compile
-    guarded by a lockfile, bounded in wall-clock time and installed with
-    an atomic rename.  Artifacts stamped with a different version, and
-    any [functs_jit_v*] file of the retired OCaml lane, are evicted the
-    first time a directory is used.
+    {!start} resolves a digest through four levels — in-process
+    launch-table memo, a compile of the same digest already in flight
+    (joined), on-disk artifact, and finally a fresh compile guarded by a
+    lockfile, bounded in wall-clock time and installed with an atomic
+    rename.  A fresh compile runs in the background: {!start} returns a
+    pending {!job} at once and {!poll} advances it without blocking.
+    Artifacts stamped with a different version, and any [functs_jit_v*]
+    file of the retired OCaml lane, are evicted the first time a
+    directory is used.
 
-    Counters: [jit.c.hit] (memo or disk), [jit.c.miss] (compile needed),
-    [jit.c.compiles] (successful compiler runs), [jit.c.evicted].  Spans:
-    [jit.c.compile] (with an [isa] argument), [jit.c.load]. *)
+    Counters: [jit.c.hit] (memo, join or disk), [jit.c.miss] (compile
+    needed), [jit.c.compiles] (successful compiler runs),
+    [jit.c.evicted].  Span: [jit.c.load]; trace instant
+    [jit.c.compile] (with an [isa] argument) when a compiler starts. *)
 
 val version : int
 (** Codegen version stamp baked into artifact names and headers. *)
@@ -44,20 +48,40 @@ val header : string -> string
 
 val set_compile_bound : float -> unit
 (** Test hook: the wall-clock bound, in seconds, after which a compile
-    is killed and reported as an [Error _] (default 45, below the 60 s
-    stale-lock age). *)
+    is killed and reported as [`Failed _] (default 45, below the 60 s
+    stale-lock age).  Enforced by {!poll}: a job nobody polls is killed
+    at its first poll past the bound. *)
 
-val get_or_build :
-  dir:string ->
-  digest:string ->
-  source:string ->
-  nfns:int ->
-  (nativeint, string) result
-(** Resolve the raw launch-table pointer for [digest] (wrap each index
-    in a {!fn}), compiling [source] at most once per digest across
-    processes.  Never raises. *)
+type job
+(** One resolution of a digest.  Finished at once on a memo or disk hit
+    (or a failure that needs no compiler); otherwise pending while a
+    compiler runs (or another process holds the digest's lockfile), and
+    shared by every {!start} of the same digest until it finishes. *)
+
+type status = [ `Pending | `Ready of nativeint | `Failed of string | `Cancelled ]
+(** [`Ready tbl] carries the raw launch-table pointer (wrap each index
+    in a {!fn}). *)
+
+val start : dir:string -> digest:string -> source:string -> nfns:int -> job
+(** Resolve [digest], compiling [source] at most once per digest across
+    processes.  Never waits for a compiler (the lockfile is only tried,
+    never waited on) and never raises. *)
+
+val poll : job -> status
+(** Advance a pending job without blocking: reap its compiler when it
+    has exited (running the scalar-libm retry, installing and loading
+    the artifact), kill it once it outlives the bound (a [Jit_demote]
+    journal record), or probe the lockfile another process holds.
+    Every failure is a [`Failed _]. *)
+
+val cancel : job -> unit
+(** Stop a pending job: SIGKILL its compiler's whole process group, reap
+    it, and remove the lockfile and build directory.  A finished job is
+    left as it is.  Every engine waiting on the job sees [`Cancelled];
+    a process's jobs still in flight at exit are cancelled by an
+    [at_exit] hook. *)
 
 val clear_loaded : unit -> unit
-(** Test hook: drop the in-process memo (and per-directory eviction
-    marks), so the next [get_or_build] exercises the disk path like a
-    fresh process. *)
+(** Test hook: cancel every job in flight and drop the in-process memo
+    (and per-directory eviction marks), so the next {!start} exercises
+    the disk path like a fresh process. *)

@@ -4,6 +4,7 @@ type kind =
   | Tuner_flip
   | Tuner_expire
   | Jit_demote
+  | Jit_arm
   | Cache_evict
   | Deadline_degrade
 
@@ -13,6 +14,7 @@ let kind_name = function
   | Tuner_flip -> "tuner.flip"
   | Tuner_expire -> "tuner.expire"
   | Jit_demote -> "jit.demote"
+  | Jit_arm -> "jit.arm"
   | Cache_evict -> "cache.evict"
   | Deadline_degrade -> "deadline.degrade"
 

@@ -4,7 +4,7 @@
 
     Producers are the scheduler's auto-tuner (sample results, pins,
     flips, pin expiries), the JIT (per-group demotion with the failure
-    reason), the engine and JIT artifact caches
+    reason, and the arming of an engine by a background compile), the engine and JIT artifact caches
     (evictions), and the serve layer (deadline degradations).  Decisions
     are rare events, so records take a mutex; the {e disabled} record is
     one [bool ref] read with no allocation, and call sites guard
@@ -21,6 +21,10 @@ type kind =
   | Tuner_flip  (** a re-pin chose a different arm than the incumbent *)
   | Tuner_expire  (** a pin expired; back to sampling *)
   | Jit_demote  (** a group fell back off its native kernel *)
+  | Jit_arm
+      (** a background compile finished and armed an engine's groups;
+          the detail holds the unit's digest prefix and the engine's
+          wait in ms (also the value) *)
   | Cache_evict  (** compile-cache or JIT artifact-cache eviction *)
   | Deadline_degrade  (** a serve request missed its deadline *)
 

@@ -151,6 +151,9 @@ type t = {
       (* most recently acquired engine, for attribution readout — the
          shape-keyed cache may hand different engines per signature;
          profiling reads whichever served last *)
+  mutable s_owned : Engine.t list;
+      (* every engine this session prepared (under [s_lock]): [close]
+         cancels their pending JIT compiles *)
 }
 
 let locked t f =
@@ -271,6 +274,8 @@ let prepare_engine t ?cache graph ~inputs =
       ~jit:cfg.Config.jit ~jit_dir:cfg.Config.jit_dir graph ~inputs
   in
   t.s_engine <- Some eng;
+  locked t (fun () ->
+      if not (List.memq eng t.s_owned) then t.s_owned <- eng :: t.s_owned);
   eng
 
 (* Requests outside the native signature (ad-hoc shapes) always go
@@ -694,6 +699,7 @@ let create ?(config = Config.default) ?(profile = Compiler_profile.tensorssa)
         s_stats = zero_stats;
         s_dispatchers = [];
         s_engine = None;
+        s_owned = [];
       }
     in
     (* compile once, now: shard 0 holds every engine it serves from
@@ -876,7 +882,20 @@ let close t =
         t.s_dispatchers <- [];
         ds)
   in
-  List.iter Domain.join ds
+  List.iter Domain.join ds;
+  (* no run of ours is in flight any more: stop the compiles our engines
+     still wait for, so no [cc] outlives the session *)
+  List.iter Engine.cancel_jit (locked t (fun () -> t.s_owned))
+
+let await_jit t =
+  let owned = locked t (fun () -> t.s_owned) in
+  List.iter Engine.await_jit owned;
+  List.fold_left
+    (fun acc eng ->
+      match (acc, Engine.armed_at eng) with
+      | Some a, Some b -> Some (Float.max a b)
+      | None, x | x, None -> x)
+    None owned
 
 let stats t = locked t (fun () -> t.s_stats)
 

@@ -5,7 +5,11 @@
     lowering + TensorSSA + fusion + kernel compilation {e once} (through
     the engine's shape-keyed compile cache), spawns a dedicated
     dispatcher domain, and then serves [submit]ted requests until
-    [close].  The LazyTensor lesson: the win of an eager-plus-compiler
+    [close].  With the JIT on and its artifacts not yet on disk,
+    [create] does not wait for [cc]: the engines serve node by node
+    while the compile runs in the background, and arm their native
+    kernels at the first run after it finishes (see
+    {!Functs_exec.Engine.prepare}).  The LazyTensor lesson: the win of an eager-plus-compiler
     system lives or dies on reusing compilation across calls — a warm
     session never recompiles: its dispatcher serves native-shape
     requests from the engines [create] compiled, without probing the
@@ -167,7 +171,16 @@ val resume : t -> unit
 
 val close : t -> unit
 (** Stop accepting submits, let every dispatcher shard drain the queued
-    requests, then join them all.  Idempotent; safe from any domain. *)
+    requests, then join them all, and cancel the JIT compiles the
+    session's engines still wait for ({!Functs_exec.Engine.cancel_jit}:
+    the compiler is killed and reaped, its lockfile and build directory
+    removed).  Idempotent; safe from any domain. *)
+
+val await_jit : t -> float option
+(** Block until none of the session's engines has a JIT compile
+    pending; returns when the last of them armed native groups
+    ([Unix.gettimeofday]), or [None] when none ever did.  For tests,
+    benchmarks and the CLI: serving never waits for [cc]. *)
 
 type stats = {
   submitted : int;

@@ -152,7 +152,7 @@ fi
 echo "== profile --json stage keys (FUNCTS_DOMAINS=2) =="
 FUNCTS_DOMAINS=2 dune exec bin/functs.exe -- profile lstm --runs 8 --json \
   > /tmp/functs_profile.json
-for key in '"queue_wait"' '"batch"' '"exec"' '"total"' '"groups"' '"gc"' '"ops"' '"setup"'; do
+for key in '"queue_wait"' '"batch"' '"exec"' '"total"' '"groups"' '"gc"' '"ops"' '"setup"' '"armed_ms"'; do
   grep -q "$key" /tmp/functs_profile.json || {
     echo "error: profile --json is missing the $key key" >&2
     exit 1

@@ -6,8 +6,12 @@
    directory is unusable, the emitted unit's shape (one function per
    kernel, for one ISA, shape-generic), one compiled unit serving every
    serving bucket, launches at extents other than the compiling
-   engine's, and the on-disk artifact cache (warm loads compile nothing;
-   stale and retired artifacts are evicted).
+   engine's, the on-disk artifact cache (warm loads compile nothing;
+   stale and retired artifacts are evicted), and the tiered JIT: engines
+   serve per-node while cc runs in the background and arm on a later
+   run, close kills the compile, and a hung compiler under a serving
+   session is killed at its bound.  Tests that check native launches
+   await arming first ([jit_engine], [Engine.await_jit]).
 
    Every test degrades to a meaningful assertion when the host has no C
    compiler: the differential legs then prove the fallback ladder
@@ -110,9 +114,15 @@ let functionalized (w : Workload.t) =
   ignore (Passes.tensorssa_pipeline fg);
   (g, fg, fun () -> w.Workload.inputs ~batch ~seq)
 
+(* An armed JIT engine: the background compile a miss starts is awaited,
+   so the first run already launches native kernels. *)
 let jit_engine ?(dir = jit_dir) fg args =
-  Engine.prepare ~parallel:false ~cache:false ~jit:Jit.Auto ~jit_dir:dir fg
-    ~inputs:(Engine.input_shapes args)
+  let eng =
+    Engine.prepare ~parallel:false ~cache:false ~jit:Jit.Auto ~jit_dir:dir fg
+      ~inputs:(Engine.input_shapes args)
+  in
+  Engine.await_jit eng;
+  eng
 
 (* The kernels the emitter accepts under the engine's fusion plan: the
    ones the engine arms natively. *)
@@ -347,6 +357,7 @@ let test_bucket_sharing () =
                     ~jit_dir:dir fg
                     ~inputs:(Engine.input_shapes (args ()))
                 in
+                Engine.await_jit eng;
                 let got = Engine.run eng (args ()) in
                 let s = Engine.stats eng in
                 check (label ^ ": groups armed natively") true
@@ -925,6 +936,247 @@ let test_stale_version_eviction () =
   check "the legacy lockfile is gone" false (Sys.file_exists legacy_lock);
   check_int "every eviction was counted" 3 (c_evicted () - ev0)
 
+(* --- tiered JIT: engines serve per-node while cc runs, then arm --- *)
+
+let session_config dir =
+  { Config.default with Config.jit = Jit.Auto; jit_dir = dir; domains = 1 }
+
+let alive pid =
+  match Unix.kill pid 0 with
+  | () -> true
+  | exception Unix.Unix_error _ -> false
+
+let leftovers dir =
+  List.filter
+    (fun f ->
+      Filename.check_suffix f ".lock" || String.starts_with ~prefix:"build-" f)
+    (Array.to_list (try Sys.readdir dir with _ -> [||]))
+
+(* Run [f] with [cc] replaced by a fake compiler running [body], and
+   restore the real one (and the default bound) afterwards. *)
+let with_compiler body f =
+  let fake = fake_compiler body in
+  Jit.clear_loaded ();
+  Jit.set_c_compiler fake;
+  Fun.protect
+    ~finally:(fun () ->
+      Jit.set_c_compile_bound 45.0;
+      Jit.set_c_compiler "cc";
+      Jit.clear_loaded ();
+      Sys.remove fake)
+    f
+
+(* A compiler that waits for [gate] to exist, then runs the real [cc]:
+   the test decides when the background compile may finish. *)
+let gated_cc gate =
+  Printf.sprintf "while [ ! -e %s ]; do sleep 0.01; done\nexec cc \"$@\""
+    (Filename.quote gate)
+
+let open_gate gate = close_out (open_out gate)
+
+(* The pid a fake compiler wrote to [pidfile], once it has. *)
+let compiler_pid pidfile =
+  let deadline = Unix.gettimeofday () +. 10. in
+  while (not (Sys.file_exists pidfile)) && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.01
+  done;
+  let ic = open_in pidfile in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () -> int_of_string (String.trim (input_line ic)))
+
+let test_cancel_on_close () =
+  let pidfile = Filename.temp_file "functs-cc" ".pid" in
+  Sys.remove pidfile;
+  Fun.protect ~finally:(fun () -> try Sys.remove pidfile with _ -> ())
+  @@ fun () ->
+  with_scratch_dir "cancel" @@ fun dir ->
+  with_compiler
+    (Printf.sprintf "echo $$ > %s.tmp && mv %s.tmp %s\nexec sleep 30"
+       pidfile pidfile pidfile)
+  @@ fun () ->
+  let w = Result.get_ok (Functs.find_workload "lstm") in
+  let sess =
+    match Session.create ~config:(session_config dir) w with
+    | Ok s -> s
+    | Error e -> Alcotest.failf "create: %s" (Error.to_string e)
+  in
+  let pid = compiler_pid pidfile in
+  check "the compiler runs after create returned" true (alive pid);
+  check "the compile holds a lockfile and a build directory" true
+    (List.length (leftovers dir) = 2);
+  Session.close sess;
+  check "close killed and reaped the compiler" false (alive pid);
+  check "no lockfile or build directory remains" true (leftovers dir = []);
+  Session.close sess;
+  (* outside a session: the engine's own cancel does the same *)
+  Sys.remove pidfile;
+  let _, fg, args_fn = functionalized w in
+  let eng =
+    Engine.prepare ~cache:false ~jit:Jit.Auto ~jit_dir:dir fg
+      ~inputs:(Engine.input_shapes (args_fn ()))
+  in
+  check "a miss leaves the engine pending" true (Engine.jit_pending eng);
+  let pid = compiler_pid pidfile in
+  Engine.cancel_jit eng;
+  check "cancel_jit killed the compiler" false (alive pid);
+  check "cancel_jit left nothing behind" true (leftovers dir = [])
+
+(* ROADMAP item 7's acceptance: a hung compiler under a serving session.
+   create returns at once, requests are served per-node bitwise, and
+   once the bound passes the next poll kills the compiler, ticks
+   jit.c.fallback and journals the demotion — without an exception. *)
+let test_hung_compiler_session () =
+  let w = Result.get_ok (Functs.find_workload "lstm") in
+  let batch = w.Workload.default_batch and seq = w.Workload.default_seq in
+  let reference = Workload.graph w ~batch ~seq in
+  let args () = w.Workload.inputs ~batch ~seq in
+  let expected = Eval.run reference (clone_args (args ())) in
+  let bound = 3.0 in
+  with_scratch_dir "hung-session" @@ fun dir ->
+  with_compiler "exec sleep 30" @@ fun () ->
+  Jit.set_c_compile_bound bound;
+  Journal.clear ();
+  let fb0 = c_fallbacks () in
+  let t0 = Unix.gettimeofday () in
+  let sess =
+    match Session.create ~config:(session_config dir) w with
+    | Ok s -> s
+    | Error e -> Alcotest.failf "create: %s" (Error.to_string e)
+  in
+  let created = Unix.gettimeofday () -. t0 in
+  check
+    (Printf.sprintf "create returned in %.2f s, well inside the %.0f s bound"
+       created bound)
+    true
+    (created < bound /. 2.);
+  let serve () =
+    match Session.run sess (args ()) with
+    | Ok got -> bitwise expected got
+    | Error e -> Alcotest.failf "request failed: %s" (Error.to_string e)
+  in
+  let served = ref 0 in
+  while Unix.gettimeofday () -. t0 < bound do
+    check "a request served per-node matches the interpreter bitwise" true
+      (serve ());
+    incr served;
+    Unix.sleepf 0.05
+  done;
+  check "requests were served while cc hung" true (!served > 0);
+  check "nothing was armed" true
+    (match Session.engine_stats sess with
+    | Some s -> s.Scheduler.cjit_groups = 0
+    | None -> false);
+  Unix.sleepf 0.1;
+  check "the request after the bound matches bitwise" true (serve ());
+  check "the kill ticked jit.c.fallback" true (c_fallbacks () > fb0);
+  check "the kill was journaled as a demotion to per-node" true
+    (List.exists
+       (fun (e : Journal.entry) ->
+         e.j_kind = Journal.Jit_demote && e.j_site = "jit.c.compile"
+         && e.j_arm = "per_node")
+       (Journal.entries ()));
+  check "no Jit_arm was recorded" false
+    (List.exists
+       (fun (e : Journal.entry) -> e.j_kind = Journal.Jit_arm)
+       (Journal.entries ()));
+  Session.close sess;
+  check "no lockfile or build directory remains" true (leftovers dir = [])
+
+(* Engines at b1/b4/b16 of one workload from a fresh directory: one
+   compile they all join, per-node outputs bitwise before it arms,
+   native outputs after, and as many armed groups as the synchronous
+   path arms.  b1 arms through its run-time poll, b4/b16 through
+   await_jit. *)
+let test_late_arm () =
+  if Jit.c_toolchain_available () then
+    List.iter
+      (fun name ->
+        let w = Result.get_ok (Functs.find_workload name) in
+        let seq = w.Workload.default_seq in
+        let gate = Filename.temp_file "functs-gate" "" in
+        Sys.remove gate;
+        Fun.protect ~finally:(fun () -> try Sys.remove gate with _ -> ())
+        @@ fun () ->
+        with_scratch_dir "late" @@ fun dir ->
+        with_compiler (gated_cc gate) @@ fun () ->
+        let co0 = c_compiles () and h0 = c_hits () and m0 = c_misses () in
+        let engines =
+          List.map
+            (fun k ->
+              let batch = k * w.Workload.default_batch in
+              let g = Workload.graph w ~batch ~seq in
+              let fg = Graph.clone g in
+              ignore (Passes.tensorssa_pipeline fg);
+              let args () = w.Workload.inputs ~batch ~seq in
+              let expected = Eval.run g (clone_args (args ())) in
+              let eng =
+                Engine.prepare ~cache:false ~jit:Jit.Auto ~jit_dir:dir fg
+                  ~inputs:(Engine.input_shapes (args ()))
+              in
+              (Printf.sprintf "%s b%d" name k, fg, args, expected, eng))
+            buckets
+        in
+        check_int (name ^ ": one miss") 1 (c_misses () - m0);
+        check_int (name ^ ": the other buckets join it") 2 (c_hits () - h0);
+        List.iter
+          (fun (label, _, args, expected, eng) ->
+            check (label ^ ": pending after prepare") true
+              (Engine.jit_pending eng);
+            for _ = 1 to 2 do
+              check (label ^ ": per-node outputs bitwise before arming") true
+                (bitwise expected (Engine.run eng (args ())))
+            done;
+            check_int (label ^ ": nothing armed yet") 0
+              (Engine.stats eng).Scheduler.cjit_groups)
+          engines;
+        open_gate gate;
+        List.iteri
+          (fun i (label, _, args, expected, eng) ->
+            (if i = 0 then begin
+               let deadline = Unix.gettimeofday () +. 60. in
+               while Engine.jit_pending eng && Unix.gettimeofday () < deadline do
+                 let got = Engine.run eng (args ()) in
+                 (* the run whose poll arms the unit launches natively *)
+                 if Engine.jit_pending eng then
+                   check (label ^ ": outputs bitwise while cc runs") true
+                     (bitwise expected got)
+                 else
+                   check (label ^ ": outputs of the arming run") true
+                     (bitwise_or_epsilon expected got);
+                 Unix.sleepf 0.01
+               done
+             end
+             else Engine.await_jit eng);
+            check (label ^ ": armed") false (Engine.jit_pending eng);
+            for _ = 1 to 4 do
+              check (label ^ ": outputs after arming") true
+                (bitwise_or_epsilon expected (Engine.run eng (args ())))
+            done;
+            check (label ^ ": native kernels ran") true
+              ((Engine.stats eng).Scheduler.cjit_runs > 0))
+          engines;
+        check_int (name ^ ": one cc") 1 (c_compiles () - co0);
+        (* a warm replica: a disk hit arms inside prepare, the
+           synchronous path, and arms as many groups *)
+        Jit.clear_loaded ();
+        List.iter
+          (fun (label, fg, args, _, late) ->
+            let eng =
+              Engine.prepare ~cache:false ~jit:Jit.Auto ~jit_dir:dir fg
+                ~inputs:(Engine.input_shapes (args ()))
+            in
+            check (label ^ ": warm prepare leaves no pending compile") false
+              (Engine.jit_pending eng);
+            let synchronous = (Engine.stats eng).Scheduler.cjit_groups in
+            check (label ^ ": warm prepare arms groups") true (synchronous > 0);
+            check_int
+              (label ^ ": the late arm armed as many groups")
+              synchronous (Engine.stats late).Scheduler.cjit_groups)
+          engines;
+        check_int (name ^ ": still one cc") 1 (c_compiles () - co0))
+      [ "lstm"; "nasrnn"; "seq2seq" ]
+
 let () =
   Alcotest.run "jit"
     [
@@ -958,6 +1210,12 @@ let () =
             test_artifact_disk_hit;
           Alcotest.test_case "C artifact cache: warm disk hit" `Quick
             test_c_artifact_disk_hit;
+          Alcotest.test_case "close cancels the background compile" `Quick
+            test_cancel_on_close;
+          Alcotest.test_case "hung compiler under a serving session" `Quick
+            test_hung_compiler_session;
+          Alcotest.test_case "late arm: per-node, then native, every bucket"
+            `Slow test_late_arm;
           Alcotest.test_case "stale-version eviction" `Quick
             test_stale_version_eviction;
         ] );
