@@ -15,15 +15,15 @@ type plan = {
    kernel; Kernel nodes are singleton groups.
 
    With [fence_loop_assigns], an [immut::assign] inside a loop body is
-   fenced into a singleton group: the executor keeps assign-bearing
-   groups under loops on the per-node path so the write can donate into
-   the carried buffer, and one fused assign used to drag its whole
-   surrounding compute chain (the GRU/LSTM cell body) off the kernel
-   path with it.  Fencing the assign leaves the chain as an assign-free
-   group the JIT can run as one kernel, while the assign itself
-   still donates.  The flag is the execution engine's: the cost model
-   and the figures count kernel launches over the unfenced plan, where
-   a launch means one fused group per the paper's accounting. *)
+   left out of every group and closes the run around it: the executor
+   runs it per node, so the write can donate into the carried buffer
+   (O(region) per iteration, where a kernel would materialize the whole
+   tensor), and the compute chain around it (the GRU/LSTM cell body)
+   stays an assign-free group the JIT can run as one kernel.  No kernel
+   is emitted for the assign, so a C unit holds only kernels the engine
+   arms.  The flag is the execution engine's: the cost model and the
+   figures count kernel launches over the unfenced plan, where a launch
+   means one fused group per the paper's accounting. *)
 let assign_groups ~fence_loop_assigns profile (g : Graph.t) classes =
   let next_group = ref 0 in
   let fresh_group () =
@@ -47,7 +47,7 @@ let assign_groups ~fence_loop_assigns profile (g : Graph.t) classes =
         | Compiler_profile.Fusible
           when fence_loop_assigns && in_loop
                && (match node.n_op with Op.Assign _ -> true | _ -> false) ->
-            Hashtbl.replace classes node.n_id (Kernel (fresh_group ()));
+            Hashtbl.replace classes node.n_id No_cost;
             close ()
         | Compiler_profile.Fusible ->
             let gid =

@@ -40,11 +40,13 @@ type plan = {
 
 val plan : ?fence_loop_assigns:bool -> Compiler_profile.t -> Graph.t -> plan
 (** Build the fusion plan.  [fence_loop_assigns] (default [false])
-    splits each [immut::assign] inside a loop body into a singleton
-    group so the surrounding compute chain stays kernel-eligible while
-    the assign can donate — the execution engine's grouping; the cost
-    model and figures keep the default, whose group count matches the
-    paper's launch accounting. *)
+    leaves each [immut::assign] inside a loop body out of every group
+    (class [No_cost], closing the run around it), so the surrounding
+    compute chain stays kernel-eligible while the executor runs the
+    assign per node and can donate it; no kernel is emitted for it.
+    That is the execution engine's grouping; the cost model and figures
+    keep the default, whose group count matches the paper's launch
+    accounting. *)
 
 val kernel_class_of : plan -> Graph.node -> kernel_class
 

@@ -273,6 +273,8 @@ let armed_at t = t.e_armed_at
 let cancel_jit t =
   match t.e_pending with Some (p, _) -> Jit.cancel p | None -> ()
 
+let force t site arm = locked t (fun () -> Scheduler.force t.e_prepared site arm)
+
 let run_tensors t tensors =
   List.map Value.to_tensor (run t (List.map (fun x -> Value.Tensor x) tensors))
 

@@ -115,6 +115,16 @@ val cancel_jit : t -> unit
     at their next run.  Compiles still pending at exit are cancelled by
     an [at_exit] hook. *)
 
+val force : t -> Scheduler.site -> Scheduler.arm -> unit
+(** [force t site arm] pins one site — an attribution row's
+    [(at_kind, at_id)], [group#N] or [loop#N] — to [arm] for good, so
+    the next runs take it whatever the tuner measures.  For tests only:
+    no configuration, environment variable or CLI flag reaches it.
+    Serialized with {!run}.
+    @raise Invalid_argument when the site does not exist or lacks the
+    arm ({!Scheduler.force}): e.g. [`Cjit] before the group's kernel is
+    armed, or [`Vector] on a loop without a vectorised plan. *)
+
 val stats : t -> Scheduler.stats
 
 val attribution : t -> Scheduler.attribution_row list

@@ -1,0 +1,88 @@
+(** The batched plan of a loop the dependence analysis cleared
+    ({!Functs_core.Loop_par} [Parallel] or [Reduction]), and the code
+    that runs it.
+
+    The plan is plain data, built once at prepare time: an action per
+    body instruction with every slice descriptor resolved to frame
+    slots.  [Sliced] carried tensors become shared buffers written in
+    place through one leaf write per recognized rebuild chain;
+    [Reduced] ones fold into per-chunk partial accumulators, merged in
+    a fixed chunk order, so results are bitwise-identical at any lane
+    count. *)
+
+open Functs_ir
+open Functs_core
+open Functs_interp
+
+type lwrite = {
+  wr_buf : int;  (** carried slot whose shared buffer is written *)
+  wr_steps : (Op.view_kind * int array) array;  (** view path to the leaf *)
+  wr_leaf_kind : Op.view_kind;
+  wr_leaf_ops : int array;
+  wr_src : int;  (** slot of the value stored at the leaf *)
+  wr_out : int;  (** output slot, rebound to the shared buffer *)
+}
+
+type laction =
+  | L_plain  (** {!Fastops.apply_op} on the chunk's private frame *)
+  | L_skip  (** rebuild-chain assign subsumed by an outer [L_write] *)
+  | L_view of Op.view_kind  (** zero-copy access *)
+  | L_assign of Op.view_kind  (** copy-producing assign *)
+  | L_write of lwrite  (** leaf write into a shared carried buffer *)
+  | L_reduce of { rd_slot : int; rd_acc_pos : int }
+      (** combine into the chunk's partial for carried slot [rd_slot] *)
+
+type t = {
+  lp_roles : Loop_par.role array;  (** per carried slot *)
+  lp_donate : bool array;
+      (** per carried slot: the loop is the init's only use, in the same
+          block, and the init is no graph parameter — a run may adopt it
+          as the shared buffer when nothing else references it *)
+  lp_actions : laction array;  (** aligned with the body's [bi_insts] *)
+  lp_reduction : bool;  (** any [Reduced] slot *)
+}
+
+val build :
+  Graph.t ->
+  slot:(Graph.value -> int option) ->
+  Graph.node ->
+  Loop_par.info ->
+  Frame.binst ->
+  t option
+(** [build graph ~slot loop info body]: [None] when a descriptor has no
+    frame slot or a chain is malformed — the loop then stays
+    sequential. *)
+
+val carried_buffers : Frame.t -> t -> Value.t array -> Functs_tensor.Tensor.t option array
+(** The shared buffer of each [Sliced] slot: the init itself when the
+    plan allows donation and its storage has no other live reference,
+    else a pooled clone. *)
+
+val exec :
+  Frame.t ->
+  pool:Pool.t ->
+  Frame.binst ->
+  t ->
+  int ->
+  Value.t array ->
+  Functs_tensor.Tensor.t option array ->
+  Value.t option array
+(** [exec rs ~pool body plan trip inits bufs] runs every iteration on
+    the shared buffers, in chunks handed to {!Pool.parallel_for}, which
+    fans them out across lanes or runs them all on the caller.  A chunk
+    on the run's own domain draws its iteration scratch from the
+    storage pool and returns it at the end of each iteration; a chunk on
+    a worker domain allocates fresh.  Returns the merged reduction
+    result of each [Reduced] slot. *)
+
+val bind_outputs :
+  Frame.t ->
+  scope:int list ref ->
+  Frame.inst ->
+  t ->
+  Value.t array ->
+  Functs_tensor.Tensor.t option array ->
+  Value.t option array ->
+  unit
+(** Bind the loop's outputs (shared buffers, passed-through inits,
+    merged reductions) and consume its inputs. *)

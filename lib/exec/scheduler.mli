@@ -15,18 +15,20 @@
     - [immut::access] returns a zero-copy strided view — safe because
       donation requires the storage to have exactly one live reference;
     - loops the dependence analysis cleared ({!Loop_par}) run
-      iteration-batched: at prepare time the body is compiled into an
-      action table whose slice descriptors are fully resolved to frame
-      slots, [Sliced] carried tensors become shared buffers written in
-      place through one leaf write per recognized rebuild chain,
-      [Reduced] carried tensors fold into fixed-size per-chunk partial
-      accumulators merged in chunk order (bitwise-identical across
-      domain counts); a body that passes a prepare-time check also gets
-      a vectorised plan, which runs each statement once across every
-      iteration; a tuner pins the vectorised plan, inline batching, the
-      sequential body or — on two or more lanes — pool dispatch,
-      whichever runs fastest (Algorithm 2's parallelization, executed
-      for real);
+      iteration-batched on plans built at prepare time, plain data kept
+      apart from the code that runs them: {!Loop_plan} compiles the
+      body into an action table whose slice descriptors are fully
+      resolved to frame slots ([Sliced] carried tensors become shared
+      buffers written in place through one leaf write per recognized
+      rebuild chain, [Reduced] ones fold into fixed-size per-chunk
+      partial accumulators merged in chunk order, bitwise-identical
+      across domain counts), and a body that passes a prepare-time check
+      also gets a {!Vector_plan}, which runs each statement once across
+      every iteration.  A tuner per loop pins one of three arms —
+      [vector], [batched] (the action table, its chunks handed to
+      {!Pool.parallel_for}, which fans them out across lanes or runs
+      them all on the caller) or [seq] (the sequential body) — whichever
+      runs fastest (Algorithm 2's parallelization, executed for real);
     - [prim::If]/[prim::Loop] fall back to block-level dispatch, and
       graphs still containing [aten::…_] mutations run in a plain
       per-node mode with interpreter semantics (no pool, no donation).
@@ -51,7 +53,7 @@ val prepare :
 (** Compile the plan's kernels and the liveness table.  [graph] must stay
     unmodified for the lifetime of the result.  [pool] is the persistent
     worker pool every dispatch goes through (the scheduler never spawns
-    domains; its lane count alone decides whether loops may dispatch);
+    domains; the pool alone decides whether a batched loop fans out);
     [loop_grain] is the minimum trip count before a loop runs batched,
     [kernel_grain] the per-chunk element count for intra-kernel splits.
     Every group starts per-node; {!arm} adds native kernels.  Each
@@ -63,6 +65,21 @@ val arm : prepared -> (int * Functs_jit.Jit.entry) list -> int
     and add the [c-jit] arm to its tuner ({!Tuner.add}); returns how
     many groups it armed.  Groups already armed, or unknown, are left
     as they are.  Callers serialize it with {!run}. *)
+
+type arm = [ `Cjit | `Per_node | `Vector | `Batched | `Seq ]
+(** A site's arms, named [c-jit], [per_node] (groups) and [vector],
+    [batched], [seq] (loops) in attribution rows and the journal. *)
+
+type site = [ `Group | `Loop ] * int
+(** An attribution row's [(at_kind, at_id)]: [group#N] or [loop#N]. *)
+
+val force : prepared -> site -> arm -> unit
+(** Pin [site] to [arm] for good ({!Tuner.freeze}; journaled as a
+    [Tuner_pin] with detail [forced]).  Backs [Engine.force].
+    @raise Invalid_argument when the site does not exist or lacks the
+    arm: [c-jit] on a group with no native kernel armed, [vector] on a
+    loop without a vectorised plan, a loop arm on a group or a group
+    arm on a loop. *)
 
 val output_shapes : prepared -> Shape_infer.shape option list
 (** Statically inferred shapes of the graph's return values (in return
@@ -99,8 +116,7 @@ type stats = {
           execution for good; the tuner's per-node-vs-[c-jit] choice is
           journaled as its pins and flips, not counted here *)
   loops_pinned_vector : int;  (** batched loops the tuner pinned vectorised *)
-  loops_pinned_inline : int;  (** … pinned inline *)
-  loops_pinned_dispatch : int;  (** … pinned to pool dispatch *)
+  loops_pinned_batched : int;  (** … pinned to the batched plan *)
   loops_pinned_seq : int;  (** … pinned back to the sequential fused path *)
   pool_lanes : int;  (** worker lanes in the shared domain pool *)
 }
@@ -116,7 +132,7 @@ type attribution_row = {
   at_kind : [ `Group | `Loop ];
   at_arm : string;
       (** the arm {!Tuner} currently pins — [c-jit]/[per_node] for
-          groups, [vector]/[inline]/[dispatch]/[seq] for loops — or
+          groups, [vector]/[batched]/[seq] for loops — or
           [sampling] while it samples *)
   at_members : int;  (** member instructions (groups) / body size (loops) *)
   at_ops : string list;

@@ -1,7 +1,7 @@
 (** Expiring-pin, min-of-N auto-tuner over a fixed list of arms — the
     one decision procedure behind the scheduler's per-group dispatch
     arms ([c-jit]/[per_node]) and per-loop plans
-    ([vector]/[inline]/[dispatch]/[seq]).
+    ([vector]/[batched]/[seq]).
 
     - {b Sampling} is interleaved: the next launch runs the first arm in
       list order with the fewest samples still under three.

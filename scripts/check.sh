@@ -72,6 +72,12 @@ for w in yolact fcos; do
     exit 1
   }
 done
+# Attention's loop has no vectorised plan: it is the registry loop that
+# reaches the batched arm.
+grep -Eq "^ *attention +ok parallel_loops=[1-9]" /tmp/functs_bench_smoke.txt || {
+  echo "error: attention did not batch its loop at FUNCTS_DOMAINS=2" >&2
+  exit 1
+}
 if grep -Eq 'DIVERGED|DIVERGENCE' /tmp/functs_bench_smoke.txt; then
   echo "error: an engine output diverged (see bench smoke output above)" >&2
   exit 1
@@ -92,6 +98,10 @@ for w in yolact fcos; do
     exit 1
   }
 done
+grep -Eq "^ *attention +ok parallel_loops=[1-9]" /tmp/functs_bench_smoke_d1.txt || {
+  echo "error: attention did not batch its loop at FUNCTS_DOMAINS=1" >&2
+  exit 1
+}
 if grep -Eq 'DIVERGED|DIVERGENCE' /tmp/functs_bench_smoke_d1.txt; then
   echo "error: an engine output diverged at FUNCTS_DOMAINS=1 (see above)" >&2
   exit 1

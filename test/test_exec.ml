@@ -711,7 +711,7 @@ let test_batched_bitwise () =
 (* [v[i + 0] = v[i + 0] + 1] on the caller's tensor: like
    [carried_store_graph], but the induction variable goes through
    arithmetic, which the vectorised plan refuses — so it batches on the
-   [inline] arm — and the init is a graph parameter, which a batched run
+   [batched] arm — and the init is a graph parameter, which a batched run
    must clone. *)
 let carried_arith_graph () =
   let b =
@@ -736,27 +736,65 @@ let carried_arith_graph () =
   Builder.return b outs;
   Builder.graph b
 
-(* A one-lane loop tuner over a body without a vectorised plan samples
-   [inline] and [seq] only, alternating from [inline]: runs 1, 3 and 5
-   batch inline, and the sixth run closes the window.  Inline iterations
-   draw their scratch from the engine's storage pool and return it, so
-   once the pool is warm a batched run reuses a buffer per iteration.
-   Every buffer a batched run allocates is counted — the clone of the
-   carried init too — and the only fresh one is the clone, which leaves
-   with the output. *)
-let test_inline_scratch_recycled () =
+(* Hold [pool] busy with a job on another domain while [f] runs: a
+   [Pool.parallel_for] issued meanwhile runs its whole range on its
+   caller (counted in [Pool.fallback_nested]). *)
+let with_pool_busy pool f =
+  let started = Atomic.make false and release = Atomic.make false in
+  let holder =
+    Domain.spawn (fun () ->
+        ignore
+          (Pool.parallel_for pool ~grain:1 ~n:2 (fun _ _ ->
+               Atomic.set started true;
+               while not (Atomic.get release) do
+                 Unix.sleepf 0.0005
+               done)))
+  in
+  while not (Atomic.get started) do
+    Unix.sleepf 0.0005
+  done;
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set release true;
+      Domain.join holder)
+    f
+
+(* The batched arm hands its chunks to [Pool.parallel_for].  Chunks on
+   the run's own domain draw their iteration scratch from the engine's
+   storage pool and return it, so once the pool is warm a batched run
+   reuses a buffer per iteration.  Every buffer a batched run allocates
+   is counted — the clone of the carried init too — and on the caller
+   the only fresh one is the clone, which leaves with the output.
+
+   One lane: the tuner over a body without a vectorised plan samples
+   [batched] and [seq] only, alternating from [batched]: runs 1, 3 and 5
+   batch, every chunk on the caller, and the sixth run closes the
+   window.
+
+   Two lanes, the loop forced to [batched]: a trip the pool splits
+   across lanes (worker chunks allocate fresh), and trips it runs whole
+   on the caller because another job holds the pool; all match the
+   sequential engine bitwise. *)
+let test_batched_scratch_recycled () =
   let trip = 12 in
   let x = T.rand (Random.State.make [| 5 |]) [| trip; 16 |] in
   let args () = [ Value.Tensor (T.clone x); Value.Int trip ] in
-  let fg = Graph.clone (carried_arith_graph ()) in
-  ignore (Passes.tensorssa_pipeline fg);
-  let eng =
-    Engine.prepare ~parallel:true ~domains:1 ~cache:false fg
+  let engine domains =
+    let fg = Graph.clone (carried_arith_graph ()) in
+    ignore (Passes.tensorssa_pipeline fg);
+    Engine.prepare ~parallel:true ~domains ~cache:false fg
       ~inputs:(Engine.input_shapes (args ()))
   in
+  let eng = engine 1 in
   let run () =
     ignore (Engine.run eng (args ()));
     Engine.stats eng
+  in
+  let caller_scratch_pooled what (prev : Scheduler.stats) (s : Scheduler.stats) =
+    check_int (what ^ ": the one fresh buffer is the output")
+      (prev.Scheduler.pool_fresh + 1) s.Scheduler.pool_fresh;
+    check (what ^ ": every iteration reused a pooled buffer") true
+      (s.Scheduler.pool_reused - prev.Scheduler.pool_reused >= trip)
   in
   check_int "the body never runs vectorised" 0
     (run ()).Scheduler.vector_loops;
@@ -766,18 +804,49 @@ let test_inline_scratch_recycled () =
     if s.Scheduler.parallel_loops_run > !prev.Scheduler.parallel_loops_run
     then begin
       incr batched;
-      check_int "a batched run's one fresh buffer is its output"
-        (!prev.Scheduler.pool_fresh + 1) s.Scheduler.pool_fresh;
-      check "every iteration reused a pooled buffer" true
-        (s.Scheduler.pool_reused - !prev.Scheduler.pool_reused >= trip)
+      caller_scratch_pooled "one lane" !prev s
     end;
     prev := s
   done;
   check_int "domains=1 runs 3 and 5 batched the loop" 2 !batched;
   check_int "two arms sampled: the loop is pinned" 1
-    (!prev.Scheduler.loops_pinned_inline + !prev.Scheduler.loops_pinned_seq);
-  check_int "no dispatch arm at one lane" 0
-    !prev.Scheduler.loops_pinned_dispatch
+    (!prev.Scheduler.loops_pinned_batched + !prev.Scheduler.loops_pinned_seq);
+  (* two lanes *)
+  let reference, _ =
+    bitwise_outputs ~parallel:false (carried_arith_graph ()) ~domains:1 (args ())
+  in
+  let eng = engine 2 and pool = Pool.shared ~lanes:2 in
+  ignore (Engine.run eng (args ()));
+  (match
+     List.find_opt
+       (fun (r : Scheduler.attribution_row) -> r.Scheduler.at_kind = `Loop)
+       (Engine.attribution eng)
+   with
+  | Some r -> Engine.force eng (`Loop, r.Scheduler.at_id) `Batched
+  | None -> Alcotest.fail "the loop never batched");
+  let batched_run what =
+    let s0 = Engine.stats eng in
+    let out = Engine.run eng (args ()) in
+    let s = Engine.stats eng in
+    check (what ^ ": bitwise vs the sequential engine") true
+      (List.for_all2 (fun a b -> flat a = flat b) reference out);
+    check_int (what ^ ": batched") (s0.Scheduler.parallel_loops_run + 1)
+      s.Scheduler.parallel_loops_run;
+    (s0, s)
+  in
+  let d0 = Pool.dispatches pool in
+  ignore (batched_run "two lanes, split");
+  check "the pool split the trip" true (Pool.dispatches pool > d0);
+  let on_caller () =
+    with_pool_busy pool (fun () -> batched_run "two lanes, on the caller")
+  in
+  let n0 = Pool.fallback_nested pool in
+  (* the split runs may have left no chunk on the caller: warm up *)
+  ignore (on_caller ());
+  let s0, s = on_caller () in
+  check "the pool ran the trip on the caller" true
+    (Pool.fallback_nested pool >= n0 + 2);
+  caller_scratch_pooled "two lanes, on the caller" s0 s
 
 (* --- vectorised loop plans ---
 
@@ -919,7 +988,7 @@ let test_vector_plans () =
         [ 1; 2 ])
     vector_cases;
   (* A trip past the selected extent fails the bounds check before any
-     write: the run falls back to the inline arm, which raises what the
+     write: the run falls back to the batched arm, which raises what the
      sequential engine raises. *)
   let g = carried_store_graph () in
   let args () = [ Value.Tensor (T.ones [| vtrip; 16 |]); Value.Int (vtrip + 1) ] in
@@ -935,7 +1004,7 @@ let test_vector_plans () =
 
 (* yolact's loop carries [m = sigmoid(logits).clone()], whose only use is
    the loop: a batched run adopts it as the shared buffer instead of
-   cloning it — one donation per run, on the vector and inline arms
+   cloning it — one donation per run, on the vector and batched arms
    alike (the tuner samples them first and second). *)
 let test_batched_loop_donates_init () =
   let w =
@@ -1361,8 +1430,8 @@ let () =
             test_adversarial_sequential;
           Alcotest.test_case "batched loops bitwise" `Quick
             test_batched_bitwise;
-          Alcotest.test_case "inline batched loop recycles scratch" `Quick
-            test_inline_scratch_recycled;
+          Alcotest.test_case "batched loop recycles caller scratch" `Quick
+            test_batched_scratch_recycled;
           Alcotest.test_case "vectorised plans bitwise" `Quick
             test_vector_plans;
         ] );

@@ -1,0 +1,203 @@
+(* Forced-arm differential: every arm of every site of the ten registry
+   workloads, pinned in turn through [Engine.force], must reproduce the
+   reference interpreter.  Sites are the attribution rows of a first run
+   ([group#N] and [loop#N]); an arm a site lacks raises
+   [Invalid_argument] and is skipped.  Each workload runs at batch 1
+   and 4, on 1 and 2 lanes, with the JIT off and — when a C compiler is
+   present — on [Auto], awaited so groups are armed.  Outputs compare
+   bitwise; a run that launched native code may differ within the
+   libmvec tolerance of the JIT suite. *)
+
+open Functs
+
+let check = Alcotest.(check bool)
+
+let arms : Scheduler.arm list = [ `Cjit; `Per_node; `Vector; `Batched; `Seq ]
+
+let arm_name = function
+  | `Cjit -> "c-jit"
+  | `Per_node -> "per_node"
+  | `Vector -> "vector"
+  | `Batched -> "batched"
+  | `Seq -> "seq"
+
+let jit_dir =
+  let d =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "functs-forced-%d" (Unix.getpid ()))
+  in
+  at_exit (fun () ->
+      match Sys.readdir d with
+      | files ->
+          Array.iter
+            (fun f -> try Sys.remove (Filename.concat d f) with _ -> ())
+            files;
+          (try Unix.rmdir d with _ -> ())
+      | exception _ -> ());
+  d
+
+let bits (v : Value.t) =
+  match v with
+  | Value.Tensor t -> Some (Array.map Int64.bits_of_float (Tensor.to_flat_array t))
+  | _ -> None
+
+let bitwise expected got =
+  List.length expected = List.length got
+  && List.for_all2
+       (fun e g ->
+         match (bits e, bits g) with
+         | Some a, Some b -> a = b
+         | _ -> Value.equal ~atol:0. e g)
+       expected got
+
+(* libmvec's vector transcendentals are within 4 ulp of scalar libm *)
+let libmvec_close expected got =
+  List.length expected = List.length got
+  && List.for_all2
+       (fun e g ->
+         match (e, g) with
+         | Value.Tensor te, Value.Tensor tg ->
+             Tensor.allclose ~atol:1e-12 ~rtol:1e-9 te tg
+         | _ -> Value.equal ~atol:0. e g)
+       expected got
+
+let site_name ((kind, id) : Scheduler.site) =
+  Printf.sprintf "%s#%d" (match kind with `Group -> "group" | `Loop -> "loop") id
+
+let test_forced_arms () =
+  let jits =
+    if Jit.c_toolchain_available () then [ Jit.Off; Jit.Auto ] else [ Jit.Off ]
+  in
+  let forced = Hashtbl.create 8 in
+  List.iter
+    (fun (w : Workload.t) ->
+      List.iter
+        (fun batch ->
+          let seq = w.Workload.default_seq in
+          let g = Workload.graph w ~batch ~seq in
+          let args () = w.Workload.inputs ~batch ~seq in
+          let expected = Eval.run g (args ()) in
+          let fg = Graph.clone g in
+          ignore (Passes.tensorssa_pipeline fg);
+          List.iter
+            (fun (domains, jit) ->
+              let label =
+                Printf.sprintf "%s b%d d%d jit=%s" w.Workload.name batch
+                  domains (Jit.mode_to_string jit)
+              in
+              let eng =
+                Engine.prepare ~parallel:true ~domains ~cache:false ~jit ~jit_dir
+                  fg ~inputs:(Engine.input_shapes (args ()))
+              in
+              Engine.await_jit eng;
+              let agrees what got ~native =
+                check (label ^ ": " ^ what) true
+                  (bitwise expected got || (native && libmvec_close expected got))
+              in
+              let native_run () =
+                let c0 = (Engine.stats eng).Scheduler.cjit_runs in
+                let got = Engine.run eng (args ()) in
+                (got, (Engine.stats eng).Scheduler.cjit_runs > c0)
+              in
+              let got, native = native_run () in
+              agrees "first run" got ~native;
+              List.iter
+                (fun (r : Scheduler.attribution_row) ->
+                  let site = (r.Scheduler.at_kind, r.Scheduler.at_id) in
+                  List.iter
+                    (fun arm ->
+                      match Engine.force eng site arm with
+                      | exception Invalid_argument _ -> ()
+                      | () ->
+                          Hashtbl.replace forced (arm_name arm) ();
+                          let got, native = native_run () in
+                          agrees
+                            (Printf.sprintf "%s forced to %s" (site_name site)
+                               (arm_name arm))
+                            got ~native)
+                    arms)
+                (Engine.attribution eng))
+            (List.concat_map (fun d -> List.map (fun j -> (d, j)) jits) [ 1; 2 ]))
+        [ 1; 4 ])
+    (Registry.all @ Registry.extensions);
+  List.iter
+    (fun arm ->
+      if arm <> `Cjit || List.mem Jit.Auto jits then
+        check (arm_name arm ^ " was forced somewhere") true
+          (Hashtbl.mem forced (arm_name arm)))
+    arms
+
+(* What a forced arm must refuse, and that a forced pin holds. *)
+let test_force_contract () =
+  let w = Option.get (Registry.find "yolact") in
+  let batch = 1 and seq = w.Workload.default_seq in
+  let fg = Graph.clone (Workload.graph w ~batch ~seq) in
+  ignore (Passes.tensorssa_pipeline fg);
+  let args () = w.Workload.inputs ~batch ~seq in
+  let eng =
+    Engine.prepare ~parallel:true ~domains:1 ~cache:false fg
+      ~inputs:(Engine.input_shapes (args ()))
+  in
+  ignore (Engine.run eng (args ()));
+  let rows = Engine.attribution eng in
+  let find kind =
+    match
+      List.find_opt (fun (r : Scheduler.attribution_row) -> r.Scheduler.at_kind = kind) rows
+    with
+    | Some r -> (kind, r.Scheduler.at_id)
+    | None -> Alcotest.fail "yolact has a group and a loop site"
+  in
+  let group = find `Group and loop = find `Loop in
+  let refuses what site arm =
+    check what true
+      (match Engine.force eng site arm with
+      | () -> false
+      | exception Invalid_argument _ -> true)
+  in
+  refuses "c-jit before any kernel is armed" group `Cjit;
+  refuses "a loop arm on a group" group `Seq;
+  refuses "a group arm on a loop" loop `Per_node;
+  refuses "an unknown site" (`Loop, -1) `Batched;
+  Engine.force eng loop `Seq;
+  for _ = 1 to 40 do
+    ignore (Engine.run eng (args ()))
+  done;
+  let arm_of site =
+    List.find_map
+      (fun (r : Scheduler.attribution_row) ->
+        if (r.Scheduler.at_kind, r.Scheduler.at_id) = site then Some r.Scheduler.at_arm
+        else None)
+      (Engine.attribution eng)
+  in
+  Alcotest.(check (option string)) "the forced pin never expires" (Some "seq")
+    (arm_of loop);
+  (* a body with no vectorised plan: attention's loop *)
+  let w = Option.get (Registry.find "attention") in
+  let fg = Graph.clone (Workload.graph w ~batch ~seq:w.Workload.default_seq) in
+  ignore (Passes.tensorssa_pipeline fg);
+  let args () = w.Workload.inputs ~batch ~seq:w.Workload.default_seq in
+  let eng =
+    Engine.prepare ~parallel:true ~domains:1 ~cache:false fg
+      ~inputs:(Engine.input_shapes (args ()))
+  in
+  ignore (Engine.run eng (args ()));
+  match
+    List.find_opt
+      (fun (r : Scheduler.attribution_row) -> r.Scheduler.at_kind = `Loop)
+      (Engine.attribution eng)
+  with
+  | Some r -> refuses "vector without a plan" (`Loop, r.Scheduler.at_id) `Vector
+  | None -> Alcotest.fail "attention's loop never batched"
+
+let () =
+  Alcotest.run "forced"
+    [
+      ( "forced",
+        [
+          Alcotest.test_case "force refuses arms a site lacks" `Quick
+            test_force_contract;
+          Alcotest.test_case "every arm of every site vs interpreter" `Slow
+            test_forced_arms;
+        ] );
+    ]

@@ -220,6 +220,41 @@ let test_c_differential () =
     check "no C compiler: C fallbacks were recorded" true
       (c_fallbacks () > cfb0)
 
+(* --- a unit holds only kernels the engine arms ---
+
+   The engine's plan leaves in-loop assigns out of every group (they run
+   per node so they can donate), so no kernel is emitted for them: every
+   entry a unit returns finds its group, and [Scheduler.arm] arms them
+   all.  lstm's cell body is three kernels. *)
+
+let test_unit_kernels_all_armed () =
+  let cc = Jit.c_toolchain_available () in
+  List.iter
+    (fun name ->
+      let w = Result.get_ok (Functs.find_workload name) in
+      let _, fg, args_fn = functionalized w in
+      let plan =
+        Fusion.plan ~fence_loop_assigns:true Compiler_profile.tensorssa fg
+      in
+      let kernels, shapes = emittable_kernels fg (args_fn ()) in
+      let entries =
+        Jit.prepare_groups ~mode:Jit.Auto ~dir:jit_dir
+          ~kernels:(Codegen.emit fg plan ~shapes) ~shapes
+      in
+      let prepared =
+        Scheduler.prepare ~parallel:false ~pool:(Pool.shared ~lanes:1)
+          ~loop_grain:2 ~kernel_grain:8192 ~graph:fg ~shapes ~plan
+      in
+      check_int (name ^ ": every entry is armed") (List.length entries)
+        (Scheduler.arm prepared entries);
+      if cc then
+        check_int (name ^ ": every kernel in the unit has an entry")
+          (List.length kernels) (List.length entries);
+      if name = "lstm" then
+        check_int "lstm: the unit holds three kernels" 3
+          (List.length kernels))
+    [ "lstm"; "nasrnn"; "seq2seq" ]
+
 (* --- the emitted unit: one function per kernel, for one ISA --- *)
 
 let count_sub ~sub s =
@@ -1186,6 +1221,8 @@ let () =
             test_differential;
           Alcotest.test_case "C lane differential vs interpreter" `Slow
             test_c_differential;
+          Alcotest.test_case "units hold only kernels the engine arms" `Quick
+            test_unit_kernels_all_armed;
           Alcotest.test_case "emitted unit: one function per kernel per ISA"
             `Quick test_render_per_isa;
           Alcotest.test_case "serving buckets share one C unit" `Slow

@@ -12,7 +12,7 @@ let check_str = Alcotest.(check string)
 let check_strs = Alcotest.(check (list string))
 
 type garm = Cjit | Closure | Per_node
-type larm = Inline | Dispatch | Seq
+type larm = Vector | Batched | Seq
 
 let gname = function
   | Cjit -> "c-jit"
@@ -20,8 +20,8 @@ let gname = function
   | Per_node -> "per_node"
 
 let lname = function
-  | Inline -> "inline"
-  | Dispatch -> "dispatch"
+  | Vector -> "vector"
+  | Batched -> "batched"
   | Seq -> "seq"
 
 let group ?(arms = [ Cjit; Closure; Per_node ]) () =
@@ -29,7 +29,7 @@ let group ?(arms = [ Cjit; Closure; Per_node ]) () =
 
 let loop () =
   Tuner.create ~scope:"scheduler.loop" ~id:3 ~name:lname
-    [ Inline; Dispatch; Seq ]
+    [ Vector; Batched; Seq ]
 
 (* Drive [n] launches, each taking [cost arm] seconds; returns the arms
    launched, in order. *)
@@ -55,12 +55,12 @@ let test_sampling_order () =
     (drive t ~name:gname ~cost:gcost 10);
   check_str "the fastest group arm is pinned" "c-jit" (Tuner.label t);
   let l = loop () in
-  let lcost = function Inline -> 3e-3 | Dispatch -> 1e-3 | Seq -> 2e-3 in
+  let lcost = function Vector -> 3e-3 | Batched -> 1e-3 | Seq -> 2e-3 in
   check_strs "loop arms interleave until each has 3 samples"
-    [ "inline"; "dispatch"; "seq"; "inline"; "dispatch"; "seq"; "inline";
-      "dispatch"; "seq"; "dispatch"; "dispatch" ]
+    [ "vector"; "batched"; "seq"; "vector"; "batched"; "seq"; "vector";
+      "batched"; "seq"; "batched"; "batched" ]
     (drive l ~name:lname ~cost:lcost 11);
-  check "the fastest loop arm is pinned" true (Tuner.pinned l = Some Dispatch);
+  check "the fastest loop arm is pinned" true (Tuner.pinned l = Some Batched);
   (* an unarmed group samples only its two arms *)
   let u = group ~arms:[ Closure; Per_node ] () in
   check_strs "two-arm group"
@@ -81,12 +81,12 @@ let test_ties_to_earlier_arm () =
     (Tuner.pinned g = Some Closure);
   let l = loop () in
   ignore (drive l ~name:lname ~cost:(fun _ -> 1e-3) 9);
-  check "loop tie: inline wins" true (Tuner.pinned l = Some Inline);
+  check "loop tie: vector wins" true (Tuner.pinned l = Some Vector);
   let l = loop () in
   ignore
-    (drive l ~name:lname ~cost:(function Inline -> 2e-3 | _ -> 1e-3) 9);
-  check "loop tie below inline: dispatch wins" true
-    (Tuner.pinned l = Some Dispatch)
+    (drive l ~name:lname ~cost:(function Vector -> 2e-3 | _ -> 1e-3) 9);
+  check "loop tie below vector: batched wins" true
+    (Tuner.pinned l = Some Batched)
 
 let test_min_of_samples () =
   let t = group () in
@@ -197,8 +197,8 @@ let test_journal_records () =
   check_strs "loop records carry the loop scope"
     (List.init 9 (fun i ->
          "tuner.sample scheduler.loop 3 "
-         ^ List.nth [ "inline"; "dispatch"; "seq" ] (i mod 3))
-    @ [ "tuner.pin scheduler.loop 3 inline" ])
+         ^ List.nth [ "vector"; "batched"; "seq" ] (i mod 3))
+    @ [ "tuner.pin scheduler.loop 3 vector" ])
     (journal ());
   Journal.clear ();
   let f = group () in
