@@ -207,8 +207,8 @@ let run_micro () =
 let time_best ?(warmup = 12) fs =
   let n = Array.length fs in
   (* warm-up: fills the storage pool, primes caches, and drives every
-     per-group auto-tuner past its sampling phase (up to 4 arms x 3
-     samples, plus the batched-loop tuner's 6) so no timed sample lands
+     tuner past its sampling phase (three samples of each arm: a group
+     has 2 arms, a loop 3, so at most 9 runs) so no timed sample lands
      on a deliberately-slow tuning arm *)
   Array.iter
     (fun f ->
@@ -417,6 +417,9 @@ let counted_run eng args =
 
 let ran c f = f c.after - f c.before
 
+(* The run launched native code: the [native] argument of [Equiv.matches]. *)
+let native c = ran c (fun s -> s.Scheduler.cjit_runs) > 0
+
 type wrow = {
   r_name : string;
   r_batch : int;
@@ -433,16 +436,12 @@ type wrow = {
   r_jit_run : counted;  (* one untimed run of the jit engine *)
 }
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+(* BENCH_exec.json leaves: a count, or a measurement rounded to [digits]
+   decimals. *)
+let int n = Json.Num (float_of_int n)
+let num digits x =
+  let p = 10. ** float_of_int digits in
+  Json.Num (Float.round (x *. p) /. p)
 
 (* The host a result was measured on, so a 2-core sweep is never read as
    a multicore one (scripts/check.sh skips its scaling gate below 4
@@ -453,109 +452,113 @@ let host_json () =
     | ic ->
         let line = try String.trim (input_line ic) with End_of_file -> "" in
         ignore (Unix.close_process_in ic);
-        json_escape line
+        line
     | exception Unix.Unix_error _ -> ""
   in
-  Printf.sprintf
-    "{ \"nproc\": %d, \"recommended_domain_count\": %d, \"cpu_model\": \
-     \"%s\", \"cc\": \"%s\", \"jit_isa\": \"%s\" }"
-    (Option.value ~default:0 (int_of_string_opt (first_line "nproc")))
-    (Domain.recommended_domain_count ())
-    (first_line "sed -n 's/^model name[[:space:]]*: //p' /proc/cpuinfo")
-    (first_line
-       ((if config.Config.jit_cc = "" then "cc" else config.Config.jit_cc)
-       ^ " --version"))
-    (Jit.isa ())
+  Json.Obj
+    [
+      ("nproc", int (Option.value ~default:0 (int_of_string_opt (first_line "nproc"))));
+      ("recommended_domain_count", int (Domain.recommended_domain_count ()));
+      ( "cpu_model",
+        Json.Str (first_line "sed -n 's/^model name[[:space:]]*: //p' /proc/cpuinfo") );
+      ( "cc",
+        Json.Str
+          (first_line
+             ((if config.Config.jit_cc = "" then "cc" else config.Config.jit_cc)
+             ^ " --version")) );
+      ("jit_isa", Json.Str (Jit.isa ()));
+    ]
 
-let write_json path rows gemm (pool_us, spawn_us) =
-  let oc = open_out path in
-  let p fmt = Printf.fprintf oc fmt in
-  let c = Compiler_profile.cache_snapshot () in
-  p "{\n";
-  p "  \"host\": %s,\n" (host_json ());
-  p "  \"domains\": %d,\n" config.Config.domains;
-  p "  \"loop_grain\": %d,\n" config.Config.loop_grain;
-  p "  \"kernel_grain\": %d,\n" config.Config.kernel_grain;
-  p "  \"dispatch_us\": { \"pool\": %.3f, \"spawn_join\": %.3f },\n" pool_us
-    spawn_us;
-  p "  \"workloads\": [\n";
-  List.iteri
-    (fun i r ->
-      let c = r.r_run and cj = r.r_jit_run in
-      let s = c.after and sj = cj.after in
-      let sweep =
-        String.concat ", "
+let workload_json r =
+  let c = r.r_run and cj = r.r_jit_run in
+  let s = c.after and sj = cj.after in
+  Json.Obj
+    [
+      ("name", Json.Str r.r_name);
+      ("batch", int r.r_batch);
+      ("seq", int r.r_seq);
+      ("interp_ms", num 4 (1e3 *. r.r_interp));
+      ("fused_ms", num 4 (1e3 *. r.r_fused));
+      ("jit_ms", num 4 (1e3 *. r.r_jit));
+      ("fused_speedup", num 3 (r.r_interp /. Float.max 1e-9 r.r_fused));
+      ("jit_speedup", num 3 (r.r_fused /. Float.max 1e-9 r.r_jit));
+      ("jit_groups", int sj.Scheduler.cjit_groups);
+      ("jit_runs", int (ran cj (fun s -> s.Scheduler.cjit_runs)));
+      ("jit_fallbacks", int sj.Scheduler.jit_fallbacks);
+      ( "sweep",
+        Json.Obj
           (List.map
-             (fun (d, t) -> Printf.sprintf "\"d%d_ms\": %.4f" d (1e3 *. t))
-             r.r_sweep)
-      in
-      p
-        "    { \"name\": \"%s\", \"batch\": %d, \"seq\": %d,\n\
-        \      \"interp_ms\": %.4f, \"fused_ms\": %.4f, \"jit_ms\": %.4f,\n\
-        \      \"fused_speedup\": %.3f, \"jit_speedup\": %.3f,\n\
-        \      \"jit_groups\": %d, \"jit_runs\": %d, \"jit_fallbacks\": %d,\n\
-        \      \"sweep\": { %s },\n\
-        \      \"prepare_cold_ms\": %.4f, \"prepare_warm_ms\": %.6f,\n\
-        \      \"cold_jit_ms\": %.1f, \"cold_jit_compiles\": %d,\n\
-        \      \"kernel_runs\": %d, \"parallel_loops\": %d, \
-         \"reduction_loops\": %d, \"vector_loops\": %d, \
-         \"batched_loops\": %d, \"loops_pinned_vector\": %d, \
-         \"loops_pinned_seq\": %d,\n\
-        \      \"pool_lanes\": %d, \"pool_dispatches\": %d, \
-         \"pool_worker_tasks\": %d, \"pool_caller_tasks\": %d, \
-         \"pool_seq_fallbacks\": %d,\n\
-        \      \"pool_fallbacks\": { \"grain\": %d, \"nested\": %d, \
-         \"disabled\": %d } }%s\n"
-        (json_escape r.r_name) r.r_batch r.r_seq (1e3 *. r.r_interp)
-        (1e3 *. r.r_fused) (1e3 *. r.r_jit)
-        (r.r_interp /. Float.max 1e-9 r.r_fused)
-        (r.r_fused /. Float.max 1e-9 r.r_jit)
-        sj.Scheduler.cjit_groups
-        (ran cj (fun s -> s.Scheduler.cjit_runs))
-        sj.Scheduler.jit_fallbacks sweep (1e3 *. r.r_cold) (1e3 *. r.r_warm)
-        (1e3 *. r.r_cold_jit) r.r_cold_jit_compiles
-        (ran c (fun s -> s.Scheduler.kernel_runs))
-        (ran c (fun s -> s.Scheduler.parallel_loops_run))
-        (ran c (fun s -> s.Scheduler.reduction_loops_run))
-        (ran c (fun s -> s.Scheduler.vector_loops))
-        s.Scheduler.batched_loops s.Scheduler.loops_pinned_vector
-        s.Scheduler.loops_pinned_seq
-        s.Scheduler.pool_lanes c.pool.(0) c.pool.(1) c.pool.(2) c.pool.(3)
-        c.pool.(4) c.pool.(5) c.pool.(6)
-        (if i = List.length rows - 1 then "" else ",")
-    )
-    rows;
-  p "  ],\n";
-  p "  \"gemm\": [\n";
-  List.iteri
-    (fun i r ->
-      let m, k, n = r.g_mkn in
-      p
-        "    { \"name\": \"%s\", \"m\": %d, \"k\": %d, \"n\": %d,          \"call_us\": %.2f, \"gflops\": %.2f }%s\n"
-        r.g_name m k n (1e6 *. r.g_call_s) (gemm_gflops r)
-        (if i = List.length gemm - 1 then "" else ","))
-    gemm;
-  p "  ],\n";
-  p
-    "  \"cache\": { \"hits\": %d, \"misses\": %d, \"evictions\": %d, \
-     \"resident\": %d },\n"
-    c.Compiler_profile.cache_hits c.Compiler_profile.cache_misses
-    c.Compiler_profile.cache_evictions (Engine.cache_size ());
-  p "  \"metrics\": %s\n" (Metrics.to_json (Metrics.snapshot ()));
-  p "}\n";
-  close_out oc
+             (fun (d, t) -> (Printf.sprintf "d%d_ms" d, num 4 (1e3 *. t)))
+             r.r_sweep) );
+      ("prepare_cold_ms", num 4 (1e3 *. r.r_cold));
+      ("prepare_warm_ms", num 6 (1e3 *. r.r_warm));
+      ("cold_jit_ms", num 1 (1e3 *. r.r_cold_jit));
+      ("cold_jit_compiles", int r.r_cold_jit_compiles);
+      ("kernel_runs", int (ran c (fun s -> s.Scheduler.kernel_runs)));
+      ("parallel_loops", int (ran c (fun s -> s.Scheduler.parallel_loops_run)));
+      ("reduction_loops", int (ran c (fun s -> s.Scheduler.reduction_loops_run)));
+      ("vector_loops", int (ran c (fun s -> s.Scheduler.vector_loops)));
+      ("batched_loops", int s.Scheduler.batched_loops);
+      ("loops_pinned_vector", int s.Scheduler.loops_pinned_vector);
+      ("loops_pinned_seq", int s.Scheduler.loops_pinned_seq);
+      ("pool_lanes", int s.Scheduler.pool_lanes);
+      ("pool_dispatches", int c.pool.(0));
+      ("pool_worker_tasks", int c.pool.(1));
+      ("pool_caller_tasks", int c.pool.(2));
+      ("pool_seq_fallbacks", int c.pool.(3));
+      ( "pool_fallbacks",
+        Json.Obj
+          [ ("grain", int c.pool.(4)); ("nested", int c.pool.(5)); ("disabled", int c.pool.(6)) ]
+      );
+    ]
 
-(* Bitwise output comparison: the gate for batched loops.  A loop the
-   analysis calls Parallel (or an exactly-associative reduction) must
-   reproduce the sequential engine's bits, not just its values. *)
-let tensors_bitwise a b =
-  List.for_all2
-    (fun x y ->
-      match (x, y) with
-      | Value.Tensor t, Value.Tensor u ->
-          Tensor.to_flat_array t = Tensor.to_flat_array u
-      | _ -> Value.equal ~atol:0.0 x y)
-    a b
+let gemm_json r =
+  let m, k, n = r.g_mkn in
+  Json.Obj
+    [
+      ("name", Json.Str r.g_name);
+      ("m", int m);
+      ("k", int k);
+      ("n", int n);
+      ("call_us", num 2 (1e6 *. r.g_call_s));
+      ("gflops", num 2 (gemm_gflops r));
+    ]
+
+(* One top-level member per line, and one array element per line, so a
+   regenerated file diffs row by row. *)
+let write_json path rows gemm (pool_us, spawn_us) =
+  let c = Compiler_profile.cache_snapshot () in
+  let members =
+    [
+      ("host", host_json ());
+      ("domains", int config.Config.domains);
+      ("loop_grain", int config.Config.loop_grain);
+      ("kernel_grain", int config.Config.kernel_grain);
+      ("dispatch_us", Json.Obj [ ("pool", num 3 pool_us); ("spawn_join", num 3 spawn_us) ]);
+      ("workloads", Json.Arr (List.map workload_json rows));
+      ("gemm", Json.Arr (List.map gemm_json gemm));
+      ( "cache",
+        Json.Obj
+          [
+            ("hits", int c.Compiler_profile.cache_hits);
+            ("misses", int c.Compiler_profile.cache_misses);
+            ("evictions", int c.Compiler_profile.cache_evictions);
+            ("resident", int (Engine.cache_size ()));
+          ] );
+      ( "metrics",
+        Result.get_ok (Json.parse (Metrics.to_json (Metrics.snapshot ()))) );
+    ]
+  in
+  let member (k, v) =
+    Printf.sprintf "  \"%s\": %s" (Json.escape k)
+      (match v with
+      | Json.Arr items ->
+          "[\n    " ^ String.concat ",\n    " (List.map Json.to_string items) ^ "\n  ]"
+      | v -> Json.to_string v)
+  in
+  let oc = open_out path in
+  output_string oc ("{\n" ^ String.concat ",\n" (List.map member members) ^ "\n}\n");
+  close_out oc
 
 let sweep_domains = [ 1; 2; 4 ]
 
@@ -584,23 +587,33 @@ let run_exec () =
       let eng = prepare ~parallel:false fg ~inputs in
       let engj = prepare_jit fg ~inputs in
       let _, _, engp = prepare_times ~parallel:true fg ~inputs in
-      let equal got = List.for_all2 (Value.equal ~atol:1e-4) expected got in
-      let seq_ref = Engine.run eng args in
-      let jit_out = Engine.run engj args in
+      (* Every gate is the oracle rule ([Equiv.matches]): bitwise, with
+         the libmvec bound when either side launched native code.  A
+         batched loop is gated against the sequential engine too: a loop
+         the analysis calls Parallel (or an exactly-associative
+         reduction) must reproduce its bits. *)
+      let seq_ref, seq_native = Equiv.run eng args in
+      let jit_out, jit_native = Equiv.run engj args in
       let par_out, cp = counted_run engp args in
+      let par_native = native cp in
       let nbatched = ran cp (fun s -> s.Scheduler.parallel_loops_run) in
-      if not (equal seq_ref && equal par_out) then begin
+      if
+        not
+          (Equiv.matches ~native:seq_native expected seq_ref
+          && Equiv.matches ~native:par_native expected par_out)
+      then begin
         ok := false;
         Printf.printf "  %-10s ENGINE OUTPUT DIVERGED FROM INTERPRETER\n"
           w.name
       end
-      (* the gate for native kernels: bitwise vs the interpreter, or at
-         worst within the harness epsilon *)
-      else if not (tensors_bitwise expected jit_out || equal jit_out) then begin
+      else if not (Equiv.matches ~native:jit_native expected jit_out) then begin
         ok := false;
         Printf.printf "  %-10s JIT ENGINE DIVERGED FROM INTERPRETER\n" w.name
       end
-      else if nbatched > 0 && not (tensors_bitwise seq_ref par_out) then begin
+      else if
+        nbatched > 0
+        && not (Equiv.matches ~native:(seq_native || par_native) seq_ref par_out)
+      then begin
         ok := false;
         Printf.printf
           "  %-10s PARALLELIZED LOOPS DIVERGED BITWISE FROM THE SEQUENTIAL \
@@ -626,14 +639,15 @@ let run_exec () =
             (fun d ->
               let e = prepare ~domains:d ~parallel:true fg ~inputs in
               let out, ce = counted_run e args in
-              if not (equal out) then begin
+              if not (Equiv.matches ~native:(native ce) expected out) then begin
                 ok := false;
                 Printf.printf
                   "  %-10s DIVERGED FROM INTERPRETER AT domains=%d\n" w.name d
               end
               else if
                 ran ce (fun s -> s.Scheduler.parallel_loops_run) > 0
-                && not (tensors_bitwise seq_ref out)
+                && not
+                     (Equiv.matches ~native:(seq_native || native ce) seq_ref out)
               then begin
                 ok := false;
                 Printf.printf

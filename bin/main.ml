@@ -228,8 +228,8 @@ let run_exec (w : Workload.t) (profile : Compiler_profile.t) batch seq =
       |]
   in
   let p0 = pool_counters () in
-  let outputs = Engine.run eng args in
-  let ok = List.for_all2 (Value.equal ~atol:1e-4) expected outputs in
+  let outputs, native = Equiv.run eng args in
+  let ok = Equiv.matches ~native expected outputs in
   Printf.printf "workload   : %s (batch=%d, seq=%d)\n" w.display batch seq;
   Printf.printf "engine     : fused executor (%s plan)\n" profile.name;
   if ok then begin
@@ -388,25 +388,18 @@ let kernels_cmd =
         let batch, seq = scales w batch seq in
         let g = Workload.graph w ~batch ~seq in
         ignore (Passes.tensorssa_pipeline g);
-        let plan = Fusion.plan Compiler_profile.tensorssa g in
-        let args = w.inputs ~batch ~seq in
-        let inputs =
-          List.map
-            (function
-              | Value.Tensor t -> Some (Shape_infer.known (Tensor.shape t))
-              | Value.Int _ | Value.Float _ | Value.Bool _ | Value.List _ ->
-                  None)
-            args
+        let shapes =
+          Shape_infer.infer g
+            ~inputs:(Engine.input_shapes (w.inputs ~batch ~seq))
         in
-        let shapes = Shape_infer.infer g ~inputs in
-        print_endline (Codegen.render_all g plan ~shapes);
+        print_endline (Codegen.render_all g (Engine.plan g) ~shapes);
         `Ok ()
   in
   Cmd.v
     (Cmd.info "kernels"
        ~doc:
-         "Print the tensor-expression DSL of every fused kernel of a \
-          workload's TensorSSA form (4.2.1).")
+         "Print the tensor-expression DSL of every fused kernel the engine \
+          runs for a workload's TensorSSA form (4.2.1).")
     Term.(ret (const run $ workload_arg $ batch_arg $ seq_arg))
 
 (* --- stats: the process-wide metrics registry --- *)

@@ -43,6 +43,9 @@ let input_shapes args =
       | Value.Int _ | Value.Float _ | Value.Bool _ | Value.List _ -> None)
     args
 
+let plan ?(profile = Compiler_profile.tensorssa) g =
+  Fusion.plan ~fence_loop_assigns:true profile g
+
 (* --- build (the uncached path) --- *)
 
 (* Arm the groups a finished unit compiled.  A unit that had to wait is
@@ -68,7 +71,7 @@ let build ~profile ~parallel ~domains ~loop_grain ~kernel_grain ~jit ~jit_dir
     ~args:(fun () ->
       [ ("graph", g.Graph.g_name); ("profile", profile.Compiler_profile.short_name) ])
     (fun () ->
-      let plan = Fusion.plan ~fence_loop_assigns:true profile g in
+      let plan = plan ~profile g in
       let shapes =
         Tracer.span "engine.shape_infer" (fun () -> Shape_infer.infer g ~inputs)
       in

@@ -81,6 +81,13 @@ val default_kernel_grain : unit -> int
 val input_shapes : Value.t list -> Shape_infer.shape option list
 (** Shape hints extracted from concrete argument values. *)
 
+val plan : ?profile:Compiler_profile.t -> Graph.t -> Fusion.plan
+(** The fusion plan {!prepare} runs: [profile] (default
+    {!Compiler_profile.tensorssa}) with in-loop assigns fenced out of
+    every group ([Fusion.plan ~fence_loop_assigns:true]), so they run
+    per node and can donate.  Its [Codegen.emit] kernels are the ones
+    the JIT compiles. *)
+
 val run : t -> Value.t list -> Value.t list
 (** Execute once; the buffer pool persists across calls.  Unlike
     {!Eval.run_tensors}, argument tensors are never written to — they are

@@ -1,59 +1,37 @@
-open Functs_ir
-open Functs_core
 open Functs_interp
-open Functs_workloads
+open Functs_tensor
 
-type outcome = { o_workload : string; o_ok : bool; o_detail : string }
+let same_bits x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
 
-let atol = 1e-4
+(* libmvec's vector transcendentals are within 4 ulp of scalar libm *)
+let libmvec_close x y =
+  same_bits x y
+  || Float.abs (x -. y) <= 1e-12 +. (1e-9 *. Float.abs y)
+  || (Float.is_nan x && Float.is_nan y)
 
-let values_equal xs ys =
-  List.length xs = List.length ys && List.for_all2 (Value.equal ~atol) xs ys
+let rec value ~close a b =
+  match (a, b) with
+  | Value.Tensor x, Value.Tensor y ->
+      Shape.equal x.Tensor.shape y.Tensor.shape
+      &&
+      let ok = ref true in
+      Tensor.iteri x (fun ix v ->
+          if not (close v (Tensor.get y ix)) then ok := false);
+      !ok
+  | Value.Float x, Value.Float y -> close x y
+  | Value.Int x, Value.Int y -> x = y
+  | Value.Bool x, Value.Bool y -> x = y
+  | Value.List xs, Value.List ys -> values ~close xs ys
+  | (Value.Tensor _ | Value.Float _ | Value.Int _ | Value.Bool _ | Value.List _), _ ->
+      false
 
-let check_graph ~name (g : Graph.t) ~args_fn =
-  let expected = Eval.run g (args_fn ()) in
-  let fg = Graph.clone g in
-  ignore (Passes.tensorssa_pipeline fg);
-  let inputs = Engine.input_shapes (args_fn ()) in
-  let legs =
-    [
-      ("exec", Engine.prepare ~parallel:false fg ~inputs);
-      ("exec-d1", Engine.prepare ~parallel:true ~domains:1 fg ~inputs);
-      (* two domains even on small hosts, so Domain dispatch is exercised *)
-      ("exec-par", Engine.prepare ~parallel:true ~domains:2 fg ~inputs);
-    ]
-  in
-  let failed =
-    List.filter_map
-      (fun (leg, eng) ->
-        match Engine.run eng (args_fn ()) with
-        | got -> if values_equal expected got then None else Some (leg ^ ": outputs differ")
-        | exception e -> Some (Printf.sprintf "%s: raised %s" leg (Printexc.to_string e)))
-      legs
-  in
-  match failed with
-  | [] ->
-      let s = Engine.stats (List.assoc "exec" legs) in
-      {
-        o_workload = name;
-        o_ok = true;
-        o_detail =
-          Printf.sprintf
-            "groups=%d kernel_runs=%d donations=%d pool=%d/%d"
-            s.Scheduler.groups s.Scheduler.kernel_runs
-            s.Scheduler.donations s.Scheduler.pool_reused
-            (s.Scheduler.pool_fresh + s.Scheduler.pool_reused);
-      }
-  | msgs -> { o_workload = name; o_ok = false; o_detail = String.concat "; " msgs }
+and values ~close xs ys =
+  List.length xs = List.length ys && List.for_all2 (value ~close) xs ys
 
-let check_workload ?batch ?seq (w : Workload.t) =
-  let batch = Option.value batch ~default:w.Workload.default_batch in
-  let seq = Option.value seq ~default:w.Workload.default_seq in
-  let g = Workload.graph w ~batch ~seq in
-  check_graph ~name:w.Workload.name g ~args_fn:(fun () ->
-      w.Workload.inputs ~batch ~seq)
+let bitwise = values ~close:same_bits
+let matches ~native = values ~close:(if native then libmvec_close else same_bits)
 
-let check_all () =
-  List.map (fun w -> check_workload w) (Registry.all @ Registry.extensions)
-
-let all_ok outcomes = List.for_all (fun o -> o.o_ok) outcomes
+let run eng args =
+  let c0 = (Engine.stats eng).Scheduler.cjit_runs in
+  let got = Engine.run eng args in
+  (got, (Engine.stats eng).Scheduler.cjit_runs > c0)

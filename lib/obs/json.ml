@@ -24,9 +24,12 @@ let escape s =
     s;
   Buffer.contents b
 
+(* The shorter of 15 and 17 significant digits that still round-trips. *)
 let num_to_string f =
   if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
-  else Printf.sprintf "%.17g" f
+  else
+    let s = Printf.sprintf "%.15g" f in
+    if float_of_string s = f then s else Printf.sprintf "%.17g" f
 
 let rec write b = function
   | Null -> Buffer.add_string b "null"

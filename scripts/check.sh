@@ -12,32 +12,17 @@ cd "$(dirname "$0")/.."
 echo "== dune build @all =="
 dune build @all
 
-echo "== dune runtest =="
-dune runtest
+# --force: on an unchanged tree dune would otherwise replay cached
+# results.  The suites include the JIT's (test_jit, test_forced), which
+# compile real kernels when a C compiler is present.
+echo "== dune runtest --force =="
+dune runtest --force
 
-# The exec differential suite pins its parallel engines to 2 lanes
-# explicitly (engines_of passes ~domains:2), so it crosses domains even
-# on single-core runners; FUNCTS_DOMAINS=2 keeps any config-driven path
-# honest too.
-echo "== exec differential suite (FUNCTS_DOMAINS=2) =="
-FUNCTS_DOMAINS=2 dune exec test/test_exec.exe
-
-# The serve suite's stress test runs a 2-lane engine config under 4
-# producer domains plus the dispatcher.
-echo "== serve suite (2 workers) =="
-dune exec test/test_serve.exe
-
-# Native JIT backend.  With a C compiler present the jit suite compiles
-# real kernels and compares them bitwise (or within epsilon for libmvec
-# transcendentals) against the interpreter, plus the compiler-failure,
-# hung-compiler and artifact-cache paths.  Without one, a FUNCTS_JIT=auto
-# run must still exit 0 — every group stays per-node — and the metrics
-# snapshot must say so via jit.c.fallback.
-echo "== jit suite =="
-if cc --version >/dev/null 2>&1; then
-  dune exec test/test_jit.exe
-else
-  echo "cc unavailable; asserting graceful fallback" >&2
+# Without a C compiler a FUNCTS_JIT=auto run must still exit 0 — every
+# group stays per-node — and the metrics snapshot must say so via
+# jit.c.fallback.
+if ! cc --version >/dev/null 2>&1; then
+  echo "== no cc: graceful JIT fallback =="
   FUNCTS_JIT=auto FUNCTS_DOMAINS=2 dune exec bench/main.exe -- exec --smoke \
     | tee /tmp/functs_jit_fallback.txt
   grep -Eq 'jit\.c\.fallback +[1-9]' /tmp/functs_jit_fallback.txt || {

@@ -3,10 +3,11 @@
    reference interpreter.  Sites are the attribution rows of a first run
    ([group#N] and [loop#N]); an arm a site lacks raises
    [Invalid_argument] and is skipped.  Each workload runs at batch 1
-   and 4, on 1 and 2 lanes, with the JIT off and — when a C compiler is
-   present — on [Auto], awaited so groups are armed.  Outputs compare
-   bitwise; a run that launched native code may differ within the
-   libmvec tolerance of the JIT suite. *)
+   and 4 on the sequential engine ([~parallel:false], JIT off), and on
+   1 and 2 lanes with the JIT off and — when a C compiler is present —
+   on [Auto], awaited so groups are armed.  Outputs compare under
+   [Equiv.matches]: bitwise, with the libmvec bound only for a run that
+   launched native code. *)
 
 open Functs
 
@@ -37,31 +38,6 @@ let jit_dir =
       | exception _ -> ());
   d
 
-let bits (v : Value.t) =
-  match v with
-  | Value.Tensor t -> Some (Array.map Int64.bits_of_float (Tensor.to_flat_array t))
-  | _ -> None
-
-let bitwise expected got =
-  List.length expected = List.length got
-  && List.for_all2
-       (fun e g ->
-         match (bits e, bits g) with
-         | Some a, Some b -> a = b
-         | _ -> Value.equal ~atol:0. e g)
-       expected got
-
-(* libmvec's vector transcendentals are within 4 ulp of scalar libm *)
-let libmvec_close expected got =
-  List.length expected = List.length got
-  && List.for_all2
-       (fun e g ->
-         match (e, g) with
-         | Value.Tensor te, Value.Tensor tg ->
-             Tensor.allclose ~atol:1e-12 ~rtol:1e-9 te tg
-         | _ -> Value.equal ~atol:0. e g)
-       expected got
-
 let site_name ((kind, id) : Scheduler.site) =
   Printf.sprintf "%s#%d" (match kind with `Group -> "group" | `Loop -> "loop") id
 
@@ -81,27 +57,22 @@ let test_forced_arms () =
           let fg = Graph.clone g in
           ignore (Passes.tensorssa_pipeline fg);
           List.iter
-            (fun (domains, jit) ->
+            (fun (parallel, domains, jit) ->
               let label =
-                Printf.sprintf "%s b%d d%d jit=%s" w.Workload.name batch
-                  domains (Jit.mode_to_string jit)
+                Printf.sprintf "%s b%d %s jit=%s" w.Workload.name batch
+                  (if parallel then Printf.sprintf "d%d" domains else "sequential")
+                  (Jit.mode_to_string jit)
               in
               let eng =
-                Engine.prepare ~parallel:true ~domains ~cache:false ~jit ~jit_dir
+                Engine.prepare ~parallel ~domains ~cache:false ~jit ~jit_dir
                   fg ~inputs:(Engine.input_shapes (args ()))
               in
               Engine.await_jit eng;
-              let agrees what got ~native =
-                check (label ^ ": " ^ what) true
-                  (bitwise expected got || (native && libmvec_close expected got))
+              let agrees what =
+                let got, native = Equiv.run eng (args ()) in
+                check (label ^ ": " ^ what) true (Equiv.matches ~native expected got)
               in
-              let native_run () =
-                let c0 = (Engine.stats eng).Scheduler.cjit_runs in
-                let got = Engine.run eng (args ()) in
-                (got, (Engine.stats eng).Scheduler.cjit_runs > c0)
-              in
-              let got, native = native_run () in
-              agrees "first run" got ~native;
+              agrees "first run";
               List.iter
                 (fun (r : Scheduler.attribution_row) ->
                   let site = (r.Scheduler.at_kind, r.Scheduler.at_id) in
@@ -111,14 +82,13 @@ let test_forced_arms () =
                       | exception Invalid_argument _ -> ()
                       | () ->
                           Hashtbl.replace forced (arm_name arm) ();
-                          let got, native = native_run () in
                           agrees
                             (Printf.sprintf "%s forced to %s" (site_name site)
-                               (arm_name arm))
-                            got ~native)
+                               (arm_name arm)))
                     arms)
                 (Engine.attribution eng))
-            (List.concat_map (fun d -> List.map (fun j -> (d, j)) jits) [ 1; 2 ]))
+            ((false, 1, Jit.Off)
+            :: List.concat_map (fun d -> List.map (fun j -> (true, d, j)) jits) [ 1; 2 ]))
         [ 1; 4 ])
     (Registry.all @ Registry.extensions);
   List.iter

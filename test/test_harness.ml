@@ -146,8 +146,7 @@ let test_profile_lowering () =
           ~inputs:(Engine.input_shapes (args ()))
       in
       check (p.short_name ^ ": engine matches the interpreter") true
-        (List.for_all2 (Value.equal ~atol:1e-4) expected
-           (Engine.run eng (args ()))))
+        (Equiv.bitwise expected (Engine.run eng (args ()))))
     Compiler_profile.all
 
 let () =

@@ -1,5 +1,6 @@
-(* The serving layer: multi-domain stress (no lost / duplicated /
-   misrouted responses, outputs equal the interpreter), batched dispatch
+(* The serving layer, JIT off, every output bitwise the interpreter's
+   ([Equiv.bitwise]): multi-domain stress (no lost / duplicated /
+   misrouted responses), batched dispatch
    (any arrival mix decomposes into buckets whose per-request outputs are
    bitwise-equal to batch-1 interpreter runs, including partial final
    buckets and mid-bucket deadline expiry), the ticket API (poll /
@@ -43,16 +44,6 @@ let clone_args =
 let expected_for args =
   let w = lstm () in
   Eval.run (Workload.graph w ~batch ~seq) (clone_args args)
-
-let matches expected got =
-  List.length expected = List.length got
-  && List.for_all2 (Value.equal ~atol:1e-4) expected got
-
-(* Batched dispatch must be transparent per request: not "close", but
-   bitwise-identical to running the request alone. *)
-let bitwise expected got =
-  List.length expected = List.length got
-  && List.for_all2 (Value.equal ~atol:0.0) expected got
 
 let with_session ?(config = Config.default) f =
   match Functs.compile ~config ~batch ~seq (lstm ()) with
@@ -101,7 +92,7 @@ let test_stress () =
              let tk = accepted () in
              incr achieved;
              match Session.await tk with
-             | Ok got -> if not (matches expected.(p) got) then incr failures
+             | Ok got -> if not (Equiv.bitwise expected.(p) got) then incr failures
              | Error e -> Alcotest.fail (Error.to_string e)
            done
          with Exit -> ());
@@ -174,7 +165,7 @@ let bucket_round s shared ~salt0 n =
   List.iter
     (fun (args, got) ->
       check "bucketed response is bitwise-equal to its solo run" true
-        (bitwise (expected_for args) got))
+        (Equiv.bitwise (expected_for args) got))
     (serve_round s shared ~salt0 n)
 
 let test_bucket_equivalence () =
@@ -224,7 +215,7 @@ let test_bucket_mid_expiry () =
           match Session.await tk with
           | Ok got ->
               check "expiry in the mix never corrupts a response" true
-                (matches (expected_for args) got)
+                (Equiv.bitwise (expected_for args) got)
           | Error e -> Alcotest.fail (Error.to_string e))
         tickets;
       let st = Session.stats s in
@@ -256,7 +247,7 @@ let test_poll_cancel () =
       (match Session.await kept with
       | Ok got ->
           check "the neighbour of a cancelled ticket is served" true
-            (matches (expected_for kept_args) got)
+            (Equiv.bitwise (expected_for kept_args) got)
       | Error e -> Alcotest.fail (Error.to_string e));
       check "cancel after completion is refused" false (Session.cancel kept);
       (match Session.poll kept with
@@ -291,7 +282,7 @@ let test_shards () =
           match Session.await tk with
           | Ok got ->
               check "sharded dispatch routes every response correctly" true
-                (matches expected.(i) got)
+                (Equiv.bitwise expected.(i) got)
           | Error e -> Alcotest.fail (Error.to_string e))
         tickets;
       let st = Session.stats s in
@@ -316,7 +307,7 @@ let test_deadline_interp_fallback () =
       (match Session.await tk with
       | Ok got ->
           check "fallback still returns the interpreter's outputs" true
-            (matches (expected_for (perturbed_args 7)) got)
+            (Equiv.bitwise (expected_for (perturbed_args 7)) got)
       | Error e ->
           Alcotest.failf "expected a served fallback, got %s"
             (Error.to_string e));
@@ -358,7 +349,7 @@ let test_overload () =
       (match Session.await first with
       | Ok got ->
           check "the queued request is still served correctly" true
-            (matches (expected_for (perturbed_args 0)) got)
+            (Equiv.bitwise (expected_for (perturbed_args 0)) got)
       | Error e -> Alcotest.fail (Error.to_string e));
       let st = Session.stats s in
       check "overload was counted" true (st.Session.overloaded >= 1);
@@ -415,7 +406,7 @@ let test_clear_cache_no_rebuild () =
             (c1.Compiler_profile.cache_misses
            - c0.Compiler_profile.cache_misses);
           check "outputs are bitwise-equal to the first round's" true
-            (List.for_all2 bitwise first second)))
+            (List.for_all2 Equiv.bitwise first second)))
     [ Config.default; { Config.default with Config.batch_buckets = [ 1 ] } ]
 
 (* --- the facade's one-shot entry point --- *)
@@ -424,7 +415,7 @@ let test_run_once () =
   let args = base_args () in
   match Functs.run_once ~batch ~seq (lstm ()) (clone_args args) with
   | Ok got -> check "run_once equals the interpreter" true
-      (matches (expected_for args) got)
+      (Equiv.bitwise (expected_for args) got)
   | Error e -> Alcotest.fail (Error.to_string e)
 
 (* --- Config.of_env: strict validation, no silent fallback --- *)
