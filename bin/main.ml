@@ -480,13 +480,23 @@ let site_label (r : Scheduler.attribution_row) =
     (String.concat ", " r.Scheduler.at_ops)
 
 (* GC work over the served requests: collection counts are deltas, heap
-   sizes (in words) their values at the end. *)
-let gc_rows (before : Gc.stat) (after : Gc.stat) =
+   sizes (in words) their values at the end, and [minor_words] /
+   [major_words] the words allocated per request.  Both snapshots follow
+   a [Gc.minor ()]: under OCaml 5 [Gc.quick_stat] sees another domain's
+   allocation counters only as sampled at its last minor collection, and
+   a forced one samples the dispatcher domain too.  The window's
+   collection counts include that final forced minor collection. *)
+let gc_rows ~runs (before : Gc.stat) (after : Gc.stat) =
+  let per_request words =
+    int_of_float (Float.round ((words after -. words before) /. float_of_int runs))
+  in
   [
     ("minor_collections", after.minor_collections - before.minor_collections);
     ("major_collections", after.major_collections - before.major_collections);
     ("heap_words", after.heap_words);
     ("top_heap_words", after.top_heap_words);
+    ("minor_words", per_request (fun (s : Gc.stat) -> s.minor_words));
+    ("major_words", per_request (fun (s : Gc.stat) -> s.major_words));
   ]
 
 (* The cold path: [Session.create]'s wall-clock in ms; the time from
@@ -520,9 +530,13 @@ let serve_requests (w : Workload.t) ~runs ~batch ~seq =
         }
       in
       let args = w.Workload.inputs ~batch ~seq in
+      Gc.minor ();
       let gc0 = Gc.quick_stat () in
       let rec go i =
-        if i >= runs then Ok (session, gc_rows gc0 (Gc.quick_stat ()), setup)
+        if i >= runs then begin
+          Gc.minor ();
+          Ok (session, gc_rows ~runs gc0 (Gc.quick_stat ()), setup)
+        end
         else
           match Session.run session args with
           | Ok _ -> go (i + 1)

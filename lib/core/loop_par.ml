@@ -472,9 +472,4 @@ let classify (g : Graph.t) (node : Graph.node) : verdict =
     | _ -> Sequential "malformed prim::Loop"
   with Reject m -> Sequential m
 
-let verdict_name = function
-  | Parallel _ -> "parallel"
-  | Reduction (op, _) -> "reduction(" ^ Scalar.binary_name op ^ ")"
-  | Sequential _ -> "sequential"
-
 let reason = function Sequential m -> Some m | Parallel _ | Reduction _ -> None

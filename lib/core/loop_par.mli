@@ -72,9 +72,5 @@ val classify : Graph.t -> Graph.node -> verdict
     overlapping subscripts, stale aliases, crossed carried slots,
     non-associative accumulators — yields [Sequential reason]. *)
 
-val verdict_name : verdict -> string
-(** ["parallel"], ["reduction(add)"], … or ["sequential"] — for traces
-    and stats. *)
-
 val reason : verdict -> string option
 (** The recorded reason of a [Sequential] verdict. *)

@@ -86,7 +86,6 @@ let squeeze x dim = Call (Fn_squeeze dim, [ x ])
 let ( := ) name e = Assign (name, e)
 let ( <-- ) target e = Store (target, e)
 let incr_ name e = Aug (name, Scalar.Add, e)
-let decr_ name e = Aug (name, Scalar.Sub, e)
 let if_ cond then_ else_ = If (cond, then_, else_)
 let for_ name trip body = For (name, trip, body)
 let return_ es = Return es

@@ -116,8 +116,6 @@ val ( <-- ) : expr -> expr -> stmt
 val incr_ : string -> expr -> stmt
 (** [x += e]. *)
 
-val decr_ : string -> expr -> stmt
-
 val if_ : expr -> stmt list -> stmt list -> stmt
 val for_ : string -> expr -> stmt list -> stmt
 val return_ : expr list -> stmt

@@ -149,9 +149,6 @@ let add_node_output node ?(name = "") ty =
 
 let add_node_input node value = node.n_inputs <- node.n_inputs @ [ value ]
 
-let set_input node i value =
-  node.n_inputs <- List.mapi (fun j v -> if j = i then value else v) node.n_inputs
-
 let defining_node value =
   match value.v_origin with
   | Def (n, _) -> Some n

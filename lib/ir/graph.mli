@@ -88,7 +88,6 @@ val add_block_param : block -> ?name:string -> Dtype.t -> value
 val add_block_return : block -> value -> unit
 val add_node_output : node -> ?name:string -> Dtype.t -> value
 val add_node_input : node -> value -> unit
-val set_input : node -> int -> value -> unit
 
 (** {1 Queries} *)
 

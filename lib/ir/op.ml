@@ -10,12 +10,6 @@ type view_kind =
   | Unsqueeze of { dim : int }
   | Squeeze of { dim : int }
 
-let view_kind_operands = function
-  | Identity -> 0
-  | Select _ -> 1
-  | Slice _ -> 2
-  | Reshape _ | Permute _ | Expand _ | Unsqueeze _ | Squeeze _ -> 0
-
 let view_kind_name = function
   | Identity -> "identity"
   | Select _ -> "select"

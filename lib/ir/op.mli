@@ -32,9 +32,6 @@ type view_kind =
   | Unsqueeze of { dim : int }
   | Squeeze of { dim : int }
 
-val view_kind_operands : view_kind -> int
-(** Number of dynamic scalar inputs the rule consumes. *)
-
 val view_kind_name : view_kind -> string
 val view_kind_to_string : view_kind -> string
 

@@ -118,15 +118,22 @@ type bucket = {
   bk_inputs : Shape_infer.shape option list;
 }
 
-(* A dispatcher shard's engines, by bucket size.  Shard 0's table holds
-   the engines [create] compiled and warmed, so native-shape requests
-   never probe the process-wide compile cache: an LRU eviction or
-   [Engine.clear_cache] cannot put a rebuild on the request path.  Extra
-   shards fill their own tables lazily with uncached engines: two shards
-   sharing one engine would only serialize on its run mutex, and
+(* A dispatcher shard: its engines by bucket size, and its scatter
+   buffers by (bucket size, argument index).  Shard 0's engine table
+   holds the engines [create] compiled and warmed, so native-shape
+   requests never probe the process-wide compile cache: an LRU eviction
+   or [Engine.clear_cache] cannot put a rebuild on the request path.
+   Extra shards fill their own tables lazily with uncached engines: two
+   shards sharing one engine would only serialize on its run mutex, and
    [~cache:false] builds leave the LRU cache and its hit/miss counters
-   untouched. *)
-type shard = (int, Engine.t) Hashtbl.t
+   untouched.  One dispatcher domain owns each shard, so neither table
+   needs a lock. *)
+type shard = {
+  sh_engines : (int, Engine.t) Hashtbl.t;
+  sh_scatter : (int * int, Tensor.t) Hashtbl.t;
+}
+
+let new_shard () = { sh_engines = Hashtbl.create 4; sh_scatter = Hashtbl.create 4 }
 
 type t = {
   s_config : Config.t;
@@ -284,13 +291,13 @@ let engine_for t args =
   prepare_engine t t.s_graph ~inputs:(Engine.input_shapes args)
 
 let bucket_engine t (sh : shard) bk =
-  match Hashtbl.find_opt sh bk.bk_size with
+  match Hashtbl.find_opt sh.sh_engines bk.bk_size with
   | Some eng ->
       t.s_engine <- Some eng;
       eng
   | None ->
       let eng = prepare_engine t ~cache:false bk.bk_graph ~inputs:bk.bk_inputs in
-      Hashtbl.add sh bk.bk_size eng;
+      Hashtbl.add sh.sh_engines bk.bk_size eng;
       eng
 
 (* [s_buckets] is sorted descending and always ends with size 1. *)
@@ -318,7 +325,11 @@ let shared_compatible (bx : Workload.batching) a b =
     bx.Workload.input_axes
     (List.map2 (fun x y -> (x, y)) a.t_args b.t_args)
 
-let scatter (bx : Workload.batching) group =
+(* Each batched argument is concatenated into the shard's buffer for
+   (bucket size, argument index), allocated on the bucket's first run and
+   overwritten on every later one: a bucket's input shapes are fixed, so
+   steady-state scatter allocates nothing. *)
+let scatter sh (bx : Workload.batching) k group =
   let arg_arrays = List.map (fun tk -> Array.of_list tk.t_args) group in
   let head = List.hd arg_arrays in
   List.mapi
@@ -326,21 +337,49 @@ let scatter (bx : Workload.batching) group =
       match ax with
       | None -> head.(i)
       | Some dim ->
-          Value.Tensor
-            (Tensor.concat_axis ~dim
-               (List.map
-                  (fun a ->
-                    match a.(i) with
-                    | Value.Tensor tn -> tn
-                    | _ -> invalid_arg "Session.scatter: non-tensor batch axis")
-                  arg_arrays)))
+          let parts =
+            List.map
+              (fun a ->
+                match a.(i) with
+                | Value.Tensor tn -> tn
+                | _ -> invalid_arg "Session.scatter: non-tensor batch axis")
+              arg_arrays
+          in
+          let buf =
+            match Hashtbl.find_opt sh.sh_scatter (k, i) with
+            | Some buf ->
+                Tensor.concat_axis_into ~dim parts buf;
+                buf
+            | None ->
+                let buf = Tensor.concat_axis ~dim parts in
+                Hashtbl.replace sh.sh_scatter (k, i) buf;
+                buf
+          in
+          Value.Tensor buf)
     bx.Workload.input_axes
+
+let rec shares_storage buf = function
+  | Value.Tensor tn -> Tensor.same_storage tn buf
+  | Value.List l -> List.exists (shares_storage buf) l
+  | Value.Int _ | Value.Float _ | Value.Bool _ -> false
+
+(* Replies are views of the run's outputs, so an output that shares
+   storage with a scatter buffer (a program returning its batched input,
+   or a view of it) would see the next batch written into it.  Such a
+   buffer leaves the shard; the bucket's next run allocates a fresh one. *)
+let release_aliased sh outputs =
+  Hashtbl.filter_map_inplace
+    (fun _ buf ->
+      if List.exists (shares_storage buf) outputs then None else Some buf)
+    sh.sh_scatter
 
 let rec transpose = function
   | [] -> []
   | [] :: _ -> []
   | rows -> List.map List.hd rows :: transpose (List.map List.tl rows)
 
+(* Request [j]'s reply is the [j]th slab of each batched output, as a
+   view: no copy, and the reply keeps the whole batch output alive. *)
 let gather (bx : Workload.batching) k outputs =
   let per_output =
     List.map2
@@ -352,9 +391,8 @@ let gather (bx : Workload.batching) k outputs =
               invalid_arg "Session.gather: batched extent not divisible"
             else
               let per = total / k in
-              List.map
-                (fun p -> Value.Tensor p)
-                (Tensor.split_axis ~dim ~parts:(List.init k (fun _ -> per)) tn)
+              List.init k (fun j ->
+                  Value.Tensor (Tensor.narrow tn ~dim ~start:(j * per) ~len:per))
         | (None | Some _), v -> List.init k (fun _ -> v))
       bx.Workload.output_axes outputs
   in
@@ -364,10 +402,11 @@ let gather (bx : Workload.batching) k outputs =
 
    Per shard, one domain, one loop: wait for work, pop a same-shape run
    of requests, decompose it greedily into the largest compiled batch
-   buckets that fit, scatter each bucket's inputs into one batched
-   buffer, run the bucket engine once, and split the outputs back per
-   request.  Exits only when closing AND drained, so [close] never loses
-   queued requests. *)
+   buckets that fit, scatter each bucket's inputs into the shard's
+   batched buffers, run the bucket engine once, and hand each request
+   views of its slab of the outputs.  Exits only when closing AND
+   drained, so [close] never loses queued requests; the exit drops the
+   shard's scatter buffers. *)
 
 (* Journal the bucket chooser's decision when it changes, so
    [functs why] explains which bucket requests land in. *)
@@ -415,13 +454,14 @@ let run_bucket t sh bx bk group =
     ~args:(fun () -> [ ("bucket", string_of_int bk.bk_size); ("n", string_of_int k) ])
     (fun () ->
       match
-        let batched_args = scatter bx group in
+        let batched_args = scatter sh bx k group in
         let eng = bucket_engine t sh bk in
         let acquired = Unix.gettimeofday () in
         List.iter (fun tk -> tk.t_engine <- acquired) group;
         let outputs = Engine.run eng batched_args in
         let rundone = Unix.gettimeofday () in
         List.iter (fun tk -> tk.t_rundone <- rundone) group;
+        release_aliased sh outputs;
         gather bx k outputs
       with
       | per_request ->
@@ -576,7 +616,7 @@ let rec dispatch_loop t sh =
         end)
   in
   match action with
-  | `Exit -> ()
+  | `Exit -> Hashtbl.reset sh.sh_scatter
   | `Batch batch ->
       process_batch t sh batch;
       dispatch_loop t sh
@@ -587,7 +627,8 @@ let rec dispatch_loop t sh =
    the shape-inference results both retained: every declared output axis
    whose extents inference pinned down must scale by exactly the bucket
    factor.  Axes inference left Unknown pass here and are enforced at
-   gather time instead (split_axis validates the concrete extents). *)
+   gather time instead (gather checks that the concrete extent divides
+   by the bucket size). *)
 let outputs_scale_ok (bx : Workload.batching) ~factor ~base ~bucket =
   let rec go axes bs ks =
     match (axes, bs, ks) with
@@ -653,7 +694,7 @@ let build_buckets t (w : Workload.t) bx ~batch ~seq ~base_engine ~shard =
                    ignore (Engine.run eng bucket_args)
                  done
                with _ -> ());
-              Hashtbl.replace shard k eng;
+              Hashtbl.replace shard.sh_engines k eng;
               Some bk
             end
             else None
@@ -704,9 +745,9 @@ let create ?(config = Config.default) ?(profile = Compiler_profile.tensorssa)
     in
     (* compile once, now: shard 0 holds every engine it serves from
        before the first submit *)
-    let shard0 : shard = Hashtbl.create 4 in
+    let shard0 = new_shard () in
     let base_engine = prepare_engine t g ~inputs:base.bk_inputs in
-    Hashtbl.replace shard0 1 base_engine;
+    Hashtbl.replace shard0.sh_engines 1 base_engine;
     (try
        for _ = 1 to warmup_runs do
          ignore (Engine.run base_engine native_args)
@@ -808,7 +849,7 @@ let submit t { in_args = args; in_deadline_us = deadline_us } =
                 ~value:(float_of_int depth);
               t.s_dispatchers <-
                 Domain.spawn (fun () ->
-                    dispatch_loop t (Hashtbl.create 4))
+                    dispatch_loop t (new_shard ()))
                 :: t.s_dispatchers
             end;
             (* arrow tail lives inside this submit span; the head is in

@@ -27,9 +27,14 @@
     through the same shape-keyed compile cache.  The dispatcher then
     decomposes each run of same-shape requests greedily into the
     largest buckets that fit, {e scatters} the per-request tensors into
-    one batch-major buffer per declared input axis ({!Tensor.concat_axis}
-    — one blit per prefix block), runs the bucket engine {e once}, and
-    {e gathers} per-request outputs back with {!Tensor.split_axis}.
+    one batch-major buffer per declared input axis
+    ({!Tensor.concat_axis_into} — one blit per prefix block), runs the
+    bucket engine {e once}, and {e gathers} each request's outputs as
+    {!Tensor.narrow} views of the batched outputs.  The scatter buffers
+    belong to the dispatcher shard and are reused by the bucket's next
+    run, unless an output shares storage with one (a program returning
+    its batched input): that buffer is dropped, so a reply never sees a
+    later batch.  A reply keeps its whole batch output alive.
     Requests only share a bucket when their shared ([None]-axis)
     arguments are physically identical, so weights are never mixed
     between callers.  Deadlines are re-checked as each bucket forms:

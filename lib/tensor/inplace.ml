@@ -21,8 +21,6 @@ let fill_ dst v =
   Tensor.mapi_inplace dst (fun _ _ -> v);
   dst
 
-let zero_ dst = fill_ dst 0.0
-
 let unary_ fn dst =
   let f = Scalar.apply_unary fn in
   Tensor.mapi_inplace dst (fun _ v -> f v);
@@ -41,8 +39,4 @@ let binary_ fn dst src =
   dst
 
 let add_ = binary_ Scalar.Add
-let sub_ = binary_ Scalar.Sub
-let mul_ = binary_ Scalar.Mul
-let div_ = binary_ Scalar.Div
-let sigmoid_ = unary_ Scalar.Sigmoid
 let relu_ = unary_ Scalar.Relu

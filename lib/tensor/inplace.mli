@@ -11,7 +11,6 @@ val copy_ : Tensor.t -> Tensor.t -> Tensor.t
     [dst]'s shape. *)
 
 val fill_ : Tensor.t -> float -> Tensor.t
-val zero_ : Tensor.t -> Tensor.t
 
 val unary_ : Scalar.unary -> Tensor.t -> Tensor.t
 (** E.g. [unary_ Sigmoid] is [aten::sigmoid_]. *)
@@ -20,8 +19,4 @@ val binary_ : Scalar.binary -> Tensor.t -> Tensor.t -> Tensor.t
 (** [binary_ fn dst src] is [dst.fn_(src)] with [src] broadcast to [dst]. *)
 
 val add_ : Tensor.t -> Tensor.t -> Tensor.t
-val sub_ : Tensor.t -> Tensor.t -> Tensor.t
-val mul_ : Tensor.t -> Tensor.t -> Tensor.t
-val div_ : Tensor.t -> Tensor.t -> Tensor.t
-val sigmoid_ : Tensor.t -> Tensor.t
 val relu_ : Tensor.t -> Tensor.t

@@ -34,7 +34,6 @@ let sigmoid = unary Scalar.Sigmoid
 let tanh = unary Scalar.Tanh
 let relu = unary Scalar.Relu
 let add_scalar t v = add t (Tensor.scalar v)
-let mul_scalar t v = mul t (Tensor.scalar v)
 
 let matmul2d a b =
   let m = (Tensor.shape a).(0) and k = (Tensor.shape a).(1) in

@@ -15,7 +15,6 @@ val tanh : Tensor.t -> Tensor.t
 val relu : Tensor.t -> Tensor.t
 
 val add_scalar : Tensor.t -> float -> Tensor.t
-val mul_scalar : Tensor.t -> float -> Tensor.t
 
 val matmul : Tensor.t -> Tensor.t -> Tensor.t
 (** 2-d × 2-d matrix product, or batched 3-d × 3-d / 3-d × 2-d products

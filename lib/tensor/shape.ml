@@ -82,8 +82,3 @@ let iter_indices shape f =
       bump (n - 1)
     done
   end
-
-let fold_indices shape ~init ~f =
-  let acc = ref init in
-  iter_indices shape (fun index -> acc := f !acc index);
-  !acc

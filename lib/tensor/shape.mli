@@ -35,5 +35,3 @@ val normalize_index : size:int -> int -> int
 val iter_indices : t -> (int array -> unit) -> unit
 (** Call the function once per multi-index, in row-major order.  The index
     array is reused between calls; callers must not retain it. *)
-
-val fold_indices : t -> init:'a -> f:('a -> int array -> 'a) -> 'a

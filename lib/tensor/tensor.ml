@@ -34,7 +34,7 @@ let of_storage storage shape =
 let zeros shape = of_storage (Storage.create (Shape.numel shape)) shape
 
 (* Uninitialized buffer for internal callers that overwrite every
-   element before the tensor escapes (concat/split below).  Skipping the
+   element before the tensor escapes (concat below).  Skipping the
    zero fill halves the memory traffic of those bulk copies. *)
 let uninit shape =
   of_storage (Storage.of_array (Array.create_float (Shape.numel shape))) shape
@@ -205,10 +205,10 @@ let clone t =
 let contiguous t = if is_contiguous t then t else clone t
 let reshape t shape = reshape_view (contiguous t) shape
 
-(* Concat / split along one axis — the serving layer's batched
-   scatter/gather.  Both move whole contiguous [dim..last] runs with
-   [Array.blit] per leading prefix, so batching B requests costs one
-   memcpy per prefix block, not one strided store per element. *)
+(* Concat along one axis — the serving layer's batched scatter.  It
+   moves whole contiguous [dim..last] runs with [Array.blit] per leading
+   prefix, so batching B requests costs one memcpy per prefix block, not
+   one strided store per element. *)
 
 let extent_product shape lo hi =
   let p = ref 1 in
@@ -217,7 +217,7 @@ let extent_product shape lo hi =
   done;
   !p
 
-let concat_axis ~dim = function
+let concat_shape ~dim = function
   | [] -> invalid_arg "Tensor.concat_axis: empty list"
   | first :: _ as parts ->
       let nd = ndim first in
@@ -232,59 +232,42 @@ let concat_axis ~dim = function
                   "Tensor.concat_axis: shapes differ off the concat axis")
             first.shape)
         parts;
-      let total = List.fold_left (fun acc p -> acc + p.shape.(dim)) 0 parts in
       let out_shape = Array.copy first.shape in
-      out_shape.(dim) <- total;
-      let out = uninit out_shape in
-      let prefix = extent_product out_shape 0 (dim - 1) in
-      let suffix = extent_product out_shape (dim + 1) (nd - 1) in
-      let dst = Storage.data out.storage in
-      let off = ref 0 in
-      List.iter
-        (fun p ->
-          let p = contiguous p in
-          let src = Storage.data p.storage in
-          let run = p.shape.(dim) * suffix in
-          for pre = 0 to prefix - 1 do
-            Array.blit src
-              (p.offset + (pre * run))
-              dst
-              (((pre * total) + !off) * suffix)
-              run
-          done;
-          off := !off + p.shape.(dim))
-        parts;
-      out
+      out_shape.(dim) <- List.fold_left (fun acc p -> acc + p.shape.(dim)) 0 parts;
+      (dim, out_shape)
 
-let split_axis ~dim ~parts t =
-  let nd = ndim t in
-  let dim = Shape.normalize_dim ~ndim:nd dim in
-  let total = List.fold_left ( + ) 0 parts in
-  if List.exists (fun n -> n <= 0) parts || total <> t.shape.(dim) then
+let concat_axis_into ~dim parts out =
+  let dim, out_shape = concat_shape ~dim parts in
+  if not (Shape.equal out.shape out_shape && is_contiguous out) then
     invalid_arg
       (Printf.sprintf
-         "Tensor.split_axis: parts must be positive and sum to %d"
-         t.shape.(dim));
-  let src_t = contiguous t in
-  let src = Storage.data src_t.storage in
-  let prefix = extent_product t.shape 0 (dim - 1) in
-  let suffix = extent_product t.shape (dim + 1) (nd - 1) in
+         "Tensor.concat_axis_into: destination %s, parts concatenate to %s"
+         (Shape.to_string out.shape) (Shape.to_string out_shape));
+  let nd = Array.length out_shape and total = out_shape.(dim) in
+  let prefix = extent_product out_shape 0 (dim - 1) in
+  let suffix = extent_product out_shape (dim + 1) (nd - 1) in
+  let dst = Storage.data out.storage in
   let off = ref 0 in
-  List.map
-    (fun len ->
-      let shape = Array.copy t.shape in
-      shape.(dim) <- len;
-      let out = uninit shape in
-      let dst = Storage.data out.storage in
-      let run = len * suffix in
+  List.iter
+    (fun p ->
+      let p = contiguous p in
+      let src = Storage.data p.storage in
+      let run = p.shape.(dim) * suffix in
       for pre = 0 to prefix - 1 do
         Array.blit src
-          (src_t.offset + (((pre * total) + !off) * suffix))
-          dst (pre * run) run
+          (p.offset + (pre * run))
+          dst
+          (out.offset + (((pre * total) + !off) * suffix))
+          run
       done;
-      off := !off + len;
-      out)
+      off := !off + p.shape.(dim))
     parts
+
+let concat_axis ~dim parts =
+  let _, out_shape = concat_shape ~dim parts in
+  let out = uninit out_shape in
+  concat_axis_into ~dim parts out;
+  out
 
 let pp ppf t =
   let rec render ppf prefix =

@@ -105,17 +105,19 @@ val reshape : t -> Shape.t -> t
     result may or may not alias the input, as in PyTorch. *)
 
 val concat_axis : dim:int -> t list -> t
-(** Concatenate along [dim] into fresh contiguous storage.  All parts must
-    agree on every other dimension.  Data moves as whole [dim..last]
-    blocks via [Array.blit] — this is the serving layer's batched
-    {e scatter} (N requests into one batch-major buffer).
+(** Concatenate along [dim] into fresh contiguous storage: {!uninit}
+    plus {!concat_axis_into}.
     @raise Invalid_argument on an empty list or mismatched shapes. *)
 
-val split_axis : dim:int -> parts:int list -> t -> t list
-(** Inverse of {!concat_axis}: cut [t] along [dim] into fresh contiguous
-    tensors of the given extents (which must be positive and sum to the
-    axis size) — the batched {e gather} back to per-request outputs.
-    @raise Invalid_argument on a bad part list. *)
+val concat_axis_into : dim:int -> t list -> t -> unit
+(** [concat_axis_into ~dim parts out] writes the concatenation of
+    [parts] along [dim] into [out], which must be contiguous and of
+    exactly the concatenated shape.  All parts must agree on every other
+    dimension.  Data moves as whole [dim..last] blocks via [Array.blit]
+    — the serving layer's batched {e scatter} of N requests into one
+    batch-major buffer it owns and reuses.
+    @raise Invalid_argument on an empty list, mismatched parts or a
+    destination of the wrong shape or layout. *)
 
 (** {1 Traversal} *)
 

@@ -3,9 +3,12 @@
    misrouted responses), batched dispatch
    (any arrival mix decomposes into buckets whose per-request outputs are
    bitwise-equal to batch-1 interpreter runs, including partial final
-   buckets and mid-bucket deadline expiry), the ticket API (poll /
-   cancel), shard scale-out, deadline expiry under both degradation
-   policies, backpressure on a size-1 queue, and the strict
+   buckets and mid-bucket deadline expiry, on lstm and on yolact, whose
+   outputs hold exact zeros), the scatter buffers (replies held across
+   later buckets, and the buffer a program's output aliases is dropped),
+   the steady-state major-heap budget of a 16-bucket, the ticket API
+   (poll / cancel), shard scale-out, deadline expiry under both
+   degradation policies, backpressure on a size-1 queue, and the strict
    Config.of_env validation. *)
 
 open Functs
@@ -41,12 +44,11 @@ let clone_args =
     | Value.Tensor t -> Value.Tensor (Tensor.clone t)
     | (Value.Int _ | Value.Float _ | Value.Bool _ | Value.List _) as v -> v)
 
-let expected_for args =
-  let w = lstm () in
+let expected_for ?(w = lstm ()) args =
   Eval.run (Workload.graph w ~batch ~seq) (clone_args args)
 
-let with_session ?(config = Config.default) f =
-  match Functs.compile ~config ~batch ~seq (lstm ()) with
+let with_session ?(config = Config.default) ?(w = lstm ()) f =
+  match Functs.compile ~config ~batch ~seq w with
   | Error e -> Alcotest.fail (Error.to_string e)
   | Ok s -> Fun.protect ~finally:(fun () -> Session.close s) (fun () -> f s)
 
@@ -126,11 +128,11 @@ let test_stress () =
    the exact values from [shared] — bucketing requires physical
    equality of shared args, which is what real callers get by reusing
    one weight set. *)
-let batched_variant shared salt =
+let batched_variant ?(w = lstm ()) shared salt =
   let axes =
-    match (lstm ()).Workload.batching with
+    match w.Workload.batching with
     | Some b -> b.Workload.input_axes
-    | None -> Alcotest.fail "lstm must declare batching"
+    | None -> Alcotest.failf "%s must declare batching" w.Workload.name
   in
   List.map2
     (fun axis v ->
@@ -143,12 +145,11 @@ let batched_variant shared salt =
       | _, v -> v)
     axes shared
 
-(* Submit [n] distinct same-shape requests while the dispatcher is
-   paused (so the whole mix is queued and decomposes greedily on
-   resume); returns each request's arguments with its outputs. *)
-let serve_round s shared ~salt0 n =
+(* Submit same-shape requests while the dispatcher is paused (so the
+   whole mix is queued and decomposes greedily on resume); returns each
+   request's arguments with its outputs. *)
+let serve_paused s reqs =
   Session.pause s;
-  let reqs = List.init n (fun i -> batched_variant shared (salt0 + i)) in
   let tickets =
     List.map (fun args -> (args, submit_ok s (Session.input args))) reqs
   in
@@ -160,13 +161,17 @@ let serve_round s shared ~salt0 n =
       | Error e -> Alcotest.fail (Error.to_string e))
     tickets
 
+(* [n] distinct requests. *)
+let serve_round ?w s shared ~salt0 n =
+  serve_paused s (List.init n (fun i -> batched_variant ?w shared (salt0 + i)))
+
 (* Every response is bitwise-equal to its own batch-1 interpreter run. *)
-let bucket_round s shared ~salt0 n =
+let bucket_round ?w s shared ~salt0 n =
   List.iter
     (fun (args, got) ->
       check "bucketed response is bitwise-equal to its solo run" true
-        (Equiv.bitwise (expected_for args) got))
-    (serve_round s shared ~salt0 n)
+        (Equiv.bitwise (expected_for ?w args) got))
+    (serve_round ?w s shared ~salt0 n)
 
 let test_bucket_equivalence () =
   with_session (fun s ->
@@ -194,6 +199,176 @@ let test_bucket_equivalence () =
         (List.mem_assoc 16 st.Session.bucket_runs);
       check "partial buckets fell through to singles" true
         (List.mem_assoc 1 st.Session.bucket_runs))
+
+(* lstm produces no exact zero, so a fault that flips the sign of a zero
+   cannot show on it.  yolact's crop fills border rows with +0.0, and
+   [Equiv.bitwise] tells +0.0 from -0.0. *)
+let test_bucket_equivalence_zeros () =
+  let w = Result.get_ok (Functs.find_workload "yolact") in
+  with_session ~w (fun s ->
+      let shared = w.Workload.inputs ~batch ~seq in
+      let has_pos_zero =
+        List.exists (function
+          | Value.Tensor t ->
+              Array.exists
+                (fun x -> Int64.equal (Int64.bits_of_float x) 0L)
+                (Tensor.to_flat_array t)
+          | Value.Int _ | Value.Float _ | Value.Bool _ | Value.List _ -> false)
+      in
+      check "the reference outputs hold +0.0" true
+        (has_pos_zero (expected_for ~w shared));
+      List.iteri
+        (fun round n -> bucket_round ~w s shared ~salt0:(round * 31) n)
+        [ 7; 16 ];
+      let st = Session.stats s in
+      check "every bucket size was used" true
+        (List.for_all
+           (fun k -> List.mem_assoc k st.Session.bucket_runs)
+           [ 1; 4; 16 ]))
+
+(* --- scatter buffers: reuse across buckets, and the alias rule --- *)
+
+(* Replies are views of a bucket's outputs, and the next run of the
+   bucket overwrites the shard's scatter buffers.  Hold every reply of
+   three consecutive 16-buckets and check them only at the end, so a
+   reply that a later batch wrote into cannot hide. *)
+let test_held_replies () =
+  with_session (fun s ->
+      let shared = base_args () in
+      let rounds =
+        List.init 3 (fun r -> serve_round s shared ~salt0:(200 + (16 * r)) 16)
+      in
+      (match List.hd rounds with
+      | (_, Value.Tensor first :: _) :: rest ->
+          check "a bucket's replies are views of one batch output" true
+            (List.for_all
+               (function
+                 | _, Value.Tensor t :: _ -> Tensor.same_storage t first
+                 | _ -> false)
+               rest)
+      | _ -> Alcotest.fail "lstm replies start with a tensor");
+      List.iter
+        (List.iter (fun (args, got) ->
+             check "a held reply still equals its solo run" true
+               (Equiv.bitwise (expected_for args) got)))
+        rounds;
+      check "three 16-buckets ran" true
+        (List.assoc_opt 16 (Session.stats s).Session.bucket_runs = Some 3))
+
+(* A batched program whose output is its batched input, or a view of
+   it: the bucket's output then shares storage with the scatter
+   buffer. *)
+let echo ~view =
+  let program ~batch ~seq =
+    ignore seq;
+    let open Ast in
+    let x = var "x" in
+    {
+      name = "echo";
+      params = [ tensor_param "x" ];
+      body =
+        [
+          return_
+            [
+              (if view then Subscript (x, [ Range (i 0, i batch); Range (i 2, i 6) ])
+               else x);
+            ];
+        ];
+    }
+  in
+  {
+    Workload.name = "echo";
+    display = "Echo";
+    kind = Workload.Cv;
+    default_batch = 1;
+    default_seq = 1;
+    program;
+    inputs =
+      (fun ~batch ~seq ->
+        ignore seq;
+        [ Workload.rand_tensor (Workload.seeded 11) [| batch; 8 |] ]);
+    batching = Some { Workload.input_axes = [ Some 0 ]; output_axes = [ Some 0 ] };
+  }
+
+(* Two consecutive full 4-buckets: the first bucket's replies must keep
+   their values after the second ran, which holds only because the
+   aliased buffer was dropped rather than reused — so the two buckets'
+   replies live in different storage. *)
+let test_aliased_buffer_dropped () =
+  List.iter
+    (fun view ->
+      let w = echo ~view in
+      with_session ~w (fun s ->
+          let shared = w.Workload.inputs ~batch ~seq in
+          let first = serve_round ~w s shared ~salt0:0 4 in
+          let second = serve_round ~w s shared ~salt0:10 4 in
+          List.iter
+            (fun (args, got) ->
+              check "a reply aliasing its input survives the next bucket" true
+                (Equiv.bitwise (expected_for ~w args) got))
+            (first @ second);
+          let storage_of = function
+            | _, [ Value.Tensor t ] -> t
+            | _ -> Alcotest.fail "echo returns one tensor"
+          in
+          check "the aliased scatter buffer was not reused" false
+            (Tensor.same_storage
+               (storage_of (List.hd first))
+               (storage_of (List.hd second)));
+          check "both rounds ran as 4-buckets" true
+            (List.assoc_opt 4 (Session.stats s).Session.bucket_runs = Some 2)))
+    [ false; true ]
+
+(* --- the major-heap budget of a steady-state 16-bucket ---
+
+   lstm at its default scale (seq 64): each request's [x] is 32768
+   words, its [out] 8192.  Concatenating [x] into a fresh batch buffer
+   and copying every reply out cost about 58k major words per request;
+   with reused scatter buffers and view replies what is left is the
+   engine's own outputs and intermediates, about 16.7k (JIT off, one
+   lane).
+
+   Under OCaml 5.1, [Gc.quick_stat] adds the calling domain's live
+   counters ([minor_words], [promoted_words], [major_words]) to every
+   other domain's as sampled at its last minor collection; the
+   collection counts are global.  A minor collection stops every domain
+   and samples its counters, so reading after [Gc.minor ()] includes
+   everything the dispatcher domain allocated. *)
+let major_words_ceiling = 20_000.
+
+let test_major_words_budget () =
+  let w = lstm () in
+  let seq = w.Workload.default_seq in
+  let config = { Config.default with Config.domains = 1 } in
+  match Functs.compile ~config ~batch ~seq w with
+  | Error e -> Alcotest.fail (Error.to_string e)
+  | Ok s ->
+      Fun.protect ~finally:(fun () -> Session.close s) @@ fun () ->
+      (* built before the measured window: each [x] is 32768 words *)
+      let shared = w.Workload.inputs ~batch ~seq in
+      let reqs = List.init 16 (batched_variant shared) in
+      let round () = ignore (serve_paused s reqs) in
+      (* the first runs allocate the bucket's scatter buffers *)
+      for _ = 1 to 3 do
+        round ()
+      done;
+      let rounds = 16 in
+      Gc.minor ();
+      let g0 = Gc.quick_stat () in
+      for _ = 1 to rounds do
+        round ()
+      done;
+      Gc.minor ();
+      let g1 = Gc.quick_stat () in
+      let per_request =
+        (g1.Gc.major_words -. g0.Gc.major_words) /. float_of_int (16 * rounds)
+      in
+      check_int "every round ran as one 16-bucket" (rounds + 3)
+        (Option.value ~default:0
+           (List.assoc_opt 16 (Session.stats s).Session.bucket_runs));
+      if per_request > major_words_ceiling then
+        Alcotest.failf "%.0f major words per request, over the %.0f ceiling"
+          per_request major_words_ceiling
 
 (* A member expiring mid-bucket degrades per policy while the rest of
    the mix still buckets — and every response (degraded included) still
@@ -555,6 +730,15 @@ let () =
           Alcotest.test_case "multi-domain stress" `Quick test_stress;
           Alcotest.test_case "bucket decomposition is interpreter-equal"
             `Quick test_bucket_equivalence;
+          Alcotest.test_case
+            "bucket decomposition is interpreter-equal on exact zeros"
+            `Quick test_bucket_equivalence_zeros;
+          Alcotest.test_case "replies held across 16-buckets" `Quick
+            test_held_replies;
+          Alcotest.test_case "an aliased scatter buffer is dropped" `Quick
+            test_aliased_buffer_dropped;
+          Alcotest.test_case "16-bucket major words per request" `Quick
+            test_major_words_budget;
           Alcotest.test_case "mid-bucket deadline expiry" `Quick
             test_bucket_mid_expiry;
           Alcotest.test_case "poll and cancel" `Quick test_poll_cancel;

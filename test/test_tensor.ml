@@ -218,6 +218,48 @@ let test_cat_stack () =
   let s = Ops.stack [ Tensor.arange 3; Tensor.arange 3 ] ~dim:0 in
   Alcotest.(check (array int)) "stack shape" [| 2; 3 |] (Tensor.shape s)
 
+(* [concat_axis_into] against the element-wise [Ops.cat], writing into a
+   destination filled with a sentinel so an element the blits miss
+   shows. *)
+let block shape base =
+  Tensor.of_array shape
+    (Array.init (Shape.numel shape) (fun i -> base +. float_of_int i))
+
+let concat_into_matches ~dim parts =
+  let want = Ops.cat parts ~dim in
+  let out = Tensor.full (Tensor.shape want) Float.nan in
+  Tensor.concat_axis_into ~dim parts out;
+  check "concat_axis_into equals cat" true
+    (Tensor.to_flat_array out = Tensor.to_flat_array want)
+
+let test_concat_into_dim0 () =
+  concat_into_matches ~dim:0
+    [ block [| 1; 3 |] 0.; block [| 2; 3 |] 100.; block [| 1; 3 |] 200. ]
+
+(* lstm's [x] is [seq; batch; gates]: requests concatenate on axis 1, so
+   every part lands as one run per leading index. *)
+let test_concat_into_inner () =
+  concat_into_matches ~dim:1
+    [ block [| 3; 1; 4 |] 0.; block [| 3; 2; 4 |] 100.; block [| 3; 1; 4 |] 200. ]
+
+let test_concat_into_strided () =
+  let t = Tensor.transpose (block [| 3; 2 |] 0.) ~dim0:0 ~dim1:1 in
+  check "the part is a strided view" false (Tensor.is_contiguous t);
+  concat_into_matches ~dim:0 [ block [| 1; 3 |] 100.; t ];
+  concat_into_matches ~dim:1 [ t; block [| 2; 1 |] 100. ]
+
+let test_concat_into_bad_dest () =
+  let parts = [ block [| 2; 3 |] 0.; block [| 2; 3 |] 100. ] in
+  let raises out =
+    match Tensor.concat_axis_into ~dim:0 parts out with
+    | () -> false
+    | exception Invalid_argument _ -> true
+  in
+  check "too short a destination" true (raises (Tensor.zeros [| 3; 3 |]));
+  check "the other axis's shape" true (raises (Tensor.zeros [| 2; 6 |]));
+  check "a strided destination" true
+    (raises (Tensor.transpose (Tensor.zeros [| 3; 4 |]) ~dim0:0 ~dim1:1))
+
 let test_where_cumsum () =
   let c = Tensor.of_array [| 3 |] [| 1.; 0.; 1. |] in
   let w = Ops.where c (Tensor.scalar 10.0) (Tensor.scalar 20.0) in
@@ -356,6 +398,14 @@ let () =
           Alcotest.test_case "softmax" `Quick test_softmax;
           Alcotest.test_case "reductions" `Quick test_reductions;
           Alcotest.test_case "cat/stack" `Quick test_cat_stack;
+          Alcotest.test_case "concat_axis_into dim 0" `Quick
+            test_concat_into_dim0;
+          Alcotest.test_case "concat_axis_into inner dim" `Quick
+            test_concat_into_inner;
+          Alcotest.test_case "concat_axis_into strided part" `Quick
+            test_concat_into_strided;
+          Alcotest.test_case "concat_axis_into wrong destination" `Quick
+            test_concat_into_bad_dest;
           Alcotest.test_case "where/cumsum" `Quick test_where_cumsum;
           Alcotest.test_case "allclose" `Quick test_allclose;
         ] );
