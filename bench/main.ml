@@ -30,12 +30,7 @@ let config =
       prerr_endline ("bench: " ^ Error.to_string e);
       exit 2
 
-(* Figure renderers are registered into [Functs.Report] by the harness
-   (linked with -linkall); the bench only knows their names. *)
-let figure name =
-  match Report.render name with
-  | Some text -> text
-  | None -> Printf.sprintf "figure %S is not registered" name
+let figure name = List.assoc name Functs_harness.Figures.reports ()
 
 let all_targets =
   [ "fig5"; "fig6"; "fig7"; "fig8"; "headline"; "ablation"; "micro"; "exec" ]
@@ -764,7 +759,7 @@ let () =
   if wants "micro" then run_micro ();
   if wants "exec" then run_exec ();
   if wants "headline" then
-    if Report.checks_passed () then
+    if Functs_harness.Figures.all_checks_passed () then
       print_endline
         "All traced executions matched the eager reference outputs."
     else begin

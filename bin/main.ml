@@ -735,9 +735,8 @@ let why_cmd =
 
 (* --- report --- *)
 
-(* Figure renderers live in the harness, which registers them against
-   [Functs.Report] at link time — the CLI only knows the names. *)
 let report_cmd =
+  let reports = Functs_harness.Figures.reports in
   let figures =
     Arg.(
       value & pos_all string [ "fig5"; "fig6"; "headline" ]
@@ -749,11 +748,11 @@ let report_cmd =
   let run picks =
     List.iter
       (fun pick ->
-        match Report.render (String.lowercase_ascii pick) with
-        | Some text -> print_endline text
+        match List.assoc_opt (String.lowercase_ascii pick) reports with
+        | Some render -> print_endline (render ())
         | None ->
             Printf.eprintf "unknown figure %S (try: %s)\n" pick
-              (String.concat ", " (Report.names ())))
+              (String.concat ", " (List.map fst reports)))
       picks
   in
   Cmd.v

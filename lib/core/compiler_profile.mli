@@ -61,11 +61,10 @@ val tensorssa_no_horizontal : t
 val tensorssa_no_fusion : t
 (** Functionalization only: every immut:: op its own kernel. *)
 
-val tensorssa_no_reduction : t
-(** TensorSSA with [Reduction]-classified loops demoted to sequential. *)
-
 val find : string -> t option
-(** Look up any profile (including ablations) by [short_name]. *)
+(** Look up any profile (including ablations) by [short_name]; one
+    ablation, [TensorSSA-noR] (TensorSSA with [Reduction]-classified
+    loops demoted to sequential), is reached only here. *)
 
 (** {1 Compile-cache counters}
 

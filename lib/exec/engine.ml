@@ -34,7 +34,6 @@ let default_kernel_grain () = 8192
 
 let cache_capacity_ref = ref 32
 let set_cache_capacity n = cache_capacity_ref := max 1 n
-let cache_capacity () = !cache_capacity_ref
 
 let input_shapes args =
   List.map
@@ -250,7 +249,7 @@ let prepare ?(profile = Compiler_profile.tensorssa) ?(parallel = true) ?domains
               build ~profile ~parallel ~domains ~loop_grain ~kernel_grain ~jit
                 ~jit_dir g ~inputs
             in
-            while Hashtbl.length cache_tbl >= cache_capacity () do
+            while Hashtbl.length cache_tbl >= !cache_capacity_ref do
               evict_one ()
             done;
             incr cache_tick;
@@ -263,6 +262,8 @@ let prepare ?(profile = Compiler_profile.tensorssa) ?(parallel = true) ?domains
 let locked t f =
   Mutex.lock t.e_lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.e_lock) f
+
+let check_args = Scheduler.check_args
 
 let run t args =
   locked t (fun () ->
@@ -277,9 +278,6 @@ let cancel_jit t =
   match t.e_pending with Some (p, _) -> Jit.cancel p | None -> ()
 
 let force t site arm = locked t (fun () -> Scheduler.force t.e_prepared site arm)
-
-let run_tensors t tensors =
-  List.map Value.to_tensor (run t (List.map (fun x -> Value.Tensor x) tensors))
 
 let output_shapes t = Scheduler.output_shapes t.e_prepared
 let stats t = Scheduler.stats t.e_prepared

@@ -2,5 +2,3 @@
     examples and documentation. *)
 
 val program_to_string : Ast.program -> string
-val pp_program : Format.formatter -> Ast.program -> unit
-val expr_to_string : Ast.expr -> string

@@ -285,17 +285,15 @@ let fig6_csv () =
   in
   String.concat "\n" ("workload,pipeline,kernel_launches" :: rows)
 
-(* Figure renderers are served through the facade's report registry:
-   the CLI and bench ask [Functs.Report] by name, so they need no
-   compile-time dependency on this library (it is linked with -linkall
-   to guarantee this registration runs). *)
-let () =
-  Report.register "fig5" fig5;
-  Report.register "fig6" fig6;
-  Report.register "fig7" fig7;
-  Report.register "fig8" fig8;
-  Report.register "headline" headline_text;
-  Report.register "ablation" ablation;
-  Report.register "fig5.csv" fig5_csv;
-  Report.register "fig6.csv" fig6_csv;
-  Report.set_checker all_checks_passed
+(* Renderers by name, in the order [functs report] lists them. *)
+let reports =
+  [
+    ("fig5", fig5);
+    ("fig6", fig6);
+    ("fig7", fig7);
+    ("fig8", fig8);
+    ("headline", headline_text);
+    ("ablation", ablation);
+    ("fig5.csv", fig5_csv);
+    ("fig6.csv", fig6_csv);
+  ]

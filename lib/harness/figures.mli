@@ -1,22 +1,22 @@
 (** Regeneration of every figure in the paper's evaluation (§5.2–5.4).
 
-    Each [figN_rows] returns the structured data (for tests and for the
-    bench harness) and [figN] renders it as text tables printed by
-    [bench/main.exe] and the CLI. *)
+    {!reports} renders each figure as a text table, by the name
+    [functs report] and [bench/main.exe] take; {!fig6_rows} and
+    {!headline} return structured data for tests and examples. *)
 
 open Functs
 
+val reports : (string * (unit -> string)) list
+(** Figure name → renderer, in the order [functs report] lists them:
+    [fig5] (end-to-end speedup over PyTorch eager), [fig6]
+    (kernel-launch counts), [fig7] (speedup across batch sizes), [fig8]
+    (latency across sequence lengths), [headline] (§5.2), [ablation]
+    (TensorSSA vs. no-horizontal vs. no-vertical fusion), and the CSV
+    exports [fig5.csv] ([platform,workload,pipeline,speedup] rows) and
+    [fig6.csv] ([workload,pipeline,kernel_launches] rows). *)
 
-(** {1 Fig. 5 — end-to-end speedup over PyTorch eager} *)
-
-type fig5_row = {
-  f5_workload : Workload.t;
-  f5_speedups : (Compiler_profile.t * float) list;
-      (** one entry per non-eager pipeline, speedup vs eager *)
-}
-
-val fig5_rows : Platform.t -> fig5_row list
-val fig5 : unit -> string
+val all_checks_passed : unit -> bool
+(** Whether every cached measurement matched the eager reference. *)
 
 (** {1 Fig. 6 — kernel-launch counts} *)
 
@@ -26,54 +26,9 @@ type fig6_row = {
 }
 
 val fig6_rows : unit -> fig6_row list
-val fig6 : unit -> string
 
-(** {1 Fig. 7 — speedup across batch sizes} *)
-
-val fig7_batches : int list
-val fig7_workloads : unit -> Workload.t list
-
-type fig7_row = {
-  f7_workload : Workload.t;
-  f7_batch : int;
-  f7_speedups : (Compiler_profile.t * float) list;  (** vs eager *)
-}
-
-val fig7_rows : Platform.t -> fig7_row list
-val fig7 : unit -> string
-
-(** {1 Fig. 8 — latency across sequence lengths} *)
-
-val fig8_seqs : int list
-val fig8_workloads : unit -> Workload.t list
-
-type fig8_row = {
-  f8_workload : Workload.t;
-  f8_seq : int;
-  f8_latency_us : (Compiler_profile.t * float) list;
-}
-
-val fig8_rows : Platform.t -> fig8_row list
-val fig8 : unit -> string
-
-(** {1 Headline (§5.2) and ablation (extension)} *)
+(** {1 Headline (§5.2)} *)
 
 val headline : unit -> float * float
 (** (mean, max) speedup of TensorSSA over the {e best} baseline across all
     workloads and both platforms. *)
-
-val headline_text : unit -> string
-
-val ablation : unit -> string
-(** TensorSSA vs. no-horizontal vs. no-vertical-fusion latencies. *)
-
-val all_checks_passed : unit -> bool
-(** Whether every cached measurement matched the eager reference. *)
-
-(** {1 CSV export (for plotting)} *)
-
-val fig5_csv : unit -> string
-(** [platform,workload,pipeline,speedup] rows. *)
-
-val fig6_csv : unit -> string
-(** [workload,pipeline,kernel_launches] rows. *)

@@ -13,5 +13,3 @@
 val run : Graph.t -> int
 (** Number of nodes merged away (0 on graphs with mutations). *)
 
-val mergeable : Op.t -> bool
-(** Exposed for tests. *)

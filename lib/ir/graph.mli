@@ -54,10 +54,6 @@ val params : t -> value list
 val returns : t -> value list
 val set_returns : t -> value list -> unit
 
-val fresh_value : ?name:string -> Dtype.t -> value
-(** A detached value; it becomes defined when attached as an output or
-    parameter. *)
-
 val make_node : Op.t -> value list -> output_types:Dtype.t list -> node
 (** Build an unattached node; fresh output values are created. *)
 
@@ -124,9 +120,6 @@ val replace_uses_after : anchor:node -> old_value:value -> new_value:value -> un
 (** Replace uses of [old_value] occurring strictly after [anchor] within
     the anchor's block: inputs of later nodes (including everything inside
     their nested blocks) and the block's returns. *)
-
-val block_ancestors : block -> block list
-(** The block itself followed by its enclosing blocks, outermost last. *)
 
 val is_ancestor_block : ancestor:block -> block -> bool
 

@@ -32,7 +32,6 @@ type view_kind =
   | Unsqueeze of { dim : int }
   | Squeeze of { dim : int }
 
-val view_kind_name : view_kind -> string
 val view_kind_to_string : view_kind -> string
 
 type mutate_kind =
@@ -95,5 +94,3 @@ val has_side_effect : t -> bool
 (** True for mutations (and nothing else at the operator level); control
     flow is side-effecting only through its body, which DCE checks
     recursively. *)
-
-val mutation_attr : mutate_kind -> string

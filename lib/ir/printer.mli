@@ -13,7 +13,5 @@
 val value_name : Graph.value -> string
 (** Stable printable name ["%name.id"]; uniqueness comes from the id. *)
 
-val pp_graph : Format.formatter -> Graph.t -> unit
 val to_string : Graph.t -> string
-val pp_node : Format.formatter -> Graph.node -> unit
 val node_to_string : Graph.node -> string

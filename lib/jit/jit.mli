@@ -53,13 +53,6 @@ val isa : unit -> string
 
 val clear_loaded : unit -> unit
 
-val default_dir : unit -> string
-(** Fallback artifact directory under the system temp dir; the real
-    default ([~/.cache/functs/jit]) is resolved by [Config.of_env]. *)
-
-val resolve_dir : string -> string
-(** [""] resolves to {!default_dir}. *)
-
 type entry
 (** One JIT-armed group: its native launch function plus per-engine
     scratch. *)
@@ -91,7 +84,8 @@ val start_groups :
   shapes:Shape_infer.result ->
   started
 (** Emit the given kernels and resolve their unit through
-    {!Jit_cache.start}.  Never waits for a compiler and never raises. *)
+    {!Jit_cache.start} in [dir] ([""]: [functs-jit] under the system
+    temp dir).  Never waits for a compiler and never raises. *)
 
 val poll : pending -> (int * entry) list option
 (** [None] while the compile runs; then, exactly once per pending

@@ -56,7 +56,7 @@ type t = {
   trace_buf : int;  (** span-tracer ring capacity (≥ 16) *)
   metrics : metrics_sink;
   queue_capacity : int;  (** session submit-queue bound (≥ 1) *)
-  max_batch : int;  (** max same-shape requests per dispatch (≥ 1) *)
+  max_batch : int;  (** max requests per dispatch (≥ 1) *)
   batch_buckets : int list;
       (** batched-compile bucket sizes, strictly ascending and starting
           at 1 (e.g. [[1; 4; 16]]); a session compiles one engine per

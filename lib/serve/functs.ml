@@ -3,7 +3,6 @@
 module Config = Config
 module Error = Error
 module Session = Session
-module Report = Report
 module Tensor = Functs_tensor.Tensor
 module Scalar = Functs_tensor.Scalar
 module Shape = Functs_tensor.Shape

@@ -3,16 +3,19 @@
     Downstream code — the CLI, the bench harness, the experiment
     harness, external users — opens (or dot-qualifies) [Functs] and
     nothing else.  The facade re-exports the serving layer defined in
-    this library ({!Config}, {!Error}, {!Session}, {!Report}) and
+    this library ({!Config}, {!Error}, {!Session}) and
     aliases every lower layer so no [functs_*] library needs to appear
     in a consumer's dune stanza:
 
     {v
     let cfg   = Result.get_ok (Functs.init ())
     let w     = Result.get_ok (Functs.find_workload "lstm")
-    let sess  = Result.get_ok (Functs.compile ~config:cfg w)
+    let sess  = Result.get_ok (Functs.compile ~config:cfg ~batch:8 ~seq:16 w)
     let reply = Functs.Session.run sess (w.Functs.Workload.inputs ~batch:8 ~seq:16)
     v}
+
+    A session serves the signature it compiled; a request of another
+    shape is refused at submit ([examples/serve_quickstart.ml]).
 
     Errors are structured {!Error.t} values, never raised [Failure]s. *)
 
@@ -21,7 +24,6 @@
 module Config = Config
 module Error = Error
 module Session = Session
-module Report = Report
 
 (* --- tensors --- *)
 

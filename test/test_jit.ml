@@ -743,12 +743,26 @@ let test_fallback_missing_toolchain () =
     (c_fallbacks () > fb0);
   check_int "the missing compiler was never invoked" 0 (c_compiles () - cco0)
 
-(* --- forced C-compile failure: the groups run node by node --- *)
+(* --- forced C-compile failure: the groups run node by node ---
 
-let test_c_compile_failure_demotion () =
-  let w = Result.get_ok (Functs.find_workload "attention") in
+   On attention, and on yolact: attention produces no exact zero, while
+   yolact's crop writes +0.0, so a per-node path that flipped the sign of
+   a zero shows only there ([Equiv.bitwise] tells +0.0 from -0.0). *)
+
+let holds_pos_zero =
+  List.exists (function
+    | Value.Tensor t ->
+        Array.exists
+          (fun x -> Int64.equal (Int64.bits_of_float x) 0L)
+          (Tensor.to_flat_array t)
+    | Value.Int _ | Value.Float _ | Value.Bool _ | Value.List _ -> false)
+
+let test_c_compile_failure_demotion ?(zeros = false) name () =
+  let w = Result.get_ok (Functs.find_workload name) in
   let g, fg, args_fn = functionalized w in
   let expected = Eval.run g (clone_args (args_fn ())) in
+  if zeros then
+    check "the reference outputs hold +0.0" true (holds_pos_zero expected);
   let cfb0 = c_fallbacks () and cco0 = c_compiles () in
   let broken = fake_compiler "echo 'fake compiler: refusing' >&2\nexit 1" in
   let got, stats, rows =
@@ -1206,7 +1220,9 @@ let () =
           Alcotest.test_case "fallback: missing toolchain" `Quick
             test_fallback_missing_toolchain;
           Alcotest.test_case "C compile failure demotes to per-node" `Quick
-            test_c_compile_failure_demotion;
+            (test_c_compile_failure_demotion "attention");
+          Alcotest.test_case "C compile failure demotes to per-node on zeros"
+            `Quick (test_c_compile_failure_demotion ~zeros:true "yolact");
           Alcotest.test_case "hung compiler is killed" `Quick
             test_hung_compiler_killed;
           Alcotest.test_case "fallback: unusable artifact dir" `Quick
