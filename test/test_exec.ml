@@ -3,8 +3,9 @@
    interpreter's outputs through the engine, bitwise ([Equiv]),
    sequentially and with horizontal parallelization, and every registry
    workload must do so through the sequential engine; plus units for the
-   oracle rule itself, the storage pool, assign donation, and the
-   slot-consistency rule of parallel-loop detection. *)
+   oracle rule itself, the storage pool, assign donation, the argument
+   accept rule, and the slot-consistency rule of parallel-loop
+   detection. *)
 
 open Functs_ir
 open Functs_core
@@ -455,6 +456,43 @@ let test_cache_shape_miss () =
   check "the recompiled engine matches the interpreter on the new shape"
     true
     (Equiv.bitwise expected (Engine.run e2 (args [| 9; 3 |] 9)))
+
+(* The accept rule checks kinds by the parameter types, not only the
+   tensor shapes: a scalar where a tensor was compiled (or the reverse)
+   is refused with the argument named, and [Engine.run] raises on it. *)
+let test_check_arg_kinds () =
+  let g = carried_store_graph () in
+  let fg = Graph.clone g in
+  ignore (Passes.tensorssa_pipeline fg);
+  let x = Value.Tensor (T.ones [| 6; 4 |]) in
+  let native = [ x; Value.Int 6 ] in
+  let shapes = Engine.input_shapes native in
+  let e = Engine.prepare ~parallel:false ~cache:false fg ~inputs:shapes in
+  let contains m sub =
+    let n = String.length sub in
+    let rec at i =
+      i + n <= String.length m && (String.sub m i n = sub || at (i + 1))
+    in
+    at 0
+  in
+  check "native arguments pass" true
+    (Engine.check_args fg shapes native = Ok ());
+  List.iter
+    (fun (what, args, names) ->
+      (match Engine.check_args fg shapes args with
+      | Ok () -> Alcotest.failf "%s was accepted" what
+      | Error m ->
+          check (what ^ ": the message names the argument and kinds") true
+            (List.for_all (contains m) names));
+      match Engine.run e args with
+      | _ -> Alcotest.failf "%s: Engine.run returned" what
+      | exception Eval.Runtime_error _ -> ())
+    [
+      ("an int for the tensor", [ Value.Int 6; Value.Int 6 ],
+       [ "argument 0"; "an int"; "Tensor" ]);
+      ("a tensor for the int", [ x; x ], [ "argument 1"; "a tensor"; "int" ]);
+      ("a float for the int", [ x; Value.Float 6. ], [ "argument 1" ]);
+    ]
 
 let test_cache_eviction () =
   Engine.set_cache_capacity 2;
@@ -1458,6 +1496,8 @@ let () =
           Alcotest.test_case "changed shape misses" `Quick
             test_cache_shape_miss;
           Alcotest.test_case "LRU eviction" `Quick test_cache_eviction;
+          Alcotest.test_case "argument kinds are checked" `Quick
+            test_check_arg_kinds;
         ] );
       ( "engine",
         [
