@@ -382,6 +382,28 @@ let prepare_times ~parallel fg ~inputs =
   let warm, eng = stamp (fun () -> prepare ~parallel fg ~inputs) in
   (cold, warm, eng)
 
+(* The C unit's shape for this engine's plan, over the kernels the
+   emitter accepts: temporaries that still get a buffer (the buffers
+   beyond its read sites and stored outputs) and loop nests. *)
+let c_unit fg ~inputs =
+  let shapes = Shape_infer.infer fg ~inputs in
+  List.fold_left
+    (fun (temps, nests) k ->
+      match Functs_jit.Jit_emit.emit k ~shapes with
+      | Error _ -> (temps, nests)
+      | Ok em ->
+          let stored =
+            Array.fold_left
+              (fun n (s : Functs_jit.Jit_emit.estmt) ->
+                if s.e_store then n + 1 else n)
+              0 em.e_stmts
+          in
+          ( temps + Functs_jit.Jit_emit.nbufs em - Array.length em.e_sites
+            - stored,
+            nests + Array.length em.e_nests ))
+    (0, 0)
+    (Codegen.emit fg (Engine.plan fg) ~shapes)
+
 (* One run with its counters.  Engine stats and the shared pool's
    counters are cumulative (and the pool counts every engine on it), so a
    per-run figure is the difference of snapshots taken around the run. *)
@@ -427,6 +449,8 @@ type wrow = {
   r_warm : float;
   r_cold_jit : float;
   r_cold_jit_compiles : int;
+  r_c_temps : int;  (* temporaries of the C unit that still get a buffer *)
+  r_c_nests : int;  (* loop nests of the C unit *)
   r_run : counted;  (* one untimed run of the batched engine *)
   r_jit_run : counted;  (* one untimed run of the jit engine *)
 }
@@ -489,6 +513,8 @@ let workload_json r =
       ("prepare_warm_ms", num 6 (1e3 *. r.r_warm));
       ("cold_jit_ms", num 1 (1e3 *. r.r_cold_jit));
       ("cold_jit_compiles", int r.r_cold_jit_compiles);
+      ("c_temps", int r.r_c_temps);
+      ("c_nests", int r.r_c_nests);
       ("kernel_runs", int (ran c (fun s -> s.Scheduler.kernel_runs)));
       ("parallel_loops", int (ran c (fun s -> s.Scheduler.parallel_loops_run)));
       ("reduction_loops", int (ran c (fun s -> s.Scheduler.reduction_loops_run)));
@@ -577,8 +603,8 @@ let run_exec () =
       let args = w.inputs ~batch ~seq in
       let expected = Eval.run g args in
       let fg = Graph.clone g in
-      ignore (Passes.tensorssa_pipeline fg);
       let inputs = Engine.input_shapes args in
+      ignore (Passes.tensorssa_pipeline ~inputs fg);
       let eng = prepare ~parallel:false fg ~inputs in
       let engj = prepare_jit fg ~inputs in
       let _, _, engp = prepare_times ~parallel:true fg ~inputs in
@@ -679,6 +705,7 @@ let run_exec () =
            first prepare above also paid kernel auto-tuning samples. *)
         let t_cold, t_warm, _ = prepare_times ~parallel:true fg ~inputs in
         let t_cold_jit, cold_jit_compiles = cold_jit fg ~inputs in
+        let c_temps, c_nests = c_unit fg ~inputs in
         let _, run = counted_run engp args in
         let _, jit_run = counted_run engj args in
         let sw d = try List.assoc d sweep with Not_found -> nan in
@@ -712,6 +739,8 @@ let run_exec () =
             r_warm = t_warm;
             r_cold_jit = t_cold_jit;
             r_cold_jit_compiles = cold_jit_compiles;
+            r_c_temps = c_temps;
+            r_c_nests = c_nests;
             r_run = run;
             r_jit_run = jit_run;
           }

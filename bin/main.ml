@@ -208,8 +208,8 @@ let prepare_engine ?(profile = Compiler_profile.tensorssa) g args =
 let run_exec (w : Workload.t) (profile : Compiler_profile.t) batch seq =
   let reference = Workload.graph w ~batch ~seq in
   let g = Graph.clone reference in
-  Passes.for_profile profile g;
   let args = w.inputs ~batch ~seq in
+  Passes.for_profile ~inputs:(Engine.input_shapes args) profile g;
   let eng = prepare_engine ~profile g args in
   let expected = Eval.run reference (clone_args args) in
   (* the shared pool's counters are cumulative: the domains line reports
@@ -387,11 +387,9 @@ let kernels_cmd =
     | Ok w ->
         let batch, seq = scales w batch seq in
         let g = Workload.graph w ~batch ~seq in
-        ignore (Passes.tensorssa_pipeline g);
-        let shapes =
-          Shape_infer.infer g
-            ~inputs:(Engine.input_shapes (w.inputs ~batch ~seq))
-        in
+        let inputs = Engine.input_shapes (w.inputs ~batch ~seq) in
+        ignore (Passes.tensorssa_pipeline ~inputs g);
+        let shapes = Shape_infer.infer g ~inputs in
         print_endline (Codegen.render_all g (Engine.plan g) ~shapes);
         `Ok ()
   in
@@ -429,8 +427,9 @@ let stats_cmd =
       | Ok w ->
           let batch, seq = scales w batch seq in
           let g = Workload.graph w ~batch ~seq in
-          ignore (Passes.tensorssa_pipeline g);
           let args = w.inputs ~batch ~seq in
+          ignore
+            (Passes.tensorssa_pipeline ~inputs:(Engine.input_shapes args) g);
           let eng = prepare_engine g args in
           for _ = 1 to max 1 runs do
             ignore (Engine.run eng args)

@@ -37,6 +37,9 @@ type cexpr =
   | Cunary of Scalar.unary * cexpr
   | Cbinary of Scalar.binary * cexpr * cexpr
   | Ccond of cond list * cexpr * cexpr  (** all conds hold ? then : else *)
+  | Cwhere of cexpr * cexpr * cexpr
+      (** [where(c, a, b)]: [a] where [c <> 0] (NaN included), else [b];
+          all three are evaluated at every point *)
   | Creduce of [ `Sum | `Max ] * string * int * cexpr
       (** combinator, reduction variable, extent, body *)
   | Copaque of string  (** not executable (reshape/expand reindexing) *)

@@ -3,7 +3,13 @@
     [optimize] is the cleanup pipeline run after functionalization:
     constant folding / control-flow simplification, then CSE (legal
     because the graph is mutation-free — on graphs that still contain
-    mutations CSE is a no-op), then DCE, iterated to a fixpoint.
+    mutations CSE is a no-op), then DCE, iterated to a fixpoint.  Given
+    the parameters' shapes ([inputs], as for {!Shape_infer.infer}), the
+    fold step also replaces each whole-tensor [immut::assign[[]](base,
+    src)] whose base and source shapes are statically equal by [src]:
+    the assign copies [src] bit for bit (e.g. LSTM's per-step
+    [out[t] = h] no longer copies [out[t]] first).  It does so only on
+    mutation-free graphs.
 
     [tensorssa_pipeline] is the full compilation used by the experiment
     harness for the TensorSSA profiles: functionalize, then optimize. *)
@@ -17,11 +23,16 @@ type report = {
   rounds : int;
 }
 
-val optimize : Graph.t -> report
+val optimize : ?inputs:Shape_infer.shape option list -> Graph.t -> report
 
-val tensorssa_pipeline : ?verify:bool -> Graph.t -> Convert.stats * report
+val tensorssa_pipeline :
+  ?verify:bool ->
+  ?inputs:Shape_infer.shape option list ->
+  Graph.t ->
+  Convert.stats * report
 
-val for_profile : Compiler_profile.t -> Graph.t -> unit
+val for_profile :
+  ?inputs:Shape_infer.shape option list -> Compiler_profile.t -> Graph.t -> unit
 (** Lower [g] in place the way [profile] compiles it: the full
     [tensorssa_pipeline] when [profile.functionalize], nothing otherwise
     (the baselines fuse the imperative graph, mutations and all).  Every

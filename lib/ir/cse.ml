@@ -12,11 +12,21 @@ let mergeable (op : Op.t) =
       false
 
 (* Structural key: the op (whose attributes compare structurally — it
-   contains no functions) plus input identities. *)
-type key = Key of Op.t * int list
+   contains no functions) plus input identities.  A float constant also
+   keys on its bits: structural comparison holds [-0.] equal to [0.] and
+   any NaN equal to any other, and merging those changes results. *)
+type key = Key of Op.t * int64 * int list
 
 let key_of (node : Graph.node) =
-  Key (node.n_op, List.map (fun (v : Graph.value) -> v.Graph.v_id) node.n_inputs)
+  let bits =
+    match node.n_op with
+    | Op.Constant (Op.Cfloat f) -> Int64.bits_of_float f
+    | _ -> 0L
+  in
+  Key
+    ( node.n_op,
+      bits,
+      List.map (fun (v : Graph.value) -> v.Graph.v_id) node.n_inputs )
 
 let has_mutation g =
   let found = ref false in

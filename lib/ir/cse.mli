@@ -13,3 +13,6 @@
 val run : Graph.t -> int
 (** Number of nodes merged away (0 on graphs with mutations). *)
 
+val has_mutation : Graph.t -> bool
+(** Does any [aten::…_] node remain? *)
+

@@ -11,7 +11,7 @@
  *
  * where each entry point follows the JIT launch ABI:
  *
- *   long kernel(double **bufs, const long *ints, long stmt, long lo, long hi);
+ *   long kernel(double **bufs, const long *ints, long nest, long lo, long hi);
  *
  * The return value is a guard status: 0 on success, nonzero when a
  * dynamically-indexed read (a free scalar in the index) would have gone
@@ -88,7 +88,7 @@ CAMLprim value functs_cjit_load(value vpath, value vheader, value vnfns)
 }
 
 CAMLprim value functs_cjit_call(value vtbl, value vidx, value vbufs,
-                                value vints, value vstmt, value vlo,
+                                value vints, value vnest, value vlo,
                                 value vhi)
 {
   const functs_cjit_fn *tbl = (const functs_cjit_fn *)Nativeint_val(vtbl);
@@ -98,7 +98,7 @@ CAMLprim value functs_cjit_call(value vtbl, value vidx, value vbufs,
   long ints[nints > 0 ? nints : 1];
   for (long i = 0; i < nbufs; i++) bufs[i] = (double *)Field(vbufs, i);
   for (long i = 0; i < nints; i++) ints[i] = Long_val(Field(vints, i));
-  return Val_long(tbl[Long_val(vidx)](bufs, ints, Long_val(vstmt),
+  return Val_long(tbl[Long_val(vidx)](bufs, ints, Long_val(vnest),
                                       Long_val(vlo), Long_val(vhi)));
 }
 
@@ -109,18 +109,19 @@ CAMLprim value functs_cjit_call_bytecode(value *argv, int argn)
                           argv[5], argv[6]);
 }
 
-/* The ISA every generated kernel targets: AVX2 when the running CPU has
- * it, else the compiler's baseline.  This is the test an ifunc resolver
- * over an ("avx2", "default") clone pair makes, so every host gets the
- * instruction set its resolver would have picked. */
-CAMLprim value functs_cjit_host_avx2(value unit)
+/* The ISA every generated kernel targets: 2 for AVX-512F, 1 for AVX2,
+ * 0 for the compiler's baseline.  AVX-512F is the test gemm_stubs.c's
+ * [gemm_pick] makes for the GEMM kernel, so a host that runs 512-bit
+ * GEMM runs 512-bit JIT kernels too. */
+CAMLprim value functs_cjit_host_isa(value unit)
 {
   (void)unit;
 #if defined(__x86_64__) && defined(__GNUC__)
   __builtin_cpu_init();
-  return Val_bool(__builtin_cpu_supports("avx2"));
+  if (__builtin_cpu_supports("avx512f")) return Val_int(2);
+  return Val_int(__builtin_cpu_supports("avx2") ? 1 : 0);
 #else
-  return Val_false;
+  return Val_int(0);
 #endif
 }
 

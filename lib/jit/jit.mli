@@ -47,9 +47,11 @@ val set_c_compile_bound : float -> unit
 val c_toolchain_available : unit -> bool
 
 val isa : unit -> string
-(** The ISA every kernel is compiled for: ["avx2"] when the running CPU
-    supports AVX2, else ["default"] (the compiler's baseline).  Read
-    from the host once per process; nothing sets it. *)
+(** The ISA every kernel is compiled for: ["avx512f"] when the running
+    CPU supports AVX-512F (the test the GEMM kernel's AVX-512 pick
+    makes), else ["avx2"] when it supports AVX2, else ["default"] (the
+    compiler's baseline).  Read from the host once per process; nothing
+    sets it. *)
 
 val clear_loaded : unit -> unit
 
@@ -63,8 +65,8 @@ val has_c : entry -> bool
 
 val render_source : isa:string -> Jit_emit.emitted list -> string * string
 (** [(digest, source)] of the C unit holding [emitted]: one function per
-    kernel, compiled for [isa] alone ([target("avx2")] per kernel for
-    ["avx2"], no attribute for ["default"]).  The digest covers the
+    kernel, compiled for [isa] alone ([target("<isa>")] per kernel, no
+    attribute for ["default"]).  The digest covers the
     codegen version, [isa] and every kernel body — which holds no outer
     extent, so it is the same for every batch size of a graph. *)
 
@@ -129,12 +131,13 @@ val run :
 (** Launch one group natively: [alloc] provides output buffers (each is
     fully overwritten), [lookup] resolves external tensor reads and
     [scalar] free index symbols.  Returns [(value, tensor, stored)] per
-    statement in order, where [stored] marks values that escape the
-    kernel.  [par] — typically [Pool.parallel_for] partially applied
-    by the scheduler — must cover [0, n) with disjoint [body lo hi]
-    calls; each statement whose output holds at least [2 * grain]
-    elements then splits its outermost loop across it, joining
-    before the next statement so cross-statement reads stay ordered and
+    statement that writes memory, in order, where [stored] marks values
+    that escape the kernel; temporaries that live in a nest's local rows
+    are not returned.  [par] — typically [Pool.parallel_for] partially
+    applied by the scheduler — must cover [0, n) with disjoint [body lo
+    hi] calls; each nest of at least two rows that computes at least
+    [2 * grain] elements then splits its outermost loop across it,
+    joining before the next nest so cross-nest reads stay ordered and
     results stay bitwise-identical.  Raises
     {!Fallback} when a binding fails validation or a guarded index
     leaves its buffer — the caller releases this launch's allocations

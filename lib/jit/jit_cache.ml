@@ -30,16 +30,20 @@ module Journal = Functs_obs.Journal
    status (0 ok, nonzero = a dynamically-indexed read would have gone out
    of bounds), and buffer lengths ride in an ints tail.  v3: simd
    declarations route transcendentals through libmvec.  v4: clone set
-   capped at AVX2 — the launches here are too short for 512-bit lanes to
-   pay for themselves (measured call times were flat), and skipping the
-   avx512f clone sidesteps its downclocking risk on server parts.  v5:
-   one emitter owns the layout; exact Float.max/min/equal helpers.  v6:
-   one function per kernel for the host's ISA instead of an
+   capped at AVX2, after call times measured flat at 512 bits on the
+   per-statement kernels of the time (before batched buckets existed).
+   v5: one emitter owns the layout; exact Float.max/min/equal helpers.
+   v6: one function per kernel for the host's ISA instead of an
    ("avx2", "default") clone pair — a host only ever ran the clone its
    resolver picked, and the pair doubled every compile.  v7:
    shape-generic kernels — outer extents are read from [ints], and case
-   comments no longer name value ids or shapes. *)
-let version = 7
+   comments no longer name value ids or shapes.  v8: one loop nest per
+   fused group (the launch's [nest] argument indexes nests, and
+   temporaries live in local rows), compiled for AVX-512F on hosts that
+   have it: lstm's b16 cell group measured 49–53 µs per launch at AVX2
+   and 40–45 µs at AVX-512 on a 2-vCPU AVX-512 Xeon, the same test the
+   GEMM kernel's AVX-512 pick already makes. *)
+let version = 8
 
 (* A compiled kernel: index [idx] of one artifact's launch table.  The
    table pointer is a raw [dlsym] result (never freed), so the handle is
@@ -54,7 +58,7 @@ external cjit_call :
   int = "functs_cjit_call_bytecode" "functs_cjit_call"
 [@@noalloc]
 
-let call f bufs ints stmt lo hi = cjit_call f.tbl f.idx bufs ints stmt lo hi
+let call f bufs ints nest lo hi = cjit_call f.tbl f.idx bufs ints nest lo hi
 
 let hit_c = Metrics.counter "jit.c.hit"
 let miss_c = Metrics.counter "jit.c.miss"

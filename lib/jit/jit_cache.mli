@@ -34,9 +34,9 @@ type fn = { tbl : nativeint; idx : int }
     table.  The table pointer lives for the process lifetime. *)
 
 val call : fn -> float array array -> int array -> int -> int -> int -> int
-(** [call f bufs ints stmt lo hi] runs statement [stmt] for rows
-    [lo, hi) of its outermost loop ([stmt = -1]: every statement
-    at full extent), over raw [double*] views of the float arrays and
+(** [call f bufs ints nest lo hi] runs loop nest [nest] for rows
+    [lo, hi) of its outermost loop ([nest = -1]: every nest at full
+    extent), over raw [double*] views of the float arrays and
     untagged ints (see {!Jit_emit} for the layout).  Returns the kernel's
     guard status: [0] on success, nonzero when a dynamically-indexed
     read would have left its buffer — the caller must discard the launch

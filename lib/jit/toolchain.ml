@@ -10,7 +10,8 @@
    pushes the value here via {!set_c_compiler}.
 
    The ISA is read from the CPU once per process and is not a setting:
-   every kernel is compiled for it alone. *)
+   every kernel is compiled for it alone — AVX-512F, AVX2 or the
+   compiler's baseline, the widest the CPU has. *)
 
 let lock = Mutex.create ()
 let probes : (string, bool) Hashtbl.t = Hashtbl.create 4
@@ -34,7 +35,9 @@ let c_available () =
           Hashtbl.replace probes cmd ok;
           ok)
 
-external host_avx2 : unit -> bool = "functs_cjit_host_avx2"
+external host_isa : unit -> int = "functs_cjit_host_isa"
 
-let host_isa = if host_avx2 () then "avx2" else "default"
+let host_isa =
+  match host_isa () with 2 -> "avx512f" | 1 -> "avx2" | _ -> "default"
+
 let isa () = host_isa

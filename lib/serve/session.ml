@@ -424,14 +424,19 @@ let rec split_at n = function
    a mis-declared axis tripping scatter/gather validation) degrades every
    member per policy; axis trouble additionally demotes the session to
    bucket-1 serving for good. *)
+(* An [Invalid_argument] from [scatter] or [gather]: the declared batch
+   axes do not fit the data. *)
+exception Batch_layout of string
+
 let run_bucket t sh bx bk group =
   let k = List.length group in
+  let layout f = try f () with Invalid_argument m -> raise (Batch_layout m) in
   count_run t k ~batched:true;
   Tracer.span_args "serve.bucket_run"
     ~args:(fun () -> [ ("bucket", string_of_int bk.bk_size); ("n", string_of_int k) ])
     (fun () ->
       match
-        let batched_args = scatter sh bx k group in
+        let batched_args = layout (fun () -> scatter sh bx k group) in
         let eng = bucket_engine t sh bk in
         let acquired = Unix.gettimeofday () in
         List.iter (fun tk -> tk.t_engine <- acquired) group;
@@ -439,15 +444,17 @@ let run_bucket t sh bx bk group =
         let rundone = Unix.gettimeofday () in
         List.iter (fun tk -> tk.t_rundone <- rundone) group;
         release_aliased sh outputs;
-        gather bx k outputs
+        layout (fun () -> gather bx k outputs)
       with
       | per_request ->
           List.iter2 (fun tk outs -> finish t tk (Ok outs)) group per_request
       | exception exn ->
+          (* only a batch-layout failure demotes batching for good; an
+             engine failure degrades this bucket's members alone *)
           let m =
             match exn with
-            | Eval.Runtime_error m -> m
-            | Invalid_argument m ->
+            | Eval.Runtime_error m | Invalid_argument m -> m
+            | Batch_layout m ->
                 t.s_batch_broken <- true;
                 Journal.record Tuner_expire "serve.bucket" ~arm:"demoted"
                   ~detail:m;
@@ -636,9 +643,9 @@ let build_buckets t (w : Workload.t) bx ~batch ~seq ~base_engine ~shard =
             let g =
               Graph.clone (Workload.graph w ~batch:(k * batch) ~seq)
             in
-            Passes.for_profile t.s_profile g;
             let bucket_args = w.Workload.inputs ~batch:(k * batch) ~seq in
             let inputs = Engine.input_shapes bucket_args in
+            Passes.for_profile ~inputs t.s_profile g;
             let bk = { bk_size = k; bk_graph = g; bk_inputs = inputs } in
             (* warm compile now, so steady-state dispatches never build *)
             let eng = prepare_engine t g ~inputs in
@@ -669,8 +676,8 @@ let create ?(config = Config.default) ?(profile = Compiler_profile.tensorssa)
     let seq = Option.value seq ~default:w.Workload.default_seq in
     let reference = Workload.graph w ~batch ~seq in
     let g = Graph.clone reference in
-    Passes.for_profile profile g;
     let native_args = w.Workload.inputs ~batch ~seq in
+    Passes.for_profile ~inputs:(Engine.input_shapes native_args) profile g;
     let base =
       {
         bk_size = 1;

@@ -249,66 +249,80 @@ let test_render_per_isa () =
   in
   let n = List.length emitted in
   check "lstm emits C kernels" true (n > 0);
-  let d_avx2, avx2 = Jit.render_source ~isa:"avx2" emitted in
-  let d_default, default = Jit.render_source ~isa:"default" emitted in
-  check "the ISA changes the digest" true (d_avx2 <> d_default);
+  let units =
+    List.map
+      (fun isa -> (isa, Jit.render_source ~isa emitted))
+      [ "avx512f"; "avx2"; "default" ]
+  in
+  check_int "each ISA has its own digest" 3
+    (List.length (List.sort_uniq compare (List.map (fun (_, (d, _)) -> d) units)));
   List.iter
-    (fun (isa, src) ->
+    (fun (isa, (_, src)) ->
       check_int
         (Printf.sprintf "%s unit declares no function clones" isa)
         0
-        (count_sub ~sub:"target_clones" src))
-    [ ("avx2", avx2); ("default", default) ];
-  let target = {|target("avx2")|} in
-  check_int "one target(\"avx2\") per kernel" n (count_sub ~sub:target avx2);
-  check_int "no target attribute in the default unit" 0
-    (count_sub ~sub:target default);
-  check "the host ISA is avx2 or default" true
-    (List.mem (Jit.isa ()) [ "avx2"; "default" ]);
-  (* shape-generic text: a case comment names its value without id or
-     shape, and a statement reads each outer extent from its ints slot
-     once at entry (the whole-kernel entry runs to the first one) *)
+        (count_sub ~sub:"target_clones" src);
+      List.iter
+        (fun target_isa ->
+          let target = Printf.sprintf {|target("%s")|} target_isa in
+          check_int
+            (Printf.sprintf "%s unit: %s per kernel" isa target)
+            (if target_isa = isa then n else 0)
+            (count_sub ~sub:target src))
+        [ "avx512f"; "avx2" ])
+    units;
+  check "the host ISA is avx512f, avx2 or default" true
+    (List.mem (Jit.isa ()) [ "avx512f"; "avx2"; "default" ]);
+  (* shape-generic text: no value id or shape in the unit, and a nest
+     reads each outer extent from its ints slot once at entry (the
+     whole-kernel entry runs to the first one) *)
   List.iter
     (fun (em : Functs_jit.Jit_emit.emitted) ->
       check (em.e_name ^ ": no shape in a case comment") true
         (count_sub ~sub:" : [" em.e_fn = 0);
-      Array.iteri
-        (fun j (st : Functs_jit.Jit_emit.estmt) ->
-          let label = Printf.sprintf "%s stmt %d" em.e_name j in
+      (* lstm's temporaries all live in local rows: only stored outputs
+         get a buffer *)
+      check (em.e_name ^ ": every buffer is a stored output") true
+        (Array.for_all
+           (fun (st : Functs_jit.Jit_emit.estmt) -> st.e_store)
+           em.e_stmts);
+      Array.iter
+        (fun (st : Functs_jit.Jit_emit.estmt) ->
           let v = st.e_out in
-          let name = if v.Graph.v_name = "" then "tmp" else v.Graph.v_name in
-          check_int
-            (label ^ ": case comment names the value")
-            1
-            (count_sub ~sub:(Printf.sprintf "case %d: { /* %s */\n" j name)
-               em.e_fn);
           if v.Graph.v_name <> "" then
             check_int
-              (label ^ ": no value id in the unit")
+              (Printf.sprintf "%s %s: no value id in the unit" em.e_name
+                 v.Graph.v_name)
               0
-              (count_sub ~sub:(Codegen.value_ref v) em.e_fn);
-          let rank = Array.length st.e_shape in
-          for d = 0 to rank - 2 do
-            check_int
-              (Printf.sprintf "%s: extent %d read from ints" label d)
-              1
-              (count_sub
-                 ~sub:
-                   (Printf.sprintf "const long n%d = ints[%d];\n" d
-                      (st.e_ext_pos + d))
-                 em.e_fn)
-          done)
+              (count_sub ~sub:(Codegen.value_ref v) em.e_fn))
         em.e_stmts;
+      Array.iteri
+        (fun j (nest : Functs_jit.Jit_emit.enest) ->
+          let label = Printf.sprintf "%s nest %d" em.e_name j in
+          check_int (label ^ ": one case") 1
+            (count_sub ~sub:(Printf.sprintf "case %d: { /* " j) em.e_fn);
+          Array.iteri
+            (fun d _ ->
+              check_int
+                (Printf.sprintf "%s: extent %d read from ints" label d)
+                1
+                (count_sub
+                   ~sub:
+                     (Printf.sprintf "const long n%d = ints[%d];\n" d
+                        (nest.e_ext_pos + d))
+                   em.e_fn))
+            nest.e_ext)
+        em.e_nests;
       let outer =
         Array.fold_left
-          (fun n (st : Functs_jit.Jit_emit.estmt) ->
-            if Array.length st.e_shape >= 2 then n + 1 else n)
-          0 em.e_stmts
+          (fun n (nest : Functs_jit.Jit_emit.enest) ->
+            if Array.length nest.e_ext >= 1 then n + 1 else n)
+          0 em.e_nests
       in
       check_int
-        (em.e_name ^ ": every rank >= 2 statement runs to the runtime n0")
+        (em.e_name ^ ": every nest with outer dims runs to the runtime n0")
         outer
-        (count_sub ~sub:"sh = stmt < 0 ? n0 : hi;" em.e_fn))
+        (count_sub ~sub:"sh = nest < 0 ? n0 : hi;" em.e_fn))
     emitted
 
 (* --- one unit per workload: every serving bucket shares it --- *)
@@ -409,6 +423,10 @@ let reads_of name (kernels : Codegen.kernel list) =
     | Codegen.Clit _ | Codegen.Copaque _ -> ()
     | Codegen.Cunary (_, e) | Codegen.Creduce (_, _, _, e) -> go e
     | Codegen.Cbinary (_, a, b) | Codegen.Ccond (_, a, b) ->
+        go a;
+        go b
+    | Codegen.Cwhere (c, a, b) ->
+        go c;
         go a;
         go b
   in
@@ -597,6 +615,9 @@ let test_special_values () =
         Builder.binary b Scalar.Eq x y;
         Builder.binary b Scalar.Max lit x;
         Builder.max_dim b z ~dim:1 ~keepdim:false;
+        (* a select, not [x*y + (1-x)*x]: signed zeros, infinities and
+           NaNs pass through untouched *)
+        Builder.where b x y x;
       ];
     let g = Builder.graph b in
     (* every ordered pair: x walks the rows, y the columns; z holds each
@@ -1194,6 +1215,215 @@ let test_late_arm () =
         check_int (name ^ ": still one cc") 1 (c_compiles () - co0))
       [ "lstm"; "nasrnn"; "seq2seq" ]
 
+(* --- fused nests: random single-group programs, forced to C ---
+
+   Each program is a chain of fusible operators over a [a; b; n] input
+   [x] and a row [r] of [n]: unary maps (relu's exact zeros included),
+   binary maps, a binary op against [r] broadcast over the outer dims,
+   shifted innermost reads (slices of the last dim), slice assigns
+   (guarded reads at a shifted offset), [where] selects, and an optional
+   Add/Max reduction.  Extents of 1 are common.  Inputs mix exact and
+   signed zeros, small integers and a value whose [exp] overflows.  Each
+   program runs its groups forced to [c-jit] on the sequential engine
+   and on two lanes with a one-element grain (so every nest of two or
+   more rows splits across launches), against the interpreter under the
+   oracle rule. *)
+
+module Fuzz = struct
+  module G = QCheck2.Gen
+
+  type op =
+    | Un of Scalar.unary * int
+    | Bin of Scalar.binary * int * int
+    | Row of Scalar.binary * int  (** value op r, broadcast over a and b *)
+    | Shift of int * int * int  (** value[..., s:e] *)
+    | Put of int * int * int  (** value i with value j written at [s:] *)
+    | Sel of int * int * int * int  (** where(i > j, k, l) *)
+
+  type prog = {
+    a : int;
+    b : int;
+    n : int;
+    ops : op list;
+    also : int;  (** an earlier value returned too (a stored member) *)
+    reduce : ([ `Sum | `Max ] * int) option;  (** of the last value, over dim *)
+    seed : int;
+  }
+
+  (* value 0 is [x]; op [k] defines value [k + 1] *)
+  let extent_after exts = function
+    | Un (_, i) | Bin (_, i, _) | Row (_, i) | Put (i, _, _) | Sel (_, _, i, _) ->
+        exts.(i)
+    | Shift (_, s, e) -> e - s
+
+  let gen_op exts =
+    let open G in
+    let nv = Array.length exts in
+    let same i = List.filter (fun j -> exts.(j) = exts.(i)) (List.init nv Fun.id) in
+    let* i = int_bound (nv - 1) in
+    let m = exts.(i) in
+    oneof
+      [
+        map
+          (fun u -> Un (u, i))
+          (oneofl Scalar.[ Neg; Abs; Exp; Tanh; Sigmoid; Relu ]);
+        map2
+          (fun o j -> Bin (o, i, j))
+          (oneofl Scalar.[ Add; Sub; Mul; Max; Min ])
+          (oneofl (same i));
+        map (fun o -> Row (o, i)) (oneofl Scalar.[ Add; Mul; Max ]);
+        (let* s = int_bound (m - 1) in
+         let+ e = int_range (s + 1) m in
+         Shift (i, s, e));
+        (let smaller =
+           List.filter (fun j -> exts.(j) <= m) (List.init nv Fun.id)
+         in
+         let* j = oneofl smaller in
+         let+ s = int_bound (m - exts.(j)) in
+         Put (i, j, s));
+        map3 (fun j k l -> Sel (i, j, k, l)) (oneofl (same i)) (oneofl (same i))
+          (oneofl (same i));
+      ]
+
+  let gen =
+    let open G in
+    let* a = int_range 1 3 in
+    let* b = int_range 1 3 in
+    let* n = oneofl [ 1; 2; 3; 4; 6 ] in
+    let* nops = int_range 1 7 in
+    let rec go k exts acc =
+      if k = 0 then return (exts, List.rev acc)
+      else
+        let* op = gen_op exts in
+        go (k - 1) (Array.append exts [| extent_after exts op |]) (op :: acc)
+    in
+    let* _, ops = go nops [| n |] [] in
+    let* also = int_bound nops in
+    let* reduce =
+      opt (pair (oneofl [ `Sum; `Max ]) (oneofl [ 0; 2 ]))
+    in
+    let+ seed = int in
+    { a; b; n; ops; also; reduce; seed }
+
+  let to_string p =
+    let v i = Printf.sprintf "v%d" i in
+    let line k op =
+      Printf.sprintf "  v%d = %s" (k + 1)
+        (match op with
+        | Un (u, i) -> Printf.sprintf "%s(%s)" (Scalar.unary_name u) (v i)
+        | Bin (o, i, j) ->
+            Printf.sprintf "%s(%s, %s)" (Scalar.binary_name o) (v i) (v j)
+        | Row (o, i) -> Printf.sprintf "%s(%s, r)" (Scalar.binary_name o) (v i)
+        | Shift (i, s, e) -> Printf.sprintf "%s[..., %d:%d]" (v i) s e
+        | Put (i, j, s) -> Printf.sprintf "%s with %s at [..., %d:]" (v i) (v j) s
+        | Sel (i, j, k, l) ->
+            Printf.sprintf "where(%s > %s, %s, %s)" (v i) (v j) (v k) (v l))
+    in
+    Printf.sprintf "x: [%d, %d, %d], seed %d\n%s\n  return v%d, v%d%s" p.a p.b
+      p.n p.seed
+      (String.concat "\n" (List.mapi line p.ops))
+      (List.length p.ops) p.also
+      (match p.reduce with
+      | None -> ""
+      | Some (k, d) ->
+          Printf.sprintf ", %s over dim %d"
+            (match k with `Sum -> "sum" | `Max -> "max")
+            d)
+
+  let graph p =
+    let bld =
+      Builder.create "fused_nest"
+        ~params:[ ("x", Dtype.Tensor); ("r", Dtype.Tensor) ]
+    in
+    let x = Builder.param bld 0 and r = Builder.param bld 1 in
+    let int = Builder.int bld in
+    let slice ~dim v s e =
+      Builder.op1 bld (Op.Access (Op.Slice { dim; step = 1 })) [ v; int s; int e ]
+    in
+    let vals = ref [| x |] and exts = ref [| p.n |] in
+    List.iter
+      (fun op ->
+        let v i = !vals.(i) in
+        let out =
+          match op with
+          | Un (u, i) -> Builder.unary bld u (v i)
+          | Bin (o, i, j) -> Builder.binary bld o (v i) (v j)
+          | Row (o, i) ->
+              let m = !exts.(i) in
+              Builder.binary bld o (v i) (if m = p.n then r else slice ~dim:0 r 0 m)
+          | Shift (i, s, e) -> slice ~dim:2 (v i) s e
+          | Put (i, j, s) ->
+              Builder.op1 bld
+                (Op.Assign (Op.Slice { dim = 2; step = 1 }))
+                [ v i; v j; int s; int (s + !exts.(j)) ]
+          | Sel (i, j, k, l) ->
+              Builder.where bld (Builder.binary bld Scalar.Gt (v i) (v j)) (v k) (v l)
+        in
+        vals := Array.append !vals [| out |];
+        exts := Array.append !exts [| extent_after !exts op |])
+      p.ops;
+    let last = !vals.(Array.length !vals - 1) in
+    let reduced =
+      match p.reduce with
+      | None -> []
+      | Some (`Sum, dim) -> [ Builder.sum_dim bld last ~dim ~keepdim:false ]
+      | Some (`Max, dim) -> [ Builder.max_dim bld last ~dim ~keepdim:false ]
+    in
+    Builder.return bld ((last :: !vals.(p.also) :: reduced));
+    Builder.graph bld
+
+  let specials = [| 0.; -0.; 1.; -1.; 0.5; -2.5; 3.; 800. |]
+
+  let args p =
+    let st = Random.State.make [| p.seed |] in
+    let t shape =
+      let t = Tensor.zeros shape in
+      Tensor.mapi_inplace t (fun _ _ ->
+          if Random.State.int st 3 = 0 then
+            specials.(Random.State.int st (Array.length specials))
+          else Random.State.float st 4. -. 2.);
+      Value.Tensor t
+    in
+    [ t [| p.a; p.b; p.n |]; t [| p.n |] ]
+end
+
+let fuzz_native = ref 0
+
+let prop_fused_nests =
+  QCheck2.Test.make ~name:"fused nests forced to C vs interpreter" ~count:200
+    ~print:Fuzz.to_string Fuzz.gen (fun p ->
+      let g = Fuzz.graph p in
+      let expected = Eval.run g (Fuzz.args p) in
+      let fg = Graph.clone g in
+      ignore (Passes.tensorssa_pipeline fg);
+      let inputs = Engine.input_shapes (Fuzz.args p) in
+      List.for_all
+        (fun (parallel, domains) ->
+          let eng =
+            Engine.prepare ~parallel ~domains ~kernel_grain:1 ~cache:false
+              ~jit:Jit.Auto ~jit_dir fg ~inputs
+          in
+          Engine.await_jit eng;
+          ignore (Engine.run eng (Fuzz.args p));
+          List.iter
+            (fun (r : Scheduler.attribution_row) ->
+              if r.Scheduler.at_kind = `Group then
+                match Engine.force eng (`Group, r.Scheduler.at_id) `Cjit with
+                | () -> ()
+                | exception Invalid_argument _ -> ())
+            (Engine.attribution eng);
+          let got, native = Equiv.run eng (Fuzz.args p) in
+          if native then incr fuzz_native;
+          Equiv.matches ~native expected got)
+        [ (false, 1); (true, 2) ])
+
+let test_fused_nests () =
+  QCheck_alcotest.to_alcotest prop_fused_nests |> fun (_, _, run) ->
+  run ();
+  if Jit.c_toolchain_available () then
+    check "most random programs launched native code" true
+      (!fuzz_native >= 300)
+
 let () =
   Alcotest.run "jit"
     [
@@ -1213,6 +1443,8 @@ let () =
             test_adversarial_extents;
           Alcotest.test_case "special values bitwise vs interpreter" `Quick
             test_special_values;
+          Alcotest.test_case "fused nests forced to C vs interpreter" `Slow
+            test_fused_nests;
           Alcotest.test_case "inputs of another shape raise" `Quick
             test_other_shape_rejected;
           Alcotest.test_case "launch-validation failure reruns per-node"

@@ -46,6 +46,24 @@ let test_cse_chain_merges_in_one_pass () =
   check_int "two merges" 2 (Cse.run g);
   Verifier.check_exn g
 
+(* -0. and 0. (and two NaN payloads) compare equal structurally; as
+   constants they must stay apart. *)
+let test_cse_keeps_float_bits () =
+  let b = Builder.create "zeros" ~params:[ ("x", Dtype.Tensor) ] in
+  let x = Builder.param b 0 in
+  let neg = Builder.mul b x (Builder.float b (-0.0)) in
+  let pos = Builder.mul b x (Builder.float b 0.0) in
+  Builder.return b [ neg; pos ];
+  let g = Builder.graph b in
+  check_int "no merge" 0 (Cse.run g);
+  match Eval.run g [ Value.Tensor (T.of_array [| 1 |] [| 1.0 |]) ] with
+  | [ Value.Tensor n; Value.Tensor p ] ->
+      check "x * -0. keeps its sign" true
+        (Int64.bits_of_float (T.get n [| 0 |]) = Int64.bits_of_float (-0.0));
+      check "x * 0. stays +0." true
+        (Int64.bits_of_float (T.get p [| 0 |]) = 0L)
+  | _ -> Alcotest.fail "two tensor outputs"
+
 let test_cse_refuses_mutation () =
   let b = Builder.create "mut" ~params:[ ("x", Dtype.Tensor) ] in
   let x = Builder.param b 0 in
@@ -279,6 +297,58 @@ let test_no_reuse_when_base_live () =
   check "old version preserved" true
     (List.for_all2 (Value.equal ~atol:1e-9) expected got)
 
+(* --- whole assigns of an equal shape fold to their source --- *)
+
+let whole_assign_graph () =
+  let b =
+    Builder.create "overwrite"
+      ~params:[ ("base", Dtype.Tensor); ("src", Dtype.Tensor) ]
+  in
+  let base = Builder.param b 0 and src = Builder.param b 1 in
+  let fresh = Builder.op1 b (Op.Assign Op.Identity) [ base; src ] in
+  Builder.return b [ Builder.sigmoid b fresh ];
+  Builder.graph b
+
+let count_whole_assigns g =
+  let n = ref 0 in
+  Graph.iter_nodes g (fun node ->
+      if node.Graph.n_op = Op.Assign Op.Identity then incr n);
+  !n
+
+let test_fold_whole_assign () =
+  let shapes dims = List.map (fun d -> Some (Shape_infer.known d)) dims in
+  let folds inputs =
+    let g = whole_assign_graph () in
+    ignore (Passes.optimize ?inputs g);
+    Verifier.check_exn g;
+    1 - count_whole_assigns g
+  in
+  check_int "equal static shapes fold" 1
+    (folds (Some (shapes [ [| 2; 3 |]; [| 2; 3 |] ])));
+  check_int "a broadcast source stays" 0
+    (folds (Some (shapes [ [| 2; 3 |]; [| 3 |] ])));
+  check_int "unknown shapes stay" 0 (folds None);
+  check_int "an unknown parameter shape stays" 0
+    (folds (Some [ Some (Shape_infer.known [| 2; 3 |]); None ]));
+  (* lstm: the per-step [out[t] = h] no longer copies [out[t]] first,
+     and the outputs keep their bits *)
+  let w = Option.get (Registry.find "lstm") in
+  let g = Workload.graph w ~batch:2 ~seq:3 in
+  let args = w.inputs ~batch:2 ~seq:3 in
+  let fg = Graph.clone g in
+  let without = Graph.clone g in
+  ignore (Passes.tensorssa_pipeline without);
+  ignore
+    (Passes.tensorssa_pipeline
+       ~inputs:(Functs_exec.Engine.input_shapes args)
+       fg);
+  check "lstm's whole assign folds" true
+    (count_whole_assigns fg < count_whole_assigns without);
+  check "lstm outputs are bitwise-equal" true
+    (Functs_exec.Equiv.bitwise
+       (Eval.run g (clone_args args))
+       (Eval.run fg (clone_args args)))
+
 (* --- properties over all workloads --- *)
 
 let prop_case name f =
@@ -323,6 +393,8 @@ let () =
           Alcotest.test_case "chains in one pass" `Quick
             test_cse_chain_merges_in_one_pass;
           Alcotest.test_case "refuses mutation" `Quick test_cse_refuses_mutation;
+          Alcotest.test_case "keeps float constants apart by bits" `Quick
+            test_cse_keeps_float_bits;
           Alcotest.test_case "keeps clones" `Quick test_cse_never_merges_clones;
           Alcotest.test_case "scoped across blocks" `Quick
             test_cse_scoped_across_blocks;
@@ -336,6 +408,8 @@ let () =
           Alcotest.test_case "zero-trip loop" `Quick test_fold_zero_trip_loop;
           Alcotest.test_case "single-iteration unroll" `Quick
             test_fold_unroll_single_iteration;
+          Alcotest.test_case "whole assign of an equal shape" `Quick
+            test_fold_whole_assign;
         ] );
       ( "defunctionalize",
         [

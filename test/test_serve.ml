@@ -320,6 +320,75 @@ let test_aliased_buffer_dropped () =
             (List.assoc_opt 4 (Session.stats s).Session.bucket_runs = Some 2)))
     [ false; true ]
 
+(* A batched program that selects column [k] of its input: a request
+   whose [k] is out of range makes the engine itself raise
+   [Invalid_argument], at any bucket size. *)
+let pick =
+  let program ~batch ~seq =
+    ignore seq;
+    let open Ast in
+    {
+      name = "pick";
+      params = [ tensor_param "x"; int_param "k" ];
+      body =
+        [
+          return_
+            [
+              Binop
+                ( Scalar.Add,
+                  Subscript (var "x", [ Range (i 0, i batch); At (var "k") ]),
+                  Float_lit 1.0 );
+            ];
+        ];
+    }
+  in
+  {
+    Workload.name = "pick";
+    display = "Pick";
+    kind = Workload.Cv;
+    default_batch = 1;
+    default_seq = 1;
+    program;
+    inputs =
+      (fun ~batch ~seq ->
+        ignore seq;
+        [ Workload.rand_tensor (Workload.seeded 12) [| batch; 8 |]; Value.Int 3 ]);
+    batching =
+      Some { Workload.input_axes = [ Some 0; None ]; output_axes = [ Some 0 ] };
+  }
+
+(* An engine that raises inside a bucket fails that bucket's requests
+   only: batching stays on, so the next full 4-bucket runs batched. *)
+let test_engine_raise_keeps_batching () =
+  let w = pick in
+  with_session ~w (fun s ->
+      let native = w.Workload.inputs ~batch ~seq in
+      let bad = [ List.hd native; Value.Int 20 ] in
+      let fours () =
+        Option.value ~default:0
+          (List.assoc_opt 4 (Session.stats s).Session.bucket_runs)
+      in
+      (* [bucket_runs] also counts a group served as singles under its
+         size, so [batched_runs] is what shows batching *)
+      let batched () = (Session.stats s).Session.batched_runs in
+      let f0 = fours () and b0 = batched () in
+      Session.pause s;
+      let tickets =
+        List.init 4 (fun salt ->
+            submit_ok s (Session.input (batched_variant ~w bad salt)))
+      in
+      Session.resume s;
+      List.iter
+        (fun tk ->
+          check "an out-of-range index fails its request" true
+            (Result.is_error (Session.await tk)))
+        tickets;
+      check "the failing requests ran as one 4-bucket" true
+        (fours () = f0 + 1 && batched () = b0 + 1);
+      bucket_round ~w s native ~salt0:40 4;
+      check "a native 4-bucket still runs batched" true
+        (fours () = f0 + 2 && batched () = b0 + 2))
+
 (* --- the major-heap budget of a steady-state 16-bucket ---
 
    lstm at its default scale (seq 64): each request's [x] is 32768
@@ -820,6 +889,8 @@ let () =
             test_held_replies;
           Alcotest.test_case "an aliased scatter buffer is dropped" `Quick
             test_aliased_buffer_dropped;
+          Alcotest.test_case "an engine raise keeps batching" `Quick
+            test_engine_raise_keeps_batching;
           Alcotest.test_case "16-bucket major words per request" `Quick
             test_major_words_budget;
           Alcotest.test_case "mid-bucket deadline expiry" `Quick
