@@ -8,6 +8,11 @@ type result = {
 
 let known sizes = Array.map (fun n -> Known n) sizes
 
+let concrete shape =
+  if Array.for_all (function Known _ -> true | Unknown -> false) shape then
+    Some (Array.map (function Known n -> n | Unknown -> 0) shape)
+  else None
+
 let to_string shape =
   let dim_str = function Known n -> string_of_int n | Unknown -> "?" in
   "[" ^ String.concat ", " (Array.to_list shape |> List.map dim_str) ^ "]"

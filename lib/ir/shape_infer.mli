@@ -28,6 +28,9 @@ val infer : Graph.t -> inputs:shape option list -> result
 val known : int array -> shape
 (** All-known shape from concrete sizes. *)
 
+val concrete : shape -> int array option
+(** The sizes when every dimension is known. *)
+
 val shape_of : result -> Graph.value -> shape option
 val to_string : shape -> string
 
