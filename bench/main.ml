@@ -504,6 +504,7 @@ let workload_json r =
       ("jit_groups", int sj.Scheduler.cjit_groups);
       ("jit_runs", int (ran cj (fun s -> s.Scheduler.cjit_runs)));
       ("jit_fallbacks", int sj.Scheduler.jit_fallbacks);
+      ("native_loops", int sj.Scheduler.native_loops);
       ( "sweep",
         Json.Obj
           (List.map

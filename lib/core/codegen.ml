@@ -45,6 +45,7 @@ type cexpr =
   | Ccond of cond list * cexpr * cexpr
   | Cwhere of cexpr * cexpr * cexpr
   | Creduce of [ `Sum | `Max ] * string * int * cexpr
+  | Cmatmul of Graph.value * Graph.value
   | Copaque of string
 
 type statement = {
@@ -256,6 +257,11 @@ and node_expr ctx (node : Graph.node) index =
         end
       | _ -> Copaque "<full>"
     end
+  | Op.Matmul -> (
+      let a = input 0 and b = input 1 in
+      match (rank_of ctx.shapes a, rank_of ctx.shapes b) with
+      | Some 2, Some 2 -> Cmatmul (a, b)
+      | _ -> Copaque "<matmul of non-2-D operands>")
   | Op.Sum | Op.Mean -> Copaque "<full reduction>"
   | Op.Arange | Op.Scalar_binary _ -> Copaque "<scalar>"
   | _ -> Cread (List.hd node.n_outputs, index)
@@ -420,6 +426,9 @@ let kernel_of plan shapes idx (gid, members) =
           && not (List.exists (fun (_, x) -> x == v) !inputs)
         then inputs := (value_ref v, v) :: !inputs
     | Clit _ | Copaque _ -> ()
+    | Cmatmul (a, b) ->
+        note (Cread (a, []));
+        note (Cread (b, []))
     | Cunary (_, e) -> note e
     | Cbinary (_, a, b) ->
         note a;
@@ -483,6 +492,7 @@ let rec cexpr_to_string = function
       Printf.sprintf "reduce_%s(%s < %d, %s)"
         (match kind with `Sum -> "sum" | `Max -> "max")
         r extent (cexpr_to_string body)
+  | Cmatmul (a, b) -> Printf.sprintf "matmul(%s, %s)" (value_ref a) (value_ref b)
   | Copaque s -> s
 
 let shape_str shapes v =
@@ -589,6 +599,25 @@ let eval_kernel k ~shapes ~lookup ~scalar =
                 for rv = 0 to extent - 1 do
                   let env' name = if name = r then Some rv else env name in
                   acc := combine !acc (eval env' body)
+                done;
+                !acc
+            | Cmatmul (a, b) ->
+                (* the interpreter's sum: from +0.0, ascending l *)
+                let tensor v =
+                  match find_tensor v with
+                  | Some t -> t
+                  | None ->
+                      raise
+                        (Not_executable
+                           (Printf.sprintf "unbound tensor %s" (value_ref v)))
+                in
+                let ta = tensor a and tb = tensor b in
+                let acc = ref 0.0 in
+                for l = 0 to ta.Tensor.shape.(1) - 1 do
+                  acc :=
+                    !acc
+                    +. Tensor.get ta [| index.(0); l |]
+                       *. Tensor.get tb [| l; index.(1) |]
                 done;
                 !acc
             | Cread (v, ixs) -> begin

@@ -42,6 +42,10 @@ type cexpr =
           all three are evaluated at every point *)
   | Creduce of [ `Sum | `Max ] * string * int * cexpr
       (** combinator, reduction variable, extent, body *)
+  | Cmatmul of Graph.value * Graph.value
+      (** [a @ b] of two 2-D values, only ever a statement's whole
+          expression: element [i0, i1] sums [a[i0, l] * b[l, i1]] from
+          [+0.0] in ascending [l], the interpreter's order *)
   | Copaque of string  (** not executable (reshape/expand reindexing) *)
 
 type statement = {

@@ -79,7 +79,9 @@ let alloc pool shape =
       pool.n_reused <- pool.n_reused + 1;
       Tensor.of_storage s shape
   | _ ->
-      let t = Tensor.zeros shape in
+      (* a recycled storage holds stale data, so every consumer already
+         writes its whole output: a fresh one needs no zero fill *)
+      let t = Tensor.uninit shape in
       Storage.set_owner t.Tensor.storage pool.pool_id;
       pool.n_fresh <- pool.n_fresh + 1;
       t

@@ -94,7 +94,10 @@ let build ~profile ~parallel ~domains ~loop_grain ~kernel_grain ~jit ~jit_dir
          let kernels =
            Tracer.span "codegen.emit" (fun () -> Codegen.emit g plan ~shapes)
          in
-         match Jit.start_groups ~mode:jit ~dir:jit_dir ~kernels ~shapes with
+         match
+           Jit.start_groups ~loops:(g, plan) ~mode:jit ~dir:jit_dir ~kernels
+             ~shapes ()
+         with
          | Jit.Armed entries -> arm t entries
          | Jit.Pending p -> t.e_pending <- Some (p, Unix.gettimeofday ()));
       t)

@@ -19,17 +19,34 @@
  * Accumulators are named locals rather than an array: an array tile was
  * spilled to the stack on every k-step on AVX2.
  *
- * Columns past the last whole tile, rows past the last whole 4-row
- * tile, and calls with fewer than 4 rows run the row loop below.  A
+ * Columns past the last whole 16-column block, rows past the last whole
+ * 4-row tile, and calls with fewer than 4 rows run the row loop below.  A
  * call with one or two rows (lstm at batch 1) streams all of [b] for
  * each row, so it is bandwidth-bound and the tile kernel would only add
  * overhead there.
  *
+ * Packed weight.  A caller that multiplies by the same [b] many times
+ * (a recurrence's weight, once per step) can copy it once into panels
+ * of 16 columns, each k-major ([GEMM_NAME_pack]), and run the tiles
+ * over the panels ([GEMM_NAME_packed]): a tile then streams one
+ * contiguous 16 x k panel instead of 16 columns strided by n.  The sum
+ * per element is unchanged, so results stay bitwise-identical.  Columns
+ * past the last whole panel, rows past the last whole 4-row tile and
+ * calls with fewer than 4 rows run the row loop on the original [b];
+ * [GEMM_NAME_packs(m)] says whether a call with [m] rows reads the
+ * panels at all.
+ *
  * Usage: define GEMM_NAME, then include this file; it defines
  *   static void GEMM_NAME(const double *a, const double *b, double *o,
  *                         long m, long k, long n);
+ *   static int GEMM_NAME_packs(long m);
+ *   static void GEMM_NAME_pack(const double *b, double *bp, long k, long n);
+ *   static void GEMM_NAME_packed(const double *a, const double *b,
+ *                                const double *bp, double *o,
+ *                                long m, long k, long n);
  * for the ISA enabled at the point of inclusion (by -march or by
- * #pragma GCC target), and undefines GEMM_NAME again. */
+ * #pragma GCC target), and undefines GEMM_NAME again.  [bp] holds
+ * (n - n % 16) * k doubles. */
 
 #ifndef GEMM_NAME
 #error "define GEMM_NAME before including gemm_kernel.h"
@@ -140,21 +157,34 @@ static inline void GEMM_FN(tile8)(const double *restrict a, long lda,
 #endif
 #endif
 
-static void GEMM_NAME(const double *restrict a, const double *restrict b,
-                      double *restrict o, long m, long k, long n)
+/* Whole tiles run over 16-column blocks of a tile source: block p
+ * starts at panels + p * pstep and its rows lie ldp apart (B itself:
+ * pstep 16, ldp n; packed panels: pstep 16 k, ldp 16).  Columns past
+ * the last whole block, rows past the last whole 4-row tile, and calls
+ * with fewer than 4 rows run the row loop on [b].  Kept out of line, so
+ * the plain and packed entries share one copy of the tile code. */
+#define GEMM_PW 16
+
+__attribute__((noinline)) static void GEMM_FN(run)(
+    const double *restrict a, const double *b, const double *panels,
+    long pstep, long ldp, double *restrict o, long m, long k, long n)
 {
 #if GEMM_MR > 0
   if (m >= 4) {
-    /* whole tiles cover rows [0, mt) and columns [0, nt) */
-    const long mt = m - m % 4, nt = n - n % GEMM_NR;
-    for (long j = 0; j < nt; j += GEMM_NR) {
-      long i = 0;
+    const long mt = m - m % 4, nt = n - n % GEMM_PW;
+    for (long j = 0; j < nt; j += GEMM_PW) {
+      const double *panel = panels + (j / GEMM_PW) * pstep;
+      for (long jj = 0; jj < GEMM_PW; jj += GEMM_NR) {
+        long i = 0;
 #if GEMM_MR == 8
-      for (; i + 8 <= m; i += 8)
-        GEMM_FN(tile8)(a + i * k, k, b + j, n, o + i * n + j, n, k);
+        for (; i + 8 <= m; i += 8)
+          GEMM_FN(tile8)(a + i * k, k, panel + jj, ldp, o + i * n + j + jj,
+                         n, k);
 #endif
-      for (; i < mt; i += 4)
-        GEMM_FN(tile4)(a + i * k, k, b + j, n, o + i * n + j, n, k);
+        for (; i < mt; i += 4)
+          GEMM_FN(tile4)(a + i * k, k, panel + jj, ldp, o + i * n + j + jj,
+                         n, k);
+      }
     }
     if (nt < n) GEMM_FN(rows)(a, k, b + nt, n, o + nt, n, mt, k, n - nt);
     if (mt < m)
@@ -162,9 +192,42 @@ static void GEMM_NAME(const double *restrict a, const double *restrict b,
     return;
   }
 #endif
+  (void)panels;
+  (void)pstep;
+  (void)ldp;
   GEMM_FN(rows)(a, k, b, n, o, n, m, k, n);
 }
 
+static void GEMM_NAME(const double *a, const double *b, double *o, long m,
+                      long k, long n)
+{
+  GEMM_FN(run)(a, b, b, GEMM_PW, n, o, m, k, n);
+}
+
+__attribute__((unused)) static int GEMM_FN(packs)(long m)
+{
+  return GEMM_MR > 0 && m >= 4;
+}
+
+/* Panel p holds columns [16p, 16p + 16) of [b], row l at bp[(p*k + l)*16]. */
+__attribute__((unused)) static void GEMM_FN(pack)(const double *restrict b,
+                                                  double *restrict bp, long k,
+                                                  long n)
+{
+  for (long j = 0; j + GEMM_PW <= n; j += GEMM_PW)
+    for (long l = 0; l < k; l++)
+      for (long c = 0; c < GEMM_PW; c++)
+        bp[j * k + l * GEMM_PW + c] = b[l * n + j + c];
+}
+
+__attribute__((unused)) static void GEMM_FN(packed)(
+    const double *a, const double *b, const double *bp, double *o, long m,
+    long k, long n)
+{
+  GEMM_FN(run)(a, b, bp, GEMM_PW * k, GEMM_PW, o, m, k, n);
+}
+
+#undef GEMM_PW
 #undef GEMM_ACC
 #undef GEMM_STEP
 #undef GEMM_STORE

@@ -47,6 +47,25 @@ type t = {
    engine merge partials in the same order and stay bitwise-identical. *)
 let reduce_max_chunks = 8
 
+(* Carried slot [j] of [node] may adopt its init as the written buffer:
+   the loop is the init's only use, in the same block, and the init is
+   no graph parameter. *)
+let donatable graph (node : Graph.node) j =
+  let init = List.nth node.Graph.n_inputs (j + 1) in
+  (match Graph.uses_in graph init with [ _ ] -> true | _ -> false)
+  && (not (List.memq init (Graph.params graph)))
+  && Graph.defining_block init == Graph.node_block node
+
+(* Adopt [bt] as the buffer a loop writes in place when the prepare-time
+   rule allows it and nothing else references its storage now (the rule
+   assign donation applies); otherwise one pooled clone. *)
+let adopt_or_clone rs ~donate (bt : Tensor.t) =
+  if rs.live && donate && sref_count rs bt = 1 then begin
+    note_donation rs;
+    bt
+  end
+  else Fastops.clone ~alloc:rs.alloc bt
+
 (* Every slice descriptor (view kinds, operand slots, buffer indices) is
    resolved to frame slots once, here, never per run or per iteration.
    A loop whose plan cannot be built (a missing slot, a malformed chain)
@@ -106,13 +125,7 @@ let build graph ~slot (node : Graph.node) (info : Loop_par.info) (bi : binst) =
     | exception Bail -> None
     | actions ->
         let donate =
-          Array.mapi
-            (fun j _ ->
-              let init = List.nth node.n_inputs (j + 1) in
-              (match Graph.uses_in graph init with [ _ ] -> true | _ -> false)
-              && (not (List.memq init (Graph.params graph)))
-              && Graph.defining_block init == Graph.node_block node)
-            info.Loop_par.roles
+          Array.mapi (fun j _ -> donatable graph node j) info.Loop_par.roles
         in
         Some
           {
@@ -134,12 +147,9 @@ let carried_buffers rs lp inits =
     (fun j role ->
       match role with
       | Loop_par.Sliced ->
-          let bt = Value.to_tensor inits.(j) in
-          if rs.live && lp.lp_donate.(j) && sref_count rs bt = 1 then begin
-            note_donation rs;
-            Some bt
-          end
-          else Some (Fastops.clone ~alloc:rs.alloc bt)
+          Some
+            (adopt_or_clone rs ~donate:lp.lp_donate.(j)
+               (Value.to_tensor inits.(j)))
       | Loop_par.Reduced _ | Loop_par.Passthrough -> None)
     lp.lp_roles
 

@@ -42,6 +42,16 @@ type t = {
   lp_reduction : bool;  (** any [Reduced] slot *)
 }
 
+val donatable : Graph.t -> Graph.node -> int -> bool
+(** [donatable graph loop j]: carried slot [j]'s init may become the
+    buffer the loop writes in place — the loop is its only use, in the
+    same block, and it is no graph parameter. *)
+
+val adopt_or_clone :
+  Frame.t -> donate:bool -> Functs_tensor.Tensor.t -> Functs_tensor.Tensor.t
+(** The init itself when [donate] holds and its storage has no other
+    live reference (counted as a donation), else a pooled clone. *)
+
 val build :
   Graph.t ->
   slot:(Graph.value -> int option) ->

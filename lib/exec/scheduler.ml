@@ -34,10 +34,15 @@ let jit_demoted_c = Metrics.counter "jit.demoted"
    across lanes or runs on the caller — and the sequential body (which
    keeps kernel fusion and donation): on kernel-heavy bodies (ssd) the
    batched per-node replay can lose to the sequential fused path
-   outright, and the [`Seq] arm pins it when it measures fastest. *)
+   outright, and the [`Seq] arm pins it when it measures fastest.
+
+   A sequential loop whose whole body compiled to one loop kernel is
+   tuned between that kernel ([`Native], one launch per run) and the
+   sequential body. *)
 type garm = [ `Cjit | `Per_node ]
 type larm = [ `Vector | `Batched | `Seq ]
-type arm = [ garm | larm ]
+type narm = [ `Native | `Seq ]
+type arm = [ garm | larm | narm ]
 type site = [ `Group | `Loop ] * int
 
 let arm_name : [< arm ] -> string = function
@@ -46,6 +51,7 @@ let arm_name : [< arm ] -> string = function
   | `Vector -> "vector"
   | `Batched -> "batched"
   | `Seq -> "seq"
+  | `Native -> "native"
 
 (* Per-group dispatch state, held in a dense gid-indexed array on the
    prepared engine.  Sequential loop bodies touch every member
@@ -72,6 +78,15 @@ type loop = {
   l_vector : Vector_plan.t option;
   l_tuner : larm Tuner.t;
   l_ops : string list;  (* the body's op names, for attribution *)
+}
+
+(* A sequential loop armed with a loop kernel. *)
+type nloop = {
+  n_members : int;  (* body size, for attribution *)
+  mutable n_jit : Jit.loop option;  (* cleared on a failed launch *)
+  n_donate : bool array;  (* per carried slot: {!Loop_plan.donatable} *)
+  n_tuner : narm Tuner.t;
+  n_ops : string list;
 }
 
 (* Distinct op names of [nodes] without their namespace, in order of
@@ -107,6 +122,8 @@ type prepared = {
   p_blocks : (int, binst) Hashtbl.t;  (* block id -> instructions *)
   p_loops : (int, loop) Hashtbl.t;
       (* loop node id -> iteration-batching plans (Parallel/Reduction) *)
+  p_native : (int, nloop) Hashtbl.t;
+      (* loop node id -> loop kernel (Sequential loops, once armed) *)
   p_slot : (int, int) Hashtbl.t;  (* value id -> slot (kernel-site lookup) *)
   p_groups : group option array;
       (* gid -> dispatch record, [None] for gids without registered
@@ -354,9 +371,83 @@ and exec_loop p rs ~scope (inst : inst) =
           | (`Vector | `Batched) as arm ->
               exec_batched p rs ~scope inst bi l arm trip inits);
           Tuner.record l.l_tuner arm (Unix.gettimeofday () -. t0)
-      | None -> exec_seq_loop p rs ~scope inst bi trip inits
+      | None -> (
+          match Hashtbl.find_opt p.p_native inst.i_node.n_id with
+          | Some nl when rs.live ->
+              let timed arm f =
+                let t0 = Unix.gettimeofday () in
+                let ran = f () in
+                if ran then
+                  Tuner.record nl.n_tuner arm (Unix.gettimeofday () -. t0);
+                ran
+              in
+              let native =
+                match (nl.n_tuner.Tuner.arm, nl.n_jit) with
+                | `Native, Some entry ->
+                    timed `Native (fun () ->
+                        exec_native p rs ~scope inst nl entry trip inits)
+                | _ -> false
+              in
+              if not native then
+                ignore
+                  (timed `Seq (fun () ->
+                       exec_seq_loop p rs ~scope inst bi trip inits;
+                       true))
+          | _ -> exec_seq_loop p rs ~scope inst bi trip inits)
     end
   | _ -> error "malformed prim::Loop"
+
+(* The [`Native] arm: the whole loop in one native launch.  A row-written
+   slot is written in place (the init when {!Loop_plan.adopt_or_clone}
+   allows it); every other slot's output comes from the storage pool.
+   [false] when the launch failed validation: the loop is demoted to
+   [`Seq] for good, and the caller runs it sequentially — a row-written
+   buffer the launch started on gets every row rewritten there. *)
+and exec_native p rs ~scope (inst : inst) nl entry trip inits =
+  let allocated = ref [] in
+  let alloc shape =
+    let t = Buffer_plan.alloc p.p_pool shape in
+    allocated := t :: !allocated;
+    t
+  in
+  let rows = Jit.loop_rows entry in
+  let carried =
+    Array.of_list
+      (List.mapi
+         (fun j v ->
+           let t = Value.to_tensor v in
+           if not rows.(j) then t
+           else
+             let b = Loop_plan.adopt_or_clone rs ~donate:nl.n_donate.(j) t in
+             if b != t then allocated := b :: !allocated;
+             b)
+         inits)
+  in
+  match
+    Jit.run_loop entry ~trip ~carried ~alloc ~copy:Fastops.copy_into
+      ~lookup:(tensor_lookup p rs) ~scalar:(scalar_lookup p rs)
+  with
+  | outs ->
+      p.p_counts.cjit_runs <- p.p_counts.cjit_runs + 1;
+      Metrics.incr kernel_runs_c;
+      Array.iteri (fun k t -> bind rs scope inst.i_out.(k) (Value.Tensor t)) outs;
+      consume_all rs inst.i_in;
+      true
+  | exception Jit.Fallback reason ->
+      List.iter (Buffer_plan.release p.p_pool) !allocated;
+      let id = inst.i_node.n_id in
+      nl.n_jit <- None;
+      Tuner.drop nl.n_tuner `Native;
+      p.p_counts.jit_fallbacks <- p.p_counts.jit_fallbacks + 1;
+      Metrics.incr jit_demoted_c;
+      Tracer.instant "jit.fallback"
+        ~args:[ ("loop", string_of_int id); ("reason", reason) ];
+      Journal.record Jit_demote "scheduler.loop" ~id ~arm:"seq"
+        ~detail:("launch validation failed: " ^ reason);
+      false
+  | exception e ->
+      List.iter (Buffer_plan.release p.p_pool) !allocated;
+      raise e
 
 (* The classic sequential loop body: per-iteration scopes, kernel
    fusion and assign donation all active.  Also the [`Seq] auto-tuner
@@ -608,6 +699,7 @@ let prepare ~parallel ~pool:exec_pool ~loop_grain ~kernel_grain ~graph
     p_pinned = pinned;
     p_blocks = blocks;
     p_loops = loops;
+    p_native = Hashtbl.create 2;
     p_slot = slot_tbl;
     p_groups = groups;
     p_in_shapes = List.map (Shape_infer.shape_of shapes) (Graph.params graph);
@@ -627,16 +719,44 @@ let output_shapes p = p.p_out_shapes
 let group_at p gid =
   if gid >= 0 && gid < Array.length p.p_groups then p.p_groups.(gid) else None
 
-let arm p entries =
+let arm p (entries : Jit.armed) =
+  let groups =
+    List.fold_left
+      (fun n (gid, entry) ->
+        match group_at p gid with
+        | Some g when g.g_jit = None ->
+            g.g_jit <- Some entry;
+            Tuner.add g.g_tuner `Cjit;
+            n + 1
+        | Some _ | None -> n)
+      0 entries.groups
+  in
+  let node_of id =
+    List.find_opt
+      (fun (n : Graph.node) -> n.Graph.n_id = id)
+      (Graph.all_nodes p.p_graph)
+  in
   List.fold_left
-    (fun n (gid, entry) ->
-      match group_at p gid with
-      | Some g when g.g_jit = None ->
-          g.g_jit <- Some entry;
-          Tuner.add g.g_tuner `Cjit;
+    (fun n (id, entry) ->
+      match (Hashtbl.find_opt p.p_native id, node_of id) with
+      | None, Some node ->
+          let body = List.hd node.Graph.n_blocks in
+          Hashtbl.replace p.p_native id
+            {
+              n_members = List.length body.Graph.b_nodes;
+              n_jit = Some entry;
+              n_donate =
+                Array.init
+                  (List.length node.n_inputs - 1)
+                  (Loop_plan.donatable p.p_graph node);
+              n_tuner =
+                Tuner.create ~scope:"scheduler.loop" ~id ~name:arm_name
+                  [ `Native; `Seq ];
+              n_ops = op_names body.Graph.b_nodes;
+            };
           n + 1
-      | Some _ | None -> n)
-    0 entries
+      | _ -> n)
+    groups entries.loops
 
 let force p ((kind, id) : site) (a : arm) =
   let lacks () =
@@ -651,10 +771,15 @@ let force p ((kind, id) : site) (a : arm) =
       | Some g when a = `Per_node || g.g_jit <> None ->
           Tuner.freeze g.g_tuner a ~detail:"forced"
       | _ -> lacks ())
-  | `Loop, (#larm as a) -> (
-      match Hashtbl.find_opt p.p_loops id with
-      | Some l when a <> `Vector || l.l_vector <> None ->
-          Tuner.freeze l.l_tuner a ~detail:"forced"
+  | `Loop, (#larm as a) when Hashtbl.mem p.p_loops id -> (
+      let l = Hashtbl.find p.p_loops id in
+      match a with
+      | `Vector when l.l_vector = None -> lacks ()
+      | a -> Tuner.freeze l.l_tuner a ~detail:"forced")
+  | `Loop, (#narm as a) -> (
+      match Hashtbl.find_opt p.p_native id with
+      | Some nl when a = `Seq || nl.n_jit <> None ->
+          Tuner.freeze nl.n_tuner a ~detail:"forced"
       | _ -> lacks ())
   | _ -> lacks ()
 
@@ -750,6 +875,7 @@ type stats = {
   loops_pinned_vector : int;
   loops_pinned_batched : int;
   loops_pinned_seq : int;  (* batched loops pinned back to sequential *)
+  native_loops : int;  (* sequential loops armed with a loop kernel *)
   pool_lanes : int;
 }
 
@@ -779,6 +905,10 @@ let stats p =
     loops_pinned_vector = pinned `Vector;
     loops_pinned_batched = pinned `Batched;
     loops_pinned_seq = pinned `Seq;
+    native_loops =
+      Hashtbl.fold
+        (fun _ nl n -> if nl.n_jit <> None then n + 1 else n)
+        p.p_native 0;
     pool_lanes = Pool.lanes p.p_exec_pool;
   }
 
@@ -827,6 +957,12 @@ let attribution p =
           row `Loop lid l.l_tuner (Array.length l.l_plan.lp_actions) l.l_ops
           :: !rows)
     p.p_loops;
+  Hashtbl.iter
+    (fun lid nl ->
+      if Tuner.launches nl.n_tuner > 0 then
+        rows :=
+          row `Loop lid nl.n_tuner nl.n_members nl.n_ops :: !rows)
+    p.p_native;
   List.sort (fun a b -> Float.compare b.at_time_s a.at_time_s) !rows
 
 let clear_buffers p = Buffer_plan.clear p.p_pool

@@ -29,6 +29,11 @@
       {!Pool.parallel_for}, which fans them out across lanes or runs
       them all on the caller) or [seq] (the sequential body) — whichever
       runs fastest (Algorithm 2's parallelization, executed for real);
+    - a [Sequential] loop whose body compiled to one loop kernel
+      ({!Functs_jit.Jit_emit.emit_loop}) gets a tuner over [native] (the
+      whole loop in one launch, single-lane) and [seq]; a launch that
+      fails validation demotes it to [seq] for good (a [Jit_demote]
+      record, a [jit.fallback] trace instant and a [jit.demoted] tick);
     - [prim::If]/[prim::Loop] fall back to block-level dispatch, and
       graphs still containing [aten::…_] mutations run in a plain
       per-node mode with interpreter semantics (no pool, no donation).
@@ -59,16 +64,17 @@ val prepare :
     Every group starts per-node; {!arm} adds native kernels.  Each
     group and each batched loop picks its arm with a {!Tuner}. *)
 
-val arm : prepared -> (int * Functs_jit.Jit.entry) list -> int
-(** Arm each listed group ([(group id, entry)], as
-    {!Functs_jit.Jit.start_groups} returns them) with its native kernel
-    and add the [c-jit] arm to its tuner ({!Tuner.add}); returns how
-    many groups it armed.  Groups already armed, or unknown, are left
-    as they are.  Callers serialize it with {!run}. *)
+val arm : prepared -> Functs_jit.Jit.armed -> int
+(** Arm each listed group with its native kernel and add the [c-jit]
+    arm to its tuner ({!Tuner.add}), and give each listed loop a
+    [native]/[seq] site; returns how many groups and loops it armed.
+    Sites already armed, or unknown, are left as they are.  Callers
+    serialize it with {!run}. *)
 
-type arm = [ `Cjit | `Per_node | `Vector | `Batched | `Seq ]
+type arm = [ `Cjit | `Per_node | `Vector | `Batched | `Seq | `Native ]
 (** A site's arms, named [c-jit], [per_node] (groups) and [vector],
-    [batched], [seq] (loops) in attribution rows and the journal. *)
+    [batched], [seq], [native] (loops) in attribution rows and the
+    journal. *)
 
 type site = [ `Group | `Loop ] * int
 (** An attribution row's [(at_kind, at_id)]: [group#N] or [loop#N]. *)
@@ -78,7 +84,8 @@ val force : prepared -> site -> arm -> unit
     [Tuner_pin] with detail [forced]).  Backs [Engine.force].
     @raise Invalid_argument when the site does not exist or lacks the
     arm: [c-jit] on a group with no native kernel armed, [vector] on a
-    loop without a vectorised plan, a loop arm on a group or a group
+    loop without a vectorised plan, [native] on a loop without a loop
+    kernel (never armed, or demoted), a loop arm on a group or a group
     arm on a loop. *)
 
 val output_shapes : prepared -> Shape_infer.shape option list
@@ -127,6 +134,9 @@ type stats = {
   loops_pinned_vector : int;  (** batched loops the tuner pinned vectorised *)
   loops_pinned_batched : int;  (** … pinned to the batched plan *)
   loops_pinned_seq : int;  (** … pinned back to the sequential fused path *)
+  native_loops : int;
+      (** sequential loops armed with a loop kernel (a demoted one no
+          longer counts) *)
   pool_lanes : int;  (** worker lanes in the shared domain pool *)
 }
 (** Counters are cumulative over the engine's lifetime; a caller that

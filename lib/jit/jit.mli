@@ -1,7 +1,8 @@
 (** Native JIT backend driver: lowers an engine preparation's fused
     kernels to C ({!Jit_emit}), compiles and loads them through the
     on-disk artifact cache ({!Jit_cache}), and launches them with
-    per-run validation.
+    per-run validation.  Sequential loops whose bodies qualify get a
+    loop kernel in the same unit ({!run_loop}).
 
     The C unit is shape-generic: innermost and reduction extents are
     literal, outer extents are [ints] entries that each engine's entry
@@ -63,38 +64,57 @@ val has_c : entry -> bool
 (** Always [true]: a group is armed only once its C kernel compiled.
     Kept so callers can count C-lane groups. *)
 
-val render_source : isa:string -> Jit_emit.emitted list -> string * string
-(** [(digest, source)] of the C unit holding [emitted]: one function per
-    kernel, compiled for [isa] alone ([target("<isa>")] per kernel, no
-    attribute for ["default"]).  The digest covers the
-    codegen version, [isa] and every kernel body — which holds no outer
-    extent, so it is the same for every batch size of a graph. *)
+val render_source :
+  isa:string -> ?loops:Jit_emit.eloop list -> Jit_emit.emitted list -> string * string
+(** [(digest, source)] of the C unit holding [emitted], then [loops]
+    (default none): one function per kernel, compiled for [isa] alone
+    ([target("<isa>")] per kernel, no attribute for ["default"]).  A
+    unit with a matmul kernel or a loop kernel also holds the GEMM
+    microkernel ([gemm_kernel.h], embedded at build time) instantiated
+    for [isa].  The digest covers the codegen version, [isa] and the
+    whole text — which holds no outer extent, so it is the same for
+    every batch size of a graph. *)
+
+type loop
+(** One armed loop kernel ({!Jit_emit.emit_loop}) plus the step
+    buffers and launch arrays it keeps across runs (per engine). *)
+
+type armed = {
+  groups : (int * entry) list;
+      (** [(group id, entry)] for each kernel that made it to native code *)
+  loops : (int * loop) list;  (** [(loop node id, loop kernel)] *)
+}
 
 type pending
 (** A unit whose compile is still running. *)
 
 type started =
-  | Armed of (int * entry) list
-      (** [(group id, entry)] for each kernel that made it to native
-          code: a memory or disk hit, or a failure (then empty). *)
+  | Armed of armed
+      (** a memory or disk hit, or a failure (then empty) *)
   | Pending of pending  (** an artifact miss: [cc] runs in the background *)
 
 val start_groups :
+  ?loops:Graph.t * Fusion.plan ->
   mode:mode ->
   dir:string ->
   kernels:Codegen.kernel list ->
   shapes:Shape_infer.result ->
+  unit ->
   started
 (** Emit the given kernels and resolve their unit through
     {!Jit_cache.start} in [dir] ([""]: [functs-jit] under the system
-    temp dir).  Never waits for a compiler and never raises. *)
+    temp dir).  With [loops] (the graph and plan the kernels come
+    from), every [Sequential] loop whose body qualifies gets a loop
+    kernel in the same unit; a loop that does not is traced as a
+    [jit.c.reject] instant with the reason.  Never waits for a compiler
+    and never raises. *)
 
-val poll : pending -> (int * entry) list option
+val poll : pending -> armed option
 (** [None] while the compile runs; then, exactly once per pending
-    unit, its entries ([[]] when it failed).  A compile cancelled under
+    unit, its entries (none when it failed).  A compile cancelled under
     it (another owner of the shared job closed) is started again. *)
 
-val await : pending -> (int * entry) list
+val await : pending -> armed
 (** Poll until the unit finishes. *)
 
 val cancel : pending -> unit
@@ -109,9 +129,9 @@ val prepare_groups :
   kernels:Codegen.kernel list ->
   shapes:Shape_infer.result ->
   (int * entry) list
-(** {!start_groups}, then {!await} a pending unit: returns
-    [(group id, entry)] for each kernel that made it to native code.
-    Never raises. *)
+(** {!start_groups} without loops, then {!await} a pending unit:
+    returns [(group id, entry)] for each kernel that made it to native
+    code.  Never raises. *)
 
 exception Fallback of string
 
@@ -142,3 +162,30 @@ val run :
     {!Fallback} when a binding fails validation or a guarded index
     leaves its buffer — the caller releases this launch's allocations
     and demotes the group. *)
+
+val loop_rows : loop -> bool array
+(** Per carried slot: [true] when the loop writes it row by row, in
+    place — the caller hands in the buffer to write (see {!run_loop}). *)
+
+val run_loop :
+  loop ->
+  trip:int ->
+  carried:Tensor.t array ->
+  alloc:(Shape.t -> Tensor.t) ->
+  copy:(Tensor.t -> Tensor.t -> unit) ->
+  lookup:(Graph.value -> Tensor.t option) ->
+  scalar:(string -> int option) ->
+  Tensor.t array
+(** Run [trip] steps of a loop in one native call.  [carried] holds per
+    carried slot its initial value, or — for a row-written slot
+    ({!loop_rows}) — the contiguous buffer of its shape to write in
+    place (the donated init or a copy).  [copy dst src] copies a
+    double-buffered slot's initial value into its first step buffer;
+    [alloc] gives each such slot's output, which the launch fills with
+    the final value; [lookup] and [scalar] resolve the tensors and
+    index symbols bound outside the loop.  Returns the loop's outputs:
+    the row-written buffers and the filled outputs.  Raises {!Fallback}
+    when a binding fails validation (nothing written yet but the step
+    buffers) or a guarded read leaves its buffer; a row-written buffer
+    may then hold some of its rows, which a sequential rerun overwrites
+    (the loop writes each row [t < trip] once and reads none). *)

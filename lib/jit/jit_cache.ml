@@ -42,8 +42,11 @@ module Journal = Functs_obs.Journal
    temporaries live in local rows), compiled for AVX-512F on hosts that
    have it: lstm's b16 cell group measured 49–53 µs per launch at AVX2
    and 40–45 µs at AVX-512 on a 2-vCPU AVX-512 Xeon, the same test the
-   GEMM kernel's AVX-512 pick already makes. *)
-let version = 8
+   GEMM kernel's AVX-512 pick already makes.  v9: a matmul is a kernel
+   statement lowered to the GEMM microkernel, whose header text
+   ([gemm_kernel.h], packed-panel entries included) the unit embeds, and
+   a sequential loop can be one loop-kernel function. *)
+let version = 9
 
 (* A compiled kernel: index [idx] of one artifact's launch table.  The
    table pointer is a raw [dlsym] result (never freed), so the handle is

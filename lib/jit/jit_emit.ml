@@ -113,6 +113,9 @@ type esite = {
   e_bounds : (int * int) array option;
       (* per-dimension inclusive index range when statically known;
          [None] means the generated code checks the site itself *)
+  e_dense : bool;
+      (* read as one row-major block (a matmul operand): the bound
+         tensor must be contiguous *)
 }
 
 type estmt = {
@@ -129,6 +132,10 @@ type enest = {
   e_numel : int;  (* elements its statements compute, rows included *)
 }
 
+(* A kernel that is one 2-D matmul: its operand sites, its reduction
+   and innermost extents, and the ints position of its row count. *)
+type egemm = { g_a : int; g_b : int; g_k : int; g_n : int; g_m_pos : int }
+
 type emitted = {
   e_group : int;
   e_name : string;
@@ -141,6 +148,7 @@ type emitted = {
   e_free : string array;  (* free scalar symbols, in ints-tail order *)
   e_scalar_pos : int;  (* ints position of the first free scalar *)
   e_nints : int;  (* buffer lengths ride at [e_nints + slot] *)
+  e_gemm : egemm option;
 }
 
 let nbufs em = Array.length em.e_stmts + Array.length em.e_sites
@@ -165,7 +173,7 @@ let index_dim ~rank name =
   else None
 
 let rec no_reduce = function
-  | Creduce _ -> false
+  | Creduce _ | Cmatmul _ -> false
   | Cread _ | Clit _ | Copaque _ -> true
   | Cunary (_, e) -> no_reduce e
   | Cbinary (_, a, b) | Ccond (_, a, b) -> no_reduce a && no_reduce b
@@ -197,6 +205,7 @@ type kstate = {
   mutable sites : esite list;  (* reversed *)
   all_outs : (int, unit) Hashtbl.t;
   computed : (int, unit) Hashtbl.t;
+  mutable gemm : egemm option;
 }
 
 type env = {
@@ -382,6 +391,7 @@ let emit_site_read env (v : Graph.value) ixs : render =
       e_live = env.live;
       e_ints_pos = pos;
       e_bounds = bounds;
+      e_dense = false;
     }
     :: k.sites;
   (* base address: offset plus every constant and free-scalar
@@ -628,6 +638,7 @@ let rec emit_expr env (e : Codegen.cexpr) : render =
         Printf.sprintf "functs_where(%s, %s, %s)" (rc ~inner ~fast)
           (ra ~inner ~fast) (rb ~inner ~fast)
   | Creduce _ -> fail "non-root reduction"
+  | Cmatmul _ -> fail "non-root matmul"
 
 (* --- nests --- *)
 
@@ -660,6 +671,7 @@ type nest = { fused : bool; members : member list }
 let rec reads ~guarded acc = function
   | Cread (v, ixs) -> (v, ixs, guarded) :: acc
   | Clit _ | Copaque _ -> acc
+  | Cmatmul (a, b) -> (b, [], guarded) :: (a, [], guarded) :: acc
   | Cunary (_, e) | Creduce (_, _, _, e) -> reads ~guarded acc e
   | Cbinary (_, a, b) -> reads ~guarded (reads ~guarded acc a) b
   | Cwhere (c, a, b) ->
@@ -673,6 +685,9 @@ let rec redirect alias e =
       | Some src -> Cread (src, ixs)
       | None -> e)
   | Clit _ | Copaque _ -> e
+  | Cmatmul (a, b) ->
+      let via v = Option.value ~default:v (Hashtbl.find_opt alias v.Graph.v_id) in
+      Cmatmul (via a, via b)
   | Cunary (u, x) -> Cunary (u, redirect alias x)
   | Cbinary (b, x, y) -> Cbinary (b, redirect alias x, redirect alias y)
   | Ccond (c, x, y) -> Ccond (c, redirect alias x, redirect alias y)
@@ -718,7 +733,7 @@ let plan (kern : Codegen.kernel) ~shapes =
         { m_idx = idx; m_stmt = s; m_shape = shape; m_mem = s.s_store; m_row = false }
       in
       let row = if rank = 0 then 0 else shape.(rank - 1) in
-      let map = match s.s_expr with Creduce _ -> false | _ -> true in
+      let map = match s.s_expr with Creduce _ | Cmatmul _ -> false | _ -> true in
       if not (map && rank >= 2 && row >= 1 && row <= max_row) then begin
         close ();
         nests := { fused = false; members = [ { m with m_mem = true } ] } :: !nests
@@ -772,10 +787,104 @@ let plan (kern : Codegen.kernel) ~shapes =
     nests;
   nests
 
+let case_label nest_idx (members : member list) =
+  (if nest_idx = 0 then "  case -1: /* whole kernel */\n" else "")
+  ^ Printf.sprintf "  case %d: { /* %s */\n" nest_idx
+      (String.concat ", "
+         (List.map
+            (fun m ->
+              let v = m.m_stmt.s_out in
+              if v.Graph.v_name = "" then "tmp" else v.Graph.v_name)
+            members))
+
+(* A matmul nest: one call of the unit's GEMM ([gemm_kernel.h]) over
+   row-major operands.  Its row count is the nest's outer extent; the
+   reduction and column extents are literal.  A launch never splits it
+   ([e_rows = 1]). *)
+let emit_gemm k ~shapes ~buf ~next_mem nest_idx m a b =
+  let shape = m.m_shape in
+  let ashape = concrete_shape shapes a and bshape = concrete_shape shapes b in
+  (match (shape, ashape, bshape) with
+  | [| mo; no |], [| ma; ka |], [| kb; nb |]
+    when mo = ma && no = nb && ka = kb ->
+      ()
+  | _ -> fail "matmul shapes of %s" (value_ref m.m_stmt.s_out));
+  let kd = ashape.(1) and nd = shape.(1) in
+  let live = Shape.numel shape > 0 && kd > 0 in
+  let ext_pos = k.next_int in
+  k.next_int <- ext_pos + 1;
+  let site (v : Graph.value) dims =
+    if
+      Hashtbl.mem k.all_outs v.Graph.v_id
+      && not (Hashtbl.mem k.computed v.Graph.v_id)
+    then fail "forward read of %s" (value_ref v);
+    let slot = k.nsites and pos = k.next_int in
+    k.nsites <- slot + 1;
+    k.next_int <- pos + 3;
+    k.sites <-
+      {
+        e_value = v;
+        e_slot = slot;
+        e_rank = 2;
+        e_nest = nest_idx;
+        e_live = live;
+        e_ints_pos = pos;
+        e_bounds = Some (Array.map (fun d -> (0, d - 1)) dims);
+        e_dense = true;
+      }
+      :: k.sites;
+    Printf.sprintf "bufs[%d] + ints[%d]" (k.nmem + slot) pos
+  in
+  let pa = site a ashape in
+  let pb = site b bshape in
+  Hashtbl.replace k.computed m.m_stmt.s_out.Graph.v_id ();
+  let j = !next_mem in
+  incr next_mem;
+  let opos = k.next_int in
+  k.next_int <- opos + 1;
+  k.gemm <-
+    Some
+      {
+        g_a = k.nsites - 2;
+        g_b = k.nsites - 1;
+        g_k = kd;
+        g_n = nd;
+        g_m_pos = ext_pos;
+      };
+  Buffer.add_string buf (case_label nest_idx [ m ]);
+  Buffer.add_string buf
+    (Printf.sprintf
+       "    const long n0 = ints[%d];\n\
+       \    const long sl = nest < 0 ? 0 : lo, sh = nest < 0 ? n0 : hi;\n\
+       \    if (sl == 0 && sh > 0)\n\
+       \      functs_gemm(%s, %s, bufs[%d] + ints[%d], n0, %d, %d);\n\
+       \  } if (nest >= 0) break;\n"
+       ext_pos pa pb j opos kd nd);
+  ( {
+      e_ext_pos = ext_pos;
+      e_ext = [| shape.(0) |];
+      e_rows = 1;
+      e_numel = Shape.numel shape;
+    },
+    [
+      {
+        e_out = m.m_stmt.s_out;
+        e_store = m.m_stmt.s_store;
+        e_shape = shape;
+        e_out_pos = opos;
+      };
+    ] )
+
 (* One switch case per nest.  A root [Creduce] becomes an accumulator
    loop with the interpreter's combine order ([acc + body] from 0,
    [Float.max acc body] from -inf), so results agree bitwise. *)
-let emit_nest k ~buf ~next_mem nest_idx (n : nest) =
+let rec emit_nest k ~shapes ~buf ~next_mem nest_idx (n : nest) =
+  match n.members with
+  | [ ({ m_stmt = { s_expr = Cmatmul (a, b); _ }; _ } as m) ] ->
+      emit_gemm k ~shapes ~buf ~next_mem nest_idx m a b
+  | _ -> emit_map_nest k ~buf ~next_mem nest_idx n
+
+and emit_map_nest k ~buf ~next_mem nest_idx (n : nest) =
   let m0 = List.hd n.members in
   let rank = Array.length m0.m_shape in
   let nouter = max 0 (rank - 1) in
@@ -1014,15 +1123,7 @@ let emit_nest k ~buf ~next_mem nest_idx (n : nest) =
      each over its full extent ([sl, sh)).  The case comment names the
      members without id or shape, which differ between graphs that share
      the unit. *)
-  if nest_idx = 0 then add "  case -1: /* whole kernel */\n";
-  add
-    (Printf.sprintf "  case %d: { /* %s */\n" nest_idx
-       (String.concat ", "
-          (List.map
-             (fun m ->
-               let v = m.m_stmt.s_out in
-               if v.Graph.v_name = "" then "tmp" else v.Graph.v_name)
-             n.members)));
+  add (case_label nest_idx n.members);
   for d = 0 to nouter - 1 do
     add (Printf.sprintf "    const long n%d = ints[%d];\n" d (ext_pos + d))
   done;
@@ -1112,11 +1213,12 @@ let emit (kern : Codegen.kernel) ~shapes : (emitted, string) result =
         sites = [];
         all_outs;
         computed = Hashtbl.create 8;
+        gemm = None;
       }
     in
     let body = Buffer.create 2048 in
     let next_mem = ref 0 in
-    let emitted = List.mapi (emit_nest k ~buf:body ~next_mem) nests in
+    let emitted = List.mapi (emit_nest k ~shapes ~buf:body ~next_mem) nests in
     let scalar_pos = k.next_int in
     let nints = scalar_pos + Hashtbl.length k.free in
     let fn =
@@ -1140,5 +1242,419 @@ let emit (kern : Codegen.kernel) ~shapes : (emitted, string) result =
         e_free = Array.of_list (List.rev k.free_order);
         e_scalar_pos = scalar_pos;
         e_nints = nints;
+        e_gemm = (if List.length nests = 1 then k.gemm else None);
+      }
+  with Reject msg -> Error msg
+
+(* --- loop kernels ---
+
+   A [Sequential] loop whose body is made of emitted group kernels,
+   views of loop-invariant values and row writes
+   [immut::assign[select(dim=0)](carried, v, i)] runs as one C function:
+   [t] is a C loop variable, each member kernel is called once per step
+   with its own bufs/ints block (copied from the launch's at entry;
+   the entries that name a carried value are re-pointed every step),
+   and the row writes are direct row stores.  A carried value the body
+   recomputes is double-buffered: steps read [cur] and write [nxt], and
+   the two swap every step; after the last step [cur] is copied to the
+   loop's output.  A row-written carried value is written in place (the
+   scheduler hands in the buffer: the donated init, or a clone).  A
+   matmul member whose weight is defined outside the loop packs it once
+   at entry ([gemm_kernel.h]'s panels).  The text is shape-generic like
+   a group kernel's: the step count, the carried sizes and every member
+   extent come from [ints]. *)
+
+type lref =
+  | Lcur of int  (* a double-buffered carried value, as the step reads it *)
+  | Lnext of int  (* the value that carried slot becomes, as written *)
+  | Lscratch of int  (* a body value kept in scratch buffer [k] *)
+  | Lfixed  (* bound once from outside the loop *)
+
+type lmember = {
+  lm_em : emitted;
+  lm_fn : int;  (* the unit's index of the group kernel *)
+  lm_buf0 : int;  (* first launch-bufs entry of its block *)
+  lm_int0 : int;  (* first launch-ints entry of its block *)
+  lm_refs : lref array;  (* per block bufs entry *)
+  lm_packed : int option;  (* launch-bufs entry of its packed weight *)
+}
+
+type lcarry =
+  | Ldouble of {
+      d_param : Graph.value;
+      d_next : Graph.value;
+      d_shape : int array;
+      d_buf : int;
+          (* bufs: the step buffers at [d_buf] and [d_buf + 1], the
+             output at [d_buf + 2] *)
+      d_int : int;  (* ints: numel at [d_int], output offset after it *)
+    }
+  | Lrow of {
+      r_shape : int array;
+      r_buf : int;  (* bufs: the written buffer *)
+      r_int : int;  (* ints: its offset at [r_int], row numel at [r_int + 1] *)
+    }
+
+type eloop = {
+  l_node : int;  (* the loop node's id *)
+  l_induction : string;  (* the step variable's scalar symbol *)
+  l_fn : string;  (* body of the launch function *)
+  l_members : lmember array;
+  l_carries : lcarry array;
+  l_scratch : (Graph.value * int array * int) array;
+      (* body values a later step reads: value, shape, bufs entry *)
+  l_packed_len : int array;  (* doubles per packed weight, in bufs order *)
+  l_packed_buf0 : int;
+  l_nbufs : int;
+  l_nints : int;
+}
+
+let emit_loop (g : Graph.t) (node : Graph.node) ~plan ~shapes
+    ~(groups : (int * int * emitted) list) : (eloop, string) result =
+  try
+    let body =
+      match (node.Graph.n_op, node.n_blocks) with
+      | Op.Loop, [ b ] -> b
+      | _ -> fail "not a loop"
+    in
+    (match Fusion.loop_verdict plan node with
+    | Loop_par.Sequential _ -> ()
+    | _ -> fail "not a sequential loop");
+    let params = Array.of_list body.Graph.b_params in
+    let rets = Array.of_list body.b_returns in
+    let nc = Array.length rets in
+    if nc = 0 || Array.length params <> nc + 1 then fail "carried arity";
+    let induction = params.(0) in
+    let param_slot (v : Graph.value) =
+      let found = ref (-1) in
+      Array.iteri (fun j p -> if j > 0 && p == v then found := j - 1) params;
+      !found
+    in
+    let nodes = body.b_nodes in
+    let mark tbl (vs : Graph.value list) =
+      List.iter (fun (v : Graph.value) -> Hashtbl.replace tbl v.v_id ()) vs
+    in
+    (* values the body defines, and which of them are loop-invariant
+       (constants, and views the scheduler hoists before the first
+       step) *)
+    let defined = Hashtbl.create 64 and invariant = Hashtbl.create 16 in
+    mark defined (Array.to_list params);
+    List.iter (fun (n : Graph.node) -> mark defined n.n_outputs) nodes;
+    let inv (v : Graph.value) =
+      (not (Hashtbl.mem defined v.v_id)) || Hashtbl.mem invariant v.v_id
+    in
+    let group_of n =
+      match Fusion.kernel_class_of plan n with
+      | Fusion.Kernel gid -> Some gid
+      | Fusion.No_cost -> None
+    in
+    let kernel gid = List.find_opt (fun (g', _, _) -> g' = gid) groups in
+    let last_member = Hashtbl.create 8 in
+    List.iter
+      (fun n ->
+        Option.iter
+          (fun gid -> Hashtbl.replace last_member gid n.Graph.n_id)
+          (group_of n))
+      nodes;
+    (* a view consumed only where group kernels fold it into their index
+       expressions *)
+    let rec folded (v : Graph.value) =
+      List.for_all
+        (function
+          | Graph.Return _ -> false
+          | Graph.Input (c, _) -> (
+              match (group_of c, c.n_op) with
+              | Some _, Op.Matmul -> false
+              | Some _, _ -> true
+              | None, Op.Access _ -> List.for_all folded c.n_outputs
+              | None, _ -> false))
+        (Graph.uses_in g v)
+    in
+    let single v = List.length (Graph.uses_in g v) = 1 in
+    let steps = ref [] and rows = Hashtbl.create 4 in
+    List.iter
+      (fun (n : Graph.node) ->
+        match (group_of n, n.n_op) with
+        | None, Op.Constant _ -> mark invariant n.n_outputs
+        | Some gid, _ ->
+            if kernel gid = None then fail "group %d has no native kernel" gid;
+            if Hashtbl.find last_member gid = n.n_id then
+              steps := `Launch gid :: !steps
+        | None, Op.Access _ ->
+            if List.for_all inv n.n_inputs then mark invariant n.n_outputs
+            else if not (List.for_all folded n.n_outputs) then
+              fail "a view of a step value is read whole"
+        | None, Op.Assign (Op.Select { dim = 0 }) -> (
+            match (n.n_inputs, n.n_outputs) with
+            | [ base; src; ix ], [ out ] when ix == induction ->
+                let j = param_slot base in
+                if j < 0 || rets.(j) != out || not (single base && single out)
+                then fail "a row write that is not a carried value's update";
+                let bshape = concrete_shape shapes base in
+                if
+                  Array.length bshape < 1
+                  || Array.sub bshape 1 (Array.length bshape - 1)
+                     <> concrete_shape shapes src
+                then fail "row write of another shape";
+                Hashtbl.replace rows j ();
+                steps := `Row (j, src) :: !steps
+            | _ -> fail "a row write indexed by anything but the step")
+        | None, op -> fail "%s in the body" (Op.name op))
+      nodes;
+    let steps = List.rev !steps in
+    (* scalar symbols a step defines, other than the step itself *)
+    let step_scalars = Hashtbl.create 8 in
+    List.iter
+      (fun (n : Graph.node) ->
+        List.iter
+          (fun (v : Graph.value) ->
+            if not (Hashtbl.mem invariant v.v_id) then
+              Hashtbl.replace step_scalars (value_ref v) ())
+          n.n_outputs)
+      nodes;
+    (* every other carried slot is double-buffered: its update value *)
+    let next_of = Hashtbl.create 8 in
+    Array.iteri
+      (fun j (r : Graph.value) ->
+        if not (Hashtbl.mem rows j) then begin
+          if Hashtbl.mem next_of r.v_id then
+            fail "one value updates two carried slots";
+          (match Graph.defining_node r with
+          | Some d when Hashtbl.mem defined r.v_id && group_of d <> None -> ()
+          | _ -> fail "carried slot %d is not recomputed by a kernel" j);
+          Hashtbl.replace next_of r.v_id j
+        end)
+      rets;
+    let bufs = ref 0 and ints = ref 1 in
+    let take r n =
+      let x = !r in
+      r := x + n;
+      x
+    in
+    (* body values kept in scratch: value id -> (statement, index) *)
+    let scratch = ref [] in
+    let classify (v : Graph.value) =
+      match param_slot v with
+      | j when j >= 0 ->
+          if Hashtbl.mem rows j then
+            fail "the row-written %s is read" (value_ref v);
+          Lcur j
+      | _ -> (
+          match Hashtbl.find_opt next_of v.v_id with
+          | Some j -> Lnext j
+          | None -> (
+              match List.assoc_opt v.v_id !scratch with
+              | Some (_, k) -> Lscratch k
+              | None ->
+                  if inv v then Lfixed
+                  else fail "%s is read before a kernel stores it" (value_ref v)))
+    in
+    let member gid =
+      let _, fn, em = Option.get (kernel gid) in
+      let nmem = Array.length em.e_stmts in
+      (* outputs first: a site of the same kernel reads them *)
+      Array.iter
+        (fun (st : estmt) ->
+          if st.e_store && not (Hashtbl.mem next_of st.e_out.v_id) then
+            scratch := (st.e_out.v_id, (st, List.length !scratch)) :: !scratch)
+        em.e_stmts;
+      let refs =
+        Array.init (nbufs em) (fun e ->
+            if e >= nmem then classify em.e_sites.(e - nmem).e_value
+            else if em.e_stmts.(e).e_store then classify em.e_stmts.(e).e_out
+            else Lfixed)
+      in
+      Array.iter
+        (fun name ->
+          if Hashtbl.mem step_scalars name then
+            fail "index %s is computed in the body" name)
+        em.e_free;
+      let buf0 = take bufs (nbufs em) in
+      let int0 = take ints (max 1 (em.e_nints + Array.length em.e_sites)) in
+      ( gid,
+        {
+          lm_em = em;
+          lm_fn = fn;
+          lm_buf0 = buf0;
+          lm_int0 = int0;
+          lm_refs = refs;
+          lm_packed = None;
+        } )
+    in
+    let members =
+      List.filter_map
+        (function `Row _ -> None | `Launch gid -> Some (member gid))
+        steps
+    in
+    let carries =
+      Array.mapi
+        (fun j (r : Graph.value) ->
+          let param = params.(j + 1) in
+          let shape = concrete_shape shapes param in
+          if Hashtbl.mem rows j then
+            Lrow { r_shape = shape; r_buf = take bufs 1; r_int = take ints 2 }
+          else begin
+            if concrete_shape shapes r <> shape then
+              fail "carried slot %d changes shape" j;
+            Ldouble
+              {
+                d_param = param;
+                d_next = r;
+                d_shape = shape;
+                d_buf = take bufs 3;
+                d_int = take ints 2;
+              }
+          end)
+        rets
+    in
+    let scratch =
+      Array.map
+        (fun (st : estmt) -> (st.e_out, st.e_shape, take bufs 1))
+        (Array.of_list (List.rev_map (fun (_, (st, _)) -> st) !scratch))
+    in
+    (* packed weights: a matmul whose right operand is bound once *)
+    let packed = ref [] in
+    let packs m =
+      match m.lm_em.e_gemm with
+      | Some gm when m.lm_refs.(Array.length m.lm_em.e_stmts + gm.g_b) = Lfixed
+        ->
+          packed := ((gm.g_n - (gm.g_n mod 16)) * gm.g_k) :: !packed;
+          true
+      | _ -> false
+    in
+    let packing = List.map (fun (gid, m) -> (gid, m, packs m)) members in
+    let packed_buf0 = take bufs (List.length !packed) in
+    let next_pack = ref packed_buf0 in
+    let members =
+      Array.of_list
+        (List.map
+           (fun (gid, m, p) ->
+             if not p then (gid, m)
+             else begin
+               incr next_pack;
+               (gid, { m with lm_packed = Some (!next_pack - 1) })
+             end)
+           packing)
+    in
+    (* --- text --- *)
+    let b = Buffer.create 4096 in
+    let add fmt = Printf.bprintf b fmt in
+    add "  (void)nest; (void)lo; (void)hi;\n";
+    add "  const long T = ints[0];\n";
+    Array.iteri
+      (fun j -> function
+        | Ldouble d ->
+            add "  double *ca%d = bufs[%d], *cb%d = bufs[%d];\n" j d.d_buf j
+              (d.d_buf + 1)
+        | Lrow r ->
+            add "  double *rw%d = bufs[%d] + ints[%d];\n" j r.r_buf r.r_int;
+            add "  const long rn%d = ints[%d];\n" j (r.r_int + 1))
+      carries;
+    Array.iteri (fun k (_, _, e) -> add "  double *s%d = bufs[%d];\n" k e) scratch;
+    let ptr_of = function
+      | Lcur j -> Printf.sprintf "cur%d" j
+      | Lnext j -> Printf.sprintf "nxt%d" j
+      | Lscratch k -> Printf.sprintf "s%d" k
+      | Lfixed -> fail "a row write from outside the loop"
+    in
+    let blk k e = Printf.sprintf "m%db[%d]" k e in
+    let iblk k e = Printf.sprintf "m%di[%d]" k e in
+    (* a matmul member's operand pointers, then its output and extents *)
+    let gemm_args k m (gm : egemm) =
+      let nmem = Array.length m.lm_em.e_stmts in
+      let operand s =
+        Printf.sprintf "%s + %s" (blk k (nmem + s))
+          (iblk k m.lm_em.e_sites.(s).e_ints_pos)
+      in
+      ( operand gm.g_a,
+        operand gm.g_b,
+        Printf.sprintf "%s + %s, %s, %d, %d" (blk k 0)
+          (iblk k m.lm_em.e_stmts.(0).e_out_pos)
+          (iblk k gm.g_m_pos) gm.g_k gm.g_n )
+    in
+    Array.iteri
+      (fun k (gid, m) ->
+        let nb = nbufs m.lm_em in
+        let ni = max 1 (m.lm_em.e_nints + Array.length m.lm_em.e_sites) in
+        add "  /* group %d */\n" gid;
+        add "  double *m%db[%d]; long m%di[%d];\n" k nb k ni;
+        add "  for (long e = 0; e < %d; e++) m%db[e] = bufs[%d + e];\n" nb k
+          m.lm_buf0;
+        add "  for (long e = 0; e < %d; e++) m%di[e] = ints[%d + e];\n" ni k
+          m.lm_int0;
+        match (m.lm_em.e_gemm, m.lm_packed) with
+        | Some gm, Some pb ->
+            let _, bp, _ = gemm_args k m gm in
+            add "  double *pk%d = bufs[%d];\n" k pb;
+            add "  if (functs_gemm_packs(%s))\n" (iblk k gm.g_m_pos);
+            add "    functs_gemm_pack(%s, pk%d, %d, %d);\n" bp k gm.g_k gm.g_n
+        | _ -> ())
+      members;
+    add "  for (long t = 0; t < T; t++) {\n";
+    Array.iteri
+      (fun j -> function
+        | Ldouble _ ->
+            add "    double *cur%d = (t & 1) ? cb%d : ca%d;\n" j j j;
+            add "    double *nxt%d = (t & 1) ? ca%d : cb%d;\n" j j j
+        | Lrow _ -> ())
+      carries;
+    let launched = ref 0 in
+    List.iter
+      (function
+        | `Launch _ ->
+            let k = !launched in
+            incr launched;
+            let _, m = members.(k) in
+            Array.iteri
+              (fun e r ->
+                match r with
+                | Lcur _ | Lnext _ -> add "    %s = %s;\n" (blk k e) (ptr_of r)
+                | Lscratch _ | Lfixed -> ())
+              m.lm_refs;
+            Array.iteri
+              (fun q name ->
+                if name = value_ref induction then
+                  add "    %s = t;\n" (iblk k (m.lm_em.e_scalar_pos + q)))
+              m.lm_em.e_free;
+            (match (m.lm_em.e_gemm, m.lm_packed) with
+            | Some gm, Some _ ->
+                let a, bp, rest = gemm_args k m gm in
+                add "    functs_gemm_packed(%s, %s, pk%d, %s);\n" a bp k rest
+            | Some gm, None ->
+                let a, bp, rest = gemm_args k m gm in
+                add "    functs_gemm(%s, %s, %s);\n" a bp rest
+            | None, _ ->
+                add "    if (functs_cjit_k%d(m%db, m%di, -1, 0, 0) != 0)\n" m.lm_fn
+                  k k;
+                add "      return 1;\n")
+        | `Row (j, src) ->
+            add "    { const double *src = %s; double *dst = rw%d + t * rn%d;\n"
+              (ptr_of (classify src)) j j;
+            add "      for (long e = 0; e < rn%d; e++) dst[e] = src[e]; }\n" j)
+      steps;
+    add "  }\n";
+    Array.iteri
+      (fun j -> function
+        | Ldouble d ->
+            add "  { const double *src = (T & 1) ? cb%d : ca%d;\n" j j;
+            add "    double *dst = bufs[%d] + ints[%d];\n" (d.d_buf + 2)
+              (d.d_int + 1);
+            add "    for (long e = 0; e < ints[%d]; e++) dst[e] = src[e]; }\n"
+              d.d_int
+        | Lrow _ -> ())
+      carries;
+    add "  return 0;\n";
+    Ok
+      {
+        l_node = node.n_id;
+        l_induction = value_ref induction;
+        l_fn = Buffer.contents b;
+        l_members = Array.map snd members;
+        l_carries = carries;
+        l_scratch = scratch;
+        l_packed_len = Array.of_list (List.rev !packed);
+        l_packed_buf0 = packed_buf0;
+        l_nbufs = !bufs;
+        l_nints = !ints;
       }
   with Reject msg -> Error msg

@@ -24,10 +24,18 @@
     on that text.  The layout ([e_shape], [e_ext], [e_bounds], ints
     positions) stays concrete per emission.
 
+    A 2-D matmul statement ([Codegen.Cmatmul]) gets a nest of its own
+    that calls the unit's GEMM ([gemm_kernel.h], {!Jit.render_source})
+    over row-major operands: its operand sites are [e_dense], its row
+    count is the nest's outer extent, and its reduction and column
+    extents are literal; the kernel's [e_gemm] names that layout.
+
     The emitter is the only acceptance check for native kernels (affine
-    index identifiers, root-only reductions, no [Copaque], concrete
-    shapes); a group it rejects runs node by node.  Every scalar
-    operation keeps the interpreter's exact IEEE and NaN semantics. *)
+    index identifiers, root-only reductions and matmuls, no [Copaque],
+    concrete shapes); a group it rejects runs node by node.  Every
+    scalar operation keeps the interpreter's exact IEEE and NaN
+    semantics.  {!emit_loop} lowers a whole sequential loop over
+    emitted kernels to one more function (see {e Loop kernels} below). *)
 
 open Functs_ir
 open Functs_core
@@ -47,6 +55,9 @@ type esite = {
           driver checks them against the bound tensor); [None] means the
           generated code guards the site itself because a free scalar
           appears in an index or the read sits under a condition *)
+  e_dense : bool;
+      (** read as one row-major block (a matmul operand): the driver
+          requires the bound tensor to be contiguous *)
 }
 
 type estmt = {
@@ -70,6 +81,15 @@ type enest = {
   e_numel : int;  (** elements its statements compute, local rows included *)
 }
 
+type egemm = {
+  g_a : int;  (** site slot of the left operand *)
+  g_b : int;  (** site slot of the right operand *)
+  g_k : int;  (** reduction extent (literal in the text) *)
+  g_n : int;  (** column extent (literal in the text) *)
+  g_m_pos : int;  (** ints position of the row count *)
+}
+(** The layout of a kernel that is one 2-D matmul. *)
+
 type emitted = {
   e_group : int;  (** fusion group id *)
   e_name : string;  (** kernel name, for artifact comments *)
@@ -87,6 +107,7 @@ type emitted = {
   e_nints : int;
       (** ints length up to the scalars; site [s]'s buffer length rides
           at [e_nints + s] *)
+  e_gemm : egemm option;  (** [Some] when the kernel is one matmul *)
 }
 
 val nbufs : emitted -> int
@@ -94,3 +115,76 @@ val nbufs : emitted -> int
 
 val emit : Codegen.kernel -> shapes:Shape_infer.result -> (emitted, string) result
 (** Render one kernel, or explain why it cannot be JIT-compiled. *)
+
+(** {1 Loop kernels}
+
+    A [Sequential] loop whose body is made of emitted group kernels,
+    views of loop-invariant values and row writes
+    [immut::assign[select(dim=0)](carried, v, i)] of a carried value
+    (its only use, and the slot's update) lowers to one C function
+    behind the same launch ABI: [t] is a C loop variable, each member
+    kernel is called once per step over its own [bufs]/[ints] block
+    (the entries that name a carried value are re-pointed each step,
+    and the step symbol is written into its scalar slot), a matmul
+    member runs the unit's GEMM — over panels packed once at entry when
+    its weight is bound outside the loop — and a row write stores
+    straight into the carried buffer.  Every other carried value is
+    double-buffered, and its final value is copied to the loop's
+    output.  The text is shape-generic: the step count, carried sizes
+    and member extents are [ints] entries. *)
+
+type lref =
+  | Lcur of int  (** carried slot [j]'s value as the step reads it *)
+  | Lnext of int  (** the value carried slot [j] becomes *)
+  | Lscratch of int  (** a body value kept in scratch buffer [k] *)
+  | Lfixed  (** bound once per launch from outside the loop *)
+
+type lmember = {
+  lm_em : emitted;  (** the group kernel *)
+  lm_fn : int;  (** the unit's index of that kernel *)
+  lm_buf0 : int;  (** first launch-[bufs] entry of its block *)
+  lm_int0 : int;  (** first launch-[ints] entry of its block *)
+  lm_refs : lref array;  (** what each of its block's [bufs] entries names *)
+  lm_packed : int option;  (** launch-[bufs] entry of its packed weight *)
+}
+
+type lcarry =
+  | Ldouble of {
+      d_param : Graph.value;
+      d_next : Graph.value;
+      d_shape : int array;
+      d_buf : int;
+          (** [bufs]: the two step buffers at [d_buf], [d_buf + 1], the
+              loop output at [d_buf + 2] *)
+      d_int : int;  (** [ints]: numel at [d_int], output offset at [d_int + 1] *)
+    }
+  | Lrow of {
+      r_shape : int array;
+      r_buf : int;  (** [bufs]: the buffer the rows are written into *)
+      r_int : int;  (** [ints]: its offset at [r_int], row numel at [r_int + 1] *)
+    }
+
+type eloop = {
+  l_node : int;  (** the loop node's id *)
+  l_induction : string;  (** the step's scalar symbol *)
+  l_fn : string;  (** body of the launch function; [ints[0]] is the step count *)
+  l_members : lmember array;  (** in launch order *)
+  l_carries : lcarry array;  (** per carried slot *)
+  l_scratch : (Graph.value * int array * int) array;
+      (** body values a later member reads: value, shape, [bufs] entry *)
+  l_packed_len : int array;  (** doubles per packed weight *)
+  l_packed_buf0 : int;  (** [bufs] entry of the first packed weight *)
+  l_nbufs : int;
+  l_nints : int;
+}
+
+val emit_loop :
+  Graph.t ->
+  Graph.node ->
+  plan:Fusion.plan ->
+  shapes:Shape_infer.result ->
+  groups:(int * int * emitted) list ->
+  (eloop, string) result
+(** [emit_loop g loop ~plan ~shapes ~groups] lowers a loop whose every
+    group has an entry [(gid, unit index, kernel)] in [groups], or
+    explains why the loop does not qualify. *)

@@ -467,7 +467,8 @@ let run_singles t sh group =
   match group with
   | [] -> ()
   | _ -> (
-      count_run t (List.length group) ~batched:false;
+      (* each request runs alone: a bucket-1 run apiece *)
+      List.iter (fun _ -> count_run t 1 ~batched:false) group;
       match bucket_engine t sh (base_bucket t) with
       | eng ->
           let acquired = Unix.gettimeofday () in

@@ -12,7 +12,10 @@
  * tile-edge shapes, special values (NaN, infinities, subnormals, signed
  * zeros) and rows of -0.0 products, plus the workloads' shapes.  Every
  * NaN compares equal to every other: which payload survives an add of
- * two NaNs is unspecified. */
+ * two NaNs is unspecified.  Each case also runs the packed-panel entry
+ * (gemm_under_test_pack, then gemm_under_test_packed); a fixed sweep
+ * covers it at m in {1, 3, 4, 5, 12, 16}, n below, at and past whole
+ * 16-column panels, and k = 1. */
 #include <stdint.h>
 #include <stdio.h>
 #include <stdlib.h>
@@ -99,20 +102,29 @@ static int check(const char *label, long m, long k, long n, int special,
     const long row = below(m);
     for (long l = 0; l < k; l++) a[row * k + l] = -0.0;
   }
-  /* poison the output: the kernel must write every element */
-  for (long i = 0; i < m * n; i++) got[i] = 12345.0;
   naive(a, b, want, m, k, n);
-  gemm_under_test(a, b, got, m, k, n);
+  double *panels = alloc((n - n % 16) * k + 1);
   int ok = 1;
-  for (long i = 0; i < m * n && ok; i++)
-    if (!same(got[i], want[i])) {
-      fprintf(stderr,
-              "gemm_isa %s: [%ldx%ld] @ [%ldx%ld]%s: o[%ld,%ld] = %a, "
-              "expected %a\n",
-              label, m, k, k, n, zero_row ? " with a -0.0 row" : "", i / n,
-              i % n, got[i], want[i]);
-      ok = 0;
-    }
+  for (int packed = 0; packed < 2 && ok; packed++) {
+    /* poison the output: the kernel must write every element */
+    for (long i = 0; i < m * n; i++) got[i] = 12345.0;
+    if (packed) {
+      gemm_under_test_pack(b, panels, k, n);
+      gemm_under_test_packed(a, b, panels, got, m, k, n);
+    } else
+      gemm_under_test(a, b, got, m, k, n);
+    for (long i = 0; i < m * n && ok; i++)
+      if (!same(got[i], want[i])) {
+        fprintf(stderr,
+                "gemm_isa %s: %s[%ldx%ld] @ [%ldx%ld]%s: o[%ld,%ld] = %a, "
+                "expected %a\n",
+                label, packed ? "packed " : "", m, k, k, n,
+                zero_row ? " with a -0.0 row" : "", i / n, i % n, got[i],
+                want[i]);
+        ok = 0;
+      }
+  }
+  free(panels - 1);
   free(a - 1);
   free(b - 1);
   free(got - 1);
@@ -152,6 +164,15 @@ int main(int argc, char **argv)
   int failures = 0, cases = 0;
   for (size_t s = 0; s < sizeof fixed / sizeof fixed[0]; s++, cases++)
     failures += !check(label, fixed[s][0], fixed[s][1], fixed[s][2], 1, 0);
+  /* the packed entry's edges: every row split around the 4- and 8-row
+   * tiles, n short of, at and past whole panels, and k = 1 */
+  static const long ms[] = { 1, 3, 4, 5, 12, 16 };
+  static const long ns[] = { 7, 16, 24, 37, 512 };
+  static const long ks[] = { 1, 9, 128 };
+  for (size_t i = 0; i < sizeof ms / sizeof ms[0]; i++)
+    for (size_t j = 0; j < sizeof ns / sizeof ns[0]; j++)
+      for (size_t l = 0; l < sizeof ks / sizeof ks[0]; l++, cases++)
+        failures += !check(label, ms[i], ks[l], ns[j], 1, 0);
   for (int c = 0; c < 1000; c++, cases++) {
     const long m = dim(1), k = dim(0), n = dim(1);
     const int special = (int[]){ 0, 1, 8 }[below(3)];

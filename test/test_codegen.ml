@@ -208,6 +208,26 @@ let test_eval_matches_interpreter_small () =
   check "no kernels skipped" true (skipped = 0);
   check "values checked" true (checked >= 3)
 
+(* A 2-D matmul is a statement of its own, evaluated with the
+   interpreter's summation order. *)
+let test_eval_matmul_statement () =
+  let b = Builder.create "mm" ~params:[ ("x", Dtype.Tensor); ("y", Dtype.Tensor) ] in
+  let x = Builder.param b 0 and y = Builder.param b 1 in
+  Builder.return b [ Builder.relu b (Builder.matmul b x y) ];
+  let g = Builder.graph b in
+  let _, text =
+    compile_and_emit ~shapes:[ Some [| 3; 4 |]; Some [| 4; 5 |] ] (Graph.clone g)
+  in
+  check "the matmul renders as one statement" true
+    (contains ~needle:"= matmul(x_" text);
+  let state = Random.State.make [| 11 |] in
+  let args =
+    [ Value.Tensor (T.rand state [| 3; 4 |]); Value.Tensor (T.rand state [| 4; 5 |]) ]
+  in
+  let checked, skipped = eval_against_interp g args in
+  check "no kernels skipped" true (skipped = 0);
+  check "the product and the relu checked" true (checked >= 2)
+
 let test_workloads_render () =
   List.iter
     (fun (w : Workload.t) ->
@@ -268,6 +288,8 @@ let () =
             test_eval_matches_interpreter_ssd;
           Alcotest.test_case "mixed assigns match interpreter" `Quick
             test_eval_matches_interpreter_small;
+          Alcotest.test_case "matmul statement matches interpreter" `Quick
+            test_eval_matmul_statement;
         ] );
       ( "workloads",
         [ Alcotest.test_case "all render" `Quick test_workloads_render ] );

@@ -3,9 +3,11 @@
    reference interpreter.  Sites are the attribution rows of a first run
    ([group#N] and [loop#N]); an arm a site lacks raises
    [Invalid_argument] and is skipped.  Each workload runs at batch 1
-   and 4 on the sequential engine ([~parallel:false], JIT off), and on
-   1 and 2 lanes with the JIT off and — when a C compiler is present —
-   on [Auto], awaited so groups are armed.  Outputs compare under
+   and 4, optimized for its input shapes as a session does, on the
+   sequential engine ([~parallel:false], JIT off), and on 1 and 2 lanes
+   with the JIT off and — when a C compiler is present — on [Auto],
+   awaited so groups and loop kernels are armed: every qualifying loop
+   is forced to [native] as well.  Outputs compare under
    [Equiv.matches]: bitwise, with the libmvec bound only for a run that
    launched native code. *)
 
@@ -13,14 +15,16 @@ open Functs
 
 let check = Alcotest.(check bool)
 
-let arms : Scheduler.arm list = [ `Cjit; `Per_node; `Vector; `Batched; `Seq ]
+let arms : Scheduler.arm list =
+  [ `Cjit; `Per_node; `Vector; `Batched; `Seq; `Native ]
 
-let arm_name = function
+let arm_name : Scheduler.arm -> string = function
   | `Cjit -> "c-jit"
   | `Per_node -> "per_node"
   | `Vector -> "vector"
   | `Batched -> "batched"
   | `Seq -> "seq"
+  | `Native -> "native"
 
 let jit_dir =
   let d =
@@ -55,7 +59,10 @@ let test_forced_arms () =
           let args () = w.Workload.inputs ~batch ~seq in
           let expected = Eval.run g (args ()) in
           let fg = Graph.clone g in
-          ignore (Passes.tensorssa_pipeline fg);
+          ignore
+            (Passes.tensorssa_pipeline
+               ~inputs:(Engine.input_shapes (args ()))
+               fg);
           List.iter
             (fun (parallel, domains, jit) ->
               let label =
@@ -93,7 +100,7 @@ let test_forced_arms () =
     (Registry.all @ Registry.extensions);
   List.iter
     (fun arm ->
-      if arm <> `Cjit || List.mem Jit.Auto jits then
+      if (arm <> `Cjit && arm <> `Native) || List.mem Jit.Auto jits then
         check (arm_name arm ^ " was forced somewhere") true
           (Hashtbl.mem forced (arm_name arm)))
     arms

@@ -199,7 +199,8 @@ let test_c_differential () =
    The engine's plan leaves in-loop assigns out of every group (they run
    per node so they can donate), so no kernel is emitted for them: every
    entry a unit returns finds its group, and [Scheduler.arm] arms them
-   all.  lstm's cell body is three kernels. *)
+   all.  lstm is four kernels: the zero fill, the clones, the matmul and
+   the cell. *)
 
 let test_unit_kernels_all_armed () =
   let cc = Jit.c_toolchain_available () in
@@ -218,12 +219,12 @@ let test_unit_kernels_all_armed () =
           ~loop_grain:2 ~kernel_grain:8192 ~graph:fg ~shapes ~plan
       in
       check_int (name ^ ": every entry is armed") (List.length entries)
-        (Scheduler.arm prepared entries);
+        (Scheduler.arm prepared { Jit.groups = entries; loops = [] });
       if cc then
         check_int (name ^ ": every kernel in the unit has an entry")
           (List.length kernels) (List.length entries);
       if name = "lstm" then
-        check_int "lstm: the unit holds three kernels" 3
+        check_int "lstm: the unit holds four kernels" 4
           (List.length kernels))
     [ "lstm"; "nasrnn"; "seq2seq" ]
 
@@ -268,7 +269,13 @@ let test_render_per_isa () =
           check_int
             (Printf.sprintf "%s unit: %s per kernel" isa target)
             (if target_isa = isa then n else 0)
-            (count_sub ~sub:target src))
+            (count_sub ~sub:("FUNCTS_ISA(" ^ target) src);
+          (* lstm's matmul kernel brings the GEMM, instantiated for the
+             unit's ISA *)
+          check_int
+            (Printf.sprintf "%s unit: the GEMM under %s" isa target)
+            (if target_isa = isa then 1 else 0)
+            (count_sub ~sub:("#pragma GCC " ^ target) src))
         [ "avx512f"; "avx2" ])
     units;
   check "the host ISA is avx512f, avx2 or default" true
@@ -420,7 +427,7 @@ let reads_of name (kernels : Codegen.kernel list) =
   let acc = ref [] in
   let rec go = function
     | Codegen.Cread (v, ixs) -> if v.Graph.v_name = name then acc := ixs :: !acc
-    | Codegen.Clit _ | Codegen.Copaque _ -> ()
+    | Codegen.Clit _ | Codegen.Copaque _ | Codegen.Cmatmul _ -> ()
     | Codegen.Cunary (_, e) | Codegen.Creduce (_, _, _, e) -> go e
     | Codegen.Cbinary (_, a, b) | Codegen.Ccond (_, a, b) ->
         go a;
@@ -735,6 +742,117 @@ let test_launch_fallback_per_node () =
            e.j_kind = Journal.Jit_demote && e.j_site = "scheduler.group"
            && e.j_arm = "per_node")
          (Journal.entries ()))
+  end
+
+(* --- loop kernels: the whole recurrence in one launch ---
+
+   The RNNs' sequential loops compile to one loop kernel each once the
+   graph is optimized for its input shapes (the served path), so the
+   copy into [out[t]] folds into a row write.  Forced to [native], every
+   loop must give the bits the armed [seq] path gives (its groups forced
+   to [c-jit]), at every bucket size the unit serves. *)
+
+let rnn_engine name ~batch ~forced =
+  let w = Result.get_ok (Functs.find_workload name) in
+  let seq = w.Workload.default_seq in
+  let g = Workload.graph w ~batch ~seq in
+  let args () = w.Workload.inputs ~batch ~seq in
+  let fg = Graph.clone g in
+  ignore (Passes.tensorssa_pipeline ~inputs:(Engine.input_shapes (args ())) fg);
+  let eng = jit_engine fg (args ()) in
+  (* every group on its C kernel, so the [seq] body runs the same code
+     (libmvec included) the loop kernel calls *)
+  for gid = 0 to (Engine.plan fg).Fusion.group_count - 1 do
+    try Engine.force eng (`Group, gid) `Cjit with Invalid_argument _ -> ()
+  done;
+  let loops =
+    List.filter_map
+      (fun (n : Graph.node) ->
+        match n.Graph.n_op with Op.Loop -> Some n.Graph.n_id | _ -> None)
+      (Graph.all_nodes fg)
+  in
+  let pinned =
+    List.filter
+      (fun id ->
+        match Engine.force eng (`Loop, id) forced with
+        | () -> true
+        | exception Invalid_argument _ -> false)
+      loops
+  in
+  (g, eng, args, pinned)
+
+let test_native_loops_bitwise () =
+  let cc = Jit.c_toolchain_available () in
+  List.iter
+    (fun name ->
+      List.iter
+        (fun batch ->
+          let label = Printf.sprintf "%s b%d" name batch in
+          let g, native, args, pinned = rnn_engine name ~batch ~forced:`Native in
+          let _, seq, _, _ = rnn_engine name ~batch ~forced:`Seq in
+          if cc then begin
+            check (label ^ ": every loop has a loop kernel") true (pinned <> []);
+            check_int (label ^ ": native_loops") (List.length pinned)
+              (Engine.stats native).Scheduler.native_loops
+          end;
+          let got = Engine.run native (args ()) in
+          let want = Engine.run seq (args ()) in
+          check (label ^ ": native bits = armed seq bits") true
+            (Equiv.bitwise want got);
+          check (label ^ ": native vs interpreter") true
+            (agrees native (Eval.run g (args ())) (args ()));
+          if cc then
+            check (label ^ ": one launch per loop per run") true
+              (List.for_all
+                 (fun (r : Scheduler.attribution_row) ->
+                   r.Scheduler.at_kind <> `Loop
+                   || r.Scheduler.at_arm = "native"
+                      && r.Scheduler.at_launches = 2)
+                 (Engine.attribution native)))
+        [ 1; 4; 16 ])
+    [ "lstm"; "nasrnn"; "seq2seq" ]
+
+(* lstm's weight bound as a non-contiguous view of the same shape: the
+   loop kernel's matmul needs a row-major weight, so the launch fails
+   validation, the loop is demoted to [seq] for good, and the outputs
+   still equal the interpreter's. *)
+let test_native_loop_demotes () =
+  if Jit.c_toolchain_available () then begin
+    let g, eng, args, pinned = rnn_engine "lstm" ~batch:4 ~forced:`Native in
+    check "lstm's loop was pinned native" true (pinned <> []);
+    let strided () =
+      match args () with
+      | [ x; Value.Tensor u; h; c ] ->
+          let ut = Tensor.clone (Tensor.transpose u ~dim0:0 ~dim1:1) in
+          [ x; Value.Tensor (Tensor.transpose ut ~dim0:0 ~dim1:1); h; c ]
+      | _ -> Alcotest.fail "lstm takes four arguments"
+    in
+    (match strided () with
+    | [ _; Value.Tensor u; _; _ ] ->
+        check "the weight is a non-contiguous view" false (Tensor.is_contiguous u)
+    | _ -> ());
+    Journal.clear ();
+    let fb0 = (Engine.stats eng).Scheduler.jit_fallbacks in
+    for _ = 1 to 2 do
+      check "outputs equal the interpreter" true
+        (agrees eng (Eval.run g (strided ())) (strided ()))
+    done;
+    let s = Engine.stats eng in
+    check "the launch was demoted" true (s.Scheduler.jit_fallbacks > fb0);
+    check_int "no loop kernel left armed" 0 s.Scheduler.native_loops;
+    check "the demotion was journaled with arm seq" true
+      (List.exists
+         (fun (e : Journal.entry) ->
+           e.j_kind = Journal.Jit_demote && e.j_site = "scheduler.loop"
+           && e.j_arm = "seq")
+         (Journal.entries ()));
+    check "native can no longer be forced" true
+      (List.for_all
+         (fun id ->
+           match Engine.force eng (`Loop, id) `Native with
+           | () -> false
+           | exception Invalid_argument _ -> true)
+         pinned)
   end
 
 (* --- forced fallback: missing compiler --- *)
@@ -1447,6 +1565,10 @@ let () =
             test_fused_nests;
           Alcotest.test_case "inputs of another shape raise" `Quick
             test_other_shape_rejected;
+          Alcotest.test_case "native loop kernels bitwise vs armed seq" `Slow
+            test_native_loops_bitwise;
+          Alcotest.test_case "a strided weight demotes the loop kernel" `Quick
+            test_native_loop_demotes;
           Alcotest.test_case "launch-validation failure reruns per-node"
             `Quick test_launch_fallback_per_node;
           Alcotest.test_case "fallback: missing toolchain" `Quick

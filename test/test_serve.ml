@@ -368,8 +368,8 @@ let test_engine_raise_keeps_batching () =
         Option.value ~default:0
           (List.assoc_opt 4 (Session.stats s).Session.bucket_runs)
       in
-      (* [bucket_runs] also counts a group served as singles under its
-         size, so [batched_runs] is what shows batching *)
+      (* a group served as singles counts as bucket-1 runs, so a
+         4-bucket run is a batched one; [batched_runs] checks both *)
       let batched () = (Session.stats s).Session.batched_runs in
       let f0 = fours () and b0 = batched () in
       Session.pause s;
@@ -687,9 +687,11 @@ let test_other_signature_rejected () =
         Option.value ~default:0
           (List.assoc_opt 4 (Session.stats s).Session.bucket_runs)
       in
-      let f0 = fours () in
+      let batched () = (Session.stats s).Session.batched_runs in
+      let f0 = fours () and b0 = batched () in
       bucket_round s native ~salt0:500 5;
-      check "a native 4-bucket still runs batched" true (fours () > f0))
+      check "a native 4-bucket still runs batched" true
+        (fours () > f0 && batched () > b0))
 
 (* --- warm submits never recompile --- *)
 
