@@ -206,9 +206,13 @@ CAMLprim value functs_binary_map(value vkind, value va, value vao, value vas,
     const double *b = bb + r * br;
     double *o = obase + r * orow;
     switch (kind) {
-    case B_ADD: BIN_LOOP(x + y); break;
+    /* With two NaN operands x86 returns the first one, and the compiler
+       may swap the operands of a commutative + or *: a NaN [x] is
+       spelled [x op x] so the result is [x]'s NaN, as in OCaml.  The
+       select vectorizes under -fno-trapping-math (see dune). */
+    case B_ADD: BIN_LOOP(x != x ? x + x : x + y); break;
     case B_SUB: BIN_LOOP(x - y); break;
-    case B_MUL: BIN_LOOP(x * y); break;
+    case B_MUL: BIN_LOOP(x != x ? x * x : x * y); break;
     case B_DIV: BIN_LOOP(x / y); break;
     case B_POW: BIN_LOOP(pow(x, y)); break;
     case B_LT: BIN_LOOP((x < y) ? 1.0 : 0.0); break;

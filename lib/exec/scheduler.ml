@@ -17,8 +17,8 @@ let kernel_runs_c = Metrics.counter "exec.kernel_runs"
 let parallel_loops_c = Metrics.counter "exec.parallel_loops"
 let reduction_loops_c = Metrics.counter "exec.reduction_loops"
 
-(* Runtime demotions of a native group to per-node execution on a
-   launch-validation failure. *)
+(* Runtime demotions of a group or loop kernel on a launch-validation
+   failure. *)
 let jit_demoted_c = Metrics.counter "jit.demoted"
 
 (* A native launch and per-node execution trade differently per group
@@ -29,20 +29,17 @@ let jit_demoted_c = Metrics.counter "jit.demoted"
    (many tiny statements, e.g. yolact's box decode) used to be pinned to
    a slower native path because the JIT was tried unconditionally.
 
-   Batched loops are auto-tuned between the vectorised plan (when the
-   body has one), the batched plan — whose chunks the pool fans out
-   across lanes or runs on the caller — and the sequential body (which
-   keeps kernel fusion and donation): on kernel-heavy bodies (ssd) the
-   batched per-node replay can lose to the sequential fused path
-   outright, and the [`Seq] arm pins it when it measures fastest.
-
-   A sequential loop whose whole body compiled to one loop kernel is
-   tuned between that kernel ([`Native], one launch per run) and the
-   sequential body. *)
+   A loop with an arm besides its sequential body is one site, tuned
+   the same way over the arms it has: [`Native] (a [Sequential] loop
+   whose whole body compiled to one loop kernel: one launch per run),
+   [`Vector] and [`Batched] (a [Parallel]/[Reduction] loop's vectorised
+   plan, when the body has one, and its batched plan, whose chunks the
+   pool fans out across lanes or runs on the caller), then [`Seq] (the
+   sequential body, which keeps kernel fusion and donation: on
+   kernel-heavy bodies, e.g. ssd's, the batched replay can lose to it). *)
 type garm = [ `Cjit | `Per_node ]
-type larm = [ `Vector | `Batched | `Seq ]
-type narm = [ `Native | `Seq ]
-type arm = [ garm | larm | narm ]
+type larm = [ `Native | `Vector | `Batched | `Seq ]
+type arm = [ garm | larm ]
 type site = [ `Group | `Loop ] * int
 
 let arm_name : [< arm ] -> string = function
@@ -52,6 +49,8 @@ let arm_name : [< arm ] -> string = function
   | `Batched -> "batched"
   | `Seq -> "seq"
   | `Native -> "native"
+
+let site_kind = function `Group -> "group" | `Loop -> "loop"
 
 (* Per-group dispatch state, held in a dense gid-indexed array on the
    prepared engine.  Sequential loop bodies touch every member
@@ -71,22 +70,17 @@ type group = {
          re-instrumenting *)
 }
 
-(* A loop the dependence analysis cleared: its plans (plain data) and
-   the tuner that picks among them. *)
+(* A loop site: its plans (plain data), its loop kernel, and the tuner
+   that picks among them. *)
 type loop = {
-  l_plan : Loop_plan.t;
-  l_vector : Vector_plan.t option;
+  l_batch : (Loop_plan.t * Vector_plan.t option) option;
+      (* iteration-batching plans of a Parallel/Reduction loop *)
+  mutable l_jit : (Jit.loop * bool array) option;
+      (* a Sequential loop's kernel and, per carried slot,
+         {!Loop_plan.donatable}; cleared on a failed launch *)
   l_tuner : larm Tuner.t;
+  l_members : int;  (* body size, for attribution *)
   l_ops : string list;  (* the body's op names, for attribution *)
-}
-
-(* A sequential loop armed with a loop kernel. *)
-type nloop = {
-  n_members : int;  (* body size, for attribution *)
-  mutable n_jit : Jit.loop option;  (* cleared on a failed launch *)
-  n_donate : bool array;  (* per carried slot: {!Loop_plan.donatable} *)
-  n_tuner : narm Tuner.t;
-  n_ops : string list;
 }
 
 (* Distinct op names of [nodes] without their namespace, in order of
@@ -106,6 +100,19 @@ let op_names (nodes : Graph.node list) =
     [] nodes
   |> List.rev
 
+let loop_site (node : Graph.node) ~members ~batch ~jit =
+  let has x arm = if Option.is_some x then [ arm ] else [] in
+  let vector = Option.bind batch snd in
+  {
+    l_batch = batch;
+    l_jit = jit;
+    l_tuner =
+      Tuner.create ~scope:"scheduler.loop" ~id:node.Graph.n_id ~name:arm_name
+        (has jit `Native @ has vector `Vector @ has batch `Batched @ [ `Seq ]);
+    l_members = members;
+    l_ops = op_names (List.hd node.Graph.n_blocks).Graph.b_nodes;
+  }
+
 type prepared = {
   p_graph : Graph.t;
   p_plan : Fusion.plan;
@@ -121,9 +128,8 @@ type prepared = {
   p_pinned : bool array;  (* per slot: never release or donate *)
   p_blocks : (int, binst) Hashtbl.t;  (* block id -> instructions *)
   p_loops : (int, loop) Hashtbl.t;
-      (* loop node id -> iteration-batching plans (Parallel/Reduction) *)
-  p_native : (int, nloop) Hashtbl.t;
-      (* loop node id -> loop kernel (Sequential loops, once armed) *)
+      (* loop node id -> site: Parallel/Reduction loops with a plan from
+         prepare, Sequential ones once {!arm} gives them a loop kernel *)
   p_slot : (int, int) Hashtbl.t;  (* value id -> slot (kernel-site lookup) *)
   p_groups : group option array;
       (* gid -> dispatch record, [None] for gids without registered
@@ -162,8 +168,6 @@ let tensor_lookup p rs (v : Graph.value) =
       match rs.vals.(slot) with Some (Value.Tensor t) -> Some t | _ -> None)
 
 let bind_group_results p rs scope gid members results =
-  p.p_counts.cjit_runs <- p.p_counts.cjit_runs + 1;
-  Metrics.incr kernel_runs_c;
   if Tracer.enabled () then
     Tracer.instant "kernel.outputs"
       ~args:
@@ -186,17 +190,52 @@ let bind_group_results p rs scope gid members results =
   (* Sweep every member's input edges so external values retire. *)
   List.iter (fun (m : inst) -> consume_all rs m.i_in) members
 
-(* One native launch; [false] when it failed launch-time validation
-   (rank/extent mismatch, out-of-range dynamic index).  That demotes the
-   group to per-node execution for good, and the caller reruns the same
-   launch per node, so a JIT fallback is never user-visible. *)
-let run_group_jit p rs scope gid g entry =
+(* [f ()] runs one launch of [arm]; its wall time goes to [tuner] unless
+   [f] reports that it did not run. *)
+let timed tuner arm f =
+  let t0 = Unix.gettimeofday () in
+  let ran = f () in
+  if ran then Tuner.record tuner arm (Unix.gettimeofday () -. t0);
+  ran
+
+(* One native launch of a group or loop kernel [arm] at [site]:
+   [launch ~alloc ~track] with every buffer it takes from the storage
+   pool ([alloc], or [track] for one taken another way) released if it
+   raises.  [None] when it failed launch-time validation (rank/extent
+   mismatch, out-of-range dynamic index): that demotes the site for
+   good — [clear] drops its kernel and the tuner drops [arm] — and the
+   caller reruns the same launch on the arm the tuner moved to, so a
+   JIT fallback is never user-visible. *)
+let native_launch p ((kind, id) : site) tuner arm ~clear launch =
   let allocated = ref [] in
-  let alloc shape =
-    let t = Buffer_plan.alloc p.p_pool shape in
+  let track t =
     allocated := t :: !allocated;
     t
   in
+  let alloc shape = track (Buffer_plan.alloc p.p_pool shape) in
+  match launch ~alloc ~track with
+  | r ->
+      p.p_counts.cjit_runs <- p.p_counts.cjit_runs + 1;
+      Metrics.incr kernel_runs_c;
+      Some r
+  | exception Jit.Fallback reason ->
+      List.iter (Buffer_plan.release p.p_pool) !allocated;
+      clear ();
+      Tuner.drop tuner arm;
+      p.p_counts.jit_fallbacks <- p.p_counts.jit_fallbacks + 1;
+      Metrics.incr jit_demoted_c;
+      let kind = site_kind kind in
+      Tracer.instant "jit.fallback"
+        ~args:[ (kind, string_of_int id); ("reason", reason) ];
+      Journal.record Jit_demote ("scheduler." ^ kind) ~id
+        ~arm:(arm_name tuner.Tuner.arm)
+        ~detail:("launch validation failed: " ^ reason);
+      None
+  | exception e ->
+      List.iter (Buffer_plan.release p.p_pool) !allocated;
+      raise e
+
+let run_group_jit p rs scope gid g entry =
   let par =
     if p.p_parallel then
       Some
@@ -206,54 +245,38 @@ let run_group_jit p rs scope gid g entry =
     else None
   in
   match
-    Jit.run ?par ~grain:p.p_kernel_grain entry ~alloc
-      ~lookup:(tensor_lookup p rs) ~scalar:(scalar_lookup p rs)
+    native_launch p (`Group, gid) g.g_tuner `Cjit
+      ~clear:(fun () -> g.g_jit <- None)
+      (fun ~alloc ~track:_ ->
+        Jit.run ?par ~grain:p.p_kernel_grain entry ~alloc
+          ~lookup:(tensor_lookup p rs) ~scalar:(scalar_lookup p rs))
   with
-  | results ->
+  | Some results ->
       bind_group_results p rs scope gid g.g_members results;
       true
-  | exception Jit.Fallback reason ->
-      List.iter (Buffer_plan.release p.p_pool) !allocated;
-      g.g_jit <- None;
-      Tuner.drop g.g_tuner `Cjit;
-      p.p_counts.jit_fallbacks <- p.p_counts.jit_fallbacks + 1;
-      Metrics.incr jit_demoted_c;
-      Tracer.instant "jit.fallback"
-        ~args:[ ("group", string_of_int gid); ("reason", reason) ];
-      Journal.record Jit_demote "scheduler.group" ~id:gid ~arm:"per_node"
-        ~detail:("launch validation failed: " ^ reason);
-      false
-  | exception e ->
-      List.iter (Buffer_plan.release p.p_pool) !allocated;
-      raise e
-
-(* A timed launch of [arm], recorded with the tuner unless [f] reports
-   that it did not run. *)
-let timed_launch gid g arm f =
-  let t0 = Unix.gettimeofday () in
-  let ran =
-    Tracer.span_args "kernel.launch"
-      ~args:(fun () ->
-        [ ("group", string_of_int gid); ("backend", arm_name arm) ])
-      f
-  in
-  if ran then Tuner.record g.g_tuner arm (Unix.gettimeofday () -. t0);
-  ran
+  | None -> false
 
 (* Every arm launches at the group's last member: by then every
    out-of-group dependency (constants, scalar indices, access bases) is
    bound, and no non-member can consume a member's output earlier, since
    anything that breaks a run also ends the group. *)
 let launch_group p rs scope gid g =
+  let launch arm f =
+    timed g.g_tuner arm (fun () ->
+        Tracer.span_args "kernel.launch"
+          ~args:(fun () ->
+            [ ("group", string_of_int gid); ("backend", arm_name arm) ])
+          f)
+  in
   let native =
     match (g.g_tuner.Tuner.arm, g.g_jit) with
     | `Cjit, Some entry ->
-        timed_launch gid g `Cjit (fun () -> run_group_jit p rs scope gid g entry)
+        launch `Cjit (fun () -> run_group_jit p rs scope gid g entry)
     | _ -> false
   in
   if not native then
     ignore
-      (timed_launch gid g `Per_node (fun () ->
+      (launch `Per_node (fun () ->
            List.iter (exec_plain_inst rs scope) g.g_members;
            true))
 
@@ -264,15 +287,26 @@ let block_insts p (b : Graph.block) =
   | Some bi -> bi
   | None -> error "block %d was not prepared" b.Graph.b_id
 
+(* Whether a loop site runs its tuned arm.  A batching plan needs a trip
+   past the loop grain, a body still shaped like the plan, and a
+   parallel engine; without one the loop runs untimed on [seq]. *)
+let tuned p l (inst : inst) bi trip =
+  match l.l_batch with
+  | None -> true
+  | Some (lp, _) ->
+      p.p_parallel && trip > 1 && trip >= p.p_loop_grain
+      && Array.length bi.bi_params = Array.length lp.Loop_plan.lp_roles + 1
+      && Array.length bi.bi_insts = Array.length lp.lp_actions
+      && Array.length inst.i_out = Array.length lp.lp_roles
+
 (* The [`Vector] and [`Batched] arms: shared carried buffers, then the
    vectorised plan (the batched one when it bails) or the batched plan,
    then the loop's outputs. *)
-let exec_batched p rs ~scope (inst : inst) bi l arm trip inits =
-  let lp = l.l_plan in
+let exec_batched p rs ~scope (inst : inst) bi (lp, vector) arm trip inits =
   let inits = Array.of_list inits in
   let bufs = Loop_plan.carried_buffers rs lp inits in
   let merged =
-    match (arm, l.l_vector) with
+    match (arm, vector) with
     | `Vector, Some vp when Vector_plan.exec rs bi lp vp trip inits bufs ->
         p.p_counts.vector_loops <- p.p_counts.vector_loops + 1;
         Array.make (Array.length inits) None
@@ -280,11 +314,42 @@ let exec_batched p rs ~scope (inst : inst) bi l arm trip inits =
   in
   p.p_counts.parallel_loops <- p.p_counts.parallel_loops + 1;
   Metrics.incr parallel_loops_c;
-  if lp.lp_reduction then begin
+  if lp.Loop_plan.lp_reduction then begin
     p.p_counts.reduction_loops <- p.p_counts.reduction_loops + 1;
     Metrics.incr reduction_loops_c
   end;
   Loop_plan.bind_outputs rs ~scope inst lp inits bufs merged
+
+(* The [`Native] arm: the whole loop in one native launch.  A row-written
+   slot is written in place (the init when {!Loop_plan.adopt_or_clone}
+   allows it); every other slot's output comes from the storage pool.
+   [false] when the launch failed validation: the caller runs the loop
+   on [`Seq], and a row-written buffer the launch started on gets every
+   row rewritten there. *)
+let exec_native p rs ~scope (inst : inst) l (entry, donate) trip inits =
+  let rows = Jit.loop_rows entry in
+  match
+    native_launch p (`Loop, inst.i_node.n_id) l.l_tuner `Native
+      ~clear:(fun () -> l.l_jit <- None)
+      (fun ~alloc ~track ->
+        let carried =
+          Array.mapi
+            (fun j v ->
+              let t = Value.to_tensor v in
+              if not rows.(j) then t
+              else
+                let b = Loop_plan.adopt_or_clone rs ~donate:donate.(j) t in
+                if b == t then t else track b)
+            (Array.of_list inits)
+        in
+        Jit.run_loop entry ~trip ~carried ~alloc ~copy:Fastops.copy_into
+          ~lookup:(tensor_lookup p rs) ~scalar:(scalar_lookup p rs))
+  with
+  | Some outs ->
+      Array.iteri (fun k t -> bind rs scope inst.i_out.(k) (Tensor t)) outs;
+      consume_all rs inst.i_in;
+      true
+  | None -> false
 
 let rec exec_block p rs (bi : binst) : Value.t list =
   let scope = ref [] in
@@ -351,103 +416,27 @@ and exec_loop p rs ~scope (inst : inst) =
       if Array.length bi.bi_params = 0 then
         error "prim::Loop body without induction parameter";
       Array.iter (exec_plain_inst rs scope) bi.bi_pre;
-      let batched =
-        if rs.live && p.p_parallel && trip > 1 && trip >= p.p_loop_grain then
-          match Hashtbl.find_opt p.p_loops inst.i_node.n_id with
-          | Some l
-            when Array.length bi.bi_params = Array.length l.l_plan.lp_roles + 1
-                 && Array.length bi.bi_insts = Array.length l.l_plan.lp_actions
-                 && Array.length inst.i_out = Array.length l.l_plan.lp_roles ->
-              Some l
-          | _ -> None
-        else None
+      let seq () =
+        exec_seq_loop p rs ~scope inst bi trip inits;
+        true
       in
-      match batched with
-      | Some l ->
-          let arm = l.l_tuner.Tuner.arm in
-          let t0 = Unix.gettimeofday () in
-          (match arm with
-          | `Seq -> exec_seq_loop p rs ~scope inst bi trip inits
-          | (`Vector | `Batched) as arm ->
-              exec_batched p rs ~scope inst bi l arm trip inits);
-          Tuner.record l.l_tuner arm (Unix.gettimeofday () -. t0)
-      | None -> (
-          match Hashtbl.find_opt p.p_native inst.i_node.n_id with
-          | Some nl when rs.live ->
-              let timed arm f =
-                let t0 = Unix.gettimeofday () in
-                let ran = f () in
-                if ran then
-                  Tuner.record nl.n_tuner arm (Unix.gettimeofday () -. t0);
-                ran
-              in
-              let native =
-                match (nl.n_tuner.Tuner.arm, nl.n_jit) with
-                | `Native, Some entry ->
-                    timed `Native (fun () ->
-                        exec_native p rs ~scope inst nl entry trip inits)
-                | _ -> false
-              in
-              if not native then
-                ignore
-                  (timed `Seq (fun () ->
-                       exec_seq_loop p rs ~scope inst bi trip inits;
-                       true))
-          | _ -> exec_seq_loop p rs ~scope inst bi trip inits)
+      match Hashtbl.find_opt p.p_loops inst.i_node.n_id with
+      | Some l when rs.live && tuned p l inst bi trip ->
+          let ran =
+            match (l.l_tuner.Tuner.arm, l.l_jit, l.l_batch) with
+            | `Native, Some jit, _ ->
+                timed l.l_tuner `Native (fun () ->
+                    exec_native p rs ~scope inst l jit trip inits)
+            | ((`Vector | `Batched) as arm), _, Some plans ->
+                timed l.l_tuner arm (fun () ->
+                    exec_batched p rs ~scope inst bi plans arm trip inits;
+                    true)
+            | _ -> false
+          in
+          if not ran then ignore (timed l.l_tuner `Seq seq)
+      | _ -> ignore (seq ())
     end
   | _ -> error "malformed prim::Loop"
-
-(* The [`Native] arm: the whole loop in one native launch.  A row-written
-   slot is written in place (the init when {!Loop_plan.adopt_or_clone}
-   allows it); every other slot's output comes from the storage pool.
-   [false] when the launch failed validation: the loop is demoted to
-   [`Seq] for good, and the caller runs it sequentially — a row-written
-   buffer the launch started on gets every row rewritten there. *)
-and exec_native p rs ~scope (inst : inst) nl entry trip inits =
-  let allocated = ref [] in
-  let alloc shape =
-    let t = Buffer_plan.alloc p.p_pool shape in
-    allocated := t :: !allocated;
-    t
-  in
-  let rows = Jit.loop_rows entry in
-  let carried =
-    Array.of_list
-      (List.mapi
-         (fun j v ->
-           let t = Value.to_tensor v in
-           if not rows.(j) then t
-           else
-             let b = Loop_plan.adopt_or_clone rs ~donate:nl.n_donate.(j) t in
-             if b != t then allocated := b :: !allocated;
-             b)
-         inits)
-  in
-  match
-    Jit.run_loop entry ~trip ~carried ~alloc ~copy:Fastops.copy_into
-      ~lookup:(tensor_lookup p rs) ~scalar:(scalar_lookup p rs)
-  with
-  | outs ->
-      p.p_counts.cjit_runs <- p.p_counts.cjit_runs + 1;
-      Metrics.incr kernel_runs_c;
-      Array.iteri (fun k t -> bind rs scope inst.i_out.(k) (Value.Tensor t)) outs;
-      consume_all rs inst.i_in;
-      true
-  | exception Jit.Fallback reason ->
-      List.iter (Buffer_plan.release p.p_pool) !allocated;
-      let id = inst.i_node.n_id in
-      nl.n_jit <- None;
-      Tuner.drop nl.n_tuner `Native;
-      p.p_counts.jit_fallbacks <- p.p_counts.jit_fallbacks + 1;
-      Metrics.incr jit_demoted_c;
-      Tracer.instant "jit.fallback"
-        ~args:[ ("loop", string_of_int id); ("reason", reason) ];
-      Journal.record Jit_demote "scheduler.loop" ~id ~arm:"seq"
-        ~detail:("launch validation failed: " ^ reason);
-      false
-  | exception e ->
-      List.iter (Buffer_plan.release p.p_pool) !allocated;
-      raise e
 
 (* The classic sequential loop body: per-iteration scopes, kernel
    fusion and assign donation all active.  Also the [`Seq] auto-tuner
@@ -629,18 +618,11 @@ let prepare ~parallel ~pool:exec_pool ~loop_grain ~kernel_grain ~graph
           match Loop_plan.build graph ~slot node info bi with
           | None -> ()
           | Some lp ->
-              let vector = Vector_plan.plan bi lp in
               Hashtbl.replace loops node.n_id
-                {
-                  l_plan = lp;
-                  l_vector = vector;
-                  l_tuner =
-                    Tuner.create ~scope:"scheduler.loop" ~id:node.n_id
-                      ~name:arm_name
-                      ((if vector = None then [] else [ `Vector ])
-                      @ [ `Batched; `Seq ]);
-                  l_ops = op_names body.Graph.b_nodes;
-                })
+                (loop_site node
+                   ~members:(Array.length lp.lp_actions)
+                   ~batch:(Some (lp, Vector_plan.plan bi lp))
+                   ~jit:None))
       | _ -> ());
   let usage =
     Tracer.span "engine.buffer_plan" (fun () -> Buffer_plan.analyze graph)
@@ -699,7 +681,6 @@ let prepare ~parallel ~pool:exec_pool ~loop_grain ~kernel_grain ~graph
     p_pinned = pinned;
     p_blocks = blocks;
     p_loops = loops;
-    p_native = Hashtbl.create 2;
     p_slot = slot_tbl;
     p_groups = groups;
     p_in_shapes = List.map (Shape_infer.shape_of shapes) (Graph.params graph);
@@ -738,49 +719,34 @@ let arm p (entries : Jit.armed) =
   in
   List.fold_left
     (fun n (id, entry) ->
-      match (Hashtbl.find_opt p.p_native id, node_of id) with
+      match (Hashtbl.find_opt p.p_loops id, node_of id) with
       | None, Some node ->
-          let body = List.hd node.Graph.n_blocks in
-          Hashtbl.replace p.p_native id
-            {
-              n_members = List.length body.Graph.b_nodes;
-              n_jit = Some entry;
-              n_donate =
-                Array.init
-                  (List.length node.n_inputs - 1)
-                  (Loop_plan.donatable p.p_graph node);
-              n_tuner =
-                Tuner.create ~scope:"scheduler.loop" ~id ~name:arm_name
-                  [ `Native; `Seq ];
-              n_ops = op_names body.Graph.b_nodes;
-            };
+          let donate =
+            Array.init
+              (List.length node.n_inputs - 1)
+              (Loop_plan.donatable p.p_graph node)
+          in
+          Hashtbl.replace p.p_loops id
+            (loop_site node
+               ~members:(List.length (List.hd node.n_blocks).Graph.b_nodes)
+               ~batch:None ~jit:(Some (entry, donate)));
           n + 1
       | _ -> n)
     groups entries.loops
 
+(* A site has exactly the live arms of its tuner. *)
 let force p ((kind, id) : site) (a : arm) =
   let lacks () =
     invalid_arg
-      (Printf.sprintf "Scheduler.force: %s#%d has no %s arm"
-         (match kind with `Group -> "group" | `Loop -> "loop")
+      (Printf.sprintf "Scheduler.force: %s#%d has no %s arm" (site_kind kind)
          id (arm_name a))
   in
-  match (kind, a) with
-  | `Group, (#garm as a) -> (
-      match group_at p id with
-      | Some g when a = `Per_node || g.g_jit <> None ->
-          Tuner.freeze g.g_tuner a ~detail:"forced"
-      | _ -> lacks ())
-  | `Loop, (#larm as a) when Hashtbl.mem p.p_loops id -> (
-      let l = Hashtbl.find p.p_loops id in
-      match a with
-      | `Vector when l.l_vector = None -> lacks ()
-      | a -> Tuner.freeze l.l_tuner a ~detail:"forced")
-  | `Loop, (#narm as a) -> (
-      match Hashtbl.find_opt p.p_native id with
-      | Some nl when a = `Seq || nl.n_jit <> None ->
-          Tuner.freeze nl.n_tuner a ~detail:"forced"
-      | _ -> lacks ())
+  let freeze t a =
+    if Tuner.live t a then Tuner.freeze t a ~detail:"forced" else lacks ()
+  in
+  match (kind, a, group_at p id, Hashtbl.find_opt p.p_loops id) with
+  | `Group, (#garm as a), Some g, _ -> freeze g.g_tuner a
+  | `Loop, (#larm as a), _, Some l -> freeze l.l_tuner a
   | _ -> lacks ()
 
 let kind_name = function
@@ -880,10 +846,12 @@ type stats = {
 }
 
 let stats p =
+  let loops f =
+    Hashtbl.fold (fun _ l n -> if f l then n + 1 else n) p.p_loops 0
+  in
+  let batched l = Option.is_some l.l_batch in
   let pinned a =
-    Hashtbl.fold
-      (fun _ l n -> if Tuner.pinned l.l_tuner = Some a then n + 1 else n)
-      p.p_loops 0
+    loops (fun l -> batched l && Tuner.pinned l.l_tuner = Some a)
   in
   let c = p.p_counts in
   {
@@ -894,7 +862,7 @@ let stats p =
     donations = c.donations;
     parallel_loops_run = c.parallel_loops;
     reduction_loops_run = c.reduction_loops;
-    batched_loops = Hashtbl.length p.p_loops;
+    batched_loops = loops batched;
     vector_loops = c.vector_loops;
     cjit_groups =
       Array.fold_left
@@ -905,10 +873,7 @@ let stats p =
     loops_pinned_vector = pinned `Vector;
     loops_pinned_batched = pinned `Batched;
     loops_pinned_seq = pinned `Seq;
-    native_loops =
-      Hashtbl.fold
-        (fun _ nl n -> if nl.n_jit <> None then n + 1 else n)
-        p.p_native 0;
+    native_loops = loops (fun l -> Option.is_some l.l_jit);
     pool_lanes = Pool.lanes p.p_exec_pool;
   }
 
@@ -953,16 +918,8 @@ let attribution p =
   Hashtbl.iter
     (fun lid l ->
       if Tuner.launches l.l_tuner > 0 then
-        rows :=
-          row `Loop lid l.l_tuner (Array.length l.l_plan.lp_actions) l.l_ops
-          :: !rows)
+        rows := row `Loop lid l.l_tuner l.l_members l.l_ops :: !rows)
     p.p_loops;
-  Hashtbl.iter
-    (fun lid nl ->
-      if Tuner.launches nl.n_tuner > 0 then
-        rows :=
-          row `Loop lid nl.n_tuner nl.n_members nl.n_ops :: !rows)
-    p.p_native;
   List.sort (fun a b -> Float.compare b.at_time_s a.at_time_s) !rows
 
 let clear_buffers p = Buffer_plan.clear p.p_pool

@@ -24,16 +24,20 @@
       partial accumulators merged in chunk order, bitwise-identical
       across domain counts), and a body that passes a prepare-time check
       also gets a {!Vector_plan}, which runs each statement once across
-      every iteration.  A tuner per loop pins one of three arms —
-      [vector], [batched] (the action table, its chunks handed to
-      {!Pool.parallel_for}, which fans them out across lanes or runs
-      them all on the caller) or [seq] (the sequential body) — whichever
-      runs fastest (Algorithm 2's parallelization, executed for real);
+      every iteration (Algorithm 2's parallelization, executed for
+      real);
     - a [Sequential] loop whose body compiled to one loop kernel
-      ({!Functs_jit.Jit_emit.emit_loop}) gets a tuner over [native] (the
-      whole loop in one launch, single-lane) and [seq]; a launch that
-      fails validation demotes it to [seq] for good (a [Jit_demote]
-      record, a [jit.fallback] trace instant and a [jit.demoted] tick);
+      ({!Functs_jit.Jit_emit.emit_loop}) can run as one launch,
+      single-lane;
+    - every loop with such a plan or kernel is one site with one tuner
+      over the arms it has — [native] (the loop kernel), [vector],
+      [batched] (the action table, its chunks handed to
+      {!Pool.parallel_for}, which fans them out across lanes or runs
+      them all on the caller) and [seq] (the sequential body) — which
+      pins whichever runs fastest.  A loop kernel that fails launch
+      validation is demoted to [seq] for good, as a group kernel is
+      demoted to per-node (a [Jit_demote] record, a [jit.fallback]
+      trace instant and a [jit.demoted] tick);
     - [prim::If]/[prim::Loop] fall back to block-level dispatch, and
       graphs still containing [aten::…_] mutations run in a plain
       per-node mode with interpreter semantics (no pool, no donation).
@@ -62,7 +66,7 @@ val prepare :
     [loop_grain] is the minimum trip count before a loop runs batched,
     [kernel_grain] the per-chunk element count for intra-kernel splits.
     Every group starts per-node; {!arm} adds native kernels.  Each
-    group and each batched loop picks its arm with a {!Tuner}. *)
+    group and each loop site picks its arm with a {!Tuner}. *)
 
 val arm : prepared -> Functs_jit.Jit.armed -> int
 (** Arm each listed group with its native kernel and add the [c-jit]
@@ -83,10 +87,11 @@ val force : prepared -> site -> arm -> unit
 (** Pin [site] to [arm] for good ({!Tuner.freeze}; journaled as a
     [Tuner_pin] with detail [forced]).  Backs [Engine.force].
     @raise Invalid_argument when the site does not exist or lacks the
-    arm: [c-jit] on a group with no native kernel armed, [vector] on a
-    loop without a vectorised plan, [native] on a loop without a loop
-    kernel (never armed, or demoted), a loop arm on a group or a group
-    arm on a loop. *)
+    arm (a site has its tuner's live arms): [c-jit] on a group with no
+    native kernel armed, [vector] on a loop without a vectorised plan,
+    [native] on a loop without a loop kernel (never armed, or demoted),
+    [vector] or [batched] on a loop without a batching plan, a loop arm
+    on a group or a group arm on a loop. *)
 
 val output_shapes : prepared -> Shape_infer.shape option list
 (** Statically inferred shapes of the graph's return values (in return
@@ -151,7 +156,7 @@ type attribution_row = {
   at_kind : [ `Group | `Loop ];
   at_arm : string;
       (** the arm {!Tuner} currently pins — [c-jit]/[per_node] for
-          groups, [vector]/[batched]/[seq] for loops — or
+          groups, [native]/[vector]/[batched]/[seq] for loops — or
           [sampling] while it samples *)
   at_members : int;  (** member instructions (groups) / body size (loops) *)
   at_ops : string list;
@@ -162,7 +167,7 @@ type attribution_row = {
 }
 
 val attribution : prepared -> attribution_row list
-(** Per-group / per-batched-loop wall-time attribution, hottest first.
+(** Per-group / per-loop-site wall-time attribution, hottest first.
     Collected as a side effect of the auto-tuner's existing launch
     timing, so it costs nothing beyond normal dispatch; only sites that
     launched at least once appear. *)

@@ -206,6 +206,13 @@ let freeze t a ~detail =
   s.last_pin <- i;
   Journal.record Tuner_pin s.scope ~id:s.id ~arm:s.names.(i) ~detail
 
+let live t a =
+  let s = t.st in
+  let rec go i =
+    i < Array.length s.arms && ((s.arms.(i) == a && s.live.(i)) || go (i + 1))
+  in
+  go 0
+
 let best t a =
   let i = index t.st a in
   if t.st.live.(i) then t.st.best.(i) else infinity

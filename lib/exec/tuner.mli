@@ -1,7 +1,7 @@
 (** Expiring-pin, min-of-N auto-tuner over a fixed list of arms — the
     one decision procedure behind the scheduler's per-group dispatch
-    arms ([c-jit]/[per_node]) and per-loop plans
-    ([vector]/[batched]/[seq]).
+    arms ([c-jit]/[per_node]) and per-loop arms
+    ([native]/[vector]/[batched]/[seq]).
 
     - {b Sampling} is interleaved: the next launch runs the first arm in
       list order with the fewest samples still under three.
@@ -60,6 +60,9 @@ val add : 'a t -> 'a -> unit
 val freeze : 'a t -> 'a -> detail:string -> unit
 (** Pin [arm] permanently (journaled as a [Tuner_pin] with [detail]);
     the pin never expires, so the other arms never re-sample. *)
+
+val live : 'a t -> 'a -> bool
+(** [arm] is one of the tuner's arms and not dropped. *)
 
 val best : 'a t -> 'a -> float
 (** Fastest sample of [arm] in the current window; [infinity] when it

@@ -9,6 +9,11 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+# This run's scratch files live in one private directory, removed on
+# exit, so concurrent runs never share a path.
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+
 echo "== dune build @all =="
 dune build @all
 
@@ -24,8 +29,8 @@ dune runtest --force
 if ! cc --version >/dev/null 2>&1; then
   echo "== no cc: graceful JIT fallback =="
   FUNCTS_JIT=auto FUNCTS_DOMAINS=2 dune exec bench/main.exe -- exec --smoke \
-    | tee /tmp/functs_jit_fallback.txt
-  grep -Eq 'jit\.c\.fallback +[1-9]' /tmp/functs_jit_fallback.txt || {
+    | tee "$tmp/functs_jit_fallback.txt"
+  grep -Eq 'jit\.c\.fallback +[1-9]' "$tmp/functs_jit_fallback.txt" || {
     echo "error: FUNCTS_JIT=auto without cc recorded no jit.c.fallback" >&2
     exit 1
   }
@@ -33,12 +38,12 @@ fi
 
 echo "== bench exec --smoke (FUNCTS_DOMAINS=2) =="
 FUNCTS_DOMAINS=2 dune exec bench/main.exe -- exec --smoke \
-  | tee /tmp/functs_bench_smoke.txt
-grep -q "== metrics snapshot ==" /tmp/functs_bench_smoke.txt || {
+  | tee "$tmp/functs_bench_smoke.txt"
+grep -q "== metrics snapshot ==" "$tmp/functs_bench_smoke.txt" || {
   echo "error: bench smoke output is missing the metrics snapshot" >&2
   exit 1
 }
-grep -q "exec.kernel_runs" /tmp/functs_bench_smoke.txt || {
+grep -q "exec.kernel_runs" "$tmp/functs_bench_smoke.txt" || {
   echo "error: bench smoke metrics are missing exec.kernel_runs" >&2
   exit 1
 }
@@ -48,22 +53,22 @@ grep -q "exec.kernel_runs" /tmp/functs_bench_smoke.txt || {
 # a DIVERG marker instead of "ok" when the gate trips; tee hides its
 # exit code).
 for w in yolact fcos; do
-  grep -Eq "^ *$w +ok parallel_loops=[1-9]" /tmp/functs_bench_smoke.txt || {
+  grep -Eq "^ *$w +ok parallel_loops=[1-9]" "$tmp/functs_bench_smoke.txt" || {
     echo "error: $w did not batch any parallel loop at FUNCTS_DOMAINS=2" >&2
     exit 1
   }
-  grep -Eq "^ *$w +ok .* vector_loops=[1-9]" /tmp/functs_bench_smoke.txt || {
+  grep -Eq "^ *$w +ok .* vector_loops=[1-9]" "$tmp/functs_bench_smoke.txt" || {
     echo "error: $w ran no vectorised loop at FUNCTS_DOMAINS=2" >&2
     exit 1
   }
 done
 # Attention's loop has no vectorised plan: it is the registry loop that
 # reaches the batched arm.
-grep -Eq "^ *attention +ok parallel_loops=[1-9]" /tmp/functs_bench_smoke.txt || {
+grep -Eq "^ *attention +ok parallel_loops=[1-9]" "$tmp/functs_bench_smoke.txt" || {
   echo "error: attention did not batch its loop at FUNCTS_DOMAINS=2" >&2
   exit 1
 }
-if grep -Eq 'DIVERGED|DIVERGENCE' /tmp/functs_bench_smoke.txt; then
+if grep -Eq 'DIVERGED|DIVERGENCE' "$tmp/functs_bench_smoke.txt"; then
   echo "error: an engine output diverged (see bench smoke output above)" >&2
   exit 1
 fi
@@ -72,22 +77,22 @@ fi
 # must batch on a single lane, with the same bitwise gate.
 echo "== bench exec --smoke (FUNCTS_DOMAINS=1) =="
 FUNCTS_DOMAINS=1 dune exec bench/main.exe -- exec --smoke \
-  | tee /tmp/functs_bench_smoke_d1.txt
+  | tee "$tmp/functs_bench_smoke_d1.txt"
 for w in yolact fcos; do
-  grep -Eq "^ *$w +ok parallel_loops=[1-9]" /tmp/functs_bench_smoke_d1.txt || {
+  grep -Eq "^ *$w +ok parallel_loops=[1-9]" "$tmp/functs_bench_smoke_d1.txt" || {
     echo "error: $w did not batch any parallel loop at FUNCTS_DOMAINS=1" >&2
     exit 1
   }
-  grep -Eq "^ *$w +ok .* vector_loops=[1-9]" /tmp/functs_bench_smoke_d1.txt || {
+  grep -Eq "^ *$w +ok .* vector_loops=[1-9]" "$tmp/functs_bench_smoke_d1.txt" || {
     echo "error: $w ran no vectorised loop at FUNCTS_DOMAINS=1" >&2
     exit 1
   }
 done
-grep -Eq "^ *attention +ok parallel_loops=[1-9]" /tmp/functs_bench_smoke_d1.txt || {
+grep -Eq "^ *attention +ok parallel_loops=[1-9]" "$tmp/functs_bench_smoke_d1.txt" || {
   echo "error: attention did not batch its loop at FUNCTS_DOMAINS=1" >&2
   exit 1
 }
-if grep -Eq 'DIVERGED|DIVERGENCE' /tmp/functs_bench_smoke_d1.txt; then
+if grep -Eq 'DIVERGED|DIVERGENCE' "$tmp/functs_bench_smoke_d1.txt"; then
   echo "error: an engine output diverged at FUNCTS_DOMAINS=1 (see above)" >&2
   exit 1
 fi
@@ -146,17 +151,17 @@ fi
 # stage from the in-process histograms.
 echo "== profile --json stage keys (FUNCTS_DOMAINS=2) =="
 FUNCTS_DOMAINS=2 dune exec bin/functs.exe -- profile lstm --runs 8 --json \
-  > /tmp/functs_profile.json
+  > "$tmp/functs_profile.json"
 for key in '"queue_wait"' '"batch"' '"exec"' '"total"' '"groups"' '"gc"' '"ops"' '"setup"' '"armed_ms"' '"minor_words"' '"major_words"'; do
-  grep -q "$key" /tmp/functs_profile.json || {
+  grep -q "$key" "$tmp/functs_profile.json" || {
     echo "error: profile --json is missing the $key key" >&2
     exit 1
   }
 done
 if command -v python3 >/dev/null 2>&1; then
-  python3 - <<'EOF' || { echo "error: profile JSON stages invalid" >&2; exit 1; }
-import json
-d = json.load(open("/tmp/functs_profile.json"))
+  python3 - "$tmp/functs_profile.json" <<'EOF' || { echo "error: profile JSON stages invalid" >&2; exit 1; }
+import json, sys
+d = json.load(open(sys.argv[1]))
 for s in ("queue_wait", "batch", "exec", "total"):
     st = d["stages"][s]
     assert st["count"] > 0, f"stage {s} observed nothing"
@@ -191,9 +196,9 @@ fi
 # Always-on attribution budget: leaving the decision journal enabled may
 # cost fused lstm at most 2%.
 echo "== obs overhead budget (attribution <= 2%) =="
-dune exec bench/obs_overhead.exe | tee /tmp/functs_obs_overhead.txt
+dune exec bench/obs_overhead.exe | tee "$tmp/functs_obs_overhead.txt"
 overhead=$(sed -n 's/^attribution overhead: \(-\{0,1\}[0-9.]*\)%.*/\1/p' \
-  /tmp/functs_obs_overhead.txt)
+  "$tmp/functs_obs_overhead.txt")
 test -n "$overhead" || {
   echo "error: obs_overhead printed no attribution overhead line" >&2
   exit 1
@@ -219,34 +224,33 @@ fi
 # With the JIT off every kernel.launch event is a per-node group launch;
 # each must still name its group's backend (on the span's opening event).
 echo "== trace smoke (run lstm --engine=exec --trace, JIT off) =="
-rm -f /tmp/functs_trace.json
-FUNCTS_JIT=off dune exec bin/functs.exe -- run lstm --engine=exec --trace /tmp/functs_trace.json
-test -s /tmp/functs_trace.json || {
+FUNCTS_JIT=off dune exec bin/functs.exe -- run lstm --engine=exec --trace "$tmp/functs_trace.json"
+test -s "$tmp/functs_trace.json" || {
   echo "error: --trace wrote no trace file" >&2
   exit 1
 }
 # Validate the Chrome trace JSON with whatever parser is on hand.
 if command -v jq >/dev/null 2>&1; then
-  jq -e '.traceEvents | length > 0' /tmp/functs_trace.json >/dev/null || {
+  jq -e '.traceEvents | length > 0' "$tmp/functs_trace.json" >/dev/null || {
     echo "error: trace JSON invalid or empty (jq)" >&2
     exit 1
   }
 elif command -v python3 >/dev/null 2>&1; then
-  python3 -c 'import json,sys; d=json.load(open("/tmp/functs_trace.json")); sys.exit(0 if d["traceEvents"] else 1)' || {
+  python3 -c 'import json,sys; d=json.load(open(sys.argv[1])); sys.exit(0 if d["traceEvents"] else 1)' "$tmp/functs_trace.json" || {
     echo "error: trace JSON invalid or empty (python3)" >&2
     exit 1
   }
 else
   echo "warning: neither jq nor python3 available; skipping trace JSON validation" >&2
 fi
-grep -q '"kernel.launch"' /tmp/functs_trace.json || {
+grep -q '"kernel.launch"' "$tmp/functs_trace.json" || {
   echo "error: trace is missing kernel.launch events" >&2
   exit 1
 }
 if command -v python3 >/dev/null 2>&1; then
-  python3 - <<'EOF' || { echo "error: a kernel.launch event has no backend arg" >&2; exit 1; }
-import json
-d = json.load(open("/tmp/functs_trace.json"))
+  python3 - "$tmp/functs_trace.json" <<'EOF' || { echo "error: a kernel.launch event has no backend arg" >&2; exit 1; }
+import json, sys
+d = json.load(open(sys.argv[1]))
 begins = [e for e in d["traceEvents"]
           if e.get("name") == "kernel.launch" and e.get("ph") == "B"]
 assert begins and all("backend" in e.get("args", {}) for e in begins)

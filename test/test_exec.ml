@@ -1444,6 +1444,54 @@ let test_matmul_regressions () =
            (T.to_flat_array (Fastops.matmul a b))))
     [ 1; 2; 4; 8; 13; 16 ]
 
+(* Shrunk counterexamples of [prop_engine_matches_interp]: two NaNs of
+   opposite sign meet in a commutative [+] or [*], and the result must
+   carry the first operand's, as the interpreter's does. *)
+let test_nan_regressions () =
+  List.iter
+    (fun src ->
+      check src true
+        (agrees (Lower.program (Source_parser.parse src)) (fresh_args 42)))
+    [
+      "def random_program(x: Tensor, n: int):\n\
+      \    t = x.clone()\n\
+      \    t[0] = t[0]\n\
+      \    for k2 in range(4):\n\
+      \        t -= torch.neg(t[1])\n\
+      \        for k1 in range(4):\n\
+      \            t *= t[0]\n\
+      \        if (n > 0):\n\
+      \            t[0] += 0\n\
+      \            t[0, 0] = t[0, 0]\n\
+      \            t[k2, k2] -= t[k2, k2]\n\
+      \        else:\n\
+      \            t[0] = t[0]\n\
+      \    return t\n";
+      "def random_program(x: Tensor, n: int):\n\
+      \    t = x.clone()\n\
+      \    for k2 in range(2):\n\
+      \        if (n > 0):\n\
+      \            t[0] = t[0]\n\
+      \        else:\n\
+      \            t[0] = t[0]\n\
+      \            t[0] = torch.neg(t[0])\n\
+      \        for k1 in range(1):\n\
+      \            t[0] += t[0]\n\
+      \        for k1 in range(3):\n\
+      \            t += torch.exp(t[1])\n\
+      \            t[k1] = (torch.neg(t[0]) + t[1])\n\
+      \    return t\n";
+      "def random_program(x: Tensor, n: int):\n\
+      \    t = x.clone()\n\
+      \    for k2 in range(2):\n\
+      \        t[0] = t[0]\n\
+      \        for k1 in range(3):\n\
+      \            t[0:1] += t[0]\n\
+      \            t[k2] += (torch.neg(t[k1]) + torch.exp(t[0]))\n\
+      \            t[1] = torch.neg(t[1])\n\
+      \    return t\n";
+    ]
+
 let prop_engine_matches_interp =
   QCheck2.Test.make
     ~name:"engine matches the interpreter on random programs (if/loop)"
@@ -1527,6 +1575,7 @@ let () =
       ( "property",
         Alcotest.test_case "matmul regression cases" `Quick
           test_matmul_regressions
+        :: Alcotest.test_case "NaN regression cases" `Quick test_nan_regressions
         :: List.map QCheck_alcotest.to_alcotest
           [
             prop_strided_engine_bitwise;

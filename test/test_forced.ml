@@ -136,6 +136,7 @@ let test_force_contract () =
   refuses "a loop arm on a group" group `Seq;
   refuses "a group arm on a loop" loop `Per_node;
   refuses "an unknown site" (`Loop, -1) `Batched;
+  refuses "native on a batched loop" loop `Native;
   Engine.force eng loop `Seq;
   for _ = 1 to 40 do
     ignore (Engine.run eng (args ()))

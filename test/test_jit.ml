@@ -793,10 +793,27 @@ let test_native_loops_bitwise () =
           if cc then begin
             check (label ^ ": every loop has a loop kernel") true (pinned <> []);
             check_int (label ^ ": native_loops") (List.length pinned)
-              (Engine.stats native).Scheduler.native_loops
+              (Engine.stats native).Scheduler.native_loops;
+            List.iter
+              (fun id ->
+                List.iter
+                  (fun arm ->
+                    check (label ^ ": a loop kernel site has no batched arm")
+                      true
+                      (match Engine.force native (`Loop, id) arm with
+                      | () -> false
+                      | exception Invalid_argument _ -> true))
+                  [ `Vector; `Batched ])
+              pinned
           end;
           let got = Engine.run native (args ()) in
           let want = Engine.run seq (args ()) in
+          if name = "lstm" then begin
+            let s = Engine.stats seq in
+            check_int (label ^ ": seq: batched_loops") 0 s.Scheduler.batched_loops;
+            check_int (label ^ ": seq: loops_pinned_seq") 0
+              s.Scheduler.loops_pinned_seq
+          end;
           check (label ^ ": native bits = armed seq bits") true
             (Equiv.bitwise want got);
           check (label ^ ": native vs interpreter") true
