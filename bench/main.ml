@@ -384,14 +384,25 @@ let prepare_times ~parallel fg ~inputs =
 
 (* The C unit's shape for this engine's plan, over the kernels the
    emitter accepts: temporaries that still get a buffer (the buffers
-   beyond its read sites and stored outputs) and loop nests. *)
+   beyond its read sites and stored outputs), loop nests, and stored
+   copies (a stored output that is a bare read of a kernel input). *)
 let c_unit fg ~inputs =
   let shapes = Shape_infer.infer fg ~inputs in
   List.fold_left
-    (fun (temps, nests) k ->
+    (fun (temps, nests, copies) (k : Codegen.kernel) ->
       match Functs_jit.Jit_emit.emit k ~shapes with
-      | Error _ -> (temps, nests)
+      | Error _ -> (temps, nests, copies)
       | Ok em ->
+          let computed (v : Graph.value) =
+            List.exists
+              (fun (s : Codegen.statement) -> s.s_out.Graph.v_id = v.Graph.v_id)
+              k.k_stmts
+          in
+          let copy (s : Codegen.statement) =
+            match s.s_expr with
+            | Codegen.Cread (v, _) -> s.s_store && not (computed v)
+            | _ -> false
+          in
           let stored =
             Array.fold_left
               (fun n (s : Functs_jit.Jit_emit.estmt) ->
@@ -400,8 +411,9 @@ let c_unit fg ~inputs =
           in
           ( temps + Functs_jit.Jit_emit.nbufs em - Array.length em.e_sites
             - stored,
-            nests + Array.length em.e_nests ))
-    (0, 0)
+            nests + Array.length em.e_nests,
+            copies + List.length (List.filter copy k.k_stmts) ))
+    (0, 0, 0)
     (Codegen.emit fg (Engine.plan fg) ~shapes)
 
 (* One run with its counters.  Engine stats and the shared pool's
@@ -451,6 +463,7 @@ type wrow = {
   r_cold_jit_compiles : int;
   r_c_temps : int;  (* temporaries of the C unit that still get a buffer *)
   r_c_nests : int;  (* loop nests of the C unit *)
+  r_c_copies : int;  (* stored outputs of the C unit that copy an input *)
   r_run : counted;  (* one untimed run of the batched engine *)
   r_jit_run : counted;  (* one untimed run of the jit engine *)
 }
@@ -516,12 +529,12 @@ let workload_json r =
       ("cold_jit_compiles", int r.r_cold_jit_compiles);
       ("c_temps", int r.r_c_temps);
       ("c_nests", int r.r_c_nests);
+      ("c_copies", int r.r_c_copies);
       ("kernel_runs", int (ran c (fun s -> s.Scheduler.kernel_runs)));
       ("parallel_loops", int (ran c (fun s -> s.Scheduler.parallel_loops_run)));
       ("reduction_loops", int (ran c (fun s -> s.Scheduler.reduction_loops_run)));
       ("vector_loops", int (ran c (fun s -> s.Scheduler.vector_loops)));
       ("batched_loops", int s.Scheduler.batched_loops);
-      ("loops_pinned_vector", int s.Scheduler.loops_pinned_vector);
       ("loops_pinned_seq", int s.Scheduler.loops_pinned_seq);
       ("pool_lanes", int s.Scheduler.pool_lanes);
       ("pool_dispatches", int c.pool.(0));
@@ -706,7 +719,7 @@ let run_exec () =
            first prepare above also paid kernel auto-tuning samples. *)
         let t_cold, t_warm, _ = prepare_times ~parallel:true fg ~inputs in
         let t_cold_jit, cold_jit_compiles = cold_jit fg ~inputs in
-        let c_temps, c_nests = c_unit fg ~inputs in
+        let c_temps, c_nests, c_copies = c_unit fg ~inputs in
         let _, run = counted_run engp args in
         let _, jit_run = counted_run engj args in
         let sw d = try List.assoc d sweep with Not_found -> nan in
@@ -742,6 +755,7 @@ let run_exec () =
             r_cold_jit_compiles = cold_jit_compiles;
             r_c_temps = c_temps;
             r_c_nests = c_nests;
+            r_c_copies = c_copies;
             r_run = run;
             r_jit_run = jit_run;
           }

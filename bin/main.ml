@@ -248,9 +248,8 @@ let run_exec (w : Workload.t) (profile : Compiler_profile.t) batch seq =
       (s.Scheduler.pool_fresh + s.Scheduler.pool_reused)
       s.Scheduler.parallel_loops_run s.Scheduler.reduction_loops_run
       s.Scheduler.vector_loops s.Scheduler.batched_loops;
-    Printf.printf "loop arms  : vector=%d batched=%d seq=%d pinned\n"
-      s.Scheduler.loops_pinned_vector s.Scheduler.loops_pinned_batched
-      s.Scheduler.loops_pinned_seq;
+    Printf.printf "loop arms  : batched=%d seq=%d pinned\n"
+      s.Scheduler.loops_pinned_batched s.Scheduler.loops_pinned_seq;
     Printf.printf
       "jit        : %s — %d groups armed, %d native runs, %d fallbacks, \
        isa %s\n"

@@ -14,26 +14,51 @@ let cse_c = Metrics.counter "passes.cse_merged"
 let dce_c = Metrics.counter "passes.dce_removed"
 let rounds_c = Metrics.counter "passes.rounds"
 
-(* An identity-view assign whose base and source shapes are statically
-   equal is a bit-for-bit copy of its source ([Eval] clones the base and
-   copies every element of [src] over it), so its uses can read [src]
-   itself.  Only on mutation-free graphs: with mutations left, [src]
-   could change between the copy and a later use. *)
+(* Whole-tensor accesses and assigns fold away.  An identity access, or
+   a step-1 slice whose constant bounds cover a statically known dim,
+   is its input.  An identity or full-range slice assign whose base and
+   source shapes are statically equal is a bit-for-bit copy of its
+   source ([Eval] clones the base and copies every element of [src]
+   over it).  Their uses read that value itself.  Only on mutation-free
+   graphs: with mutations left, the value could change between the copy
+   and a later use. *)
 let fold_whole_assigns g ~inputs =
   if Cse.has_mutation g then 0
   else begin
     let shapes = Shape_infer.infer g ~inputs in
     let static v = Option.bind (Shape_infer.shape_of shapes v) Shape_infer.concrete in
+    let copies base src =
+      Dtype.equal src.Graph.v_type Dtype.Tensor
+      && Option.is_some (static base)
+      && static base = static src
+    in
+    let full base dim start stop =
+      match
+        ( Option.bind (Shape_infer.shape_of shapes base) (fun s ->
+              Shape_infer.extent s dim),
+          Shape_infer.constant_int start,
+          Shape_infer.constant_int stop )
+      with
+      | Some size, Some s0, Some s1 -> (s0 = 0 || s0 <= -size) && s1 >= size
+      | _ -> false
+    in
     List.fold_left
       (fun n (node : Graph.node) ->
+        let fold out v =
+          Graph.replace_all_uses g ~old_value:out ~new_value:v;
+          Graph.remove_node node;
+          n + 1
+        in
         match (node.n_op, node.n_inputs, node.n_outputs) with
-        | Op.Assign Op.Identity, [ base; src ], [ out ]
-          when Dtype.equal src.Graph.v_type Dtype.Tensor
-               && Option.is_some (static base)
-               && static base = static src ->
-            Graph.replace_all_uses g ~old_value:out ~new_value:src;
-            Graph.remove_node node;
-            n + 1
+        | Op.Access Op.Identity, [ base ], [ out ] -> fold out base
+        | Op.Access (Op.Slice { dim; step = 1 }), [ base; s0; s1 ], [ out ]
+          when full base dim s0 s1 ->
+            fold out base
+        | Op.Assign Op.Identity, [ base; src ], [ out ] when copies base src ->
+            fold out src
+        | Op.Assign (Op.Slice { dim; step = 1 }), [ base; src; s0; s1 ], [ out ]
+          when full base dim s0 s1 && copies base src ->
+            fold out src
         | _ -> n)
       0 (Graph.all_nodes g)
   end

@@ -8,7 +8,10 @@
     fold step also replaces each whole-tensor [immut::assign[[]](base,
     src)] whose base and source shapes are statically equal by [src]:
     the assign copies [src] bit for bit (e.g. LSTM's per-step
-    [out[t] = h] no longer copies [out[t]] first).  It does so only on
+    [out[t] = h] no longer copies [out[t]] first).  A step-1 slice
+    access or assign whose constant bounds cover a statically known dim
+    counts as whole-tensor, and a whole-tensor access is replaced by
+    its input (fcos's [slice(dim=0, 0, 1)] chain).  It does so only on
     mutation-free graphs.
 
     [tensorssa_pipeline] is the full compilation used by the experiment

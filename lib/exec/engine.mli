@@ -58,8 +58,8 @@ val prepare :
     groups are armed before [prepare] returns.  On a miss [prepare]
     starts [cc] in the background and returns at once: every group runs
     per-node until a later {!run}, which polls the compile first, finds
-    the unit loaded and arms it (a [Jit_arm] journal record), adding the
-    [c-jit] arm to each group's tuner.  Engines of one graph at other
+    the unit loaded and arms it (a [Jit_arm] journal record): each armed
+    group launches its kernel from then on.  Engines of one graph at other
     batch sizes join the same compile.  No run ever waits for [cc]; use
     {!await_jit} where a caller must time an armed engine.  No process-wide setting changes these defaults.
     Capacity is {!set_cache_capacity} (default 32) entries, evicted LRU;
@@ -126,13 +126,14 @@ val cancel_jit : t -> unit
 
 val force : t -> Scheduler.site -> Scheduler.arm -> unit
 (** [force t site arm] pins one site — an attribution row's
-    [(at_kind, at_id)], [group#N] or [loop#N] — to [arm] for good, so
-    the next runs take it whatever the tuner measures.  For tests only:
+    [(at_kind, at_id)], [group#N] or [loop#N] — to [arm] for good: a
+    loop takes it whatever its tuner measures, and a group forced to
+    [`Per_node] is demoted (journaled as [forced]).  For tests only:
     no configuration, environment variable or CLI flag reaches it.
     Serialized with {!run}.
     @raise Invalid_argument when the site does not exist or lacks the
-    arm ({!Scheduler.force}): e.g. [`Cjit] before the group's kernel is
-    armed, or [`Vector] on a loop without a vectorised plan. *)
+    arm ({!Scheduler.force}): e.g. [`Cjit] on a group whose kernel is
+    not armed, or [`Batched] on a loop without a batching plan. *)
 
 val stats : t -> Scheduler.stats
 

@@ -21,9 +21,7 @@ type inst = {
   i_gid : int;
       (* fusion group this instruction launches with, or -1.  Groups
          under a loop keep their gid too: their native kernels are
-         compiled once at prepare time and relaunched every iteration,
-         and the per-group auto-tuner demotes them to per-node execution
-         whenever that is faster. *)
+         compiled once and relaunched every iteration. *)
   mutable i_last : bool;  (* last member of its group: the launch point *)
 }
 

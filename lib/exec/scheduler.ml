@@ -21,31 +21,25 @@ let reduction_loops_c = Metrics.counter "exec.reduction_loops"
    failure. *)
 let jit_demoted_c = Metrics.counter "jit.demoted"
 
-(* A native launch and per-node execution trade differently per group
-   (native code wins on big dense statements but pays launch validation;
-   per-node execution runs each member through the strided engine), so
-   each group is auto-tuned ({!Tuner}) over the arms it has: [`Cjit] when
-   a native kernel is armed, then [`Per_node].  Dispatch-bound workloads
-   (many tiny statements, e.g. yolact's box decode) used to be pinned to
-   a slower native path because the JIT was tried unconditionally.
+(* A group runs its native kernel ([`Cjit]) once one is armed and node
+   by node ([`Per_node]) otherwise; nothing is tuned.
 
    A loop with an arm besides its sequential body is one site, tuned
-   the same way over the arms it has: [`Native] (a [Sequential] loop
-   whose whole body compiled to one loop kernel: one launch per run),
-   [`Vector] and [`Batched] (a [Parallel]/[Reduction] loop's vectorised
-   plan, when the body has one, and its batched plan, whose chunks the
-   pool fans out across lanes or runs on the caller), then [`Seq] (the
-   sequential body, which keeps kernel fusion and donation: on
-   kernel-heavy bodies, e.g. ssd's, the batched replay can lose to it). *)
+   ({!Tuner}) over the arms it has: [`Native] (a [Sequential] loop whose
+   whole body compiled to one loop kernel: one launch per run) or
+   [`Batched] (a [Parallel]/[Reduction] loop's vectorised plan when the
+   body has one, else — or when that plan bails — its chunked plan,
+   whose chunks the pool fans out across lanes or runs on the caller),
+   then [`Seq] (the sequential body, which keeps kernel fusion and
+   donation: on some bodies, e.g. tmax's, it beats the other arm). *)
 type garm = [ `Cjit | `Per_node ]
-type larm = [ `Native | `Vector | `Batched | `Seq ]
+type larm = [ `Native | `Batched | `Seq ]
 type arm = [ garm | larm ]
 type site = [ `Group | `Loop ] * int
 
 let arm_name : [< arm ] -> string = function
   | `Cjit -> "c-jit"
   | `Per_node -> "per_node"
-  | `Vector -> "vector"
   | `Batched -> "batched"
   | `Seq -> "seq"
   | `Native -> "native"
@@ -60,15 +54,15 @@ let site_kind = function `Group -> "group" | `Loop -> "loop"
    walks ~50 member instructions × 128 iterations per run). *)
 type group = {
   g_members : inst list;  (* in plan order *)
-  mutable g_jit : Jit.entry option;
-      (* native launcher; cleared (and its tuner arm dropped) on the
-         first launch-time validation failure *)
-  g_tuner : garm Tuner.t;
-      (* dispatch arm, sampling state and wall-time attribution: every
-         timed launch accumulates there, so per-group cost is free to
-         collect and [attribution] can rank groups without
-         re-instrumenting *)
+  mutable g_jit : [ `Unarmed | `Armed of Jit.entry | `Demoted ];
+      (* the native launcher once {!arm} gives it one; [`Demoted] for
+         good on the first launch-time validation failure or a forced
+         [per_node] *)
+  mutable g_time : float;  (* accumulated launch wall time (attribution) *)
+  mutable g_launches : int;
 }
+
+let group_arm g = match g.g_jit with `Armed _ -> `Cjit | _ -> `Per_node
 
 (* A loop site: its plans (plain data), its loop kernel, and the tuner
    that picks among them. *)
@@ -102,13 +96,12 @@ let op_names (nodes : Graph.node list) =
 
 let loop_site (node : Graph.node) ~members ~batch ~jit =
   let has x arm = if Option.is_some x then [ arm ] else [] in
-  let vector = Option.bind batch snd in
   {
     l_batch = batch;
     l_jit = jit;
     l_tuner =
       Tuner.create ~scope:"scheduler.loop" ~id:node.Graph.n_id ~name:arm_name
-        (has jit `Native @ has vector `Vector @ has batch `Batched @ [ `Seq ]);
+        (has jit `Native @ has batch `Batched @ [ `Seq ]);
     l_members = members;
     l_ops = op_names (List.hd node.Graph.n_blocks).Graph.b_nodes;
   }
@@ -198,15 +191,15 @@ let timed tuner arm f =
   if ran then Tuner.record tuner arm (Unix.gettimeofday () -. t0);
   ran
 
-(* One native launch of a group or loop kernel [arm] at [site]:
+(* One native launch of a group or loop kernel at [site]:
    [launch ~alloc ~track] with every buffer it takes from the storage
    pool ([alloc], or [track] for one taken another way) released if it
    raises.  [None] when it failed launch-time validation (rank/extent
    mismatch, out-of-range dynamic index): that demotes the site for
-   good — [clear] drops its kernel and the tuner drops [arm] — and the
-   caller reruns the same launch on the arm the tuner moved to, so a
-   JIT fallback is never user-visible. *)
-let native_launch p ((kind, id) : site) tuner arm ~clear launch =
+   good — [clear] drops its kernel — and the caller reruns the same
+   launch per node (a group) or on [seq] (a loop), so a JIT fallback is
+   never user-visible. *)
+let native_launch p ((kind, id) : site) ~clear launch =
   let allocated = ref [] in
   let track t =
     allocated := t :: !allocated;
@@ -221,14 +214,13 @@ let native_launch p ((kind, id) : site) tuner arm ~clear launch =
   | exception Jit.Fallback reason ->
       List.iter (Buffer_plan.release p.p_pool) !allocated;
       clear ();
-      Tuner.drop tuner arm;
       p.p_counts.jit_fallbacks <- p.p_counts.jit_fallbacks + 1;
       Metrics.incr jit_demoted_c;
       let kind = site_kind kind in
       Tracer.instant "jit.fallback"
         ~args:[ (kind, string_of_int id); ("reason", reason) ];
       Journal.record Jit_demote ("scheduler." ^ kind) ~id
-        ~arm:(arm_name tuner.Tuner.arm)
+        ~arm:(if kind = "group" then "per_node" else "seq")
         ~detail:("launch validation failed: " ^ reason);
       None
   | exception e ->
@@ -245,8 +237,7 @@ let run_group_jit p rs scope gid g entry =
     else None
   in
   match
-    native_launch p (`Group, gid) g.g_tuner `Cjit
-      ~clear:(fun () -> g.g_jit <- None)
+    native_launch p (`Group, gid) ~clear:(fun () -> g.g_jit <- `Demoted)
       (fun ~alloc ~track:_ ->
         Jit.run ?par ~grain:p.p_kernel_grain entry ~alloc
           ~lookup:(tensor_lookup p rs) ~scalar:(scalar_lookup p rs))
@@ -256,29 +247,24 @@ let run_group_jit p rs scope gid g entry =
       true
   | None -> false
 
-(* Every arm launches at the group's last member: by then every
-   out-of-group dependency (constants, scalar indices, access bases) is
-   bound, and no non-member can consume a member's output earlier, since
-   anything that breaks a run also ends the group. *)
+(* A group launches at its last member: by then every out-of-group
+   dependency (constants, scalar indices, access bases) is bound, and no
+   non-member can consume a member's output earlier, since anything that
+   breaks a run also ends the group. *)
 let launch_group p rs scope gid g =
-  let launch arm f =
-    timed g.g_tuner arm (fun () ->
-        Tracer.span_args "kernel.launch"
-          ~args:(fun () ->
-            [ ("group", string_of_int gid); ("backend", arm_name arm) ])
-          f)
-  in
-  let native =
-    match (g.g_tuner.Tuner.arm, g.g_jit) with
-    | `Cjit, Some entry ->
-        launch `Cjit (fun () -> run_group_jit p rs scope gid g entry)
-    | _ -> false
-  in
-  if not native then
-    ignore
-      (launch `Per_node (fun () ->
-           List.iter (exec_plain_inst rs scope) g.g_members;
-           true))
+  let t0 = Unix.gettimeofday () in
+  Tracer.span_args "kernel.launch"
+    ~args:(fun () ->
+      [ ("group", string_of_int gid); ("backend", arm_name (group_arm g)) ])
+    (fun () ->
+      let native =
+        match g.g_jit with
+        | `Armed entry -> run_group_jit p rs scope gid g entry
+        | `Unarmed | `Demoted -> false
+      in
+      if not native then List.iter (exec_plain_inst rs scope) g.g_members);
+  g.g_time <- g.g_time +. (Unix.gettimeofday () -. t0);
+  g.g_launches <- g.g_launches + 1
 
 (* --- blocks, control flow, loops --- *)
 
@@ -299,15 +285,15 @@ let tuned p l (inst : inst) bi trip =
       && Array.length bi.bi_insts = Array.length lp.lp_actions
       && Array.length inst.i_out = Array.length lp.lp_roles
 
-(* The [`Vector] and [`Batched] arms: shared carried buffers, then the
-   vectorised plan (the batched one when it bails) or the batched plan,
-   then the loop's outputs. *)
-let exec_batched p rs ~scope (inst : inst) bi (lp, vector) arm trip inits =
+(* The [`Batched] arm: shared carried buffers, then the vectorised plan
+   (the chunked one when there is none or it bails), then the loop's
+   outputs. *)
+let exec_batched p rs ~scope (inst : inst) bi (lp, vector) trip inits =
   let inits = Array.of_list inits in
   let bufs = Loop_plan.carried_buffers rs lp inits in
   let merged =
-    match (arm, vector) with
-    | `Vector, Some vp when Vector_plan.exec rs bi lp vp trip inits bufs ->
+    match vector with
+    | Some vp when Vector_plan.exec rs bi lp vp trip inits bufs ->
         p.p_counts.vector_loops <- p.p_counts.vector_loops + 1;
         Array.make (Array.length inits) None
     | _ -> Loop_plan.exec rs ~pool:p.p_exec_pool bi lp trip inits bufs
@@ -329,8 +315,10 @@ let exec_batched p rs ~scope (inst : inst) bi (lp, vector) arm trip inits =
 let exec_native p rs ~scope (inst : inst) l (entry, donate) trip inits =
   let rows = Jit.loop_rows entry in
   match
-    native_launch p (`Loop, inst.i_node.n_id) l.l_tuner `Native
-      ~clear:(fun () -> l.l_jit <- None)
+    native_launch p (`Loop, inst.i_node.n_id)
+      ~clear:(fun () ->
+        l.l_jit <- None;
+        Tuner.drop l.l_tuner `Native)
       (fun ~alloc ~track ->
         let carried =
           Array.mapi
@@ -427,9 +415,9 @@ and exec_loop p rs ~scope (inst : inst) =
             | `Native, Some jit, _ ->
                 timed l.l_tuner `Native (fun () ->
                     exec_native p rs ~scope inst l jit trip inits)
-            | ((`Vector | `Batched) as arm), _, Some plans ->
-                timed l.l_tuner arm (fun () ->
-                    exec_batched p rs ~scope inst bi plans arm trip inits;
+            | `Batched, _, Some plans ->
+                timed l.l_tuner `Batched (fun () ->
+                    exec_batched p rs ~scope inst bi plans trip inits;
                     true)
             | _ -> false
           in
@@ -536,9 +524,8 @@ let prepare ~parallel ~pool:exec_pool ~loop_grain ~kernel_grain ~graph
               match Fusion.kernel_class_of plan n with
               | Fusion.Kernel gid ->
                   (* Groups under a loop register too: a native kernel is
-                     compiled once and relaunched every iteration, and
-                     the auto-tuner demotes it if per-node execution
-                     beats it.  The plan leaves in-loop assigns out of
+                     compiled once and relaunched every iteration.  The
+                     plan leaves in-loop assigns out of
                      every group, so they run per node and can donate. *)
                   let inst =
                     { i_node = n; i_in; i_out; i_gid = gid; i_last = false }
@@ -647,14 +634,8 @@ let prepare ~parallel ~pool:exec_pool ~loop_grain ~kernel_grain ~graph
   Hashtbl.iter
     (fun gid ms ->
       (List.nth ms (List.length ms - 1)).i_last <- true;
-      (* [`Cjit] starts dropped: {!arm} adds it once a native kernel
-         exists for the group *)
-      let tuner =
-        Tuner.create ~scope:"scheduler.group" ~id:gid ~name:arm_name
-          [ `Cjit; `Per_node ]
-      in
-      Tuner.drop tuner `Cjit;
-      groups.(gid) <- Some { g_members = ms; g_jit = None; g_tuner = tuner })
+      groups.(gid) <-
+        Some { g_members = ms; g_jit = `Unarmed; g_time = 0.; g_launches = 0 })
     members;
   let scalar_slots = Hashtbl.create 64 in
   let note_value (v : Graph.value) =
@@ -705,9 +686,8 @@ let arm p (entries : Jit.armed) =
     List.fold_left
       (fun n (gid, entry) ->
         match group_at p gid with
-        | Some g when g.g_jit = None ->
-            g.g_jit <- Some entry;
-            Tuner.add g.g_tuner `Cjit;
+        | Some ({ g_jit = `Unarmed; _ } as g) ->
+            g.g_jit <- `Armed entry;
             n + 1
         | Some _ | None -> n)
       0 entries.groups
@@ -734,20 +714,21 @@ let arm p (entries : Jit.armed) =
       | _ -> n)
     groups entries.loops
 
-(* A site has exactly the live arms of its tuner. *)
+(* A loop site has exactly the live arms of its tuner; a group has
+   [c-jit] while armed and [per_node] always. *)
 let force p ((kind, id) : site) (a : arm) =
-  let lacks () =
-    invalid_arg
-      (Printf.sprintf "Scheduler.force: %s#%d has no %s arm" (site_kind kind)
-         id (arm_name a))
-  in
-  let freeze t a =
-    if Tuner.live t a then Tuner.freeze t a ~detail:"forced" else lacks ()
-  in
   match (kind, a, group_at p id, Hashtbl.find_opt p.p_loops id) with
-  | `Group, (#garm as a), Some g, _ -> freeze g.g_tuner a
-  | `Loop, (#larm as a), _, Some l -> freeze l.l_tuner a
-  | _ -> lacks ()
+  | `Group, `Cjit, Some { g_jit = `Armed _; _ }, _ -> ()
+  | `Group, `Per_node, Some g, _ ->
+      g.g_jit <- `Demoted;
+      Journal.record Jit_demote "scheduler.group" ~id ~arm:"per_node"
+        ~detail:"forced"
+  | `Loop, (#larm as a), _, Some l when Tuner.live l.l_tuner a ->
+      Tuner.freeze l.l_tuner a ~detail:"forced"
+  | _ ->
+      invalid_arg
+        (Printf.sprintf "Scheduler.force: %s#%d has no %s arm"
+           (site_kind kind) id (arm_name a))
 
 let kind_name = function
   | Value.Tensor _ -> "a tensor"
@@ -838,7 +819,6 @@ type stats = {
   cjit_groups : int;  (* groups armed with a native kernel *)
   cjit_runs : int;  (* native launches *)
   jit_fallbacks : int;  (* launch-validation demotions to per-node *)
-  loops_pinned_vector : int;
   loops_pinned_batched : int;
   loops_pinned_seq : int;  (* batched loops pinned back to sequential *)
   native_loops : int;  (* sequential loops armed with a loop kernel *)
@@ -866,11 +846,10 @@ let stats p =
     vector_loops = c.vector_loops;
     cjit_groups =
       Array.fold_left
-        (fun n g -> match g with Some { g_jit = Some _; _ } -> n + 1 | _ -> n)
+        (fun n g -> match g with Some { g_jit = `Armed _; _ } -> n + 1 | _ -> n)
         0 p.p_groups;
     cjit_runs = c.cjit_runs;
     jit_fallbacks = c.jit_fallbacks;
-    loops_pinned_vector = pinned `Vector;
     loops_pinned_batched = pinned `Batched;
     loops_pinned_seq = pinned `Seq;
     native_loops = loops (fun l -> Option.is_some l.l_jit);
@@ -879,8 +858,8 @@ let stats p =
 
 (* --- kernel-group wall-time attribution ---
 
-   Every group/loop launch is already timed for the auto-tuner, so the
-   accumulated per-site cost is collected as a side effect of normal
+   Every group launch and every tuned loop launch is already timed, so
+   the accumulated per-site cost is collected as a side effect of normal
    dispatch.  Rows are sorted by time, hottest first. *)
 
 type attribution_row = {
@@ -894,31 +873,36 @@ type attribution_row = {
 }
 
 let attribution p =
-  let row kind id tuner members ops =
+  let row kind id arm time launches members ops =
     {
       at_id = id;
       at_kind = kind;
-      at_arm = Tuner.label tuner;
+      at_arm = arm;
       at_members = members;
       at_ops = ops;
-      at_time_s = Tuner.total tuner;
-      at_launches = Tuner.launches tuner;
+      at_time_s = time;
+      at_launches = launches;
     }
   in
   let rows = ref [] in
   Array.iteri
     (fun gid -> function
-      | Some g when Tuner.launches g.g_tuner > 0 ->
+      | Some g when g.g_launches > 0 ->
           rows :=
-            row `Group gid g.g_tuner (List.length g.g_members)
+            row `Group gid (arm_name (group_arm g)) g.g_time g.g_launches
+              (List.length g.g_members)
               (op_names (List.map (fun i -> i.i_node) g.g_members))
             :: !rows
       | _ -> ())
     p.p_groups;
   Hashtbl.iter
     (fun lid l ->
-      if Tuner.launches l.l_tuner > 0 then
-        rows := row `Loop lid l.l_tuner l.l_members l.l_ops :: !rows)
+      let t = l.l_tuner in
+      if Tuner.launches t > 0 then
+        rows :=
+          row `Loop lid (Tuner.label t) (Tuner.total t) (Tuner.launches t)
+            l.l_members l.l_ops
+          :: !rows)
     p.p_loops;
   List.sort (fun a b -> Float.compare b.at_time_s a.at_time_s) !rows
 

@@ -2,11 +2,11 @@
 
     The scheduler walks blocks like the reference interpreter, but:
 
-    - each fusion group launches at its last member, either as one
-      native C kernel ({!Functs_jit.Jit}) writing into pool buffers or
-      node by node; a tuner picks the faster arm per group, and a group
-      the JIT rejected — or whose kernel fails launch validation — runs
-      node by node;
+    - each fusion group launches at its last member: as one native C
+      kernel ({!Functs_jit.Jit}) writing into pool buffers once {!arm}
+      gives it one, and node by node otherwise — before arming, when the
+      JIT rejected the group, and for good once its kernel fails launch
+      validation;
     - value liveness ({!Buffer_plan.analyze}) retires buffers to the
       storage pool at their last use, and an [immut::assign] whose base
       dies with it is {e donated}: the region is written in place instead
@@ -25,16 +25,17 @@
       across domain counts), and a body that passes a prepare-time check
       also gets a {!Vector_plan}, which runs each statement once across
       every iteration (Algorithm 2's parallelization, executed for
-      real);
+      real) and which the batched arm runs first;
     - a [Sequential] loop whose body compiled to one loop kernel
       ({!Functs_jit.Jit_emit.emit_loop}) can run as one launch,
       single-lane;
     - every loop with such a plan or kernel is one site with one tuner
-      over the arms it has — [native] (the loop kernel), [vector],
-      [batched] (the action table, its chunks handed to
-      {!Pool.parallel_for}, which fans them out across lanes or runs
-      them all on the caller) and [seq] (the sequential body) — which
-      pins whichever runs fastest.  A loop kernel that fails launch
+      over the arms it has — [native] (the loop kernel) or [batched]
+      (the vectorised plan, or the action table when there is none or
+      it bails, its chunks handed to {!Pool.parallel_for}, which fans
+      them out across lanes or runs them all on the caller), and [seq]
+      (the sequential body) — which pins whichever runs fastest.  This
+      is the only tuned choice.  A loop kernel that fails launch
       validation is demoted to [seq] for good, as a group kernel is
       demoted to per-node (a [Jit_demote] record, a [jit.fallback]
       trace instant and a [jit.demoted] tick);
@@ -66,32 +67,33 @@ val prepare :
     [loop_grain] is the minimum trip count before a loop runs batched,
     [kernel_grain] the per-chunk element count for intra-kernel splits.
     Every group starts per-node; {!arm} adds native kernels.  Each
-    group and each loop site picks its arm with a {!Tuner}. *)
+    loop site picks its arm with a {!Tuner}. *)
 
 val arm : prepared -> Functs_jit.Jit.armed -> int
-(** Arm each listed group with its native kernel and add the [c-jit]
-    arm to its tuner ({!Tuner.add}), and give each listed loop a
-    [native]/[seq] site; returns how many groups and loops it armed.
-    Sites already armed, or unknown, are left as they are.  Callers
-    serialize it with {!run}. *)
+(** Arm each listed group with its native kernel, which it launches
+    from then on, and give each listed loop a [native]/[seq] site;
+    returns how many groups and loops it armed.  Sites already armed,
+    demoted, or unknown are left as they are.  Callers serialize it with
+    {!run}. *)
 
-type arm = [ `Cjit | `Per_node | `Vector | `Batched | `Seq | `Native ]
-(** A site's arms, named [c-jit], [per_node] (groups) and [vector],
-    [batched], [seq], [native] (loops) in attribution rows and the
-    journal. *)
+type arm = [ `Cjit | `Per_node | `Batched | `Seq | `Native ]
+(** A site's arms, named [c-jit], [per_node] (groups) and [batched],
+    [seq], [native] (loops) in attribution rows and the journal. *)
 
 type site = [ `Group | `Loop ] * int
 (** An attribution row's [(at_kind, at_id)]: [group#N] or [loop#N]. *)
 
 val force : prepared -> site -> arm -> unit
-(** Pin [site] to [arm] for good ({!Tuner.freeze}; journaled as a
-    [Tuner_pin] with detail [forced]).  Backs [Engine.force].
+(** Pin [site] to [arm] for good.  Backs [Engine.force].  A loop's
+    tuner is frozen on [arm] ({!Tuner.freeze}; journaled as a
+    [Tuner_pin] with detail [forced]).  [per_node] demotes a group for
+    good (a [Jit_demote] record with detail [forced]); [c-jit] on an
+    armed group changes nothing.
     @raise Invalid_argument when the site does not exist or lacks the
-    arm (a site has its tuner's live arms): [c-jit] on a group with no
-    native kernel armed, [vector] on a loop without a vectorised plan,
-    [native] on a loop without a loop kernel (never armed, or demoted),
-    [vector] or [batched] on a loop without a batching plan, a loop arm
-    on a group or a group arm on a loop. *)
+    arm (a loop has its tuner's live arms): [c-jit] on a group with no
+    native kernel armed, [native] on a loop without a loop kernel (never
+    armed, or demoted), [batched] on a loop without a batching plan, a
+    loop arm on a group or a group arm on a loop. *)
 
 val output_shapes : prepared -> Shape_infer.shape option list
 (** Statically inferred shapes of the graph's return values (in return
@@ -129,15 +131,13 @@ type stats = {
           body statement once across every iteration (included in
           [parallel_loops_run]) *)
   cjit_groups : int;
-      (** groups currently armed with a native (C) kernel — a tuner
-          pin on the per-node arm keeps the group armed *)
+      (** groups currently armed with a native (C) kernel (a demoted
+          one no longer counts) *)
   cjit_runs : int;  (** native kernel launches so far *)
   jit_fallbacks : int;
-      (** launch-validation failures that demoted a group to per-node
-          execution for good; the tuner's per-node-vs-[c-jit] choice is
-          journaled as its pins and flips, not counted here *)
-  loops_pinned_vector : int;  (** batched loops the tuner pinned vectorised *)
-  loops_pinned_batched : int;  (** … pinned to the batched plan *)
+      (** launch-validation failures that demoted a group or loop
+          kernel for good *)
+  loops_pinned_batched : int;  (** batched loops the tuner pinned batched *)
   loops_pinned_seq : int;  (** … pinned back to the sequential fused path *)
   native_loops : int;
       (** sequential loops armed with a loop kernel (a demoted one no
@@ -155,9 +155,9 @@ type attribution_row = {
   at_id : int;  (** fusion-group gid, or the loop node's id *)
   at_kind : [ `Group | `Loop ];
   at_arm : string;
-      (** the arm {!Tuner} currently pins — [c-jit]/[per_node] for
-          groups, [native]/[vector]/[batched]/[seq] for loops — or
-          [sampling] while it samples *)
+      (** the arm a group runs — [c-jit] while armed, else [per_node] —
+          or the one a loop's {!Tuner} currently pins —
+          [native]/[batched]/[seq] — or [sampling] while it samples *)
   at_members : int;  (** member instructions (groups) / body size (loops) *)
   at_ops : string list;
       (** distinct op names, namespace dropped, in order: the members of
@@ -168,9 +168,9 @@ type attribution_row = {
 
 val attribution : prepared -> attribution_row list
 (** Per-group / per-loop-site wall-time attribution, hottest first.
-    Collected as a side effect of the auto-tuner's existing launch
-    timing, so it costs nothing beyond normal dispatch; only sites that
-    launched at least once appear. *)
+    Collected as a side effect of the launch timing every group and
+    tuned loop already does, so it costs nothing beyond normal dispatch;
+    only sites that launched at least once appear. *)
 
 val clear_buffers : prepared -> unit
 (** Drop the storage pool's parked buffers (compile-cache eviction). *)

@@ -1,7 +1,6 @@
 (** Expiring-pin, min-of-N auto-tuner over a fixed list of arms — the
-    one decision procedure behind the scheduler's per-group dispatch
-    arms ([c-jit]/[per_node]) and per-loop arms
-    ([native]/[vector]/[batched]/[seq]).
+    decision procedure behind the scheduler's per-loop arms
+    ([native] or [batched], and [seq]).  Groups are not tuned.
 
     - {b Sampling} is interleaved: the next launch runs the first arm in
       list order with the fewest samples still under three.
@@ -13,9 +12,8 @@
       seeded with the best launch of its pin window, so only the
       challengers re-sample.
     - A {b frozen} tuner ({!freeze}) keeps its pin forever.
-    - Arms can be {b dropped} ({!drop}) and {b added} back ({!add}): a
-      group's [c-jit] arm starts dropped and is added when its
-      background compile finishes; only the added arm then samples.
+    - Arms can be {b dropped} ({!drop}): a loop kernel that fails
+      launch validation leaves [seq] alone.
 
     Every decision is journaled under the tuner's scope
     ([Tuner_sample], [Tuner_pin], [Tuner_flip], [Tuner_expire]).  The
@@ -42,20 +40,9 @@ val record : 'a t -> 'a -> float -> unit
     that completes a sampling window pins the winner. *)
 
 val drop : 'a t -> 'a -> unit
-(** Retire an arm (e.g. a native kernel that failed launch validation,
-    or one whose code is not compiled yet).  A pin on it moves to the
-    next live arm, keeping its budget; a sampling window simply stops
-    waiting for it. *)
-
-val add : 'a t -> 'a -> unit
-(** The mirror of {!drop}: bring a dropped arm back (e.g. a native
-    kernel whose background compile finished).  On a pinned tuner only
-    that arm re-samples: the incumbent is seeded with its best launch,
-    as on expiry, the other live arms keep their last samples, and
-    after three launches of the new arm the fastest is pinned (a
-    [Tuner_pin], or a [Tuner_flip] when the new arm wins).  A sampling
-    tuner adds it to the window; a frozen one keeps its pin.  A live
-    arm is left as it is. *)
+(** Retire an arm for good (e.g. a native kernel that failed launch
+    validation).  A pin on it moves to the next live arm, keeping its
+    budget; a sampling window simply stops waiting for it. *)
 
 val freeze : 'a t -> 'a -> detail:string -> unit
 (** Pin [arm] permanently (journaled as a [Tuner_pin] with [detail]);

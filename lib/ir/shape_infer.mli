@@ -40,6 +40,9 @@ val matches : shape -> int array -> bool
 val extent : shape -> int -> int option
 (** The known extent at an axis; [None] when out of rank or [Unknown]. *)
 
+val constant_int : Graph.value -> int option
+(** The value of an integer [prim::Constant]; [None] for anything else. *)
+
 val scale_axis : shape -> axis:int -> factor:int -> shape option
 (** Predict a batched shape: the extent at [axis] multiplied by [factor]
     (e.g. a per-request [[1; 128]] carried to [[16; 128]] for a 16-bucket

@@ -102,10 +102,12 @@ let gemm_unit ~isa =
   Printf.sprintf "%s#define GEMM_NAME functs_gemm\n%s\n%s\n" push
     Gemm_source.text pop
 
-(* One function per kernel, compiled for [isa] alone: each kernel
-   carries [target("avx512f")] or [target("avx2")] on hosts with those
-   ISAs, elsewhere no attribute (the compiler's baseline).  The ISA is
-   part of the digest, so hosts with different ISAs sharing an artifact
+(* One [static] function per kernel behind the exported
+   [functs_cjit_table], so a loop kernel calls its members directly
+   (inlinable, no PLT), compiled for [isa] alone: each kernel carries
+   [target("avx512f")] or [target("avx2")] on hosts with those ISAs,
+   elsewhere no attribute (the compiler's baseline).  The ISA is part of
+   the digest, so hosts with different ISAs sharing an artifact
    directory never load each other's [.so]. *)
 let render_source ~isa ?(loops = []) emitted =
   let target =
@@ -118,7 +120,7 @@ let render_source ~isa ?(loops = []) emitted =
     Buffer.add_string body
       (Printf.sprintf
          "/* %s */\n\
-          %slong functs_cjit_k%d(double **bufs, const long *ints, long \
+          %sstatic long functs_cjit_k%d(double **bufs, const long *ints, long \
           nest, long lo, long hi)\n\
           {\n\
           %s}\n\n"

@@ -45,8 +45,9 @@ module Journal = Functs_obs.Journal
    GEMM kernel's AVX-512 pick already makes.  v9: a matmul is a kernel
    statement lowered to the GEMM microkernel, whose header text
    ([gemm_kernel.h], packed-panel entries included) the unit embeds, and
-   a sequential loop can be one loop-kernel function. *)
-let version = 9
+   a sequential loop can be one loop-kernel function.  v10: [omp simd]
+   fast rows, and [static] kernels behind the exported table. *)
+let version = 10
 
 (* A compiled kernel: index [idx] of one artifact's launch table.  The
    table pointer is a raw [dlsym] result (never freed), so the handle is
@@ -134,14 +135,17 @@ let set_compile_bound s = compile_bound := s
 (* [-ffp-contract=off] keeps every multiply-add as two IEEE operations
    (bitwise parity with the interpreter, same discipline as
    gemm_stubs.c); [-fno-math-errno]/[-fno-trapping-math] change no bit
-   patterns but let GCC vectorise sqrt/div.  Transcendental calls are
-   the one sanctioned departure from bitwise: the generated unit
-   declares simd variants of exp/log/tanh/pow, so the first compile
-   attempt links [-lmvec] (glibc's vector libm, <= 4 ulp of scalar);
-   when that link fails the retry defines [FUNCTS_NO_VECLIBM] and the
-   same source compiles back down to bitwise scalar libm. *)
+   patterns but let GCC vectorise sqrt/div; [-fopenmp-simd] honours the
+   emitter's [omp simd] pragmas without the OpenMP runtime.
+   Transcendental calls are the one sanctioned departure from bitwise:
+   the generated unit declares simd variants of exp/log/tanh/pow, so the
+   first compile attempt links [-lmvec] (glibc's vector libm, <= 4 ulp
+   of scalar); when that link fails the retry defines
+   [FUNCTS_NO_VECLIBM] and the same source compiles back down to
+   bitwise scalar libm. *)
 let compile_flags =
-  "-O3 -shared -fPIC -ffp-contract=off -fno-math-errno -fno-trapping-math"
+  "-O3 -shared -fPIC -fopenmp-simd -ffp-contract=off -fno-math-errno \
+   -fno-trapping-math"
 
 let load_artifact path ~expect_header ~nfns =
   Tracer.span "jit.c.load" @@ fun () ->

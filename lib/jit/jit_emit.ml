@@ -64,14 +64,15 @@ open Codegen
    all computed once per nest from [ints].  Each statement's innermost
    loop is emitted twice behind a runtime guard on its innermost
    coefficients: when every innermost-dependent site has stride 1 the
-   fast variant indexes [b[p + i]] — contiguous, so GCC/Clang
-   auto-vectorise it — and otherwise a generic [b[p + i*c]] variant
-   runs.  Both orders are element-identical, so the guard never changes
-   results.  Root reductions additionally block the innermost output
-   dimension by 4 with independent accumulators: each output element
-   still combines its reduction terms in ascending order (bitwise
-   identical to the scalar loop), but the four chains break the serial
-   dependence and SLP-vectorise on the unit-stride path.
+   fast variant indexes [b[p + i]] — contiguous, and marked [omp simd]
+   when at least [simd_row] wide and free of per-access checks — and
+   otherwise a generic [b[p + i*c]] variant runs.  Both orders are
+   element-identical, so the guard never changes results.  Root
+   reductions additionally block the innermost output dimension by 4
+   with independent accumulators: each output element still combines
+   its reduction terms in ascending order (bitwise identical to the
+   scalar loop), but the four chains break the serial dependence and
+   SLP-vectorise on the unit-stride path.
 
    Safety.  A site whose indices only involve loop and reduction
    variables and constants gets a static per-dimension index range
@@ -656,6 +657,15 @@ let nest_row_budget = 16384
 let tile_row = 16
 let tile = 16
 
+(* A fast row loop at least [simd_row] wide (one 256-bit vector of
+   doubles) is marked [omp simd], unless a read under a [Ccond] branch
+   puts a per-access check's [return 1] in it, which may not leave an
+   [omp simd] loop.  Without the pragma GCC kept yolact's 16-wide
+   sigmoid rows scalar.  A narrower row fills no such vector, and
+   forcing its loop to vectorise slowed the 2-wide box rows of ssd and
+   yolov3, which GCC vectorises across the tile's rows instead. *)
+let simd_row = 4
+
 type member = {
   m_idx : int;  (* position in the kernel's statement list: row [r<idx>] *)
   m_stmt : Codegen.statement;  (* reads of renamed copies redirected *)
@@ -926,6 +936,9 @@ and emit_map_nest k ~buf ~next_mem nest_idx (n : nest) =
         tile_ix = (if tiled then Printf.sprintf "[i%d - t0]" td else "");
       }
     in
+    let checked =
+      List.exists (fun (_, _, g) -> g) (reads ~guarded:false [] s.s_expr)
+    in
     let root =
       match s.s_expr with
       | Creduce (kind, rname, extent, body) ->
@@ -1043,6 +1056,8 @@ and emit_map_nest k ~buf ~next_mem nest_idx (n : nest) =
                (render ~inner:"0" ~fast:false))
       | `Map render ->
           let loop fast p =
+            if fast && inner_extent env >= simd_row && not checked then
+              add (Printf.sprintf "%s#pragma omp simd\n" p);
             add
               (Printf.sprintf "%sfor (long %s = %s; %s < %s; %s++) {\n" p iv lo
                  iv hi iv);

@@ -17,7 +17,7 @@
 
 type kind =
   | Tuner_sample  (** one arm's min-of-N sample completed *)
-  | Tuner_pin  (** a group/loop pinned its winning arm *)
+  | Tuner_pin  (** a tuned site pinned its winning arm *)
   | Tuner_flip  (** a re-pin chose a different arm than the incumbent *)
   | Tuner_expire  (** a pin expired; back to sampling *)
   | Jit_demote  (** a group fell back off its native kernel *)

@@ -621,11 +621,11 @@ let outputs_scale_ok (bx : Workload.batching) ~factor ~base ~bucket =
 
 (* Engine.run invocations issued per engine at session build, before any
    request is accepted.  They fill the engine's buffer pool and pay its
-   first-run costs.  Each tuner needs 3 samples per arm before it pins:
-   a group or loop launched several times per run (inside a loop body)
-   pins during warm-up, but one launched once per run needs 3 runs per
-   arm (6 with both c-jit and per_node), so it is still sampling when
-   the first requests arrive. *)
+   first-run costs.  Only loops are tuned, 3 samples per arm before a
+   pin: a loop launched several times per run (inside another loop's
+   body) pins during warm-up, but one launched once per run needs 6
+   runs for its two arms, so it is still sampling for the first three
+   requests. *)
 let warmup_runs = 3
 
 let build_buckets t (w : Workload.t) bx ~batch ~seq ~base_engine ~shard =

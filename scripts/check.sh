@@ -100,7 +100,7 @@ fi
 # The committed benchmark results must carry the JIT column, the pool
 # counters, the vectorised-loop count and the per-shape GEMM rows.
 echo "== BENCH_exec.json members =="
-for member in '"jit_ms"' '"pool_worker_tasks"' '"pool_caller_tasks"' '"cold_jit_ms"' '"jit_isa"' '"vector_loops"' '"gemm"' '"c_temps"' '"c_nests"' '"native_loops"'; do
+for member in '"jit_ms"' '"pool_worker_tasks"' '"pool_caller_tasks"' '"cold_jit_ms"' '"jit_isa"' '"vector_loops"' '"gemm"' '"c_temps"' '"c_nests"' '"c_copies"' '"native_loops"'; do
   grep -q "$member" BENCH_exec.json || {
     echo "error: BENCH_exec.json is missing the $member member" >&2
     exit 1

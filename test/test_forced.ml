@@ -14,14 +14,14 @@
 open Functs
 
 let check = Alcotest.(check bool)
+let check_int = Alcotest.(check int)
 
 let arms : Scheduler.arm list =
-  [ `Cjit; `Per_node; `Vector; `Batched; `Seq; `Native ]
+  [ `Cjit; `Per_node; `Batched; `Seq; `Native ]
 
 let arm_name : Scheduler.arm -> string = function
   | `Cjit -> "c-jit"
   | `Per_node -> "per_node"
-  | `Vector -> "vector"
   | `Batched -> "batched"
   | `Seq -> "seq"
   | `Native -> "native"
@@ -149,24 +149,82 @@ let test_force_contract () =
       (Engine.attribution eng)
   in
   Alcotest.(check (option string)) "the forced pin never expires" (Some "seq")
-    (arm_of loop);
-  (* a body with no vectorised plan: attention's loop *)
-  let w = Option.get (Registry.find "attention") in
-  let fg = Graph.clone (Workload.graph w ~batch ~seq:w.Workload.default_seq) in
-  ignore (Passes.tensorssa_pipeline fg);
-  let args () = w.Workload.inputs ~batch ~seq:w.Workload.default_seq in
-  let eng =
-    Engine.prepare ~parallel:true ~domains:1 ~cache:false fg
-      ~inputs:(Engine.input_shapes (args ()))
-  in
-  ignore (Engine.run eng (args ()));
-  match
-    List.find_opt
-      (fun (r : Scheduler.attribution_row) -> r.Scheduler.at_kind = `Loop)
-      (Engine.attribution eng)
-  with
-  | Some r -> refuses "vector without a plan" (`Loop, r.Scheduler.at_id) `Vector
-  | None -> Alcotest.fail "attention's loop never batched"
+    (arm_of loop)
+
+(* Groups are not tuned: once armed, a group runs its C kernel on every
+   launch, and only [Engine.force] (or a failed launch validation)
+   demotes it to per-node. *)
+let test_untuned_groups () =
+  if Jit.c_toolchain_available () then
+    List.iter
+      (fun (w : Workload.t) ->
+        let batch = 1 and seq = w.Workload.default_seq in
+        let args () = w.Workload.inputs ~batch ~seq in
+        let fg = Graph.clone (Workload.graph w ~batch ~seq) in
+        let inputs = Engine.input_shapes (args ()) in
+        ignore (Passes.tensorssa_pipeline ~inputs fg);
+        let eng =
+          Engine.prepare ~parallel:true ~domains:1 ~cache:false ~jit:Jit.Auto
+            ~jit_dir fg ~inputs
+        in
+        Engine.await_jit eng;
+        Journal.clear ();
+        for _ = 1 to 8 do
+          ignore (Engine.run eng (args ()))
+        done;
+        let name = w.Workload.name in
+        check (name ^ ": no group sample or pin after arming") false
+          (List.exists
+             (fun (e : Journal.entry) ->
+               e.j_site = "scheduler.group"
+               && (e.j_kind = Journal.Tuner_sample
+                  || e.j_kind = Journal.Tuner_pin))
+             (Journal.entries ()));
+        let armed =
+          List.filter
+            (fun (r : Scheduler.attribution_row) ->
+              r.Scheduler.at_kind = `Group
+              &&
+              match Engine.force eng (`Group, r.Scheduler.at_id) `Cjit with
+              | () -> true
+              | exception Invalid_argument _ -> false)
+            (Engine.attribution eng)
+        in
+        List.iter
+          (fun (r : Scheduler.attribution_row) ->
+            Alcotest.(check string)
+              (Printf.sprintf "%s: armed group#%d reads c-jit" name
+                 r.Scheduler.at_id)
+              "c-jit" r.Scheduler.at_arm)
+          armed;
+        match armed with
+        | [] -> ()
+        | r :: _ ->
+            let id = r.Scheduler.at_id in
+            let groups = (Engine.stats eng).Scheduler.cjit_groups in
+            Engine.force eng (`Group, id) `Per_node;
+            ignore (Engine.run eng (args ()));
+            check_int
+              (name ^ ": forcing per_node disarms the group")
+              (groups - 1) (Engine.stats eng).Scheduler.cjit_groups;
+            check (name ^ ": the forced group reads per_node") true
+              (List.exists
+                 (fun (r : Scheduler.attribution_row) ->
+                   r.Scheduler.at_kind = `Group && r.Scheduler.at_id = id
+                   && r.Scheduler.at_arm = "per_node")
+                 (Engine.attribution eng));
+            check (name ^ ": the demotion is journaled as forced") true
+              (List.exists
+                 (fun (e : Journal.entry) ->
+                   e.j_kind = Journal.Jit_demote && e.j_site = "scheduler.group"
+                   && e.j_id = id && e.j_arm = "per_node"
+                   && e.j_detail = "forced")
+                 (Journal.entries ()));
+            check (name ^ ": a demoted group refuses c-jit") true
+              (match Engine.force eng (`Group, id) `Cjit with
+              | () -> false
+              | exception Invalid_argument _ -> true))
+      (Registry.all @ Registry.extensions)
 
 let () =
   Alcotest.run "forced"
@@ -175,6 +233,8 @@ let () =
         [
           Alcotest.test_case "force refuses arms a site lacks" `Quick
             test_force_contract;
+          Alcotest.test_case "armed groups run c-jit untuned" `Slow
+            test_untuned_groups;
           Alcotest.test_case "every arm of every site vs interpreter" `Slow
             test_forced_arms;
         ] );

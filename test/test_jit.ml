@@ -803,7 +803,7 @@ let test_native_loops_bitwise () =
                       (match Engine.force native (`Loop, id) arm with
                       | () -> false
                       | exception Invalid_argument _ -> true))
-                  [ `Vector; `Batched ])
+                  [ `Batched ])
               pinned
           end;
           let got = Engine.run native (args ()) in

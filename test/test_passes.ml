@@ -349,6 +349,70 @@ let test_fold_whole_assign () =
        (Eval.run g (clone_args args))
        (Eval.run fg (clone_args args)))
 
+(* --- full-range slices fold to the value they slice --- *)
+
+(* The step-1 slice accesses and slice assigns of [g], each with its
+   constant bounds and its base's extent at the sliced dim, when known. *)
+let slices g ~inputs =
+  let shapes = Shape_infer.infer g ~inputs in
+  List.filter_map
+    (fun (n : Graph.node) ->
+      match (n.Graph.n_op, n.Graph.n_inputs) with
+      | ( ( Op.Access (Op.Slice { dim; step = 1 })
+          | Op.Assign (Op.Slice { dim; step = 1 }) ),
+          base :: rest ) ->
+          let bounds =
+            List.filter_map Shape_infer.constant_int
+              (match rest with
+              | [ _; s0; s1 ] | [ s0; s1 ] -> [ s0; s1 ]
+              | _ -> [])
+          in
+          let extent =
+            Option.bind (Shape_infer.shape_of shapes base) (fun s ->
+                Shape_infer.extent s dim)
+          in
+          Some (bounds, extent)
+      | _ -> None)
+    (Graph.all_nodes g)
+
+let full_range = function [ 0; stop ], Some n -> stop >= n | _ -> false
+
+let test_fold_full_slices () =
+  let optimized name =
+    let w = Option.get (Registry.find name) in
+    let batch = w.default_batch and seq = w.default_seq in
+    let g = Workload.graph w ~batch ~seq in
+    let args = w.inputs ~batch ~seq in
+    let inputs = Functs_exec.Engine.input_shapes args in
+    let fg = Graph.clone g in
+    ignore (Passes.tensorssa_pipeline ~inputs fg);
+    check (name ^ ": outputs bitwise equal to the unfolded graph's") true
+      (Functs_exec.Equiv.bitwise
+         (Eval.run g (clone_args args))
+         (Eval.run fg (clone_args args)));
+    slices fg ~inputs
+  in
+  check "fcos keeps no full-range slice or slice assign" false
+    (List.exists full_range (optimized "fcos"));
+  check "yolact keeps its partial 992:1024 slice" true
+    (List.exists (fun (b, _) -> b = [ 992; 1024 ]) (optimized "yolact"));
+  (* a graph that still has mutations is left as it is *)
+  let b = Builder.create "mutated" ~params:[ ("x", Dtype.Tensor) ] in
+  let x = Builder.param b 0 in
+  let whole =
+    Builder.op1 b
+      (Op.Access (Op.Slice { dim = 0; step = 1 }))
+      [ x; Builder.int b 0; Builder.int b 4 ]
+  in
+  let y = Builder.clone b x in
+  ignore (Builder.fill_ b y (Builder.float b 0.));
+  Builder.return b [ whole; y ];
+  let g = Builder.graph b in
+  let inputs = [ Some (Shape_infer.known [| 4; 3 |]) ] in
+  ignore (Passes.optimize ~inputs g);
+  check "a full-range slice beside a mutation stays" true
+    (List.exists full_range (slices g ~inputs))
+
 (* --- properties over all workloads --- *)
 
 let prop_case name f =
@@ -410,6 +474,8 @@ let () =
             test_fold_unroll_single_iteration;
           Alcotest.test_case "whole assign of an equal shape" `Quick
             test_fold_whole_assign;
+          Alcotest.test_case "full-range slices fold away" `Quick
+            test_fold_full_slices;
         ] );
       ( "defunctionalize",
         [

@@ -1,7 +1,7 @@
-(* The expiring-pin, min-of-N auto-tuner shared by group and loop
-   dispatch: interleaved sampling order, argmin with ties to the earlier
-   arm, pin budgets and expiry seeding, dropped arms, frozen pins and
-   the journal records — for both arm lists the scheduler uses. *)
+(* The expiring-pin, min-of-N auto-tuner behind loop dispatch:
+   interleaved sampling order, argmin with ties to the earlier arm, pin
+   budgets and expiry seeding, dropped arms, frozen pins and the journal
+   records — over two arm lists of different lengths. *)
 
 open Functs_exec
 module Journal = Functs_obs.Journal
@@ -213,63 +213,6 @@ let test_journal_records () =
        (fun (e : Journal.entry) -> e.j_detail = "budget=16")
        (Journal.entries ()))
 
-(* A late arm (a native kernel whose compile finished after the group
-   pinned per_node): only the new arm samples, three times, then the
-   faster of it and the seeded incumbent is pinned. *)
-let test_add_late_arm () =
-  Journal.enable ();
-  let late ~cjit_cost =
-    let t = group ~arms:[ Cjit; Per_node ] () in
-    Tuner.drop t Cjit;
-    let cost = function Cjit -> cjit_cost | _ -> 2e-3 in
-    check_strs "before the add, per_node alone samples and pins"
-      [ "per_node"; "per_node"; "per_node"; "per_node" ]
-      (drive t ~name:gname ~cost 4);
-    check "per_node pinned" true (Tuner.pinned t = Some Per_node);
-    Journal.clear ();
-    Tuner.add t Cjit;
-    check_str "the add re-opens sampling" "sampling" (Tuner.label t);
-    check "the incumbent keeps its best" true (Tuner.best t Per_node = 2e-3);
-    check_strs "only the new arm samples, three times, then the pin"
-      [ "c-jit"; "c-jit"; "c-jit"; (if cjit_cost < 2e-3 then "c-jit" else "per_node") ]
-      (drive t ~name:gname ~cost 4);
-    (t, journal ())
-  in
-  let t, records = late ~cjit_cost:1e-3 in
-  check "a faster new arm takes the pin" true (Tuner.pinned t = Some Cjit);
-  check_strs "three samples and a flip are journaled"
-    [ "tuner.sample scheduler.group 7 c-jit";
-      "tuner.sample scheduler.group 7 c-jit";
-      "tuner.sample scheduler.group 7 c-jit";
-      "tuner.flip scheduler.group 7 c-jit" ]
-    records;
-  let t, records = late ~cjit_cost:3e-3 in
-  check "a slower new arm leaves the incumbent pinned" true
-    (Tuner.pinned t = Some Per_node);
-  check_strs "three samples and a re-pin are journaled"
-    [ "tuner.sample scheduler.group 7 c-jit";
-      "tuner.sample scheduler.group 7 c-jit";
-      "tuner.sample scheduler.group 7 c-jit";
-      "tuner.pin scheduler.group 7 per_node" ]
-    records;
-  (* an add before anything launched samples as if the arm was always
-     live; adding a live arm changes nothing *)
-  let t = group ~arms:[ Cjit; Per_node ] () in
-  Tuner.drop t Cjit;
-  Tuner.add t Cjit;
-  Tuner.add t Per_node;
-  check_strs "a fresh add samples in list order"
-    [ "c-jit"; "per_node"; "c-jit"; "per_node"; "c-jit"; "per_node"; "c-jit" ]
-    (drive t ~name:gname ~cost:(function Cjit -> 1e-3 | _ -> 2e-3) 7);
-  (* a frozen pin stays *)
-  let t = group ~arms:[ Cjit; Per_node ] () in
-  Tuner.drop t Cjit;
-  Tuner.freeze t Per_node ~detail:"test";
-  Tuner.add t Cjit;
-  check_strs "a frozen tuner keeps its pin after an add"
-    [ "per_node"; "per_node" ]
-    (drive t ~name:gname ~cost:(fun _ -> 1e-3) 2)
-
 let () =
   Alcotest.run "tuner"
     [
@@ -285,7 +228,5 @@ let () =
           Alcotest.test_case "dropped arms and frozen pins" `Quick
             test_drop_and_freeze;
           Alcotest.test_case "journal records" `Quick test_journal_records;
-          Alcotest.test_case "a late arm samples alone" `Quick
-            test_add_late_arm;
         ] );
     ]
