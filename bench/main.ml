@@ -14,7 +14,8 @@
    [exec] writes machine-readable results to BENCH_exec.json (per-workload
    best-of-N wall-clock, pool dispatch overhead vs Domain.spawn/join,
    cold/warm compile-cache timings, the cold JIT compile into an empty
-   artifact directory, and per-call GEMM time for every matmul shape the
+   artifact directory, a cold JIT-off [Session.create] (median of 5 with
+   min/max, and its warm-up engine runs), and per-call GEMM time for every matmul shape the
    workloads hit).  [exec --smoke] only checks that every
    workload's engine outputs match the interpreter — no timing, no JSON. *)
 
@@ -371,6 +372,31 @@ let cold_jit fg ~inputs =
       ignore (prepare_jit ~cache:false ~jit_dir:dir fg ~inputs);
       (Unix.gettimeofday () -. t0, Metrics.value jit_compiles - c0))
 
+(* The cold [Session.create] a fresh replica pays with the JIT off: the
+   compile cache is cleared before each of [create_samples] creates, so
+   every one lowers, compiles and warms its engines from scratch.
+   Returns the sorted wall times and the engine runs (create's warm-up
+   runs) the [exec.runs] counter saw during one create. *)
+let exec_runs = Metrics.counter "exec.runs"
+let create_samples = 5
+
+let cold_create (w : Workload.t) =
+  let config = { config with Config.jit = Jit.Off } in
+  let sample () =
+    Engine.clear_cache ();
+    let r0 = Metrics.value exec_runs in
+    let t0 = Unix.gettimeofday () in
+    match Session.create ~config w with
+    | Error e -> failwith (Error.to_string e)
+    | Ok s ->
+        let dt = Unix.gettimeofday () -. t0 in
+        let runs = Metrics.value exec_runs - r0 in
+        Session.close s;
+        (dt, runs)
+  in
+  let samples = List.init create_samples (fun _ -> sample ()) in
+  (List.sort compare (List.map fst samples), snd (List.hd samples))
+
 let prepare_times ~parallel fg ~inputs =
   Engine.clear_cache ();
   let stamp f =
@@ -461,6 +487,8 @@ type wrow = {
   r_warm : float;
   r_cold_jit : float;
   r_cold_jit_compiles : int;
+  r_create : float list;  (* cold Session.create wall times, sorted *)
+  r_create_runs : int;  (* engine runs during one create *)
   r_c_temps : int;  (* temporaries of the C unit that still get a buffer *)
   r_c_nests : int;  (* loop nests of the C unit *)
   r_c_copies : int;  (* stored outputs of the C unit that copy an input *)
@@ -527,6 +555,11 @@ let workload_json r =
       ("prepare_warm_ms", num 6 (1e3 *. r.r_warm));
       ("cold_jit_ms", num 1 (1e3 *. r.r_cold_jit));
       ("cold_jit_compiles", int r.r_cold_jit_compiles);
+      ("create_ms", num 2 (1e3 *. List.nth r.r_create (create_samples / 2)));
+      ("create_min_ms", num 2 (1e3 *. List.hd r.r_create));
+      ( "create_max_ms",
+        num 2 (1e3 *. List.nth r.r_create (create_samples - 1)) );
+      ("create_runs", int r.r_create_runs);
       ("c_temps", int r.r_c_temps);
       ("c_nests", int r.r_c_nests);
       ("c_copies", int r.r_c_copies);
@@ -722,6 +755,7 @@ let run_exec () =
         let c_temps, c_nests, c_copies = c_unit fg ~inputs in
         let _, run = counted_run engp args in
         let _, jit_run = counted_run engj args in
+        let create, create_runs = cold_create w in
         let sw d = try List.assoc d sweep with Not_found -> nan in
         (* Scaling monotonicity gate: adding lanes must never cost more
            than 10% over the 2-lane time — a d4 regression means the
@@ -753,6 +787,8 @@ let run_exec () =
             r_warm = t_warm;
             r_cold_jit = t_cold_jit;
             r_cold_jit_compiles = cold_jit_compiles;
+            r_create = create;
+            r_create_runs = create_runs;
             r_c_temps = c_temps;
             r_c_nests = c_nests;
             r_c_copies = c_copies;

@@ -501,9 +501,10 @@ let gc_rows ~runs (before : Gc.stat) (after : Gc.stat) =
    the start of create until the last group armed (the create time when
    nothing armed), waiting for a background JIT compile; and how far
    both moved the JIT artifact counters (a cold artifact directory
-   compiles once per distinct unit; the other engines hit).  The
-   requests are served after the wait, on armed engines. *)
-let setup_counters = [ "jit.c.compiles"; "jit.c.hit"; "jit.c.miss" ]
+   compiles once per distinct unit; the other engines hit) and the
+   engine-run counter (create's warm-up runs).  The requests are served
+   after the wait, on armed engines. *)
+let setup_counters = [ "jit.c.compiles"; "jit.c.hit"; "jit.c.miss"; "exec.runs" ]
 
 type setup = {
   create_ms : float;

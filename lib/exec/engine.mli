@@ -103,6 +103,12 @@ val check_args :
 (** {!Scheduler.check_args}: the one accept rule for a compiled graph's
     arguments, which {!run} and a serving session's submit both apply. *)
 
+val sampling : t -> bool
+(** {!Scheduler.sampling}: some loop site of this engine is still
+    sampling its arms.  A pending JIT compile is not polled, so loop
+    kernels it would arm do not count until a {!run} arms them.  A
+    serving session warms an engine at create only while this holds. *)
+
 (** {1 Tiered JIT} *)
 
 val await_jit : t -> unit

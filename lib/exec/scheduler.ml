@@ -856,6 +856,11 @@ let stats p =
     pool_lanes = Pool.lanes p.p_exec_pool;
   }
 
+let sampling p =
+  Hashtbl.fold
+    (fun _ l acc -> acc || Option.is_none (Tuner.pinned l.l_tuner))
+    p.p_loops false
+
 (* --- kernel-group wall-time attribution ---
 
    Every group launch and every tuned loop launch is already timed, so

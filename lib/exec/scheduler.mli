@@ -151,6 +151,12 @@ type stats = {
 
 val stats : prepared -> stats
 
+val sampling : prepared -> bool
+(** Some loop site's tuner has no pin: it is sampling its arms, so the
+    next runs that reach it time an arm that may lose.  [false] for an
+    engine without loop sites (no batching plan, no loop kernel armed),
+    and once every site has pinned. *)
+
 type attribution_row = {
   at_id : int;  (** fusion-group gid, or the loop node's id *)
   at_kind : [ `Group | `Loop ];

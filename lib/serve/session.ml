@@ -117,7 +117,7 @@ type bucket = {
 
 (* A dispatcher shard: its engines by bucket size, and its scatter
    buffers by (bucket size, argument index).  Shard 0's engine table
-   holds the engines [create] compiled and warmed, so requests
+   holds the engines [create] compiled, so requests
    never probe the process-wide compile cache: an LRU eviction
    or [Engine.clear_cache] cannot put a rebuild on the request path.
    Extra shards fill their own tables lazily with uncached engines: two
@@ -619,23 +619,65 @@ let outputs_scale_ok (bx : Workload.batching) ~factor ~base ~bucket =
   in
   go bx.Workload.output_axes base bucket
 
-(* Engine.run invocations issued per engine at session build, before any
-   request is accepted.  They fill the engine's buffer pool and pay its
-   first-run costs.  Only loops are tuned, 3 samples per arm before a
-   pin: a loop launched several times per run (inside another loop's
-   body) pins during warm-up, but one launched once per run needs 6
-   runs for its two arms, so it is still sampling for the first three
-   requests. *)
+(* The most warm-up runs create gives one engine.  An engine runs them
+   only while a loop site still samples its arms ([Engine.sampling]):
+   a loop launched several times per run (inside another loop's body)
+   pins within them, one launched once per run still samples for the
+   first requests, and an engine with no loop site to tune (a sequential
+   loop before its kernel arms, every fused group) runs none.  The first
+   requests then pay the buffer pool's first allocations instead. *)
 let warmup_runs = 3
 
-let build_buckets t (w : Workload.t) bx ~batch ~seq ~base_engine ~shard =
+(* [args ()] is built only when a run is due. *)
+let warm_up eng ~size args =
+  ignore
+  @@ Tracer.span_result "serve.warmup"
+    ~args:(fun runs ->
+      [ ("bucket", string_of_int size); ("runs", string_of_int runs) ])
+    (fun () ->
+      let args = lazy (args ()) in
+      let rec go n =
+        if n >= warmup_runs || not (Engine.sampling eng) then n
+        else
+          match Engine.run eng (Lazy.force args) with
+          | _ -> go (n + 1)
+          | exception _ -> n + 1
+      in
+      go 0)
+
+(* Bucket [k]'s parameter shapes: the base shapes scaled by [k] along
+   each batched axis, which are the shapes [scatter] hands its engine. *)
+let bucket_inputs (bx : Workload.batching) k base =
+  List.map2
+    (fun ax sh ->
+      match (ax, sh) with
+      | None, sh -> sh
+      | Some axis, sh -> (
+          match Option.bind sh (Shape_infer.scale_axis ~axis ~factor:k) with
+          | Some _ as scaled -> scaled
+          | None -> invalid_arg "Session.bucket_inputs: no batch extent"))
+    bx.Workload.input_axes base
+
+(* The base arguments [k] times over along each batched axis: what
+   [scatter] builds for [k] copies of the base request. *)
+let tile (bx : Workload.batching) k args =
+  List.map2
+    (fun ax v ->
+      match (ax, v) with
+      | Some dim, Value.Tensor tn ->
+          Value.Tensor (Tensor.concat_axis ~dim (List.init k (fun _ -> tn)))
+      | _, v -> v)
+    bx.Workload.input_axes args
+
+let build_buckets t (w : Workload.t) bx ~batch ~seq ~base_engine ~base_args
+    ~shard =
   let base_out = Engine.output_shapes base_engine in
-  let native_args = w.Workload.inputs ~batch ~seq in
   if
-    List.length bx.Workload.input_axes <> List.length native_args
+    List.length bx.Workload.input_axes <> List.length base_args
     || List.length bx.Workload.output_axes <> List.length base_out
   then []
   else
+    let base_inputs = Engine.input_shapes base_args in
     List.filter_map
       (fun k ->
         if k <= 1 then None
@@ -644,23 +686,16 @@ let build_buckets t (w : Workload.t) bx ~batch ~seq ~base_engine ~shard =
             let g =
               Graph.clone (Workload.graph w ~batch:(k * batch) ~seq)
             in
-            let bucket_args = w.Workload.inputs ~batch:(k * batch) ~seq in
-            let inputs = Engine.input_shapes bucket_args in
+            let inputs = bucket_inputs bx k base_inputs in
             Passes.for_profile ~inputs t.s_profile g;
             let bk = { bk_size = k; bk_graph = g; bk_inputs = inputs } in
-            (* warm compile now, so steady-state dispatches never build *)
+            (* compile now, so steady-state dispatches never build *)
             let eng = prepare_engine t g ~inputs in
             if
               outputs_scale_ok bx ~factor:k ~base:base_out
                 ~bucket:(Engine.output_shapes eng)
             then begin
-              (* burn the scheduler's initial arm sampling here so the
-                 first serving dispatches run already-pinned arms *)
-              (try
-                 for _ = 1 to warmup_runs do
-                   ignore (Engine.run eng bucket_args)
-                 done
-               with _ -> ());
+              warm_up eng ~size:k (fun () -> tile bx k base_args);
               Hashtbl.replace shard.sh_engines k eng;
               Some bk
             end
@@ -678,14 +713,9 @@ let create ?(config = Config.default) ?(profile = Compiler_profile.tensorssa)
     let reference = Workload.graph w ~batch ~seq in
     let g = Graph.clone reference in
     let native_args = w.Workload.inputs ~batch ~seq in
-    Passes.for_profile ~inputs:(Engine.input_shapes native_args) profile g;
-    let base =
-      {
-        bk_size = 1;
-        bk_graph = g;
-        bk_inputs = Engine.input_shapes native_args;
-      }
-    in
+    let inputs = Engine.input_shapes native_args in
+    Passes.for_profile ~inputs profile g;
+    let base = { bk_size = 1; bk_graph = g; bk_inputs = inputs } in
     let t =
       {
         s_config = config;
@@ -713,16 +743,15 @@ let create ?(config = Config.default) ?(profile = Compiler_profile.tensorssa)
     let shard0 = new_shard () in
     let base_engine = prepare_engine t g ~inputs:base.bk_inputs in
     Hashtbl.replace shard0.sh_engines 1 base_engine;
-    (try
-       for _ = 1 to warmup_runs do
-         ignore (Engine.run base_engine native_args)
-       done
-     with _ -> ());
+    warm_up base_engine ~size:1 (fun () -> native_args);
     let t =
       match w.Workload.batching with
       | None -> t
       | Some bx -> (
-          match build_buckets t w bx ~batch ~seq ~base_engine ~shard:shard0 with
+          match
+            build_buckets t w bx ~batch ~seq ~base_engine
+              ~base_args:native_args ~shard:shard0
+          with
           | [] -> { t with s_batching = None }
           | bks ->
               let buckets =

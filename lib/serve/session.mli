@@ -27,8 +27,8 @@
     batch [n] is [n] independent copies of the batch-1 program), [create]
     compiles one engine {e per configured bucket size}
     ([config.batch_buckets], default [1;4;16]): the workload's program is
-    re-instantiated at [bucket × native batch], lowered, and warmed
-    through the same shape-keyed compile cache.  The dispatcher then
+    re-instantiated at [bucket × native batch] and lowered through the
+    same shape-keyed compile cache.  The dispatcher then
     decomposes the requests it pops greedily into the largest buckets
     that fit, {e scatters} the per-request tensors into
     one batch-major buffer per declared input axis
@@ -49,7 +49,7 @@
 
     Each dispatcher shard serves the session's requests from its own
     bucket-size → engine table.  Shard 0's table holds the engines
-    [create] compiled and warmed.  When the queue holds more than two
+    [create] compiled.  When the queue holds more than two
     full dispatch rounds and [config.shards] allows, the session spawns
     additional dispatcher domains, each filling its table lazily with
     {e private, uncached} engines ([Engine.prepare ~cache:false]) —
@@ -119,10 +119,17 @@ val create :
   Workload.t ->
   (t, Error.t) result
 (** Lower and compile [workload] at the given scale (defaults to the
-    workload's own), compile and warm an engine for its native input
-    shapes {e and for every configured batch bucket} (when the workload
-    declares {!Workload.batching}), and start the dispatcher with those
-    engines.  Bucket variants
+    workload's own), compile an engine for its native input shapes {e
+    and for every configured batch bucket} (when the workload declares
+    {!Workload.batching}), and start the dispatcher with those engines.
+    The workload's inputs are drawn once, for the base request; a
+    bucket's input shapes are the base shapes scaled by the bucket size
+    along the declared input axes, the shapes the dispatcher's scatter
+    hands it.  An engine runs warm-up requests only while
+    {!Functs_exec.Engine.sampling} holds, at most three, on the base
+    arguments tiled along the batch axes: an engine with no loop tuner
+    left to sample runs none (a [serve.warmup] trace span per engine
+    records its run count).  Bucket variants
     that fail to compile, or whose inferred output shapes do not scale by
     the bucket factor along the declared axes, are dropped (falling back
     as far as bucket-1-only serving).  [profile] defaults to

@@ -100,7 +100,7 @@ fi
 # The committed benchmark results must carry the JIT column, the pool
 # counters, the vectorised-loop count and the per-shape GEMM rows.
 echo "== BENCH_exec.json members =="
-for member in '"jit_ms"' '"pool_worker_tasks"' '"pool_caller_tasks"' '"cold_jit_ms"' '"jit_isa"' '"vector_loops"' '"gemm"' '"c_temps"' '"c_nests"' '"c_copies"' '"native_loops"'; do
+for member in '"jit_ms"' '"pool_worker_tasks"' '"pool_caller_tasks"' '"cold_jit_ms"' '"jit_isa"' '"vector_loops"' '"gemm"' '"c_temps"' '"c_nests"' '"c_copies"' '"native_loops"' '"create_ms"'; do
   grep -q "$member" BENCH_exec.json || {
     echo "error: BENCH_exec.json is missing the $member member" >&2
     exit 1
@@ -152,7 +152,7 @@ fi
 echo "== profile --json stage keys (FUNCTS_DOMAINS=2) =="
 FUNCTS_DOMAINS=2 dune exec bin/functs.exe -- profile lstm --runs 8 --json \
   > "$tmp/functs_profile.json"
-for key in '"queue_wait"' '"batch"' '"exec"' '"total"' '"groups"' '"gc"' '"ops"' '"setup"' '"armed_ms"' '"minor_words"' '"major_words"'; do
+for key in '"queue_wait"' '"batch"' '"exec"' '"total"' '"groups"' '"gc"' '"ops"' '"setup"' '"armed_ms"' '"exec.runs"' '"minor_words"' '"major_words"'; do
   grep -q "$key" "$tmp/functs_profile.json" || {
     echo "error: profile --json is missing the $key key" >&2
     exit 1

@@ -2,7 +2,9 @@
    balanced under exceptions, the Chrome trace export of a real engine
    run parses and carries the expected spans, the disabled-mode tracer
    allocates nothing on the hot path, the metrics snapshot round-trips
-   through its JSON dump, and the ring buffer drops oldest-first. *)
+   through its JSON dump, the ring buffer drops oldest-first, and a
+   session's create records one warm-up span per engine with its run
+   count. *)
 
 open Functs_core
 open Functs_exec
@@ -74,7 +76,19 @@ let test_span_reraises () =
            Tracer.span "s" (fun () -> raise Boom)
          with Boom -> true);
       check_int "and the end event was still emitted" 2
-        (List.length (Tracer.events ())))
+        (List.length (Tracer.events ()));
+      check "a result span re-raises too" true
+        (try
+           Tracer.span_result "r" ~args:(fun () -> [ ("k", "v") ]) (fun () ->
+               raise Boom);
+           false
+         with Boom -> true);
+      check_int "its end event was emitted, the depth restored" 0
+        (Tracer.depth ());
+      check "an end event without the result's attributes" true
+        (match List.rev (Tracer.events ()) with
+        | { Tracer.ev_phase = Tracer.End; ev_args = []; _ } :: _ -> true
+        | _ -> false))
 
 (* --- chrome export of a real run --- *)
 
@@ -415,6 +429,33 @@ let test_flow_pairing () =
               | _ -> Alcotest.fail "flow finish without bp=e")
             finishes)
 
+(* --- create's warm-up: one serve.warmup span per engine --- *)
+
+(* (bucket, runs) of each [serve.warmup] span a cold create records, in
+   order; the counts ride on the end event.  The compile cache is
+   cleared first: a cached engine that already pinned would run
+   nothing. *)
+let warmup_spans name =
+  with_tracer (fun () ->
+      let w = Option.get (Registry.find name) in
+      Engine.clear_cache ();
+      (match Functs.Session.create ~config:Functs.Config.default w with
+      | Error _ -> Alcotest.fail "session create failed"
+      | Ok s -> Functs.Session.close s);
+      List.filter_map
+        (fun (ev : Tracer.event) ->
+          if ev.ev_name = "serve.warmup" && ev.ev_phase = Tracer.End then
+            Some (List.assoc "bucket" ev.ev_args, List.assoc "runs" ev.ev_args)
+          else None)
+        (Tracer.events ()))
+
+let test_warmup_spans () =
+  let per_bucket runs = List.map (fun k -> (k, runs)) [ "1"; "4"; "16" ] in
+  check "yolact's engines each sample for three runs" true
+    (warmup_spans "yolact" = per_bucket "3");
+  check "lstm's engines (no tuned site with the JIT off) run none" true
+    (warmup_spans "lstm" = per_bucket "0")
+
 (* --- json parser corners --- *)
 
 let test_json_parser () =
@@ -476,6 +517,8 @@ let () =
         [
           Alcotest.test_case "served request links submit to batch" `Quick
             test_flow_pairing;
+          Alcotest.test_case "create records its warm-up runs" `Quick
+            test_warmup_spans;
         ] );
       ("json", [ Alcotest.test_case "parser corners" `Quick test_json_parser ]);
     ]

@@ -9,8 +9,9 @@
    the steady-state major-heap budget of a 16-bucket, the ticket API
    (poll / cancel), shard scale-out, deadline expiry under both
    degradation policies, backpressure on a size-1 queue, requests of
-   another signature rejected at submit, and the strict Config.of_env
-   validation. *)
+   another signature rejected at submit, create's warm-up rule (only
+   engines whose loop tuners still sample run), every batching
+   workload's bucket list, and the strict Config.of_env validation. *)
 
 open Functs
 
@@ -738,6 +739,73 @@ let test_clear_cache_no_rebuild () =
             (List.for_all2 Equiv.bitwise first second)))
     [ Config.default; { Config.default with Config.batch_buckets = [ 1 ] } ]
 
+(* --- create's warm-up rule: only engines that still sample run --- *)
+
+let exec_runs () = Metrics.value (Metrics.counter "exec.runs")
+
+(* With the JIT off, lstm's only loop is sequential and has no tuned
+   site, so none of its three engines runs at create; yolact's batched
+   loops sample for more than three runs, so each engine runs three.
+   The compile cache is cleared first: an engine cached by an earlier
+   case has pinned already and would run nothing. *)
+let test_create_warms_sampling () =
+  List.iter
+    (fun (name, want) ->
+      let w = Result.get_ok (Functs.find_workload name) in
+      Engine.clear_cache ();
+      let r0 = exec_runs () in
+      with_session ~w (fun s ->
+          check_int (name ^ ": engine runs during create") want
+            (exec_runs () - r0);
+          let shared = w.Workload.inputs ~batch ~seq in
+          List.iteri
+            (fun round n -> bucket_round ~w s shared ~salt0:(round * 17) n)
+            [ 1; 4; 16 ];
+          check (name ^ ": every bucket served") true
+            (List.for_all
+               (fun k -> List.mem_assoc k (Session.stats s).Session.bucket_runs)
+               [ 1; 4; 16 ])))
+    [ ("lstm", 0); ("yolact", 9) ]
+
+(* Bucket input shapes are derived from the base request's; a wrong
+   derivation would drop a bucket silently (its compile or its output
+   check fails, and create serves without it).  The expected lists are
+   what bucket-shaped random inputs gave, at each workload's own scale. *)
+let test_every_batching_workload_buckets () =
+  let expected =
+    [
+      ("yolov3", [ 1; 4; 16 ]);
+      ("ssd", [ 1; 4; 16 ]);
+      ("yolact", [ 1; 4; 16 ]);
+      ("fcos", [ 1; 4; 16 ]);
+      ("nasrnn", [ 1; 4; 16 ]);
+      ("lstm", [ 1; 4; 16 ]);
+      ("seq2seq", [ 1; 4; 16 ]);
+    ]
+  in
+  let batching =
+    List.filter
+      (fun (w : Workload.t) -> Option.is_some w.Workload.batching)
+      (Registry.all @ Registry.extensions)
+  in
+  Alcotest.(check (list string))
+    "every batching workload has an expected bucket list"
+    (List.sort compare (List.map fst expected))
+    (List.sort compare (List.map (fun (w : Workload.t) -> w.Workload.name) batching));
+  List.iter
+    (fun (w : Workload.t) ->
+      match Session.create w with
+      | Error e -> Alcotest.fail (Error.to_string e)
+      | Ok s ->
+          Fun.protect
+            ~finally:(fun () -> Session.close s)
+            (fun () ->
+              Alcotest.(check (list int))
+                (w.Workload.name ^ " buckets")
+                (List.assoc w.Workload.name expected)
+                (Session.bucket_sizes s)))
+    batching
+
 (* --- the facade's one-shot entry point --- *)
 
 let test_run_once () =
@@ -912,6 +980,10 @@ let () =
             test_warm_no_recompile;
           Alcotest.test_case "clear_cache never rebuilds a served engine"
             `Quick test_clear_cache_no_rebuild;
+          Alcotest.test_case "create warms only engines that sample" `Quick
+            test_create_warms_sampling;
+          Alcotest.test_case "every batching workload compiles its buckets"
+            `Quick test_every_batching_workload_buckets;
           Alcotest.test_case "run_once" `Quick test_run_once;
         ] );
     ]
