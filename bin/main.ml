@@ -126,8 +126,10 @@ let compile_cmd =
     | Ok w ->
         let batch, seq = scales w batch seq in
         let g = Workload.graph w ~batch ~seq in
-        let stats = Convert.functionalize g in
-        print_endline "=== TensorSSA form ===";
+        (* the pipeline the engine compiles, input shapes included *)
+        let inputs = Engine.input_shapes (w.inputs ~batch ~seq) in
+        let stats, report = Passes.tensorssa_pipeline ~inputs g in
+        print_endline "=== TensorSSA form (optimized) ===";
         print_endline (Printer.to_string g);
         Printf.printf
           "\nmutations rewritten : %d\nsub-graphs converted: %d\nsub-graphs \
@@ -135,6 +137,8 @@ let compile_cmd =
           stats.mutations_rewritten stats.subgraphs_functionalized
           (List.length stats.subgraphs_skipped)
           stats.updates_inserted stats.nodes_removed_by_dce;
+        Printf.printf "%d folds, %d CSE merges, %d nodes removed\n"
+          report.folds report.cse_merged report.dce_removed;
         List.iter
           (fun (reason, witness) ->
             Printf.printf "  skipped %s: %s\n" witness
@@ -144,7 +148,10 @@ let compile_cmd =
   in
   Cmd.v
     (Cmd.info "compile"
-       ~doc:"Functionalize a workload with TensorSSA and print the result.")
+       ~doc:
+         "Run a workload through the TensorSSA pipeline the engine compiles \
+          (functionalize, then fold / CSE / DCE at its input shapes) and \
+          print the result.")
     Term.(ret (const run $ workload_arg $ batch_arg $ seq_arg))
 
 (* --- run --- *)
@@ -482,7 +489,7 @@ let site_label (r : Scheduler.attribution_row) =
    [major_words] the words allocated per request.  Both snapshots follow
    a [Gc.minor ()]: under OCaml 5 [Gc.quick_stat] sees another domain's
    allocation counters only as sampled at its last minor collection, and
-   a forced one samples the dispatcher domain too.  The window's
+   a forced one samples a dispatcher domain too.  The window's
    collection counts include that final forced minor collection. *)
 let gc_rows ~runs (before : Gc.stat) (after : Gc.stat) =
   let per_request words =

@@ -14,7 +14,7 @@ let () =
   let w = Result.get_ok (Functs.find_workload "lstm") in
   let batch = w.Workload.default_batch and seq = w.Workload.default_seq in
   (* Functionalize + compile once, at this batch and sequence length; the
-     session owns a dispatcher domain and serves that one signature. *)
+     session owns a dispatcher and serves that one signature. *)
   match Functs.compile ~config ~batch ~seq w with
   | Error e -> prerr_endline (Error.to_string e)
   | Ok session ->

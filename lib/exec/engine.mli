@@ -92,7 +92,7 @@ val run : t -> Value.t list -> Value.t list
     {!Eval.run_tensors}, argument tensors are never written to — they are
     marked foreign to the donation machinery — so callers may reuse them.
     Runs on the same engine are mutex-serialized: a cached engine may be
-    shared by several sessions' dispatcher domains, and the underlying
+    shared by several sessions' dispatchers, and the underlying
     scheduler executes one run at a time.
     @raise Eval.Runtime_error as the interpreter does, and when
     {!check_args} rejects the arguments against the [inputs] the engine

@@ -30,49 +30,54 @@ let now_us () = 1e6 *. (Unix.gettimeofday () -. epoch)
 let default_capacity = 65536
 
 (* Ring state: [count] is the total emitted since the last clear; the
-   write cursor is [count mod capacity].  Worker domains may emit
-   concurrently, so writes take [lock] — tracing is opt-in, the disabled
-   hot path never sees the mutex. *)
+   write cursor is [count mod capacity].  Worker domains and the threads
+   of one domain may emit concurrently, so writes take [lock] — tracing
+   is opt-in, the disabled hot path never sees the mutex. *)
 let lock = Mutex.create ()
 let buf = ref (Array.make default_capacity nil_event)
 let count = ref 0
+
+(* Span depth per thread, under [lock]: a thread appears only while it
+   is inside a span.  Keyed by thread id, not by domain, so a session's
+   dispatcher thread and the caller thread on the same domain nest
+   independently. *)
+let depths : (int, int) Hashtbl.t = Hashtbl.create 8
 
 let locked f =
   Mutex.lock lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
 
+let thread_id () = Thread.id (Thread.self ())
+
+let nest tid by =
+  match Option.value (Hashtbl.find_opt depths tid) ~default:0 + by with
+  | 0 -> Hashtbl.remove depths tid
+  | d -> Hashtbl.replace depths tid d
+
 let emit ?(id = 0) ev_name ev_phase ev_args =
+  let tid = thread_id () in
   let ev =
-    {
-      ev_name;
-      ev_phase;
-      ev_ts = now_us ();
-      ev_tid = (Domain.self () :> int);
-      ev_id = id;
-      ev_args;
-    }
+    { ev_name; ev_phase; ev_ts = now_us (); ev_tid = tid; ev_id = id; ev_args }
   in
   locked (fun () ->
       let b = !buf in
       b.(!count mod Array.length b) <- ev;
-      incr count)
+      incr count;
+      match ev_phase with
+      | Begin -> nest tid 1
+      | End -> nest tid (-1)
+      | Instant | Flow_start | Flow_finish -> ())
 
-(* Per-domain nesting depth, balanced by Fun.protect below. *)
-let depth_key = Domain.DLS.new_key (fun () -> ref 0)
-let depth () = !(Domain.DLS.get depth_key)
+let depth () =
+  let tid = thread_id () in
+  locked (fun () -> Option.value (Hashtbl.find_opt depths tid) ~default:0)
 
 let enable () = on := true
 let disable () = on := false
 
 let span_traced name args f =
   emit name Begin args;
-  let d = Domain.DLS.get depth_key in
-  incr d;
-  Fun.protect
-    ~finally:(fun () ->
-      decr d;
-      emit name End [])
-    f
+  Fun.protect ~finally:(fun () -> emit name End []) f
 
 let span name f = if !on then span_traced name [] f else f ()
 
@@ -83,23 +88,19 @@ let span_result name ~args f =
   if not !on then f ()
   else begin
     emit name Begin [];
-    let d = Domain.DLS.get depth_key in
-    incr d;
     match f () with
     | r ->
-        decr d;
         emit name End (args r);
         r
     | exception e ->
         let bt = Printexc.get_raw_backtrace () in
-        decr d;
         emit name End [];
         Printexc.raise_with_backtrace e bt
   end
 
 let instant ?(args = []) name = if !on then emit name Instant args
 
-(* Flow events pair across domains by (name, id): the "s" arrow tail
+(* Flow events pair across threads by (name, id): the "s" arrow tail
    binds to the duration span enclosing it on the emitting track, the
    "f" head (bp:"e") to the enclosing span where the work resumed. *)
 let flow_start ?(args = []) name ~id = if !on then emit ~id name Flow_start args

@@ -4,7 +4,7 @@
     thunk, and records the matching end event even when the thunk raises,
     so nesting is always balanced.  Events carry a monotonic-ish
     timestamp (microseconds since the tracer epoch), the emitting
-    domain's id, and optional string attributes; they land in a
+    thread's id, and optional string attributes; they land in a
     fixed-capacity ring buffer, so a long run keeps the most recent
     window instead of growing without bound.
 
@@ -24,8 +24,10 @@
     The export ({!to_chrome}/{!write_chrome}) is Chrome trace-event
     JSON: load it in Perfetto ({:https://ui.perfetto.dev}) or
     [chrome://tracing].  Ring writes are mutex-protected — worker
-    domains may emit concurrently — and events record their domain id
-    as the trace [tid], so per-domain tracks line up in the viewer. *)
+    domains and the threads of one domain may emit concurrently — and
+    events record [Thread.id] of their thread (unique across the
+    process) as the trace [tid], so each thread, and so each domain,
+    has its own track in the viewer. *)
 
 type phase = Begin | End | Instant | Flow_start | Flow_finish
 
@@ -33,7 +35,7 @@ type event = {
   ev_name : string;
   ev_phase : phase;
   ev_ts : float;  (** microseconds since the tracer epoch *)
-  ev_tid : int;  (** emitting domain id *)
+  ev_tid : int;  (** emitting thread's [Thread.id] *)
   ev_id : int;  (** flow-pairing id; 0 for non-flow events *)
   ev_args : (string * string) list;
 }
@@ -63,7 +65,7 @@ val flow_start : ?args:(string * string) list -> string -> id:int -> unit
 (** Flow-arrow tail (Chrome phase [s]).  Emit inside the duration span
     where work is handed off (e.g. a producer's submit); Perfetto draws
     an arrow to the matching {!flow_finish} with the same [name]/[id],
-    linking spans across domains. *)
+    linking spans across threads and domains. *)
 
 val flow_finish : ?args:(string * string) list -> string -> id:int -> unit
 (** Flow-arrow head (Chrome phase [f], [bp:"e"] so it binds to the
@@ -71,7 +73,7 @@ val flow_finish : ?args:(string * string) list -> string -> id:int -> unit
     batch-run span). *)
 
 val depth : unit -> int
-(** Current span-nesting depth on the calling domain (0 outside any
+(** Current span-nesting depth of the calling thread (0 outside any
     span).  Balanced across exceptions; exposed for tests. *)
 
 (** {1 Inspection & export} *)

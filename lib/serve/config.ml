@@ -24,7 +24,10 @@ type t = {
   queue_capacity : int;
   max_batch : int;
   batch_buckets : int list;  (* ascending, unique, first element 1 *)
-  shards : int;  (* max dispatcher domains per session *)
+  shards : int;
+      (* max dispatchers per session; shard 0 is a thread of the creating
+         domain when one core is usable (no cross-domain GC handshake),
+         extra shards are domains, to use more cores *)
   policy : policy;
   journal : bool;  (* decision journal (on by default; rare records) *)
   journal_buf : int;  (* journal ring capacity *)

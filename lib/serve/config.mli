@@ -63,7 +63,10 @@ type t = {
           bucket for batchable workloads and decomposes each dispatch
           greedily into the largest buckets that fit *)
   shards : int;
-      (** max dispatcher domains per session (≥ 1); extra shards spin up
+      (** max dispatchers per session (≥ 1).  Shard 0 is a thread of the
+          creating domain when one core is usable (a second domain
+          would stall on every major GC's stop-the-world handshake),
+          else a domain; extra shards are always domains and spin up
           when queue depth grows past the hot-session threshold *)
   policy : policy;
   journal : bool;  (** decision journal (on by default — records are rare) *)

@@ -123,8 +123,8 @@ type bucket = {
    Extra shards fill their own tables lazily with uncached engines: two
    shards sharing one engine would only serialize on its run mutex, and
    [~cache:false] builds leave the LRU cache and its hit/miss counters
-   untouched.  One dispatcher domain owns each shard, so neither table
-   needs a lock. *)
+   untouched.  One dispatcher owns each shard, so neither table needs a
+   lock. *)
 type shard = {
   sh_engines : (int, Engine.t) Hashtbl.t;
   sh_scatter : (int * int, Tensor.t) Hashtbl.t;
@@ -148,7 +148,7 @@ type t = {
   mutable s_batch_broken : bool;  (* runtime demotion: batch runs misbehaved *)
   mutable s_noted_bucket : int;  (* last journaled bucket choice; 0 = none *)
   mutable s_stats : stats;
-  mutable s_dispatchers : unit Domain.t list;
+  mutable s_dispatchers : (unit -> unit) list;  (* joins, one per dispatcher *)
   mutable s_engine : Engine.t option;
       (* most recently acquired engine, for attribution readout: a
          bucket or a shard has its own, and profiling reads whichever
@@ -377,14 +377,14 @@ let gather (bx : Workload.batching) k outputs =
 
 (* --- the dispatcher ---
 
-   Per shard, one domain, one loop: wait for work, pop up to
-   [s_dispatch_limit] requests (every one native: [submit] rejects
-   other shapes), decompose it greedily into the largest compiled batch
-   buckets that fit, scatter each bucket's inputs into the shard's
-   batched buffers, run the bucket engine once, and hand each request
-   views of its slab of the outputs.  Exits only when closing AND
-   drained, so [close] never loses queued requests; the exit drops the
-   shard's scatter buffers. *)
+   Per shard, one dispatcher (a thread or a domain, see [create]), one
+   loop: wait for work, pop up to [s_dispatch_limit] requests (every
+   one native: [submit] rejects other shapes), decompose it greedily
+   into the largest compiled batch buckets that fit, scatter each
+   bucket's inputs into the shard's batched buffers, run the bucket
+   engine once, and hand each request views of its slab of the
+   outputs.  Exits only when closing AND drained, so [close] never
+   loses queued requests; the exit drops the shard's scatter buffers. *)
 
 (* Journal the bucket chooser's decision when it changes, so
    [functs why] explains which bucket requests land in. *)
@@ -588,6 +588,16 @@ let rec dispatch_loop t sh =
       process_batch t sh batch;
       dispatch_loop t sh
 
+(* Where a dispatcher runs: [thread] on the calling domain, else on a
+   domain of its own.  Returns its join. *)
+let start_dispatcher ~thread f =
+  if thread then
+    let th = Thread.create f () in
+    fun () -> Thread.join th
+  else
+    let d = Domain.spawn f in
+    fun () -> Domain.join d
+
 (* --- bucket compilation (at create) --- *)
 
 (* Static cross-check of a bucket engine against the base engine through
@@ -771,8 +781,23 @@ let create ?(config = Config.default) ?(profile = Compiler_profile.tensorssa)
                     buckets;
               })
     in
+    (* Shard 0's placement.  A second domain pays for every major GC
+       cycle with a stop-the-world handshake that waits for each other
+       domain; with one usable core, the caller's domain, blocked in
+       [await], answers only once the spinning dispatcher's timeslice
+       ends.  So with one core the dispatcher is a systhread of the
+       creating domain, when that is the main domain: a thread keeps its
+       domain alive, so a session made on a spawned domain could never
+       be returned through [Domain.join].  With more cores a domain
+       wins (it runs beside the caller), as do scale-out shards, which
+       exist to use more cores. *)
+    let cores = Domain.recommended_domain_count () in
+    let thread = cores = 1 && Domain.is_main_domain () in
+    Journal.record Tuner_pin "serve.dispatcher"
+      ~arm:(if thread then "thread" else "domain")
+      ~detail:(Printf.sprintf "cores=%d" cores);
     t.s_dispatchers <-
-      [ Domain.spawn (fun () -> dispatch_loop t shard0) ];
+      [ start_dispatcher ~thread (fun () -> dispatch_loop t shard0) ];
     t
   with
   | t -> Ok t
@@ -841,12 +866,12 @@ let enqueue t args deadline_us =
                 ~detail:(Printf.sprintf "queue_depth=%d" depth)
                 ~value:(float_of_int depth);
               t.s_dispatchers <-
-                Domain.spawn (fun () ->
+                start_dispatcher ~thread:false (fun () ->
                     dispatch_loop t (new_shard ()))
                 :: t.s_dispatchers
             end;
             (* arrow tail lives inside this submit span; the head is in
-               the dispatcher's batch span on another domain *)
+               the dispatcher's batch span on another thread *)
             Tracer.flow_start "serve.req" ~id:tk.t_id;
             Condition.broadcast t.s_wake;
             Ok tk
@@ -929,7 +954,7 @@ let close t =
         t.s_dispatchers <- [];
         ds)
   in
-  List.iter Domain.join ds;
+  List.iter (fun join -> join ()) ds;
   (* no run of ours is in flight any more: stop the compiles our engines
      still wait for, so no [cc] outlives the session *)
   List.iter Engine.cancel_jit (locked t (fun () -> t.s_owned))

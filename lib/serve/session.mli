@@ -4,8 +4,9 @@
     A session is the amortization layer the CLI lacks: [create] pays
     lowering + TensorSSA + fusion + kernel compilation {e once} (through
     the engine's shape-keyed compile cache) at the batch and sequence
-    length it is given, spawns a dedicated dispatcher domain, and then
-    serves [submit]ted requests until [close].  It serves that one
+    length it is given, starts a dispatcher (see {e Where the
+    dispatcher runs}), and then serves [submit]ted requests until
+    [close].  It serves that one
     signature (argument count, argument kinds and tensor shapes):
     {!submit} rejects a request of any other signature at once, as
     {!Functs_exec.Engine.run} would ({!Functs_exec.Engine.check_args} is
@@ -45,13 +46,33 @@
     a member expiring mid-dispatch is degraded per policy, and the
     remainder re-buckets (partial final buckets are normal).
 
+    {2 Where the dispatcher runs}
+
+    Shard 0's dispatcher is a systhread of the creating domain when one
+    core is usable ([Domain.recommended_domain_count () = 1], which
+    reads the CPU affinity) and that domain is the main one; otherwise
+    it is a domain of its own.  A second domain pays for every major GC
+    cycle with a stop-the-world handshake that waits for each other
+    domain, and with one core the caller's domain, blocked in {!await},
+    answers only after the spinning dispatcher's timeslice ends: pinned
+    to one CPU, yolact's exec p99 read 5.0–5.5 ms with a dispatcher
+    domain and 0.56–0.62 ms with the thread.  With more cores the domain runs beside
+    the caller and serves faster.  A session made on a spawned domain
+    keeps a domain dispatcher, since a thread would keep that domain
+    from finishing.  The choice is journaled at site
+    [serve.dispatcher] (arm [thread] or [domain], detail
+    [cores=<n>]).  Caveat: on one core, a main domain that computes
+    instead of awaiting lets the dispatcher thread run only at the
+    systhread tick (every 50 ms).
+
     {2 Sharding}
 
     Each dispatcher shard serves the session's requests from its own
     bucket-size → engine table.  Shard 0's table holds the engines
     [create] compiled.  When the queue holds more than two
     full dispatch rounds and [config.shards] allows, the session spawns
-    additional dispatcher domains, each filling its table lazily with
+    additional dispatcher domains (always domains: they exist to use
+    more cores), each filling its table lazily with
     {e private, uncached} engines ([Engine.prepare ~cache:false]) —
     sharing one engine would only serialize on its run mutex, and
     private builds leave the compile-cache hit/miss counters untouched,
@@ -89,7 +110,8 @@
     submit span to the dispatcher batch span that served it.  Decision
     journal: deadline degradations (site [serve]), bucket-chooser pins
     and flips (site [serve.bucket]), shard scale-outs
-    (site [serve.shards]) — all replayable via [functs why]. *)
+    (site [serve.shards]), the dispatcher's placement (site
+    [serve.dispatcher]) — all replayable via [functs why]. *)
 
 open Functs_interp
 open Functs_core
@@ -216,7 +238,7 @@ type stats = {
       (** occupancy → runs at that occupancy, e.g. [[(16, 12); (4, 3)]];
           a session without batch buckets serves each dispatch one by
           one and counts it at its number of requests *)
-  shards : int;  (** dispatcher domains running (≥ 1) *)
+  shards : int;  (** dispatchers running (≥ 1) *)
   max_queue_depth : int;
 }
 

@@ -1,5 +1,6 @@
 (* Units for the observability layer (lib/obs): span nesting stays
-   balanced under exceptions, the Chrome trace export of a real engine
+   balanced under exceptions and apart between the threads of one
+   domain, the Chrome trace export of a real engine
    run parses and carries the expected spans, the disabled-mode tracer
    allocates nothing on the hot path, the metrics snapshot round-trips
    through its JSON dump, the ring buffer drops oldest-first, and a
@@ -89,6 +90,58 @@ let test_span_reraises () =
         (match List.rev (Tracer.events ()) with
         | { Tracer.ev_phase = Tracer.End; ev_args = []; _ } :: _ -> true
         | _ -> false))
+
+(* --- per-thread identity: two systhreads of one domain --- *)
+
+(* Both threads stand inside their outer span at once (a barrier), so a
+   track or depth counter shared by the domain would show: each thread
+   must read its own depths, 1 then 2, unwind to 0, and emit on a track
+   of its own. *)
+let test_thread_identity () =
+  with_tracer (fun () ->
+      let m = Mutex.create () and c = Condition.create () in
+      let inside = ref 0 in
+      let barrier () =
+        Mutex.lock m;
+        incr inside;
+        Condition.broadcast c;
+        while !inside < 2 do
+          Condition.wait c m
+        done;
+        Mutex.unlock m
+      in
+      let depths = Array.make 2 [] and ids = Array.make 2 (-1) in
+      let body i () =
+        ids.(i) <- Thread.id (Thread.self ());
+        let inner =
+          Tracer.span "outer" (fun () ->
+              barrier ();
+              let d1 = Tracer.depth () in
+              let d2 =
+                Tracer.span "inner" (fun () ->
+                    Thread.yield ();
+                    Tracer.depth ())
+              in
+              [ d1; d2 ])
+        in
+        depths.(i) <- inner @ [ Tracer.depth () ]
+      in
+      List.iter Thread.join (List.init 2 (fun i -> Thread.create (body i) ()));
+      Array.iteri
+        (fun i ds ->
+          check (Printf.sprintf "thread %d nests 1, 2, then unwinds to 0" i)
+            true (ds = [ 1; 2; 0 ]))
+        depths;
+      check "distinct thread ids" true (ids.(0) <> ids.(1));
+      Array.iter
+        (fun id ->
+          check_int "each thread's four events carry its own tid" 4
+            (List.length
+               (List.filter
+                  (fun (e : Tracer.event) -> e.ev_tid = id)
+                  (Tracer.events ()))))
+        ids;
+      check_int "the events have no other tid" 8 (List.length (Tracer.events ())))
 
 (* --- chrome export of a real run --- *)
 
@@ -490,6 +543,8 @@ let () =
           Alcotest.test_case "nesting under exceptions" `Quick
             test_span_nesting_exceptions;
           Alcotest.test_case "spans re-raise" `Quick test_span_reraises;
+          Alcotest.test_case "threads of one domain nest apart" `Quick
+            test_thread_identity;
           Alcotest.test_case "chrome export of an lstm run" `Quick
             test_chrome_export_lstm;
           Alcotest.test_case "disabled path allocates nothing" `Quick

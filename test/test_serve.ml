@@ -11,9 +11,14 @@
    degradation policies, backpressure on a size-1 queue, requests of
    another signature rejected at submit, create's warm-up rule (only
    engines whose loop tuners still sample run), every batching
-   workload's bucket list, and the strict Config.of_env validation. *)
+   workload's bucket list, the dispatcher's placement (journaled, and a
+   session made on a spawned domain that has since finished still
+   serves and closes), and the strict Config.of_env validation.  The
+   suite also runs pinned to one CPU (test/dune), where create puts the
+   dispatcher on the caller's domain. *)
 
 open Functs
+module Journal = Functs_obs.Journal
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -404,7 +409,7 @@ let test_engine_raise_keeps_batching () =
    other domain's as sampled at its last minor collection; the
    collection counts are global.  A minor collection stops every domain
    and samples its counters, so reading after [Gc.minor ()] includes
-   everything the dispatcher domain allocated. *)
+   everything the dispatcher allocated, on whichever domain it runs. *)
 let major_words_ceiling = 20_000.
 
 let test_major_words_budget () =
@@ -806,6 +811,80 @@ let test_every_batching_workload_buckets () =
                 (Session.bucket_sizes s)))
     batching
 
+(* --- where the dispatcher runs --- *)
+
+(* Create's rule: a thread on the caller's domain when one core is
+   usable and the caller is the main domain, a domain of its own
+   otherwise.  Each create journals its choice at [serve.dispatcher]. *)
+let test_dispatcher_placement () =
+  let since = Journal.recorded () in
+  with_session ignore;
+  let skip = max 0 (since - Journal.dropped ()) in
+  let placements =
+    List.filteri (fun i _ -> i >= skip) (Journal.entries ())
+    |> List.filter (fun e -> e.Journal.j_site = "serve.dispatcher")
+  in
+  let cores = Domain.recommended_domain_count () in
+  let want =
+    if cores = 1 && Domain.is_main_domain () then "thread" else "domain"
+  in
+  match placements with
+  | [ e ] ->
+      Alcotest.(check string) "placement follows the rule" want e.Journal.j_arm;
+      Alcotest.(check string)
+        "detail names the usable cores"
+        (Printf.sprintf "cores=%d" cores)
+        e.Journal.j_detail
+  | l -> Alcotest.failf "%d serve.dispatcher records, expected 1" (List.length l)
+
+(* Fail the whole run if [f] has not returned within [seconds]: a hang
+   must not stall the suite.  The message goes to the process's own
+   stderr, duplicated before Alcotest redirects it into the test's log,
+   since the exit skips Alcotest's report. *)
+let console = Unix.out_channel_of_descr (Unix.dup Unix.stderr)
+
+let with_watchdog ~seconds what f =
+  let finished = Atomic.make false in
+  let watchdog =
+    Thread.create
+      (fun () ->
+        let deadline = Unix.gettimeofday () +. seconds in
+        while (not (Atomic.get finished)) && Unix.gettimeofday () < deadline do
+          Thread.delay 0.05
+        done;
+        if not (Atomic.get finished) then begin
+          Printf.fprintf console "%s: no return within %.0f s\n%!" what seconds;
+          Unix._exit 1
+        end)
+      ()
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set finished true;
+      Thread.join watchdog)
+    f
+
+(* A session made inside [Domain.spawn] and handed out through
+   [Domain.join]: the spawned domain must be able to finish (a
+   dispatcher thread would keep it alive), and the parent serves and
+   closes the session. *)
+let test_finished_domain_session () =
+  with_watchdog ~seconds:60. "session made on a finished domain" (fun () ->
+      let s =
+        Domain.join
+          (Domain.spawn (fun () ->
+               match Functs.compile ~batch ~seq (lstm ()) with
+               | Ok s -> s
+               | Error e -> failwith (Error.to_string e)))
+      in
+      Fun.protect ~finally:(fun () -> Session.close s) @@ fun () ->
+      let args = perturbed_args 3 in
+      match Session.run s (clone_args args) with
+      | Ok got ->
+          check "served output equals the interpreter" true
+            (Equiv.bitwise (expected_for args) got)
+      | Error e -> Alcotest.fail (Error.to_string e))
+
 (* --- the facade's one-shot entry point --- *)
 
 let test_run_once () =
@@ -984,6 +1063,10 @@ let () =
             test_create_warms_sampling;
           Alcotest.test_case "every batching workload compiles its buckets"
             `Quick test_every_batching_workload_buckets;
+          Alcotest.test_case "dispatcher placement is journaled" `Quick
+            test_dispatcher_placement;
+          Alcotest.test_case "a session made on a finished domain serves and closes"
+            `Quick test_finished_domain_session;
           Alcotest.test_case "run_once" `Quick test_run_once;
         ] );
     ]
