@@ -15,7 +15,7 @@
    best-of-N wall-clock, pool dispatch overhead vs Domain.spawn/join,
    cold/warm compile-cache timings, the cold JIT compile into an empty
    artifact directory, a cold JIT-off [Session.create] (median of 5 with
-   min/max, and its warm-up engine runs), and per-call GEMM time for every matmul shape the
+   min/max, and the engine runs it made: none), and per-call GEMM time for every matmul shape the
    workloads hit).  [exec --smoke] only checks that every
    workload's engine outputs match the interpreter — no timing, no JSON. *)
 
@@ -202,10 +202,7 @@ let run_micro () =
    d2-vs-d4 comparison between runs. *)
 let time_best ?(warmup = 12) fs =
   let n = Array.length fs in
-  (* warm-up: fills the storage pool, primes caches, and drives every
-     tuner past its sampling phase (three samples of each arm: a group
-     has 2 arms, a loop 3, so at most 9 runs) so no timed sample lands
-     on a deliberately-slow tuning arm *)
+  (* warm-up: fills the storage pool and primes caches *)
   Array.iter
     (fun f ->
       for _ = 1 to warmup do
@@ -374,9 +371,9 @@ let cold_jit fg ~inputs =
 
 (* The cold [Session.create] a fresh replica pays with the JIT off: the
    compile cache is cleared before each of [create_samples] creates, so
-   every one lowers, compiles and warms its engines from scratch.
-   Returns the sorted wall times and the engine runs (create's warm-up
-   runs) the [exec.runs] counter saw during one create. *)
+   every one lowers and compiles its engines from scratch.  Returns the
+   sorted wall times and the engine runs the [exec.runs] counter saw
+   during one create (none: create runs no engine). *)
 let exec_runs = Metrics.counter "exec.runs"
 let create_samples = 5
 
@@ -565,10 +562,8 @@ let workload_json r =
       ("c_copies", int r.r_c_copies);
       ("kernel_runs", int (ran c (fun s -> s.Scheduler.kernel_runs)));
       ("parallel_loops", int (ran c (fun s -> s.Scheduler.parallel_loops_run)));
-      ("reduction_loops", int (ran c (fun s -> s.Scheduler.reduction_loops_run)));
       ("vector_loops", int (ran c (fun s -> s.Scheduler.vector_loops)));
       ("batched_loops", int s.Scheduler.batched_loops);
-      ("loops_pinned_seq", int s.Scheduler.loops_pinned_seq);
       ("pool_lanes", int s.Scheduler.pool_lanes);
       ("pool_dispatches", int c.pool.(0));
       ("pool_worker_tasks", int c.pool.(1));
@@ -690,10 +685,8 @@ let run_exec () =
       end
       else if smoke_mode then begin
         Printf.printf
-          "  %-10s ok parallel_loops=%d reduction_loops=%d vector_loops=%d \
-           jit_groups=%d\n"
+          "  %-10s ok parallel_loops=%d vector_loops=%d jit_groups=%d\n"
           w.name nbatched
-          (ran cp (fun s -> s.Scheduler.reduction_loops_run))
           (ran cp (fun s -> s.Scheduler.vector_loops))
           (Engine.stats engj).Scheduler.cjit_groups
       end

@@ -54,7 +54,7 @@ let () =
   in
   Printf.printf "observe(enabled): %.2f ns/call\n" (per_call t iters)
 
-(* --- disabled journal record (what every tuner decision site pays when
+(* --- disabled journal record (what every decision site pays when
    FUNCTS_JOURNAL=off: one bool deref) --- *)
 
 let () =
@@ -93,8 +93,8 @@ let journal_enabled_ns =
 
 (* --- always-on attribution budget on fused lstm.
 
-   The per-group wall-time attribution piggybacks on clock reads the
-   tuner already makes, so the only toggleable cost of leaving the
+   The per-site wall-time attribution piggybacks on the launch timing
+   dispatch already does, so the only toggleable cost of leaving the
    journal on is its record calls.  An on-vs-off wall-clock A/B cannot
    certify a 2% budget here — run-to-run drift on a shared box is +/-5%
    — so the overhead is computed from two quantities that ARE stable:
@@ -119,7 +119,7 @@ let () =
   Engine.await_jit eng;
   let runs = 40 in
   Journal.enable ();
-  (* warm: fill caches and let the tuner pin before measuring *)
+  (* warm: fill caches before measuring *)
   for _ = 1 to 30 do ignore (Engine.run eng args) done;
   let r0 = Journal.recorded () in
   let t = timed (fun () -> for _ = 1 to runs do ignore (Engine.run eng args) done) in

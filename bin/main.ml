@@ -249,14 +249,14 @@ let run_exec (w : Workload.t) (profile : Compiler_profile.t) batch seq =
       (t_interp /. t_exec);
     Printf.printf
       "stats      : groups=%d donations=%d pool=%d/%d par-loops=%d \
-       red-loops=%d vector-loops=%d batched=%d\n"
+       vector-loops=%d batched=%d\n"
       s.Scheduler.groups s.Scheduler.donations
       s.Scheduler.pool_reused
       (s.Scheduler.pool_fresh + s.Scheduler.pool_reused)
-      s.Scheduler.parallel_loops_run s.Scheduler.reduction_loops_run
-      s.Scheduler.vector_loops s.Scheduler.batched_loops;
-    Printf.printf "loop arms  : batched=%d seq=%d pinned\n"
-      s.Scheduler.loops_pinned_batched s.Scheduler.loops_pinned_seq;
+      s.Scheduler.parallel_loops_run s.Scheduler.vector_loops
+      s.Scheduler.batched_loops;
+    Printf.printf "loop arms  : batched=%d native=%d\n"
+      s.Scheduler.loops_pinned_batched s.Scheduler.native_loops;
     Printf.printf
       "jit        : %s — %d groups armed, %d native runs, %d fallbacks, \
        isa %s\n"
@@ -509,7 +509,7 @@ let gc_rows ~runs (before : Gc.stat) (after : Gc.stat) =
    nothing armed), waiting for a background JIT compile; and how far
    both moved the JIT artifact counters (a cold artifact directory
    compiles once per distinct unit; the other engines hit) and the
-   engine-run counter (create's warm-up runs).  The requests are served
+   engine-run counter (0: create runs no engine).  The requests are served
    after the wait, on armed engines. *)
 let setup_counters = [ "jit.c.compiles"; "jit.c.hit"; "jit.c.miss"; "exec.runs" ]
 
@@ -695,8 +695,7 @@ let why_cmd =
       value & opt int 48
       & info [ "runs" ] ~docv:"N"
           ~doc:
-            "Requests to serve before replaying the journal (enough for the \
-             auto-tuner to sample every arm and pin winners).")
+            "Requests to serve before replaying the journal.")
   in
   let run name runs batch seq =
     match Functs.find_workload name with
@@ -720,7 +719,7 @@ let why_cmd =
               (fun e -> print_endline (Journal.entry_to_text e))
               entries;
             print_newline ();
-            Printf.printf "current winners (by accumulated wall time):\n";
+            Printf.printf "arms (by accumulated wall time):\n";
             List.iter
               (fun (r : Scheduler.attribution_row) ->
                 Printf.printf "  %s -> %s (%d launches, %.2f ms total)\n"
@@ -733,10 +732,10 @@ let why_cmd =
   Cmd.v
     (Cmd.info "why"
        ~doc:
-         "Serve a workload, then replay the decision journal: every \
-          auto-tuner sample, pin, flip and expiry, JIT demotion, cache \
-          eviction and deadline degradation, plus each site's current \
-          winning arm.")
+         "Serve a workload, then replay the decision journal: the arm \
+          each loop site's rule gave it, the serve bucket and dispatcher \
+          choices, JIT arming and demotion, cache eviction and deadline \
+          degradation, plus each site's arm and its time.")
     Term.(ret (const run $ workload_arg $ runs_arg $ batch_arg $ seq_arg))
 
 (* --- report --- *)

@@ -273,7 +273,6 @@ let run t args =
       settle_pending t ~block:false;
       Scheduler.run t.e_prepared args)
 
-let sampling t = locked t (fun () -> Scheduler.sampling t.e_prepared)
 let await_jit t = locked t (fun () -> settle_pending t ~block:true)
 let jit_pending t = Option.is_some t.e_pending
 let armed_at t = t.e_armed_at

@@ -103,12 +103,6 @@ val check_args :
 (** {!Scheduler.check_args}: the one accept rule for a compiled graph's
     arguments, which {!run} and a serving session's submit both apply. *)
 
-val sampling : t -> bool
-(** {!Scheduler.sampling}: some loop site of this engine is still
-    sampling its arms.  A pending JIT compile is not polled, so loop
-    kernels it would arm do not count until a {!run} arms them.  A
-    serving session warms an engine at create only while this holds. *)
-
 (** {1 Tiered JIT} *)
 
 val await_jit : t -> unit
@@ -133,7 +127,7 @@ val cancel_jit : t -> unit
 val force : t -> Scheduler.site -> Scheduler.arm -> unit
 (** [force t site arm] pins one site — an attribution row's
     [(at_kind, at_id)], [group#N] or [loop#N] — to [arm] for good: a
-    loop takes it whatever its tuner measures, and a group forced to
+    loop runs it whatever its rule gave, and a group forced to
     [`Per_node] is demoted (journaled as [forced]).  For tests only:
     no configuration, environment variable or CLI flag reaches it.
     Serialized with {!run}.

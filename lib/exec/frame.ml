@@ -41,7 +41,6 @@ type counts = {
   mutable jit_fallbacks : int;
   mutable donations : int;
   mutable parallel_loops : int;
-  mutable reduction_loops : int;
   mutable vector_loops : int;
 }
 
@@ -51,7 +50,6 @@ let counts () =
     jit_fallbacks = 0;
     donations = 0;
     parallel_loops = 0;
-    reduction_loops = 0;
     vector_loops = 0;
   }
 

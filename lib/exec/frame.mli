@@ -39,7 +39,6 @@ type counts = {
   mutable jit_fallbacks : int;
   mutable donations : int;
   mutable parallel_loops : int;
-  mutable reduction_loops : int;
   mutable vector_loops : int;
 }
 (** Engine-lifetime counters: the engine owns one record and every

@@ -4,16 +4,16 @@ open Functs_core
 open Functs_interp
 open Frame
 
-(* --- iteration batching for Parallel / Reduction loops ---
+(* --- iteration batching for Parallel loops ---
 
-   For every loop the dependence analysis clears ({!Loop_par}), the body
-   is compiled at prepare time into an action table aligned with its
-   instruction array: in-place writes replay a recognized rebuild chain
-   as one leaf write on the shared carried buffer, reduction combines
-   fold into per-chunk partial accumulators, everything else runs as
-   zero-copy views or plain fast-ops on a private frame.  Nothing is
-   resolved per run or per iteration — the slice descriptors (operand
-   slots, view kinds, buffer indices) are fixed here. *)
+   For every loop the dependence analysis clears as [Parallel]
+   ({!Loop_par}), the body is compiled at prepare time into an action
+   table aligned with its instruction array: in-place writes replay a
+   recognized rebuild chain as one leaf write on the shared carried
+   buffer, everything else runs as zero-copy views or plain fast-ops on
+   a private frame.  Nothing is resolved per run or per iteration — the
+   slice descriptors (operand slots, view kinds, buffer indices) are
+   fixed here. *)
 type lwrite = {
   wr_buf : int;  (* carried slot whose shared buffer is written *)
   wr_steps : (Op.view_kind * int array) array;  (* view path to the leaf *)
@@ -29,23 +29,18 @@ type laction =
   | L_view of Op.view_kind  (* zero-copy access *)
   | L_assign of Op.view_kind  (* copy-producing assign (free/alias base) *)
   | L_write of lwrite
-  | L_reduce of { rd_slot : int; rd_acc_pos : int }
 
 type t = {
-  lp_roles : Loop_par.role array;  (* per carried slot *)
+  lp_sliced : bool array;
+      (* per carried slot: [Sliced] (a shared buffer written in place),
+         else [Passthrough] (the init, unchanged) *)
   lp_donate : bool array;
       (* per carried slot: the loop is the init's only use, in the same
          block, and the init is no graph parameter — so a run may adopt
          the init as the shared buffer when its storage has no other
          live reference *)
   lp_actions : laction array;  (* aligned with the body's bi_insts *)
-  lp_reduction : bool;  (* any Reduced slot: fixed chunking + merge *)
 }
-
-(* Reduction chunking is fixed (independent of pool lanes and of whether
-   the pool split the range), so domains=1/2/4 runs of the same prepared
-   engine merge partials in the same order and stay bitwise-identical. *)
-let reduce_max_chunks = 8
 
 (* Carried slot [j] of [node] may adopt its init as the written buffer:
    the loop is the init's only use, in the same block, and the init is
@@ -68,10 +63,14 @@ let adopt_or_clone rs ~donate (bt : Tensor.t) =
 
 (* Every slice descriptor (view kinds, operand slots, buffer indices) is
    resolved to frame slots once, here, never per run or per iteration.
-   A loop whose plan cannot be built (a missing slot, a malformed chain)
-   gets [None] and stays sequential. *)
+   A loop whose plan cannot be built (a missing slot, a malformed chain,
+   a [Reduced] slot) gets [None] and stays sequential. *)
 let build graph ~slot (node : Graph.node) (info : Loop_par.info) (bi : binst) =
-  if Array.length bi.bi_params <> Array.length info.Loop_par.roles + 1 then None
+  let roles = info.Loop_par.roles in
+  if
+    Array.length bi.bi_params <> Array.length roles + 1
+    || Array.exists (function Loop_par.Reduced _ -> true | _ -> false) roles
+  then None
   else
     let exception Bail in
     let req (v : Graph.value) =
@@ -80,14 +79,6 @@ let build graph ~slot (node : Graph.node) (info : Loop_par.info) (bi : binst) =
     let step_of (s : Loop_par.step) =
       (s.Loop_par.st_kind, Array.of_list (List.map req s.Loop_par.st_ops))
     in
-    let combines = Hashtbl.create 4 in
-    Array.iteri
-      (fun j role ->
-        match role with
-        | Loop_par.Reduced { acc_pos; combine; _ } ->
-            Hashtbl.replace combines combine.Graph.n_id (j, acc_pos)
-        | Loop_par.Sliced | Loop_par.Passthrough -> ())
-      info.Loop_par.roles;
     let action (b : inst) =
       let nid = b.i_node.n_id in
       if Hashtbl.mem info.Loop_par.skips nid then L_skip
@@ -106,36 +97,26 @@ let build graph ~slot (node : Graph.node) (info : Loop_par.info) (bi : binst) =
                 wr_out = b.i_out.(0);
               }
         | None -> (
-            match Hashtbl.find_opt combines nid with
-            | Some (j, acc_pos) ->
-                if Array.length b.i_in <> 2 || Array.length b.i_out <> 1 then
-                  raise Bail;
-                L_reduce { rd_slot = j; rd_acc_pos = acc_pos }
-            | None -> (
-                match b.i_node.n_op with
-                | Op.Access kind
-                  when Array.length b.i_in >= 1 && Array.length b.i_out = 1 ->
-                    L_view kind
-                | Op.Assign kind
-                  when Array.length b.i_in >= 2 && Array.length b.i_out = 1 ->
-                    L_assign kind
-                | _ -> L_plain))
+            match b.i_node.n_op with
+            | Op.Access kind
+              when Array.length b.i_in >= 1 && Array.length b.i_out = 1 ->
+                L_view kind
+            | Op.Assign kind
+              when Array.length b.i_in >= 2 && Array.length b.i_out = 1 ->
+                L_assign kind
+            | _ -> L_plain)
     in
     match Array.map action bi.bi_insts with
     | exception Bail -> None
     | actions ->
-        let donate =
-          Array.mapi (fun j _ -> donatable graph node j) info.Loop_par.roles
-        in
         Some
           {
-            lp_roles = info.Loop_par.roles;
-            lp_donate = donate;
+            lp_sliced =
+              Array.map
+                (function Loop_par.Sliced -> true | _ -> false)
+                roles;
+            lp_donate = Array.mapi (fun j _ -> donatable graph node j) roles;
             lp_actions = actions;
-            lp_reduction =
-              Array.exists
-                (function Loop_par.Reduced _ -> true | _ -> false)
-                info.Loop_par.roles;
           }
 
 (* Shared carried buffers for Sliced slots.  When the loop is the
@@ -144,55 +125,39 @@ let build graph ~slot (node : Graph.node) (info : Loop_par.info) (bi : binst) =
    donation); otherwise one pooled clone covers the whole loop. *)
 let carried_buffers rs lp inits =
   Array.mapi
-    (fun j role ->
-      match role with
-      | Loop_par.Sliced ->
-          Some
-            (adopt_or_clone rs ~donate:lp.lp_donate.(j)
-               (Value.to_tensor inits.(j)))
-      | Loop_par.Reduced _ | Loop_par.Passthrough -> None)
-    lp.lp_roles
+    (fun j sliced ->
+      if sliced then
+        Some
+          (adopt_or_clone rs ~donate:lp.lp_donate.(j)
+             (Value.to_tensor inits.(j)))
+      else None)
+    lp.lp_sliced
 
 (* Horizontal parallelization (Algorithm 2), iteration-batched: the
    dependence analysis guarantees every carried tensor is either written
-   through induction-disjoint slices (Sliced), folded by an associative
-   combine (Reduced), or passed through untouched, so iterations execute
-   on shared buffers with one in-place leaf write per recognized rebuild
-   chain — no per-iteration scopes, refcounts, or buffer rotation.
-   Bodies run the action table on a private frame per chunk, and
-   [Pool.parallel_for] decides whether the chunks fan out across lanes
-   or all run on the caller.  Returns the merged reduction results. *)
+   through induction-disjoint slices (Sliced) or passed through
+   untouched, so iterations execute on shared buffers with one in-place
+   leaf write per recognized rebuild chain — no per-iteration scopes,
+   refcounts, or buffer rotation.  Each iteration is one chunk: its
+   writes are disjoint from every other's, so any partition is
+   bitwise-identical to the sequential order.  Bodies run the action
+   table on a private frame per chunk, and [Pool.parallel_for] decides
+   whether the chunks fan out across lanes or all run on the caller. *)
 let exec rs ~pool (bi : binst) lp trip inits bufs =
-  let nc = Array.length lp.lp_roles in
   let i_slot = bi.bi_params.(0) in
-  let carried_slots = Array.sub bi.bi_params 1 nc in
+  let carried_slots = Array.sub bi.bi_params 1 (Array.length lp.lp_sliced) in
   let buf j =
     match bufs.(j) with
     | Some t -> t
     | None -> error "batched loop: carried slot %d has no buffer" j
   in
-  (* Reductions use fixed chunking (see [reduce_max_chunks]); parallel
-     loops chunk per iteration — their writes are disjoint, so any
-     partition is bitwise-identical to the sequential order. *)
-  let csize =
-    if lp.lp_reduction then
-      max 1 ((trip + reduce_max_chunks - 1) / reduce_max_chunks)
-    else 1
-  in
-  let nchunks = (trip + csize - 1) / csize in
-  let partials =
-    if lp.lp_reduction then Array.init nchunks (fun _ -> Array.make nc None)
-    else [||]
-  in
-  let no_cell = Array.make (max nc 1) None in
   let caller = Domain.self () in
   (* Chunks on the run's own domain draw iteration scratch from the
      storage pool and hand it back when each iteration ends: nothing an
      iteration allocates outlives it ([L_write] copies into the shared
-     buffer, reduction partials are fresh allocations).  Chunks on worker
-     domains allocate fresh — the pool's free lists are single-domain. *)
-  let run_iters (vals : Value.t option array) (cell : Value.t option array)
-      lo hi =
+     buffer).  Chunks on worker domains allocate fresh — the pool's free
+     lists are single-domain. *)
+  let run_iters (vals : Value.t option array) lo hi =
     let scratch = ref [] in
     let alloc =
       if Domain.self () <> caller then None
@@ -212,10 +177,8 @@ let exec rs ~pool (bi : binst) lp trip inits bufs =
       vals.(i_slot) <- Some (Value.Int i);
       Array.iteri
         (fun j slot ->
-          match lp.lp_roles.(j) with
-          | Loop_par.Sliced -> vals.(slot) <- Some (Value.Tensor (buf j))
-          | Loop_par.Passthrough -> vals.(slot) <- Some inits.(j)
-          | Loop_par.Reduced _ -> vals.(slot) <- cell.(j))
+          vals.(slot) <-
+            Some (if lp.lp_sliced.(j) then Value.Tensor (buf j) else inits.(j)))
         carried_slots;
       Array.iteri
         (fun k (b : inst) ->
@@ -255,29 +218,6 @@ let exec rs ~pool (bi : binst) lp trip inits bufs =
               let leaf = Eval.apply_view_kind w.wr_leaf_kind !region leaf_ops in
               write_region leaf (Value.to_tensor (getv w.wr_src));
               vals.(w.wr_out) <- Some (Value.Tensor (buf w.wr_buf))
-          | L_reduce r -> (
-              let x = getv b.i_in.(1 - r.rd_acc_pos) in
-              match cell.(r.rd_slot) with
-              | None ->
-                  (* First iteration of the chunk: the partial starts as
-                     a private copy (x may view a shared buffer that a
-                     later iteration mutates). *)
-                  let v =
-                    match x with
-                    | Value.Tensor t -> Value.Tensor (Fastops.clone t)
-                    | v -> v
-                  in
-                  cell.(r.rd_slot) <- Some v;
-                  vals.(b.i_out.(0)) <- Some v
-              | Some acc -> (
-                  let inputs =
-                    if r.rd_acc_pos = 0 then [ acc; x ] else [ x; acc ]
-                  in
-                  match Fastops.apply_op b.i_node inputs with
-                  | [ out ] ->
-                      cell.(r.rd_slot) <- Some out;
-                      vals.(b.i_out.(0)) <- Some out
-                  | _ -> error "malformed reduction combine"))
           | L_plain ->
               let inputs =
                 List.init (Array.length b.i_in) (fun o -> getv b.i_in.(o))
@@ -289,19 +229,12 @@ let exec rs ~pool (bi : binst) lp trip inits bufs =
       scratch := []
     done
   in
-  let body lo hi =
-    (* Private frame per chunk: iterations rebind everything they
-       define; outer bindings are only ever read. *)
-    let vals = Array.copy rs.vals in
-    if lp.lp_reduction then
-      for c = lo to hi - 1 do
-        run_iters vals partials.(c) (c * csize) (min trip ((c + 1) * csize))
-      done
-    else run_iters vals no_cell lo hi
-  in
-  (* Cost hint for the pool's cache-aware chunking: each chunk walks its
-     slice of every carried buffer about once, so per-chunk bytes are the
-     carried footprint spread over the chunk count. *)
+  (* Private frame per chunk: iterations rebind everything they define;
+     outer bindings are only ever read. *)
+  let body lo hi = run_iters (Array.copy rs.vals) lo hi in
+  (* Cost hint for the pool's cache-aware chunking: each iteration walks
+     its slice of every carried buffer about once, so per-iteration bytes
+     are the carried footprint spread over the trip. *)
   let carried_bytes =
     Array.fold_left
       (fun acc v ->
@@ -310,42 +243,18 @@ let exec rs ~pool (bi : binst) lp trip inits bufs =
   in
   ignore
     (Pool.parallel_for pool
-       ~bytes_per_iter:(carried_bytes / max 1 nchunks)
-       ~grain:1 ~n:nchunks body);
-  (* Merge reduction partials in fixed chunk order, folding from the
-     loop's init exactly once. *)
-  Array.mapi
-    (fun j role ->
-      match role with
-      | Loop_par.Reduced { acc_pos; combine; _ } ->
-          let acc = ref inits.(j) in
-          Array.iter
-            (fun cell ->
-              match cell.(j) with
-              | None -> ()
-              | Some partial -> (
-                  let inputs =
-                    if acc_pos = 0 then [ !acc; partial ] else [ partial; !acc ]
-                  in
-                  match Fastops.apply_op combine inputs with
-                  | [ out ] -> acc := out
-                  | _ -> error "malformed reduction combine"))
-            partials;
-          Some !acc
-      | Loop_par.Sliced | Loop_par.Passthrough -> None)
-    lp.lp_roles
+       ~bytes_per_iter:(carried_bytes / max 1 trip)
+       ~grain:1 ~n:trip body)
 
 (* Bind a batched run's results to the loop's outputs: the shared
-   buffers, the passed-through inits and the merged reductions. *)
-let bind_outputs rs ~scope (inst : inst) lp inits bufs merged =
+   buffers and the passed-through inits. *)
+let bind_outputs rs ~scope (inst : inst) lp inits bufs =
   Array.iteri
     (fun j out_slot ->
       let v =
-        match (lp.lp_roles.(j), bufs.(j), merged.(j)) with
-        | Loop_par.Sliced, Some t, _ -> Value.Tensor t
-        | Loop_par.Passthrough, _, _ -> inits.(j)
-        | Loop_par.Reduced _, _, Some v -> v
-        | _ -> error "batched loop: carried slot %d has no result" j
+        match bufs.(j) with
+        | Some t when lp.lp_sliced.(j) -> Value.Tensor t
+        | _ -> inits.(j)
       in
       bind rs scope out_slot v)
     inst.i_out;

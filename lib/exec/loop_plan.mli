@@ -1,14 +1,11 @@
-(** The batched plan of a loop the dependence analysis cleared
-    ({!Functs_core.Loop_par} [Parallel] or [Reduction]), and the code
-    that runs it.
+(** The batched plan of a loop the dependence analysis cleared as
+    {!Functs_core.Loop_par} [Parallel], and the code that runs it.
 
     The plan is plain data, built once at prepare time: an action per
     body instruction with every slice descriptor resolved to frame
     slots.  [Sliced] carried tensors become shared buffers written in
-    place through one leaf write per recognized rebuild chain;
-    [Reduced] ones fold into per-chunk partial accumulators, merged in
-    a fixed chunk order, so results are bitwise-identical at any lane
-    count. *)
+    place through one leaf write per recognized rebuild chain, so
+    results are bitwise-identical at any lane count. *)
 
 open Functs_ir
 open Functs_core
@@ -29,17 +26,16 @@ type laction =
   | L_view of Op.view_kind  (** zero-copy access *)
   | L_assign of Op.view_kind  (** copy-producing assign *)
   | L_write of lwrite  (** leaf write into a shared carried buffer *)
-  | L_reduce of { rd_slot : int; rd_acc_pos : int }
-      (** combine into the chunk's partial for carried slot [rd_slot] *)
 
 type t = {
-  lp_roles : Loop_par.role array;  (** per carried slot *)
+  lp_sliced : bool array;
+      (** per carried slot: [Sliced] (a shared buffer written in place),
+          else [Passthrough] *)
   lp_donate : bool array;
       (** per carried slot: the loop is the init's only use, in the same
           block, and the init is no graph parameter — a run may adopt it
           as the shared buffer when nothing else references it *)
   lp_actions : laction array;  (** aligned with the body's [bi_insts] *)
-  lp_reduction : bool;  (** any [Reduced] slot *)
 }
 
 val donatable : Graph.t -> Graph.node -> int -> bool
@@ -59,9 +55,9 @@ val build :
   Loop_par.info ->
   Frame.binst ->
   t option
-(** [build graph ~slot loop info body]: [None] when a descriptor has no
-    frame slot or a chain is malformed — the loop then stays
-    sequential. *)
+(** [build graph ~slot loop info body]: [None] when a carried slot is
+    [Reduced], a descriptor has no frame slot or a chain is malformed —
+    the loop then stays sequential. *)
 
 val carried_buffers : Frame.t -> t -> Value.t array -> Functs_tensor.Tensor.t option array
 (** The shared buffer of each [Sliced] slot: the init itself when the
@@ -76,14 +72,13 @@ val exec :
   int ->
   Value.t array ->
   Functs_tensor.Tensor.t option array ->
-  Value.t option array
+  unit
 (** [exec rs ~pool body plan trip inits bufs] runs every iteration on
-    the shared buffers, in chunks handed to {!Pool.parallel_for}, which
-    fans them out across lanes or runs them all on the caller.  A chunk
-    on the run's own domain draws its iteration scratch from the
-    storage pool and returns it at the end of each iteration; a chunk on
-    a worker domain allocates fresh.  Returns the merged reduction
-    result of each [Reduced] slot. *)
+    the shared buffers, one chunk per iteration, handed to
+    {!Pool.parallel_for}, which fans them out across lanes or runs them
+    all on the caller.  A chunk on the run's own domain draws its
+    iteration scratch from the storage pool and returns it at the end of
+    each iteration; a chunk on a worker domain allocates fresh. *)
 
 val bind_outputs :
   Frame.t ->
@@ -92,7 +87,6 @@ val bind_outputs :
   t ->
   Value.t array ->
   Functs_tensor.Tensor.t option array ->
-  Value.t option array ->
   unit
-(** Bind the loop's outputs (shared buffers, passed-through inits,
-    merged reductions) and consume its inputs. *)
+(** Bind the loop's outputs (shared buffers, passed-through inits) and
+    consume its inputs. *)

@@ -15,23 +15,23 @@ let prepares_c = Metrics.counter "exec.prepares"
 let runs_c = Metrics.counter "exec.runs"
 let kernel_runs_c = Metrics.counter "exec.kernel_runs"
 let parallel_loops_c = Metrics.counter "exec.parallel_loops"
-let reduction_loops_c = Metrics.counter "exec.reduction_loops"
 
 (* Runtime demotions of a group or loop kernel on a launch-validation
    failure. *)
 let jit_demoted_c = Metrics.counter "jit.demoted"
 
 (* A group runs its native kernel ([`Cjit]) once one is armed and node
-   by node ([`Per_node]) otherwise; nothing is tuned.
+   by node ([`Per_node]) otherwise.
 
-   A loop with an arm besides its sequential body is one site, tuned
-   ({!Tuner}) over the arms it has: [`Native] (a [Sequential] loop whose
-   whole body compiled to one loop kernel: one launch per run) or
-   [`Batched] (a [Parallel]/[Reduction] loop's vectorised plan when the
-   body has one, else — or when that plan bails — its chunked plan,
-   whose chunks the pool fans out across lanes or runs on the caller),
-   then [`Seq] (the sequential body, which keeps kernel fusion and
-   donation: on some bodies, e.g. tmax's, it beats the other arm). *)
+   A loop site runs one arm, fixed by a rule when the site is made:
+   - [`Native]: a [Sequential] loop whose whole body compiled to one
+     loop kernel (one launch per run), until a launch fails validation;
+   - [`Batched]: a [Parallel] loop's vectorised plan when the body has
+     one, else — or when that plan bails — its chunked plan, whose
+     chunks the pool fans out across lanes or runs on the caller;
+   - [`Seq]: a [Reduction] loop (and any site after a demotion): the
+     sequential body, which keeps kernel fusion and donation.
+   Nothing is measured to choose; only {!force} overrides the rule. *)
 type garm = [ `Cjit | `Per_node ]
 type larm = [ `Native | `Batched | `Seq ]
 type arm = [ garm | larm ]
@@ -64,15 +64,17 @@ type group = {
 
 let group_arm g = match g.g_jit with `Armed _ -> `Cjit | _ -> `Per_node
 
-(* A loop site: its plans (plain data), its loop kernel, and the tuner
-   that picks among them. *)
+(* A loop site: its plans (plain data), its loop kernel, and the arm
+   the rule gave it. *)
 type loop = {
   l_batch : (Loop_plan.t * Vector_plan.t option) option;
-      (* iteration-batching plans of a Parallel/Reduction loop *)
+      (* iteration-batching plans of a Parallel loop *)
   mutable l_jit : (Jit.loop * bool array) option;
       (* a Sequential loop's kernel and, per carried slot,
          {!Loop_plan.donatable}; cleared on a failed launch *)
-  l_tuner : larm Tuner.t;
+  mutable l_arm : larm;
+  mutable l_time : float;  (* accumulated launch wall time (attribution) *)
+  mutable l_launches : int;
   l_members : int;  (* body size, for attribution *)
   l_ops : string list;  (* the body's op names, for attribution *)
 }
@@ -94,14 +96,25 @@ let op_names (nodes : Graph.node list) =
     [] nodes
   |> List.rev
 
+(* The rule: a loop kernel runs [`Native], a batching plan [`Batched],
+   anything else (a [Reduction] loop) [`Seq].  Journaled once per site
+   as a [Tuner_pin] whose detail names the rule. *)
 let loop_site (node : Graph.node) ~members ~batch ~jit =
-  let has x arm = if Option.is_some x then [ arm ] else [] in
+  let arm, rule =
+    match (jit, batch) with
+    | Some _, _ -> (`Native, "loop-kernel")
+    | None, Some (_, Some _) -> (`Batched, "vector-plan")
+    | None, Some (_, None) -> (`Batched, "chunked-plan")
+    | None, None -> (`Seq, "reduction")
+  in
+  Journal.record Tuner_pin "scheduler.loop" ~id:node.Graph.n_id
+    ~arm:(arm_name arm) ~detail:("rule=" ^ rule);
   {
     l_batch = batch;
     l_jit = jit;
-    l_tuner =
-      Tuner.create ~scope:"scheduler.loop" ~id:node.Graph.n_id ~name:arm_name
-        (has jit `Native @ has batch `Batched @ [ `Seq ]);
+    l_arm = arm;
+    l_time = 0.;
+    l_launches = 0;
     l_members = members;
     l_ops = op_names (List.hd node.Graph.n_blocks).Graph.b_nodes;
   }
@@ -182,14 +195,6 @@ let bind_group_results p rs scope gid members results =
     results;
   (* Sweep every member's input edges so external values retire. *)
   List.iter (fun (m : inst) -> consume_all rs m.i_in) members
-
-(* [f ()] runs one launch of [arm]; its wall time goes to [tuner] unless
-   [f] reports that it did not run. *)
-let timed tuner arm f =
-  let t0 = Unix.gettimeofday () in
-  let ran = f () in
-  if ran then Tuner.record tuner arm (Unix.gettimeofday () -. t0);
-  ran
 
 (* One native launch of a group or loop kernel at [site]:
    [launch ~alloc ~track] with every buffer it takes from the storage
@@ -273,17 +278,17 @@ let block_insts p (b : Graph.block) =
   | Some bi -> bi
   | None -> error "block %d was not prepared" b.Graph.b_id
 
-(* Whether a loop site runs its tuned arm.  A batching plan needs a trip
-   past the loop grain, a body still shaped like the plan, and a
-   parallel engine; without one the loop runs untimed on [seq]. *)
+(* Whether a loop site runs its arm.  A batching plan needs a trip past
+   the loop grain, a body still shaped like the plan, and a parallel
+   engine; without one the loop runs untimed on [seq]. *)
 let tuned p l (inst : inst) bi trip =
   match l.l_batch with
   | None -> true
   | Some (lp, _) ->
       p.p_parallel && trip > 1 && trip >= p.p_loop_grain
-      && Array.length bi.bi_params = Array.length lp.Loop_plan.lp_roles + 1
+      && Array.length bi.bi_params = Array.length lp.Loop_plan.lp_sliced + 1
       && Array.length bi.bi_insts = Array.length lp.lp_actions
-      && Array.length inst.i_out = Array.length lp.lp_roles
+      && Array.length inst.i_out = Array.length lp.lp_sliced
 
 (* The [`Batched] arm: shared carried buffers, then the vectorised plan
    (the chunked one when there is none or it bails), then the loop's
@@ -291,20 +296,13 @@ let tuned p l (inst : inst) bi trip =
 let exec_batched p rs ~scope (inst : inst) bi (lp, vector) trip inits =
   let inits = Array.of_list inits in
   let bufs = Loop_plan.carried_buffers rs lp inits in
-  let merged =
-    match vector with
-    | Some vp when Vector_plan.exec rs bi lp vp trip inits bufs ->
-        p.p_counts.vector_loops <- p.p_counts.vector_loops + 1;
-        Array.make (Array.length inits) None
-    | _ -> Loop_plan.exec rs ~pool:p.p_exec_pool bi lp trip inits bufs
-  in
+  (match vector with
+  | Some vp when Vector_plan.exec rs bi lp vp trip inits bufs ->
+      p.p_counts.vector_loops <- p.p_counts.vector_loops + 1
+  | _ -> Loop_plan.exec rs ~pool:p.p_exec_pool bi lp trip inits bufs);
   p.p_counts.parallel_loops <- p.p_counts.parallel_loops + 1;
   Metrics.incr parallel_loops_c;
-  if lp.Loop_plan.lp_reduction then begin
-    p.p_counts.reduction_loops <- p.p_counts.reduction_loops + 1;
-    Metrics.incr reduction_loops_c
-  end;
-  Loop_plan.bind_outputs rs ~scope inst lp inits bufs merged
+  Loop_plan.bind_outputs rs ~scope inst lp inits bufs
 
 (* The [`Native] arm: the whole loop in one native launch.  A row-written
    slot is written in place (the init when {!Loop_plan.adopt_or_clone}
@@ -318,7 +316,7 @@ let exec_native p rs ~scope (inst : inst) l (entry, donate) trip inits =
     native_launch p (`Loop, inst.i_node.n_id)
       ~clear:(fun () ->
         l.l_jit <- None;
-        Tuner.drop l.l_tuner `Native)
+        l.l_arm <- `Seq)
       (fun ~alloc ~track ->
         let carried =
           Array.mapi
@@ -410,26 +408,27 @@ and exec_loop p rs ~scope (inst : inst) =
       in
       match Hashtbl.find_opt p.p_loops inst.i_node.n_id with
       | Some l when rs.live && tuned p l inst bi trip ->
+          let t0 = Unix.gettimeofday () in
           let ran =
-            match (l.l_tuner.Tuner.arm, l.l_jit, l.l_batch) with
+            match (l.l_arm, l.l_jit, l.l_batch) with
             | `Native, Some jit, _ ->
-                timed l.l_tuner `Native (fun () ->
-                    exec_native p rs ~scope inst l jit trip inits)
+                exec_native p rs ~scope inst l jit trip inits
             | `Batched, _, Some plans ->
-                timed l.l_tuner `Batched (fun () ->
-                    exec_batched p rs ~scope inst bi plans trip inits;
-                    true)
+                exec_batched p rs ~scope inst bi plans trip inits;
+                true
             | _ -> false
           in
-          if not ran then ignore (timed l.l_tuner `Seq seq)
+          if not ran then ignore (seq ());
+          l.l_time <- l.l_time +. (Unix.gettimeofday () -. t0);
+          l.l_launches <- l.l_launches + 1
       | _ -> ignore (seq ())
     end
   | _ -> error "malformed prim::Loop"
 
 (* The classic sequential loop body: per-iteration scopes, kernel
-   fusion and assign donation all active.  Also the [`Seq] auto-tuner
-   arm of batched loops: a workload whose batched arms lose
-   to the fused sequential path pins this one. *)
+   fusion and assign donation all active.  Also the [`Seq] arm of a
+   loop site: a [Reduction] loop's, a demoted loop kernel's, and any
+   forced one's. *)
 and exec_seq_loop p rs ~scope (inst : inst) (bi : binst) trip inits =
   (* Consume the loop's input edges up front: if the loop is the
      init's last consumer, iteration writes can donate into it. *)
@@ -592,15 +591,18 @@ let prepare ~parallel ~pool:exec_pool ~loop_grain ~kernel_grain ~graph
   in
   List.iter (fun v -> ignore (slot_of_value v)) (Graph.params graph);
   walk_block graph.Graph.g_block;
-  (* Plans for every loop the dependence analysis cleared; a loop whose
-     plan cannot be built stays sequential. *)
+  (* A site for every loop the dependence analysis cleared: a [Parallel]
+     one with its batching plans (one whose plan cannot be built stays
+     sequential, with no site), a [Reduction] one on [`Seq], so its time
+     is still attributed. *)
   let loops : (int, loop) Hashtbl.t = Hashtbl.create 4 in
   let slot (v : Graph.value) = Hashtbl.find_opt slot_tbl v.Graph.v_id in
+  let body_size (body : Graph.block) =
+    Array.length (Hashtbl.find blocks body.Graph.b_id).bi_insts
+  in
   Graph.iter_nodes graph (fun (node : Graph.node) ->
       match (node.n_op, Fusion.loop_verdict plan node, node.n_blocks) with
-      | ( Op.Loop,
-          (Loop_par.Parallel info | Loop_par.Reduction (_, info)),
-          [ body ] ) -> (
+      | Op.Loop, Loop_par.Parallel info, [ body ] -> (
           let bi = Hashtbl.find blocks body.Graph.b_id in
           match Loop_plan.build graph ~slot node info bi with
           | None -> ()
@@ -610,6 +612,9 @@ let prepare ~parallel ~pool:exec_pool ~loop_grain ~kernel_grain ~graph
                    ~members:(Array.length lp.lp_actions)
                    ~batch:(Some (lp, Vector_plan.plan bi lp))
                    ~jit:None))
+      | Op.Loop, Loop_par.Reduction _, [ body ] ->
+          Hashtbl.replace loops node.n_id
+            (loop_site node ~members:(body_size body) ~batch:None ~jit:None)
       | _ -> ());
   let usage =
     Tracer.span "engine.buffer_plan" (fun () -> Buffer_plan.analyze graph)
@@ -714,8 +719,14 @@ let arm p (entries : Jit.armed) =
       | _ -> n)
     groups entries.loops
 
-(* A loop site has exactly the live arms of its tuner; a group has
-   [c-jit] while armed and [per_node] always. *)
+(* A loop site has [native] while its kernel is armed, [batched] with a
+   batching plan, and [seq] always; a group has [c-jit] while armed and
+   [per_node] always. *)
+let loop_has l = function
+  | `Native -> Option.is_some l.l_jit
+  | `Batched -> Option.is_some l.l_batch
+  | `Seq -> true
+
 let force p ((kind, id) : site) (a : arm) =
   match (kind, a, group_at p id, Hashtbl.find_opt p.p_loops id) with
   | `Group, `Cjit, Some { g_jit = `Armed _; _ }, _ -> ()
@@ -723,8 +734,10 @@ let force p ((kind, id) : site) (a : arm) =
       g.g_jit <- `Demoted;
       Journal.record Jit_demote "scheduler.group" ~id ~arm:"per_node"
         ~detail:"forced"
-  | `Loop, (#larm as a), _, Some l when Tuner.live l.l_tuner a ->
-      Tuner.freeze l.l_tuner a ~detail:"forced"
+  | `Loop, (#larm as a), _, Some l when loop_has l a ->
+      l.l_arm <- a;
+      Journal.record Tuner_pin "scheduler.loop" ~id ~arm:(arm_name a)
+        ~detail:"forced"
   | _ ->
       invalid_arg
         (Printf.sprintf "Scheduler.force: %s#%d has no %s arm"
@@ -813,14 +826,12 @@ type stats = {
   pool_reused : int;
   donations : int;
   parallel_loops_run : int;
-  reduction_loops_run : int;
   batched_loops : int;  (* loops with an iteration-batching plan *)
   vector_loops : int;  (* batched loop executions on the vector arm *)
   cjit_groups : int;  (* groups armed with a native kernel *)
   cjit_runs : int;  (* native launches *)
   jit_fallbacks : int;  (* launch-validation demotions to per-node *)
-  loops_pinned_batched : int;
-  loops_pinned_seq : int;  (* batched loops pinned back to sequential *)
+  loops_pinned_batched : int;  (* batched loops on the [batched] arm *)
   native_loops : int;  (* sequential loops armed with a loop kernel *)
   pool_lanes : int;
 }
@@ -830,9 +841,6 @@ let stats p =
     Hashtbl.fold (fun _ l n -> if f l then n + 1 else n) p.p_loops 0
   in
   let batched l = Option.is_some l.l_batch in
-  let pinned a =
-    loops (fun l -> batched l && Tuner.pinned l.l_tuner = Some a)
-  in
   let c = p.p_counts in
   {
     groups = List.length (Fusion.group_sizes p.p_plan);
@@ -841,7 +849,6 @@ let stats p =
     pool_reused = Buffer_plan.reuses p.p_pool;
     donations = c.donations;
     parallel_loops_run = c.parallel_loops;
-    reduction_loops_run = c.reduction_loops;
     batched_loops = loops batched;
     vector_loops = c.vector_loops;
     cjit_groups =
@@ -850,27 +857,21 @@ let stats p =
         0 p.p_groups;
     cjit_runs = c.cjit_runs;
     jit_fallbacks = c.jit_fallbacks;
-    loops_pinned_batched = pinned `Batched;
-    loops_pinned_seq = pinned `Seq;
+    loops_pinned_batched = loops (fun l -> batched l && l.l_arm = `Batched);
     native_loops = loops (fun l -> Option.is_some l.l_jit);
     pool_lanes = Pool.lanes p.p_exec_pool;
   }
 
-let sampling p =
-  Hashtbl.fold
-    (fun _ l acc -> acc || Option.is_none (Tuner.pinned l.l_tuner))
-    p.p_loops false
-
 (* --- kernel-group wall-time attribution ---
 
-   Every group launch and every tuned loop launch is already timed, so
+   Every group launch and every loop-site launch is already timed, so
    the accumulated per-site cost is collected as a side effect of normal
    dispatch.  Rows are sorted by time, hottest first. *)
 
 type attribution_row = {
   at_id : int;  (* gid, or the loop node's id *)
   at_kind : [ `Group | `Loop ];
-  at_arm : string;  (* current arm, or "sampling" *)
+  at_arm : string;  (* the arm the site runs *)
   at_members : int;  (* member instructions (groups) or trip sites (loops) *)
   at_ops : string list;  (* member (groups) or body (loops) op names *)
   at_time_s : float;  (* accumulated launch wall time *)
@@ -902,11 +903,10 @@ let attribution p =
     p.p_groups;
   Hashtbl.iter
     (fun lid l ->
-      let t = l.l_tuner in
-      if Tuner.launches t > 0 then
+      if l.l_launches > 0 then
         rows :=
-          row `Loop lid (Tuner.label t) (Tuner.total t) (Tuner.launches t)
-            l.l_members l.l_ops
+          row `Loop lid (arm_name l.l_arm) l.l_time l.l_launches l.l_members
+            l.l_ops
           :: !rows)
     p.p_loops;
   List.sort (fun a b -> Float.compare b.at_time_s a.at_time_s) !rows

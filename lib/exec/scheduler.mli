@@ -14,31 +14,32 @@
       runtime);
     - [immut::access] returns a zero-copy strided view — safe because
       donation requires the storage to have exactly one live reference;
-    - loops the dependence analysis cleared ({!Loop_par}) run
-      iteration-batched on plans built at prepare time, plain data kept
-      apart from the code that runs them: {!Loop_plan} compiles the
-      body into an action table whose slice descriptors are fully
-      resolved to frame slots ([Sliced] carried tensors become shared
-      buffers written in place through one leaf write per recognized
-      rebuild chain, [Reduced] ones fold into fixed-size per-chunk
-      partial accumulators merged in chunk order, bitwise-identical
-      across domain counts), and a body that passes a prepare-time check
-      also gets a {!Vector_plan}, which runs each statement once across
-      every iteration (Algorithm 2's parallelization, executed for
-      real) and which the batched arm runs first;
+    - [Parallel] loops ({!Loop_par}) run iteration-batched on plans
+      built at prepare time, plain data kept apart from the code that
+      runs them: {!Loop_plan} compiles the body into an action table
+      whose slice descriptors are fully resolved to frame slots
+      ([Sliced] carried tensors become shared buffers written in place
+      through one leaf write per recognized rebuild chain,
+      bitwise-identical across domain counts), and a body that passes a
+      prepare-time check also gets a {!Vector_plan}, which runs each
+      statement once across every iteration (Algorithm 2's
+      parallelization, executed for real) and which the batched arm runs
+      first;
     - a [Sequential] loop whose body compiled to one loop kernel
-      ({!Functs_jit.Jit_emit.emit_loop}) can run as one launch,
+      ({!Functs_jit.Jit_emit.emit_loop}) runs as one launch,
       single-lane;
-    - every loop with such a plan or kernel is one site with one tuner
-      over the arms it has — [native] (the loop kernel) or [batched]
-      (the vectorised plan, or the action table when there is none or
-      it bails, its chunks handed to {!Pool.parallel_for}, which fans
-      them out across lanes or runs them all on the caller), and [seq]
-      (the sequential body) — which pins whichever runs fastest.  This
-      is the only tuned choice.  A loop kernel that fails launch
-      validation is demoted to [seq] for good, as a group kernel is
-      demoted to per-node (a [Jit_demote] record, a [jit.fallback]
-      trace instant and a [jit.demoted] tick);
+    - every loop with such a plan or kernel, and every [Reduction] loop,
+      is one site whose arm a rule fixes when the site is made: [native]
+      (the loop kernel) when it has one, else [batched] (the vectorised
+      plan, or the action table when there is none or it bails, its
+      chunks handed to {!Pool.parallel_for}, which fans them out across
+      lanes or runs them all on the caller), else [seq] (the sequential
+      body: a [Reduction] loop).  Nothing is measured to choose.  The
+      site is journaled once as a [Tuner_pin] with detail
+      [rule=loop-kernel|vector-plan|chunked-plan|reduction].  A loop
+      kernel that fails launch validation is demoted to [seq] for good,
+      as a group kernel is demoted to per-node (a [Jit_demote] record, a
+      [jit.fallback] trace instant and a [jit.demoted] tick);
     - [prim::If]/[prim::Loop] fall back to block-level dispatch, and
       graphs still containing [aten::…_] mutations run in a plain
       per-node mode with interpreter semantics (no pool, no donation).
@@ -67,11 +68,11 @@ val prepare :
     [loop_grain] is the minimum trip count before a loop runs batched,
     [kernel_grain] the per-chunk element count for intra-kernel splits.
     Every group starts per-node; {!arm} adds native kernels.  Each
-    loop site picks its arm with a {!Tuner}. *)
+    loop site gets its arm by the rule above. *)
 
 val arm : prepared -> Functs_jit.Jit.armed -> int
 (** Arm each listed group with its native kernel, which it launches
-    from then on, and give each listed loop a [native]/[seq] site;
+    from then on, and give each listed loop a site on [native];
     returns how many groups and loops it armed.  Sites already armed,
     demoted, or unknown are left as they are.  Callers serialize it with
     {!run}. *)
@@ -84,13 +85,14 @@ type site = [ `Group | `Loop ] * int
 (** An attribution row's [(at_kind, at_id)]: [group#N] or [loop#N]. *)
 
 val force : prepared -> site -> arm -> unit
-(** Pin [site] to [arm] for good.  Backs [Engine.force].  A loop's
-    tuner is frozen on [arm] ({!Tuner.freeze}; journaled as a
-    [Tuner_pin] with detail [forced]).  [per_node] demotes a group for
-    good (a [Jit_demote] record with detail [forced]); [c-jit] on an
-    armed group changes nothing.
+(** Pin [site] to [arm] for good.  Backs [Engine.force].  A loop runs
+    [arm] from then on (journaled as a [Tuner_pin] with detail
+    [forced]).  [per_node] demotes a group for good (a [Jit_demote]
+    record with detail [forced]); [c-jit] on an armed group changes
+    nothing.
     @raise Invalid_argument when the site does not exist or lacks the
-    arm (a loop has its tuner's live arms): [c-jit] on a group with no
+    arm (a loop has [native] while its kernel is armed, [batched] with a
+    batching plan, and [seq] always): [c-jit] on a group with no
     native kernel armed, [native] on a loop without a loop kernel (never
     armed, or demoted), [batched] on a loop without a batching plan, a
     loop arm on a group or a group arm on a loop. *)
@@ -123,8 +125,7 @@ type stats = {
   pool_fresh : int;
   pool_reused : int;
   donations : int;  (** assigns executed in place *)
-  parallel_loops_run : int;  (** batched loop executions (incl. reductions) *)
-  reduction_loops_run : int;  (** batched executions of Reduction loops *)
+  parallel_loops_run : int;  (** batched loop executions *)
   batched_loops : int;  (** loops with an iteration-batching plan *)
   vector_loops : int;
       (** batched loop executions on the vectorised arm, which runs each
@@ -137,8 +138,9 @@ type stats = {
   jit_fallbacks : int;
       (** launch-validation failures that demoted a group or loop
           kernel for good *)
-  loops_pinned_batched : int;  (** batched loops the tuner pinned batched *)
-  loops_pinned_seq : int;  (** … pinned back to the sequential fused path *)
+  loops_pinned_batched : int;
+      (** loops with a batching plan on the [batched] arm (all of them
+          unless one was forced to [seq]) *)
   native_loops : int;
       (** sequential loops armed with a loop kernel (a demoted one no
           longer counts) *)
@@ -151,19 +153,12 @@ type stats = {
 
 val stats : prepared -> stats
 
-val sampling : prepared -> bool
-(** Some loop site's tuner has no pin: it is sampling its arms, so the
-    next runs that reach it time an arm that may lose.  [false] for an
-    engine without loop sites (no batching plan, no loop kernel armed),
-    and once every site has pinned. *)
-
 type attribution_row = {
   at_id : int;  (** fusion-group gid, or the loop node's id *)
   at_kind : [ `Group | `Loop ];
   at_arm : string;
       (** the arm a group runs — [c-jit] while armed, else [per_node] —
-          or the one a loop's {!Tuner} currently pins —
-          [native]/[batched]/[seq] — or [sampling] while it samples *)
+          or a loop runs — [native]/[batched]/[seq] *)
   at_members : int;  (** member instructions (groups) / body size (loops) *)
   at_ops : string list;
       (** distinct op names, namespace dropped, in order: the members of
@@ -175,7 +170,7 @@ type attribution_row = {
 val attribution : prepared -> attribution_row list
 (** Per-group / per-loop-site wall-time attribution, hottest first.
     Collected as a side effect of the launch timing every group and
-    tuned loop already does, so it costs nothing beyond normal dispatch;
+    loop site already does, so it costs nothing beyond normal dispatch;
     only sites that launched at least once appear. *)
 
 val clear_buffers : prepared -> unit

@@ -1,6 +1,5 @@
 open Functs_ir
 open Functs_tensor
-open Functs_core
 open Functs_interp
 open Frame
 open Loop_plan
@@ -86,13 +85,12 @@ let plan (bi : binst) (lp : Loop_plan.t) =
   let no_i s = if s = i_slot then raise Reject in
   let mark (b : inst) = Array.iter (fun s -> Hashtbl.replace dep s ()) b.i_out in
   try
-    if lp.lp_reduction then raise Reject;
     let va =
       Array.mapi
         (fun k (b : inst) ->
           match actions.(k) with
           | L_skip -> V_skip
-          | L_assign _ | L_reduce _ -> raise Reject
+          | L_assign _ -> raise Reject
           | L_write w ->
               let selects = ref 0 in
               let check (kind, ops) =
@@ -245,11 +243,9 @@ let exec rs (bi : binst) (lp : Loop_plan.t) vp trip inits bufs =
   match
     Array.iteri
       (fun j slot ->
-        match lp.lp_roles.(j) with
-        | Loop_par.Sliced -> vals.(slot) <- Some (Value.Tensor (buf j))
-        | Loop_par.Passthrough -> vals.(slot) <- Some inits.(j)
-        | Loop_par.Reduced _ -> raise Bail)
-      (Array.sub bi.bi_params 1 (Array.length lp.lp_roles));
+        vals.(slot) <-
+          Some (if lp.lp_sliced.(j) then Value.Tensor (buf j) else inits.(j)))
+      (Array.sub bi.bi_params 1 (Array.length lp.lp_sliced));
     Array.iteri
       (fun k (b : inst) ->
         match (vp.vp_acts.(k), lp.lp_actions.(k)) with

@@ -29,8 +29,8 @@ val plan : Frame.binst -> Loop_plan.t -> t option
 (** [None] unless the induction variable appears only as a select index
     (of an invariant base, or once on each write path), every
     iteration-dependent value comes from views or engine ops, there is
-    no copy-producing assign or reduction, and no iteration-dependent
-    value is returned. *)
+    no copy-producing assign, and no iteration-dependent value is
+    returned. *)
 
 val exec :
   Frame.t ->

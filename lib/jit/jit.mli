@@ -28,9 +28,10 @@ open Functs_tensor
 open Functs_core
 
 type mode = Off | Auto
-(** [Auto] arms every group whose kernel compiles natively and lets the
-    scheduler's tuner pick native or per-node execution per group;
-    [Off] disables the JIT. *)
+(** [Auto] arms every group whose kernel compiles natively, and every
+    [Sequential] loop whose body compiles to one loop kernel; an armed
+    site runs its native code until a launch fails validation.  [Off]
+    disables the JIT. *)
 
 val mode_of_string : string -> mode option
 (** ["off"], ["auto"], and ["on"] as an alias of ["auto"]. *)

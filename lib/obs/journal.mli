@@ -2,8 +2,9 @@
     decisions, so "why is this workload slow/fast?" has an inspectable
     answer after the fact ([functs why]).
 
-    Producers are the scheduler's auto-tuner (sample results, pins,
-    flips, pin expiries), the JIT (per-group demotion with the failure
+    Producers are the scheduler (the arm each loop site's rule gives it,
+    and forced arms), the serve layer's bucket chooser and dispatcher
+    placement, the JIT (per-group demotion with the failure
     reason, and the arming of an engine by a background compile), the engine and JIT artifact caches
     (evictions), and the serve layer (deadline degradations).  Decisions
     are rare events, so records take a mutex; the {e disabled} record is
@@ -16,10 +17,12 @@
     [Config.of_env], which calls {!disable} / {!set_capacity}. *)
 
 type kind =
-  | Tuner_sample  (** one arm's min-of-N sample completed *)
-  | Tuner_pin  (** a tuned site pinned its winning arm *)
-  | Tuner_flip  (** a re-pin chose a different arm than the incumbent *)
-  | Tuner_expire  (** a pin expired; back to sampling *)
+  | Tuner_sample  (** one arm's timed sample; no runtime site records it *)
+  | Tuner_pin
+      (** a site's arm was fixed: a loop site's rule ([rule=...]) or a
+          forced arm, the first serve bucket, the dispatcher placement *)
+  | Tuner_flip  (** the serve bucket chooser moved to another bucket *)
+  | Tuner_expire  (** serve batching was demoted for good *)
   | Jit_demote  (** a group fell back off its native kernel *)
   | Jit_arm
       (** a background compile finished and armed an engine's groups;

@@ -84,20 +84,6 @@ let span name f = if !on then span_traced name [] f else f ()
 let span_args name ~args f =
   if !on then span_traced name (args ()) f else f ()
 
-let span_result name ~args f =
-  if not !on then f ()
-  else begin
-    emit name Begin [];
-    match f () with
-    | r ->
-        emit name End (args r);
-        r
-    | exception e ->
-        let bt = Printexc.get_raw_backtrace () in
-        emit name End [];
-        Printexc.raise_with_backtrace e bt
-  end
-
 let instant ?(args = []) name = if !on then emit name Instant args
 
 (* Flow events pair across threads by (name, id): the "s" arrow tail

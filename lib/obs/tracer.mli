@@ -52,12 +52,6 @@ val span_args : string -> args:(unit -> (string * string) list) -> (unit -> 'a) 
 (** Like {!span}, with attributes attached to the begin event.  The
     [args] thunk is forced only when tracing is enabled. *)
 
-val span_result : string -> args:('a -> (string * string) list) -> (unit -> 'a) -> 'a
-(** Like {!span}, with attributes computed from the thunk's result and
-    attached to the end event (Chrome merges them into the slice): a
-    count known only once the work is done.  A raising thunk's end event
-    carries none. *)
-
 val instant : ?args:(string * string) list -> string -> unit
 (** A point event (Chrome phase [i]) — kernel launches, cache hits… *)
 

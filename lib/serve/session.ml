@@ -629,32 +629,6 @@ let outputs_scale_ok (bx : Workload.batching) ~factor ~base ~bucket =
   in
   go bx.Workload.output_axes base bucket
 
-(* The most warm-up runs create gives one engine.  An engine runs them
-   only while a loop site still samples its arms ([Engine.sampling]):
-   a loop launched several times per run (inside another loop's body)
-   pins within them, one launched once per run still samples for the
-   first requests, and an engine with no loop site to tune (a sequential
-   loop before its kernel arms, every fused group) runs none.  The first
-   requests then pay the buffer pool's first allocations instead. *)
-let warmup_runs = 3
-
-(* [args ()] is built only when a run is due. *)
-let warm_up eng ~size args =
-  ignore
-  @@ Tracer.span_result "serve.warmup"
-    ~args:(fun runs ->
-      [ ("bucket", string_of_int size); ("runs", string_of_int runs) ])
-    (fun () ->
-      let args = lazy (args ()) in
-      let rec go n =
-        if n >= warmup_runs || not (Engine.sampling eng) then n
-        else
-          match Engine.run eng (Lazy.force args) with
-          | _ -> go (n + 1)
-          | exception _ -> n + 1
-      in
-      go 0)
-
 (* Bucket [k]'s parameter shapes: the base shapes scaled by [k] along
    each batched axis, which are the shapes [scatter] hands its engine. *)
 let bucket_inputs (bx : Workload.batching) k base =
@@ -667,17 +641,6 @@ let bucket_inputs (bx : Workload.batching) k base =
           | Some _ as scaled -> scaled
           | None -> invalid_arg "Session.bucket_inputs: no batch extent"))
     bx.Workload.input_axes base
-
-(* The base arguments [k] times over along each batched axis: what
-   [scatter] builds for [k] copies of the base request. *)
-let tile (bx : Workload.batching) k args =
-  List.map2
-    (fun ax v ->
-      match (ax, v) with
-      | Some dim, Value.Tensor tn ->
-          Value.Tensor (Tensor.concat_axis ~dim (List.init k (fun _ -> tn)))
-      | _, v -> v)
-    bx.Workload.input_axes args
 
 let build_buckets t (w : Workload.t) bx ~batch ~seq ~base_engine ~base_args
     ~shard =
@@ -705,7 +668,6 @@ let build_buckets t (w : Workload.t) bx ~batch ~seq ~base_engine ~base_args
               outputs_scale_ok bx ~factor:k ~base:base_out
                 ~bucket:(Engine.output_shapes eng)
             then begin
-              warm_up eng ~size:k (fun () -> tile bx k base_args);
               Hashtbl.replace shard.sh_engines k eng;
               Some bk
             end
@@ -753,7 +715,6 @@ let create ?(config = Config.default) ?(profile = Compiler_profile.tensorssa)
     let shard0 = new_shard () in
     let base_engine = prepare_engine t g ~inputs:base.bk_inputs in
     Hashtbl.replace shard0.sh_engines 1 base_engine;
-    warm_up base_engine ~size:1 (fun () -> native_args);
     let t =
       match w.Workload.batching with
       | None -> t

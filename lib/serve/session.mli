@@ -147,11 +147,8 @@ val create :
     The workload's inputs are drawn once, for the base request; a
     bucket's input shapes are the base shapes scaled by the bucket size
     along the declared input axes, the shapes the dispatcher's scatter
-    hands it.  An engine runs warm-up requests only while
-    {!Functs_exec.Engine.sampling} holds, at most three, on the base
-    arguments tiled along the batch axes: an engine with no loop tuner
-    left to sample runs none (a [serve.warmup] trace span per engine
-    records its run count).  Bucket variants
+    hands it.  Create runs no engine: every arm is fixed when its
+    engine is prepared, so there is nothing to warm.  Bucket variants
     that fail to compile, or whose inferred output shapes do not scale by
     the bucket factor along the declared axes, are dropped (falling back
     as far as bucket-1-only serving).  [profile] defaults to

@@ -6,8 +6,8 @@ let features = 4096
 (* Temporal max-pooling over a frame sequence, written as the imperative
    accumulator loop a tracker would use: acc = max(acc, frames[t]).  The
    combine is elementwise Max — exactly associative and commutative in
-   IEEE float — so the chunked parallel reduction is bitwise-identical
-   to the sequential fold. *)
+   IEEE float — so the dependence analysis classifies the loop a
+   reduction; the engine runs it as the sequential fold. *)
 let program ~batch ~seq =
   ignore batch;
   let t = max 2 seq in

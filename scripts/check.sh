@@ -170,6 +170,33 @@ assert d["groups"], "no attribution rows"
 EOF
 fi
 
+# Loop arms are fixed when an engine is prepared, so a session's create
+# runs no engine, and serving journals no arm sample or pin expiry.
+echo "== create runs no engine; no arm is sampled (yolact, JIT off) =="
+FUNCTS_JIT=off dune exec bin/functs.exe -- profile yolact --runs 8 --json \
+  > "$tmp/functs_profile_yolact.json"
+if command -v python3 >/dev/null 2>&1; then
+  python3 - "$tmp/functs_profile_yolact.json" <<'EOF' || { echo "error: yolact's create ran an engine" >&2; exit 1; }
+import json, sys
+runs = json.load(open(sys.argv[1]))["setup"]["exec.runs"]
+assert runs == 0, f"setup exec.runs = {runs}, expected 0"
+EOF
+else
+  grep -Eq '"exec\.runs": *0[,}]' "$tmp/functs_profile_yolact.json" || {
+    echo "error: yolact's create ran an engine" >&2
+    exit 1
+  }
+fi
+FUNCTS_JIT=off dune exec bin/functs.exe -- why yolact > "$tmp/functs_why.txt"
+grep -q 'scheduler.loop' "$tmp/functs_why.txt" || {
+  echo "error: functs why yolact journaled no loop arm" >&2
+  exit 1
+}
+if grep -Eq 'tuner\.(sample|expire)' "$tmp/functs_why.txt"; then
+  echo "error: functs why yolact shows an arm sample or a pin expiry" >&2
+  exit 1
+fi
+
 # The serving benchmark compiles against lib/ and names its public
 # records, labels and stats fields, so build it (and run its own unit
 # tests) against the working tree: a rename then fails here, not in the

@@ -702,11 +702,12 @@ let test_adversarial_sequential () =
   check "sub-accumulator semantics preserved" true
     (agrees (reduction_graph Functs_tensor.Scalar.Sub) rargs)
 
-(* Batched execution must be bitwise-identical: a Parallel loop and a
-   Max reduction on the sequential engine vs batched at domains=1 and
-   domains=4, and an Add reduction across d1/d2/d4 (same fixed chunk
-   grid, same merge order).  Each engine is fresh and runs once, so its
-   cumulative stats are that run's. *)
+(* Batched execution must be bitwise-identical: a Parallel loop on the
+   sequential engine vs batched at domains=1 and domains=4.  Reduction
+   loops run [seq] at every lane count, so Max and Add reductions on the
+   batching engine reproduce the sequential engine's bits too.  Each
+   engine is fresh and runs once, so its cumulative stats are that
+   run's. *)
 let bitwise_outputs ?(parallel = true) g ~domains args =
   let fg = Graph.clone g in
   ignore (Passes.tensorssa_pipeline fg);
@@ -754,15 +755,25 @@ let test_batched_bitwise () =
   let sm =
     bitwise "max reduction" (reduction_graph Functs_tensor.Scalar.Max) 12
       sequential [ 1; 4 ]
+    @ bitwise "add reduction" (reduction_graph Functs_tensor.Scalar.Add) 12
+        sequential [ 2; 4 ]
   in
-  check "max reduction ran as a batched reduction" true
-    (List.for_all (fun s -> s.Scheduler.reduction_loops_run >= 1) sm);
-  (* Add is only associative up to rounding, so compare the batched
-     engines (identical chunk grid) rather than batched vs sequential. *)
-  ignore
-    (bitwise "add reduction" (reduction_graph Functs_tensor.Scalar.Add) 12
-       (fun g trip -> bitwise_outputs g ~domains:1 (args trip ()))
-       [ 2; 4 ]);
+  check "no reduction loop ran batched" true
+    (List.for_all (fun s -> s.Scheduler.parallel_loops_run = 0) sm);
+  (* the reduction is a site on [seq], so its time is attributed *)
+  let fg = Graph.clone (reduction_graph Functs_tensor.Scalar.Max) in
+  ignore (Passes.tensorssa_pipeline fg);
+  let eng =
+    Engine.prepare ~parallel:true ~domains:1 ~cache:false fg
+      ~inputs:(Engine.input_shapes (args 12 ()))
+  in
+  ignore (Engine.run eng (args 12 ()));
+  check "the reduction site reads seq, one launch" true
+    (List.exists
+       (fun (r : Scheduler.attribution_row) ->
+         r.Scheduler.at_kind = `Loop && r.Scheduler.at_arm = "seq"
+         && r.Scheduler.at_launches = 1)
+       (Engine.attribution eng));
   (* batched max still equals the interpreter exactly: elementwise Max is
      exactly associative *)
   let g = reduction_graph Functs_tensor.Scalar.Max in
@@ -829,10 +840,8 @@ let with_pool_busy pool f =
    is counted — the clone of the carried init too — and on the caller
    the only fresh one is the clone, which leaves with the output.
 
-   One lane: the tuner over a body without a vectorised plan samples
-   [batched] and [seq] only, alternating from [batched]: runs 1, 3 and 5
-   batch, every chunk on the caller, and the sixth run closes the
-   window.
+   One lane: a body without a vectorised plan runs the [batched] arm
+   (its chunked plan) on every run, every chunk on the caller.
 
    Two lanes, the loop forced to [batched]: a trip the pool splits
    across lanes (worker chunks allocate fresh), and trips it runs whole
@@ -861,19 +870,17 @@ let test_batched_scratch_recycled () =
   in
   check_int "the body never runs vectorised" 0
     (run ()).Scheduler.vector_loops;
-  let prev = ref (run ()) and batched = ref 0 in
+  let prev = ref (run ()) in
   for _ = 3 to 6 do
     let s = run () in
-    if s.Scheduler.parallel_loops_run > !prev.Scheduler.parallel_loops_run
-    then begin
-      incr batched;
-      caller_scratch_pooled "one lane" !prev s
-    end;
+    check_int "domains=1: every run batches the loop"
+      (!prev.Scheduler.parallel_loops_run + 1)
+      s.Scheduler.parallel_loops_run;
+    caller_scratch_pooled "one lane" !prev s;
     prev := s
   done;
-  check_int "domains=1 runs 3 and 5 batched the loop" 2 !batched;
-  check_int "two arms sampled: the loop is pinned" 1
-    (!prev.Scheduler.loops_pinned_batched + !prev.Scheduler.loops_pinned_seq);
+  check_int "the loop is on the batched arm" 1
+    !prev.Scheduler.loops_pinned_batched;
   (* two lanes *)
   let reference, _ =
     bitwise_outputs ~parallel:false (carried_arith_graph ()) ~domains:1 (args ())
@@ -915,9 +922,9 @@ let test_batched_scratch_recycled () =
 
    Hand-built Parallel loops for each case the vectorised plan accepts
    and each it must refuse.  Every loop runs a dozen times at domains 1
-   and 2 (so the tuner samples every arm) and must match the sequential
-   engine bitwise each time; accepted loops run on the [vector] arm,
-   refused ones never do but still batch. *)
+   and 2 and must match the sequential engine bitwise each time;
+   accepted loops run vectorised, refused ones never do but still
+   batch. *)
 
 let vtrip = 6
 
@@ -1138,11 +1145,295 @@ let test_workloads_equivalent () =
         [ 1; 4 ])
     (Functs_workloads.Registry.all @ Functs_workloads.Registry.extensions)
 
+(* Loop arms come from a rule, not from timings, so they reproduce: at
+   batch 1 with the JIT off, ten fresh engines per workload, each run
+   three times, read the same arm on every loop site, and it is the
+   rule's — [batched] on a [Parallel] loop, [seq] on a [Reduction] one
+   (a [Sequential] loop has no site without a loop kernel). *)
+let test_loop_arms_reproduce () =
+  let module W = Functs_workloads.Workload in
+  List.iter
+    (fun (w : W.t) ->
+      let batch = 1 and seq = w.W.default_seq in
+      let args () = w.W.inputs ~batch ~seq in
+      let inputs = Engine.input_shapes (args ()) in
+      let fg = Graph.clone (W.graph w ~batch ~seq) in
+      ignore (Passes.tensorssa_pipeline ~inputs fg);
+      let plan = Engine.plan fg in
+      let rule id =
+        match
+          List.find_opt
+            (fun (n : Graph.node) -> n.Graph.n_id = id)
+            (Graph.all_nodes fg)
+        with
+        | None -> "no such node"
+        | Some n -> (
+            match Fusion.loop_verdict plan n with
+            | Loop_par.Parallel _ -> "batched"
+            | Loop_par.Reduction _ -> "seq"
+            | Loop_par.Sequential _ -> "no site")
+      in
+      let arms () =
+        let eng =
+          Engine.prepare ~parallel:true ~cache:false ~jit:Functs_jit.Jit.Off fg
+            ~inputs
+        in
+        for _ = 1 to 3 do
+          ignore (Engine.run eng (args ()))
+        done;
+        List.sort compare
+          (List.filter_map
+             (fun (r : Scheduler.attribution_row) ->
+               if r.Scheduler.at_kind = `Loop then
+                 Some (r.Scheduler.at_id, r.Scheduler.at_arm)
+               else None)
+             (Engine.attribution eng))
+      in
+      let first = arms () in
+      List.iter
+        (fun (id, arm) ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s loop#%d runs the rule's arm" w.W.name id)
+            (rule id) arm)
+        first;
+      for k = 2 to 10 do
+        check
+          (Printf.sprintf "%s engine %d reads the same arms" w.W.name k)
+          true
+          (arms () = first)
+      done)
+    (Functs_workloads.Registry.all @ Functs_workloads.Registry.extensions)
+
+(* A registry workload at batch 1, optimized for its input shapes, and a
+   fresh engine on it (JIT off). *)
+let workload_engine ?(parallel = true) ?loop_grain name =
+  let module W = Functs_workloads.Workload in
+  let w =
+    match Functs_workloads.Registry.find name with
+    | Some w -> w
+    | None -> Alcotest.failf "%s workload missing" name
+  in
+  let batch = 1 and seq = w.W.default_seq in
+  let g = W.graph w ~batch ~seq in
+  let args () = w.W.inputs ~batch ~seq in
+  let inputs = Engine.input_shapes (args ()) in
+  let fg = Graph.clone g in
+  ignore (Passes.tensorssa_pipeline ~inputs fg);
+  let eng =
+    Engine.prepare ~parallel ~domains:1 ?loop_grain ~cache:false
+      ~jit:Functs_jit.Jit.Off fg ~inputs
+  in
+  (g, fg, args, eng)
+
+let loop_rows eng =
+  List.filter
+    (fun (r : Scheduler.attribution_row) -> r.Scheduler.at_kind = `Loop)
+    (Engine.attribution eng)
+
+let refuses eng what site arm =
+  check what true
+    (match Engine.force eng site arm with
+    | () -> false
+    | exception Invalid_argument _ -> true)
+
+(* Each loop site is journaled once, when the engine is prepared, as a
+   [Tuner_pin] whose detail names its rule: a [Parallel] loop with a
+   batching plan [batched] by [rule=vector-plan] or [rule=chunked-plan],
+   a [Reduction] loop [seq] by [rule=reduction].  A [Sequential] loop
+   with no loop kernel (the JIT is off) has no site and no record, and
+   runs add no loop record. *)
+let test_loop_sites_journaled () =
+  let module W = Functs_workloads.Workload in
+  let module J = Functs_obs.Journal in
+  J.enable ();
+  let rules = Hashtbl.create 4 in
+  List.iter
+    (fun (w : W.t) ->
+      let batch = 1 and seq = w.W.default_seq in
+      let args () = w.W.inputs ~batch ~seq in
+      let inputs = Engine.input_shapes (args ()) in
+      let fg = Graph.clone (W.graph w ~batch ~seq) in
+      ignore (Passes.tensorssa_pipeline ~inputs fg);
+      let plan = Engine.plan fg in
+      J.clear ();
+      let eng =
+        Engine.prepare ~parallel:true ~cache:false ~jit:Functs_jit.Jit.Off fg
+          ~inputs
+      in
+      let loop_records () =
+        List.filter
+          (fun (e : J.entry) -> e.J.j_site = "scheduler.loop")
+          (J.entries ())
+      in
+      let pins = loop_records () in
+      let loops =
+        List.filter (fun (n : Graph.node) -> n.Graph.n_op = Op.Loop)
+          (Graph.all_nodes fg)
+      in
+      check
+        (w.W.name ^ ": every record is a loop node's")
+        true
+        (List.for_all
+           (fun (e : J.entry) ->
+             List.exists (fun (n : Graph.node) -> n.Graph.n_id = e.J.j_id) loops)
+           pins);
+      List.iter
+        (fun (n : Graph.node) ->
+          let label = Printf.sprintf "%s loop#%d" w.W.name n.Graph.n_id in
+          let mine =
+            List.filter (fun (e : J.entry) -> e.J.j_id = n.Graph.n_id) pins
+          in
+          let pinned arm details =
+            match mine with
+            | [ e ] ->
+                check (label ^ " is a pin") true (e.J.j_kind = J.Tuner_pin);
+                Alcotest.(check string) (label ^ " arm") arm e.J.j_arm;
+                check
+                  (label ^ " names its rule: " ^ e.J.j_detail)
+                  true
+                  (List.mem e.J.j_detail details);
+                Hashtbl.replace rules e.J.j_detail ()
+            | _ ->
+                Alcotest.failf "%s: %d records, want one" label
+                  (List.length mine)
+          in
+          match Fusion.loop_verdict plan n with
+          | Loop_par.Parallel _ ->
+              (* one whose plan cannot be built has no site *)
+              if mine <> [] then
+                pinned "batched" [ "rule=vector-plan"; "rule=chunked-plan" ]
+          | Loop_par.Reduction _ -> pinned "seq" [ "rule=reduction" ]
+          | Loop_par.Sequential _ ->
+              check_int (label ^ " has no site") 0 (List.length mine))
+        loops;
+      for _ = 1 to 3 do
+        ignore (Engine.run eng (args ()))
+      done;
+      check_int
+        (w.W.name ^ ": runs add no loop record")
+        (List.length pins)
+        (List.length (loop_records ()));
+      check
+        (w.W.name ^ ": every timed loop was journaled")
+        true
+        (List.for_all
+           (fun (r : Scheduler.attribution_row) ->
+             List.exists (fun (e : J.entry) -> e.J.j_id = r.Scheduler.at_id) pins)
+           (loop_rows eng)))
+    (Functs_workloads.Registry.all @ Functs_workloads.Registry.extensions);
+  List.iter
+    (fun rule -> check (rule ^ " was seen") true (Hashtbl.mem rules rule))
+    [ "rule=vector-plan"; "rule=chunked-plan"; "rule=reduction" ]
+
+(* A [Reduction] loop's site has only [seq]: no batching plan and no loop
+   kernel, so forcing [batched] or [native] raises and forcing [seq]
+   holds; the site is still timed, and the outputs are the
+   interpreter's. *)
+let test_reduction_site_seq_only () =
+  let g, _, args, eng = workload_engine "tmax" in
+  let expected = Eval.run g (args ()) in
+  check "first run bitwise" true (Equiv.bitwise expected (Engine.run eng (args ())));
+  let rows = loop_rows eng in
+  check "tmax has a timed loop site" true (rows <> []);
+  List.iter
+    (fun (r : Scheduler.attribution_row) ->
+      let site = (`Loop, r.Scheduler.at_id) in
+      let label = Printf.sprintf "loop#%d" r.Scheduler.at_id in
+      Alcotest.(check string) (label ^ " runs seq") "seq" r.Scheduler.at_arm;
+      check_int (label ^ " launched once") 1 r.Scheduler.at_launches;
+      refuses eng (label ^ " refuses batched") site `Batched;
+      refuses eng (label ^ " refuses native") site `Native;
+      Engine.force eng site `Seq)
+    rows;
+  check "forced run bitwise" true (Equiv.bitwise expected (Engine.run eng (args ())));
+  let s = Engine.stats eng in
+  check_int "no batching plan" 0 s.Scheduler.batched_loops;
+  check_int "none pinned batched" 0 s.Scheduler.loops_pinned_batched;
+  check_int "no batched run" 0 s.Scheduler.parallel_loops_run;
+  check "every site launched twice" true
+    (List.for_all
+       (fun (r : Scheduler.attribution_row) ->
+         r.Scheduler.at_arm = "seq" && r.Scheduler.at_launches = 2)
+       (loop_rows eng))
+
+(* Forcing yolact's batched loop to [seq] and back: [loops_pinned_batched]
+   follows the arm, each force is journaled with detail [forced], a [seq]
+   run batches nothing, and every run is the interpreter's, bitwise. *)
+let test_forced_loop_arm_round_trip () =
+  let module J = Functs_obs.Journal in
+  J.enable ();
+  let g, _, args, eng = workload_engine "yolact" in
+  let expected = Eval.run g (args ()) in
+  let run what =
+    check (what ^ ": bitwise") true (Equiv.bitwise expected (Engine.run eng (args ())))
+  in
+  run "rule's arm";
+  let s0 = Engine.stats eng in
+  check "yolact has a batching plan" true (s0.Scheduler.batched_loops >= 1);
+  check_int "every plan on batched" s0.Scheduler.batched_loops
+    s0.Scheduler.loops_pinned_batched;
+  check_int "the rule's run batched" 1 s0.Scheduler.parallel_loops_run;
+  let sites =
+    List.filter_map
+      (fun (r : Scheduler.attribution_row) ->
+        if r.Scheduler.at_arm = "batched" then Some (`Loop, r.Scheduler.at_id)
+        else None)
+      (loop_rows eng)
+  in
+  check "a batched site launched" true (sites <> []);
+  let forced_to arm =
+    List.length
+      (List.filter
+         (fun (e : J.entry) ->
+           e.J.j_site = "scheduler.loop" && e.J.j_kind = J.Tuner_pin
+           && e.J.j_arm = arm && e.J.j_detail = "forced")
+         (J.entries ()))
+  in
+  J.clear ();
+  List.iter (fun site -> Engine.force eng site `Seq) sites;
+  check_int "each force to seq journaled" (List.length sites) (forced_to "seq");
+  check_int "none pinned batched" 0
+    (Engine.stats eng).Scheduler.loops_pinned_batched;
+  run "forced seq";
+  check_int "the seq run batched nothing" 1
+    (Engine.stats eng).Scheduler.parallel_loops_run;
+  List.iter (fun site -> Engine.force eng site `Batched) sites;
+  check_int "each force to batched journaled" (List.length sites)
+    (forced_to "batched");
+  check_int "all pinned batched again" s0.Scheduler.batched_loops
+    (Engine.stats eng).Scheduler.loops_pinned_batched;
+  run "forced batched";
+  check_int "the batched run batched" 2
+    (Engine.stats eng).Scheduler.parallel_loops_run
+
+(* A loop site runs its arm only past the loop grain and on a parallel
+   engine; otherwise the loop runs its sequential body, untimed: no
+   batched run and no attribution row, the site still on [batched], and
+   the outputs the interpreter's. *)
+let test_untuned_loop_runs_seq () =
+  List.iter
+    (fun (label, parallel, loop_grain) ->
+      let g, _, args, eng = workload_engine ~parallel ~loop_grain "yolact" in
+      let expected = Eval.run g (args ()) in
+      for run = 1 to 2 do
+        check
+          (Printf.sprintf "%s run %d bitwise" label run)
+          true
+          (Equiv.bitwise expected (Engine.run eng (args ())))
+      done;
+      let s = Engine.stats eng in
+      check_int (label ^ ": no batched run") 0 s.Scheduler.parallel_loops_run;
+      check (label ^ ": the site keeps its plan") true
+        (s.Scheduler.loops_pinned_batched >= 1);
+      check_int (label ^ ": no loop row") 0 (List.length (loop_rows eng)))
+    [ ("under the grain", true, max_int); ("sequential engine", false, 2) ]
+
 let test_kernels_actually_compile () =
   (* Agreement is the forced-arm suite's job; this pins that the group-launch
      path really runs on a fusion-rich workload: with the JIT off every
      group launches node by node at its last member, and attribution has
-     one row per launched group, pinned once it has three samples. *)
+     one row per launched group.  The sequential engine runs attention's
+     loop on its body, so the groups inside it launch too. *)
   let w =
     match Functs_workloads.Registry.find "attention" with
     | Some w -> w
@@ -1153,7 +1444,10 @@ let test_kernels_actually_compile () =
   let g = Functs_workloads.Workload.graph w ~batch ~seq in
   ignore (Passes.tensorssa_pipeline g);
   let args = w.Functs_workloads.Workload.inputs ~batch ~seq in
-  let eng = Engine.prepare ~cache:false g ~inputs:(Engine.input_shapes args) in
+  let eng =
+    Engine.prepare ~parallel:false ~cache:false g
+      ~inputs:(Engine.input_shapes args)
+  in
   for _ = 1 to 3 do
     ignore (Engine.run eng args)
   done;
@@ -1564,6 +1858,16 @@ let () =
             test_parallel_slot_consistency;
           Alcotest.test_case "kernel path exercised" `Quick
             test_kernels_actually_compile;
+          Alcotest.test_case "loop arms reproduce across engines" `Quick
+            test_loop_arms_reproduce;
+          Alcotest.test_case "loop sites journaled once, by rule" `Quick
+            test_loop_sites_journaled;
+          Alcotest.test_case "a reduction site has only seq" `Quick
+            test_reduction_site_seq_only;
+          Alcotest.test_case "forced loop arms round trip" `Quick
+            test_forced_loop_arm_round_trip;
+          Alcotest.test_case "a loop under the grain runs its body" `Quick
+            test_untuned_loop_runs_seq;
           Alcotest.test_case "workload equivalence" `Slow
             test_workloads_equivalent;
         ] );

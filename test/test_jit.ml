@@ -810,9 +810,7 @@ let test_native_loops_bitwise () =
           let want = Engine.run seq (args ()) in
           if name = "lstm" then begin
             let s = Engine.stats seq in
-            check_int (label ^ ": seq: batched_loops") 0 s.Scheduler.batched_loops;
-            check_int (label ^ ": seq: loops_pinned_seq") 0
-              s.Scheduler.loops_pinned_seq
+            check_int (label ^ ": seq: batched_loops") 0 s.Scheduler.batched_loops
           end;
           check (label ^ ": native bits = armed seq bits") true
             (Equiv.bitwise want got);

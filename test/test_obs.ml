@@ -3,9 +3,8 @@
    domain, the Chrome trace export of a real engine
    run parses and carries the expected spans, the disabled-mode tracer
    allocates nothing on the hot path, the metrics snapshot round-trips
-   through its JSON dump, the ring buffer drops oldest-first, and a
-   session's create records one warm-up span per engine with its run
-   count. *)
+   through its JSON dump, the ring buffers drop oldest-first, and a
+   journal record prints as the line [functs why] shows. *)
 
 open Functs_core
 open Functs_exec
@@ -78,18 +77,7 @@ let test_span_reraises () =
          with Boom -> true);
       check_int "and the end event was still emitted" 2
         (List.length (Tracer.events ()));
-      check "a result span re-raises too" true
-        (try
-           Tracer.span_result "r" ~args:(fun () -> [ ("k", "v") ]) (fun () ->
-               raise Boom);
-           false
-         with Boom -> true);
-      check_int "its end event was emitted, the depth restored" 0
-        (Tracer.depth ());
-      check "an end event without the result's attributes" true
-        (match List.rev (Tracer.events ()) with
-        | { Tracer.ev_phase = Tracer.End; ev_args = []; _ } :: _ -> true
-        | _ -> false))
+      check_int "the depth is restored" 0 (Tracer.depth ()))
 
 (* --- per-thread identity: two systhreads of one domain --- *)
 
@@ -423,6 +411,36 @@ let test_journal_concurrent () =
       in
       check "entries are in append order" true (monotone (Journal.entries ())))
 
+(* [functs why] prints each record with [entry_to_text]: the kind and
+   site, then [#id], [arm=], [value=] and the detail, each only when
+   set; [to_text] joins the records oldest first. *)
+let test_journal_text () =
+  with_journal 16 (fun () ->
+      Journal.record Journal.Tuner_pin "scheduler.loop" ~id:38 ~arm:"batched"
+        ~detail:"rule=vector-plan";
+      Journal.record Journal.Cache_evict "engine.cache" ~value:3.;
+      let body e =
+        (* drop the right-aligned timestamp, [%10.0fus ] *)
+        let t = Journal.entry_to_text e in
+        match String.index_opt t 'u' with
+        | Some i when String.sub t i 3 = "us " ->
+            String.sub t (i + 3) (String.length t - i - 3)
+        | _ -> Alcotest.failf "no timestamp in %S" t
+      in
+      match Journal.entries () with
+      | [ pin; evict ] ->
+          Alcotest.(check string)
+            "a loop pin" "tuner.pin         scheduler.loop#38 arm=batched rule=vector-plan"
+            (body pin);
+          Alcotest.(check string)
+            "no id, arm or detail" "cache.evict       engine.cache value=3"
+            (body evict);
+          Alcotest.(check string)
+            "to_text joins oldest first"
+            (Journal.entry_to_text pin ^ "\n" ^ Journal.entry_to_text evict)
+            (Journal.to_text ())
+      | es -> Alcotest.failf "%d records, want 2" (List.length es))
+
 (* --- flow events: one served request links submit to its batch --- *)
 
 let test_flow_pairing () =
@@ -482,33 +500,6 @@ let test_flow_pairing () =
               | _ -> Alcotest.fail "flow finish without bp=e")
             finishes)
 
-(* --- create's warm-up: one serve.warmup span per engine --- *)
-
-(* (bucket, runs) of each [serve.warmup] span a cold create records, in
-   order; the counts ride on the end event.  The compile cache is
-   cleared first: a cached engine that already pinned would run
-   nothing. *)
-let warmup_spans name =
-  with_tracer (fun () ->
-      let w = Option.get (Registry.find name) in
-      Engine.clear_cache ();
-      (match Functs.Session.create ~config:Functs.Config.default w with
-      | Error _ -> Alcotest.fail "session create failed"
-      | Ok s -> Functs.Session.close s);
-      List.filter_map
-        (fun (ev : Tracer.event) ->
-          if ev.ev_name = "serve.warmup" && ev.ev_phase = Tracer.End then
-            Some (List.assoc "bucket" ev.ev_args, List.assoc "runs" ev.ev_args)
-          else None)
-        (Tracer.events ()))
-
-let test_warmup_spans () =
-  let per_bucket runs = List.map (fun k -> (k, runs)) [ "1"; "4"; "16" ] in
-  check "yolact's engines each sample for three runs" true
-    (warmup_spans "yolact" = per_bucket "3");
-  check "lstm's engines (no tuned site with the JIT off) run none" true
-    (warmup_spans "lstm" = per_bucket "0")
-
 (* --- json parser corners --- *)
 
 let test_json_parser () =
@@ -567,13 +558,13 @@ let () =
             test_journal_ring_wrap;
           Alcotest.test_case "concurrent records are not lost" `Quick
             test_journal_concurrent;
+          Alcotest.test_case "records print as why lines" `Quick
+            test_journal_text;
         ] );
       ( "flow",
         [
           Alcotest.test_case "served request links submit to batch" `Quick
             test_flow_pairing;
-          Alcotest.test_case "create records its warm-up runs" `Quick
-            test_warmup_spans;
         ] );
       ("json", [ Alcotest.test_case "parser corners" `Quick test_json_parser ]);
     ]

@@ -9,9 +9,9 @@
    the steady-state major-heap budget of a 16-bucket, the ticket API
    (poll / cancel), shard scale-out, deadline expiry under both
    degradation policies, backpressure on a size-1 queue, requests of
-   another signature rejected at submit, create's warm-up rule (only
-   engines whose loop tuners still sample run), every batching
-   workload's bucket list, the dispatcher's placement (journaled, and a
+   another signature rejected at submit, a cold create that runs no
+   engine (every batching workload), every batching workload's bucket
+   list, the dispatcher's placement (journaled, and a
    session made on a spawned domain that has since finished still
    serves and closes), and the strict Config.of_env validation.  The
    suite also runs pinned to one CPU (test/dune), where create puts the
@@ -744,23 +744,22 @@ let test_clear_cache_no_rebuild () =
             (List.for_all2 Equiv.bitwise first second)))
     [ Config.default; { Config.default with Config.batch_buckets = [ 1 ] } ]
 
-(* --- create's warm-up rule: only engines that still sample run --- *)
+(* --- create runs no engine --- *)
 
 let exec_runs () = Metrics.value (Metrics.counter "exec.runs")
 
-(* With the JIT off, lstm's only loop is sequential and has no tuned
-   site, so none of its three engines runs at create; yolact's batched
-   loops sample for more than three runs, so each engine runs three.
-   The compile cache is cleared first: an engine cached by an earlier
-   case has pinned already and would run nothing. *)
-let test_create_warms_sampling () =
+(* Every loop's arm is fixed when its engine is prepared, so a cold
+   create (the compile cache cleared first) runs none of its engines;
+   the first requests of every bucket size are then served bitwise as
+   the interpreter computes them. *)
+let test_create_runs_no_engine () =
   List.iter
-    (fun (name, want) ->
-      let w = Result.get_ok (Functs.find_workload name) in
+    (fun (w : Workload.t) ->
+      let name = w.Workload.name in
       Engine.clear_cache ();
       let r0 = exec_runs () in
       with_session ~w (fun s ->
-          check_int (name ^ ": engine runs during create") want
+          check_int (name ^ ": engine runs during create") 0
             (exec_runs () - r0);
           let shared = w.Workload.inputs ~batch ~seq in
           List.iteri
@@ -770,7 +769,50 @@ let test_create_warms_sampling () =
             (List.for_all
                (fun k -> List.mem_assoc k (Session.stats s).Session.bucket_runs)
                [ 1; 4; 16 ])))
-    [ ("lstm", 0); ("yolact", 9) ]
+    (List.filter
+       (fun (w : Workload.t) -> Option.is_some w.Workload.batching)
+       (Registry.all @ Registry.extensions))
+
+(* Each loop site's arm is journaled once, with its rule, when its
+   engine is prepared at create; serving records no loop decision, and
+   nothing is sampled or expires.  This is what [functs why yolact]
+   replays with the JIT off. *)
+let test_loop_arms_journaled () =
+  let w = Result.get_ok (Functs.find_workload "yolact") in
+  let entries since =
+    let skip = max 0 (since - Journal.dropped ()) in
+    List.filteri (fun i _ -> i >= skip) (Journal.entries ())
+  in
+  let loop_site (e : Journal.entry) = e.Journal.j_site = "scheduler.loop" in
+  let sampled (e : Journal.entry) =
+    e.Journal.j_kind = Journal.Tuner_sample
+    || e.Journal.j_kind = Journal.Tuner_expire
+  in
+  Engine.clear_cache ();
+  let c0 = Journal.recorded () in
+  with_session ~w (fun s ->
+      let pins = List.filter loop_site (entries c0) in
+      check "create journals yolact's loop sites" true (pins <> []);
+      List.iter
+        (fun (e : Journal.entry) ->
+          check
+            (Printf.sprintf "loop#%d: one batched pin by rule (%s %s)"
+               e.Journal.j_id e.Journal.j_arm e.Journal.j_detail)
+            true
+            (e.Journal.j_kind = Journal.Tuner_pin
+            && e.Journal.j_arm = "batched"
+            && List.mem e.Journal.j_detail
+                 [ "rule=vector-plan"; "rule=chunked-plan" ]))
+        pins;
+      let s0 = Journal.recorded () in
+      let shared = w.Workload.inputs ~batch ~seq in
+      List.iteri
+        (fun round n -> bucket_round ~w s shared ~salt0:(round * 13) n)
+        [ 1; 4; 16; 1 ];
+      check "serving records no loop decision" false
+        (List.exists loop_site (entries s0)));
+  check "no tuner.sample or tuner.expire record" false
+    (List.exists sampled (entries c0))
 
 (* Bucket input shapes are derived from the base request's; a wrong
    derivation would drop a bucket silently (its compile or its output
@@ -1059,8 +1101,10 @@ let () =
             test_warm_no_recompile;
           Alcotest.test_case "clear_cache never rebuilds a served engine"
             `Quick test_clear_cache_no_rebuild;
-          Alcotest.test_case "create warms only engines that sample" `Quick
-            test_create_warms_sampling;
+          Alcotest.test_case "create runs no engine" `Quick
+            test_create_runs_no_engine;
+          Alcotest.test_case "loop arms are journaled once, by rule" `Quick
+            test_loop_arms_journaled;
           Alcotest.test_case "every batching workload compiles its buckets"
             `Quick test_every_batching_workload_buckets;
           Alcotest.test_case "dispatcher placement is journaled" `Quick
