@@ -3,7 +3,11 @@ open Functs_tensor
 
 let same_bits x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
 
-(* libmvec's vector transcendentals are within 4 ulp of scalar libm *)
+(* Only a native run that linked libmvec can differ: its exp/log/tanh/pow
+   are within 4 ulp of glibc's scalar libm, and the interpreter's exp
+   ([functs_exp.h]) is within 1 ulp of glibc's, so a native exp or
+   sigmoid may sit 5 ulp from the reference — far inside 1e-9 relative.
+   Per-node leaves and JIT units built without libmvec are bitwise. *)
 let libmvec_close x y =
   same_bits x y
   || Float.abs (x -. y) <= 1e-12 +. (1e-9 *. Float.abs y)

@@ -4,12 +4,14 @@
     or session output — tests, the bench's gates, the CLI's MATCH line —
     compares with these functions and nothing else.
 
-    The engine reproduces the interpreter's operation order exactly, so
-    the rule is bitwise.  The one allowance is for native code: the C
-    JIT's vectorised transcendentals go through glibc's libmvec, which is
-    specified to within 4 ulp of scalar libm.  A run that launched a
-    native kernel may therefore differ by [atol 1e-12 + rtol 1e-9 * |ref|]
-    per element. *)
+    The engine reproduces the interpreter's operation order exactly, and
+    the per-node leaves run the interpreter's own exp and sigmoid
+    ([functs_exp.h], vectorised), so the rule is bitwise.  The one
+    allowance is for native code: where the C JIT links libmvec, its
+    vectorised transcendentals are glibc's, within 4 ulp of scalar libm
+    (and of the interpreter's exp, 1 ulp from glibc's, within 5).  A run
+    that launched a native kernel may therefore differ by
+    [atol 1e-12 + rtol 1e-9 * |ref|] per element. *)
 
 open Functs_interp
 

@@ -510,7 +510,7 @@ let softmax ?alloc t ~dim =
           done;
           let s = ref 0.0 in
           for j = 0 to ext - 1 do
-            let e = Stdlib.exp (td.(base + j) -. !m) in
+            let e = Scalar.exp (td.(base + j) -. !m) in
             od.(ob + j) <- e;
             s := !s +. e
           done;

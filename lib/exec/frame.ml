@@ -216,6 +216,23 @@ let try_donate rs (inst : inst) inputs =
       else None
   | _ -> None
 
+(* --- clone of a dying temporary ---
+
+   [aten::clone] binds its input itself when no one can tell: the input's
+   slot is unpinned, the clone is its last use, no other live reference
+   shares its storage (caller arguments never qualify: their bias keeps
+   the count high), and the tensor is the whole of its storage,
+   contiguous, as a clone's result would be.  Not a donation: nothing is
+   written in place. *)
+let clone_reuses rs (inst : inst) (t : Tensor.t) =
+  let slot = inst.i_in.(0) in
+  (not rs.pinned.(slot))
+  && rs.remaining.(slot) = 1
+  && sref_count rs t = 1
+  && t.Tensor.offset = 0
+  && Tensor.is_contiguous t
+  && Tensor.numel t = Storage.length t.Tensor.storage
+
 (* --- per-node execution ---
 
    Kept beside the frame helpers it calls per instruction: the dev
@@ -262,6 +279,9 @@ let exec_plain_inst rs scope (inst : inst) =
                 write_region (Eval.apply_view_kind kind fresh operands) src_t;
                 [ Value.Tensor fresh ]
               end
+          | Op.Clone, [ (Value.Tensor t as v) ] when clone_reuses rs inst t
+            ->
+              [ v ]
           | _ -> Fastops.apply_op ~alloc:rs.alloc inst.i_node inputs)
   in
   (match outputs with

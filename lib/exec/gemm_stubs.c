@@ -20,7 +20,7 @@
 #include <caml/mlvalues.h>
 
 #if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
-#define GEMM_CLONES
+#define ISA_CLONES
 #pragma GCC push_options
 #pragma GCC target("avx512f")
 #define GEMM_NAME gemm_avx512
@@ -38,17 +38,6 @@
 typedef void gemm_fn(const double *, const double *, double *, long, long,
                      long);
 static gemm_fn *gemm = gemm_default;
-
-#ifdef GEMM_CLONES
-__attribute__((constructor)) static void gemm_pick(void)
-{
-  __builtin_cpu_init();
-  if (__builtin_cpu_supports("avx512f"))
-    gemm = gemm_avx512;
-  else if (__builtin_cpu_supports("avx2"))
-    gemm = gemm_avx2;
-}
-#endif
 
 CAMLprim value functs_gemm(value va, value vao, value vb, value vbo,
                            value vo, value voo, value vm, value vk,
@@ -77,10 +66,13 @@ CAMLprim value functs_gemm_bytecode(value *argv, int argn)
  * two are looped in OCaml around one call each.
  *
  * Each case applies exactly the operation the OCaml reference applies —
- * the same libm calls (exp, log, tanh, pow compile to the identical
- * symbols Float.exp &c. call) and the same IEEE primitives — so results
- * are bitwise-identical; the win is dropping the per-element closure
- * dispatch, float boxing and bounds checks.  Operators whose OCaml
+ * the same libm calls (log, tanh and pow compile to the identical symbols
+ * Float.log &c. call), the shared exp and sigmoid of functs_exp.h (which
+ * Scalar.exp and Scalar.sigmoid call) and the same IEEE primitives — so
+ * results are bitwise-identical; the win is dropping the per-element
+ * closure dispatch, float boxing and bounds checks, and for exp and
+ * sigmoid vector code: their rows run in AVX-512, AVX2 and default
+ * clones, picked at load like the GEMM's.  Operators whose OCaml
  * semantics do not map one-to-one onto C (Float.max/min/equal have their
  * own NaN and signed-zero rules) are NOT given codes here and stay on
  * the OCaml path.
@@ -119,6 +111,73 @@ CAMLprim value functs_gemm_bytecode(value *argv, int argn)
       }                                                                     \
   } while (0)
 
+/* exp and sigmoid.  functs_exp.h is branch-free, so each clone's loops
+   vectorise at its width, and all give the scalar build's bits
+   (test/exp_isa.sh checks each ISA).  Rows shorter than a vector (the
+   2-wide box slices of yolov3) would run the scalar remainder loop,
+   where this exp is slower than glibc's, so those run down the rows
+   instead, one column at a time, with strided loads and stores. */
+#include "functs_exp.h"
+
+#define EXP_COLS(f)                                                         \
+  for (long i = 0; i < n; i++) {                                            \
+    const double *a = ab + i * as;                                          \
+    double *o = ob + i * os;                                                \
+    for (long r = 0; r < rows; r++) o[r * orow] = f(a[r * ar]);             \
+  }
+
+#define EXP_ROWS(f)                                                         \
+  for (long r = 0; r < rows; r++) {                                         \
+    const double *a = ab + r * ar;                                          \
+    double *o = ob + r * orow;                                              \
+    UN_LOOP(f(x));                                                          \
+  }
+
+#define EXP_MAP(name)                                                       \
+  static void name(long kind, const double *ab, long as, long ar,           \
+                   double *ob, long os, long orow, long rows, long n)       \
+  {                                                                         \
+    if (n >= 8 || n >= rows) {                                              \
+      if (kind == U_EXP)                                                    \
+        EXP_ROWS(functs_exp)                                                \
+      else                                                                  \
+        EXP_ROWS(functs_sigmoid)                                            \
+    } else if (kind == U_EXP)                                               \
+      EXP_COLS(functs_exp)                                                  \
+    else                                                                    \
+      EXP_COLS(functs_sigmoid)                                              \
+  }
+
+#ifdef ISA_CLONES
+#pragma GCC push_options
+#pragma GCC target("avx512f")
+EXP_MAP(exp_map_avx512)
+#pragma GCC pop_options
+#pragma GCC push_options
+#pragma GCC target("avx2")
+EXP_MAP(exp_map_avx2)
+#pragma GCC pop_options
+#endif
+EXP_MAP(exp_map_default)
+
+typedef void exp_map_fn(long, const double *, long, long, double *, long,
+                        long, long, long);
+static exp_map_fn *exp_map = exp_map_default;
+
+#ifdef ISA_CLONES
+__attribute__((constructor)) static void clones_pick(void)
+{
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("avx512f")) {
+    gemm = gemm_avx512;
+    exp_map = exp_map_avx512;
+  } else if (__builtin_cpu_supports("avx2")) {
+    gemm = gemm_avx2;
+    exp_map = exp_map_avx2;
+  }
+}
+#endif
+
 CAMLprim value functs_unary_map(value vkind, value va, value vao, value vas,
                                 value var, value vo, value voo, value vos,
                                 value vor, value vrows, value vn)
@@ -129,16 +188,18 @@ CAMLprim value functs_unary_map(value vkind, value va, value vao, value vas,
   const long os = Long_val(vos), orow = Long_val(vor);
   const long rows = Long_val(vrows), n = Long_val(vn);
   const long kind = Long_val(vkind);
+  if (kind == U_EXP || kind == U_SIGMOID) {
+    exp_map(kind, ab, as, ar, ob, os, orow, rows, n);
+    return Val_unit;
+  }
   for (long r = 0; r < rows; r++) {
     const double *a = ab + r * ar;
     double *o = ob + r * orow;
     switch (kind) {
     case U_NEG: UN_LOOP(-x); break;
     case U_ABS: UN_LOOP(fabs(x)); break;
-    case U_EXP: UN_LOOP(exp(x)); break;
     case U_LOG: UN_LOOP(log(x)); break;
     case U_SQRT: UN_LOOP(sqrt(x)); break;
-    case U_SIGMOID: UN_LOOP(1.0 / (1.0 + exp(-x))); break;
     case U_TANH: UN_LOOP(tanh(x)); break;
     /* Float.max 0.0 x: positives pass, zeros normalize to +0.0, NaN
        propagates — fmax has different NaN rules, so spell it out. */

@@ -163,9 +163,12 @@ let render_source ~isa ?(loops = []) emitted =
        \   exp/log/tanh/pow calls in vectorised loops down to glibc's\n\
        \   libmvec kernels (_ZGVdN4v_exp &c., <= 4 ulp of scalar libm —\n\
        \   inside the oracle's bound for native runs).  The driver links\n\
-       \   -lmvec when available and retries with FUNCTS_NO_VECLIBM\n\
-       \   (bitwise scalar libm) when not.  sqrt and fabs stay bare:\n\
-       \   they vectorise to exact IEEE instructions anyway. */\n\
+       \   -lmvec when available and retries with FUNCTS_NO_VECLIBM when\n\
+       \   not.  Without libmvec, exp and sigmoid are the interpreter's\n\
+       \   own (functs_exp.h, embedded below), which vectorise and match\n\
+       \   it bit for bit; log/tanh/pow are scalar libm, the symbols\n\
+       \   Float.log &c. call.  sqrt and fabs stay bare: they vectorise\n\
+       \   to exact IEEE instructions anyway. */\n\
        #if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) \
        && !defined(FUNCTS_NO_VECLIBM)\n\
        __attribute__((__simd__(\"notinbranch\"))) double exp(double);\n\
@@ -173,6 +176,12 @@ let render_source ~isa ?(loops = []) emitted =
        __attribute__((__simd__(\"notinbranch\"))) double tanh(double);\n\
        __attribute__((__simd__(\"notinbranch\"))) double pow(double, \
        double);\n\
+       #define FUNCTS_EXP(x) exp(x)\n\
+       #define FUNCTS_SIGMOID(x) (1.0 / (1.0 + exp(- (x))))\n\
+       #else\n\
+       %s\
+       #define FUNCTS_EXP(x) functs_exp(x)\n\
+       #define FUNCTS_SIGMOID(x) functs_sigmoid(x)\n\
        #endif\n\n\
        /* OCaml's Float.max / Float.min / Float.equal, NaN payloads and\n\
        \   signed zeros included: fmax/fmin/== follow other rules. */\n\
@@ -193,7 +202,7 @@ let render_source ~isa ?(loops = []) emitted =
        typedef long (*functs_cjit_fn)(double **, const long *, long, long, \
        long);\n\
        functs_cjit_fn const functs_cjit_table[] = { %s };\n"
-      Jit_cache.version digest body (Jit_cache.header digest)
+      Jit_cache.version digest Exp_source.text body (Jit_cache.header digest)
       (ngroups + List.length loops)
       table
   in

@@ -46,8 +46,10 @@ module Journal = Functs_obs.Journal
    statement lowered to the GEMM microkernel, whose header text
    ([gemm_kernel.h], packed-panel entries included) the unit embeds, and
    a sequential loop can be one loop-kernel function.  v10: [omp simd]
-   fast rows, and [static] kernels behind the exported table. *)
-let version = 10
+   fast rows, and [static] kernels behind the exported table.  v11:
+   exp and sigmoid go through [FUNCTS_EXP]/[FUNCTS_SIGMOID], which the
+   no-libmvec build maps to the embedded [functs_exp.h]. *)
+let version = 11
 
 (* A compiled kernel: index [idx] of one artifact's launch table.  The
    table pointer is a raw [dlsym] result (never freed), so the handle is
@@ -141,8 +143,9 @@ let set_compile_bound s = compile_bound := s
    the generated unit declares simd variants of exp/log/tanh/pow, so the
    first compile attempt links [-lmvec] (glibc's vector libm, <= 4 ulp
    of scalar); when that link fails the retry defines
-   [FUNCTS_NO_VECLIBM] and the same source compiles back down to
-   bitwise scalar libm. *)
+   [FUNCTS_NO_VECLIBM] and the same source compiles back down to the
+   interpreter's own functions, bit for bit: the shared exp and sigmoid
+   of [functs_exp.h] (still vectorised), scalar libm for log/tanh/pow. *)
 let compile_flags =
   "-O3 -shared -fPIC -fopenmp-simd -ffp-contract=off -fno-math-errno \
    -fno-trapping-math"
@@ -161,7 +164,7 @@ external spawn : string -> string -> int = "functs_cjit_spawn"
    once: nothing on the caller's path waits for [cc].  [poll] advances a
    job without blocking (a [WNOHANG] wait on the compiler, or the
    lockfile probes of a compile another process holds); it enforces
-   [compile_bound], runs the scalar-libm retry and installs the
+   [compile_bound], runs the no-libmvec retry and installs the
    artifact, so a job moves only when someone polls it.  Jobs in flight
    are keyed by digest: a second start of the same unit joins the first
    instead of compiling again.  [lock] guards the tables and is only

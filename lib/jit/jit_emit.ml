@@ -96,9 +96,11 @@ open Codegen
    their OCaml NaN and signed-zero rules ([signbit], [x != x]) — never
    [fmax]/[fmin]/[==], which disagree on NaN payloads and on [-0.]/[+0.]
    — and NaN literals are emitted from their exact bit pattern.  Neg,
-   Abs, Exp, Log, Sqrt, Tanh, Pow, Sigmoid, Add, Sub, Mul, Div, Lt and Gt
-   map to the same libm symbols / IEEE operations the interpreter
-   uses. *)
+   Abs, Log, Sqrt, Tanh, Pow, Add, Sub, Mul, Div, Lt and Gt map to the
+   same libm symbols / IEEE operations the interpreter uses; Exp and
+   Sigmoid to [FUNCTS_EXP]/[FUNCTS_SIGMOID], libmvec's exp where the unit
+   links it and the interpreter's own [functs_exp.h] where it does not
+   (see [Jit.render_source]). *)
 
 exception Reject of string
 
@@ -593,10 +595,10 @@ let rec emit_expr env (e : Codegen.cexpr) : render =
       match u with
       | Scalar.Neg -> wrap "(- %s)"
       | Scalar.Abs -> wrap "fabs(%s)"
-      | Scalar.Exp -> wrap "exp(%s)"
+      | Scalar.Exp -> wrap "FUNCTS_EXP(%s)"
       | Scalar.Log -> wrap "log(%s)"
       | Scalar.Sqrt -> wrap "sqrt(%s)"
-      | Scalar.Sigmoid -> wrap "(1.0 / (1.0 + exp(- %s)))"
+      | Scalar.Sigmoid -> wrap "FUNCTS_SIGMOID(%s)"
       | Scalar.Tanh -> wrap "tanh(%s)"
       | Scalar.Relu -> wrap "functs_max(0.0, %s)"
     end

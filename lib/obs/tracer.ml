@@ -30,11 +30,15 @@ let now_us () = 1e6 *. (Unix.gettimeofday () -. epoch)
 let default_capacity = 65536
 
 (* Ring state: [count] is the total emitted since the last clear; the
-   write cursor is [count mod capacity].  Worker domains and the threads
-   of one domain may emit concurrently, so writes take [lock] — tracing
-   is opt-in, the disabled hot path never sees the mutex. *)
+   write cursor is [count mod cap].  Worker domains and the threads of
+   one domain may emit concurrently, so writes take [lock] — tracing is
+   opt-in, the disabled hot path never sees the mutex.  The ring is
+   allocated when tracing starts ({!enable}, or {!set_capacity} while
+   on) and stays empty until then: a [cap]-slot array that every major
+   GC marks is a real cost to a process that never traces. *)
 let lock = Mutex.create ()
-let buf = ref (Array.make default_capacity nil_event)
+let cap = ref default_capacity
+let buf = ref [||]
 let count = ref 0
 
 (* Span depth per thread, under [lock]: a thread appears only while it
@@ -61,8 +65,12 @@ let emit ?(id = 0) ev_name ev_phase ev_args =
   in
   locked (fun () ->
       let b = !buf in
-      b.(!count mod Array.length b) <- ev;
-      incr count;
+      (* empty only when tracing stopped and the ring was resized since
+         this emit read [on] *)
+      if Array.length b > 0 then begin
+        b.(!count mod Array.length b) <- ev;
+        incr count
+      end;
       match ev_phase with
       | Begin -> nest tid 1
       | End -> nest tid (-1)
@@ -72,7 +80,11 @@ let depth () =
   let tid = thread_id () in
   locked (fun () -> Option.value (Hashtbl.find_opt depths tid) ~default:0)
 
-let enable () = on := true
+let enable () =
+  locked (fun () ->
+      if Array.length !buf = 0 then buf := Array.make !cap nil_event;
+      on := true)
+
 let disable () = on := false
 
 let span_traced name args f =
@@ -92,12 +104,13 @@ let instant ?(args = []) name = if !on then emit name Instant args
 let flow_start ?(args = []) name ~id = if !on then emit ~id name Flow_start args
 let flow_finish ?(args = []) name ~id = if !on then emit ~id name Flow_finish args
 
-let capacity () = Array.length !buf
+let capacity () = !cap
 
 let set_capacity c =
   let c = max 16 c in
   locked (fun () ->
-      buf := Array.make c nil_event;
+      cap := c;
+      buf := if !on then Array.make c nil_event else [||];
       count := 0)
 
 let clear () =
@@ -106,7 +119,7 @@ let clear () =
       count := 0)
 
 let emitted () = !count
-let dropped () = max 0 (!count - Array.length !buf)
+let dropped () = max 0 (!count - !cap)
 
 let events () =
   locked (fun () ->

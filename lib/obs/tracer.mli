@@ -82,10 +82,12 @@ val dropped : unit -> int
 (** Events overwritten by ring wrap-around since the last {!clear}. *)
 
 val capacity : unit -> int
-(** Ring size (default 65536; configured via {!set_capacity}). *)
+(** Ring size (default 65536; configured via {!set_capacity}).  The ring
+    itself is allocated when tracing first starts. *)
 
 val set_capacity : int -> unit
-(** Resize the ring (clamped to ≥ 16).  Clears buffered events. *)
+(** Resize the ring (clamped to ≥ 16).  Clears buffered events; while
+    tracing is off it also frees the ring until the next {!enable}. *)
 
 val clear : unit -> unit
 (** Drop buffered events and reset {!emitted}/{!dropped}. *)

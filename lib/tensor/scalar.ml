@@ -1,13 +1,20 @@
 type unary = Neg | Abs | Exp | Log | Sqrt | Sigmoid | Tanh | Relu
 type binary = Add | Sub | Mul | Div | Pow | Max | Min | Lt | Gt | Eq
 
+external exp : float -> float = "functs_exp_byte" "functs_exp_unboxed"
+[@@unboxed] [@@noalloc]
+
+external sigmoid : float -> float
+  = "functs_sigmoid_byte" "functs_sigmoid_unboxed"
+[@@unboxed] [@@noalloc]
+
 let apply_unary = function
   | Neg -> fun x -> -.x
   | Abs -> Float.abs
-  | Exp -> Float.exp
+  | Exp -> exp
   | Log -> Float.log
   | Sqrt -> Float.sqrt
-  | Sigmoid -> fun x -> 1.0 /. (1.0 +. Float.exp (-.x))
+  | Sigmoid -> sigmoid
   | Tanh -> Float.tanh
   | Relu -> fun x -> Float.max 0.0 x
 

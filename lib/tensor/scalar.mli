@@ -27,6 +27,16 @@ type binary =
   | Gt
   | Eq
 
+val exp : float -> float
+(** The project's exp ([functs_exp.h]): within 1 ulp of glibc's, and the
+    same bits in its scalar and vectorised C builds, so every path that
+    evaluates [Exp] agrees with this one bit for bit.  A NaN comes back
+    quieted with its sign and payload. *)
+
+val sigmoid : float -> float
+(** [1 / (1 + exp (-x))] on {!exp}; a NaN comes back quieted, sign and
+    payload kept. *)
+
 val apply_unary : unary -> float -> float
 val apply_binary : binary -> float -> float -> float
 

@@ -541,6 +541,69 @@ let test_engine_never_mutates_args () =
   check "caller tensor untouched" true
     (T.allclose input (T.ones [| 6; 4 |]))
 
+(* --- a clone of a dying temporary reuses it ---
+
+   [aten::clone] binds its input itself when the input is an unpinned
+   temporary at its last use, alone on a whole contiguous storage.  So
+   [clone(sigmoid x)] allocates one buffer per run, not two, and counts
+   no donation.  A clone of a caller argument, of a view, or of a value
+   used later still copies. *)
+let clone_engine body input =
+  let b = Builder.create "clone" ~params:[ ("x", Dtype.Tensor) ] in
+  Builder.return b (body b (Builder.param b 0));
+  let g = Builder.graph b in
+  let fg = Graph.clone g in
+  ignore (Passes.tensorssa_pipeline fg);
+  let args = [ Value.Tensor input ] in
+  let eng =
+    Engine.prepare ~parallel:false ~cache:false ~jit:Functs_jit.Jit.Off fg
+      ~inputs:(Engine.input_shapes args)
+  in
+  let got = Engine.run eng [ Value.Tensor input ] in
+  check "bitwise vs the interpreter" true
+    (Equiv.bitwise (Eval.run g [ Value.Tensor (T.clone input) ]) got);
+  (List.map Value.to_tensor got, Engine.stats eng)
+
+let test_clone_reuses_dying_temporary () =
+  let input = T.of_array [| 6; 4 |] (Array.init 24 float_of_int) in
+  let allocs (s : Scheduler.stats) = s.pool_fresh + s.pool_reused in
+  let _, s = clone_engine (fun b x -> [ Builder.clone b (Builder.sigmoid b x) ]) input in
+  check_int "one buffer: the clone is the sigmoid's" 1 (allocs s);
+  check_int "not a donation" 0 s.donations;
+  let got, s = clone_engine (fun b x -> [ Builder.clone b x ]) input in
+  check "a caller argument is copied" false
+    (T.same_storage (List.hd got) input);
+  check_int "into a buffer of its own" 1 (allocs s);
+  check "and left untouched" true
+    (T.allclose input (T.of_array [| 6; 4 |] (Array.init 24 float_of_int)));
+  let got, _ =
+    clone_engine
+      (fun b x ->
+        let v =
+          Builder.slice b (Builder.sigmoid b x) ~dim:0 ~start:(Builder.int b 1)
+            ~stop:(Builder.int b 3) ()
+        in
+        [ Builder.clone b v ])
+      input
+  in
+  let c = List.hd got in
+  check "a view is copied to a compact tensor" true
+    (c.T.offset = 0
+    && Functs_tensor.Storage.length c.T.storage = T.numel c);
+  let got, _ =
+    clone_engine
+      (fun b x ->
+        let t = Builder.sigmoid b x in
+        let c = Builder.clone b t in
+        [ c; Builder.slice b t ~dim:0 ~start:(Builder.int b 0)
+                ~stop:(Builder.int b 2) () ])
+      input
+  in
+  match got with
+  | [ c; d ] ->
+      check "a value used later is copied" false (T.same_storage c d)
+  | _ -> Alcotest.fail "two outputs expected"
+
 (* Parallel-loop detection: returns must hand each slot its own version.
    A loop swapping its two carried tensors passes the per-use rules but
    has a genuine cross-iteration dependence. *)
@@ -1485,13 +1548,20 @@ module Strided_case = struct
   module Sc = Functs_tensor.Scalar
   module St = Functs_tensor.Storage
 
+  (* Special values, magnitudes past exp's overflow (709.78) and
+     underflow (-745.13) thresholds and far beyond, and subnormals. *)
   let value st =
-    match Random.State.int st 12 with
+    match Random.State.int st 18 with
     | 0 -> Float.nan
     | 1 -> Float.infinity
     | 2 -> Float.neg_infinity
     | 3 -> -0.0
     | 4 -> 0.0
+    | 5 -> -.Float.nan
+    | 6 -> Random.State.float st 1600.0 -. 800.0
+    | 7 -> Random.State.float st 2e300 -. 1e300
+    | 8 -> Random.State.float st Float.min_float
+    | 9 -> -.Random.State.float st Float.min_float
     | _ -> Random.State.float st 4.0 -. 2.0
 
   let fresh st shape =
@@ -1852,6 +1922,8 @@ let () =
           Alcotest.test_case "donation loop" `Quick test_donation_loop;
           Alcotest.test_case "args never mutated" `Quick
             test_engine_never_mutates_args;
+          Alcotest.test_case "a clone of a dying temporary reuses it" `Quick
+            test_clone_reuses_dying_temporary;
           Alcotest.test_case "batched loop adopts its init" `Quick
             test_batched_loop_donates_init;
           Alcotest.test_case "parallel slot consistency" `Quick

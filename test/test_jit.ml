@@ -950,6 +950,83 @@ let test_c_compile_failure_demotion ?(zeros = false) name () =
            || (r.Scheduler.at_arm <> "c-jit" && r.Scheduler.at_launches > 0))
          rows)
 
+(* --- no libmvec: the retry's kernels are bitwise ---
+
+   A compiler that fails every link asking for [-lmvec] forces the
+   [FUNCTS_NO_VECLIBM] retry, whose units take exp and sigmoid from the
+   interpreter's own [functs_exp.h]: yolact (sigmoid), attention
+   (softmax's exp) and a program of exp and sigmoid over 4096 random
+   inputs then run armed and bitwise, with no ulp bound.  On those
+   inputs glibc's exp (what [Float.exp] calls) differs from the shared
+   one, so a retry that fell back to libm would fail here. *)
+
+let workload_case name () = functionalized (Result.get_ok (Functs.find_workload name))
+
+let exp_inputs =
+  let st = Random.State.make [| 35 |] in
+  Array.init 4096 (fun _ -> Random.State.float st 80.0 -. 40.0)
+
+let exp_case () =
+  let b = Builder.create "exp_sigmoid" ~params:[ ("x", Dtype.Tensor) ] in
+  let x = Builder.param b 0 in
+  Builder.return b [ Builder.exp b x; Builder.sigmoid b x ];
+  let g = Builder.graph b in
+  let fg = Graph.clone g in
+  ignore (Passes.tensorssa_pipeline fg);
+  check "glibc's exp differs from the shared one on these inputs" true
+    (Array.exists
+       (fun x -> not (Int64.equal (Int64.bits_of_float (Float.exp x))
+                        (Int64.bits_of_float (Scalar.exp x))))
+       exp_inputs);
+  (g, fg, fun () ->
+    [ Value.Tensor (Tensor.of_array [| 64; 64 |] (Array.copy exp_inputs)) ])
+
+let test_no_libmvec_bitwise case () =
+  let g, fg, args_fn = case () in
+  let expected = Eval.run g (clone_args (args_fn ())) in
+  let log = Filename.temp_file "functs-no-mvec" ".log" in
+  let cc =
+    fake_compiler
+      (Printf.sprintf
+         "echo \"$*\" >> %s\n\
+          case \" $* \" in *\" -lmvec \"*) echo 'no libmvec' >&2; exit 1;; \
+          esac\n\
+          exec cc \"$@\""
+         (Filename.quote log))
+  in
+  let have_cc = Jit.c_toolchain_available () in
+  let (got, native), stats =
+    with_scratch_dir "no-mvec" @@ fun dir ->
+    Jit.clear_loaded ();
+    Jit.set_c_compiler cc;
+    Fun.protect
+      ~finally:(fun () ->
+        Jit.set_c_compiler "cc";
+        Jit.clear_loaded ();
+        Sys.remove cc)
+      (fun () ->
+        let eng = jit_engine ~dir fg (args_fn ()) in
+        let r = Equiv.run eng (args_fn ()) in
+        (r, Engine.stats eng))
+  in
+  let calls =
+    In_channel.with_open_text log In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "")
+  in
+  Sys.remove log;
+  let has flag l = List.mem flag (String.split_on_char ' ' l) in
+  check "outputs bitwise equal to the interpreter" true
+    (Equiv.bitwise expected got);
+  if have_cc then begin
+    check "the first link asked for -lmvec" true
+      (List.exists (has "-lmvec") calls);
+    check "the retry built without libmvec" true
+      (List.exists (has "-DFUNCTS_NO_VECLIBM") calls);
+    check "the retry's kernels armed" true (stats.Scheduler.cjit_groups > 0);
+    check "and launched" true native
+  end
+
 (* --- bounded compile: a hung compiler is killed --- *)
 
 let test_hung_compiler_killed () =
@@ -1592,6 +1669,12 @@ let () =
             (test_c_compile_failure_demotion "attention");
           Alcotest.test_case "C compile failure demotes to per-node on zeros"
             `Quick (test_c_compile_failure_demotion ~zeros:true "yolact");
+          Alcotest.test_case "no libmvec: yolact armed and bitwise" `Quick
+            (test_no_libmvec_bitwise (workload_case "yolact"));
+          Alcotest.test_case "no libmvec: attention armed and bitwise" `Quick
+            (test_no_libmvec_bitwise (workload_case "attention"));
+          Alcotest.test_case "no libmvec: exp and sigmoid armed and bitwise"
+            `Quick (test_no_libmvec_bitwise exp_case);
           Alcotest.test_case "hung compiler is killed" `Quick
             test_hung_compiler_killed;
           Alcotest.test_case "fallback: unusable artifact dir" `Quick

@@ -214,6 +214,41 @@ let test_disabled_no_alloc () =
 
 (* --- ring buffer --- *)
 
+(* Registered first in the suite, so nothing in this process has enabled
+   the tracer yet: its ring is not allocated, and the export is empty.
+   A resize while tracing is off keeps the ring unallocated, and the
+   enable that allocates it keeps the capacity and the dropped count. *)
+let test_ring_lazy () =
+  let empty = "{\"traceEvents\":[],\"displayTimeUnit\":\"ms\"}\n" in
+  check "tracing is off" false (Tracer.enabled ());
+  check_int "nothing emitted" 0 (Tracer.emitted ());
+  check "a never-enabled tracer exports an empty trace" true
+    (Tracer.to_chrome () = empty);
+  let original = Tracer.capacity () in
+  Fun.protect
+    ~finally:(fun () ->
+      Tracer.disable ();
+      Tracer.set_capacity original)
+    (fun () ->
+      Tracer.set_capacity 24;
+      Tracer.instant "off";
+      check_int "the resize took" 24 (Tracer.capacity ());
+      check "and nothing is buffered" true (Tracer.events () = []);
+      Tracer.enable ();
+      check_int "enabling keeps the capacity" 24 (Tracer.capacity ());
+      check_int "and the dropped count" 0 (Tracer.dropped ());
+      for i = 1 to 30 do
+        Tracer.instant (Printf.sprintf "ev%d" i)
+      done;
+      check_int "the ring holds capacity events" 24
+        (List.length (Tracer.events ()));
+      check_int "dropped counts the overwritten" 6 (Tracer.dropped ());
+      Tracer.disable ();
+      check_int "events outlive disable" 24 (List.length (Tracer.events ()));
+      Tracer.enable ();
+      check_int "re-enabling keeps them" 6 (Tracer.dropped ()))
+
+
 let test_ring_wrap () =
   let original = Tracer.capacity () in
   Tracer.set_capacity 16;
@@ -531,6 +566,8 @@ let () =
     [
       ( "tracer",
         [
+          Alcotest.test_case "ring allocated when tracing starts" `Quick
+            test_ring_lazy;
           Alcotest.test_case "nesting under exceptions" `Quick
             test_span_nesting_exceptions;
           Alcotest.test_case "spans re-raise" `Quick test_span_reraises;
