@@ -469,9 +469,6 @@ let counted_run eng args =
 
 let ran c f = f c.after - f c.before
 
-(* The run launched native code: the [native] argument of [Equiv.matches]. *)
-let native c = ran c (fun s -> s.Scheduler.cjit_runs) > 0
-
 type wrow = {
   r_name : string;
   r_batch : int;
@@ -650,32 +647,28 @@ let run_exec () =
       let eng = prepare ~parallel:false fg ~inputs in
       let engj = prepare_jit fg ~inputs in
       let _, _, engp = prepare_times ~parallel:true fg ~inputs in
-      (* Every gate is the oracle rule ([Equiv.matches]): bitwise, with
-         the libmvec bound when either side launched native code.  A
-         batched loop is gated against the sequential engine too: a loop
-         the analysis calls Parallel (or an exactly-associative
-         reduction) must reproduce its bits. *)
-      let seq_ref, seq_native = Equiv.run eng args in
-      let jit_out, jit_native = Equiv.run engj args in
+      (* Every gate is the oracle rule ([Equiv.bitwise]).  A batched loop
+         is gated against the sequential engine too: a loop the analysis
+         calls Parallel (or an exactly-associative reduction) must
+         reproduce its bits. *)
+      let seq_ref = Engine.run eng args in
+      let jit_out = Engine.run engj args in
       let par_out, cp = counted_run engp args in
-      let par_native = native cp in
       let nbatched = ran cp (fun s -> s.Scheduler.parallel_loops_run) in
       if
         not
-          (Equiv.matches ~native:seq_native expected seq_ref
-          && Equiv.matches ~native:par_native expected par_out)
+          (Equiv.bitwise expected seq_ref && Equiv.bitwise expected par_out)
       then begin
         ok := false;
         Printf.printf "  %-10s ENGINE OUTPUT DIVERGED FROM INTERPRETER\n"
           w.name
       end
-      else if not (Equiv.matches ~native:jit_native expected jit_out) then begin
+      else if not (Equiv.bitwise expected jit_out) then begin
         ok := false;
         Printf.printf "  %-10s JIT ENGINE DIVERGED FROM INTERPRETER\n" w.name
       end
       else if
-        nbatched > 0
-        && not (Equiv.matches ~native:(seq_native || par_native) seq_ref par_out)
+        nbatched > 0 && not (Equiv.bitwise seq_ref par_out)
       then begin
         ok := false;
         Printf.printf
@@ -700,15 +693,14 @@ let run_exec () =
             (fun d ->
               let e = prepare ~domains:d ~parallel:true fg ~inputs in
               let out, ce = counted_run e args in
-              if not (Equiv.matches ~native:(native ce) expected out) then begin
+              if not (Equiv.bitwise expected out) then begin
                 ok := false;
                 Printf.printf
                   "  %-10s DIVERGED FROM INTERPRETER AT domains=%d\n" w.name d
               end
               else if
                 ran ce (fun s -> s.Scheduler.parallel_loops_run) > 0
-                && not
-                     (Equiv.matches ~native:(seq_native || native ce) seq_ref out)
+                && not (Equiv.bitwise seq_ref out)
               then begin
                 ok := false;
                 Printf.printf

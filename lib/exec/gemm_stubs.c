@@ -66,13 +66,14 @@ CAMLprim value functs_gemm_bytecode(value *argv, int argn)
  * two are looped in OCaml around one call each.
  *
  * Each case applies exactly the operation the OCaml reference applies —
- * the same libm calls (log, tanh and pow compile to the identical symbols
- * Float.log &c. call), the shared exp and sigmoid of functs_exp.h (which
- * Scalar.exp and Scalar.sigmoid call) and the same IEEE primitives — so
- * results are bitwise-identical; the win is dropping the per-element
- * closure dispatch, float boxing and bounds checks, and for exp and
- * sigmoid vector code: their rows run in AVX-512, AVX2 and default
- * clones, picked at load like the GEMM's.  Operators whose OCaml
+ * the same libm calls (log and pow compile to the identical symbols
+ * Float.log and Float.pow call), the shared exp, sigmoid and tanh of
+ * functs_exp.h (which Scalar.exp, Scalar.sigmoid and Scalar.tanh call)
+ * and the same IEEE primitives — so results are bitwise-identical; the
+ * win is dropping the per-element closure dispatch, float boxing and
+ * bounds checks, and for exp, sigmoid and tanh vector code: their rows
+ * run in AVX-512, AVX2 and default clones, picked at load like the
+ * GEMM's.  Operators whose OCaml
  * semantics do not map one-to-one onto C (Float.max/min/equal have their
  * own NaN and signed-zero rules) are NOT given codes here and stay on
  * the OCaml path.
@@ -111,12 +112,13 @@ CAMLprim value functs_gemm_bytecode(value *argv, int argn)
       }                                                                     \
   } while (0)
 
-/* exp and sigmoid.  functs_exp.h is branch-free, so each clone's loops
-   vectorise at its width, and all give the scalar build's bits
-   (test/exp_isa.sh checks each ISA).  Rows shorter than a vector (the
-   2-wide box slices of yolov3) would run the scalar remainder loop,
-   where this exp is slower than glibc's, so those run down the rows
-   instead, one column at a time, with strided loads and stores. */
+/* exp, sigmoid and tanh.  functs_exp.h is branch-free, so each clone's
+   loops vectorise at its width, and all give the scalar build's bits
+   (test/exp_isa.sh checks each ISA).  The AVX2 clone also needs FMA:
+   without it every fma() of functs_exp.h is a libm call, as in the
+   default clone.  Rows shorter than a vector (the 2-wide box slices of
+   yolov3) would run the scalar remainder loop, so those run down the
+   rows instead, one column at a time, with strided loads and stores. */
 #include "functs_exp.h"
 
 #define EXP_COLS(f)                                                         \
@@ -140,12 +142,16 @@ CAMLprim value functs_gemm_bytecode(value *argv, int argn)
     if (n >= 8 || n >= rows) {                                              \
       if (kind == U_EXP)                                                    \
         EXP_ROWS(functs_exp)                                                \
-      else                                                                  \
+      else if (kind == U_SIGMOID)                                           \
         EXP_ROWS(functs_sigmoid)                                            \
+      else                                                                  \
+        EXP_ROWS(functs_tanh)                                               \
     } else if (kind == U_EXP)                                               \
       EXP_COLS(functs_exp)                                                  \
-    else                                                                    \
+    else if (kind == U_SIGMOID)                                             \
       EXP_COLS(functs_sigmoid)                                              \
+    else                                                                    \
+      EXP_COLS(functs_tanh)                                                 \
   }
 
 #ifdef ISA_CLONES
@@ -154,7 +160,7 @@ CAMLprim value functs_gemm_bytecode(value *argv, int argn)
 EXP_MAP(exp_map_avx512)
 #pragma GCC pop_options
 #pragma GCC push_options
-#pragma GCC target("avx2")
+#pragma GCC target("avx2,fma")
 EXP_MAP(exp_map_avx2)
 #pragma GCC pop_options
 #endif
@@ -173,7 +179,7 @@ __attribute__((constructor)) static void clones_pick(void)
     exp_map = exp_map_avx512;
   } else if (__builtin_cpu_supports("avx2")) {
     gemm = gemm_avx2;
-    exp_map = exp_map_avx2;
+    if (__builtin_cpu_supports("fma")) exp_map = exp_map_avx2;
   }
 }
 #endif
@@ -188,7 +194,7 @@ CAMLprim value functs_unary_map(value vkind, value va, value vao, value vas,
   const long os = Long_val(vos), orow = Long_val(vor);
   const long rows = Long_val(vrows), n = Long_val(vn);
   const long kind = Long_val(vkind);
-  if (kind == U_EXP || kind == U_SIGMOID) {
+  if (kind == U_EXP || kind == U_SIGMOID || kind == U_TANH) {
     exp_map(kind, ab, as, ar, ob, os, orow, rows, n);
     return Val_unit;
   }
@@ -200,7 +206,6 @@ CAMLprim value functs_unary_map(value vkind, value va, value vao, value vas,
     case U_ABS: UN_LOOP(fabs(x)); break;
     case U_LOG: UN_LOOP(log(x)); break;
     case U_SQRT: UN_LOOP(sqrt(x)); break;
-    case U_TANH: UN_LOOP(tanh(x)); break;
     /* Float.max 0.0 x: positives pass, zeros normalize to +0.0, NaN
        propagates — fmax has different NaN rules, so spell it out. */
     case U_RELU: UN_LOOP((x > 0.0) ? x : (x != x ? x : 0.0)); break;

@@ -109,20 +109,23 @@ CAMLprim value functs_cjit_call_bytecode(value *argv, int argn)
                           argv[5], argv[6]);
 }
 
-/* The ISA every generated kernel targets: 2 for AVX-512F, 1 for AVX2,
- * 0 for the compiler's baseline.  AVX-512F is the test gemm_stubs.c's
- * [gemm_pick] makes for the GEMM kernel, so a host that runs 512-bit
- * GEMM runs 512-bit JIT kernels too. */
+/* The GCC target every generated kernel is compiled for (Toolchain.isa):
+ * AVX-512F with VL, else AVX2 with FMA, else "default", the compiler's
+ * baseline.  AVX-512F is the test gemm_stubs.c's [clones_pick] makes for
+ * the GEMM kernel, so a host that runs 512-bit GEMM runs 512-bit JIT
+ * kernels too. */
 CAMLprim value functs_cjit_host_isa(value unit)
 {
   (void)unit;
+  const char *isa = "default";
 #if defined(__x86_64__) && defined(__GNUC__)
   __builtin_cpu_init();
-  if (__builtin_cpu_supports("avx512f")) return Val_int(2);
-  return Val_int(__builtin_cpu_supports("avx2") ? 1 : 0);
-#else
-  return Val_int(0);
+  if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512vl"))
+    isa = "avx512f,avx512vl";
+  else if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma"))
+    isa = "avx2,fma";
 #endif
+  return caml_copy_string(isa);
 }
 
 /* Start [/bin/sh -c cmd] as the leader of a new process group, with

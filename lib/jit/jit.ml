@@ -105,10 +105,10 @@ let gemm_unit ~isa =
 (* One [static] function per kernel behind the exported
    [functs_cjit_table], so a loop kernel calls its members directly
    (inlinable, no PLT), compiled for [isa] alone: each kernel carries
-   [target("avx512f")] or [target("avx2")] on hosts with those ISAs,
-   elsewhere no attribute (the compiler's baseline).  The ISA is part of
-   the digest, so hosts with different ISAs sharing an artifact
-   directory never load each other's [.so]. *)
+   [target("avx512f,avx512vl")] or [target("avx2,fma")] on hosts with
+   those ISAs, elsewhere no attribute (the compiler's baseline).  The
+   ISA is part of the digest, so hosts with different ISAs sharing an
+   artifact directory never load each other's [.so]. *)
 let render_source ~isa ?(loops = []) emitted =
   let target =
     match isa with
@@ -139,7 +139,7 @@ let render_source ~isa ?(loops = []) emitted =
     || List.exists (fun (em : Jit_emit.emitted) -> em.e_gemm <> None) emitted
   in
   let body =
-    (if gemm then gemm_unit ~isa else "") ^ Buffer.contents body
+    Exp_source.text ^ (if gemm then gemm_unit ~isa else "") ^ Buffer.contents body
   in
   let digest =
     Digest.to_hex
@@ -159,30 +159,6 @@ let render_source ~isa ?(loops = []) emitted =
        #else\n\
        #define FUNCTS_ISA(t)\n\
        #endif\n\n\
-       /* Vector transcendentals: these declarations let GCC compile\n\
-       \   exp/log/tanh/pow calls in vectorised loops down to glibc's\n\
-       \   libmvec kernels (_ZGVdN4v_exp &c., <= 4 ulp of scalar libm —\n\
-       \   inside the oracle's bound for native runs).  The driver links\n\
-       \   -lmvec when available and retries with FUNCTS_NO_VECLIBM when\n\
-       \   not.  Without libmvec, exp and sigmoid are the interpreter's\n\
-       \   own (functs_exp.h, embedded below), which vectorise and match\n\
-       \   it bit for bit; log/tanh/pow are scalar libm, the symbols\n\
-       \   Float.log &c. call.  sqrt and fabs stay bare: they vectorise\n\
-       \   to exact IEEE instructions anyway. */\n\
-       #if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) \
-       && !defined(FUNCTS_NO_VECLIBM)\n\
-       __attribute__((__simd__(\"notinbranch\"))) double exp(double);\n\
-       __attribute__((__simd__(\"notinbranch\"))) double log(double);\n\
-       __attribute__((__simd__(\"notinbranch\"))) double tanh(double);\n\
-       __attribute__((__simd__(\"notinbranch\"))) double pow(double, \
-       double);\n\
-       #define FUNCTS_EXP(x) exp(x)\n\
-       #define FUNCTS_SIGMOID(x) (1.0 / (1.0 + exp(- (x))))\n\
-       #else\n\
-       %s\
-       #define FUNCTS_EXP(x) functs_exp(x)\n\
-       #define FUNCTS_SIGMOID(x) functs_sigmoid(x)\n\
-       #endif\n\n\
        /* OCaml's Float.max / Float.min / Float.equal, NaN payloads and\n\
        \   signed zeros included: fmax/fmin/== follow other rules. */\n\
        static inline double functs_max(double x, double y)\n\
@@ -196,13 +172,18 @@ let render_source ~isa ?(loops = []) emitted =
        /* Ops.where: every operand evaluated, then a select. */\n\
        static inline double functs_where(double c, double a, double b)\n\
        { return c != 0.0 ? a : b; }\n\n\
+       /* exp, sigmoid and tanh: the interpreter's own (functs_exp.h),\n\
+       \   branch-free, so they vectorise and match it bit for bit; log\n\
+       \   and pow are scalar libm, the symbols Float.log and Float.pow\n\
+       \   call.  sqrt and fabs stay bare: they vectorise to exact IEEE\n\
+       \   instructions anyway. */\n\
        %s\
        const char functs_cjit_header[] = %S;\n\
        const long functs_cjit_nfns = %d;\n\
        typedef long (*functs_cjit_fn)(double **, const long *, long, long, \
        long);\n\
        functs_cjit_fn const functs_cjit_table[] = { %s };\n"
-      Jit_cache.version digest Exp_source.text body (Jit_cache.header digest)
+      Jit_cache.version digest body (Jit_cache.header digest)
       (ngroups + List.length loops)
       table
   in

@@ -49,10 +49,13 @@ val set_c_compile_bound : float -> unit
 val c_toolchain_available : unit -> bool
 
 val isa : unit -> string
-(** The ISA every kernel is compiled for: ["avx512f"] when the running
-    CPU supports AVX-512F (the test the GEMM kernel's AVX-512 pick
-    makes), else ["avx2"] when it supports AVX2, else ["default"] (the
-    compiler's baseline).  Read from the host once per process; nothing
+(** The GCC target string every kernel is compiled for:
+    ["avx512f,avx512vl"] when the running CPU supports AVX-512F and VL
+    (F is the test the GEMM kernel's AVX-512 pick makes), else
+    ["avx2,fma"] when it supports AVX2 and FMA, else ["default"] (the
+    compiler's baseline).  The extensions are what [functs_exp.h] needs
+    to vectorise: FMA for its fma() calls, and VL for rows of 4 at 256
+    bits under AVX-512F.  Read from the host once per process; nothing
     sets it. *)
 
 val clear_loaded : unit -> unit

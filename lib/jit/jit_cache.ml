@@ -25,8 +25,9 @@ module Journal = Functs_obs.Journal
    at the next poll, so a hung compiler can neither wedge the caller nor
    outlive the lock. *)
 
-(* The artifact digest covers the kernel bodies; changes to the fixed
-   source wrapper must bump this stamp.  v2: entry points return a guard
+(* The artifact digest covers the kernel bodies and the embedded
+   [functs_exp.h]; changes to the rest of the fixed source wrapper must
+   bump this stamp.  v2: entry points return a guard
    status (0 ok, nonzero = a dynamically-indexed read would have gone out
    of bounds), and buffer lengths ride in an ints tail.  v3: simd
    declarations route transcendentals through libmvec.  v4: clone set
@@ -47,9 +48,12 @@ module Journal = Functs_obs.Journal
    ([gemm_kernel.h], packed-panel entries included) the unit embeds, and
    a sequential loop can be one loop-kernel function.  v10: [omp simd]
    fast rows, and [static] kernels behind the exported table.  v11:
-   exp and sigmoid go through [FUNCTS_EXP]/[FUNCTS_SIGMOID], which the
-   no-libmvec build maps to the embedded [functs_exp.h]. *)
-let version = 11
+   exp and sigmoid go through macros that a second, scalar-libm build
+   maps to the embedded [functs_exp.h].  v12: one build, linking only
+   [-lm]: exp, sigmoid and tanh call the embedded [functs_exp.h]
+   directly, and the ISA levels target "avx2,fma" and
+   "avx512f,avx512vl". *)
+let version = 12
 
 (* A compiled kernel: index [idx] of one artifact's launch table.  The
    table pointer is a raw [dlsym] result (never freed), so the handle is
@@ -136,16 +140,13 @@ let set_compile_bound s = compile_bound := s
 
 (* [-ffp-contract=off] keeps every multiply-add as two IEEE operations
    (bitwise parity with the interpreter, same discipline as
-   gemm_stubs.c); [-fno-math-errno]/[-fno-trapping-math] change no bit
-   patterns but let GCC vectorise sqrt/div; [-fopenmp-simd] honours the
-   emitter's [omp simd] pragmas without the OpenMP runtime.
-   Transcendental calls are the one sanctioned departure from bitwise:
-   the generated unit declares simd variants of exp/log/tanh/pow, so the
-   first compile attempt links [-lmvec] (glibc's vector libm, <= 4 ulp
-   of scalar); when that link fails the retry defines
-   [FUNCTS_NO_VECLIBM] and the same source compiles back down to the
-   interpreter's own functions, bit for bit: the shared exp and sigmoid
-   of [functs_exp.h] (still vectorised), scalar libm for log/tanh/pow. *)
+   gemm_stubs.c; the explicit fma() calls of [functs_exp.h] round once
+   either way); [-fno-math-errno]/[-fno-trapping-math] change no bit
+   patterns but let GCC vectorise sqrt/div and the selects of
+   [functs_exp.h]; [-fopenmp-simd] honours the emitter's [omp simd]
+   pragmas without the OpenMP runtime.  Every unit compiles this one
+   way, linking only [-lm]: exp, sigmoid and tanh are the interpreter's
+   own, embedded, and log/pow are the scalar libm calls it makes. *)
 let compile_flags =
   "-O3 -shared -fPIC -fopenmp-simd -ffp-contract=off -fno-math-errno \
    -fno-trapping-math"
@@ -164,10 +165,10 @@ external spawn : string -> string -> int = "functs_cjit_spawn"
    once: nothing on the caller's path waits for [cc].  [poll] advances a
    job without blocking (a [WNOHANG] wait on the compiler, or the
    lockfile probes of a compile another process holds); it enforces
-   [compile_bound], runs the no-libmvec retry and installs the
-   artifact, so a job moves only when someone polls it.  Jobs in flight
-   are keyed by digest: a second start of the same unit joins the first
-   instead of compiling again.  [lock] guards the tables and is only
+   [compile_bound] and installs the artifact, so a job moves only when
+   someone polls it.  A unit is one [cc] run: a failed one fails the
+   job.  Jobs in flight are keyed by digest: a second start of the same
+   unit joins the first instead of compiling again.  [lock] guards the tables and is only
    ever held for non-blocking steps.
 
    The compiler runs in a process group of its own (see
@@ -179,7 +180,6 @@ external spawn : string -> string -> int = "functs_cjit_spawn"
 type compile = {
   c_pid : int;  (* the [cc] process, leader of its process group *)
   c_deadline : float;
-  c_scalar : bool;  (* the [-DFUNCTS_NO_VECLIBM] retry *)
   c_build : string;  (* private build directory *)
 }
 
@@ -255,30 +255,8 @@ let artifact_files j ~build =
   let base = Filename.concat build (artifact_base j.j_digest) in
   (base ^ ".c", base ^ ".so", Filename.concat build "cc.log")
 
-(* One compiler run over the source already written to [build]. *)
-let attempt j ~build ~scalar =
-  let src, out, log = artifact_files j ~build in
-  let extra, libs =
-    if scalar then ("-DFUNCTS_NO_VECLIBM", "-lm") else ("", "-lmvec -lm")
-  in
-  let cmd =
-    Printf.sprintf "TMPDIR=%s exec %s %s %s -o %s %s %s" (Filename.quote build)
-      (Toolchain.c_compiler ()) compile_flags extra (Filename.quote out)
-      (Filename.quote src) libs
-  in
-  match spawn cmd log with
-  | pid when pid > 0 ->
-      j.j_state <-
-        Compiling
-          {
-            c_pid = pid;
-            c_deadline = Unix.gettimeofday () +. !compile_bound;
-            c_scalar = scalar;
-            c_build = build;
-          }
-  | _ -> failwith ("cannot start " ^ Toolchain.c_compiler ())
-
-(* Holding the lockfile: write the source and start the compiler. *)
+(* Holding the lockfile: write the source to a private build directory
+   and start the compiler over it. *)
 let begin_compile j =
   Tracer.instant "jit.c.compile" ~args:[ ("isa", Toolchain.isa ()) ];
   let build =
@@ -289,11 +267,25 @@ let begin_compile j =
     mkdir_p build;
     if not (Sys.file_exists build && Sys.is_directory build) then
       failwith ("cannot create build directory " ^ build);
-    let src, _, _ = artifact_files j ~build in
+    let src, out, log = artifact_files j ~build in
     let oc = open_out src in
     output_string oc j.j_source;
     close_out oc;
-    attempt j ~build ~scalar:false
+    let cmd =
+      Printf.sprintf "TMPDIR=%s exec %s %s -o %s %s -lm" (Filename.quote build)
+        (Toolchain.c_compiler ()) compile_flags (Filename.quote out)
+        (Filename.quote src)
+    in
+    match spawn cmd log with
+    | pid when pid > 0 ->
+        j.j_state <-
+          Compiling
+            {
+              c_pid = pid;
+              c_deadline = Unix.gettimeofday () +. !compile_bound;
+              c_build = build;
+            }
+    | _ -> failwith ("cannot start " ^ Toolchain.c_compiler ())
   with e ->
     remove_build build;
     remove_quiet (lock_of j);
@@ -327,10 +319,6 @@ let step_compile j c =
       | () -> finish_compile j c (load_final j)
       | exception e ->
           finish_compile j c (Error ("artifact install: " ^ Printexc.to_string e)))
-  | _, (Unix.WEXITED _ | Unix.WSIGNALED _ | Unix.WSTOPPED _)
-    when not c.c_scalar -> (
-      try attempt j ~build:c.c_build ~scalar:true
-      with Failure m -> finish_compile j c (Error m))
   | _, (Unix.WEXITED rc | Unix.WSIGNALED rc | Unix.WSTOPPED rc) ->
       let rc = if rc < 0 then 128 + abs rc else rc in
       let _, _, log = artifact_files j ~build:c.c_build in

@@ -69,10 +69,9 @@ val start : dir:string -> digest:string -> source:string -> nfns:int -> job
 
 val poll : job -> status
 (** Advance a pending job without blocking: reap its compiler when it
-    has exited (running the scalar-libm retry, installing and loading
-    the artifact), kill it once it outlives the bound (a [Jit_demote]
-    journal record), or probe the lockfile another process holds.
-    Every failure is a [`Failed _]. *)
+    has exited (installing and loading the artifact), kill it once it
+    outlives the bound (a [Jit_demote] journal record), or probe the
+    lockfile another process holds.  Every failure is a [`Failed _]. *)
 
 val cancel : job -> unit
 (** Stop a pending job: SIGKILL its compiler's whole process group, reap

@@ -66,7 +66,8 @@ open Codegen
    coefficients: when every innermost-dependent site has stride 1 the
    fast variant indexes [b[p + i]] — contiguous, and marked [omp simd]
    when at least [simd_row] wide and free of per-access checks — and
-   otherwise a generic [b[p + i*c]] variant runs.  Both orders are
+   otherwise a generic [b[p + i*c]] variant runs (in a tiled nest the
+   guard sits outside the tile's row loop).  Both orders are
    element-identical, so the guard never changes results.  Root
    reductions additionally block the innermost output dimension by 4
    with independent accumulators: each output element still combines
@@ -96,11 +97,10 @@ open Codegen
    their OCaml NaN and signed-zero rules ([signbit], [x != x]) — never
    [fmax]/[fmin]/[==], which disagree on NaN payloads and on [-0.]/[+0.]
    — and NaN literals are emitted from their exact bit pattern.  Neg,
-   Abs, Log, Sqrt, Tanh, Pow, Add, Sub, Mul, Div, Lt and Gt map to the
-   same libm symbols / IEEE operations the interpreter uses; Exp and
-   Sigmoid to [FUNCTS_EXP]/[FUNCTS_SIGMOID], libmvec's exp where the unit
-   links it and the interpreter's own [functs_exp.h] where it does not
-   (see [Jit.render_source]). *)
+   Abs, Log, Sqrt, Pow, Add, Sub, Mul, Div, Lt and Gt map to the same
+   libm symbols / IEEE operations the interpreter uses; Exp, Sigmoid and
+   Tanh to the interpreter's own [functs_exp], [functs_sigmoid] and
+   [functs_tanh], which every unit embeds (see [Jit.render_source]). *)
 
 exception Reject of string
 
@@ -595,11 +595,11 @@ let rec emit_expr env (e : Codegen.cexpr) : render =
       match u with
       | Scalar.Neg -> wrap "(- %s)"
       | Scalar.Abs -> wrap "fabs(%s)"
-      | Scalar.Exp -> wrap "FUNCTS_EXP(%s)"
+      | Scalar.Exp -> wrap "functs_exp(%s)"
       | Scalar.Log -> wrap "log(%s)"
       | Scalar.Sqrt -> wrap "sqrt(%s)"
-      | Scalar.Sigmoid -> wrap "FUNCTS_SIGMOID(%s)"
-      | Scalar.Tanh -> wrap "tanh(%s)"
+      | Scalar.Sigmoid -> wrap "functs_sigmoid(%s)"
+      | Scalar.Tanh -> wrap "functs_tanh(%s)"
       | Scalar.Relu -> wrap "functs_max(0.0, %s)"
     end
   | Cbinary (b, x, y) -> begin
@@ -1042,8 +1042,9 @@ and emit_map_nest k ~buf ~next_mem nest_idx (n : nest) =
     let iv = Printf.sprintf "i%d" l in
     let lo = if l = 0 then "sl" else "0" in
     let hi = if l = 0 then "sh" else if l > 0 then exts.(l) else "1" in
-    (* the innermost body at indentation [p] *)
-    let body b ~p =
+    (* the innermost body at indentation [p]; a map of rank > 0 emits its
+       [fast] or its generic variant, and the caller tests [guard] *)
+    let body ~fast b ~p =
       let add = Buffer.add_string b in
       let red_hoists p =
         List.iter
@@ -1057,24 +1058,13 @@ and emit_map_nest k ~buf ~next_mem nest_idx (n : nest) =
                j j
                (render ~inner:"0" ~fast:false))
       | `Map render ->
-          let loop fast p =
-            if fast && inner_extent env >= simd_row && not checked then
-              add (Printf.sprintf "%s#pragma omp simd\n" p);
-            add
-              (Printf.sprintf "%sfor (long %s = %s; %s < %s; %s++) {\n" p iv lo
-                 iv hi iv);
-            add
-              (Printf.sprintf "%s  %s\n" p (store iv (render ~inner:iv ~fast)));
-            add (Printf.sprintf "%s}\n" p)
-          in
-          if guard = "" then loop true p
-          else begin
-            add (Printf.sprintf "%sif (%s) {\n" p guard);
-            loop true (p ^ "  ");
-            add (Printf.sprintf "%s} else {\n" p);
-            loop false (p ^ "  ");
-            add (Printf.sprintf "%s}\n" p)
-          end
+          if fast && inner_extent env >= simd_row && not checked then
+            add (Printf.sprintf "%s#pragma omp simd\n" p);
+          add
+            (Printf.sprintf "%sfor (long %s = %s; %s < %s; %s++) {\n" p iv lo iv
+               hi iv);
+          add (Printf.sprintf "%s  %s\n" p (store iv (render ~inner:iv ~fast)));
+          add (Printf.sprintf "%s}\n" p)
       | `Reduce (extent, render, init, combine) when rank = 0 ->
           add (Printf.sprintf "%sif (sl <= 0 && sh >= 1) {\n" p);
           add (Printf.sprintf "%s  double acc = %s;\n" p init);
@@ -1130,7 +1120,8 @@ and emit_map_nest k ~buf ~next_mem nest_idx (n : nest) =
           add (Printf.sprintf "%s  o%d[%s + %s] = acc;\n" p j opre iv);
           add (Printf.sprintf "%s}\n" p)
     in
-    (level, body, Option.map snd out)
+    let hoist = match root with `Map _ when rank > 0 -> guard | _ -> "" in
+    (level, body, hoist, Option.map snd out)
   in
   let members = List.map member n.members in
   let add = Buffer.add_string buf in
@@ -1160,9 +1151,24 @@ and emit_map_nest k ~buf ~next_mem nest_idx (n : nest) =
       (Printf.sprintf "%sfor (long i%d = %s; i%d < %s; i%d++) {\n" (pad depth) d
          from d until d)
   in
+  (* [emit true p] under [if (guard)] and [emit false] under its [else],
+     or [emit true p] alone without a guard.  A map's stride guard sits
+     outside its row loop: GCC vectorises across rows only a loop free of
+     it, and does not unswitch one as large as an inlined sigmoid (ssd's
+     2-wide score rows stayed scalar). *)
+  let guarded guard p emit =
+    if guard = "" then emit true p
+    else begin
+      add (Printf.sprintf "%sif (%s) {\n" p guard);
+      emit true (p ^ "  ");
+      add (Printf.sprintf "%s} else {\n" p);
+      emit false (p ^ "  ");
+      add (Printf.sprintf "%s}\n" p)
+    end
+  in
   let levels ~depth d =
     List.iter
-      (fun (level, _, _) ->
+      (fun (level, _, _, _) ->
         List.iter
           (fun line -> add (Printf.sprintf "%s%s\n" (pad (depth + 1)) line))
           (level d))
@@ -1182,17 +1188,22 @@ and emit_map_nest k ~buf ~next_mem nest_idx (n : nest) =
       (Printf.sprintf "%s  const long t1 = t0 + %d < %s ? t0 + %d : %s;\n"
          (pad td) tile (hi td) tile (hi td));
     List.iter
-      (fun (level, body, _) ->
-        open_loop ~depth:(td + 1) td "t0" "t1";
-        List.iter
-          (fun line -> add (Printf.sprintf "%s%s\n" (pad (td + 2)) line))
-          (level td);
-        body buf ~p:(pad (td + 2));
-        add (Printf.sprintf "%s}\n" (pad (td + 1))))
+      (fun (level, body, guard, _) ->
+        guarded guard (pad (td + 1)) (fun fast p ->
+            add
+              (Printf.sprintf "%sfor (long i%d = t0; i%d < t1; i%d++) {\n" p td
+                 td td);
+            List.iter (fun line -> add (Printf.sprintf "%s  %s\n" p line)) (level td);
+            body ~fast buf ~p:(p ^ "  ");
+            add (Printf.sprintf "%s}\n" p)))
       members;
     add (Printf.sprintf "%s}\n" (pad td))
   end
-  else List.iter (fun (_, body, _) -> body buf ~p:(pad nouter)) members;
+  else
+    List.iter
+      (fun (_, body, guard, _) ->
+        guarded guard (pad nouter) (fun fast p -> body ~fast buf ~p))
+      members;
   for d = shared - 1 downto 0 do
     add (Printf.sprintf "%s}\n" (pad d))
   done;
@@ -1204,7 +1215,7 @@ and emit_map_nest k ~buf ~next_mem nest_idx (n : nest) =
       e_numel =
         List.fold_left (fun acc m -> acc + Shape.numel m.m_shape) 0 n.members;
     },
-    List.filter_map (fun (_, _, st) -> st) members )
+    List.filter_map (fun (_, _, _, st) -> st) members )
 
 let emit (kern : Codegen.kernel) ~shapes : (emitted, string) result =
   try

@@ -11,7 +11,8 @@
 
    The ISA is read from the CPU once per process and is not a setting:
    every kernel is compiled for it alone — AVX-512F, AVX2 or the
-   compiler's baseline, the widest the CPU has. *)
+   compiler's baseline, the widest the CPU has, named by its GCC target
+   string (see [Jit.isa]). *)
 
 let lock = Mutex.create ()
 let probes : (string, bool) Hashtbl.t = Hashtbl.create 4
@@ -35,9 +36,7 @@ let c_available () =
           Hashtbl.replace probes cmd ok;
           ok)
 
-external host_isa : unit -> int = "functs_cjit_host_isa"
+external host_isa : unit -> string = "functs_cjit_host_isa"
 
-let host_isa =
-  match host_isa () with 2 -> "avx512f" | 1 -> "avx2" | _ -> "default"
-
+let host_isa = host_isa ()
 let isa () = host_isa

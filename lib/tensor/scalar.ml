@@ -8,6 +8,9 @@ external sigmoid : float -> float
   = "functs_sigmoid_byte" "functs_sigmoid_unboxed"
 [@@unboxed] [@@noalloc]
 
+external tanh : float -> float = "functs_tanh_byte" "functs_tanh_unboxed"
+[@@unboxed] [@@noalloc]
+
 let apply_unary = function
   | Neg -> fun x -> -.x
   | Abs -> Float.abs
@@ -15,7 +18,7 @@ let apply_unary = function
   | Log -> Float.log
   | Sqrt -> Float.sqrt
   | Sigmoid -> sigmoid
-  | Tanh -> Float.tanh
+  | Tanh -> tanh
   | Relu -> fun x -> Float.max 0.0 x
 
 let apply_binary = function

@@ -37,6 +37,12 @@ val sigmoid : float -> float
 (** [1 / (1 + exp (-x))] on {!exp}; a NaN comes back quieted, sign and
     payload kept. *)
 
+val tanh : float -> float
+(** The project's tanh ([functs_exp.h]): an odd polynomial below
+    [|x| = 0.55], [1 - 2 / (exp (2|x|) + 1)] on {!exp}'s reduction above,
+    within 2 ulp of glibc's and the same bits in every C build, like
+    {!exp}.  A NaN comes back quieted with its sign and payload. *)
+
 val apply_unary : unary -> float -> float
 val apply_binary : binary -> float -> float -> float
 

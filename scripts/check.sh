@@ -248,6 +248,18 @@ if [ -n "$violations" ]; then
   exit 1
 fi
 
+# Every JIT unit is one build that calls functs_exp.h, and every output
+# check is bitwise: no libmvec link, simd declaration, retry build or
+# tolerant comparison may come back.
+echo "== one-build gate: no libmvec lane, no tolerant Equiv =="
+violations=$(grep -rnE 'lmvec|__simd__|NO_VECLIBM|Equiv\.matches' \
+  lib bin bench || true)
+if [ -n "$violations" ]; then
+  echo "error: libmvec lane or tolerant comparison under lib/, bin/ or bench/:" >&2
+  echo "$violations" >&2
+  exit 1
+fi
+
 # With the JIT off every kernel.launch event is a per-node group launch;
 # each must still name its group's backend (on the span's opening event).
 echo "== trace smoke (run lstm --engine=exec --trace, JIT off) =="

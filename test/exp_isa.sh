@@ -1,12 +1,12 @@
 #!/bin/sh
-# Build test/exp_isa.c -- the shared exp and sigmoid of
+# Build test/exp_isa.c -- the shared exp, sigmoid and tanh of
 # lib/tensor/functs_exp.h -- once as the scalar build (vectorisation
 # off, as Scalar.exp runs it) and once per x86-64 level with the flags
 # of the strided leaf (lib/exec/dune), and check every build this host
 # can run bit for bit against the scalar one: -march=x86-64 (the leaf's
 # default clone), x86-64-v3 (its AVX2 clone) and x86-64-v4 (its AVX-512
-# clone).  The scalar build also checks exp against glibc's over 10M
-# inputs (at most 1 ulp apart).  Nothing is timed.
+# clone).  The scalar build also checks exp and tanh against glibc's
+# over 10M inputs each (at most 1 and 2 ulp apart).  Nothing is timed.
 #
 #   sh exp_isa.sh [DIR]    DIR holds exp_isa.c; lib/tensor is DIR/../lib/tensor
 #

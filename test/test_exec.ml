@@ -50,7 +50,7 @@ let agrees g args_fn =
 
 (* --- units --- *)
 
-(* The oracle rule: bits, with the libmvec bound only for native runs. *)
+(* The oracle rule: bits, and nothing but bits. *)
 let test_equiv_rule () =
   let t shape xs = Value.Tensor (T.of_array shape xs) in
   let v x = [ t [| 1 |] [| x |] ] in
@@ -59,25 +59,19 @@ let test_equiv_rule () =
   check "-0.0 vs +0.0 fails" false (Equiv.bitwise (v (-0.)) (v 0.));
   check "the same NaN payload passes" true (Equiv.bitwise (v nan1) (v nan1));
   check "another NaN payload fails" false (Equiv.bitwise (v nan1) (v nan2));
-  let ulp = Float.succ 1. in
-  check "1 ulp fails off the native lane" false
-    (Equiv.matches ~native:false (v 1.) (v ulp));
-  check "1 ulp passes on the native lane" true
-    (Equiv.matches ~native:true (v 1.) (v ulp));
-  check "1e-6 fails even on the native lane" false
-    (Equiv.matches ~native:true (v 1.) (v (1. +. 1e-6)));
+  check "1 ulp fails" false (Equiv.bitwise (v 1.) (v (Float.succ 1.)));
   let xs = Array.init 6 float_of_int in
   check "a shape mismatch fails" false
-    (Equiv.matches ~native:true [ t [| 2; 3 |] xs ] [ t [| 3; 2 |] xs ]);
+    (Equiv.bitwise [ t [| 2; 3 |] xs ] [ t [| 3; 2 |] xs ]);
   check "a list-length mismatch fails" false
-    (Equiv.matches ~native:true (v 1.) (v 1. @ v 1.));
+    (Equiv.bitwise (v 1.) (v 1. @ v 1.));
   check "equal ints pass" true (Equiv.bitwise [ Value.Int 3 ] [ Value.Int 3 ]);
   check "ints compare exactly" false
-    (Equiv.matches ~native:true [ Value.Int 3 ] [ Value.Int 4 ]);
+    (Equiv.bitwise [ Value.Int 3 ] [ Value.Int 4 ]);
   check "bools compare exactly" false
-    (Equiv.matches ~native:true [ Value.Bool true ] [ Value.Bool false ]);
+    (Equiv.bitwise [ Value.Bool true ] [ Value.Bool false ]);
   check "an int never matches a float" false
-    (Equiv.matches ~native:true [ Value.Int 1 ] [ Value.Float 1. ])
+    (Equiv.bitwise [ Value.Int 1 ] [ Value.Float 1. ])
 
 let test_pool_reuse () =
   let pool = Buffer_plan.create_pool () in

@@ -73,11 +73,9 @@ let c_evicted = counter "jit.c.evicted"
 let c_fallbacks = counter "jit.c.fallback"
 
 (* One engine run judged by the oracle rule: bitwise (the emitter
-   reproduces the interpreter's operation order exactly), with the
-   libmvec bound only when the run launched native code. *)
-let agrees eng expected args =
-  let got, native = Equiv.run eng args in
-  Equiv.matches ~native expected got
+   reproduces the interpreter's operation order exactly, and its units
+   embed the interpreter's exp, sigmoid and tanh). *)
+let agrees eng expected args = Equiv.bitwise expected (Engine.run eng args)
 
 let clone_args =
   List.map (function
@@ -253,7 +251,7 @@ let test_render_per_isa () =
   let units =
     List.map
       (fun isa -> (isa, Jit.render_source ~isa emitted))
-      [ "avx512f"; "avx2"; "default" ]
+      [ "avx512f,avx512vl"; "avx2,fma"; "default" ]
   in
   check_int "each ISA has its own digest" 3
     (List.length (List.sort_uniq compare (List.map (fun (_, (d, _)) -> d) units)));
@@ -276,10 +274,10 @@ let test_render_per_isa () =
             (Printf.sprintf "%s unit: the GEMM under %s" isa target)
             (if target_isa = isa then 1 else 0)
             (count_sub ~sub:("#pragma GCC " ^ target) src))
-        [ "avx512f"; "avx2" ])
+        [ "avx512f,avx512vl"; "avx2,fma" ])
     units;
-  check "the host ISA is avx512f, avx2 or default" true
-    (List.mem (Jit.isa ()) [ "avx512f"; "avx2"; "default" ]);
+  check "the host ISA is avx512f,avx512vl, avx2,fma or default" true
+    (List.mem (Jit.isa ()) [ "avx512f,avx512vl"; "avx2,fma"; "default" ]);
   (* shape-generic text: no value id or shape in the unit, and a nest
      reads each outer extent from its ints slot once at entry (the
      whole-kernel entry runs to the first one) *)
@@ -761,7 +759,7 @@ let rnn_engine name ~batch ~forced =
   ignore (Passes.tensorssa_pipeline ~inputs:(Engine.input_shapes (args ())) fg);
   let eng = jit_engine fg (args ()) in
   (* every group on its C kernel, so the [seq] body runs the same code
-     (libmvec included) the loop kernel calls *)
+     the loop kernel calls *)
   for gid = 0 to (Engine.plan fg).Fusion.group_count - 1 do
     try Engine.force eng (`Group, gid) `Cjit with Invalid_argument _ -> ()
   done;
@@ -950,15 +948,17 @@ let test_c_compile_failure_demotion ?(zeros = false) name () =
            || (r.Scheduler.at_arm <> "c-jit" && r.Scheduler.at_launches > 0))
          rows)
 
-(* --- no libmvec: the retry's kernels are bitwise ---
+(* --- no libmvec: one build per unit, bitwise ---
 
-   A compiler that fails every link asking for [-lmvec] forces the
-   [FUNCTS_NO_VECLIBM] retry, whose units take exp and sigmoid from the
-   interpreter's own [functs_exp.h]: yolact (sigmoid), attention
-   (softmax's exp) and a program of exp and sigmoid over 4096 random
-   inputs then run armed and bitwise, with no ulp bound.  On those
-   inputs glibc's exp (what [Float.exp] calls) differs from the shared
-   one, so a retry that fell back to libm would fail here. *)
+   Under a compiler that fails every link asking for [-lmvec], each unit
+   is still one [cc] call, with neither [-lmvec] nor
+   [-DFUNCTS_NO_VECLIBM], and its kernels take exp, sigmoid and tanh
+   from the interpreter's own [functs_exp.h]: yolact (sigmoid),
+   attention (softmax's exp), lstm (sigmoid and tanh) and a program of
+   exp, sigmoid and tanh over 4096 random inputs run armed and bitwise,
+   with no ulp bound.  On those inputs glibc's exp and tanh (what
+   [Float.exp] and [Float.tanh] call) differ from the shared ones, so a
+   unit that called libm would fail here. *)
 
 let workload_case name () = functionalized (Result.get_ok (Functs.find_workload name))
 
@@ -967,17 +967,22 @@ let exp_inputs =
   Array.init 4096 (fun _ -> Random.State.float st 80.0 -. 40.0)
 
 let exp_case () =
-  let b = Builder.create "exp_sigmoid" ~params:[ ("x", Dtype.Tensor) ] in
+  let b = Builder.create "exp_sigmoid_tanh" ~params:[ ("x", Dtype.Tensor) ] in
   let x = Builder.param b 0 in
-  Builder.return b [ Builder.exp b x; Builder.sigmoid b x ];
+  Builder.return b [ Builder.exp b x; Builder.sigmoid b x; Builder.tanh b x ];
   let g = Builder.graph b in
   let fg = Graph.clone g in
   ignore (Passes.tensorssa_pipeline fg);
+  let differs libm ours =
+    Array.exists
+      (fun x -> not (Int64.equal (Int64.bits_of_float (libm x))
+                       (Int64.bits_of_float (ours x))))
+      exp_inputs
+  in
   check "glibc's exp differs from the shared one on these inputs" true
-    (Array.exists
-       (fun x -> not (Int64.equal (Int64.bits_of_float (Float.exp x))
-                        (Int64.bits_of_float (Scalar.exp x))))
-       exp_inputs);
+    (differs Float.exp Scalar.exp);
+  check "glibc's tanh differs from the shared one on these inputs" true
+    (differs Float.tanh Scalar.tanh);
   (g, fg, fun () ->
     [ Value.Tensor (Tensor.of_array [| 64; 64 |] (Array.copy exp_inputs)) ])
 
@@ -995,7 +1000,8 @@ let test_no_libmvec_bitwise case () =
          (Filename.quote log))
   in
   let have_cc = Jit.c_toolchain_available () in
-  let (got, native), stats =
+  let compiles0 = c_compiles () in
+  let got, launched, stats =
     with_scratch_dir "no-mvec" @@ fun dir ->
     Jit.clear_loaded ();
     Jit.set_c_compiler cc;
@@ -1006,8 +1012,10 @@ let test_no_libmvec_bitwise case () =
         Sys.remove cc)
       (fun () ->
         let eng = jit_engine ~dir fg (args_fn ()) in
-        let r = Equiv.run eng (args_fn ()) in
-        (r, Engine.stats eng))
+        let runs0 = (Engine.stats eng).Scheduler.cjit_runs in
+        let got = Engine.run eng (args_fn ()) in
+        let stats = Engine.stats eng in
+        (got, stats.Scheduler.cjit_runs > runs0, stats))
   in
   let calls =
     In_channel.with_open_text log In_channel.input_all
@@ -1018,13 +1026,14 @@ let test_no_libmvec_bitwise case () =
   let has flag l = List.mem flag (String.split_on_char ' ' l) in
   check "outputs bitwise equal to the interpreter" true
     (Equiv.bitwise expected got);
+  check "no cc call asked for libmvec or its retry" false
+    (List.exists (fun l -> has "-lmvec" l || has "-DFUNCTS_NO_VECLIBM" l) calls);
   if have_cc then begin
-    check "the first link asked for -lmvec" true
-      (List.exists (has "-lmvec") calls);
-    check "the retry built without libmvec" true
-      (List.exists (has "-DFUNCTS_NO_VECLIBM") calls);
-    check "the retry's kernels armed" true (stats.Scheduler.cjit_groups > 0);
-    check "and launched" true native
+    check "cc ran" true (calls <> []);
+    check_int "one cc call per unit" (c_compiles () - compiles0)
+      (List.length calls);
+    check "the kernels armed" true (stats.Scheduler.cjit_groups > 0);
+    check "and launched" true launched
   end
 
 (* --- bounded compile: a hung compiler is killed --- *)
@@ -1383,15 +1392,11 @@ let test_late_arm () =
             (if i = 0 then begin
                let deadline = Unix.gettimeofday () +. 60. in
                while Engine.jit_pending eng && Unix.gettimeofday () < deadline do
-                 let got, native = Equiv.run eng (args ()) in
-                 (* the run whose poll arms the unit launches natively *)
-                 check
-                   (label
-                   ^
-                   if native then ": outputs of the arming run"
-                   else ": outputs bitwise while cc runs")
+                 (* per-node while cc runs; the run whose poll arms the
+                    unit launches natively *)
+                 check (label ^ ": outputs bitwise while cc runs and once armed")
                    true
-                   (Equiv.matches ~native expected got);
+                   (Equiv.bitwise expected (Engine.run eng (args ())));
                  Unix.sleepf 0.01
                done
              end
@@ -1622,9 +1627,10 @@ let prop_fused_nests =
                 | () -> ()
                 | exception Invalid_argument _ -> ())
             (Engine.attribution eng);
-          let got, native = Equiv.run eng (Fuzz.args p) in
-          if native then incr fuzz_native;
-          Equiv.matches ~native expected got)
+          let runs0 = (Engine.stats eng).Scheduler.cjit_runs in
+          let got = Engine.run eng (Fuzz.args p) in
+          if (Engine.stats eng).Scheduler.cjit_runs > runs0 then incr fuzz_native;
+          Equiv.bitwise expected got)
         [ (false, 1); (true, 2) ])
 
 let test_fused_nests () =
@@ -1673,8 +1679,11 @@ let () =
             (test_no_libmvec_bitwise (workload_case "yolact"));
           Alcotest.test_case "no libmvec: attention armed and bitwise" `Quick
             (test_no_libmvec_bitwise (workload_case "attention"));
-          Alcotest.test_case "no libmvec: exp and sigmoid armed and bitwise"
-            `Quick (test_no_libmvec_bitwise exp_case);
+          Alcotest.test_case "no libmvec: lstm armed and bitwise" `Quick
+            (test_no_libmvec_bitwise (workload_case "lstm"));
+          Alcotest.test_case
+            "no libmvec: exp, sigmoid and tanh armed and bitwise" `Quick
+            (test_no_libmvec_bitwise exp_case);
           Alcotest.test_case "hung compiler is killed" `Quick
             test_hung_compiler_killed;
           Alcotest.test_case "fallback: unusable artifact dir" `Quick
