@@ -635,11 +635,36 @@ let run_exec () =
       "workload" "interp(ms)" "seq(ms)" "jit(ms)" "seq x" "jit x" "d1(ms)"
       "d2(ms)" "d4(ms)"
   end;
+  (* The interpreter is timed for every workload before any engine is
+     prepared.  The d2/d4 sweep below spawns the shared pool's worker
+     domains, which stay parked for the rest of the process, and every
+     minor collection is a stop-the-world across all domains: on one
+     pinned CPU each parked domain must be scheduled in to take part.
+     The interpreter allocates the most, so timed after the first sweep
+     it read several times its own time (yolact, best of 10 runs pinned:
+     17-18 ms alone, 25-28 ms beside a 2-lane pool, 46-49 ms beside a
+     4-lane one, about 600 minor and 5-8 major collections in each
+     case).  Its absolute scale is all the report needs, so it gets its
+     own short measurement: one to two orders slower than any engine
+     arm, timing it inside the paired set would cap every arm at a
+     handful of rounds. *)
+  let workloads =
+    List.map
+      (fun (w : Workload.t) ->
+        let batch = w.default_batch and seq = w.default_seq in
+        let g = Workload.graph w ~batch ~seq in
+        let args = w.inputs ~batch ~seq in
+        let t_interp =
+          if smoke_mode then Float.nan
+          else
+            (time_best ~warmup:2 [| (fun () -> ignore (Eval.run g args)) |]).(0)
+        in
+        (w, g, args, t_interp))
+      (Registry.all @ Registry.extensions)
+  in
   List.iter
-    (fun (w : Workload.t) ->
+    (fun ((w : Workload.t), g, args, t_interp) ->
       let batch = w.default_batch and seq = w.default_seq in
-      let g = Workload.graph w ~batch ~seq in
-      let args = w.inputs ~batch ~seq in
       let expected = Eval.run g args in
       let fg = Graph.clone g in
       let inputs = Engine.input_shapes args in
@@ -710,13 +735,6 @@ let run_exec () =
               (d, e))
             sweep_domains
         in
-        (* The interpreter is one to two orders slower than any engine
-           arm; timing it inside the paired set would cap every arm at a
-           handful of rounds.  Its absolute scale is all the report
-           needs, so it gets its own short measurement. *)
-        let t_interp =
-          (time_best ~warmup:2 [| (fun () -> ignore (Eval.run g args)) |]).(0)
-        in
         let meds =
           time_best
             (Array.of_list
@@ -782,7 +800,7 @@ let run_exec () =
           }
           :: !rows
       end)
-    (Registry.all @ Registry.extensions);
+    workloads;
   if not smoke_mode then begin
     let pool_us, spawn_us = dispatch_overhead () in
     Printf.printf

@@ -602,7 +602,8 @@ let eval_kernel k ~shapes ~lookup ~scalar =
                 done;
                 !acc
             | Cmatmul (a, b) ->
-                (* the interpreter's sum: from +0.0, ascending l *)
+                (* the interpreter's sum: from +0.0, one fma per term,
+                   ascending l *)
                 let tensor v =
                   match find_tensor v with
                   | Some t -> t
@@ -615,9 +616,10 @@ let eval_kernel k ~shapes ~lookup ~scalar =
                 let acc = ref 0.0 in
                 for l = 0 to ta.Tensor.shape.(1) - 1 do
                   acc :=
-                    !acc
-                    +. Tensor.get ta [| index.(0); l |]
-                       *. Tensor.get tb [| l; index.(1) |]
+                    Float.fma
+                      (Tensor.get ta [| index.(0); l |])
+                      (Tensor.get tb [| l; index.(1) |])
+                      !acc
                 done;
                 !acc
             | Cread (v, ixs) -> begin

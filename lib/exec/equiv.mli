@@ -7,7 +7,11 @@
     The engine reproduces the interpreter's operation order exactly, and
     every path — per-node leaves and JIT units alike — runs the
     interpreter's own exp, sigmoid and tanh ([functs_exp.h]) and its
-    libm log and pow, so the rule is bitwise, with no allowance. *)
+    libm log and pow.  A matmul term is one fused multiply-add in the
+    oracle ([Ops.matmul]: from [+0.0], [acc := fma a b acc] in ascending
+    [l]) and in every GEMM, and fma is correctly rounded, so a hardware
+    FMA and libm's [fma()] agree.  The rule is therefore bitwise, with
+    no allowance. *)
 
 open Functs_interp
 

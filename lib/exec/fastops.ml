@@ -403,8 +403,9 @@ let where ?alloc c a b =
   end
 
 (* Native GEMM (gemm_stubs.c): a register-tiled kernel in which every
-   output element sums its k terms from +0.0 in ascending l, exactly like
-   the reference, so results are bitwise identical. *)
+   output element takes one fused multiply-add per term from +0.0 in
+   ascending l, exactly like the reference ([Ops.matmul]'s [Float.fma]),
+   so results are bitwise identical. *)
 external gemm_rows :
   float array ->
   int ->

@@ -1,21 +1,26 @@
 /* Register-tiled GEMM, instantiated once per ISA.
  *
  * o[m,n] = a[m,k] * b[k,n], row-major.  Every output element starts at
- * +0.0 and adds a[i,l] * b[l,j] in ascending l, one multiply and one
- * add per term (the including file must build with -ffp-contract=off so
- * the pair never becomes an FMA).  That is the reference interpreter's
- * per-element sum, so results are bitwise-identical to it.
+ * +0.0 and takes acc := fma(a[i,l], b[l,j], acc) in ascending l: one
+ * fused multiply-add, so one rounding, per term.  That is the reference
+ * interpreter's per-element sum (Ops.matmul2d's Float.fma), and fma is
+ * correctly rounded whether an FMA instruction or libm's fma() computes
+ * it, so results are bitwise-identical to it at every ISA.  The tiles
+ * call GCC's vector FMA builtins and the row loop __builtin_fma.  No
+ * intrinsic header is included: JIT units embed this file, and x86's
+ * intrinsic header alone adds about 0.18 s to each cc run
+ * (scripts/check.sh fails if one appears here).
+ * Other multiply-adds of the including file stay two roundings
+ * (-ffp-contract=off).
  *
  * Each output tile of MR rows x NR columns (NR = two vectors) is held in
  * named vector locals across all of k, so every output is stored once.
  * The tile shape follows the ISA this file is compiled for:
  *   - AVX-512: 8 x 16, then 4 x 16 for the last rows (16 of 32 zmm
  *     registers hold the tile);
- *   - AVX:     4 x 8 (8 of 16 ymm registers);
- *   - other:   no tile, so no shape runs slower than the row loop.  A
- *     4 x 4 tile of 128-bit vectors, built with -march=x86-64 and run on
- *     a Xeon, was 5-20% slower than the row loop on [16,128] x [128,512]
- *     and faster only on [1024,32] x [32,16].
+ *   - AVX2 with FMA: 4 x 8 (8 of 16 ymm registers);
+ *   - other:   no tile: without FMA instructions every term is a libm
+ *     fma() call, which no vector tile can batch.
  * Accumulators are named locals rather than an array: an array tile was
  * spilled to the stack on every k-step on AVX2.
  *
@@ -59,7 +64,7 @@
 #if defined(__AVX512F__)
 #define GEMM_W 8
 #define GEMM_MR 8
-#elif defined(__AVX__)
+#elif defined(__AVX__) && defined(__FMA__)
 #define GEMM_W 4
 #define GEMM_MR 4
 #else
@@ -68,9 +73,10 @@
 
 /* The row loop: rows of [o] one at a time, over the l-dimension in
  * panels of 8 rows of [b] so a panel stays L1-resident across the
- * output rows; within a panel the terms are added one by one in
+ * output rows; within a panel the terms are fused one by one in
  * ascending l (never re-associated), and the unit-stride j loop
- * vectorizes.  Leading dimensions let it cover a column range. */
+ * vectorizes where the ISA has FMA (at the x86-64 baseline each term is
+ * a libm fma() call).  Leading dimensions let it cover a column range. */
 static void GEMM_FN(rows)(const double *restrict a, long lda,
                           const double *restrict b, long ldb,
                           double *restrict o, long ldo, long m, long k,
@@ -90,13 +96,16 @@ static void GEMM_FN(rows)(const double *restrict a, long lda,
         const double *b0 = b + l * ldb;
         const double *b1 = b0 + ldb, *b2 = b1 + ldb, *b3 = b2 + ldb;
         for (long j = 0; j < n; j++)
-          oi[j] = (((oi[j] + a0 * b0[j]) + a1 * b1[j]) + a2 * b2[j])
-                  + a3 * b3[j];
+          oi[j] = __builtin_fma(
+              a3, b3[j],
+              __builtin_fma(a2, b2[j],
+                            __builtin_fma(a1, b1[j],
+                                          __builtin_fma(a0, b0[j], oi[j]))));
       }
       for (; l < lhi; l++) {
         const double al = ai[l];
         const double *bl = b + l * ldb;
-        for (long j = 0; j < n; j++) oi[j] += al * bl[j];
+        for (long j = 0; j < n; j++) oi[j] = __builtin_fma(al, bl[j], oi[j]);
       }
     }
   }
@@ -107,15 +116,26 @@ static void GEMM_FN(rows)(const double *restrict a, long lda,
 typedef double GEMM_FN(vec) __attribute__((vector_size(8 * GEMM_W)));
 #define GEMM_V GEMM_FN(vec)
 
+/* One vector FMA, x * y + z rounded once per lane, and a broadcast
+ * that keeps the sign of a zero. */
+#if GEMM_W == 8
+#define GEMM_FMA(x, y, z) __builtin_ia32_vfmaddpd512_mask(x, y, z, -1, 4)
+#define GEMM_BCAST(x) { x, x, x, x, x, x, x, x }
+#else
+#define GEMM_FMA(x, y, z) __builtin_ia32_vfmaddpd256(x, y, z)
+#define GEMM_BCAST(x) { x, x, x, x }
+#endif
+
 /* Tile rows: accumulators c<r>a / c<r>b hold columns [0, W) / [W, NR)
  * of tile row r.  OCaml float arrays are only 8-byte aligned, so loads
  * and stores go through memcpy (an unaligned vector move). */
 #define GEMM_ACC(r) GEMM_V c##r##a = zero, c##r##b = zero;
 #define GEMM_STEP(r)                                                        \
   {                                                                         \
-    const double x = a[(r) * lda + l];                                      \
-    c##r##a = c##r##a + x * b0;                                             \
-    c##r##b = c##r##b + x * b1;                                             \
+    const double s = a[(r) * lda + l];                                      \
+    const GEMM_V x = GEMM_BCAST(s);                                         \
+    c##r##a = GEMM_FMA(x, b0, c##r##a);                                     \
+    c##r##b = GEMM_FMA(x, b1, c##r##b);                                     \
   }
 #define GEMM_STORE(r)                                                       \
   __builtin_memcpy(o + (r) * ldo, &c##r##a, sizeof c##r##a);                \
@@ -232,6 +252,8 @@ __attribute__((unused)) static void GEMM_FN(packed)(
 #undef GEMM_STEP
 #undef GEMM_STORE
 #undef GEMM_LOAD_B
+#undef GEMM_FMA
+#undef GEMM_BCAST
 #undef GEMM_V
 #undef GEMM_NR
 #undef GEMM_W

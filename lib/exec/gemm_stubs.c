@@ -4,19 +4,24 @@
  * The GEMM is gemm_kernel.h's register-tiled kernel, built once per ISA
  * and picked once at load time from what the CPU supports:
  *   - AVX-512: 8 x 16 and 4 x 16 tiles of 512-bit vectors;
- *   - AVX2:    4 x 8 tiles of 256-bit vectors;
- *   - default: the row loop only (a 128-bit tile was slower).
+ *   - AVX2 and FMA: 4 x 8 tiles of 256-bit vectors;
+ *   - default: the row loop only, with a libm fma() call per term.
  * Each clone needs its own source-level tile: a 512-bit vector type
  * built for AVX2 is split into scalar code, and a tile wider than the
  * register file spills on every k-step.  Calls with fewer than 4 rows
  * (lstm at batch 1) stay on the row loop, which is bandwidth-bound
- * there anyway.  Every output element still sums its k terms from +0.0
- * in ascending l, so results are bitwise-identical to the reference.
+ * there anyway.  Every output element takes one fma per term from
+ * +0.0 in ascending l, as the reference does, and fma rounds once
+ * in hardware and in libm alike, so every clone is bitwise-identical
+ * to the reference.
  *
- * Compiled with -ffp-contract=off (see lib/exec/dune) so mul+add pairs
- * are never contracted into FMAs, which would change rounding.
- * test/gemm_isa.c builds the same kernel at each x86-64 level and checks
- * it against a naive triple loop. */
+ * Compiled with -ffp-contract=off (see lib/exec/dune): the GEMM's fmas
+ * are explicit, and every other multiply-add (functs_exp.h's, the maps')
+ * stays two roundings, as in the reference.  Intrinsic headers, if one
+ * is ever needed, go above the first #pragma GCC target: included under
+ * a target, they break the clones compiled after it.  test/gemm_isa.c
+ * builds the same kernel at each x86-64 level and checks it against a
+ * naive fma triple loop. */
 #include <caml/mlvalues.h>
 
 #if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
@@ -27,7 +32,7 @@
 #include "gemm_kernel.h"
 #pragma GCC pop_options
 #pragma GCC push_options
-#pragma GCC target("avx2")
+#pragma GCC target("avx2,fma")
 #define GEMM_NAME gemm_avx2
 #include "gemm_kernel.h"
 #pragma GCC pop_options
@@ -177,9 +182,10 @@ __attribute__((constructor)) static void clones_pick(void)
   if (__builtin_cpu_supports("avx512f")) {
     gemm = gemm_avx512;
     exp_map = exp_map_avx512;
-  } else if (__builtin_cpu_supports("avx2")) {
+  } else if (__builtin_cpu_supports("avx2")
+             && __builtin_cpu_supports("fma")) {
     gemm = gemm_avx2;
-    if (__builtin_cpu_supports("fma")) exp_map = exp_map_avx2;
+    exp_map = exp_map_avx2;
   }
 }
 #endif

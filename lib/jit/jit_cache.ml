@@ -52,8 +52,10 @@ module Journal = Functs_obs.Journal
    maps to the embedded [functs_exp.h].  v12: one build, linking only
    [-lm]: exp, sigmoid and tanh call the embedded [functs_exp.h]
    directly, and the ISA levels target "avx2,fma" and
-   "avx512f,avx512vl". *)
-let version = 12
+   "avx512f,avx512vl".  v13: the GEMM fuses each matmul term into one
+   fma (vector FMA tiles, [__builtin_fma] rows), the interpreter's
+   matmul rule. *)
+let version = 13
 
 (* A compiled kernel: index [idx] of one artifact's launch table.  The
    table pointer is a raw [dlsym] result (never freed), so the handle is
@@ -138,15 +140,17 @@ let lock_wait = 10.0
 let compile_bound = ref 45.0
 let set_compile_bound s = compile_bound := s
 
-(* [-ffp-contract=off] keeps every multiply-add as two IEEE operations
-   (bitwise parity with the interpreter, same discipline as
-   gemm_stubs.c; the explicit fma() calls of [functs_exp.h] round once
-   either way); [-fno-math-errno]/[-fno-trapping-math] change no bit
-   patterns but let GCC vectorise sqrt/div and the selects of
-   [functs_exp.h]; [-fopenmp-simd] honours the emitter's [omp simd]
-   pragmas without the OpenMP runtime.  Every unit compiles this one
-   way, linking only [-lm]: exp, sigmoid and tanh are the interpreter's
-   own, embedded, and log/pow are the scalar libm calls it makes. *)
+(* [-ffp-contract=off] keeps every elementwise multiply-add as two IEEE
+   operations, as the interpreter computes it (same discipline as
+   gemm_stubs.c).  Only explicit fmas fuse: each matmul term of
+   [gemm_kernel.h] (the interpreter's matmul rule) and the fma() calls
+   of [functs_exp.h], which round once in hardware and libm alike.
+   [-fno-math-errno]/[-fno-trapping-math] change no bit patterns but let
+   GCC vectorise sqrt/div and the selects of [functs_exp.h];
+   [-fopenmp-simd] honours the emitter's [omp simd] pragmas without the
+   OpenMP runtime.  Every unit compiles this one way, linking only
+   [-lm]: exp, sigmoid and tanh are the interpreter's own, embedded,
+   and log/pow are the scalar libm calls it makes. *)
 let compile_flags =
   "-O3 -shared -fPIC -fopenmp-simd -ffp-contract=off -fno-math-errno \
    -fno-trapping-math"

@@ -35,6 +35,11 @@ let tanh = unary Scalar.Tanh
 let relu = unary Scalar.Relu
 let add_scalar t v = add t (Tensor.scalar v)
 
+(* The one matmul rule: each output starts at +0.0 and takes
+   acc := fma(a[i,l], b[l,j], acc) in ascending l, one rounding per term.
+   fma is correctly rounded, so every kernel that fuses its terms in the
+   same order (the GEMM tiles and the row loop at any ISA, hardware FMA
+   or libm) reproduces these bits. *)
 let matmul2d a b =
   let m = (Tensor.shape a).(0) and k = (Tensor.shape a).(1) in
   let k' = (Tensor.shape b).(0) and n = (Tensor.shape b).(1) in
@@ -46,7 +51,8 @@ let matmul2d a b =
     for j = 0 to n - 1 do
       let acc = ref 0.0 in
       for l = 0 to k - 1 do
-        acc := !acc +. (Tensor.get a [| i; l |] *. Tensor.get b [| l; j |])
+        acc :=
+          Float.fma (Tensor.get a [| i; l |]) (Tensor.get b [| l; j |]) !acc
       done;
       Tensor.set out [| i; j |] !acc
     done

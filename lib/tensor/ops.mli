@@ -18,7 +18,10 @@ val add_scalar : Tensor.t -> float -> Tensor.t
 
 val matmul : Tensor.t -> Tensor.t -> Tensor.t
 (** 2-d × 2-d matrix product, or batched 3-d × 3-d / 3-d × 2-d products
-    with broadcasting over the leading batch dimension.
+    with broadcasting over the leading batch dimension.  Each output
+    element starts at [+0.0] and takes [acc := Float.fma a.(i,l) b.(l,j) acc]
+    in ascending [l]: one rounding per term, the rule every engine
+    kernel reproduces bit for bit.
     @raise Invalid_argument on incompatible inner dimensions. *)
 
 val softmax : Tensor.t -> dim:int -> Tensor.t

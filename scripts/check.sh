@@ -260,6 +260,17 @@ if [ -n "$violations" ]; then
   exit 1
 fi
 
+# JIT units embed gemm_kernel.h and compile it on every cache miss:
+# <immintrin.h> alone adds about 0.18 s to each cc run, so the GEMM uses
+# GCC's vector builtins and no intrinsic header may come back.
+echo "== lean JIT units: no immintrin in gemm_kernel.h or lib/jit =="
+violations=$(grep -rn 'immintrin' lib/exec/gemm_kernel.h lib/jit || true)
+if [ -n "$violations" ]; then
+  echo "error: an intrinsic header in code every JIT unit compiles:" >&2
+  echo "$violations" >&2
+  exit 1
+fi
+
 # With the JIT off every kernel.launch event is a per-node group launch;
 # each must still name its group's backend (on the span's opening event).
 echo "== trace smoke (run lstm --engine=exec --trace, JIT off) =="

@@ -1,8 +1,9 @@
 /* The GEMM kernel of lib/exec/gemm_kernel.h, built for whatever -march
  * this file is compiled with, checked bitwise against a naive triple
- * loop.  gemm_isa.sh builds it once per x86-64 level, so every tile
- * shape the library can pick at run time is exercised, not only the
- * host's.
+ * loop of fma() calls, the reference's matmul rule (from +0.0,
+ * acc = fma(a[i,l], b[l,j], acc) in ascending l).  gemm_isa.sh builds
+ * it once per x86-64 level, so every tile shape the library can pick at
+ * run time is exercised, not only the host's.
  *
  *   gemm_isa LABEL              run the checks; LABEL names the build
  *   gemm_isa --supports LEVEL   exit 0 when this CPU can run LEVEL
@@ -11,11 +12,14 @@
  * The cases follow the matmul property test in test_exec.ml: tiny and
  * tile-edge shapes, special values (NaN, infinities, subnormals, signed
  * zeros) and rows of -0.0 products, plus the workloads' shapes.  Every
- * NaN compares equal to every other: which payload survives an add of
- * two NaNs is unspecified.  Each case also runs the packed-panel entry
- * (gemm_under_test_pack, then gemm_under_test_packed); a fixed sweep
- * covers it at m in {1, 3, 4, 5, 12, 16}, n below, at and past whole
- * 16-column panels, and k = 1. */
+ * NaN compares equal to every other: which payload survives when
+ * several NaN operands meet in one fma is unspecified.  Each case also
+ * runs the packed-panel entry (gemm_under_test_pack, then
+ * gemm_under_test_packed); a fixed sweep covers it at m in
+ * {1, 3, 4, 5, 12, 16}, n below, at and past whole 16-column panels,
+ * and k = 1.  A crafted case tells fma from mul+add at every kernel
+ * position (check_fused). */
+#include <math.h>
 #include <stdint.h>
 #include <stdio.h>
 #include <stdlib.h>
@@ -67,7 +71,7 @@ static void naive(const double *a, const double *b, double *o, long m,
   for (long i = 0; i < m; i++)
     for (long j = 0; j < n; j++) {
       double acc = 0.0;
-      for (long l = 0; l < k; l++) acc = acc + a[i * k + l] * b[l * n + j];
+      for (long l = 0; l < k; l++) acc = fma(a[i * k + l], b[l * n + j], acc);
       o[i * n + j] = acc;
     }
 }
@@ -132,6 +136,49 @@ static int check(const char *label, long m, long k, long n, int special,
   return ok;
 }
 
+/* Operands that tell one rounding per term from two: every row of [a]
+ * is [1, 1+2^-30, 0, 0, 1, 1+2^-30] and every column of [b] is
+ * [-1, 1-2^-30, 0, 0, -1, 1-2^-30].  With fma, each pair of terms ends
+ * at (1 - 2^-60) - 1 = -2^-60; with mul+add the product rounds to 1 and
+ * the sum is +0.0.  k = 6 puts a pair in the row loop's 4-term block and
+ * one in its single-term tail, and every output holds -2^-60, so a tile
+ * row, a leftover row or a remainder column that does not fuse shows. */
+static int check_fused(const char *label, long m, long n)
+{
+  enum { K = 6 };
+  static const double row[K] = { 1, 1 + 0x1p-30, 0, 0, 1, 1 + 0x1p-30 };
+  static const double col[K] = { -1, 1 - 0x1p-30, 0, 0, -1, 1 - 0x1p-30 };
+  double *a = alloc(m * K), *b = alloc(K * n), *got = alloc(m * n);
+  double *panels = alloc((n - n % 16) * K + 1);
+  for (long i = 0; i < m; i++)
+    for (long l = 0; l < K; l++) a[i * K + l] = row[l];
+  for (long l = 0; l < K; l++)
+    for (long j = 0; j < n; j++) b[l * n + j] = col[l];
+  int ok = 1;
+  for (int packed = 0; packed < 2 && ok; packed++) {
+    for (long i = 0; i < m * n; i++) got[i] = 12345.0;
+    if (packed) {
+      gemm_under_test_pack(b, panels, K, n);
+      gemm_under_test_packed(a, b, panels, got, m, K, n);
+    } else
+      gemm_under_test(a, b, got, m, K, n);
+    for (long i = 0; i < m * n && ok; i++)
+      if (got[i] != -0x1p-60) {
+        fprintf(stderr,
+                "gemm_isa %s: %sfused case [%ldx%d] @ [%dx%ld]: o[%ld,%ld] = "
+                "%a, expected -0x1p-60\n",
+                label, packed ? "packed " : "", m, K, K, n, i / n, i % n,
+                got[i]);
+        ok = 0;
+      }
+  }
+  free(panels - 1);
+  free(a - 1);
+  free(b - 1);
+  free(got - 1);
+  return ok;
+}
+
 static int supports(const char *level)
 {
 #if defined(__x86_64__) && defined(__GNUC__)
@@ -173,6 +220,14 @@ int main(int argc, char **argv)
     for (size_t j = 0; j < sizeof ns / sizeof ns[0]; j++)
       for (size_t l = 0; l < sizeof ks / sizeof ks[0]; l++, cases++)
         failures += !check(label, ms[i], ks[l], ns[j], 1, 0);
+  /* one rounding per term at every kernel position: the row loop
+   * (m < 4, columns past the last panel), the 4- and 8-row tiles,
+   * leftover rows, and the packed panels */
+  static const long fm[] = { 1, 3, 4, 8, 13, 16 };
+  static const long fn[] = { 3, 19, 32 };
+  for (size_t i = 0; i < sizeof fm / sizeof fm[0]; i++)
+    for (size_t j = 0; j < sizeof fn / sizeof fn[0]; j++, cases++)
+      failures += !check_fused(label, fm[i], fn[j]);
   for (int c = 0; c < 1000; c++, cases++) {
     const long m = dim(1), k = dim(0), n = dim(1);
     const int special = (int[]){ 0, 1, 8 }[below(3)];
@@ -180,8 +235,8 @@ int main(int argc, char **argv)
   }
 #if defined(__AVX512F__)
   const char *tile = "8x16 and 4x16 (AVX-512)";
-#elif defined(__AVX__)
-  const char *tile = "4x8 (AVX)";
+#elif defined(__AVX__) && defined(__FMA__)
+  const char *tile = "4x8 (AVX2 with FMA)";
 #else
   const char *tile = "no (row loop only)";
 #endif

@@ -1,6 +1,6 @@
 #!/bin/sh
 # Build test/gemm_isa.c -- the GEMM kernel and its bitwise check against a
-# naive triple loop -- once per x86-64 level, and run every build this
+# naive fma triple loop -- once per x86-64 level, and run every build this
 # host can execute: -march=x86-64 (the library's default clone),
 # x86-64-v3 (its AVX2 clone) and x86-64-v4 (its AVX-512 clone).  It
 # checks correctness only; nothing is timed.
@@ -31,7 +31,7 @@ trap 'rm -rf "$tmp"' EXIT
 
 build() {
   "$cc" -O3 -ffp-contract=off -march="$1" -I "$dir/../lib/exec" \
-    "$dir/gemm_isa.c" -o "$tmp/gemm_isa_$1"
+    "$dir/gemm_isa.c" -o "$tmp/gemm_isa_$1" -lm
 }
 
 build x86-64

@@ -1808,6 +1808,141 @@ let test_matmul_regressions () =
            (T.to_flat_array (Fastops.matmul a b))))
     [ 1; 2; 4; 8; 13; 16 ]
 
+(* The matmul rule, one rounding per term ([Ops.matmul]'s [Float.fma]):
+   row [1, 1+2^-30] times column [-1, 1-2^-30] is (1 - 2^-60) - 1 =
+   -2^-60 when each term is one fma, and +0.0 when the product is
+   rounded before the add.  Every path must give -2^-60 and the
+   interpreter's bits, at row counts that reach the row loop (m = 1),
+   the 4- and 8-row tiles and leftover rows (13), with n = 19 reaching
+   the columns past the 16-column panel: [Ops.matmul], [Fastops.matmul]
+   (2-D and 3-D, sequential and over 3 lanes), a JIT-armed matmul group
+   and lstm's native loop kernel, whose GEMM reads the packed weight. *)
+let crafted_row = [| 1.0; 1.0 +. 0x1p-30 |]
+let crafted_col = [| -1.0; 1.0 -. 0x1p-30 |]
+
+(* [m x k] rows / [k x n] columns that start with the crafted pair and
+   are zero beyond it *)
+let crafted_rows m k =
+  T.of_array [| m; k |]
+    (Array.init (m * k) (fun i ->
+         if i mod k < 2 then crafted_row.(i mod k) else 0.0))
+
+let crafted_cols k n =
+  T.of_array [| k; n |]
+    (Array.init (k * n) (fun i ->
+         if i / n < 2 then crafted_col.(i / n) else 0.0))
+
+(* two copies of [t] stacked on a new leading axis *)
+let twice t =
+  T.of_array
+    (Array.append [| 2 |] (T.shape t))
+    (Array.append (T.to_flat_array t) (T.to_flat_array t))
+
+let all_bits x t =
+  Array.for_all
+    (fun y -> Int64.equal (Int64.bits_of_float y) (Int64.bits_of_float x))
+    (T.to_flat_array t)
+
+let with_jit_dir f =
+  let dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "functs-jit-fused-%d" (Unix.getpid ()))
+  in
+  (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+  Fun.protect
+    ~finally:(fun () ->
+      (try
+         Array.iter
+           (fun f -> try Sys.remove (Filename.concat dir f) with _ -> ())
+           (Sys.readdir dir)
+       with _ -> ());
+      try Unix.rmdir dir with _ -> ())
+    (fun () -> f dir)
+
+(* a sequential JIT engine for [g], its background compile awaited *)
+let jit_armed g args ~dir =
+  let fg = Graph.clone g in
+  let inputs = Engine.input_shapes args in
+  ignore (Passes.tensorssa_pipeline ~inputs fg);
+  let eng =
+    Engine.prepare ~parallel:false ~cache:false ~jit:Functs_jit.Jit.Auto
+      ~jit_dir:dir fg ~inputs
+  in
+  Engine.await_jit eng;
+  eng
+
+let test_matmul_fused () =
+  let fused label t =
+    check (label ^ ": every output is -2^-60") true (all_bits (-0x1p-60) t)
+  in
+  let n = 19 in
+  let b = crafted_cols 2 n in
+  let mm =
+    Lower.program
+      (Source_parser.parse
+         "def f(a: Tensor, b: Tensor):\n    return torch.matmul(a, b)\n")
+  in
+  with_jit_dir @@ fun dir ->
+  List.iter
+    (fun m ->
+      let label what = Printf.sprintf "m = %d: %s" m what in
+      let a = crafted_rows m 2 in
+      fused (label "Ops.matmul") (Functs_tensor.Ops.matmul a b);
+      List.iter
+        (fun (lanes, pool) ->
+          let l what = label (Printf.sprintf "Fastops %s, %s" what lanes) in
+          Fastops.set_parallel pool ~grain:16;
+          Fun.protect
+            ~finally:(fun () -> Fastops.set_parallel None ~grain:8192)
+            (fun () ->
+              fused (l "2-D") (Fastops.matmul a b);
+              fused (l "3-D x 2-D") (Fastops.matmul (twice a) b);
+              fused (l "3-D x 3-D") (Fastops.matmul (twice a) (twice b))))
+        [ ("sequential", None); ("3 lanes", Some (Pool.shared ~lanes:3)) ];
+      if Functs_jit.Jit.c_toolchain_available () then begin
+        (* one fused group holding the matmul, armed with its C kernel *)
+        let args () = [ Value.Tensor (T.clone a); Value.Tensor (T.clone b) ] in
+        let eng = jit_armed mm (args ()) ~dir in
+        let got = Engine.run eng (args ()) in
+        check (label "the matmul group ran its C kernel") true
+          ((Engine.stats eng).Scheduler.cjit_runs > 0);
+        (match got with
+        | [ Value.Tensor t ] -> fused (label "JIT matmul group") t
+        | _ -> Alcotest.fail "one tensor out");
+        check (label "JIT matmul group = interpreter") true
+          (Equiv.bitwise (Eval.run mm (args ())) got);
+        (* lstm's loop kernel: the crafted row in every row of h0, the
+           crafted column in every column of u, x and c0 zero.  Step 0's
+           gates are then -2^-60, so its h is
+           0.5 * tanh(0.5 * tanh(-2^-60)) = -2^-62, where two roundings
+           per term give +0.0. *)
+        let seq = 2 and hidden = 128 (* lstm's *) in
+        let args () =
+          [
+            Value.Tensor (T.zeros [| seq; m; 4 * hidden |]);
+            Value.Tensor (crafted_cols hidden (4 * hidden));
+            Value.Tensor (crafted_rows m hidden);
+            Value.Tensor (T.zeros [| m; hidden |]);
+          ]
+        in
+        let g =
+          Functs_workloads.(Workload.graph Lstm.workload ~batch:m ~seq)
+        in
+        let eng = jit_armed g (args ()) ~dir in
+        let got = Engine.run eng (args ()) in
+        check (label "lstm ran its loop kernel") true
+          ((Engine.stats eng).Scheduler.native_loops > 0);
+        (match got with
+        | Value.Tensor out :: _ ->
+            check (label "lstm: step 0's h is -2^-62") true
+              (all_bits (-0x1p-62) (T.select out ~dim:0 0))
+        | _ -> Alcotest.fail "lstm returns out first");
+        check (label "lstm loop kernel = interpreter") true
+          (Equiv.bitwise (Eval.run g (args ())) got)
+      end)
+    [ 1; 4; 8; 13; 16 ]
+
 (* Shrunk counterexamples of [prop_engine_matches_interp]: two NaNs of
    opposite sign meet in a commutative [+] or [*], and the result must
    carry the first operand's, as the interpreter's does. *)
@@ -1951,6 +2086,8 @@ let () =
       ( "property",
         Alcotest.test_case "matmul regression cases" `Quick
           test_matmul_regressions
+        :: Alcotest.test_case "matmul rounds each term once" `Quick
+             test_matmul_fused
         :: Alcotest.test_case "NaN regression cases" `Quick test_nan_regressions
         :: List.map QCheck_alcotest.to_alcotest
           [
