@@ -294,7 +294,6 @@ let gemm_shapes =
 
 let bench_gemm () =
   let module F = Functs_exec.Fastops in
-  F.set_parallel None ~grain:config.Config.kernel_grain;
   let state = Random.State.make [| 5 |] in
   List.map
     (fun (name, sa, sb) ->

@@ -587,6 +587,12 @@ let profile_cmd =
             let m1 = Metrics.snapshot () in
             let stages = stage_windows m0 m1 in
             let rows = Session.attribution session in
+            (* requests per engine run -> runs: a lone caller's requests
+               each run at b1 *)
+            let buckets =
+              List.sort compare (Session.stats session).Session.bucket_runs
+              |> List.map (fun (k, n) -> (Printf.sprintf "b%d" k, n))
+            in
             Session.close session;
             let total_attr =
               List.fold_left
@@ -629,6 +635,11 @@ let profile_cmd =
                       [
                         ("workload", Json.Str name);
                         ("requests", Json.Num (float_of_int runs));
+                        ( "buckets",
+                          Json.Obj
+                            (List.map
+                               (fun (k, n) -> (k, Json.Num (float_of_int n)))
+                               buckets) );
                         ( "setup",
                           Json.Obj
                             (("create_ms", Json.Num setup.create_ms)
@@ -647,6 +658,11 @@ let profile_cmd =
             end
             else begin
               Printf.printf "profile    : %s, %d requests served\n" name runs;
+              Printf.printf "buckets    : %s\n"
+                (String.concat ", "
+                   (List.map
+                      (fun (k, n) -> Printf.sprintf "%d runs at %s" n k)
+                      buckets));
               Printf.printf "setup      : %.0f ms create, %.0f ms armed%s\n\n"
                 setup.create_ms setup.armed_ms
                 (String.concat ""

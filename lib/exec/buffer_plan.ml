@@ -64,11 +64,12 @@ type pool = {
   mutable n_reused : int;
 }
 
-let pool_counter = ref 0
+(* Process-wide: no storage may meet one pool id twice. *)
+let pool_counter = Atomic.make 0
 
 let create_pool () =
-  incr pool_counter;
-  { pool_id = !pool_counter; free = Hashtbl.create 16; n_fresh = 0; n_reused = 0 }
+  let pool_id = Atomic.fetch_and_add pool_counter 1 + 1 in
+  { pool_id; free = Hashtbl.create 16; n_fresh = 0; n_reused = 0 }
 
 let alloc pool shape =
   let n = Shape.numel shape in

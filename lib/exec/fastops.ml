@@ -11,39 +11,28 @@
 open Functs_ir
 open Functs_tensor
 open Functs_interp
+module Jit = Functs_jit.Jit
 
 let data (t : Tensor.t) = Storage.data t.Tensor.storage
 
 (* --- intra-kernel data parallelism ---
 
    Large kernels chunk their outermost independent dimension across the
-   engine's persistent domain pool.  Every parallelized operator writes
-   each output element from exactly one chunk and accumulates per element
-   in the reference order, so results stay bitwise identical to
-   sequential execution.  [set_parallel] is (re)bound by every
-   [Scheduler.run]; a session shard running another engine may rebind it
-   mid-run, which changes only which pool chunks a kernel, never the
-   result.  A dispatch that finds the pool busy runs sequentially. *)
-
-let par_pool : Pool.t option ref = ref None
-let par_grain = ref 8192
-
-let set_parallel pool ~grain =
-  par_pool := pool;
-  par_grain := max 1 grain
+   engine's parallel-for, which the caller passes as [?par] (the
+   scheduler's frame holds its engine's); without one every kernel runs
+   sequentially.  Every parallelized operator writes each output element
+   from exactly one chunk and accumulates per element in the reference
+   order, so results stay bitwise identical to sequential execution. *)
 
 (* Chunk [n] outer iterations covering [total] elements: parallel only
-   when at least two grains of elements exist, with the grain converted
-   to outer-iteration units so each chunk stays above it.
-   [bytes_per_iter] (traffic per outer iteration) feeds the pool's
-   cache-aware task sizing. *)
-let pchunk ?(bytes_per_iter = 0) ~total n body =
-  match !par_pool with
-  | Some p when total >= 2 * !par_grain && n >= 2 ->
-      ignore
-        (Pool.parallel_for p ~bytes_per_iter
-           ~grain:(max 1 (!par_grain / max 1 (total / n)))
-           ~n body)
+   when at least two kernel grains of elements exist, with the grain
+   converted to outer-iteration units so each chunk stays above it.
+   [bytes_per_iter] (traffic per outer iteration) feeds the
+   parallel-for's task sizing. *)
+let pchunk ?par ?(bytes_per_iter = 0) ~total n body =
+  match par with
+  | Some { Jit.par_for; kernel_grain = g } when total >= 2 * g && n >= 2 ->
+      par_for ~bytes_per_iter ~grain:(max 1 (g / max 1 (total / n))) ~n body
   | _ -> body 0 n
 
 (* --- the strided engine ---
@@ -139,19 +128,19 @@ let plan shape (strides : int array array) =
 let shifted o i str = Array.mapi (fun k ok -> ok + (i * str.(k))) o
 
 (* Run [leaf offsets rows n] over the nest from the operands' base
-   offsets, chunking the outermost loop across the pool when the op is
-   large.  [bytes] is the traffic per element, for the pool's sizing. *)
-let iterate ~bytes nest (offs : int array) leaf =
+   offsets, chunking the outermost loop across [par] when the op is
+   large.  [bytes] is the traffic per element, for the task sizing. *)
+let iterate ?par ~bytes nest (offs : int array) leaf =
   let no = Array.length nest.outer in
   let total = Array.fold_left ( * ) (nest.rows * nest.n) nest.outer in
   if no = 0 then
-    match !par_pool with
-    | Some _ when total >= 2 * !par_grain ->
+    match par with
+    | Some p when total >= 2 * p.Jit.kernel_grain ->
         if nest.rows = 1 then
-          pchunk ~bytes_per_iter:bytes ~total nest.n (fun lo hi ->
+          pchunk ?par ~bytes_per_iter:bytes ~total nest.n (fun lo hi ->
               leaf (shifted offs lo nest.step) 1 (hi - lo))
         else
-          pchunk ~bytes_per_iter:(bytes * nest.n) ~total nest.rows
+          pchunk ?par ~bytes_per_iter:(bytes * nest.n) ~total nest.rows
             (fun lo hi -> leaf (shifted offs lo nest.rstr) (hi - lo) nest.n)
     | _ -> leaf offs nest.rows nest.n
   else
@@ -162,7 +151,7 @@ let iterate ~bytes nest (offs : int array) leaf =
           go (d + 1) (shifted o i nest.ostr.(d))
         done
     in
-    pchunk
+    pchunk ?par
       ~bytes_per_iter:(bytes * (total / nest.outer.(0)))
       ~total nest.outer.(0)
       (fun lo hi ->
@@ -190,7 +179,7 @@ let flat_step (t : Tensor.t) shape =
 (* Plan and run [make_leaf nest] writing [dst] from [srcs], which must
    broadcast to [dst]'s shape.  The common all-flat case (contiguous
    destination, contiguous or one-element sources) skips the planner. *)
-let strided (dst : Tensor.t) (srcs : Tensor.t array) make_leaf =
+let strided ?par (dst : Tensor.t) (srcs : Tensor.t array) make_leaf =
   let shape = dst.Tensor.shape in
   let total = Shape.numel shape in
   if total > 0 then begin
@@ -203,7 +192,7 @@ let strided (dst : Tensor.t) (srcs : Tensor.t array) make_leaf =
         { outer = [||]; ostr = [||]; rows = 1; n = total; rstr = zeros; step = steps }
       else plan shape (Array.map (fun t -> bstrides t (Array.length shape)) ops)
     in
-    iterate ~bytes:(8 * nops) nest
+    iterate ?par ~bytes:(8 * nops) nest
       (Array.map (fun (t : Tensor.t) -> t.Tensor.offset) ops)
       (make_leaf nest)
   end
@@ -338,69 +327,57 @@ let fresh alloc shape =
 (* The [_into] forms write through a caller-supplied destination whose
    shape is the op's broadcast result shape; it must not share storage
    with an operand unless it is exactly that operand's view. *)
-let unary_into dst fn a = strided dst [| a |] (unary_leaf (unary_code fn) dst a)
-let binary_into dst fn a b = strided dst [| a; b |] (binary_leaf fn dst a b)
+let unary_into ?par dst fn a =
+  strided ?par dst [| a |] (unary_leaf (unary_code fn) dst a)
 
-let where_into dst c a b =
-  strided dst [| c; a; b |] (fun nest o rows n ->
+let binary_into ?par dst fn a b =
+  strided ?par dst [| a; b |] (binary_leaf fn dst a b)
+
+let where_into ?par dst c a b =
+  strided ?par dst [| c; a; b |] (fun nest o rows n ->
       let st = nest.step and rs = nest.rstr in
       where_map (data c) o.(1) st.(1) rs.(1) (data a) o.(2) st.(2) rs.(2)
         (data b) o.(3) st.(3) rs.(3) (data dst) o.(0) st.(0) rs.(0) rows n)
 
-let clone ?alloc t =
+let clone ?alloc ?par t =
   let out = fresh alloc (Tensor.shape t) in
-  strided out [| t |] (unary_leaf copy_code out t);
+  strided ?par out [| t |] (unary_leaf copy_code out t);
   out
 
-let contig t = if Tensor.is_contiguous t then t else clone t
+let contig ?par t = if Tensor.is_contiguous t then t else clone ?par t
 
 (* dst <- src, broadcasting [src] (0-d sources are fills).  Overlapping
    storages and shape errors defer to the snapshotting reference. *)
-let copy_into (dst : Tensor.t) (src : Tensor.t) =
+let copy_into ?par (dst : Tensor.t) (src : Tensor.t) =
   if
     Tensor.ndim src <= Tensor.ndim dst
     && Shape.broadcastable (Tensor.shape src) (Tensor.shape dst)
     && Shape.equal (Shape.broadcast (Tensor.shape src) (Tensor.shape dst))
          (Tensor.shape dst)
     && not (Tensor.same_storage dst src)
-  then strided dst [| src |] (unary_leaf copy_code dst src)
+  then strided ?par dst [| src |] (unary_leaf copy_code dst src)
   else ignore (Inplace.copy_ dst src)
 
-(* 0-d operands short-circuit the broadcast/stride machinery entirely:
-   overhead-bound workloads (nms) compute on scalar tensors almost
-   exclusively. *)
-let scalar0 (t : Tensor.t) = (data t).(t.Tensor.offset)
+(* [apply_op] computes all-scalar operands itself, before these. *)
+let unary ?alloc ?par fn a =
+  let out = fresh alloc (Tensor.shape a) in
+  unary_into ?par out fn a;
+  out
 
-let unary ?alloc fn a =
-  if Tensor.ndim a = 0 then Tensor.scalar (Scalar.apply_unary fn (scalar0 a))
-  else begin
-    let out = fresh alloc (Tensor.shape a) in
-    unary_into out fn a;
-    out
-  end
+let binary ?alloc ?par fn a b =
+  let out = fresh alloc (Shape.broadcast (Tensor.shape a) (Tensor.shape b)) in
+  binary_into ?par out fn a b;
+  out
 
-let binary ?alloc fn a b =
-  if Tensor.ndim a = 0 && Tensor.ndim b = 0 then
-    Tensor.scalar (Scalar.apply_binary fn (scalar0 a) (scalar0 b))
-  else begin
-    let out = fresh alloc (Shape.broadcast (Tensor.shape a) (Tensor.shape b)) in
-    binary_into out fn a b;
-    out
-  end
-
-let where ?alloc c a b =
-  if Tensor.ndim c = 0 && Tensor.ndim a = 0 && Tensor.ndim b = 0 then
-    Tensor.scalar (if scalar0 c <> 0.0 then scalar0 a else scalar0 b)
-  else begin
-    let shape =
-      Shape.broadcast
-        (Shape.broadcast (Tensor.shape c) (Tensor.shape a))
-        (Tensor.shape b)
-    in
-    let out = fresh alloc shape in
-    where_into out c a b;
-    out
-  end
+let where ?alloc ?par c a b =
+  let shape =
+    Shape.broadcast
+      (Shape.broadcast (Tensor.shape c) (Tensor.shape a))
+      (Tensor.shape b)
+  in
+  let out = fresh alloc shape in
+  where_into ?par out c a b;
+  out
 
 (* Native GEMM (gemm_stubs.c): a register-tiled kernel in which every
    output element takes one fused multiply-add per term from +0.0 in
@@ -424,7 +401,7 @@ let gemm_tile_rows = 8
 
 (* 2-d matmul into a contiguous destination view; [a] and [b] must be
    contiguous. *)
-let matmul2d_into (dst : Tensor.t) (a : Tensor.t) (b : Tensor.t) =
+let matmul2d_into ?par (dst : Tensor.t) (a : Tensor.t) (b : Tensor.t) =
   let m = a.Tensor.shape.(0) and k = a.Tensor.shape.(1) in
   let k' = b.Tensor.shape.(0) and n = b.Tensor.shape.(1) in
   if k <> k' then
@@ -432,13 +409,13 @@ let matmul2d_into (dst : Tensor.t) (a : Tensor.t) (b : Tensor.t) =
       (Printf.sprintf "Ops.matmul: inner dimensions %d and %d differ" k k');
   let ad = data a and bd = data b and od = data dst in
   let ao = a.Tensor.offset and bo = b.Tensor.offset and oo = dst.Tensor.offset in
-  (* Chunk whole row tiles across the pool, so every chunk but the last
+  (* Chunk whole row tiles across [par], so every chunk but the last
      runs the kernel's full tiles.  Rows are independent and each output
      element accumulates in reference order, so chunking is bitwise-exact.
      Per tile: its rows of [a] and of the output, with [b] streamed once
      (amortized across rows, so only the k + n unique floats count). *)
   let t = gemm_tile_rows in
-  pchunk
+  pchunk ?par
     ~bytes_per_iter:(8 * t * (k + n))
     ~total:(m * n * k)
     ((m + t - 1) / t)
@@ -450,46 +427,51 @@ let matmul2d_into (dst : Tensor.t) (a : Tensor.t) (b : Tensor.t) =
         (oo + (row_lo * n))
         (row_hi - row_lo) k n)
 
-let matmul2d ?alloc a b =
-  let a = contig a and b = contig b in
+let matmul2d ?alloc ?par a b =
+  let a = contig ?par a and b = contig ?par b in
   let out = fresh alloc [| a.Tensor.shape.(0); b.Tensor.shape.(1) |] in
-  matmul2d_into out a b;
+  matmul2d_into ?par out a b;
   out
 
-let matmul ?alloc a b =
+let matmul ?alloc ?par a b =
   match (Tensor.ndim a, Tensor.ndim b) with
-  | 2, 2 -> matmul2d ?alloc a b
+  | 2, 2 -> matmul2d ?alloc ?par a b
   | 3, 2 ->
-      let a = contig a and b = contig b in
+      let a = contig ?par a and b = contig ?par b in
       let batch = a.Tensor.shape.(0) in
       let m = a.Tensor.shape.(1) and n = b.Tensor.shape.(1) in
       let out = fresh alloc [| batch; m; n |] in
       for i = 0 to batch - 1 do
-        matmul2d_into (Tensor.select out ~dim:0 i) (Tensor.select a ~dim:0 i) b
+        let sel t = Tensor.select t ~dim:0 i in
+        matmul2d_into ?par (sel out) (sel a) b
       done;
       out
   | 3, 3 ->
       let ba = a.Tensor.shape.(0) and bb = b.Tensor.shape.(0) in
       if ba <> bb && ba <> 1 && bb <> 1 then
         invalid_arg "Ops.matmul: batch dimensions incompatible";
-      let a = contig a and b = contig b in
+      let a = contig ?par a and b = contig ?par b in
       let batch = max ba bb in
       let m = a.Tensor.shape.(1) and n = b.Tensor.shape.(2) in
       let out = fresh alloc [| batch; m; n |] in
       for i = 0 to batch - 1 do
-        matmul2d_into
+        matmul2d_into ?par
           (Tensor.select out ~dim:0 i)
           (Tensor.select a ~dim:0 (if ba = 1 then 0 else i))
           (Tensor.select b ~dim:0 (if bb = 1 then 0 else i))
       done;
       out
-  | 1, 2 -> Tensor.select (matmul2d ?alloc (Tensor.unsqueeze a ~dim:0) b) ~dim:0 0
-  | 2, 1 -> Tensor.select (matmul2d ?alloc a (Tensor.unsqueeze b ~dim:1)) ~dim:1 0
+  | 1, 2 ->
+      let out = matmul2d ?alloc ?par (Tensor.unsqueeze a ~dim:0) b in
+      Tensor.select out ~dim:0 0
+  | 2, 1 ->
+      let out = matmul2d ?alloc ?par a (Tensor.unsqueeze b ~dim:1) in
+      Tensor.select out ~dim:1 0
   | _ -> Ops.matmul a b
 
 (* Lane-wise softmax over the innermost dimension of a contiguous tensor;
    the max / exp-sum / divide sequence matches the reference op-for-op. *)
-let softmax ?alloc t ~dim =
+let softmax ?alloc ?par t ~dim =
   let nd = Tensor.ndim t in
   let dim = Shape.normalize_dim ~ndim:nd dim in
   if nd = 0 || dim <> nd - 1 || not (Tensor.is_contiguous t) then
@@ -501,7 +483,7 @@ let softmax ?alloc t ~dim =
     let lanes = if ext = 0 then 0 else Tensor.numel t / ext in
     (* Each lane's max / exp-sum / divide is self-contained: chunking the
        outer (lane) dimension preserves the reference order exactly. *)
-    pchunk ~bytes_per_iter:(16 * ext) ~total:(lanes * ext) lanes
+    pchunk ?par ~bytes_per_iter:(16 * ext) ~total:(lanes * ext) lanes
       (fun lane_lo lane_hi ->
         for lane = lane_lo to lane_hi - 1 do
           let base = t.Tensor.offset + (lane * ext) and ob = lane * ext in
@@ -522,7 +504,7 @@ let softmax ?alloc t ~dim =
     out
   end
 
-let reduce_last ?alloc t ~keepdim ~init ~f =
+let reduce_last ?alloc ?par t ~keepdim ~init ~f =
   let nd = Tensor.ndim t in
   let ext = t.Tensor.shape.(nd - 1) in
   let out_shape = Array.init nd (fun i -> if i = nd - 1 then 1 else t.Tensor.shape.(i)) in
@@ -530,7 +512,7 @@ let reduce_last ?alloc t ~keepdim ~init ~f =
   let td = data t and od = data out in
   let lanes = if ext = 0 then 0 else Tensor.numel t / ext in
   (* One output element per lane, accumulated in reference order. *)
-  pchunk ~bytes_per_iter:(8 * ext) ~total:(lanes * ext) lanes
+  pchunk ?par ~bytes_per_iter:(8 * ext) ~total:(lanes * ext) lanes
     (fun lane_lo lane_hi ->
       for lane = lane_lo to lane_hi - 1 do
         let base = t.Tensor.offset + (lane * ext) in
@@ -542,20 +524,21 @@ let reduce_last ?alloc t ~keepdim ~init ~f =
       done);
   if keepdim then out else Tensor.squeeze out ~dim:(nd - 1)
 
-let reduce_dim ?alloc t ~dim ~keepdim ~init ~f ~fallback =
+let reduce_dim ?alloc ?par t ~dim ~keepdim ~init ~f ~fallback =
   let nd = Tensor.ndim t in
   if nd = 0 then fallback t ~dim ~keepdim
   else
     let d = Shape.normalize_dim ~ndim:nd dim in
     if d = nd - 1 && Tensor.is_contiguous t then
-      reduce_last ?alloc t ~keepdim ~init ~f
+      reduce_last ?alloc ?par t ~keepdim ~init ~f
     else fallback t ~dim ~keepdim
 
-let sum_dim ?alloc t ~dim ~keepdim =
-  reduce_dim ?alloc t ~dim ~keepdim ~init:0.0 ~f:( +. ) ~fallback:Ops.sum_dim
+let sum_dim ?alloc ?par t ~dim ~keepdim =
+  reduce_dim ?alloc ?par t ~dim ~keepdim ~init:0.0 ~f:( +. )
+    ~fallback:Ops.sum_dim
 
-let max_dim ?alloc t ~dim ~keepdim =
-  reduce_dim ?alloc t ~dim ~keepdim ~init:Float.neg_infinity ~f:Float.max
+let max_dim ?alloc ?par t ~dim ~keepdim =
+  reduce_dim ?alloc ?par t ~dim ~keepdim ~init:Float.neg_infinity ~f:Float.max
     ~fallback:Ops.max_dim
 
 let sum t =
@@ -570,29 +553,30 @@ let sum t =
   Tensor.scalar !acc
 
 (* Scalar-like operands (0-d tensors and Int/Float/Bool constants) skip
-   [Value.to_tensor] promotion — the promoted 0-d tensor would be read back
-   out one instruction later.  [is_scal]/[scal_val] split the test from the
-   read so the fast arms allocate nothing but the result. *)
+   the broadcast/stride machinery and [Value.to_tensor] promotion:
+   overhead-bound workloads (nms) compute on scalars almost exclusively.
+   [is_scal]/[scal_val] split the test from the read so the fast arms
+   allocate nothing but the result. *)
 let is_scal = function
   | Value.Tensor t -> Tensor.ndim t = 0
   | Value.List _ -> false
   | Value.Int _ | Value.Float _ | Value.Bool _ -> true
 
 let scal_val = function
-  | Value.Tensor t -> scalar0 t
+  | Value.Tensor t -> (data t).(t.Tensor.offset)
   | Value.Int i -> float_of_int i
   | Value.Float f -> f
   | Value.Bool b -> if b then 1.0 else 0.0
   | Value.List _ -> invalid_arg "Fastops.scal_val: list value"
 
-let apply_op ?alloc (node : Graph.node) (inputs : Value.t list) =
+let apply_op ?alloc ?par (node : Graph.node) (inputs : Value.t list) =
   let tin i = Value.to_tensor (List.nth inputs i) in
   match node.n_op with
   | Op.Unary fn -> (
       match inputs with
       | [ a ] when is_scal a ->
           [ Value.Tensor (Tensor.scalar (Scalar.apply_unary fn (scal_val a))) ]
-      | _ -> [ Value.Tensor (unary ?alloc fn (tin 0)) ])
+      | _ -> [ Value.Tensor (unary ?alloc ?par fn (tin 0)) ])
   | Op.Binary fn -> (
       match inputs with
       | [ a; b ] when is_scal a && is_scal b ->
@@ -600,13 +584,13 @@ let apply_op ?alloc (node : Graph.node) (inputs : Value.t list) =
             Value.Tensor
               (Tensor.scalar (Scalar.apply_binary fn (scal_val a) (scal_val b)));
           ]
-      | _ -> [ Value.Tensor (binary ?alloc fn (tin 0) (tin 1)) ])
-  | Op.Matmul -> [ Value.Tensor (matmul ?alloc (tin 0) (tin 1)) ]
-  | Op.Softmax { dim } -> [ Value.Tensor (softmax ?alloc (tin 0) ~dim) ]
+      | _ -> [ Value.Tensor (binary ?alloc ?par fn (tin 0) (tin 1)) ])
+  | Op.Matmul -> [ Value.Tensor (matmul ?alloc ?par (tin 0) (tin 1)) ]
+  | Op.Softmax { dim } -> [ Value.Tensor (softmax ?alloc ?par (tin 0) ~dim) ]
   | Op.Sum_dim { dim; keepdim } ->
-      [ Value.Tensor (sum_dim ?alloc (tin 0) ~dim ~keepdim) ]
+      [ Value.Tensor (sum_dim ?alloc ?par (tin 0) ~dim ~keepdim) ]
   | Op.Max_dim { dim; keepdim } ->
-      [ Value.Tensor (max_dim ?alloc (tin 0) ~dim ~keepdim) ]
+      [ Value.Tensor (max_dim ?alloc ?par (tin 0) ~dim ~keepdim) ]
   | Op.Sum -> [ Value.Tensor (sum (tin 0)) ]
   | Op.Where -> (
       match inputs with
@@ -616,6 +600,6 @@ let apply_op ?alloc (node : Graph.node) (inputs : Value.t list) =
               (Tensor.scalar
                  (if scal_val c <> 0.0 then scal_val a else scal_val b));
           ]
-      | _ -> [ Value.Tensor (where ?alloc (tin 0) (tin 1) (tin 2)) ])
-  | Op.Clone -> [ Value.Tensor (clone ?alloc (tin 0)) ]
+      | _ -> [ Value.Tensor (where ?alloc ?par (tin 0) (tin 1) (tin 2)) ])
+  | Op.Clone -> [ Value.Tensor (clone ?alloc ?par (tin 0)) ]
   | _ -> Eval.apply_op node inputs

@@ -69,6 +69,7 @@ type t = {
   uses : int array;  (* per slot: consuming edges in the defining block *)
   pinned : bool array;  (* per slot: never release or donate *)
   pool : Buffer_plan.pool;  (* the engine's storage pool *)
+  par : Functs_jit.Jit.par option;  (* the engine's parallel-for *)
   counts : counts;  (* the engine's *)
 }
 
@@ -76,8 +77,9 @@ type t = {
    itself ({!Storage.mark}) rather than a hashtable: the executor's fixed
    per-node cost has to undercut the interpreter's for fusion to show on
    overhead-bound workloads.  Caller-owned storages get a large bias so
-   their count can never reach 0 (pooled) or 1 (donated). *)
-let run_epoch = ref 0
+   their count can never reach 0 (pooled) or 1 (donated).  Epochs are
+   process-wide: no storage may see one twice, whichever engine runs. *)
+let run_epoch = Atomic.make 0
 let foreign_bias = 1_000_000
 
 let rec iter_value_tensors v f =
@@ -86,9 +88,8 @@ let rec iter_value_tensors v f =
   | Value.List l -> List.iter (fun x -> iter_value_tensors x f) l
   | Value.Int _ | Value.Float _ | Value.Bool _ -> ()
 
-let create ~nslots ~live ~uses ~pinned ~pool ~counts ~foreign =
-  incr run_epoch;
-  let epoch = !run_epoch in
+let create ~nslots ~live ~uses ~pinned ~pool ~par ~counts ~foreign =
+  let epoch = Atomic.fetch_and_add run_epoch 1 + 1 in
   List.iter
     (fun v ->
       iter_value_tensors v (fun (t : Tensor.t) ->
@@ -104,6 +105,7 @@ let create ~nslots ~live ~uses ~pinned ~pool ~counts ~foreign =
     uses;
     pinned;
     pool;
+    par;
     counts;
   }
 
@@ -185,12 +187,12 @@ let note_donation rs =
   rs.counts.donations <- rs.counts.donations + 1;
   Metrics.incr donations_c
 
-let write_region (region : Tensor.t) (src : Tensor.t) =
+let write_region ?par (region : Tensor.t) (src : Tensor.t) =
   if Tensor.numel region = 1 && Tensor.numel src = 1 then
     (* the sole element of any one-element view sits at its offset *)
     (Storage.data region.Tensor.storage).(region.Tensor.offset) <-
       (Storage.data src.Tensor.storage).(src.Tensor.offset)
-  else Fastops.copy_into region src
+  else Fastops.copy_into ?par region src
 
 (* In-place execution of [immut::assign] when the base dies here and its
    storage has no other live reference: write the region through the view
@@ -207,7 +209,7 @@ let try_donate rs (inst : inst) inputs =
         let src_t = Value.to_tensor src in
         if Tensor.same_storage bt src_t then None
         else begin
-          write_region (Eval.apply_view_kind kind bt operands) src_t;
+          write_region ?par:rs.par (Eval.apply_view_kind kind bt operands) src_t;
           note_donation rs;
           Tracer.instant "exec.donate";
           Some [ Value.Tensor bt ]
@@ -239,6 +241,7 @@ let clone_reuses rs (inst : inst) (t : Tensor.t) =
    profile compiles with [-opaque], so nothing inlines across modules. *)
 
 let exec_plain_inst rs scope (inst : inst) =
+  let par = rs.par in
   let inputs =
     match Array.length inst.i_in with
     | 0 -> []
@@ -248,7 +251,7 @@ let exec_plain_inst rs scope (inst : inst) =
     | n -> List.init n (fun k -> get rs inst.i_in.(k))
   in
   let outputs =
-    if not rs.live then Fastops.apply_op inst.i_node inputs
+    if not rs.live then Fastops.apply_op ?par inst.i_node inputs
     else
       match try_donate rs inst inputs with
       | Some outs -> outs
@@ -273,16 +276,16 @@ let exec_plain_inst rs scope (inst : inst) =
                 && region.Tensor.offset = bt.Tensor.offset
                 && Shape.equal (Tensor.shape region) (Tensor.shape bt)
                 && Shape.equal (Tensor.shape region) (Tensor.shape src_t)
-              then [ Value.Tensor (Fastops.clone ~alloc:rs.alloc src_t) ]
+              then [ Value.Tensor (Fastops.clone ~alloc:rs.alloc ?par src_t) ]
               else begin
-                let fresh = Fastops.clone ~alloc:rs.alloc bt in
-                write_region (Eval.apply_view_kind kind fresh operands) src_t;
+                let fresh = Fastops.clone ~alloc:rs.alloc ?par bt in
+                write_region ?par (Eval.apply_view_kind kind fresh operands) src_t;
                 [ Value.Tensor fresh ]
               end
           | Op.Clone, [ (Value.Tensor t as v) ] when clone_reuses rs inst t
             ->
               [ v ]
-          | _ -> Fastops.apply_op ~alloc:rs.alloc inst.i_node inputs)
+          | _ -> Fastops.apply_op ~alloc:rs.alloc ?par inst.i_node inputs)
   in
   (match outputs with
   | [ out ] -> bind rs scope inst.i_out.(0) out

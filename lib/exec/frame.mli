@@ -59,6 +59,7 @@ type t = {
   uses : int array;  (** per slot: consuming edges in the defining block *)
   pinned : bool array;  (** per slot: never release or donate *)
   pool : Buffer_plan.pool;  (** the engine's storage pool *)
+  par : Functs_jit.Jit.par option;  (** the engine's parallel-for, if any *)
   counts : counts;  (** the engine's *)
 }
 
@@ -68,6 +69,7 @@ val create :
   uses:int array ->
   pinned:bool array ->
   pool:Buffer_plan.pool ->
+  par:Functs_jit.Jit.par option ->
   counts:counts ->
   foreign:Value.t list ->
   t
@@ -97,7 +99,7 @@ val exit_scope : t -> int list ref -> unit
 val note_donation : t -> unit
 (** Count one in-place write (engine and process-wide counters). *)
 
-val write_region : Tensor.t -> Tensor.t -> unit
+val write_region : ?par:Functs_jit.Jit.par -> Tensor.t -> Tensor.t -> unit
 (** [write_region region src] copies [src] into the view [region]. *)
 
 val exec_plain_inst : t -> int list ref -> inst -> unit

@@ -59,7 +59,7 @@ let adopt_or_clone rs ~donate (bt : Tensor.t) =
     note_donation rs;
     bt
   end
-  else Fastops.clone ~alloc:rs.alloc bt
+  else Fastops.clone ~alloc:rs.alloc ?par:rs.par bt
 
 (* Every slice descriptor (view kinds, operand slots, buffer indices) is
    resolved to frame slots once, here, never per run or per iteration.
@@ -141,9 +141,11 @@ let carried_buffers rs lp inits =
    refcounts, or buffer rotation.  Each iteration is one chunk: its
    writes are disjoint from every other's, so any partition is
    bitwise-identical to the sequential order.  Bodies run the action
-   table on a private frame per chunk, and [Pool.parallel_for] decides
-   whether the chunks fan out across lanes or all run on the caller. *)
-let exec rs ~pool (bi : binst) lp trip inits bufs =
+   table on a private frame per chunk, and the engine's parallel-for
+   decides whether the chunks fan out across lanes or all run on the
+   caller; their kernels, issued while it runs, run sequentially. *)
+let exec rs (bi : binst) lp trip inits bufs =
+  let par = rs.par in
   let i_slot = bi.bi_params.(0) in
   let carried_slots = Array.sub bi.bi_params 1 (Array.length lp.lp_sliced) in
   let buf j =
@@ -199,8 +201,8 @@ let exec rs ~pool (bi : binst) lp trip inits bufs =
                 List.init (Array.length b.i_in - 2) (fun o ->
                     getv b.i_in.(o + 2))
               in
-              let fresh = Fastops.clone ?alloc bt in
-              write_region (Eval.apply_view_kind kind fresh operands) src;
+              let fresh = Fastops.clone ?alloc ?par bt in
+              write_region ?par (Eval.apply_view_kind kind fresh operands) src;
               vals.(b.i_out.(0)) <- Some (Value.Tensor fresh)
           | L_write w ->
               let region = ref (buf w.wr_buf) in
@@ -216,13 +218,13 @@ let exec rs ~pool (bi : binst) lp trip inits bufs =
                     getv w.wr_leaf_ops.(o))
               in
               let leaf = Eval.apply_view_kind w.wr_leaf_kind !region leaf_ops in
-              write_region leaf (Value.to_tensor (getv w.wr_src));
+              write_region ?par leaf (Value.to_tensor (getv w.wr_src));
               vals.(w.wr_out) <- Some (Value.Tensor (buf w.wr_buf))
           | L_plain ->
               let inputs =
                 List.init (Array.length b.i_in) (fun o -> getv b.i_in.(o))
               in
-              let outs = Fastops.apply_op ?alloc b.i_node inputs in
+              let outs = Fastops.apply_op ?alloc ?par b.i_node inputs in
               List.iteri (fun o out -> vals.(b.i_out.(o)) <- Some out) outs)
         bi.bi_insts;
       List.iter (Buffer_plan.release rs.pool) !scratch;
@@ -232,19 +234,19 @@ let exec rs ~pool (bi : binst) lp trip inits bufs =
   (* Private frame per chunk: iterations rebind everything they define;
      outer bindings are only ever read. *)
   let body lo hi = run_iters (Array.copy rs.vals) lo hi in
-  (* Cost hint for the pool's cache-aware chunking: each iteration walks
-     its slice of every carried buffer about once, so per-iteration bytes
-     are the carried footprint spread over the trip. *)
+  (* Cost hint for cache-aware chunking: each iteration walks its slice
+     of every carried buffer about once, so per-iteration bytes are the
+     carried footprint spread over the trip. *)
   let carried_bytes =
     Array.fold_left
       (fun acc v ->
         match v with Value.Tensor t -> acc + (8 * Tensor.numel t) | _ -> acc)
       0 inits
   in
-  ignore
-    (Pool.parallel_for pool
-       ~bytes_per_iter:(carried_bytes / max 1 trip)
-       ~grain:1 ~n:trip body)
+  match par with
+  | Some { par_for; _ } ->
+      par_for ~bytes_per_iter:(carried_bytes / max 1 trip) ~grain:1 ~n:trip body
+  | None -> body 0 trip
 
 (* Bind a batched run's results to the loop's outputs: the shared
    buffers and the passed-through inits. *)

@@ -66,17 +66,17 @@ val carried_buffers : Frame.t -> t -> Value.t array -> Functs_tensor.Tensor.t op
 
 val exec :
   Frame.t ->
-  pool:Pool.t ->
   Frame.binst ->
   t ->
   int ->
   Value.t array ->
   Functs_tensor.Tensor.t option array ->
   unit
-(** [exec rs ~pool body plan trip inits bufs] runs every iteration on
-    the shared buffers, one chunk per iteration, handed to
-    {!Pool.parallel_for}, which fans them out across lanes or runs them
-    all on the caller.  A chunk on the run's own domain draws its
+(** [exec rs body plan trip inits bufs] runs every iteration on the
+    shared buffers, one chunk per iteration, handed to the frame's
+    parallel-for (whose pool runs the chunks' own kernels sequentially),
+    which fans them out across lanes or runs them all on the caller.
+    A chunk on the run's own domain draws its
     iteration scratch from the storage pool and returns it at the end of
     each iteration; a chunk on a worker domain allocates fresh. *)
 

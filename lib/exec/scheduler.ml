@@ -146,11 +146,10 @@ type prepared = {
          any other shape. *)
   p_scalar_slots : (string, int) Hashtbl.t;  (* kernel symbol -> slot *)
   p_live : bool;  (* mutation-free: pool / donation / kernels active *)
-  p_parallel : bool;
   p_pool : Buffer_plan.pool;
   p_exec_pool : Pool.t;  (* persistent domain pool shared by all dispatches *)
+  p_par : Jit.par option;  (* a parallel engine's one way to [p_exec_pool] *)
   p_loop_grain : int;  (* minimum trip count before a loop runs batched *)
-  p_kernel_grain : int;  (* elements per chunk for intra-kernel splits *)
   p_counts : Frame.counts;
 }
 
@@ -233,19 +232,11 @@ let native_launch p ((kind, id) : site) ~clear launch =
       raise e
 
 let run_group_jit p rs scope gid g entry =
-  let par =
-    if p.p_parallel then
-      Some
-        (fun ~grain ~bytes_per_iter ~n body ->
-          ignore
-            (Pool.parallel_for p.p_exec_pool ~bytes_per_iter ~grain ~n body))
-    else None
-  in
   match
     native_launch p (`Group, gid) ~clear:(fun () -> g.g_jit <- `Demoted)
       (fun ~alloc ~track:_ ->
-        Jit.run ?par ~grain:p.p_kernel_grain entry ~alloc
-          ~lookup:(tensor_lookup p rs) ~scalar:(scalar_lookup p rs))
+        Jit.run ?par:p.p_par entry ~alloc ~lookup:(tensor_lookup p rs)
+          ~scalar:(scalar_lookup p rs))
   with
   | Some results ->
       bind_group_results p rs scope gid g.g_members results;
@@ -285,7 +276,7 @@ let tuned p l (inst : inst) bi trip =
   match l.l_batch with
   | None -> true
   | Some (lp, _) ->
-      p.p_parallel && trip > 1 && trip >= p.p_loop_grain
+      Option.is_some p.p_par && trip > 1 && trip >= p.p_loop_grain
       && Array.length bi.bi_params = Array.length lp.Loop_plan.lp_sliced + 1
       && Array.length bi.bi_insts = Array.length lp.lp_actions
       && Array.length inst.i_out = Array.length lp.lp_sliced
@@ -299,7 +290,7 @@ let exec_batched p rs ~scope (inst : inst) bi (lp, vector) trip inits =
   (match vector with
   | Some vp when Vector_plan.exec rs bi lp vp trip inits bufs ->
       p.p_counts.vector_loops <- p.p_counts.vector_loops + 1
-  | _ -> Loop_plan.exec rs ~pool:p.p_exec_pool bi lp trip inits bufs);
+  | _ -> Loop_plan.exec rs bi lp trip inits bufs);
   p.p_counts.parallel_loops <- p.p_counts.parallel_loops + 1;
   Metrics.incr parallel_loops_c;
   Loop_plan.bind_outputs rs ~scope inst lp inits bufs
@@ -328,7 +319,8 @@ let exec_native p rs ~scope (inst : inst) l (entry, donate) trip inits =
                 if b == t then t else track b)
             (Array.of_list inits)
         in
-        Jit.run_loop entry ~trip ~carried ~alloc ~copy:Fastops.copy_into
+        Jit.run_loop entry ~trip ~carried ~alloc
+          ~copy:(Fastops.copy_into ?par:p.p_par)
           ~lookup:(tensor_lookup p rs) ~scalar:(scalar_lookup p rs))
   with
   | Some outs ->
@@ -477,6 +469,14 @@ and exec_seq_loop p rs ~scope (inst : inst) (bi : binst) trip inits =
   List.iter (unretain rs) !carried
 
 (* --- preparation --- *)
+
+let parallel_for pool ~kernel_grain =
+  {
+    Jit.par_for =
+      (fun ~grain ~bytes_per_iter ~n body ->
+        ignore (Pool.parallel_for pool ~bytes_per_iter ~grain ~n body));
+    kernel_grain = max 1 kernel_grain;
+  }
 
 let prepare ~parallel ~pool:exec_pool ~loop_grain ~kernel_grain ~graph
     ~shapes ~plan =
@@ -673,11 +673,11 @@ let prepare ~parallel ~pool:exec_pool ~loop_grain ~kernel_grain ~graph
     p_consts = Array.of_list (List.rev !consts);
     p_scalar_slots = scalar_slots;
     p_live = not !has_mutation;
-    p_parallel = parallel;
     p_pool = Buffer_plan.create_pool ();
     p_exec_pool = exec_pool;
+    p_par =
+      (if parallel then Some (parallel_for exec_pool ~kernel_grain) else None);
     p_loop_grain = max 1 loop_grain;
-    p_kernel_grain = max 1 kernel_grain;
     p_counts = Frame.counts ();
   }
 
@@ -792,19 +792,14 @@ let run p args =
   Tracer.span_args "scheduler.run"
     ~args:(fun () -> [ ("graph", p.p_graph.Graph.g_name) ])
   @@ fun () ->
-  (* Rebind the kernel-library chunker to this engine's pool for the whole
-     invocation (a process-wide ref: a session shard on another domain
-     may rebind it mid-run, which never changes a result; see Fastops). *)
-  Fastops.set_parallel
-    (if p.p_parallel then Some p.p_exec_pool else None)
-    ~grain:p.p_kernel_grain;
   (match check_args p.p_graph p.p_in_shapes args with
   | Ok () -> ()
   | Error m -> error "%s" m);
   let params = Graph.params p.p_graph in
   let rs =
     Frame.create ~nslots:p.p_nslots ~live:p.p_live ~uses:p.p_uses
-      ~pinned:p.p_pinned ~pool:p.p_pool ~counts:p.p_counts ~foreign:args
+      ~pinned:p.p_pinned ~pool:p.p_pool ~par:p.p_par ~counts:p.p_counts
+      ~foreign:args
   in
   Array.iter
     (fun (c : inst) ->

@@ -52,6 +52,10 @@ open Functs_interp
 
 type prepared
 
+val parallel_for : Pool.t -> kernel_grain:int -> Functs_jit.Jit.par
+(** A parallel engine's parallel-for: {!Pool.parallel_for} on [pool],
+    which runs a range issued while the pool is busy sequentially. *)
+
 val prepare :
   parallel:bool ->
   pool:Pool.t ->
@@ -65,8 +69,10 @@ val prepare :
     unmodified for the lifetime of the result.  [pool] is the persistent
     worker pool every dispatch goes through (the scheduler never spawns
     domains; the pool alone decides whether a batched loop fans out);
-    [loop_grain] is the minimum trip count before a loop runs batched,
-    [kernel_grain] the per-chunk element count for intra-kernel splits.
+    a [parallel] engine's kernels and batched loops all get its one
+    {!parallel_for}.  [loop_grain] is the minimum trip count before a
+    loop runs batched, [kernel_grain] the per-chunk element count for
+    intra-kernel splits.
     Every group starts per-node; {!arm} adds native kernels.  Each
     loop site gets its arm by the rule above. *)
 

@@ -194,6 +194,7 @@ let plan (bi : binst) (lp : Loop_plan.t) =
    goes back at the end — writes copy into the shared buffers. *)
 let exec rs (bi : binst) (lp : Loop_plan.t) vp trip inits bufs =
   let exception Bail in
+  let par = rs.par in
   let vals = Array.copy rs.vals in
   let getv slot =
     match vals.(slot) with
@@ -257,7 +258,7 @@ let exec rs (bi : binst) (lp : Loop_plan.t) vp trip inits bufs =
         | V_once, _ ->
             List.iteri
               (fun o out -> vals.(b.i_out.(o)) <- Some out)
-              (Fastops.apply_op ~alloc:pooled b.i_node (operands b 0))
+              (Fastops.apply_op ~alloc:pooled ?par b.i_node (operands b 0))
         | V_write, L_write w ->
             vals.(w.wr_out) <- Some (Value.Tensor (buf w.wr_buf))
         | _ -> ())
@@ -309,10 +310,10 @@ let exec rs (bi : binst) (lp : Loop_plan.t) vp trip inits bufs =
         in
         let dst = match into with Some reg -> reg | None -> pooled shape in
         (match (b.i_node.n_op, ts) with
-        | Op.Unary fn, [| a |] -> Fastops.unary_into dst fn a
-        | Op.Binary fn, [| a; c |] -> Fastops.binary_into dst fn a c
-        | Op.Where, [| c; a; e |] -> Fastops.where_into dst c a e
-        | Op.Clone, [| a |] -> Fastops.copy_into dst a
+        | Op.Unary fn, [| a |] -> Fastops.unary_into ?par dst fn a
+        | Op.Binary fn, [| a; c |] -> Fastops.binary_into ?par dst fn a c
+        | Op.Where, [| c; a; e |] -> Fastops.where_into ?par dst c a e
+        | Op.Clone, [| a |] -> Fastops.copy_into ?par dst a
         | _ -> error "vector loop: %s is no engine op" (Op.name b.i_node.n_op));
         dst
       in
@@ -321,12 +322,12 @@ let exec rs (bi : binst) (lp : Loop_plan.t) vp trip inits bufs =
         let src = tensor w.wr_src and v = is_vec w.wr_src in
         let rank = Tensor.ndim reg - 1 in
         if Tensor.ndim src - Bool.to_int v <= rank then
-          Fastops.copy_into reg (if v then align src rank else src)
+          Fastops.copy_into ?par reg (if v then align src rank else src)
         else
           (* rank-dropping one-element writes: per iteration, as the
              sequential loop does *)
           for i = 0 to trip - 1 do
-            write_region
+            write_region ?par
               (Tensor.select reg ~dim:0 i)
               (if v then Tensor.select src ~dim:0 i else src)
           done

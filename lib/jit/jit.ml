@@ -479,14 +479,19 @@ let scratch_out (e : entry) j (st : Jit_emit.estmt) =
       e.en_scratch.(j) <- Some t;
       t
 
-(* [par] (when provided) must cover the whole range [0, n) with disjoint
-   [body lo hi] calls, sequentially or not — {!Pool.parallel_for}'s
-   contract.  Each nest's outermost loop is then split across ranges;
-   nests still run in order (the launch joins before the next nest), so
-   cross-nest reads stay ordered, rows of one nest never read each
-   other, and every output element is written by exactly one range, so
-   results are bitwise-identical to a sequential launch. *)
-let run ?par ~grain (e : entry) ~alloc ~lookup ~scalar =
+type par = {
+  par_for :
+    grain:int -> bytes_per_iter:int -> n:int -> (int -> int -> unit) -> unit;
+  kernel_grain : int;
+}
+
+(* [par_for] covers the whole range [0, n) with disjoint [body lo hi]
+   calls, sequentially or not.  Each nest's outermost loop is then split
+   across ranges; nests still run in order (the launch joins before the
+   next nest), so cross-nest reads stay ordered, rows of one nest never
+   read each other, and every output element is written by exactly one
+   range, so results are bitwise-identical to a sequential launch. *)
+let run ?par (e : entry) ~alloc ~lookup ~scalar =
   let em = e.en_em in
   let bufs = e.en_bufs and ints = e.en_ints in
   let outs =
@@ -503,18 +508,21 @@ let run ?par ~grain (e : entry) ~alloc ~lookup ~scalar =
   (* when no nest is worth a parallel split, the whole group runs in
      one native call ([nest = -1] falls through every case at full
      extent) — per-call stub overhead is paid once, not once per nest *)
-  let split (n : Jit_emit.enest) = n.e_rows >= 2 && n.e_numel >= 2 * grain in
+  let split grain (n : Jit_emit.enest) =
+    n.e_rows >= 2 && n.e_numel >= 2 * grain
+  in
   (match par with
-  | Some par when Array.exists split em.e_nests ->
+  | Some { par_for; kernel_grain = grain }
+    when Array.exists (split grain) em.e_nests ->
       let tripped = ref false in
       Array.iteri
         (fun j (n : Jit_emit.enest) ->
           let launch lo hi =
             if Jit_cache.call e.en_fn bufs ints j lo hi <> 0 then tripped := true
           in
-          if split n then begin
+          if split grain n then begin
             let inner = n.e_numel / n.e_rows in
-            par
+            par_for
               ~grain:(max 1 (grain / max 1 inner))
               ~bytes_per_iter:(8 * (1 + e.en_nsites.(j)) * inner)
               ~n:n.e_rows launch

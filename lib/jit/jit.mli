@@ -139,14 +139,21 @@ val prepare_groups :
 
 exception Fallback of string
 
+type par = {
+  par_for :
+    grain:int -> bytes_per_iter:int -> n:int -> (int -> int -> unit) -> unit;
+  kernel_grain : int;
+}
+(** An engine's parallel-for, built once when the engine is prepared
+    and handed to every kernel that splits ({!run} here, the per-node
+    kernels of [Fastops]).  [par_for ~grain ~bytes_per_iter ~n body]
+    must cover [\[0, n)] with disjoint [body lo hi] calls, sequentially
+    or not, each of at least [grain] iterations ([bytes_per_iter], the
+    traffic of one iteration, may size them).  A kernel splits a loop
+    only when it computes at least [2 * kernel_grain] elements. *)
+
 val run :
-  ?par:
-    (grain:int ->
-    bytes_per_iter:int ->
-    n:int ->
-    (int -> int -> unit) ->
-    unit) ->
-  grain:int ->
+  ?par:par ->
   entry ->
   alloc:(Shape.t -> Tensor.t) ->
   lookup:(Graph.value -> Tensor.t option) ->
@@ -157,12 +164,10 @@ val run :
     [scalar] free index symbols.  Returns [(value, tensor, stored)] per
     statement that writes memory, in order, where [stored] marks values
     that escape the kernel; temporaries that live in a nest's local rows
-    are not returned.  [par] — typically [Pool.parallel_for] partially
-    applied by the scheduler — must cover [0, n) with disjoint [body lo
-    hi] calls; each nest of at least two rows that computes at least
-    [2 * grain] elements then splits its outermost loop across it,
-    joining before the next nest so cross-nest reads stay ordered and
-    results stay bitwise-identical.  Raises
+    are not returned.  With [par], each nest of at least two rows that
+    computes at least [2 * kernel_grain] elements splits its outermost
+    loop across [par_for], joining before the next nest so cross-nest
+    reads stay ordered and results stay bitwise-identical.  Raises
     {!Fallback} when a binding fails validation or a guarded index
     leaves its buffer — the caller releases this launch's allocations
     and demotes the group. *)

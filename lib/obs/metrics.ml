@@ -1,4 +1,7 @@
-type counter = { c_name : string; mutable c_value : int }
+(* Counters are bumped from several domains at once (session shards, a
+   dispatcher domain), so they are atomic; an [incr] is one
+   fetch-and-add. *)
+type counter = { c_name : string; c_value : int Atomic.t }
 type gauge = { g_name : string; mutable g_value : float }
 
 (* --- log-bucketed histograms (HDR-style) ---
@@ -15,8 +18,8 @@ type gauge = { g_name : string; mutable g_value : float }
    the float's mantissa/exponent, bump one int cell, update
    count/sum/min/max.  No allocation, no lock, no branch on registry
    state.  Concurrent updates from worker domains may lose increments
-   (plain int stores, same contract as counters); every current producer
-   observes from its own dispatching domain. *)
+   (plain int stores, unlike counters); every current producer observes
+   from its own dispatching domain. *)
 
 let subcount = 16
 let e_min = -40
@@ -93,11 +96,12 @@ let intern tbl name create =
           x)
 
 let counter name =
-  intern reg.r_counters name (fun c_name -> { c_name; c_value = 0 })
+  intern reg.r_counters name (fun c_name ->
+      { c_name; c_value = Atomic.make 0 })
 
-let incr ?(by = 1) c = c.c_value <- c.c_value + by
-let value c = c.c_value
-let reset_counter c = c.c_value <- 0
+let incr ?(by = 1) c = ignore (Atomic.fetch_and_add c.c_value by)
+let value c = Atomic.get c.c_value
+let reset_counter c = Atomic.set c.c_value 0
 
 let gauge name = intern reg.r_gauges name (fun g_name -> { g_name; g_value = 0. })
 let set g v = g.g_value <- v
@@ -231,7 +235,7 @@ let by_name (a, _) (b, _) = String.compare a b
 let snapshot () =
   locked (fun () ->
       let counters =
-        Hashtbl.fold (fun k c acc -> (k, c.c_value) :: acc) reg.r_counters []
+        Hashtbl.fold (fun k c acc -> (k, value c) :: acc) reg.r_counters []
       in
       let gauges =
         Hashtbl.fold (fun k g acc -> (k, g.g_value) :: acc) reg.r_gauges []
@@ -260,7 +264,7 @@ let hstat_of snap name = List.assoc_opt name snap.histograms
 
 let reset () =
   locked (fun () ->
-      Hashtbl.iter (fun _ c -> c.c_value <- 0) reg.r_counters;
+      Hashtbl.iter (fun _ c -> reset_counter c) reg.r_counters;
       Hashtbl.iter (fun _ g -> g.g_value <- 0.) reg.r_gauges;
       Hashtbl.iter
         (fun _ h ->

@@ -2,11 +2,11 @@
     with one [snapshot] and a text / JSON dump.
 
     Instruments are created (or fetched — creation is idempotent per
-    name) once at module-init time and then updated with plain field
-    mutations, so the hot path is an int/float store with no lookup and
-    no lock.  Updates are not synchronized across domains; every current
-    producer updates from the dispatching domain, which is also the
-    engine's own threading contract.
+    name) once at module-init time and then updated with no lookup and
+    no lock.  Counters are atomic (an [incr] is one fetch-and-add), so
+    no domain loses another's increments; gauges and histograms are
+    plain stores, not synchronized across domains — every current
+    producer updates them from the dispatching domain.
 
     Histograms are HDR-style log-bucketed: every power-of-two octave of
     the sample range is split into 16 linear sub-buckets, so each bucket

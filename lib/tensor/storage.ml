@@ -1,31 +1,18 @@
 type t = {
-  id : int;
   data : float array;
   mutable mark_epoch : int;
   mutable mark : int;
   mutable owner : int;
 }
 
-let counter = ref 0
-
-let fresh_id () =
-  incr counter;
-  !counter
-
-let create n =
-  { id = fresh_id (); data = Array.make n 0.0; mark_epoch = 0; mark = 0; owner = 0 }
-
-let of_array data = { id = fresh_id (); data; mark_epoch = 0; mark = 0; owner = 0 }
+let of_array data = { data; mark_epoch = 0; mark = 0; owner = 0 }
+let create n = of_array (Array.make n 0.0)
 let length t = Array.length t.data
-let id t = t.id
 let data t = t.data
 let get t i = t.data.(i)
 let set t i v = t.data.(i) <- v
-let same a b = a.id = b.id
-
-let copy t =
-  { id = fresh_id (); data = Array.copy t.data; mark_epoch = 0; mark = 0; owner = 0 }
-
+let same a b = a == b
+let copy t = of_array (Array.copy t.data)
 let mark t ~epoch = if t.mark_epoch = epoch then t.mark else 0
 
 let set_mark t ~epoch v =

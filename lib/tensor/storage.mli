@@ -1,8 +1,9 @@
 (** Flat float buffers shared between tensor views.
 
     A storage is the unit of aliasing: two tensors alias exactly when they
-    reference the same storage.  Each storage carries a unique id so alias
-    relationships can be asserted in tests. *)
+    reference the same storage, compared by physical identity.  Storages
+    are records with mutable fields, so every storage made is distinct
+    from every other, whichever domain made it. *)
 
 type t
 
@@ -13,7 +14,6 @@ val of_array : float array -> t
 (** Wrap the array without copying; the caller must not reuse it. *)
 
 val length : t -> int
-val id : t -> int
 
 val get : t -> int -> float
 val set : t -> int -> float -> unit
@@ -26,7 +26,7 @@ val same : t -> t -> bool
 (** Physical identity — the aliasing test. *)
 
 val copy : t -> t
-(** Deep copy with a fresh id. *)
+(** Deep copy into a new storage. *)
 
 val mark : t -> epoch:int -> int
 (** Epoch-tagged scratch counter for clients that track per-pass state

@@ -152,7 +152,7 @@ fi
 echo "== profile --json stage keys (FUNCTS_DOMAINS=2) =="
 FUNCTS_DOMAINS=2 dune exec bin/functs.exe -- profile lstm --runs 8 --json \
   > "$tmp/functs_profile.json"
-for key in '"queue_wait"' '"batch"' '"exec"' '"total"' '"groups"' '"gc"' '"ops"' '"setup"' '"armed_ms"' '"exec.runs"' '"minor_words"' '"major_words"'; do
+for key in '"queue_wait"' '"batch"' '"exec"' '"total"' '"groups"' '"gc"' '"ops"' '"setup"' '"armed_ms"' '"exec.runs"' '"minor_words"' '"major_words"' '"buckets"'; do
   grep -q "$key" "$tmp/functs_profile.json" || {
     echo "error: profile --json is missing the $key key" >&2
     exit 1
@@ -167,6 +167,8 @@ for s in ("queue_wait", "batch", "exec", "total"):
     assert st["count"] > 0, f"stage {s} observed nothing"
     assert st["p99_us"] >= st["p50_us"] >= 0
 assert d["groups"], "no attribution rows"
+served = sum(int(b[1:]) * n for b, n in d["buckets"].items())
+assert served == d["requests"], f"buckets cover {served} of {d['requests']} requests"
 EOF
 fi
 
@@ -267,6 +269,19 @@ echo "== lean JIT units: no immintrin in gemm_kernel.h or lib/jit =="
 violations=$(grep -rn 'immintrin' lib/exec/gemm_kernel.h lib/jit || true)
 if [ -n "$violations" ]; then
   echo "error: an intrinsic header in code every JIT unit compiles:" >&2
+  echo "$violations" >&2
+  exit 1
+fi
+
+# Each engine builds one parallel-for at prepare and hands it to every
+# kernel and batched loop it runs, and storages alias by physical
+# identity: no process-wide pool binding or minted storage id may come
+# back.
+echo "== one-owner gate: no process-wide parallel binding, no storage ids =="
+violations=$(grep -rnE 'set_parallel|par_pool|par_grain|fresh_id|Storage\.id' \
+  lib bin bench || true)
+if [ -n "$violations" ]; then
+  echo "error: a process-wide parallel binding or storage id under lib/, bin/ or bench/:" >&2
   echo "$violations" >&2
   exit 1
 fi

@@ -153,30 +153,30 @@ let test_pool_bitwise_kernels () =
   (* 13 and 16 rows chunk into whole 8-row tiles (13 = 8 + 4 + 1) *)
   let m13 = T.rand state [| 13; 40 |] and m16 = T.rand state [| 16; 40 |] in
   let n40 = T.rand state [| 40; 37 |] in
-  let seq f =
-    Fastops.set_parallel None ~grain:8192;
-    f ()
-  in
-  let par f =
-    let pool = Pool.create ~lanes:3 in
-    Fastops.set_parallel (Some pool) ~grain:16;
-    let r = f () in
-    Fastops.set_parallel None ~grain:8192;
-    Pool.shutdown pool;
-    r
-  in
+  let pool = Pool.create ~lanes:3 in
+  let par = Scheduler.parallel_for pool ~kernel_grain:16 in
+  (* each kernel once without a parallel-for and once with one: the
+     pool must see dispatches only in the second run *)
   let same name f =
+    let d0 = Pool.dispatches pool in
+    let seq = T.to_flat_array (f None) in
+    let d1 = Pool.dispatches pool in
+    let chunked = T.to_flat_array (f (Some par)) in
     check
       (name ^ " is bitwise identical under intra-kernel chunking")
+      true (seq = chunked);
+    check
+      (name ^ " dispatches to the pool only with a parallel-for")
       true
-      (T.to_flat_array (seq f) = T.to_flat_array (par f))
+      (d1 = d0 && Pool.dispatches pool > d1)
   in
-  same "binary add" (fun () -> Fastops.binary Scalar.Add a b);
-  same "matmul" (fun () -> Fastops.matmul m n);
-  same "matmul m=13" (fun () -> Fastops.matmul m13 n40);
-  same "matmul m=16" (fun () -> Fastops.matmul m16 n40);
-  same "softmax" (fun () -> Fastops.softmax a ~dim:1);
-  same "sum_dim" (fun () -> Fastops.sum_dim a ~dim:1 ~keepdim:false)
+  same "binary add" (fun par -> Fastops.binary ?par Scalar.Add a b);
+  same "matmul" (fun par -> Fastops.matmul ?par m n);
+  same "matmul m=13" (fun par -> Fastops.matmul ?par m13 n40);
+  same "matmul m=16" (fun par -> Fastops.matmul ?par m16 n40);
+  same "softmax" (fun par -> Fastops.softmax ?par a ~dim:1);
+  same "sum_dim" (fun par -> Fastops.sum_dim ?par a ~dim:1 ~keepdim:false);
+  Pool.shutdown pool
 
 let test_pool_shutdown_joins () =
   (* 150 create/shutdown cycles would blow OCaml's live-domain limit
@@ -1692,6 +1692,10 @@ let prop_strided_engine_bitwise =
 module Matmul_case = struct
   module St = Functs_tensor.Storage
 
+  (* the parallel-for of a 3-lane engine, at a small kernel grain *)
+  let lanes3 () =
+    Scheduler.parallel_for (Pool.shared ~lanes:3) ~kernel_grain:16
+
   let value st ~special =
     if Random.State.int st 32 >= special then Random.State.float st 4.0 -. 2.0
     else
@@ -1763,19 +1767,13 @@ module Matmul_case = struct
       done
     end;
     let expected = bits (Functs_tensor.Ops.matmul a b) in
-    let run_on pool =
-      Fastops.set_parallel pool ~grain:16;
-      Fun.protect
-        ~finally:(fun () -> Fastops.set_parallel None ~grain:8192)
-        (fun () -> bits (Fastops.matmul a b))
-    in
+    let run_on par = bits (Fastops.matmul ?par a b) in
     let shape s =
       String.concat "x" (Array.to_list (Array.map string_of_int s))
     in
     ( Printf.sprintf "%s [%s] @ [%s]%s" rank (shape sa) (shape sb)
         (if zero_row then " with a -0.0 row" else ""),
-      run_on None = expected
-      && run_on (Some (Pool.shared ~lanes:3)) = expected )
+      run_on None = expected && run_on (Some (lanes3 ())) = expected )
 end
 
 let prop_matmul_bitwise =
@@ -1890,16 +1888,12 @@ let test_matmul_fused () =
       let a = crafted_rows m 2 in
       fused (label "Ops.matmul") (Functs_tensor.Ops.matmul a b);
       List.iter
-        (fun (lanes, pool) ->
+        (fun (lanes, par) ->
           let l what = label (Printf.sprintf "Fastops %s, %s" what lanes) in
-          Fastops.set_parallel pool ~grain:16;
-          Fun.protect
-            ~finally:(fun () -> Fastops.set_parallel None ~grain:8192)
-            (fun () ->
-              fused (l "2-D") (Fastops.matmul a b);
-              fused (l "3-D x 2-D") (Fastops.matmul (twice a) b);
-              fused (l "3-D x 3-D") (Fastops.matmul (twice a) (twice b))))
-        [ ("sequential", None); ("3 lanes", Some (Pool.shared ~lanes:3)) ];
+          fused (l "2-D") (Fastops.matmul ?par a b);
+          fused (l "3-D x 2-D") (Fastops.matmul ?par (twice a) b);
+          fused (l "3-D x 3-D") (Fastops.matmul ?par (twice a) (twice b)))
+        [ ("sequential", None); ("3 lanes", Some (Matmul_case.lanes3 ())) ];
       if Functs_jit.Jit.c_toolchain_available () then begin
         (* one fused group holding the matmul, armed with its C kernel *)
         let args () = [ Value.Tensor (T.clone a); Value.Tensor (T.clone b) ] in

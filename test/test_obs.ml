@@ -300,6 +300,22 @@ let test_metrics_roundtrip () =
       check (name ^ " in text dump") true (contains_sub text name))
     [ "test.counter"; "test.gauge"; "test.histogram" ]
 
+(* Session shards and dispatcher domains bump the same counters: two
+   domains racing a million increments each must lose none. *)
+let test_counter_two_domains () =
+  let c = Metrics.counter "test.concurrent" in
+  Metrics.reset_counter c;
+  let n = 1_000_000 in
+  let bump () =
+    for _ = 1 to n do
+      Metrics.incr c
+    done
+  in
+  let other = Domain.spawn bump in
+  bump ();
+  Domain.join other;
+  check_int "two domains x 10^6 increments" (2 * n) (Metrics.value c)
+
 let test_metrics_absorbed_counters () =
   (* The compile-cache counters now live in the registry under
      engine.cache.*; the deprecated Compiler_profile alias reads them. *)
@@ -584,6 +600,8 @@ let () =
         [
           Alcotest.test_case "snapshot JSON round trip" `Quick
             test_metrics_roundtrip;
+          Alcotest.test_case "counters lose no concurrent increment" `Quick
+            test_counter_two_domains;
           Alcotest.test_case "compile-cache counters absorbed" `Quick
             test_metrics_absorbed_counters;
           Alcotest.test_case "percentiles track exact quantiles" `Quick
